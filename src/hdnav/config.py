@@ -20,12 +20,6 @@ class ExperimentConfig:
     theta_o: float = 0.1      # policy exhaustion threshold
     phi_o: float = 0.8        # object-goal arrival similarity
     phi_g: float = 0.999      # grid arrival similarity
-    learning_rate: float = 0.05
-    grid_learning_rate: float = 0.05
-    object_epoch_cap: int = 10_000
-    grid_epoch_cap: int = 20_000
-    object_tolerance: float = 0.0   # 0 = derive 1e-3 * sqrt(d)
-    grid_tolerance: float = 0.0     # 0 = derive 1e-2 * sqrt(d)
     grid_step_cap: int = 0          # 0 = derive 4 * (W + H)
     object_hop_cap: int = 0         # 0 = derive 2 * n
     mission_cell_cap: int = 0       # 0 = derive 10 * W * H
@@ -47,8 +41,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.learning_rate <= 0 or self.grid_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         for name in (

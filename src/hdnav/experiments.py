@@ -48,15 +48,7 @@ def build_object_cml(config: ExperimentConfig) -> cml_mod.Cml:
 def build_grid_cml(config: ExperimentConfig) -> GridCml:
     rng = trial_rng(config.require_seed(), TAG_TRAIN, 1)
     actions = build_actions(config.d, rng)
-    return train_grid(
-        maze_mod.WIDTH,
-        maze_mod.HEIGHT,
-        config.d,
-        actions,
-        learning_rate=config.grid_learning_rate,
-        convergence_tol=config.grid_tolerance or None,
-        epoch_cap=config.grid_epoch_cap,
-    )
+    return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, config.d, actions)
 
 
 def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict:

@@ -8,6 +8,10 @@ exact negations, so opposite moves cancel (``a_s + a_n = 0``).
 The cell states P (one column per cell, row-major indexing) start from
 zero and are trained against the fixed actions over every directed
 adjacency until ``p_neighbor ~= p_cell + a_direction`` holds everywhere.
+Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
+2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
+therefore iterates the two coordinate chains x (one scalar per row) and
+y (one per column) and builds P once from the converged chains.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -103,39 +107,37 @@ def train_grid(
     ``p_j - (p_i + a)``: the source column gains ``lr * err`` and the
     destination column loses it.  West/north edges mirror east/south
     edges exactly (their actions are negations), contributing the same
-    update again, so the loop below walks east and south slices and
-    applies each update twice.  Convergence is the mean error norm over
-    all directed edges dropping below ``convergence_tol`` (default
-    1e-2 * sqrt(d)).
+    update again.  With P = x a_s + y a_e, an east edge's error is
+    ``(y[c+1] - y[c] - 1) a_e`` in every row, so the batch update moves
+    the y chain by twice that coefficient and never leaves the span (the
+    same holds for south edges and x).  Convergence is the mean error
+    norm over all directed edges dropping below ``convergence_tol``
+    (default 1e-2 * sqrt(d)); each edge's norm is its chain coefficient
+    times ``|a_e|`` or ``|a_s|``.
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
     if convergence_tol is None:
         convergence_tol = 1e-2 * np.sqrt(d)
-    P3 = np.zeros((d, height, width))
-    a_e = A4[:, 0][:, None, None]
-    a_s = A4[:, 1][:, None, None]
+    a_e, a_s = A4[:, 0], A4[:, 1]
+    norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
+    edge_pairs = directed_edge_count(width, height) // 2
+    x = np.zeros(height)  # south coordinate of each row
+    y = np.zeros(width)  # east coordinate of each column
     for _ in range(epoch_cap):
-        err_e = P3[:, :, 1:] - (P3[:, :, :-1] + a_e)
-        err_s = P3[:, 1:, :] - (P3[:, :-1, :] + a_s)
-        mean_residual = float(
-            np.concatenate(
-                [
-                    np.sqrt((err_e**2).sum(axis=0)).ravel(),
-                    np.sqrt((err_s**2).sum(axis=0)).ravel(),
-                ]
-            ).mean()
-        )
+        err_x = np.diff(x) - 1.0
+        err_y = np.diff(y) - 1.0
+        mean_residual = (
+            height * norm_e * float(np.abs(err_y).sum())
+            + width * norm_s * float(np.abs(err_x).sum())
+        ) / edge_pairs
         if mean_residual < convergence_tol:
-            return GridCml(
-                P=P3.reshape(d, height * width), A4=A4.copy(), width=width, height=height
-            )
-        upd = np.zeros_like(P3)
-        upd[:, :, :-1] += (2 * learning_rate) * err_e
-        upd[:, :, 1:] -= (2 * learning_rate) * err_e
-        upd[:, :-1, :] += (2 * learning_rate) * err_s
-        upd[:, 1:, :] -= (2 * learning_rate) * err_s
-        P3 += upd
+            P = np.outer(a_s, np.repeat(x, width)) + np.outer(a_e, np.tile(y, height))
+            return GridCml(P=P, A4=A4.copy(), width=width, height=height)
+        y[:-1] += (2 * learning_rate) * err_y
+        y[1:] -= (2 * learning_rate) * err_y
+        x[:-1] += (2 * learning_rate) * err_x
+        x[1:] -= (2 * learning_rate) * err_x
     raise RuntimeError(
         f"grid training failed to converge: residual {mean_residual:.3g} "
         f"after {epoch_cap} epochs"

@@ -16,7 +16,6 @@ exact wall columns, door rows, and h/k/t cells vary with the seed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,8 +49,6 @@ OBJECT_GRAPH_EDGES = (
     ("c", "e"),
 )
 
-GENERATION_ATTEMPT_CAP = 1000
-
 
 def object_graph() -> cml.CmlGraph:
     """The fixed abstract graph of the eight maze objects."""
@@ -74,12 +71,15 @@ class Maze:
 
 
 def generate_maze(rng: np.random.Generator) -> Maze:
-    """Sample a maze from the template; retried until fully connected."""
-    for _ in range(GENERATION_ATTEMPT_CAP):
-        maze = _sample_layout(rng)
-        if _connected_from(maze, maze.placements["h"]):
-            return maze
-    raise RuntimeError("maze generation failed: no connected layout found")
+    """Sample a maze from the template; every layout is connected.
+
+    No retry is needed: doors a and e sit on rows above the middle wall
+    (row < hrow), doors b and d on rows below it, so a/e join the left and
+    right rooms to the upper middle sub-room and b/d join them to the
+    lower one, while door c joins the two sub-rooms.  Objects occupy
+    passable cells and block nothing.
+    """
+    return _sample_layout(rng)
 
 
 def _sample_layout(rng: np.random.Generator) -> Maze:
@@ -118,20 +118,6 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     placements["t"] = right_room[int(rng.integers(0, len(right_room)))]
 
     return Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
-
-
-def _connected_from(maze: Maze, start: Cell) -> bool:
-    free = maze.width * maze.height - len(maze.blocked)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        row, col = queue.popleft()
-        for dr, dc in DELTAS.values():
-            nxt = (row + dr, col + dc)
-            if maze.passable(nxt) and nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == free
 
 
 def sense(maze: Maze, cell: Cell) -> TouchSensors:

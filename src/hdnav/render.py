@@ -113,6 +113,6 @@ def render_svg(record: dict, cell_px: int = 24) -> str:
 def render(record: dict, style: str) -> str:
     if style == "text":
         return render_text(record)
-    if style in ("svg", "vector"):
+    if style == "svg":
         return render_svg(record)
     raise ValueError(f"unknown render style {style!r} (text or svg)")

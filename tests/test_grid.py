@@ -28,6 +28,36 @@ def small_grid():
     return train_grid(5, 5, D, a4)
 
 
+def reference_train_grid(width, height, d, A4, learning_rate=0.05, epoch_cap=20_000):
+    """The delta rule over the full (d x H x W) state array, one column per cell.
+
+    The direct form of the training objective that ``train_grid`` reduces
+    to two coordinate chains; kept as the reference it must match.
+    """
+    tol = 1e-2 * np.sqrt(d)
+    P3 = np.zeros((d, height, width))
+    a_e = A4[:, 0][:, None, None]
+    a_s = A4[:, 1][:, None, None]
+    for _ in range(epoch_cap):
+        err_e = P3[:, :, 1:] - (P3[:, :, :-1] + a_e)
+        err_s = P3[:, 1:, :] - (P3[:, :-1, :] + a_s)
+        mean_residual = np.concatenate(
+            [
+                np.sqrt((err_e**2).sum(axis=0)).ravel(),
+                np.sqrt((err_s**2).sum(axis=0)).ravel(),
+            ]
+        ).mean()
+        if mean_residual < tol:
+            return P3.reshape(d, height * width)
+        upd = np.zeros_like(P3)
+        upd[:, :, :-1] += (2 * learning_rate) * err_e
+        upd[:, :, 1:] -= (2 * learning_rate) * err_e
+        upd[:, :-1, :] += (2 * learning_rate) * err_s
+        upd[:, 1:, :] -= (2 * learning_rate) * err_s
+        P3 += upd
+    raise RuntimeError("reference training did not converge")
+
+
 def open_sensors(grid: GridCml, cell) -> TouchSensors:
     row, col = cell
     return TouchSensors(
@@ -119,6 +149,36 @@ def test_duplicate_states_exist(grid_cml):
     cc = unit.T @ unit
     np.fill_diagonal(cc, 0.0)
     assert (cc > 0.999).sum() >= 2
+
+
+def test_grid_states_are_rank_two(grid_cml):
+    # P = x a_s + y a_e: the delta rule never leaves span{a_s, a_e}
+    sigma = np.linalg.svd(grid_cml.P, compute_uv=False)
+    assert sigma[2] / sigma[0] < 1e-12
+
+
+def test_grid_states_separate_into_row_and_column_chains(grid_cml):
+    a_e, a_s = grid_cml.A4[:, 0], grid_cml.A4[:, 1]
+    coef, *_ = np.linalg.lstsq(np.stack([a_s, a_e], axis=1), grid_cml.P, rcond=None)
+    shape = (grid_cml.height, grid_cml.width)
+    x_coef, y_coef = coef[0].reshape(shape), coef[1].reshape(shape)
+    # the south coefficient depends on the row only, the east one on the column only
+    assert np.abs(x_coef - x_coef[:, :1]).max() < 1e-9
+    assert np.abs(y_coef - y_coef[:1, :]).max() < 1e-9
+    x, y = x_coef[:, 0], y_coef[0, :]
+    rebuilt = np.stack(
+        [x[r] * a_s + y[c] * a_e for r in range(shape[0]) for c in range(shape[1])],
+        axis=1,
+    )
+    assert np.abs(rebuilt - grid_cml.P).max() < 1e-9
+
+
+@pytest.mark.parametrize("width,height", [(6, 4), (3, 7), (1, 5)])
+def test_train_grid_matches_reference_delta_rule(actions, width, height):
+    trained = train_grid(width, height, D, actions)
+    reference = reference_train_grid(width, height, D, actions)
+    assert trained.P.shape == reference.shape
+    assert np.abs(trained.P - reference).max() < 1e-10
 
 
 def test_training_cap_raises(actions):

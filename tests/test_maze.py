@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,21 @@ from hdnav.grid import DELTAS, DIRECTIONS
 @pytest.fixture(scope="module")
 def sample():
     return mz.generate_maze(np.random.default_rng(5))
+
+
+def connected_from(maze, start):
+    """Breadth-first search: True when every passable cell is reachable."""
+    free = maze.width * maze.height - len(maze.blocked)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        row, col = queue.popleft()
+        for dr, dc in DELTAS.values():
+            nxt = (row + dr, col + dc)
+            if maze.passable(nxt) and nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == free
 
 
 def wall_columns(maze):
@@ -70,7 +87,15 @@ def test_different_seeds_differ():
 
 
 def test_connectivity_from_home(sample):
-    assert mz._connected_from(sample, sample.placements["h"])
+    assert connected_from(sample, sample.placements["h"])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_layout_connected(seed):
+    # connectivity holds by construction, so generation never retries
+    maze = mz.generate_maze(np.random.default_rng(seed))
+    assert connected_from(maze, maze.placements["h"])
 
 
 def test_doors_are_only_wall_gaps(sample):
@@ -88,7 +113,7 @@ def test_blocking_all_doors_separates_rooms(sample):
         placements=sample.placements,
         robot=sample.robot,
     )
-    assert not mz._connected_from(sealed, sealed.placements["h"])
+    assert not connected_from(sealed, sealed.placements["h"])
 
 
 # --- sensing / movement -------------------------------------------------------------
@@ -209,7 +234,7 @@ def test_close_door_rejects_non_door(sample):
 def test_close_single_door_keeps_maze_connected(sample):
     for door in mz.DOOR_LABELS:
         closed, _ = mz.close_door(sample, door)
-        assert mz._connected_from(closed, closed.placements["h"])
+        assert connected_from(closed, closed.placements["h"])
 
 
 # --- serialization --------------------------------------------------------------------

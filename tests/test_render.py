@@ -77,8 +77,9 @@ def test_render_style_dispatch():
     record = mission_record()
     assert render.render(record, "text") == render.render_text(record)
     assert render.render(record, "svg") == render.render_svg(record)
-    with pytest.raises(ValueError, match="style"):
-        render.render(record, "png")
+    for style in ("png", "vector"):
+        with pytest.raises(ValueError, match="style"):
+            render.render(record, style)
 
 
 def test_load_trace_reports_bad_line(tmp_path):
