@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the full benchmark suite and print a results table.
 
-Trains both models (the grid learner takes a few seconds), runs the four
+Trains both models (well under a second), runs the four
 experiments at their default trial counts, writes reports under the
 output directory, and summarises the headline statistics.
 

@@ -20,9 +20,6 @@ class ExperimentConfig:
     theta_o: float = 0.1      # policy exhaustion threshold
     phi_o: float = 0.8        # object-goal arrival similarity
     phi_g: float = 0.999      # grid arrival similarity
-    grid_step_cap: int = 0          # 0 = derive 4 * (W + H)
-    object_hop_cap: int = 0         # 0 = derive 2 * n
-    mission_cell_cap: int = 0       # 0 = derive 10 * W * H
     mission_goals: str = "k,t,h"    # comma-separated object labels
     mission_trials: int = 50
     grid_only_trials: int = 100

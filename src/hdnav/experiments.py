@@ -207,9 +207,6 @@ def _mission_context(
         theta_o=config.theta_o,
         phi_o=config.phi_o,
         phi_g=config.phi_g,
-        grid_step_cap=config.grid_step_cap,
-        object_hop_cap=config.object_hop_cap,
-        mission_cell_cap=config.mission_cell_cap,
     )
 
 
@@ -259,9 +256,7 @@ def grid_only_trial(
 ) -> dict:
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
-    result = mission.run_grid_only(
-        grid_cml, trial_maze, phi_g=config.phi_g, grid_step_cap=config.grid_step_cap
-    )
+    result = mission.run_grid_only(grid_cml, trial_maze, phi_g=config.phi_g)
     leg = result.goal_outcomes[0]
     return {
         "trial": trial,

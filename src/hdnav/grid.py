@@ -117,6 +117,8 @@ def train_grid(
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
+    if epoch_cap < 1:
+        raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
     if convergence_tol is None:
         convergence_tol = 1e-2 * np.sqrt(d)
     a_e, a_s = A4[:, 0], A4[:, 1]

@@ -20,6 +20,7 @@ generator passed in explicitly wherever randomness is needed.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,13 +99,14 @@ def permute(x: np.ndarray, k: int) -> np.ndarray:
 class Dictionary:
     """An ordered set of labelled hypervectors used for cleanup.
 
+    Labels may be any hashable values (object names, grid cells).
     ``vectors`` holds one row per entry; row order defines the tie-break
     for recovery (lowest index wins on exact score ties).
     """
 
-    labels: tuple[str, ...]
+    labels: tuple[Hashable, ...]
     vectors: np.ndarray  # shape (n, d)
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -118,24 +120,24 @@ class Dictionary:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __contains__(self, label: str) -> bool:
+    def __contains__(self, label: Hashable) -> bool:
         return label in self._index
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, label: str) -> np.ndarray:
+    def vector(self, label: Hashable) -> np.ndarray:
         return self.vectors[self._index[label]]
 
     @classmethod
-    def from_pairs(cls, pairs: list[tuple[str, np.ndarray]]) -> "Dictionary":
+    def from_pairs(cls, pairs: list[tuple[Hashable, np.ndarray]]) -> "Dictionary":
         labels = tuple(label for label, _ in pairs)
         vectors = np.array([v for _, v in pairs], dtype=float)
         return cls(labels, vectors)
 
 
-def recover(query: np.ndarray, dictionary: Dictionary, theta: float) -> str | None:
+def recover(query: np.ndarray, dictionary: Dictionary, theta: float) -> Hashable | None:
     """Cleanup: label of the most similar dictionary entry, or None.
 
     Returns the entry with maximum cosine to ``query`` provided that

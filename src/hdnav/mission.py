@@ -69,18 +69,11 @@ class MissionContext:
     theta_o: float = hdc.DEFAULT_THETA    # policy exhaustion threshold
     phi_o: float = 0.8                    # object-goal arrival similarity
     phi_g: float = 0.999                  # grid arrival similarity
-    grid_step_cap: int = 0                # 0 = derive 4 * (W + H)
-    object_hop_cap: int = 0               # 0 = derive 2 * n
-    mission_cell_cap: int = 0             # 0 = derive 10 * W * H
 
-    def derived_grid_cap(self) -> int:
-        return self.grid_step_cap or 4 * (self.maze.width + self.maze.height)
 
-    def derived_hop_cap(self) -> int:
-        return self.object_hop_cap or 2 * self.object_cml.graph.n
-
-    def derived_cell_cap(self) -> int:
-        return self.mission_cell_cap or 10 * self.maze.width * self.maze.height
+def grid_step_cap(maze: Maze) -> int:
+    """Steps allowed for one grid leg: 4 * (W + H)."""
+    return 4 * (maze.width + maze.height)
 
 
 def detect_dither(path: list[Cell]) -> tuple[Cell, Cell] | None:
@@ -174,7 +167,8 @@ def run_mission(ctx: MissionContext) -> TrialResult:
     maze = ctx.maze
     policy = ctx.policy
     outcomes: list[GoalOutcome] = []
-    cells_budget = ctx.derived_cell_cap()
+    hop_cap = 2 * ctx.object_cml.graph.n
+    cells_budget = 10 * maze.width * maze.height
     current_label = "h"  # the robot starts at home and knows it
     o_t = ctx.memory.objects.vector(current_label)
 
@@ -190,7 +184,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
         dither: tuple[Cell, ...] = ()
 
         while hdc.cosine(o_star, o_t) < ctx.phi_o:
-            if hops >= ctx.derived_hop_cap():
+            if hops >= hop_cap:
                 failure = FailureReason.STEP_CAP
                 break
             hops += 1
@@ -198,19 +192,19 @@ def run_mission(ctx: MissionContext) -> TrialResult:
             if planned.is_zero:
                 failure = _classify_zero_step(ctx.object_cml, o_star, o_t, ctx.theta)
                 break
-            pos_label = semantic_map.query_position(
+            cell = semantic_map.query_position(
                 ctx.memory, planned.predicted_next, ctx.theta
             )
-            if pos_label is None:
+            if cell is None:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
             leg = _grid_leg(
                 ctx.grid_cml,
                 maze,
-                semantic_map.parse_position_label(pos_label),
-                ctx.memory.positions.vector(pos_label),
+                cell,
+                ctx.memory.positions.vector(cell),
                 ctx.phi_g,
-                min(ctx.derived_grid_cap(), cells_budget),
+                min(grid_step_cap(maze), cells_budget),
             )
             maze = leg.maze
             cells_budget -= len(leg.path) - 1
@@ -256,7 +250,6 @@ def run_grid_only(
     grid_cml: GridCml,
     maze: Maze,
     phi_g: float = 0.999,
-    grid_step_cap: int = 0,
 ) -> TrialResult:
     """Key-to-treasure traversal with the grid layer and sensors alone.
 
@@ -273,7 +266,7 @@ def run_grid_only(
         target_cell,
         grid_cml.state(target_cell),
         phi_g,
-        grid_step_cap or 4 * (maze.width + maze.height),
+        grid_step_cap(maze),
     )
     reached = leg.reason is FailureReason.NONE
     outcome = GoalOutcome(

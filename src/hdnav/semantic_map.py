@@ -28,34 +28,24 @@ import numpy as np
 
 from . import hdc
 from .grid import Cell, GridCml
-from .maze import OBJECT_LABELS, Maze
-
-
-def position_label(cell: Cell) -> str:
-    return f"{cell[0]},{cell[1]}"
-
-
-def parse_position_label(label: str) -> Cell:
-    row, col = label.split(",")
-    return (int(row), int(col))
+from .maze import Maze
 
 
 @dataclass(frozen=True)
 class MapMemory:
     """The map hypervector plus the trial's explicit dictionaries.
 
-    ``positions`` holds the eight grid-state columns keyed by stringified
-    cell coordinates; ``cell_of`` bridges object labels to cells for
-    oracles and dictionary construction.
+    ``positions`` holds the grid states of the eight placement cells,
+    keyed by the cells themselves, one row per object in ``objects``
+    order.
     """
 
     map_hv: np.ndarray
     objects: hdc.Dictionary
     positions: hdc.Dictionary
-    cell_of: dict[str, Cell]
 
-    def position_of(self, label: str) -> str:
-        return position_label(self.cell_of[label])
+    def position_of(self, label: str) -> Cell:
+        return self.positions.labels[self.objects.labels.index(label)]
 
 
 @dataclass(frozen=True)
@@ -70,22 +60,11 @@ def build_map(
     objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, rng: np.random.Generator
 ) -> MapMemory:
     """Bind each object to the state of its cell and bundle the signed terms."""
-    terms = []
-    position_pairs = []
-    cell_of: dict[str, Cell] = {}
-    for label in OBJECT_LABELS:
-        cell = maze.placements[label]
-        state = grid_cml.state(cell)
-        terms.append(hdc.sign(hdc.bind(objects.vector(label), state)))
-        position_pairs.append((position_label(cell), state.copy()))
-        cell_of[label] = cell
-    map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
-    return MapMemory(
-        map_hv=map_hv,
-        objects=objects,
-        positions=hdc.Dictionary.from_pairs(position_pairs),
-        cell_of=cell_of,
-    )
+    cells = tuple(maze.placements[label] for label in objects.labels)
+    states = np.stack([grid_cml.state(cell) for cell in cells])
+    terms = hdc.sign(hdc.bind(objects.vectors, states))
+    map_hv = hdc.bundle(list(terms), rng)  # even count, so bundle adds the tie-break eta
+    return MapMemory(map_hv, objects, hdc.Dictionary(cells, states))
 
 
 def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
@@ -122,8 +101,8 @@ def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
 
 def query_position(
     memory: MapMemory, object_hv: np.ndarray, theta: float = hdc.DEFAULT_THETA
-) -> str | None:
-    """Position label of the object bound into the map; None below threshold.
+) -> Cell | None:
+    """Cell of the object bound into the map; None below threshold.
 
     Works for approximate object vectors (e.g. planner predictions), not
     just exact dictionary entries.

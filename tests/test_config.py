@@ -49,9 +49,12 @@ def test_config_file_parsing(tmp_path):
     assert cfg.seed == 9
 
 
-def test_config_file_unknown_key(tmp_path):
+@pytest.mark.parametrize(
+    "key", ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap"]
+)
+def test_config_file_unknown_key(tmp_path, key):
     path = tmp_path / "bad.cfg"
-    path.write_text("bogus = 1\n")
+    path.write_text(f"{key} = 1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(path)
 

@@ -184,6 +184,8 @@ def test_train_grid_matches_reference_delta_rule(actions, width, height):
 def test_training_cap_raises(actions):
     with pytest.raises(RuntimeError, match="converge"):
         train_grid(20, 10, D, actions, learning_rate=1e-9, epoch_cap=5)
+    with pytest.raises(ValueError, match="epoch_cap"):
+        train_grid(20, 10, D, actions, epoch_cap=0)
 
 
 # --- utilities ---------------------------------------------------------------------

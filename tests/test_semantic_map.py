@@ -22,8 +22,8 @@ def synthetic_memory(seed):
     objects = hdc.Dictionary.from_pairs(
         [(label, hdc.random_bipolar(D, rng)) for label in LABELS]
     )
-    cells = [(i, i) for i in range(8)]
-    positions = [hdc.random_bipolar(D, rng) for _ in range(8)]
+    cells = tuple((i, i) for i in range(8))
+    positions = np.stack([hdc.random_bipolar(D, rng) for _ in range(8)])
     terms = [
         hdc.sign(hdc.bind(objects.vector(label), positions[i]))
         for i, label in enumerate(LABELS)
@@ -31,18 +31,8 @@ def synthetic_memory(seed):
     return sm.MapMemory(
         map_hv=hdc.bundle(terms, rng),
         objects=objects,
-        positions=hdc.Dictionary.from_pairs(
-            [(sm.position_label(c), p) for c, p in zip(cells, positions)]
-        ),
-        cell_of=dict(zip(LABELS, cells)),
+        positions=hdc.Dictionary(cells, positions),
     )
-
-
-# --- position labels ---------------------------------------------------------------
-
-
-def test_position_label_round_trip():
-    assert sm.parse_position_label(sm.position_label((3, 17))) == (3, 17)
 
 
 # --- build_map ----------------------------------------------------------------------
@@ -78,12 +68,19 @@ def test_map_term_order_is_irrelevant():
     assert np.array_equal(forward, shuffled)
 
 
-def test_map_dictionaries_complete(viable_setup):
+def test_map_dictionaries_complete(viable_setup, grid_cml):
     maze, memory, _ = viable_setup
     assert len(memory.objects) == 8
     assert len(memory.positions) == 8
+    assert memory.positions.labels == tuple(
+        maze.placements[label] for label in memory.objects.labels
+    )
     for label in LABELS:
-        assert memory.cell_of[label] == maze.placements[label]
+        cell = maze.placements[label]
+        assert memory.position_of(label) == cell
+        assert np.array_equal(memory.positions.vector(cell), grid_cml.state(cell))
+        found = sm.query_position(memory, memory.objects.vector(label))
+        assert isinstance(found, tuple) and found == cell
 
 
 # --- viability ----------------------------------------------------------------------
@@ -107,7 +104,6 @@ def test_tampered_position_dictionary_fails_viability(viable_setup):
         map_hv=memory.map_hv,
         objects=memory.objects,
         positions=hdc.Dictionary(memory.positions.labels, vectors),
-        cell_of=memory.cell_of,
     )
     assert not sm.check_viability(tampered)
 
