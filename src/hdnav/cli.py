@@ -22,7 +22,6 @@ from pathlib import Path
 from . import experiments, persist, render as render_mod
 from .cml import Cml
 from .config import ExperimentConfig, apply_overrides, load_config
-from .grid import GridCml
 
 
 class CliError(Exception):
@@ -133,10 +132,8 @@ def _cmd_verify(args) -> int:
     try:
         if isinstance(model, Cml):
             info = experiments.verify_object_cml(model, config)
-        elif isinstance(model, GridCml):
-            info = experiments.verify_grid_cml(model, config)
         else:
-            raise CliError("models", f"unsupported model type {type(model).__name__}")
+            info = experiments.verify_grid_cml(model, config)
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
     print(f"verified: {info['pairs_checked']} pairs")

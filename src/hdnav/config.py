@@ -19,7 +19,6 @@ class ExperimentConfig:
     theta: float = 0.1        # recovery noise floor
     theta_o: float = 0.1      # policy exhaustion threshold
     phi_o: float = 0.8        # object-goal arrival similarity
-    phi_g: float = 0.999      # grid arrival similarity
     mission_goals: str = "k,t,h"    # comma-separated object labels
     mission_trials: int = 50
     grid_only_trials: int = 100
@@ -32,7 +31,7 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        for name in ("theta", "theta_o", "phi_o", "phi_g"):
+        for name in ("theta", "theta_o", "phi_o"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"{name} must lie in [0, 1), got {value}")

@@ -48,7 +48,7 @@ def build_object_cml(config: ExperimentConfig) -> cml_mod.Cml:
 def build_grid_cml(config: ExperimentConfig) -> GridCml:
     rng = trial_rng(config.require_seed(), TAG_TRAIN, 1)
     actions = build_actions(config.d, rng)
-    return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, config.d, actions)
+    return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, actions)
 
 
 def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict:
@@ -206,7 +206,6 @@ def _mission_context(
         theta=config.theta,
         theta_o=config.theta_o,
         phi_o=config.phi_o,
-        phi_g=config.phi_g,
     )
 
 
@@ -256,7 +255,7 @@ def grid_only_trial(
 ) -> dict:
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
-    result = mission.run_grid_only(grid_cml, trial_maze, phi_g=config.phi_g)
+    result = mission.run_grid_only(grid_cml, trial_maze)
     leg = result.goal_outcomes[0]
     return {
         "trial": trial,

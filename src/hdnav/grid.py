@@ -11,7 +11,8 @@ adjacency until ``p_neighbor ~= p_cell + a_direction`` holds everywhere.
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
 therefore iterates the two coordinate chains x (one scalar per row) and
-y (one per column) and builds P once from the converged chains.
+y (one per column); the model holds the chains and the actions, and
+derives P from them once.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -32,7 +33,7 @@ Cell = tuple[int, int]  # (row, col); (0, 0) is the northwest corner
 DIRECTIONS = ("E", "S", "N", "W")
 DELTAS: dict[str, Cell] = {"E": (0, 1), "S": (1, 0), "N": (-1, 0), "W": (0, -1)}
 
-DEFAULT_GRID_LEARNING_RATE = 0.05
+GRID_LEARNING_RATE = 0.05
 DEFAULT_GRID_EPOCH_CAP = 20_000
 
 
@@ -51,12 +52,26 @@ class TouchSensors:
 
 @dataclass(frozen=True)
 class GridCml:
-    """Trained grid learner: cell states P and the fixed 4-column action matrix."""
+    """Trained grid learner: the two coordinate chains and the fixed actions.
 
-    P: np.ndarray  # (d, width * height), column row*width + col for cell (row, col)
+    ``P``, ``width`` and ``height`` are derived from the chains once, on
+    construction; they are plain attributes, not fields.
+    """
+
+    x: np.ndarray  # (height,) south coordinate of each row
+    y: np.ndarray  # (width,) east coordinate of each column
     A4: np.ndarray  # (d, 4) in [E, S, N, W] order
-    width: int
-    height: int
+
+    def __post_init__(self) -> None:
+        height, width = len(self.x), len(self.y)
+        a_e, a_s = self.A4[:, 0], self.A4[:, 1]
+        # (d, width * height), column row*width + col for cell (row, col); the
+        # in-place sum rounds like a + b and leaves one temporary fewer
+        P = np.outer(a_s, np.repeat(self.x, width))
+        P += np.outer(a_e, np.tile(self.y, height))
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
 
     @property
     def d(self) -> int:
@@ -92,35 +107,27 @@ def directed_edge_count(width: int, height: int) -> int:
 
 
 def train_grid(
-    width: int,
-    height: int,
-    d: int,
-    A4: np.ndarray,
-    learning_rate: float = DEFAULT_GRID_LEARNING_RATE,
-    convergence_tol: float | None = None,
-    epoch_cap: int = DEFAULT_GRID_EPOCH_CAP,
+    width: int, height: int, A4: np.ndarray, epoch_cap: int = DEFAULT_GRID_EPOCH_CAP
 ) -> GridCml:
-    """Train P from zeros over all directed grid adjacencies, actions fixed.
+    """Train the grid states from zeros over all directed adjacencies, actions fixed.
 
     Each epoch accumulates, for every directed edge (i -> j) with action
     a, the batch update that shrinks the prediction error
-    ``p_j - (p_i + a)``: the source column gains ``lr * err`` and the
-    destination column loses it.  West/north edges mirror east/south
-    edges exactly (their actions are negations), contributing the same
-    update again.  With P = x a_s + y a_e, an east edge's error is
+    ``p_j - (p_i + a)``: the source column gains ``lr * err`` (lr =
+    0.05) and the destination column loses it.  West/north edges mirror
+    east/south edges exactly (their actions are negations), contributing
+    the same update again.  With P = x a_s + y a_e, an east edge's error is
     ``(y[c+1] - y[c] - 1) a_e`` in every row, so the batch update moves
     the y chain by twice that coefficient and never leaves the span (the
     same holds for south edges and x).  Convergence is the mean error
-    norm over all directed edges dropping below ``convergence_tol``
-    (default 1e-2 * sqrt(d)); each edge's norm is its chain coefficient
-    times ``|a_e|`` or ``|a_s|``.
+    norm over all directed edges dropping below 1e-2 * sqrt(d); each
+    edge's norm is its chain coefficient times ``|a_e|`` or ``|a_s|``.
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    if convergence_tol is None:
-        convergence_tol = 1e-2 * np.sqrt(d)
+    tol = 1e-2 * np.sqrt(A4.shape[0])
     a_e, a_s = A4[:, 0], A4[:, 1]
     norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
@@ -133,13 +140,12 @@ def train_grid(
             height * norm_e * float(np.abs(err_y).sum())
             + width * norm_s * float(np.abs(err_x).sum())
         ) / edge_pairs
-        if mean_residual < convergence_tol:
-            P = np.outer(a_s, np.repeat(x, width)) + np.outer(a_e, np.tile(y, height))
-            return GridCml(P=P, A4=A4.copy(), width=width, height=height)
-        y[:-1] += (2 * learning_rate) * err_y
-        y[1:] -= (2 * learning_rate) * err_y
-        x[:-1] += (2 * learning_rate) * err_x
-        x[1:] -= (2 * learning_rate) * err_x
+        if mean_residual < tol:
+            return GridCml(x=x, y=y, A4=A4.copy())
+        y[:-1] += (2 * GRID_LEARNING_RATE) * err_y
+        y[1:] -= (2 * GRID_LEARNING_RATE) * err_y
+        x[:-1] += (2 * GRID_LEARNING_RATE) * err_x
+        x[1:] -= (2 * GRID_LEARNING_RATE) * err_x
     raise RuntimeError(
         f"grid training failed to converge: residual {mean_residual:.3g} "
         f"after {epoch_cap} epochs"

@@ -68,7 +68,6 @@ class MissionContext:
     theta: float = hdc.DEFAULT_THETA      # noise floor for recoveries
     theta_o: float = hdc.DEFAULT_THETA    # policy exhaustion threshold
     phi_o: float = 0.8                    # object-goal arrival similarity
-    phi_g: float = 0.999                  # grid arrival similarity
 
 
 def grid_step_cap(maze: Maze) -> int:
@@ -113,28 +112,18 @@ class _LegResult:
     dither_cells: tuple[Cell, ...] = ()
 
 
-def _grid_leg(
-    grid_cml: GridCml,
-    maze: Maze,
-    target_cell: Cell,
-    target_state: np.ndarray,
-    phi_g: float,
-    step_cap: int,
-) -> _LegResult:
+def _grid_leg(grid_cml: GridCml, maze: Maze, target_cell: Cell, step_cap: int) -> _LegResult:
     """Drive the robot to a target cell under sensor gating.
 
-    The loop exit is the grid-arrival similarity test, confirmed against
-    the environment's true coordinates: duplicate grid states can push
-    the similarity past threshold a few cells early, in which case the
-    utilities still point at the real target and the leg keeps walking.
+    The leg ends when the robot stands on the target cell, by the
+    environment's true coordinates.  A similarity test on the grid states
+    would not do: near-duplicate states pass it a few cells early, while
+    the utilities still point at the real target.
     """
+    target_state = grid_cml.state(target_cell)
     path = [maze.robot]
     while True:
-        here = grid_cml.state(maze.robot)
-        if (
-            hdc.cosine(target_state, here) >= phi_g
-            and maze.robot == target_cell
-        ):
+        if maze.robot == target_cell:
             return _LegResult(maze=maze, path=path, reason=FailureReason.NONE)
         if len(path) - 1 >= step_cap:
             return _LegResult(maze=maze, path=path, reason=FailureReason.STEP_CAP)
@@ -199,12 +188,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
             leg = _grid_leg(
-                ctx.grid_cml,
-                maze,
-                cell,
-                ctx.memory.positions.vector(cell),
-                ctx.phi_g,
-                min(grid_step_cap(maze), cells_budget),
+                ctx.grid_cml, maze, cell, min(grid_step_cap(maze), cells_budget)
             )
             maze = leg.maze
             cells_budget -= len(leg.path) - 1
@@ -246,11 +230,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
     )
 
 
-def run_grid_only(
-    grid_cml: GridCml,
-    maze: Maze,
-    phi_g: float = 0.999,
-) -> TrialResult:
+def run_grid_only(grid_cml: GridCml, maze: Maze) -> TrialResult:
     """Key-to-treasure traversal with the grid layer and sensors alone.
 
     No object graph, no map: the target is the treasure cell's state.
@@ -260,14 +240,7 @@ def run_grid_only(
     """
     start = maze.placements["k"]
     target_cell = maze.placements["t"]
-    leg = _grid_leg(
-        grid_cml,
-        replace(maze, robot=start),
-        target_cell,
-        grid_cml.state(target_cell),
-        phi_g,
-        grid_step_cap(maze),
-    )
+    leg = _grid_leg(grid_cml, replace(maze, robot=start), target_cell, grid_step_cap(maze))
     reached = leg.reason is FailureReason.NONE
     outcome = GoalOutcome(
         goal="t",

@@ -2,12 +2,22 @@
 
 Layout: an ASCII header (magic line, then one ``key=value`` per line)
 terminated by a blank line, followed by the matrix blocks as raw
-row-major float64 bytes.  The pseudo-inverse is never stored; it is
-recomputed on load.  Round-trips are bit-exact.
+row-major float64 bytes.  The object model stores S, A and G; the
+pseudo-inverse is recomputed on load.  The grid model stores its two
+coordinate chains x and y and its actions A4; its states are derived on
+load.  Round-trips are bit-exact.
+
+Saves are atomic: the file is written beside its destination and
+renamed over it, so a failed save leaves any earlier file untouched.
+Loads reject a file whose blocks disagree with its header (too short,
+trailing bytes, an edge count that does not match the edge list) or
+hold a non-finite value.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +26,20 @@ from .cml import Cml, CmlGraph, _pinv
 from .grid import GridCml
 
 MAGIC = "HDNAV-MODEL"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _block(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype=np.float64).tobytes()
+def _write(path: str | Path, header_lines: list[str], *blocks: np.ndarray) -> None:
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(("\n".join(header_lines) + "\n\n").encode("ascii"))
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype=np.float64).tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def save_cml(cml: Cml, path: str | Path) -> None:
@@ -34,11 +53,7 @@ def save_cml(cml: Cml, path: str | Path) -> None:
         "edges=" + " ".join(f"{s}>{t}" for s, t in graph.directed_edges),
         "weights=" + " ".join(repr(w) for w in graph.edge_weights),
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n\n").encode("ascii"))
-        fh.write(_block(cml.S))
-        fh.write(_block(cml.A))
-        fh.write(_block(cml.G))
+    _write(path, header, cml.S, cml.A, cml.G)
 
 
 def save_grid_cml(grid_cml: GridCml, path: str | Path) -> None:
@@ -48,10 +63,7 @@ def save_grid_cml(grid_cml: GridCml, path: str | Path) -> None:
         f"width={grid_cml.width}",
         f"height={grid_cml.height}",
     ]
-    with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n\n").encode("ascii"))
-        fh.write(_block(grid_cml.P))
-        fh.write(_block(grid_cml.A4))
+    _write(path, header, grid_cml.x, grid_cml.y, grid_cml.A4)
 
 
 def _read_header(fh) -> tuple[str, dict[str, str]]:
@@ -60,7 +72,10 @@ def _read_header(fh) -> tuple[str, dict[str, str]]:
     if len(parts) != 3 or parts[0] != MAGIC:
         raise ValueError(f"not a model file (header {first!r})")
     if int(parts[1]) != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {parts[1]}")
+        raise ValueError(
+            f"unsupported model format version {parts[1]} (this version reads "
+            f"{FORMAT_VERSION}); retrain the models with `hdnav train`"
+        )
     kind = parts[2]
     fields: dict[str, str] = {}
     while True:
@@ -73,12 +88,20 @@ def _read_header(fh) -> tuple[str, dict[str, str]]:
         fields[key] = value
 
 
-def _read_block(fh, shape: tuple[int, int]) -> np.ndarray:
-    count = shape[0] * shape[1]
+def _read_block(fh, shape: tuple[int, ...]) -> np.ndarray:
+    count = math.prod(shape)
     data = fh.read(count * 8)
     if len(data) != count * 8:
         raise ValueError("model file truncated")
-    return np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+    block = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+    if not np.isfinite(block).all():
+        raise ValueError("model file holds a non-finite value")
+    return block
+
+
+def _expect_end(fh) -> None:
+    if fh.read(1):
+        raise ValueError("model file has trailing bytes")
 
 
 def load_model(path: str | Path) -> Cml | GridCml:
@@ -93,16 +116,21 @@ def load_model(path: str | Path) -> Cml | GridCml:
                 (int(src), int(dst))
                 for src, dst in (item.split(">") for item in fields["edges"].split(" "))
             )
+            if len(edges) != e:
+                raise ValueError(f"expected {e} edges, got {len(edges)}")
             weights = tuple(float(w) for w in fields["weights"].split(" "))
             graph = CmlGraph(node_labels=labels, directed_edges=edges, edge_weights=weights)
             S = _read_block(fh, (d, n))
             A = _read_block(fh, (d, e))
             G = _read_block(fh, (e, n))
+            _expect_end(fh)
             return Cml(S=S, A=A, G=G, graph=graph, A_dagger=_pinv(A))
         if kind == "grid":
             d = int(fields["d"])
             width, height = int(fields["width"]), int(fields["height"])
-            P = _read_block(fh, (d, width * height))
+            x = _read_block(fh, (height,))
+            y = _read_block(fh, (width,))
             A4 = _read_block(fh, (d, 4))
-            return GridCml(P=P, A4=A4, width=width, height=height)
+            _expect_end(fh)
+            return GridCml(x=x, y=y, A4=A4)
         raise ValueError(f"unknown model kind {kind!r}")

@@ -128,6 +128,15 @@ def test_verify_rejects_garbage(tmp_path, capsys):
     assert "error[models]" in capsys.readouterr().err
 
 
+def test_verify_rejects_old_format(tmp_path, capsys):
+    old = tmp_path / "old.hdm"
+    old.write_bytes(b"HDNAV-MODEL 1 grid\nd=1000\nwidth=20\nheight=10\n\n")
+    assert main(["verify", str(old)]) == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert "hdnav train" in err
+
+
 def test_run_mission_custom_goals(models_dir, capsys):
     code = main(
         ["run", "mission", "--seed", "42", "--out", str(models_dir),

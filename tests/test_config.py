@@ -8,7 +8,6 @@ def test_defaults_validate():
     cfg.validate()
     assert cfg.d == 1000
     assert cfg.theta == 0.1
-    assert cfg.phi_g == 0.999
     assert cfg.seed is None
 
 
@@ -50,7 +49,7 @@ def test_config_file_parsing(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap"]
+    "key", ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g"]
 )
 def test_config_file_unknown_key(tmp_path, key):
     path = tmp_path / "bad.cfg"
@@ -80,4 +79,4 @@ def test_as_dict_round_trip():
     echo = cfg.as_dict()
     assert echo["seed"] == 3
     assert echo["mission_trials"] == 7
-    assert set(echo) >= {"d", "theta", "phi_g", "output_dir"}
+    assert set(echo) >= {"d", "theta", "phi_o", "output_dir"}

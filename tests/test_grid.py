@@ -25,7 +25,7 @@ def actions():
 def small_grid():
     # 5x5 grid trains in well under a second; used for exhaustive checks
     a4 = build_actions(D, np.random.default_rng(3))
-    return train_grid(5, 5, D, a4)
+    return train_grid(5, 5, a4)
 
 
 def reference_train_grid(width, height, d, A4, learning_rate=0.05, epoch_cap=20_000):
@@ -106,6 +106,8 @@ def test_directed_edge_count_10x20():
 
 
 def test_trained_grid_shapes(grid_cml):
+    assert grid_cml.x.shape == (10,)
+    assert grid_cml.y.shape == (20,)
     assert grid_cml.P.shape == (D, 200)
     assert grid_cml.A4.shape == (D, 4)
     assert grid_cml.width == 20 and grid_cml.height == 10
@@ -166,6 +168,9 @@ def test_grid_states_separate_into_row_and_column_chains(grid_cml):
     assert np.abs(x_coef - x_coef[:, :1]).max() < 1e-9
     assert np.abs(y_coef - y_coef[:1, :]).max() < 1e-9
     x, y = x_coef[:, 0], y_coef[0, :]
+    # ... and they are the chains the model stores
+    assert np.abs(x - grid_cml.x).max() < 1e-9
+    assert np.abs(y - grid_cml.y).max() < 1e-9
     rebuilt = np.stack(
         [x[r] * a_s + y[c] * a_e for r in range(shape[0]) for c in range(shape[1])],
         axis=1,
@@ -175,7 +180,7 @@ def test_grid_states_separate_into_row_and_column_chains(grid_cml):
 
 @pytest.mark.parametrize("width,height", [(6, 4), (3, 7), (1, 5)])
 def test_train_grid_matches_reference_delta_rule(actions, width, height):
-    trained = train_grid(width, height, D, actions)
+    trained = train_grid(width, height, actions)
     reference = reference_train_grid(width, height, D, actions)
     assert trained.P.shape == reference.shape
     assert np.abs(trained.P - reference).max() < 1e-10
@@ -183,9 +188,9 @@ def test_train_grid_matches_reference_delta_rule(actions, width, height):
 
 def test_training_cap_raises(actions):
     with pytest.raises(RuntimeError, match="converge"):
-        train_grid(20, 10, D, actions, learning_rate=1e-9, epoch_cap=5)
+        train_grid(20, 10, actions, epoch_cap=5)
     with pytest.raises(ValueError, match="epoch_cap"):
-        train_grid(20, 10, D, actions, epoch_cap=0)
+        train_grid(20, 10, actions, epoch_cap=0)
 
 
 # --- utilities ---------------------------------------------------------------------

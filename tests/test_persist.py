@@ -1,9 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hdnav import cml, persist
-from hdnav.grid import GridCml, build_actions, train_grid
-from hdnav.maze import object_graph
+from hdnav.grid import GridCml
 
 
 def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
@@ -29,9 +30,16 @@ def test_grid_model_round_trip_bit_exact(grid_cml, tmp_path):
     persist.save_grid_cml(grid_cml, path)
     loaded = persist.load_model(path)
     assert isinstance(loaded, GridCml)
+    assert np.array_equal(loaded.x, grid_cml.x)
+    assert np.array_equal(loaded.y, grid_cml.y)
     assert np.array_equal(loaded.P, grid_cml.P)
     assert np.array_equal(loaded.A4, grid_cml.A4)
     assert (loaded.width, loaded.height) == (grid_cml.width, grid_cml.height)
+    # the file holds the chains and the actions, not the state matrix
+    data = path.read_bytes()
+    header_size = data.index(b"\n\n") + 2
+    height, width, d = grid_cml.height, grid_cml.width, grid_cml.d
+    assert len(data) == header_size + 8 * (height + width + 4 * d)
 
 
 def test_save_load_save_is_stable(grid_cml, tmp_path):
@@ -71,8 +79,67 @@ def test_bad_magic_rejected(tmp_path):
         persist.load_model(path)
 
 
-def test_unsupported_version_rejected(tmp_path):
-    path = tmp_path / "future.hdm"
-    path.write_bytes(b"HDNAV-MODEL 99 object\n\n")
+@pytest.mark.parametrize("version", [1, 99])
+def test_unsupported_version_rejected(tmp_path, version):
+    path = tmp_path / "other.hdm"
+    path.write_bytes(f"HDNAV-MODEL {version} object\n\n".encode("ascii"))
     with pytest.raises(ValueError, match="version"):
         persist.load_model(path)
+
+
+def _append_byte(data: bytes) -> bytes:
+    return data + b"\0"
+
+
+def _nan_in_last_value(data: bytes) -> bytes:
+    return data[:-8] + np.array([np.nan]).tobytes()
+
+
+def _edge_count_one_short(data: bytes) -> bytes:
+    header, body = data.split(b"\n\n", 1)
+    lines = header.split(b"\n")
+    e = next(int(line[2:]) for line in lines if line.startswith(b"e="))
+    lines = [f"e={e - 1}".encode("ascii") if line.startswith(b"e=") else line for line in lines]
+    return b"\n".join(lines) + b"\n\n" + body
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_append_byte, "trailing bytes"),
+        (_nan_in_last_value, "non-finite"),
+        (_edge_count_one_short, "edges"),
+    ],
+    ids=["trailing_bytes", "nan", "edge_count"],
+)
+def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
+    path = tmp_path / "object.hdm"
+    persist.save_cml(object_cml, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(ValueError, match=message):
+        persist.load_model(path)
+
+
+class _FailingBlock:
+    """Array-like whose conversion fails, as a write error part-way through."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_existing_file(grid_cml, tmp_path):
+    path = tmp_path / "grid.hdm"
+    persist.save_grid_cml(grid_cml, path)
+    before = path.read_bytes()
+    broken = SimpleNamespace(
+        d=grid_cml.d,
+        width=grid_cml.width,
+        height=grid_cml.height,
+        x=grid_cml.x,
+        y=grid_cml.y,
+        A4=_FailingBlock(),
+    )
+    with pytest.raises(OSError, match="disk full"):
+        persist.save_grid_cml(broken, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
