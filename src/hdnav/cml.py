@@ -114,13 +114,21 @@ def bfs_hops(
 
 @dataclass(frozen=True)
 class Cml:
-    """Trained map learner state: (S, A, G) plus the cached pseudo-inverse of A."""
+    """Trained map learner state: (S, A, G) plus the cached pseudo-inverse of A.
+
+    The node-state dictionary is derived from S once, on construction; it
+    is a plain attribute, not a field.
+    """
 
     S: np.ndarray  # (d, n)
     A: np.ndarray  # (d, e)
     G: np.ndarray  # (e, n)
     graph: CmlGraph
     A_dagger: np.ndarray  # (e, d)
+
+    def __post_init__(self) -> None:
+        states = hdc.Dictionary(self.graph.node_labels, self.S.T.copy())
+        object.__setattr__(self, "_states", states)
 
     @property
     def d(self) -> int:
@@ -130,7 +138,7 @@ class Cml:
         return self.S[:, self.graph.node_index(label)]
 
     def state_dictionary(self) -> hdc.Dictionary:
-        return hdc.Dictionary(self.graph.node_labels, self.S.T.copy())
+        return self._states
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,10 @@ class GridCml:
     def state(self, cell: Cell) -> np.ndarray:
         return self.P[:, self.cell_index(cell)]
 
+    def states(self, cells: tuple[Cell, ...]) -> np.ndarray:
+        """The states of the given cells as C-contiguous rows, one gather of P."""
+        return np.ascontiguousarray(self.P[:, [self.cell_index(cell) for cell in cells]].T)
+
 
 def build_actions(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw south/east action vectors and derive north/west by negation.

@@ -1,9 +1,10 @@
 """Hypervector algebra on bipolar/real vectors.
 
 All values are plain 1-D ``numpy`` float arrays of a shared length ``d``
-(default 1000).  Information is carried by direction: two independently
-drawn random bipolar vectors of that length are pseudo-orthogonal (cosine
-0 +/- 1/sqrt(d)).  The algebra has four basic operations:
+(default 1000); ``bind``, ``bundle`` and ``recover`` also take an
+``(n, d)`` stack, one hypervector per row.  Information is carried by
+direction: two independently drawn random bipolar vectors of that length
+are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).  The algebra has four basic operations:
 
 - ``bundle``: signed elementwise addition; the result stays similar to
   every summand.
@@ -33,7 +34,8 @@ def random_bipolar(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random vector with each element +/-1 with equal probability."""
     if d < 1:
         raise ValueError(f"hypervector dimension must be >= 1, got {d}")
-    return rng.choice(np.array([-1.0, 1.0]), size=d)
+    # the same draws as rng.choice([-1.0, 1.0], size=d), without its overhead
+    return 2.0 * rng.integers(0, 2, size=d) - 1.0
 
 
 def is_bipolar(x: np.ndarray) -> bool:
@@ -60,23 +62,25 @@ def sign(x: np.ndarray) -> np.ndarray:
     return np.sign(np.asarray(x, dtype=float))
 
 
-def bundle(vectors: list[np.ndarray], rng: np.random.Generator) -> np.ndarray:
-    """Signed elementwise sum of the given vectors.
+def bundle(
+    vectors: list[np.ndarray] | np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Signed elementwise sum of the given vectors (a list or an (n, d) stack).
 
     When the number of summands is even, a fresh random bipolar vector is
-    appended first to break elementwise ties, so bundles of bipolar
-    inputs are always bipolar.
+    added last to break elementwise ties, so bundles of bipolar inputs
+    are always bipolar.
     """
-    if not vectors:
+    if len(vectors) == 0:
         raise ValueError("bundle requires at least one vector")
-    d = len(vectors[0])
-    for v in vectors[1:]:
-        if len(v) != d:
+    if not isinstance(vectors, np.ndarray):
+        d = len(vectors[0])
+        if any(len(v) != d for v in vectors):
             raise ValueError("bundle inputs must share one dimension")
-    terms = list(vectors)
-    if len(terms) % 2 == 0:
-        terms.append(random_bipolar(d, rng))
-    return sign(np.sum(terms, axis=0))
+    total = np.sum(vectors, axis=0, dtype=float)
+    if len(vectors) % 2 == 0:
+        total += random_bipolar(len(total), rng)
+    return sign(total)
 
 
 def bind(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -84,7 +88,8 @@ def bind(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     bind(x, bind(x, y)) == y exactly when x is bipolar, which makes the
     operation usable as key-value pairing: multiplying a bundle by a key
-    releases (a noisy version of) the bound value.
+    releases (a noisy version of) the bound value.  Either input may be
+    an (n, d) stack; a (d,) vector then binds with every row.
     """
     _check_same_dim(x, y)
     return x * y
@@ -101,12 +106,14 @@ class Dictionary:
 
     Labels may be any hashable values (object names, grid cells).
     ``vectors`` holds one row per entry; row order defines the tie-break
-    for recovery (lowest index wins on exact score ties).
+    for recovery (lowest index wins on exact score ties).  ``norms``
+    holds the row norms, computed once.
     """
 
     labels: tuple[Hashable, ...]
     vectors: np.ndarray  # shape (n, d)
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
+    norms: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n,)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -116,6 +123,7 @@ class Dictionary:
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.labels):
             raise ValueError("need one vector row per label")
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
+        object.__setattr__(self, "norms", np.linalg.norm(self.vectors, axis=1))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -137,30 +145,47 @@ class Dictionary:
         return cls(labels, vectors)
 
 
-def recover(query: np.ndarray, dictionary: Dictionary, theta: float) -> Hashable | None:
+def recover(
+    query: np.ndarray, dictionary: Dictionary, theta: float
+) -> Hashable | None | tuple[Hashable | None, ...]:
     """Cleanup: label of the most similar dictionary entry, or None.
 
     Returns the entry with maximum cosine to ``query`` provided that
     maximum is at least ``theta``; a query below the noise floor (or with
     zero norm) recovers nothing.  Exact ties resolve to the lowest index.
+    An (n, d) stack of queries is cleaned up in one matrix product and
+    gives a tuple with one such result per row.
     """
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1), got {theta}")
-    if len(query) != dictionary.dim:
+    if query.shape[-1] != dictionary.dim:
         raise ValueError(
-            f"query dimension {len(query)} != dictionary dimension {dictionary.dim}"
+            f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
         )
-    qnorm = np.linalg.norm(query)
-    if qnorm == 0.0:
-        return None
-    norms = np.linalg.norm(dictionary.vectors, axis=1)
-    sims = dictionary.vectors @ query / (norms * qnorm)
-    best = int(np.argmax(sims))  # argmax returns the first (lowest) index on ties
-    if sims[best] < theta:
-        return None
-    return dictionary.labels[best]
+    if query.ndim == 1:
+        qnorm = np.linalg.norm(query)
+        if qnorm == 0.0:
+            return None
+        sims = dictionary.vectors @ query / (dictionary.norms * qnorm)
+        best = int(np.argmax(sims))  # argmax returns the first (lowest) index on ties
+        if sims[best] < theta:
+            return None
+        return dictionary.labels[best]
+    qnorms = np.linalg.norm(query, axis=1)
+    zero = qnorms == 0.0
+    if zero.any():
+        qnorms[zero] = 1.0  # a zero row's dot products are 0; it recovers None below
+    sims = query @ dictionary.vectors.T / (dictionary.norms * qnorms[:, None])
+    best = sims.argmax(axis=1)
+    labels = dictionary.labels
+    return tuple(
+        None if z or score < theta else labels[b]
+        for z, score, b in zip(zero.tolist(), sims.max(axis=1).tolist(), best.tolist())
+    )
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
+    # only the hypervector dimension must agree; a (d,) vector broadcasts over
+    # an (n, d) stack
+    if x.shape[-1:] != y.shape[-1:]:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")

@@ -110,12 +110,14 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
         "d": (row_d, wall2),
         "e": (row_e, wall2),
     }
-    left_room = [(r, c) for r in range(height) for c in range(wall1)]
-    right_room = [(r, c) for r in range(height) for c in range(wall2 + 1, width)]
-    h_pick, k_pick = rng.choice(len(left_room), size=2, replace=False)
-    placements["h"] = left_room[int(h_pick)]
-    placements["k"] = left_room[int(k_pick)]
-    placements["t"] = right_room[int(rng.integers(0, len(right_room)))]
+    # h and k: two distinct row-major indices into the left room (columns
+    # 0..wall1-1); t: one into the right room (columns wall2+1..width-1)
+    right_width = width - wall2 - 1
+    h_pick, k_pick = rng.choice(height * wall1, size=2, replace=False)
+    placements["h"] = divmod(int(h_pick), wall1)
+    placements["k"] = divmod(int(k_pick), wall1)
+    t_row, t_col = divmod(int(rng.integers(0, height * right_width)), right_width)
+    placements["t"] = (t_row, wall2 + 1 + t_col)
 
     return Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
 

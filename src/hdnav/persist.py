@@ -27,6 +27,10 @@ from .grid import GridCml
 
 MAGIC = "HDNAV-MODEL"
 FORMAT_VERSION = 2
+REQUIRED_FIELDS = {
+    "object": ("d", "n", "e", "labels", "edges", "weights"),
+    "grid": ("d", "width", "height"),
+}
 
 
 def _write(path: str | Path, header_lines: list[str], *blocks: np.ndarray) -> None:
@@ -107,6 +111,9 @@ def _expect_end(fh) -> None:
 def load_model(path: str | Path) -> Cml | GridCml:
     with open(path, "rb") as fh:
         kind, fields = _read_header(fh)
+        for key in REQUIRED_FIELDS.get(kind, ()):
+            if key not in fields:
+                raise ValueError(f"{kind} model header lacks the field {key!r}")
         if kind == "object":
             d, n, e = int(fields["d"]), int(fields["n"]), int(fields["e"])
             labels = tuple(fields["labels"].split(" "))

@@ -61,9 +61,9 @@ def build_map(
 ) -> MapMemory:
     """Bind each object to the state of its cell and bundle the signed terms."""
     cells = tuple(maze.placements[label] for label in objects.labels)
-    states = np.stack([grid_cml.state(cell) for cell in cells])
+    states = grid_cml.states(cells)
     terms = hdc.sign(hdc.bind(objects.vectors, states))
-    map_hv = hdc.bundle(list(terms), rng)  # even count, so bundle adds the tie-break eta
+    map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, hdc.Dictionary(cells, states))
 
 
@@ -73,13 +73,9 @@ def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool
     Grid states of different cells can be strongly correlated, so a
     sizeable share of arrangements yields maps whose position recoveries
     collide; those maps are unusable and counted by the viability
-    statistic.
+    statistic.  All eight objects are queried in one batched recovery.
     """
-    for label in memory.objects.labels:
-        query = hdc.bind(memory.map_hv, memory.objects.vector(label))
-        if hdc.recover(query, memory.positions, theta) != memory.position_of(label):
-            return False
-    return True
+    return query_position(memory, memory.objects.vectors, theta) == memory.positions.labels
 
 
 def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
@@ -92,34 +88,32 @@ def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
     """
     if not check_viability(memory, theta):
         return False
-    for label in memory.objects.labels:
-        position_state = memory.positions.vector(memory.position_of(label))
-        if query_object(memory, position_state, theta) != label:
-            return False
-    return True
+    return query_object(memory, memory.positions.vectors, theta) == memory.objects.labels
 
 
 def query_position(
     memory: MapMemory, object_hv: np.ndarray, theta: float = hdc.DEFAULT_THETA
-) -> Cell | None:
+) -> Cell | None | tuple[Cell | None, ...]:
     """Cell of the object bound into the map; None below threshold.
 
     Works for approximate object vectors (e.g. planner predictions), not
-    just exact dictionary entries.
+    just exact dictionary entries.  An (n, d) stack of object vectors
+    gives a tuple of n results.
     """
     return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions, theta)
 
 
 def query_object(
     memory: MapMemory, position_hv: np.ndarray, theta: float = hdc.DEFAULT_THETA
-) -> str | None:
+) -> str | None | tuple[str | None, ...]:
     """Object label stored at a grid position; None at object-free cells.
 
     The position input is sign-normalised before unbinding: grid states
     of nearby cells differ mostly in magnitude profile, and comparing
     sign patterns against sign patterns keeps the stored object
     separable from its angular neighbors even where raw-state cosines
-    crowd toward 1.
+    crowd toward 1.  An (n, d) stack of positions gives a tuple of n
+    results.
     """
     return hdc.recover(
         hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects, theta

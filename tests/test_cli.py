@@ -137,6 +137,15 @@ def test_verify_rejects_old_format(tmp_path, capsys):
     assert "hdnav train" in err
 
 
+def test_verify_rejects_missing_header_field(tmp_path, capsys):
+    headless = tmp_path / "no_d.hdm"
+    headless.write_bytes(b"HDNAV-MODEL 2 grid\nwidth=20\nheight=10\n\n")
+    assert main(["verify", str(headless)]) == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert "'d'" in err
+
+
 def test_run_mission_custom_goals(models_dir, capsys):
     code = main(
         ["run", "mission", "--seed", "42", "--out", str(models_dir),

@@ -290,3 +290,11 @@ def test_determinism_same_seed_same_model_and_paths(graph):
     p1 = cml.plan_path(c1, c1.state("t"), c1.state("k"))
     p2 = cml.plan_path(c2, c2.state("t"), c2.state("k"))
     assert p1 == p2
+
+
+def test_state_dictionary_built_once(graph, rng):
+    model = cml.init_calculated(graph, D, rng)
+    states = model.state_dictionary()
+    assert model.state_dictionary() is states
+    assert states.labels == graph.node_labels
+    assert np.array_equal(states.vectors, model.S.T)

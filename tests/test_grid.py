@@ -277,3 +277,13 @@ def test_cell_index_row_major(grid_cml):
     assert grid_cml.cell_index((3, 4)) == 3 * 20 + 4
     with pytest.raises(ValueError, match="outside"):
         grid_cml.cell_index((10, 0))
+
+
+def test_states_gather_matches_p_columns(grid_cml):
+    cells = ((0, 0), (9, 19), (3, 7), (5, 0), (3, 7))
+    states = grid_cml.states(cells)
+    assert states.flags.c_contiguous
+    assert np.array_equal(states, np.stack([grid_cml.state(cell) for cell in cells]))
+    assert np.array_equal(states, grid_cml.P[:, [0, 199, 67, 100, 67]].T)
+    with pytest.raises(ValueError, match="outside"):
+        grid_cml.states(((0, 0), (0, 20)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hdnav import hdc
 
@@ -80,6 +81,19 @@ def test_sign_of_cancelling_sum_is_zero():
     assert np.array_equal(hdc.sign(x + (-x)), np.zeros(D))
 
 
+@pytest.mark.parametrize("d", [1, 7, 1000])
+def test_random_bipolar_matches_choice_stream(d):
+    # same values as rng.choice([-1.0, 1.0], size=d), and the generator
+    # is left in the same state, so every later draw is unchanged too
+    for seed in range(100):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        x = hdc.random_bipolar(d, ours)
+        expected = theirs.choice(np.array([-1.0, 1.0]), size=d)
+        assert x.dtype == expected.dtype
+        assert np.array_equal(x, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # --- bundle ---------------------------------------------------------------------
 
 
@@ -111,6 +125,19 @@ def test_bundle_empty_rejected():
         hdc.bundle([], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 9])
+def test_bundle_stack_equals_list(n):
+    terms = np.stack([bipolar(seed) for seed in range(n)])
+    from_stack = hdc.bundle(terms, np.random.default_rng(18))
+    from_list = hdc.bundle(list(terms), np.random.default_rng(18))
+    assert np.array_equal(from_stack, from_list)
+
+
+def test_bundle_rejects_ragged_list():
+    with pytest.raises(ValueError, match="share one dimension"):
+        hdc.bundle([np.ones(4), np.ones(5)], np.random.default_rng(0))
+
+
 # --- bind -----------------------------------------------------------------------
 
 
@@ -132,6 +159,23 @@ def test_bind_releases_bound_value_from_bundle():
     fresh = hdc.random_bipolar(D, rng)
     assert hdc.cosine(released, x) > 3 * abs(hdc.cosine(released, fresh))
     assert hdc.cosine(released, x) > 0.3
+
+
+def test_bind_vector_with_stack_binds_every_row():
+    x = bipolar(19)
+    stack = np.stack([bipolar(seed) for seed in (20, 21, 22)])
+    bound = hdc.bind(x, stack)
+    assert bound.shape == (3, D)
+    for row, y in zip(bound, stack):
+        assert np.array_equal(row, hdc.bind(x, y))
+
+
+@pytest.mark.parametrize(
+    "x_shape,y_shape", [((D,), (D - 1,)), ((D,), (3, D - 1)), ((2, D), (D - 1,))]
+)
+def test_bind_rejects_last_dimension_mismatch(x_shape, y_shape):
+    with pytest.raises(ValueError, match="mismatch"):
+        hdc.bind(np.ones(x_shape), np.ones(y_shape))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
@@ -248,3 +292,49 @@ def test_dictionary_validation():
         hdc.Dictionary.from_pairs([("a", v), ("a", v)])
     with pytest.raises(ValueError, match="empty"):
         hdc.Dictionary.from_pairs([])
+
+
+def test_dictionary_caches_row_norms():
+    d = _dictionary(np.random.default_rng(30))
+    assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
+
+
+def test_recover_stack_dimension_mismatch():
+    d = _dictionary(np.random.default_rng(33))
+    with pytest.raises(ValueError, match="dimension"):
+        hdc.recover(np.ones((2, 12)), d, 0.1)
+
+
+# Small integer entries keep every dot product and squared norm exact, so the
+# batched and per-row paths must agree bit for bit, ties included.
+_nonzero_entries = st.sampled_from([-2.0, -1.0, 1.0, 2.0])
+_entries = st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def _recovery_case(draw):
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 12))
+    rows = draw(hnp.arrays(np.float64, (n, dim), elements=_nonzero_entries))
+    # a trailing dimension that every entry leaves at zero, and a duplicate of
+    # row 0 at the end, so the tie and the orthogonal query below are exact
+    vectors = np.vstack([np.hstack([rows, np.zeros((n, 1))]), np.append(rows[0], 0.0)])
+    m = draw(st.integers(0, 6))
+    queries = draw(hnp.arrays(np.float64, (m, dim + 1), elements=_entries))
+    orthogonal = np.zeros(dim + 1)
+    orthogonal[-1] = 1.0
+    queries = np.vstack([queries, np.zeros(dim + 1), orthogonal, vectors[0]])
+    theta = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.99)))
+    return hdc.Dictionary(tuple(range(n + 1)), vectors), queries, theta
+
+
+@given(_recovery_case())
+@settings(max_examples=200, deadline=None)
+def test_recover_stack_matches_per_row_property(case):
+    dictionary, queries, theta = case
+    batched = hdc.recover(queries, dictionary, theta)
+    assert batched == tuple(hdc.recover(q, dictionary, theta) for q in queries)
+    # a zero row recovers nothing, even at theta 0; an orthogonal row scores 0,
+    # below any positive theta; the exact tie between row 0 and its duplicate
+    # goes to the lowest index
+    assert batched[-3:] == (None, None if theta > 0 else 0, 0)

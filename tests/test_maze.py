@@ -37,6 +37,52 @@ def wall_columns(maze):
     return sorted(full)
 
 
+def reference_layout(rng):
+    """The list-based sampler that the divmod placement replaced."""
+    width, height = mz.WIDTH, mz.HEIGHT
+    wall1 = int(rng.integers(2, width // 3 + 1))
+    wall2 = int(rng.integers(2 * width // 3, width - 2))
+    hrow = int(rng.integers(2, height - 2))
+    row_a = int(rng.integers(0, min(height // 2, hrow)))
+    row_e = int(rng.integers(0, min(height // 2, hrow)))
+    row_b = int(rng.integers(max(height // 2, hrow + 1), height))
+    row_d = int(rng.integers(max(height // 2, hrow + 1), height))
+    door_c_col = int(rng.integers(wall1 + 1, wall2))
+    blocked = set()
+    for row in range(height):
+        if row not in (row_a, row_b):
+            blocked.add((row, wall1))
+        if row not in (row_d, row_e):
+            blocked.add((row, wall2))
+    for col in range(wall1 + 1, wall2):
+        if col != door_c_col:
+            blocked.add((hrow, col))
+    placements = {
+        "a": (row_a, wall1),
+        "b": (row_b, wall1),
+        "c": (hrow, door_c_col),
+        "d": (row_d, wall2),
+        "e": (row_e, wall2),
+    }
+    left_room = [(r, c) for r in range(height) for c in range(wall1)]
+    right_room = [(r, c) for r in range(height) for c in range(wall2 + 1, width)]
+    h_pick, k_pick = rng.choice(len(left_room), size=2, replace=False)
+    placements["h"] = left_room[int(h_pick)]
+    placements["k"] = left_room[int(k_pick)]
+    placements["t"] = right_room[int(rng.integers(0, len(right_room)))]
+    return mz.Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
+
+
+def test_layout_matches_list_based_reference():
+    for seed in range(200):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        maze, expected = mz._sample_layout(ours), reference_layout(theirs)
+        assert maze == expected
+        assert list(maze.placements.items()) == list(expected.placements.items())
+        assert all(type(v) is int for cell in maze.placements.values() for v in cell)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # --- generation invariants --------------------------------------------------------
 
 

@@ -60,6 +60,14 @@ def test_remove_door_zeroes_incident_gates(object_cml):
     assert np.array_equal(reduced.A_dagger, object_cml.A_dagger)
 
 
+def test_remove_door_keeps_state_dictionary(object_cml):
+    original = object_cml.state_dictionary()
+    rebuilt = mission.remove_door(object_cml, "c").state_dictionary()
+    assert rebuilt.labels == original.labels
+    assert np.array_equal(rebuilt.vectors, original.vectors)
+    assert np.array_equal(rebuilt.norms, original.norms)
+
+
 def test_remove_door_rejects_non_door(object_cml):
     with pytest.raises(ValueError, match="not a door"):
         mission.remove_door(object_cml, "t")

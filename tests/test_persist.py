@@ -120,6 +120,29 @@ def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
         persist.load_model(path)
 
 
+def _drop_header_field(data: bytes, key: str) -> bytes:
+    header, body = data.split(b"\n\n", 1)
+    prefix = f"{key}=".encode("ascii")
+    lines = [line for line in header.split(b"\n") if not line.startswith(prefix)]
+    return b"\n".join(lines) + b"\n\n" + body
+
+
+@pytest.mark.parametrize(
+    "kind,key",
+    [("object", key) for key in ("d", "n", "e", "labels", "edges", "weights")]
+    + [("grid", key) for key in ("d", "width", "height")],
+)
+def test_missing_header_field_rejected(object_cml, grid_cml, tmp_path, kind, key):
+    path = tmp_path / f"{kind}.hdm"
+    if kind == "object":
+        persist.save_cml(object_cml, path)
+    else:
+        persist.save_grid_cml(grid_cml, path)
+    path.write_bytes(_drop_header_field(path.read_bytes(), key))
+    with pytest.raises(ValueError, match=f"lacks the field '{key}'"):
+        persist.load_model(path)
+
+
 class _FailingBlock:
     """Array-like whose conversion fails, as a write error part-way through."""
 

@@ -140,6 +140,53 @@ def test_mission_ready_implies_viable_not_conversely(object_cml, grid_cml):
     assert viable_only > 0
 
 
+def reference_check_viability(memory, theta):
+    """The per-object loop that the batched check replaced."""
+    for label in memory.objects.labels:
+        query = hdc.bind(memory.map_hv, memory.objects.vector(label))
+        if hdc.recover(query, memory.positions, theta) != memory.position_of(label):
+            return False
+    return True
+
+
+def reference_mission_ready(memory, theta):
+    if not reference_check_viability(memory, theta):
+        return False
+    for label in memory.objects.labels:
+        position_state = memory.positions.vector(memory.position_of(label))
+        if sm.query_object(memory, position_state, theta) != label:
+            return False
+    return True
+
+
+def test_batched_readiness_matches_per_object_loops(object_cml, grid_cml, config):
+    objects = object_cml.state_dictionary()
+    verdicts = []
+    for i in range(600):
+        rng = np.random.default_rng([73, i])
+        memory = sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+        viable = sm.check_viability(memory, config.theta)
+        ready = sm.mission_ready(memory, config.theta)
+        assert viable == reference_check_viability(memory, config.theta)
+        assert ready == reference_mission_ready(memory, config.theta)
+        verdicts.append((viable, ready))
+    # every verdict pair occurs: not viable, viable only, mission ready
+    assert set(verdicts) == {(False, False), (True, False), (True, True)}
+
+
+def test_build_map_matches_per_object_construction(object_cml, grid_cml):
+    objects = object_cml.state_dictionary()
+    for i in range(50):
+        maze = mz.generate_maze(np.random.default_rng([74, i]))
+        memory = sm.build_map(objects, maze, grid_cml, np.random.default_rng(i))
+        cells = tuple(maze.placements[label] for label in objects.labels)
+        states = np.stack([grid_cml.state(cell) for cell in cells])
+        terms = [hdc.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
+        assert np.array_equal(memory.map_hv, hdc.bundle(terms, np.random.default_rng(i)))
+        assert memory.positions.labels == cells
+        assert np.array_equal(memory.positions.vectors, states)
+
+
 # --- queries ------------------------------------------------------------------------
 
 
