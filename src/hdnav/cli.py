@@ -7,7 +7,9 @@ Verbs:
 - ``run <experiment>``: mission, grid_only, viability, or door_removal
   trial batches against persisted models.
 - ``render``: draw one trace record as text or SVG.
-- ``verify <model>``: re-run the path verification on a persisted model.
+- ``verify <model>``: re-verify a persisted model: object plans against a
+  breadth-first oracle for every node pair, and open-grid optimality of
+  the grid model for every ordered cell pair.
 
 Experiment commands require an explicit ``--seed``.  Errors print one
 categorized line to stderr and exit nonzero.
@@ -123,8 +125,6 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _build_config(args)
-    if config.seed is None:
-        config.seed = 0  # verification sampling is deterministic by default
     try:
         model = persist.load_model(args.model)
     except (OSError, ValueError) as exc:
@@ -133,7 +133,7 @@ def _cmd_verify(args) -> int:
         if isinstance(model, Cml):
             info = experiments.verify_object_cml(model, config)
         else:
-            info = experiments.verify_grid_cml(model, config)
+            info = experiments.verify_grid_cml(model)
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
     print(f"verified: {info['pairs_checked']} pairs")

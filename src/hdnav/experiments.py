@@ -15,7 +15,7 @@ import numpy as np
 from . import cml as cml_mod
 from . import hdc, maze as maze_mod, mission, persist, semantic_map
 from .config import ExperimentConfig
-from .grid import GridCml, TouchSensors, build_actions, grid_step, train_grid
+from .grid import DELTAS, DIRECTIONS, GridCml, build_actions, train_grid
 from .mission import MissionContext, TrialResult
 from .reports import ExperimentReport
 from .semantic_map import MapMemory
@@ -77,40 +77,40 @@ def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict
     return {"pairs_checked": checked}
 
 
-def verify_grid_cml(grid_cml: GridCml, config: ExperimentConfig, pairs: int = 50) -> dict:
-    """Wall-free navigation must take exactly the Manhattan distance."""
-    rng = trial_rng(config.seed if config.seed is not None else 0, TAG_TRAIN, 2)
-    width, height = grid_cml.width, grid_cml.height
-    for _ in range(pairs):
-        start = (int(rng.integers(0, height)), int(rng.integers(0, width)))
-        goal = (int(rng.integers(0, height)), int(rng.integers(0, width)))
-        steps = _open_grid_steps(grid_cml, start, goal)
-        manhattan = abs(start[0] - goal[0]) + abs(start[1] - goal[1])
-        if steps != manhattan:
-            raise RuntimeError(
-                f"grid model failed verification: {start}->{goal} "
-                f"took {steps} steps, Manhattan {manhattan}"
-            )
-    return {"pairs_checked": pairs}
+def verify_grid_cml(grid_cml: GridCml) -> dict:
+    """Prove wall-free navigation Manhattan-optimal for every ordered cell pair.
 
-
-def _open_grid_steps(grid_cml: GridCml, start, goal) -> int:
-    """Steps taken on the empty grid; boundary sensors only."""
+    From every cell toward every other cell, the move ``grid_step`` picks
+    under the border gate must shorten the Manhattan distance; by
+    induction, every open-grid leg is then a shortest path.  Blocked
+    moves score -inf and ties go to the lowest index, as in
+    ``select_action``.
+    """
     width, height = grid_cml.width, grid_cml.height
-    target = grid_cml.state(goal)
-    cell = start
-    steps = 0
-    cap = 4 * (width + height)
-    while cell != goal and steps < cap:
-        sensors = TouchSensors(
-            e=int(cell[1] < width - 1),
-            s=int(cell[0] < height - 1),
-            n=int(cell[0] > 0),
-            w=int(cell[1] > 0),
+    cells = width * height
+    rows, cols = np.divmod(np.arange(cells), width)
+    gate = np.stack([cols < width - 1, rows < height - 1, rows > 0, cols > 0])
+    U = grid_cml.U
+    # scores [direction, current, target] = U[:, target] - U[:, current]
+    pick = np.where(gate[:, :, None], U[:, None, :] - U[:, :, None], -np.inf).argmax(axis=0)
+    dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T
+    # a unit move shortens the Manhattan distance iff it points along target - current
+    progress = dr[pick] * (rows - rows[:, None]) + dc[pick] * (cols - cols[:, None])
+    failed = np.argwhere((progress <= 0) & ~np.eye(cells, dtype=bool))
+    if len(failed):
+        start, goal = (divmod(int(index), width) for index in failed[0])
+        raise RuntimeError(
+            f"grid model failed verification: {start}->{goal}: "
+            f"the first step does not shorten the Manhattan distance"
         )
-        _, cell = grid_step(grid_cml, target, cell, sensors)
-        steps += 1
-    return steps
+    return {"pairs_checked": cells * (cells - 1)}
+
+
+def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
+    """Steps of a grid leg on the wall-free grid; None if it does not end on the goal."""
+    open_grid = maze_mod.Maze(frozenset(), {}, start, grid_cml.width, grid_cml.height)
+    leg = mission._grid_leg(grid_cml, open_grid, goal, mission.grid_step_cap(open_grid))
+    return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
 
 def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
@@ -130,7 +130,7 @@ def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
         info["object"]["path"] = str(config.models_dir / OBJECT_MODEL_FILE)
     if which in ("grid", "both"):
         grid_cml = build_grid_cml(config)
-        info["grid"] = verify_grid_cml(grid_cml, config)
+        info["grid"] = verify_grid_cml(grid_cml)
         persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
         info["grid"]["path"] = str(config.models_dir / GRID_MODEL_FILE)
     return info
@@ -189,26 +189,6 @@ def _goal_records(result: TrialResult) -> list[dict]:
     ]
 
 
-def _mission_context(
-    config: ExperimentConfig,
-    object_cml: cml_mod.Cml,
-    grid_cml: GridCml,
-    memory: MapMemory,
-    maze: maze_mod.Maze,
-    policy,
-) -> MissionContext:
-    return MissionContext(
-        object_cml=object_cml,
-        grid_cml=grid_cml,
-        memory=memory,
-        maze=maze,
-        policy=policy,
-        theta=config.theta,
-        theta_o=config.theta_o,
-        phi_o=config.phi_o,
-    )
-
-
 def mission_trial(
     config: ExperimentConfig,
     object_cml: cml_mod.Cml,
@@ -232,7 +212,16 @@ def mission_trial(
         record["door_cell"] = list(door_cell)
     policy = semantic_map.encode_policy(config.goal_sequence(), objects, rng)
     result = mission.run_mission(
-        _mission_context(config, planner, grid_cml, memory, maze, policy)
+        MissionContext(
+            object_cml=planner,
+            grid_cml=grid_cml,
+            memory=memory,
+            maze=maze,
+            policy=policy,
+            theta=config.theta,
+            theta_o=config.theta_o,
+            phi_o=config.phi_o,
+        )
     )
     record.update(
         {

@@ -17,7 +17,10 @@ derives P from them once.
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
 pseudo-inverse, and the per-node gating matrix is replaced by the live
-touch-sensor vector in [E, S, N, W] order (0 = wall contact).
+touch-sensor vector in [E, S, N, W] order (0 = wall contact).  The
+transpose utility ``A4^T (p_target - p_current)`` is linear in the
+states, so the model derives the 4 x (W H) table ``U = A4^T P`` once and
+every move reads the difference of two of its columns.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class TouchSensors:
 class GridCml:
     """Trained grid learner: the two coordinate chains and the fixed actions.
 
-    ``P``, ``width`` and ``height`` are derived from the chains once, on
-    construction; they are plain attributes, not fields.
+    ``P``, the utility table ``U``, ``width`` and ``height`` are derived
+    from the chains once, on construction; they are plain attributes.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -70,6 +73,7 @@ class GridCml:
         P = np.outer(a_s, np.repeat(self.x, width))
         P += np.outer(a_e, np.tile(self.y, height))
         object.__setattr__(self, "P", P)
+        object.__setattr__(self, "U", self.A4.T @ P)  # (4, width * height)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
 
@@ -156,32 +160,32 @@ def train_grid(
     )
 
 
-def grid_utility(grid_cml: GridCml, target: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Transpose utility u = A4^T (target - current), one score per direction.
+def grid_utility(grid_cml: GridCml, target_cell: Cell, current_cell: Cell) -> np.ndarray:
+    """Transpose utility A4^T (p_target - p_current) as ``U[:, target] - U[:, current]``.
 
     The regular structure of trained grid states makes the transpose as
     good a direction scorer as the pseudo-inverse, and opposite actions
     get exactly opposite scores.
     """
-    return grid_cml.A4.T @ (target - current)
+    U = grid_cml.U
+    return U[:, grid_cml.cell_index(target_cell)] - U[:, grid_cml.cell_index(current_cell)]
 
 
 def grid_step(
     grid_cml: GridCml,
-    target: np.ndarray,
+    target_cell: Cell,
     current_cell: Cell,
     sensors: TouchSensors,
 ) -> tuple[str, Cell]:
-    """One sensor-gated move toward the target state.
+    """One sensor-gated move toward the target cell.
 
-    The environment owns the true coordinates: the current state is the
-    P column of ``current_cell``, the gated winner-take-all (largest
-    nonzero score, even if negative) picks a direction, and the returned
-    next cell is one step that way.
+    The environment owns the true coordinates: the gated winner-take-all
+    (largest nonzero score, even if negative) over the utilities of
+    ``current_cell`` toward ``target_cell`` picks a direction, and the
+    returned next cell is one step that way.
     """
     gate = sensors.as_gate()
-    u = grid_utility(grid_cml, target, grid_cml.state(current_cell))
-    pick = select_action(u, gate)
+    pick = select_action(grid_utility(grid_cml, target_cell, current_cell), gate)
     if pick is None:
         raise ValueError(f"no legal move from {current_cell}: all sensors report walls")
     direction = DIRECTIONS[pick]

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_DIM = 1000
 DEFAULT_THETA = 0.1
 
 

@@ -120,14 +120,13 @@ def _grid_leg(grid_cml: GridCml, maze: Maze, target_cell: Cell, step_cap: int) -
     would not do: near-duplicate states pass it a few cells early, while
     the utilities still point at the real target.
     """
-    target_state = grid_cml.state(target_cell)
     path = [maze.robot]
     while True:
         if maze.robot == target_cell:
             return _LegResult(maze=maze, path=path, reason=FailureReason.NONE)
         if len(path) - 1 >= step_cap:
             return _LegResult(maze=maze, path=path, reason=FailureReason.STEP_CAP)
-        direction, _ = grid_step(grid_cml, target_state, maze.robot, sense(maze, maze.robot))
+        direction, _ = grid_step(grid_cml, target_cell, maze.robot, sense(maze, maze.robot))
         maze = move_robot(maze, direction)
         path.append(maze.robot)
         cycle = detect_dither(path)

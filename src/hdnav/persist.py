@@ -10,8 +10,8 @@ load.  Round-trips are bit-exact.
 Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
 Loads reject a file whose blocks disagree with its header (too short,
-trailing bytes, an edge count that does not match the edge list) or
-hold a non-finite value.
+trailing bytes, an edge count that does not match the edge list), hold
+a non-finite value, or describe a grid of fewer than two cells.
 """
 
 from __future__ import annotations
@@ -135,6 +135,8 @@ def load_model(path: str | Path) -> Cml | GridCml:
         if kind == "grid":
             d = int(fields["d"])
             width, height = int(fields["width"]), int(fields["height"])
+            if width * height < 2:
+                raise ValueError(f"grid needs at least two cells, got {width}x{height}")
             x = _read_block(fh, (height,))
             y = _read_block(fh, (width,))
             A4 = _read_block(fh, (d, 4))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hdnav import experiments, persist
@@ -146,6 +147,16 @@ def test_verify_rejects_missing_header_field(tmp_path, capsys):
     assert "'d'" in err
 
 
+def test_verify_rejects_zero_width_grid(tmp_path, capsys):
+    empty = tmp_path / "empty.hdm"
+    header = b"HDNAV-MODEL 2 grid\nd=4\nwidth=0\nheight=10\n\n"
+    empty.write_bytes(header + np.zeros(10).tobytes() + np.eye(4).tobytes())
+    assert main(["verify", str(empty)]) == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert "two cells" in err
+
+
 def test_run_mission_custom_goals(models_dir, capsys):
     code = main(
         ["run", "mission", "--seed", "42", "--out", str(models_dir),
@@ -176,7 +187,7 @@ def test_full_train_and_save_round(tmp_path):
     cfg = ExperimentConfig(seed=42, output_dir=str(tmp_path / "full"))
     info = experiments.train_and_save(cfg, which="both")
     assert info["object"]["pairs_checked"] == 56
-    assert info["grid"]["pairs_checked"] == 50
+    assert info["grid"]["pairs_checked"] == 39800
     object_cml, grid_cml = experiments.load_models(cfg)
     assert object_cml.graph.n == 8
     assert grid_cml.P.shape == (1000, 200)

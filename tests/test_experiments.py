@@ -1,13 +1,56 @@
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from hdnav import experiments, maze as mz, semantic_map as sm
+from hdnav.grid import GridCml
 from hdnav.reports import recompute_aggregates
 
 
 def small(config, **kw):
     return dataclasses.replace(config, **kw)
+
+
+def test_verify_grid_rejects_swapped_chain_entries(grid_cml):
+    y = grid_cml.y.copy()
+    y[[3, 4]] = y[[4, 3]]
+    broken = GridCml(x=grid_cml.x, y=y, A4=grid_cml.A4)
+    with pytest.raises(RuntimeError, match="failed verification") as failure:
+        experiments.verify_grid_cml(broken)
+    named = re.search(r"\((\d+), (\d+)\)->\((\d+), (\d+)\)", str(failure.value))
+    r0, c0, r1, c1 = map(int, named.groups())
+    # the named pair really is walked off a shortest path
+    steps = experiments._open_grid_steps(broken, (r0, c0), (r1, c1))
+    assert steps != abs(r0 - r1) + abs(c0 - c1)
+
+
+def test_verify_grid_gates_the_border():
+    # on a 1x3 grid whose south/north actions outscore east/west along the
+    # row, only the border gate keeps the picks on the grid, as the touch
+    # sensors do on a walk
+    a_e = np.ones(4)
+    row_grid = GridCml(
+        x=np.zeros(1), y=np.arange(3.0), A4=np.stack([a_e, 2 * a_e, -2 * a_e, -a_e], axis=1)
+    )
+    assert experiments.verify_grid_cml(row_grid) == {"pairs_checked": 6}
+    for start in range(3):
+        for goal in range(3):
+            steps = experiments._open_grid_steps(row_grid, (0, start), (0, goal))
+            assert steps == abs(start - goal)
+
+
+def test_verify_grid_rejects_sideways_first_step():
+    # with a_e = 2 a_s, toward a target straight south the east utility
+    # outscores the south one, so the first step from (0, 0) goes sideways
+    a_s = np.ones(4)
+    skewed = GridCml(
+        x=np.arange(2.0), y=np.arange(2.0), A4=np.stack([2 * a_s, a_s, -a_s, -2 * a_s], axis=1)
+    )
+    with pytest.raises(RuntimeError, match=r"\(0, 0\)->\(1, 0\)"):
+        experiments.verify_grid_cml(skewed)
+    assert experiments._open_grid_steps(skewed, (0, 0), (1, 0)) is None
 
 
 def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hdnav import hdc
+from hdnav.cml import select_action
 from hdnav.grid import (
     DIRECTIONS,
     GridCml,
@@ -58,6 +61,15 @@ def reference_train_grid(width, height, d, A4, learning_rate=0.05, epoch_cap=20_
     raise RuntimeError("reference training did not converge")
 
 
+def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
+    """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced."""
+    return grid.A4.T @ (grid.state(target_cell) - grid.state(current_cell))
+
+
+# the 15 sensor gates with at least one open direction, as rows of [E, S, N, W]
+ALL_GATES = np.array([g for g in itertools.product((0, 1), repeat=4) if any(g)], dtype=float)
+
+
 def open_sensors(grid: GridCml, cell) -> TouchSensors:
     row, col = cell
     return TouchSensors(
@@ -70,9 +82,8 @@ def open_sensors(grid: GridCml, cell) -> TouchSensors:
 
 def navigate_open(grid: GridCml, start, goal, cap=200):
     cell, steps = start, 0
-    target = grid.state(goal)
     while cell != goal and steps < cap:
-        _, cell = grid_step(grid, target, cell, open_sensors(grid, cell))
+        _, cell = grid_step(grid, goal, cell, open_sensors(grid, cell))
         steps += 1
     return steps if cell == goal else None
 
@@ -197,12 +208,11 @@ def test_training_cap_raises(actions):
 
 
 def test_utility_zero_at_target(grid_cml):
-    p = grid_cml.state((4, 7))
-    assert np.abs(grid_utility(grid_cml, p, p)).max() < 1e-9
+    assert np.abs(grid_utility(grid_cml, (4, 7), (4, 7))).max() < 1e-9
 
 
 def test_utility_opposite_directions_negate(grid_cml):
-    u = grid_utility(grid_cml, grid_cml.state((7, 3)), grid_cml.state((4, 3)))
+    u = grid_utility(grid_cml, (7, 3), (4, 3))
     e, s, n, w = u
     assert n == pytest.approx(-s)
     assert w == pytest.approx(-e)
@@ -210,8 +220,32 @@ def test_utility_opposite_directions_negate(grid_cml):
 
 
 def test_utility_east_adjacent_target(grid_cml):
-    u = grid_utility(grid_cml, grid_cml.state((5, 11)), grid_cml.state((5, 10)))
+    u = grid_utility(grid_cml, (5, 11), (5, 10))
     assert int(np.argmax(u)) == DIRECTIONS.index("E")
+
+
+def test_utility_table_is_actions_transpose_times_states(grid_cml):
+    assert grid_cml.U.shape == (4, 200)
+    assert np.array_equal(grid_cml.U, grid_cml.A4.T @ grid_cml.P)
+
+
+def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
+    cells = [(row, col) for row in range(10) for col in range(20)]
+    pairs = [(current, target) for current in cells for target in cells if current != target]
+    table = np.stack([grid_utility(grid_cml, t, c) for c, t in pairs], axis=1)
+    reference = np.stack([reference_grid_utility(grid_cml, t, c) for c, t in pairs], axis=1)
+    # (gate, direction, pair): blocked directions never win, ties go to the lowest index
+    legal = ALL_GATES[:, :, None] > 0
+    table_scores = np.where(legal, table, -np.inf)
+    picks = np.argmax(table_scores, axis=1)
+    assert np.array_equal(picks, np.argmax(np.where(legal, reference, -np.inf), axis=1))
+    for pair in range(0, len(pairs), 199):
+        for gate_index, gate in enumerate(ALL_GATES):
+            assert select_action(table[:, pair], gate) == picks[gate_index, pair]
+    # the picks do not hinge on rounding: the top two legal utilities stay far apart
+    ranked = np.sort(table_scores, axis=1)
+    gaps = ranked[:, -1] - ranked[:, -2]
+    assert gaps[np.isfinite(gaps)].min() > 1e-6 * np.abs(grid_cml.U).max()
 
 
 # --- stepping ---------------------------------------------------------------------
@@ -223,15 +257,14 @@ def test_two_steps_reach_target_two_east(grid_cml):
 
 
 def test_step_with_blocked_east_picks_alternative(grid_cml):
-    target = grid_cml.state((5, 12))
     sensors = TouchSensors(e=0, s=1, n=1, w=1)
-    direction, _ = grid_step(grid_cml, target, (5, 10), sensors)
+    direction, _ = grid_step(grid_cml, (5, 12), (5, 10), sensors)
     assert direction in ("S", "N", "W")
 
 
 def test_step_requires_some_open_direction(grid_cml):
     with pytest.raises(ValueError, match="no legal move"):
-        grid_step(grid_cml, grid_cml.state((0, 0)), (5, 5), TouchSensors(0, 0, 0, 0))
+        grid_step(grid_cml, (0, 0), (5, 5), TouchSensors(0, 0, 0, 0))
 
 
 def test_step_never_moves_into_gated_direction(grid_cml):
@@ -243,7 +276,7 @@ def test_step_never_moves_into_gated_direction(grid_cml):
         gate = [1, 1, 1, 1]
         gate[blocked_dir] = 0
         sensors = TouchSensors(*gate)
-        direction, _ = grid_step(grid_cml, grid_cml.state(goal), cell, sensors)
+        direction, _ = grid_step(grid_cml, goal, cell, sensors)
         assert direction != DIRECTIONS[blocked_dir]
 
 

@@ -103,14 +103,26 @@ def _edge_count_one_short(data: bytes) -> bytes:
     return b"\n".join(lines) + b"\n\n" + body
 
 
+def _degenerate_grid(width: int, height: int):
+    """A well-formed grid file of a degenerate size, with zero chains, in place of the input."""
+    header = "\n".join(
+        [f"{persist.MAGIC} {persist.FORMAT_VERSION} grid", "d=4", f"width={width}", f"height={height}"]
+    )
+    body = np.zeros(height).tobytes() + np.zeros(width).tobytes() + np.eye(4).tobytes()
+    contents = (header + "\n\n").encode("ascii") + body
+    return lambda data: contents
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
         (_append_byte, "trailing bytes"),
         (_nan_in_last_value, "non-finite"),
         (_edge_count_one_short, "edges"),
+        (_degenerate_grid(0, 10), "two cells"),
+        (_degenerate_grid(1, 1), "two cells"),
     ],
-    ids=["trailing_bytes", "nan", "edge_count"],
+    ids=["trailing_bytes", "nan", "edge_count", "zero_width_grid", "one_cell_grid"],
 )
 def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
     path = tmp_path / "object.hdm"

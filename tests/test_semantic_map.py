@@ -187,6 +187,31 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
         assert np.array_equal(memory.positions.vectors, states)
 
 
+def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, config):
+    # the viability and mission digests must not depend on BLAS summation
+    # order: over the pinned batch's candidates every deciding forward cosine
+    # clears its runner-up and theta by far more than rounding, and the
+    # reverse cosines are exact integer dot products over a common norm
+    from hdnav import experiments
+
+    objects = object_cml.state_dictionary()
+    assert np.array_equal(np.abs(objects.vectors), np.ones_like(objects.vectors))
+    top_gaps, theta_gaps = [], []
+    for trial in range(config.viability_mazes):
+        rng = experiments.trial_rng(config.seed, experiments.TAG_VIABILITY, trial)
+        memory = sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+        forward = hdc.bind(memory.map_hv, objects.vectors)
+        norms = memory.positions.norms * np.linalg.norm(forward, axis=1)[:, None]
+        ranked = np.sort(forward @ memory.positions.vectors.T / norms, axis=1)
+        top_gaps.append((ranked[:, -1] - ranked[:, -2]).min())
+        theta_gaps.append(np.abs(ranked[:, -1] - config.theta).min())
+        reverse = hdc.bind(memory.map_hv, hdc.sign(memory.positions.vectors))
+        assert np.array_equal(np.abs(reverse), np.ones_like(reverse))
+    rounding = 1e6 * np.finfo(float).eps
+    assert min(top_gaps) > rounding
+    assert min(theta_gaps) > rounding
+
+
 # --- queries ------------------------------------------------------------------------
 
 
