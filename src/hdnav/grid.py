@@ -5,14 +5,16 @@ east from any cell adds the same action vector.  Two random Gaussian
 action vectors are drawn for south and east; north and west are their
 exact negations, so opposite moves cancel (``a_s + a_n = 0``).
 
-The cell states P (one column per cell, row-major indexing) start from
-zero and are trained against the fixed actions over every directed
-adjacency until ``p_neighbor ~= p_cell + a_direction`` holds everywhere.
+The cell states start from zero and are trained against the fixed
+actions over every directed adjacency until
+``p_neighbor ~= p_cell + a_direction`` holds everywhere.
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
 therefore iterates the two coordinate chains x (one scalar per row) and
 y (one per column); the model holds the chains and the actions, and
-derives P from them once.
+derives the states from them once: the cell dictionary ``cells`` (one
+row per cell in row-major order, norms computed once) and its transposed
+view P (d x W H), whose column for a cell is that cell's state.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hdc
 from .cml import select_action
 
 Cell = tuple[int, int]  # (row, col); (0, 0) is the northwest corner
@@ -57,8 +60,11 @@ class TouchSensors:
 class GridCml:
     """Trained grid learner: the two coordinate chains and the fixed actions.
 
-    ``P``, the utility table ``U``, ``width`` and ``height`` are derived
-    from the chains once, on construction; they are plain attributes.
+    ``cells``, ``P``, the utility table ``U``, ``width`` and ``height`` are
+    derived from the chains once, on construction; they are plain
+    attributes.  ``cells`` is the state dictionary, one row per cell in
+    row-major order with its norm computed once; ``P`` is the transposed
+    view of its rows, one column per cell.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -68,12 +74,14 @@ class GridCml:
     def __post_init__(self) -> None:
         height, width = len(self.x), len(self.y)
         a_e, a_s = self.A4[:, 0], self.A4[:, 1]
-        # (d, width * height), column row*width + col for cell (row, col); the
+        # (width * height, d), row row*width + col for cell (row, col); the
         # in-place sum rounds like a + b and leaves one temporary fewer
-        P = np.outer(a_s, np.repeat(self.x, width))
-        P += np.outer(a_e, np.tile(self.y, height))
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "U", self.A4.T @ P)  # (4, width * height)
+        S = np.outer(np.repeat(self.x, width), a_s)
+        S += np.outer(np.tile(self.y, height), a_e)
+        labels = tuple((row, col) for row in range(height) for col in range(width))
+        object.__setattr__(self, "cells", hdc.Dictionary(labels, S))
+        object.__setattr__(self, "P", S.T)  # (d, width * height), a view
+        object.__setattr__(self, "U", self.A4.T @ self.P)  # (4, width * height)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
 
@@ -89,10 +97,6 @@ class GridCml:
 
     def state(self, cell: Cell) -> np.ndarray:
         return self.P[:, self.cell_index(cell)]
-
-    def states(self, cells: tuple[Cell, ...]) -> np.ndarray:
-        """The states of the given cells as C-contiguous rows, one gather of P."""
-        return np.ascontiguousarray(self.P[:, [self.cell_index(cell) for cell in cells]].T)
 
 
 def build_actions(d: int, rng: np.random.Generator) -> np.ndarray:

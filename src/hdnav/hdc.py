@@ -56,6 +56,16 @@ def cosine(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y) / (nx * ny))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (n, d) stack.
+
+    This is the expression ``np.linalg.norm(x, axis=-1)`` evaluates for
+    real input, so the result is bit-identical, without that call's
+    per-call overhead.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def sign(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = 0."""
     return np.sign(np.asarray(x, dtype=float))
@@ -76,7 +86,7 @@ def bundle(
         d = len(vectors[0])
         if any(len(v) != d for v in vectors):
             raise ValueError("bundle inputs must share one dimension")
-    total = np.sum(vectors, axis=0, dtype=float)
+    total = np.add.reduce(vectors, axis=0, dtype=float)
     if len(vectors) % 2 == 0:
         total += random_bipolar(len(total), rng)
     return sign(total)
@@ -122,7 +132,7 @@ class Dictionary:
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.labels):
             raise ValueError("need one vector row per label")
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
-        object.__setattr__(self, "norms", np.linalg.norm(self.vectors, axis=1))
+        object.__setattr__(self, "norms", row_norms(self.vectors))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -136,6 +146,26 @@ class Dictionary:
 
     def vector(self, label: Hashable) -> np.ndarray:
         return self.vectors[self._index[label]]
+
+    def take(self, labels: tuple[Hashable, ...]) -> "Dictionary":
+        """The sub-dictionary of the given labels, in their order.
+
+        Rows and norms are gathered, not recomputed.  An unknown or
+        repeated label raises ``ValueError``.
+        """
+        try:
+            rows = [self._index[label] for label in labels]
+        except KeyError as err:
+            raise ValueError(f"label {err.args[0]!r} not in dictionary") from None
+        index = {label: i for i, label in enumerate(labels)}
+        if not rows or len(index) != len(rows):
+            raise ValueError("sub-dictionary labels must be unique and non-empty")
+        sub = object.__new__(Dictionary)
+        object.__setattr__(sub, "labels", tuple(labels))
+        object.__setattr__(sub, "vectors", self.vectors[rows])
+        object.__setattr__(sub, "_index", index)
+        object.__setattr__(sub, "norms", self.norms[rows])
+        return sub
 
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Hashable, np.ndarray]]) -> "Dictionary":
@@ -170,7 +200,7 @@ def recover(
         if sims[best] < theta:
             return None
         return dictionary.labels[best]
-    qnorms = np.linalg.norm(query, axis=1)
+    qnorms = row_norms(query)
     zero = qnorms == 0.0
     if zero.any():
         qnorms[zero] = 1.0  # a zero row's dot products are 0; it recovers None below

@@ -11,7 +11,8 @@ Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
 Loads reject a file whose blocks disagree with its header (too short,
 trailing bytes, an edge count that does not match the edge list), hold
-a non-finite value, or describe a grid of fewer than two cells.
+a non-finite value, give a size field (``d``, ``n``, ``e``, ``width``,
+``height``) below 1, or describe a grid of fewer than two cells.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ def _expect_end(fh) -> None:
         raise ValueError("model file has trailing bytes")
 
 
+def _require_positive(**sizes: int) -> None:
+    for key, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"model header field {key!r} must be at least 1, got {value}")
+
+
 def load_model(path: str | Path) -> Cml | GridCml:
     with open(path, "rb") as fh:
         kind, fields = _read_header(fh)
@@ -116,6 +123,7 @@ def load_model(path: str | Path) -> Cml | GridCml:
                 raise ValueError(f"{kind} model header lacks the field {key!r}")
         if kind == "object":
             d, n, e = int(fields["d"]), int(fields["n"]), int(fields["e"])
+            _require_positive(d=d, n=n, e=e)
             labels = tuple(fields["labels"].split(" "))
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
@@ -137,6 +145,7 @@ def load_model(path: str | Path) -> Cml | GridCml:
             width, height = int(fields["width"]), int(fields["height"])
             if width * height < 2:
                 raise ValueError(f"grid needs at least two cells, got {width}x{height}")
+            _require_positive(d=d, width=width, height=height)
             x = _read_block(fh, (height,))
             y = _read_block(fh, (width,))
             A4 = _read_block(fh, (d, 4))

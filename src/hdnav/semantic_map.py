@@ -37,7 +37,7 @@ class MapMemory:
 
     ``positions`` holds the grid states of the eight placement cells,
     keyed by the cells themselves, one row per object in ``objects``
-    order.
+    order: the sub-dictionary of the grid model's ``cells``.
     """
 
     map_hv: np.ndarray
@@ -60,11 +60,10 @@ def build_map(
     objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, rng: np.random.Generator
 ) -> MapMemory:
     """Bind each object to the state of its cell and bundle the signed terms."""
-    cells = tuple(maze.placements[label] for label in objects.labels)
-    states = grid_cml.states(cells)
-    terms = hdc.sign(hdc.bind(objects.vectors, states))
+    positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
+    terms = hdc.sign(hdc.bind(objects.vectors, positions.vectors))
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
-    return MapMemory(map_hv, objects, hdc.Dictionary(cells, states))
+    return MapMemory(map_hv, objects, positions)
 
 
 def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:

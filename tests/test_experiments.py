@@ -6,7 +6,7 @@ import pytest
 
 from hdnav import experiments, maze as mz, semantic_map as sm
 from hdnav.grid import GridCml
-from hdnav.reports import recompute_aggregates
+from hdnav.reports import recompute_aggregates, wilson_interval
 
 
 def small(config, **kw):
@@ -61,6 +61,22 @@ def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):
     assert rejections >= 0
     assert sm.check_viability(memory, config.theta)
     assert maze.robot == maze.placements["h"]
+
+
+def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_cml):
+    # a mission trial fails only if viable_attempt_cap candidates in a row are
+    # not mission ready; bound the ready rate from below, pooled over six trial
+    # seeds rather than one seed's largest rejection count
+    candidates = ready = 0
+    for seed in (1, 2, 3, 7, 42, 99):
+        seeded = small(config, seed=seed)
+        for trial in range(1000):
+            record = experiments.viability_trial(seeded, object_cml, grid_cml, trial)
+            candidates += 1
+            ready += record["mission_ready"]
+    p_lo, _ = wilson_interval(ready, candidates, z=3.0)
+    assert p_lo > 0.0
+    assert (1.0 - p_lo) ** config.viable_attempt_cap < 1e-6
 
 
 def test_viable_generation_cap(config, object_cml, grid_cml):

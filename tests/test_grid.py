@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hdnav import hdc
+from hdnav import experiments, hdc
+from hdnav.config import ExperimentConfig
 from hdnav.cml import select_action
 from hdnav.grid import (
     DIRECTIONS,
@@ -313,10 +314,34 @@ def test_cell_index_row_major(grid_cml):
 
 
 def test_states_gather_matches_p_columns(grid_cml):
-    cells = ((0, 0), (9, 19), (3, 7), (5, 0), (3, 7))
-    states = grid_cml.states(cells)
+    cells = ((0, 0), (9, 19), (3, 7), (5, 0))
+    states = grid_cml.cells.take(cells).vectors
     assert states.flags.c_contiguous
     assert np.array_equal(states, np.stack([grid_cml.state(cell) for cell in cells]))
-    assert np.array_equal(states, grid_cml.P[:, [0, 199, 67, 100, 67]].T)
-    with pytest.raises(ValueError, match="outside"):
-        grid_cml.states(((0, 0), (0, 20)))
+    assert np.array_equal(states, grid_cml.P[:, [0, 199, 67, 100]].T)
+    with pytest.raises(ValueError, match="not in dictionary"):
+        grid_cml.cells.take(((0, 0), (0, 20)))
+    with pytest.raises(ValueError, match="unique"):
+        grid_cml.cells.take(((0, 0), (9, 19), (3, 7), (5, 0), (3, 7)))
+
+
+def reference_states(grid_cml):
+    """The (d, W H) outer-product construction of the states, one column per cell."""
+    a_e, a_s = grid_cml.A4[:, 0], grid_cml.A4[:, 1]
+    P = np.outer(a_s, np.repeat(grid_cml.x, grid_cml.width))
+    P += np.outer(a_e, np.tile(grid_cml.y, grid_cml.height))
+    return P
+
+
+@pytest.mark.parametrize("model_seed", [42, 1, 7])
+def test_cell_dictionary_view_matches_outer_product_states(model_seed):
+    grid_cml = experiments.build_grid_cml(ExperimentConfig(seed=model_seed))
+    reference = reference_states(grid_cml)
+    cells = grid_cml.cells
+    assert cells.labels == tuple((row, col) for row in range(10) for col in range(20))
+    assert cells.vectors.flags.c_contiguous
+    assert np.shares_memory(grid_cml.P, cells.vectors)
+    assert np.array_equal(grid_cml.P, reference)
+    assert np.array_equal(grid_cml.U, grid_cml.A4.T @ reference)
+    # the norms a fresh dictionary over the gathered state rows computes
+    assert np.array_equal(cells.norms, np.linalg.norm(np.ascontiguousarray(reference.T), axis=1))

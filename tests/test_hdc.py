@@ -299,6 +299,40 @@ def test_dictionary_caches_row_norms():
     assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
 
 
+def test_row_norms_bit_equal_linalg_norm(grid_cml):
+    rng = np.random.default_rng(34)
+    stacks = [
+        grid_cml.cells.vectors,  # the trained grid states
+        np.stack([bipolar(s) for s in range(9)]),
+        rng.normal(0.0, 1.0, size=(50, D)),
+        rng.normal(0.0, 3.0, size=(7, 13)),
+    ]
+    for x in stacks:
+        assert np.array_equal(hdc.row_norms(x), np.linalg.norm(x, axis=1))
+
+
+def test_dictionary_take_gathers_rows_and_norms():
+    rng = np.random.default_rng(35)
+    d = hdc.Dictionary(
+        tuple(f"v{i}" for i in range(12)), rng.normal(0.0, 1.0, size=(12, D))
+    )
+    labels = ("v7", "v0", "v11", "v3")
+    sub = d.take(labels)
+    fresh = hdc.Dictionary(labels, np.stack([d.vector(label) for label in labels]))
+    assert sub.labels == labels
+    assert np.array_equal(sub.vectors, fresh.vectors)
+    assert np.array_equal(sub.norms, fresh.norms)
+    assert np.array_equal(sub.vector("v11"), d.vector("v11"))
+    assert "v5" not in sub and "v3" in sub
+    assert hdc.recover(d.vector("v0"), sub, 0.1) == "v0"
+    with pytest.raises(ValueError, match="not in dictionary"):
+        d.take(("v1", "v12"))
+    with pytest.raises(ValueError, match="unique"):
+        d.take(("v1", "v2", "v1"))
+    with pytest.raises(ValueError, match="empty"):
+        d.take(())
+
+
 def test_recover_stack_dimension_mismatch():
     d = _dictionary(np.random.default_rng(33))
     with pytest.raises(ValueError, match="dimension"):

@@ -103,12 +103,25 @@ def _edge_count_one_short(data: bytes) -> bytes:
     return b"\n".join(lines) + b"\n\n" + body
 
 
-def _degenerate_grid(width: int, height: int):
-    """A well-formed grid file of a degenerate size, with zero chains, in place of the input."""
+def _object_size_zero(key: str):
+    """The object file with one size field of its header set to 0."""
+
+    def corrupt(data: bytes) -> bytes:
+        header, body = data.split(b"\n\n", 1)
+        prefix = f"{key}=".encode("ascii")
+        lines = [prefix + b"0" if line.startswith(prefix) else line for line in header.split(b"\n")]
+        return b"\n".join(lines) + b"\n\n" + body
+
+    return corrupt
+
+
+def _degenerate_grid(width: int, height: int, d: int = 4):
+    """A grid file of a degenerate size, with zero chains, in place of the input."""
     header = "\n".join(
-        [f"{persist.MAGIC} {persist.FORMAT_VERSION} grid", "d=4", f"width={width}", f"height={height}"]
+        [f"{persist.MAGIC} {persist.FORMAT_VERSION} grid", f"d={d}", f"width={width}", f"height={height}"]
     )
-    body = np.zeros(height).tobytes() + np.zeros(width).tobytes() + np.eye(4).tobytes()
+    body = np.zeros(max(height, 0)).tobytes() + np.zeros(max(width, 0)).tobytes()
+    body += np.eye(max(d, 0), 4).tobytes()
     contents = (header + "\n\n").encode("ascii") + body
     return lambda data: contents
 
@@ -121,8 +134,14 @@ def _degenerate_grid(width: int, height: int):
         (_edge_count_one_short, "edges"),
         (_degenerate_grid(0, 10), "two cells"),
         (_degenerate_grid(1, 1), "two cells"),
+        (_degenerate_grid(-1, -2), "'width' must be at least 1, got -1"),
+        (_degenerate_grid(20, 10, d=0), "'d' must be at least 1, got 0"),
+        (_object_size_zero("n"), "'n' must be at least 1, got 0"),
     ],
-    ids=["trailing_bytes", "nan", "edge_count", "zero_width_grid", "one_cell_grid"],
+    ids=[
+        "trailing_bytes", "nan", "edge_count", "zero_width_grid", "one_cell_grid",
+        "negative_size_grid", "zero_d_grid", "zero_n_object",
+    ],
 )
 def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
     path = tmp_path / "object.hdm"

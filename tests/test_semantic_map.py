@@ -185,6 +185,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
         assert np.array_equal(memory.map_hv, hdc.bundle(terms, np.random.default_rng(i)))
         assert memory.positions.labels == cells
         assert np.array_equal(memory.positions.vectors, states)
+        assert np.array_equal(memory.positions.norms, np.linalg.norm(states, axis=1))
 
 
 def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, config):
