@@ -13,7 +13,9 @@ are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).  The algebra has four basic oper
 - ``permute``: circular shift; reversible, used to encode sequence
   position.
 - ``recover``: cleanup against a dictionary of known vectors, returning
-  the best match above a noise floor ``theta``.
+  the best match above a noise floor ``theta``.  Its scores come from
+  ``cosines``, which takes the query norms from the caller; a zero-norm
+  entry or query has no direction and never matches.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
@@ -115,14 +117,20 @@ class Dictionary:
 
     Labels may be any hashable values (object names, grid cells).
     ``vectors`` holds one row per entry; row order defines the tie-break
-    for recovery (lowest index wins on exact score ties).  ``norms``
-    holds the row norms, computed once.
+    for recovery (lowest index wins on exact score ties).  Two tables are
+    derived once from the rows: ``norms``, the row norms, and ``signs``,
+    the rows' sign patterns ``sign(vectors)`` as int8 (the terms that
+    bind into a map).  ``_zero_row`` is False when no row can have zero
+    norm (a sub-dictionary inherits its parent's flag), which lets
+    ``cosines`` skip its zero-norm guard for a vector query.
     """
 
     labels: tuple[Hashable, ...]
     vectors: np.ndarray  # shape (n, d)
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
     norms: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n,)
+    signs: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n, d), int8
+    _zero_row: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -133,6 +141,8 @@ class Dictionary:
             raise ValueError("need one vector row per label")
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         object.__setattr__(self, "norms", row_norms(self.vectors))
+        object.__setattr__(self, "signs", np.sign(self.vectors).astype(np.int8))
+        object.__setattr__(self, "_zero_row", not self.norms.all())
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -150,8 +160,8 @@ class Dictionary:
     def take(self, labels: tuple[Hashable, ...]) -> "Dictionary":
         """The sub-dictionary of the given labels, in their order.
 
-        Rows and norms are gathered, not recomputed.  An unknown or
-        repeated label raises ``ValueError``.
+        Rows, norms and sign patterns are gathered, not recomputed.  An
+        unknown or repeated label raises ``ValueError``.
         """
         try:
             rows = [self._index[label] for label in labels]
@@ -165,6 +175,8 @@ class Dictionary:
         object.__setattr__(sub, "vectors", self.vectors[rows])
         object.__setattr__(sub, "_index", index)
         object.__setattr__(sub, "norms", self.norms[rows])
+        object.__setattr__(sub, "signs", self.signs[rows])
+        object.__setattr__(sub, "_zero_row", self._zero_row)
         return sub
 
     @classmethod
@@ -174,6 +186,39 @@ class Dictionary:
         return cls(labels, vectors)
 
 
+def check_theta(theta: float) -> None:
+    """Reject a noise floor outside [0, 1)."""
+    if not 0.0 <= theta < 1.0:
+        raise ValueError(f"theta must lie in [0, 1), got {theta}")
+
+
+def cosines(
+    query: np.ndarray, query_norms: np.ndarray | float, dictionary: Dictionary
+) -> np.ndarray:
+    """Cosine of a (d,) query, or of each row of an (m, d) stack, to every entry.
+
+    Gives (n,) scores for a vector and an (m, n) block for a stack.
+    ``query_norms`` is the query's norm (one per row for a stack), passed
+    in so that a caller who knows it exactly need not recompute it.  A
+    pair with a zero-norm side has no direction and scores -inf: a zero
+    entry never wins, and a zero query clears no threshold.
+    """
+    if query.ndim == 1:
+        sims = dictionary.vectors @ query
+        scale = dictionary.norms * query_norms
+        directionless = query_norms == 0.0 or dictionary._zero_row
+    else:
+        sims = query @ dictionary.vectors.T
+        scale = dictionary.norms * query_norms[:, None]
+        directionless = not scale.all()
+    if directionless:
+        zero = scale == 0.0
+        sims[zero] = -np.inf
+        scale[zero] = 1.0
+    sims /= scale
+    return sims
+
+
 def recover(
     query: np.ndarray, dictionary: Dictionary, theta: float
 ) -> Hashable | None | tuple[Hashable | None, ...]:
@@ -181,35 +226,27 @@ def recover(
 
     Returns the entry with maximum cosine to ``query`` provided that
     maximum is at least ``theta``; a query below the noise floor (or with
-    zero norm) recovers nothing.  Exact ties resolve to the lowest index.
-    An (n, d) stack of queries is cleaned up in one matrix product and
-    gives a tuple with one such result per row.
+    zero norm) recovers nothing, and a zero-norm entry is never recovered.
+    Exact ties resolve to the lowest index.  An (n, d) stack of queries
+    is cleaned up in one matrix product and gives a tuple with one such
+    result per row.
     """
-    if not 0.0 <= theta < 1.0:
-        raise ValueError(f"theta must lie in [0, 1), got {theta}")
+    check_theta(theta)
     if query.shape[-1] != dictionary.dim:
         raise ValueError(
             f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
         )
     if query.ndim == 1:
-        qnorm = np.linalg.norm(query)
-        if qnorm == 0.0:
-            return None
-        sims = dictionary.vectors @ query / (dictionary.norms * qnorm)
+        sims = cosines(query, np.linalg.norm(query), dictionary)
         best = int(np.argmax(sims))  # argmax returns the first (lowest) index on ties
         if sims[best] < theta:
             return None
         return dictionary.labels[best]
-    qnorms = row_norms(query)
-    zero = qnorms == 0.0
-    if zero.any():
-        qnorms[zero] = 1.0  # a zero row's dot products are 0; it recovers None below
-    sims = query @ dictionary.vectors.T / (dictionary.norms * qnorms[:, None])
-    best = sims.argmax(axis=1)
+    sims = cosines(query, row_norms(query), dictionary)
     labels = dictionary.labels
     return tuple(
-        None if z or score < theta else labels[b]
-        for z, score, b in zip(zero.tolist(), sims.max(axis=1).tolist(), best.tolist())
+        None if score < theta else labels[b]
+        for score, b in zip(sims.max(axis=1).tolist(), sims.argmax(axis=1).tolist())
     )
 
 

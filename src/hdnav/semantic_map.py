@@ -6,13 +6,20 @@ total bipolar):
 
     map = sgn(sgn(o_1 * p_1) + ... + sgn(o_8 * p_8) + eta)
 
+Each term ``sgn(o_i * p_i)`` equals ``sgn(o_i) * sgn(p_i)`` (exactly, for
+the bipolar object states), and the object and cell dictionaries hold
+those sign patterns as int8 tables computed once, so a map build
+multiplies patterns and takes no sign of its own.
+
 Binding the map with an object vector releases a noisy copy of that
 object's position, cleaned up against the trial's eight known position
 states; binding with a position state releases the object stored there.
-Grid states of different cells can be strongly correlated, so not every
-arrangement yields a map whose recoveries are all unambiguous; the
-``check_viability`` predicate tells usable maps apart and the harness
-regenerates mazes that fail it.
+Unbinding a bipolar map only flips signs, so each forward query has its
+object's norm and the readiness check scores it with the norms the
+object dictionary already holds.  Grid states of different cells can be
+strongly correlated, so not every arrangement yields a map whose
+recoveries are all unambiguous; the ``check_viability`` predicate tells
+usable maps apart and the harness regenerates mazes that fail it.
 
 A goal policy is a bundle of permuted object vectors, the i-th goal
 shifted i places.  Unpermuting once exposes the next goal above the
@@ -35,9 +42,10 @@ from .maze import Maze
 class MapMemory:
     """The map hypervector plus the trial's explicit dictionaries.
 
-    ``positions`` holds the grid states of the eight placement cells,
-    keyed by the cells themselves, one row per object in ``objects``
-    order: the sub-dictionary of the grid model's ``cells``.
+    ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
+    bipolar).  ``positions`` holds the grid states of the eight placement
+    cells, keyed by the cells themselves, one row per object in
+    ``objects`` order: the sub-dictionary of the grid model's ``cells``.
     """
 
     map_hv: np.ndarray
@@ -59,9 +67,14 @@ class Policy:
 def build_map(
     objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, rng: np.random.Generator
 ) -> MapMemory:
-    """Bind each object to the state of its cell and bundle the signed terms."""
+    """Bind each object to the state of its cell and bundle the signed terms.
+
+    Each term is ``sign(o_i) * sign(p_i)`` from the dictionaries' int8 sign
+    patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
+    terms in float, so the map and the tie-break draw are unchanged.
+    """
     positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
-    terms = hdc.sign(hdc.bind(objects.vectors, positions.vectors))
+    terms = objects.signs * positions.signs
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, positions)
 
@@ -72,9 +85,22 @@ def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool
     Grid states of different cells can be strongly correlated, so a
     sizeable share of arrangements yields maps whose position recoveries
     collide; those maps are unusable and counted by the viability
-    statistic.  All eight objects are queried in one batched recovery.
+    statistic.
+
+    All eight objects are scored in one cosine block: object ``i`` recovers
+    its own position when row ``i``'s best entry is entry ``i`` at a cosine
+    of at least ``theta`` (the position labels are unique).  Unbinding a map
+    without zero entries flips signs only, so each query's norm is its
+    object's norm, bit for bit; a map with a zero entry computes them.
     """
-    return query_position(memory, memory.objects.vectors, theta) == memory.positions.labels
+    hdc.check_theta(theta)
+    objects = memory.objects
+    queries = hdc.bind(memory.map_hv, objects.vectors)
+    norms = objects.norms if memory.map_hv.all() else hdc.row_norms(queries)
+    sims = hdc.cosines(queries, norms, memory.positions)
+    return sims.argmax(axis=1).tolist() == list(range(len(sims))) and bool(
+        sims.diagonal().min() >= theta
+    )
 
 
 def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
@@ -87,7 +113,7 @@ def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
     """
     if not check_viability(memory, theta):
         return False
-    return query_object(memory, memory.positions.vectors, theta) == memory.objects.labels
+    return query_object(memory, memory.positions.signs, theta) == memory.objects.labels
 
 
 def query_position(

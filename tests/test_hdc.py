@@ -299,6 +299,31 @@ def test_dictionary_caches_row_norms():
     assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
 
 
+def test_dictionary_sign_patterns_are_int8_signs(grid_cml):
+    rng = np.random.default_rng(36)
+    gaussian = rng.normal(0.0, 1.0, size=(6, D))
+    gaussian[2, ::7] = 0.0  # sign(0) = 0 survives the int8 table
+    for d in (_dictionary(rng), hdc.Dictionary(tuple(range(6)), gaussian), grid_cml.cells):
+        assert d.signs.dtype == np.int8
+        assert np.array_equal(d.signs, np.sign(d.vectors).astype(np.int8))
+
+
+def test_unbinding_a_bipolar_map_keeps_row_norms_bit_for_bit(object_cml, grid_cml):
+    # (m_k o_k)^2 == o_k^2 exactly and the reduction order is the same, so the
+    # forward readiness check may score its queries with the stored norms
+    rng = np.random.default_rng(37)
+    stacks = [
+        object_cml.state_dictionary().vectors,
+        grid_cml.cells.vectors,
+        rng.normal(0.0, 1.0, size=(8, D)),
+        rng.normal(0.0, 5.0, size=(40, D)),
+    ]
+    for x in stacks:
+        for _ in range(5):
+            m = hdc.random_bipolar(D, rng)
+            assert np.array_equal(hdc.row_norms(hdc.bind(m, x)), hdc.row_norms(x))
+
+
 def test_row_norms_bit_equal_linalg_norm(grid_cml):
     rng = np.random.default_rng(34)
     stacks = [
@@ -322,6 +347,8 @@ def test_dictionary_take_gathers_rows_and_norms():
     assert sub.labels == labels
     assert np.array_equal(sub.vectors, fresh.vectors)
     assert np.array_equal(sub.norms, fresh.norms)
+    assert np.array_equal(sub.signs, fresh.signs)
+    assert sub.signs.dtype == np.int8
     assert np.array_equal(sub.vector("v11"), d.vector("v11"))
     assert "v5" not in sub and "v3" in sub
     assert hdc.recover(d.vector("v0"), sub, 0.1) == "v0"
@@ -331,6 +358,65 @@ def test_dictionary_take_gathers_rows_and_norms():
         d.take(("v1", "v2", "v1"))
     with pytest.raises(ValueError, match="empty"):
         d.take(())
+
+
+def _with_zero_entry(first: bool) -> hdc.Dictionary:
+    e1, e2 = np.zeros(D), np.zeros(D)
+    e1[0], e2[1] = 1.0, 2.0
+    rows = [("one", e1), ("two", e2)]
+    zero = ("zero", np.zeros(D))
+    return hdc.Dictionary.from_pairs([zero] + rows if first else rows + [zero])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+@pytest.mark.parametrize("first", [True, False], ids=["zero_first", "zero_last"])
+def test_recover_never_returns_a_zero_entry(first, theta):
+    # a zero-norm entry has no direction: it used to score 0/0 = NaN, which
+    # argmax took as the winner for every query
+    d = _with_zero_entry(first)
+    e1, orthogonal = np.zeros(D), np.zeros(D)
+    e1[0], orthogonal[2] = 3.0, 1.0
+    # an orthogonal query scores 0 against "two" (and against "one" too),
+    # which clears theta 0 only; the zero entry never wins
+    at_zero = None if theta > 0 else "two"
+    assert hdc.recover(e1, d, theta) == "one"
+    assert hdc.recover(-e1, d, theta) == at_zero
+    assert hdc.recover(np.zeros(D), d, theta) is None
+    assert hdc.recover(orthogonal, d, theta) == (None if theta > 0 else "one")
+    queries = np.stack([e1, -e1, np.zeros(D), orthogonal, d.vector("two")])
+    assert hdc.recover(queries, d, theta) == (
+        "one", at_zero, None, None if theta > 0 else "one", "two"
+    )
+    # a sub-dictionary that keeps the zero entry keeps the rule
+    sub = d.take(("zero", "one"))
+    assert hdc.recover(e1, sub, theta) == "one"
+    assert hdc.recover(-e1, sub, theta) is None
+    assert hdc.recover(np.stack([e1, -e1]), sub, theta) == ("one", None)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5])
+def test_recover_from_all_zero_dictionary_is_none(theta):
+    d = hdc.Dictionary.from_pairs([("a", np.zeros(D)), ("b", np.zeros(D))])
+    assert hdc.recover(bipolar(38), d, theta) is None
+    assert hdc.recover(np.stack([bipolar(38), np.zeros(D)]), d, theta) == (None, None)
+
+
+def test_cosines_match_recover_scores():
+    rng = np.random.default_rng(39)
+    d = _dictionary(rng)
+    queries = rng.normal(0.0, 1.0, size=(5, D))
+    block = hdc.cosines(queries, hdc.row_norms(queries), d)
+    assert block.shape == (5, len(d))
+    for q, row in zip(queries, block):
+        # the vector path is a matrix-vector product: equal up to rounding
+        assert np.allclose(hdc.cosines(q, np.linalg.norm(q), d), row)
+        assert np.allclose(row, [hdc.cosine(q, v) for v in d.vectors])
+    # a zero query row and a zero entry score -inf, not NaN
+    zeroed = hdc.Dictionary(("z",) + d.labels, np.vstack([np.zeros(D), d.vectors]))
+    queries[1] = 0.0
+    block = hdc.cosines(queries, hdc.row_norms(queries), zeroed)
+    assert np.isneginf(block[:, 0]).all() and np.isneginf(block[1]).all()
+    assert np.isfinite(np.delete(np.delete(block, 1, axis=0), 0, axis=1)).all()
 
 
 def test_recover_stack_dimension_mismatch():

@@ -175,17 +175,116 @@ def test_batched_readiness_matches_per_object_loops(object_cml, grid_cml, config
 
 
 def test_build_map_matches_per_object_construction(object_cml, grid_cml):
+    # the reference is the float construction sign(bind(o, p)) per object;
+    # build_map multiplies the int8 sign patterns instead
     objects = object_cml.state_dictionary()
-    for i in range(50):
+    for i in range(500):
         maze = mz.generate_maze(np.random.default_rng([74, i]))
-        memory = sm.build_map(objects, maze, grid_cml, np.random.default_rng(i))
+        rng, reference_rng = np.random.default_rng(i), np.random.default_rng(i)
+        memory = sm.build_map(objects, maze, grid_cml, rng)
         cells = tuple(maze.placements[label] for label in objects.labels)
         states = np.stack([grid_cml.state(cell) for cell in cells])
         terms = [hdc.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
-        assert np.array_equal(memory.map_hv, hdc.bundle(terms, np.random.default_rng(i)))
+        assert np.array_equal(memory.map_hv, hdc.bundle(terms, reference_rng))
+        assert memory.map_hv.dtype == np.float64
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert memory.positions.labels == cells
         assert np.array_equal(memory.positions.vectors, states)
         assert np.array_equal(memory.positions.norms, np.linalg.norm(states, axis=1))
+
+
+def reference_build_map(objects, maze, grid_cml, rng):
+    """The float construction that the int8 sign patterns replaced."""
+    positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
+    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, positions.vectors)), rng)
+
+
+def reference_forward_verdict(memory, theta):
+    """The batched recovery that the one-block forward check replaced."""
+    return sm.query_position(memory, memory.objects.vectors, theta) == memory.positions.labels
+
+
+def _assert_forward_verdicts_match(memories, theta):
+    verdicts = [sm.check_viability(memory, theta) for memory in memories]
+    assert all(type(v) is bool for v in verdicts)
+    assert verdicts == [reference_forward_verdict(memory, theta) for memory in memories]
+    return verdicts
+
+
+def test_forward_verdict_matches_batched_recovery_on_trained_models(object_cml, grid_cml, config):
+    objects = object_cml.state_dictionary()
+    memories = []
+    for i in range(600):
+        rng = np.random.default_rng([77, i])
+        memories.append(sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng))
+    for theta in (0.0, config.theta, 0.3):
+        verdicts = _assert_forward_verdicts_match(memories, theta)
+        if theta == config.theta:
+            assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml, config):
+    # sign(o * p) == sign(o) * sign(p) holds for any nonzero entries, so
+    # Gaussian objects also build the reference map
+    rng = np.random.default_rng(78)
+    memories = []
+    for i in range(300):
+        objects = hdc.Dictionary(tuple(LABELS), rng.normal(0.0, 1.0, size=(8, D)))
+        maze = mz.generate_maze(rng)
+        memory = sm.build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
+        reference = reference_build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
+        assert np.array_equal(memory.map_hv, reference)
+        memories.append(memory)
+    memories += [synthetic_memory(seed) for seed in range(50)]
+    verdicts = _assert_forward_verdicts_match(memories, config.theta)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable_setup, config):
+    _, memory, _ = viable_setup
+    rng = np.random.default_rng(79)
+    memories = []
+    for k in (1, 10, 300, 900):
+        map_hv = memory.map_hv.copy()
+        map_hv[rng.choice(D, size=k, replace=False)] = 0.0
+        memories.append(sm.MapMemory(map_hv, memory.objects, memory.positions))
+    _assert_forward_verdicts_match(memories, config.theta)
+    # with 100 zero entries every query is shorter than its object, so the
+    # object norms would understate each cosine by sqrt(900/1000); a theta
+    # between the two readings is met only when the norms are computed
+    map_hv = memory.map_hv.copy()
+    map_hv[:100] = 0.0
+    zeroed = sm.MapMemory(map_hv, memory.objects, memory.positions)
+    queries = hdc.bind(map_hv, memory.objects.vectors)
+    true = hdc.cosines(queries, hdc.row_norms(queries), memory.positions).diagonal().min()
+    theta = true * (1 + np.sqrt(0.9)) / 2
+    assert reference_forward_verdict(zeroed, theta) is True
+    assert sm.check_viability(zeroed, theta) is True
+    assert sm.check_viability(zeroed, true * 1.001) is False
+
+
+def test_forward_verdict_rejects_theta_out_of_range(viable_setup):
+    _, memory, _ = viable_setup
+    for theta in (-0.1, 1.0):
+        with pytest.raises(ValueError, match="theta"):
+            sm.check_viability(memory, theta)
+        with pytest.raises(ValueError, match="theta"):
+            sm.mission_ready(memory, theta)
+
+
+def test_forward_verdict_fails_on_a_zero_query_row(viable_setup, config):
+    _, memory, _ = viable_setup
+    vectors = memory.objects.vectors.copy()
+    vectors[3] = 0.0  # its query is zero on any map: no direction, no recovery
+    objects = hdc.Dictionary(memory.objects.labels, vectors)
+    zeroed_map = memory.map_hv.copy()
+    zeroed_map[::5] = 0.0
+    for map_hv in (memory.map_hv, zeroed_map):
+        tampered = sm.MapMemory(map_hv, objects, memory.positions)
+        for theta in (0.0, config.theta):
+            assert sm.query_position(tampered, vectors[3], theta) is None
+            assert sm.check_viability(tampered, theta) is False
+            assert reference_forward_verdict(tampered, theta) is False
 
 
 def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, config):
