@@ -13,7 +13,9 @@ Planning works without any path search: the utility of every action with
 respect to a target state is ``u = A_dagger (target - current)`` and a
 winner-take-all pick over the gated utilities chooses the next hop.
 Iterating that single step with the predicted state fed back as the
-current state walks a near-optimal path through the graph.
+current state walks a near-optimal path through the graph.  A step that
+refuses to act says why: an input it did not recognise, or a node with
+no open gate.
 """
 
 from __future__ import annotations
@@ -143,19 +145,16 @@ class Cml:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One planning step: chosen action, predicted next state, edge index.
+    """One planning step: the predicted next state and the chosen edge index.
 
-    A failed step (unrecognised target or current state, or no gated
-    action available) carries zero vectors and ``chosen_edge is None``.
+    A refused step has ``chosen_edge is None`` and no prediction;
+    ``recognised`` says why: False when the target or current state fails
+    recovery, True when both recover but no gated action leaves the node.
     """
 
-    action: np.ndarray
-    predicted_next: np.ndarray
+    predicted_next: np.ndarray | None
     chosen_edge: int | None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.chosen_edge is None
+    recognised: bool
 
 
 def _gating_from_graph(graph: CmlGraph) -> np.ndarray:
@@ -264,36 +263,29 @@ def select_action(u: np.ndarray, g: np.ndarray) -> int | None:
     return int(legal[np.argmax(scores)])
 
 
-def _zero_step(d: int) -> StepResult:
-    return StepResult(action=np.zeros(d), predicted_next=np.zeros(d), chosen_edge=None)
-
-
 def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> StepResult:
     """One modular planning step from approximate state inputs.
 
     Both inputs are sanitised by recovery over the node-state columns;
-    if either fails the noise floor the learner refuses to act and
-    returns the zero result.  Otherwise the gated winner-take-all picks
-    an edge out of the recovered current node and the result carries
-    that edge's action column and the predicted next state.
+    if either fails the noise floor the learner refuses to act.  Otherwise
+    the gated winner-take-all picks an edge out of the recovered current
+    node, and the result carries the predicted next state ``s_c + a_edge``
+    (or a refusal when every gate of the node is closed).
     """
     states = cml.state_dictionary()
     target_label = hdc.recover(target, states, theta)
     if target_label is None:
-        return _zero_step(cml.d)
+        return StepResult(None, None, False)
     current_label = hdc.recover(current, states, theta)
     if current_label is None:
-        return _zero_step(cml.d)
+        return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
     c_idx = cml.graph.node_index(current_label)
     u = utility(cml, cml.S[:, t_idx], cml.S[:, c_idx])
     edge = select_action(u, cml.G[:, c_idx])
     if edge is None:
-        return _zero_step(cml.d)
-    action = cml.A[:, edge]
-    return StepResult(
-        action=action, predicted_next=cml.S[:, c_idx] + action, chosen_edge=edge
-    )
+        return StepResult(None, None, True)
+    return StepResult(cml.S[:, c_idx] + cml.A[:, edge], edge, True)
 
 
 def plan_path(
@@ -327,7 +319,7 @@ def plan_path(
         if hdc.cosine(target_state, current) >= phi:
             return path
         result = step(cml, target_state, current, theta)
-        if result.is_zero:
+        if result.chosen_edge is None:
             return None
         path.append(cml.graph.node_labels[cml.graph.directed_edges[result.chosen_edge][1]])
         current = result.predicted_next

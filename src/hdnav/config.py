@@ -45,6 +45,7 @@ class ExperimentConfig:
             "viability_mazes",
             "door_removal_trials",
             "hdc_pairs",
+            "viable_attempt_cap",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

@@ -77,6 +77,16 @@ def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict
     return {"pairs_checked": checked}
 
 
+def _border_gate(width: int, height: int) -> np.ndarray:
+    """The wall-free sensor gate of every cell: (4, W H), ``DIRECTIONS`` by row-major cell.
+
+    A move is open when it stays on the grid.
+    """
+    rows, cols = np.divmod(np.arange(width * height), width)
+    dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T[:, :, None]
+    return (0 <= rows + dr) & (rows + dr < height) & (0 <= cols + dc) & (cols + dc < width)
+
+
 def verify_grid_cml(grid_cml: GridCml) -> dict:
     """Prove wall-free navigation Manhattan-optimal for every ordered cell pair.
 
@@ -89,7 +99,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     width, height = grid_cml.width, grid_cml.height
     cells = width * height
     rows, cols = np.divmod(np.arange(cells), width)
-    gate = np.stack([cols < width - 1, rows < height - 1, rows > 0, cols > 0])
+    gate = _border_gate(width, height)
     U = grid_cml.U
     # scores [direction, current, target] = U[:, target] - U[:, current]
     pick = np.where(gate[:, :, None], U[:, None, :] - U[:, :, None], -np.inf).argmax(axis=0)
@@ -109,7 +119,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
 def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
     """Steps of a grid leg on the wall-free grid; None if it does not end on the goal."""
     open_grid = maze_mod.Maze(frozenset(), {}, start, grid_cml.width, grid_cml.height)
-    leg = mission._grid_leg(grid_cml, open_grid, goal, mission.grid_step_cap(open_grid))
+    leg = mission._grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
     return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
 

@@ -19,10 +19,12 @@ view P (d x W H), whose column for a cell is that cell's state.
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
 pseudo-inverse, and the per-node gating matrix is replaced by the live
-touch-sensor vector in [E, S, N, W] order (0 = wall contact).  The
-transpose utility ``A4^T (p_target - p_current)`` is linear in the
-states, so the model derives the 4 x (W H) table ``U = A4^T P`` once and
-every move reads the difference of two of its columns.
+touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (0 = wall
+contact).  The transpose utility ``A4^T (p_target - p_current)`` is
+linear in the states, so the model derives the 4 x (W H) table
+``U = A4^T P`` once and every move reads the difference of two of its
+columns.  A step returns only the direction it picks; the executor,
+which owns the robot's cell, makes the move.
 """
 
 from __future__ import annotations
@@ -41,19 +43,6 @@ DELTAS: dict[str, Cell] = {"E": (0, 1), "S": (1, 0), "N": (-1, 0), "W": (0, -1)}
 
 GRID_LEARNING_RATE = 0.05
 DEFAULT_GRID_EPOCH_CAP = 20_000
-
-
-@dataclass(frozen=True)
-class TouchSensors:
-    """Four contact sensors; 0 means a wall (or the grid edge) in that direction."""
-
-    e: int
-    s: int
-    n: int
-    w: int
-
-    def as_gate(self) -> np.ndarray:
-        return np.array([self.e, self.s, self.n, self.w], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -176,22 +165,17 @@ def grid_utility(grid_cml: GridCml, target_cell: Cell, current_cell: Cell) -> np
 
 
 def grid_step(
-    grid_cml: GridCml,
-    target_cell: Cell,
-    current_cell: Cell,
-    sensors: TouchSensors,
-) -> tuple[str, Cell]:
-    """One sensor-gated move toward the target cell.
+    grid_cml: GridCml, target_cell: Cell, current_cell: Cell, gate: np.ndarray
+) -> str:
+    """One sensor-gated move toward the target cell: the direction to take.
 
-    The environment owns the true coordinates: the gated winner-take-all
-    (largest nonzero score, even if negative) over the utilities of
-    ``current_cell`` toward ``target_cell`` picks a direction, and the
-    returned next cell is one step that way.
+    ``gate`` is the touch-sensor gate in ``DIRECTIONS`` order (0 = wall
+    contact).  The gated winner-take-all (largest nonzero score, even if
+    negative) over the utilities of ``current_cell`` toward
+    ``target_cell`` picks the direction; the environment, which owns the
+    true coordinates, makes the move.
     """
-    gate = sensors.as_gate()
     pick = select_action(grid_utility(grid_cml, target_cell, current_cell), gate)
     if pick is None:
         raise ValueError(f"no legal move from {current_cell}: all sensors report walls")
-    direction = DIRECTIONS[pick]
-    dr, dc = DELTAS[direction]
-    return direction, (current_cell[0] + dr, current_cell[1] + dc)
+    return DIRECTIONS[pick]

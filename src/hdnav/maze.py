@@ -7,7 +7,9 @@ grid into left/middle/right rooms.  The left wall carries door ``a``
 random interior row with door ``c`` in it, separating an upper sub-room
 (sighted through a and e) from a lower one (b and d).  ``h`` (home) and
 ``k`` (key) land in the left room, ``t`` (treasure) in the right room;
-the robot starts at home.
+the robot starts at home.  ``Maze.robot`` is that start cell: the
+executor tracks the robot's cell as it moves, ``move_robot`` returns the
+next cell, and ``sense`` gives the touch-sensor gate at a cell.
 
 Walls are blocked cells; doors are ordinary passable cells carrying an
 object label.  The relative structure is fixed across trials while the
@@ -21,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cml
-from .grid import DELTAS, DIRECTIONS, Cell, TouchSensors
+from .grid import DELTAS, DIRECTIONS, Cell
 
 WIDTH = 20
 HEIGHT = 10
@@ -122,26 +124,26 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     return Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
 
 
-def sense(maze: Maze, cell: Cell) -> TouchSensors:
-    """Touch sensors at a cell: 0 where the neighbor is blocked or off-grid."""
+def sense(maze: Maze, cell: Cell) -> np.ndarray:
+    """The touch-sensor gate at a cell, in ``DIRECTIONS`` order; 0 = blocked or off-grid."""
     if not maze.passable(cell):
         raise ValueError(f"cannot sense from blocked cell {cell}")
-    values = {}
-    for direction in DIRECTIONS:
-        dr, dc = DELTAS[direction]
-        values[direction.lower()] = int(maze.passable((cell[0] + dr, cell[1] + dc)))
-    return TouchSensors(**values)
+    row, col = cell
+    return np.array(
+        [maze.passable((row + dr, col + dc)) for dr, dc in map(DELTAS.get, DIRECTIONS)],
+        dtype=float,
+    )
 
 
-def move_robot(maze: Maze, direction: str) -> Maze:
-    """Advance the robot one cell; illegal moves raise and leave the maze as-is."""
+def move_robot(maze: Maze, cell: Cell, direction: str) -> Cell:
+    """The cell one step from ``cell``; an illegal move raises."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     dr, dc = DELTAS[direction]
-    nxt = (maze.robot[0] + dr, maze.robot[1] + dc)
+    nxt = (cell[0] + dr, cell[1] + dc)
     if not maze.passable(nxt):
-        raise ValueError(f"illegal move {direction} from {maze.robot} into {nxt}")
-    return replace(maze, robot=nxt)
+        raise ValueError(f"illegal move {direction} from {cell} into {nxt}")
+    return nxt
 
 
 def object_at(maze: Maze, cell: Cell) -> str | None:

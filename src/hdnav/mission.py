@@ -8,6 +8,13 @@ layer.  The inner loop steps the robot cell by cell under touch-sensor
 gating until it stands on the waypoint, where the map is queried for the
 object found there and the answer feeds the middle loop.
 
+The executor reads each layer through its smallest interface: the maze
+gives the sensor gate at a cell and checks each move, the grid layer
+turns a target cell and that gate into a direction, and the object layer
+returns the next predicted state or a refusal that says whether it
+recognised its inputs.  The robot's cell is the executor's own state;
+``Maze.robot`` is only where the trial starts.
+
 The executor never raises on a failed trial: every abort path is
 classified (dithering, step caps, unrecoverable states, unreachable
 targets) and reported in the trial result.
@@ -17,8 +24,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from . import cml as cml_mod
 from . import hdc, semantic_map
@@ -106,48 +111,33 @@ def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
 
 @dataclass
 class _LegResult:
-    maze: Maze
     path: list[Cell]
     reason: FailureReason
     dither_cells: tuple[Cell, ...] = ()
 
 
-def _grid_leg(grid_cml: GridCml, maze: Maze, target_cell: Cell, step_cap: int) -> _LegResult:
-    """Drive the robot to a target cell under sensor gating.
+def _grid_leg(
+    grid_cml: GridCml, maze: Maze, start: Cell, target_cell: Cell, step_cap: int
+) -> _LegResult:
+    """Drive the robot from ``start`` to a target cell under sensor gating.
 
     The leg ends when the robot stands on the target cell, by the
     environment's true coordinates.  A similarity test on the grid states
     would not do: near-duplicate states pass it a few cells early, while
     the utilities still point at the real target.
     """
-    path = [maze.robot]
+    cell, path = start, [start]
     while True:
-        if maze.robot == target_cell:
-            return _LegResult(maze=maze, path=path, reason=FailureReason.NONE)
+        if cell == target_cell:
+            return _LegResult(path=path, reason=FailureReason.NONE)
         if len(path) - 1 >= step_cap:
-            return _LegResult(maze=maze, path=path, reason=FailureReason.STEP_CAP)
-        direction, _ = grid_step(grid_cml, target_cell, maze.robot, sense(maze, maze.robot))
-        maze = move_robot(maze, direction)
-        path.append(maze.robot)
+            return _LegResult(path=path, reason=FailureReason.STEP_CAP)
+        direction = grid_step(grid_cml, target_cell, cell, sense(maze, cell))
+        cell = move_robot(maze, cell, direction)
+        path.append(cell)
         cycle = detect_dither(path)
         if cycle is not None:
-            return _LegResult(
-                maze=maze,
-                path=path,
-                reason=FailureReason.DITHER_ABORT,
-                dither_cells=cycle,
-            )
-
-
-def _classify_zero_step(
-    object_cml: cml_mod.Cml, target: np.ndarray, current: np.ndarray, theta: float
-) -> FailureReason:
-    states = object_cml.state_dictionary()
-    if hdc.recover(target, states, theta) is None:
-        return FailureReason.UNRECOVERABLE_STATE
-    if hdc.recover(current, states, theta) is None:
-        return FailureReason.UNRECOVERABLE_STATE
-    return FailureReason.UNREACHABLE  # recoveries fine, so the node has no open gate
+            return _LegResult(path=path, reason=FailureReason.DITHER_ABORT, dither_cells=cycle)
 
 
 def run_mission(ctx: MissionContext) -> TrialResult:
@@ -157,6 +147,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
     outcomes: list[GoalOutcome] = []
     hop_cap = 2 * ctx.object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
+    robot = maze.robot
     current_label = "h"  # the robot starts at home and knows it
     o_t = ctx.memory.objects.vector(current_label)
 
@@ -166,7 +157,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
             break
         o_star = ctx.memory.objects.vector(goal_label)
         object_path = [current_label]
-        grid_path: list[Cell] = [maze.robot]
+        grid_path: list[Cell] = [robot]
         hops = 0
         failure = FailureReason.NONE
         dither: tuple[Cell, ...] = ()
@@ -177,8 +168,13 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                 break
             hops += 1
             planned = cml_mod.step(ctx.object_cml, o_star, o_t, ctx.theta)
-            if planned.is_zero:
-                failure = _classify_zero_step(ctx.object_cml, o_star, o_t, ctx.theta)
+            if planned.chosen_edge is None:
+                # recognised inputs with no open gate: the goal is cut off
+                failure = (
+                    FailureReason.UNREACHABLE
+                    if planned.recognised
+                    else FailureReason.UNRECOVERABLE_STATE
+                )
                 break
             cell = semantic_map.query_position(
                 ctx.memory, planned.predicted_next, ctx.theta
@@ -187,9 +183,9 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
             leg = _grid_leg(
-                ctx.grid_cml, maze, cell, min(grid_step_cap(maze), cells_budget)
+                ctx.grid_cml, maze, robot, cell, min(grid_step_cap(maze), cells_budget)
             )
-            maze = leg.maze
+            robot = leg.path[-1]
             cells_budget -= len(leg.path) - 1
             grid_path.extend(leg.path[1:])
             if leg.reason is not FailureReason.NONE:
@@ -197,7 +193,7 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                 dither = leg.dither_cells
                 break
             found = semantic_map.query_object(
-                ctx.memory, ctx.grid_cml.state(maze.robot), ctx.theta
+                ctx.memory, ctx.grid_cml.state(robot), ctx.theta
             )
             if found is not None:  # non-recoveries are ignored
                 o_t = ctx.memory.objects.vector(found)
@@ -237,9 +233,9 @@ def run_grid_only(grid_cml: GridCml, maze: Maze) -> TrialResult:
     line, so a sizeable fraction of mazes ends in a dithering abort; the
     result carries the classification for the baseline statistic.
     """
-    start = maze.placements["k"]
-    target_cell = maze.placements["t"]
-    leg = _grid_leg(grid_cml, replace(maze, robot=start), target_cell, grid_step_cap(maze))
+    leg = _grid_leg(
+        grid_cml, maze, maze.placements["k"], maze.placements["t"], grid_step_cap(maze)
+    )
     reached = leg.reason is FailureReason.NONE
     outcome = GoalOutcome(
         goal="t",

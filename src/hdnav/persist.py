@@ -9,10 +9,11 @@ load.  Round-trips are bit-exact.
 
 Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
-Loads reject a file whose blocks disagree with its header (too short,
-trailing bytes, an edge count that does not match the edge list), hold
-a non-finite value, give a size field (``d``, ``n``, ``e``, ``width``,
-``height``) below 1, or describe a grid of fewer than two cells.
+Loads reject a file whose blocks disagree with its header (too short or
+with trailing bytes, which is checked before any block is read; an edge
+count that does not match the edge list), hold a non-finite value, give
+a size field (``d``, ``n``, ``e``, ``width``, ``height``) below 1, or
+describe a grid of fewer than two cells.
 """
 
 from __future__ import annotations
@@ -93,20 +94,27 @@ def _read_header(fh) -> tuple[str, dict[str, str]]:
         fields[key] = value
 
 
-def _read_block(fh, shape: tuple[int, ...]) -> np.ndarray:
-    count = math.prod(shape)
-    data = fh.read(count * 8)
-    if len(data) != count * 8:
+def _read_blocks(fh, *shapes: tuple[int, ...]) -> list[np.ndarray]:
+    """Read float64 blocks of the given shapes, which must fill the rest of the file.
+
+    The bytes the header implies are compared with the bytes left before
+    any block is read, so a header that claims more than the file holds
+    is rejected without allocating for it.
+    """
+    sizes = [math.prod(shape) for shape in shapes]
+    expected = 8 * sum(sizes)
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < expected:
         raise ValueError("model file truncated")
-    block = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
-    if not np.isfinite(block).all():
-        raise ValueError("model file holds a non-finite value")
-    return block
-
-
-def _expect_end(fh) -> None:
-    if fh.read(1):
+    if left > expected:
         raise ValueError("model file has trailing bytes")
+    blocks = []
+    for shape, size in zip(shapes, sizes):
+        block = np.frombuffer(fh.read(8 * size), dtype=np.float64).reshape(shape).copy()
+        if not np.isfinite(block).all():
+            raise ValueError("model file holds a non-finite value")
+        blocks.append(block)
+    return blocks
 
 
 def _require_positive(**sizes: int) -> None:
@@ -135,10 +143,7 @@ def load_model(path: str | Path) -> Cml | GridCml:
                 raise ValueError(f"expected {e} edges, got {len(edges)}")
             weights = tuple(float(w) for w in fields["weights"].split(" "))
             graph = CmlGraph(node_labels=labels, directed_edges=edges, edge_weights=weights)
-            S = _read_block(fh, (d, n))
-            A = _read_block(fh, (d, e))
-            G = _read_block(fh, (e, n))
-            _expect_end(fh)
+            S, A, G = _read_blocks(fh, (d, n), (d, e), (e, n))
             return Cml(S=S, A=A, G=G, graph=graph, A_dagger=_pinv(A))
         if kind == "grid":
             d = int(fields["d"])
@@ -146,9 +151,6 @@ def load_model(path: str | Path) -> Cml | GridCml:
             if width * height < 2:
                 raise ValueError(f"grid needs at least two cells, got {width}x{height}")
             _require_positive(d=d, width=width, height=height)
-            x = _read_block(fh, (height,))
-            y = _read_block(fh, (width,))
-            A4 = _read_block(fh, (d, 4))
-            _expect_end(fh)
+            x, y, A4 = _read_blocks(fh, (height,), (width,), (d, 4))
             return GridCml(x=x, y=y, A4=A4)
         raise ValueError(f"unknown model kind {kind!r}")

@@ -58,10 +58,9 @@ class MapMemory:
 
 @dataclass(frozen=True)
 class Policy:
-    """Bundled goal sequence; ``remaining`` counts goals not yet revealed."""
+    """Bundled goal sequence: the goals not yet revealed, still permuted."""
 
     policy_hv: np.ndarray
-    remaining: int
 
 
 def build_map(
@@ -155,7 +154,7 @@ def encode_policy(
         if goal not in objects:
             raise ValueError(f"unknown goal object {goal!r}")
     terms = [hdc.permute(objects.vector(goal), i) for i, goal in enumerate(goals, start=1)]
-    return Policy(policy_hv=hdc.bundle(terms, rng), remaining=len(goals))
+    return Policy(policy_hv=hdc.bundle(terms, rng))
 
 
 def next_goal(
@@ -167,6 +166,4 @@ def next_goal(
     exhausted (the unpermuted vector no longer resembles any object).
     """
     unrolled = hdc.permute(policy.policy_hv, -1)
-    label = hdc.recover(unrolled, objects, theta)
-    advanced = Policy(policy_hv=unrolled, remaining=max(policy.remaining - 1, 0))
-    return label, advanced
+    return hdc.recover(unrolled, objects, theta), Policy(policy_hv=unrolled)

@@ -6,7 +6,10 @@ to later calibration.
 """
 
 import dataclasses
+import hashlib
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,16 @@ from hdnav import cml, experiments, hdc
 from hdnav.reports import wilson_interval
 
 SEED = 42
+
+
+def load_pins() -> dict:
+    """The seed-42 digest pins, read from their one home in ``perfbench/checks.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.PINNED_SEED == SEED
+    return checks.PINS
 
 
 def announce(number: int, passed: bool, description: str, started: float) -> None:
@@ -224,3 +237,20 @@ def test_criterion_11_determinism(config, object_cml, grid_cml):
     ok = all(pairs)
     announce(11, ok, "repeat runs produce byte-identical per-trial records", started)
     assert ok
+
+
+def test_behaviour_gate_digests(mission_report, door_report, grid_only_report, viability_report):
+    # not a release criterion: the behaviour gate, the sha256 prefixes of the
+    # default seed-42 batches' records, which a refactor must leave unchanged
+    reports = {
+        "mission": mission_report,
+        "door_removal": door_report,
+        "grid_only": grid_only_report,
+        "viability": viability_report,
+    }
+    pins = load_pins()
+    assert set(pins) == set(reports)
+    for name, report in reports.items():
+        pin, trials = pins[name]
+        assert len(report.records) == trials
+        assert hashlib.sha256(report.records_text().encode()).hexdigest()[:16] == pin, name

@@ -147,6 +147,16 @@ def test_verify_rejects_missing_header_field(tmp_path, capsys):
     assert "'d'" in err
 
 
+def test_verify_rejects_oversized_header(tmp_path, capsys):
+    huge = tmp_path / "huge.hdm"
+    header = b"HDNAV-MODEL 2 grid\nd=1000000000000\nwidth=2\nheight=1\n\n"
+    huge.write_bytes(header + bytes(141 - len(header)))
+    assert main(["verify", str(huge)]) == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert "truncated" in err
+
+
 def test_verify_rejects_zero_width_grid(tmp_path, capsys):
     empty = tmp_path / "empty.hdm"
     header = b"HDNAV-MODEL 2 grid\nd=4\nwidth=0\nheight=10\n\n"
@@ -173,6 +183,18 @@ def test_run_mission_bad_goal_label(models_dir, capsys):
     )
     assert code == 1
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_run_rejects_nonpositive_attempt_cap(models_dir, capsys, cap):
+    code = main(
+        ["run", "mission", "--seed", "42", "--out", str(models_dir),
+         "--set", "mission_trials=1", "--set", f"viable_attempt_cap={cap}"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "viable_attempt_cap" in err
 
 
 def test_config_file_drives_run(models_dir, tmp_path, capsys):

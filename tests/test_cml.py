@@ -208,14 +208,17 @@ def test_step_refuses_noise_target(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     noise = hdc.random_bipolar(D, rng)
     result = cml.step(c, noise, c.state("h"), 0.1)
-    assert result.is_zero
-    assert np.array_equal(result.action, np.zeros(D))
-    assert np.array_equal(result.predicted_next, np.zeros(D))
+    assert result.chosen_edge is None
+    assert result.predicted_next is None
+    assert not result.recognised
 
 
 def test_step_refuses_noise_current(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    assert cml.step(c, c.state("k"), hdc.random_bipolar(D, rng), 0.1).is_zero
+    result = cml.step(c, c.state("k"), hdc.random_bipolar(D, rng), 0.1)
+    assert result.chosen_edge is None
+    assert result.predicted_next is None
+    assert not result.recognised
 
 
 def test_step_accepts_noisy_but_recoverable_target(graph, rng):
@@ -229,7 +232,10 @@ def test_step_accepts_noisy_but_recoverable_target(graph, rng):
 def test_step_prediction_close_to_destination(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     result = cml.step(c, c.state("k"), c.state("h"), 0.1)
+    assert result.recognised
     assert hdc.cosine(result.predicted_next, c.state("k")) > 0.9
+    edge = result.chosen_edge
+    assert np.array_equal(result.predicted_next, c.state("h") + c.A[:, edge])
 
 
 def test_step_zero_when_all_gates_closed(graph, rng):
@@ -238,7 +244,10 @@ def test_step_zero_when_all_gates_closed(graph, rng):
     gated[:, graph.node_index("h")] = 0.0
     from dataclasses import replace
 
-    assert cml.step(replace(c, G=gated), c.state("k"), c.state("h"), 0.1).is_zero
+    result = cml.step(replace(c, G=gated), c.state("k"), c.state("h"), 0.1)
+    assert result.chosen_edge is None
+    assert result.predicted_next is None
+    assert result.recognised  # both states recover; no gate leaves h
 
 
 # --- plan_path --------------------------------------------------------------------

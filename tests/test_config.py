@@ -17,6 +17,14 @@ def test_threshold_range_enforced():
         cfg.validate()
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_viable_attempt_cap_must_be_positive(cap):
+    cfg = ExperimentConfig(viable_attempt_cap=cap)
+    with pytest.raises(ValueError, match="viable_attempt_cap must be >= 1"):
+        cfg.validate()
+    ExperimentConfig(viable_attempt_cap=1).validate()
+
+
 def test_model_commands_need_hdc_scale_dimension():
     cfg = ExperimentConfig(d=128, seed=1)
     cfg.validate()  # similarity stats may run at any dimension

@@ -9,13 +9,13 @@ from hdnav.cml import select_action
 from hdnav.grid import (
     DIRECTIONS,
     GridCml,
-    TouchSensors,
     build_actions,
     directed_edge_count,
     grid_step,
     grid_utility,
     train_grid,
 )
+from hdnav.maze import Maze, move_robot, sense
 
 D = 1000
 
@@ -71,20 +71,20 @@ def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarr
 ALL_GATES = np.array([g for g in itertools.product((0, 1), repeat=4) if any(g)], dtype=float)
 
 
-def open_sensors(grid: GridCml, cell) -> TouchSensors:
-    row, col = cell
-    return TouchSensors(
-        e=int(col < grid.width - 1),
-        s=int(row < grid.height - 1),
-        n=int(row > 0),
-        w=int(col > 0),
-    )
+def open_maze(grid: GridCml) -> Maze:
+    """The wall-free maze of the grid's size."""
+    return Maze(frozenset(), {}, (0, 0), grid.width, grid.height)
+
+
+def open_sensors(grid: GridCml, cell) -> np.ndarray:
+    return sense(open_maze(grid), cell)
 
 
 def navigate_open(grid: GridCml, start, goal, cap=200):
     cell, steps = start, 0
     while cell != goal and steps < cap:
-        _, cell = grid_step(grid, goal, cell, open_sensors(grid, cell))
+        direction = grid_step(grid, goal, cell, open_sensors(grid, cell))
+        cell = move_robot(open_maze(grid), cell, direction)
         steps += 1
     return steps if cell == goal else None
 
@@ -258,14 +258,14 @@ def test_two_steps_reach_target_two_east(grid_cml):
 
 
 def test_step_with_blocked_east_picks_alternative(grid_cml):
-    sensors = TouchSensors(e=0, s=1, n=1, w=1)
-    direction, _ = grid_step(grid_cml, (5, 12), (5, 10), sensors)
+    gate = np.array([0.0, 1.0, 1.0, 1.0])  # [E, S, N, W]
+    direction = grid_step(grid_cml, (5, 12), (5, 10), gate)
     assert direction in ("S", "N", "W")
 
 
 def test_step_requires_some_open_direction(grid_cml):
     with pytest.raises(ValueError, match="no legal move"):
-        grid_step(grid_cml, (0, 0), (5, 5), TouchSensors(0, 0, 0, 0))
+        grid_step(grid_cml, (0, 0), (5, 5), np.zeros(4))
 
 
 def test_step_never_moves_into_gated_direction(grid_cml):
@@ -274,11 +274,21 @@ def test_step_never_moves_into_gated_direction(grid_cml):
         cell = (int(rng.integers(1, 9)), int(rng.integers(1, 19)))
         goal = (int(rng.integers(0, 10)), int(rng.integers(0, 20)))
         blocked_dir = int(rng.integers(0, 4))
-        gate = [1, 1, 1, 1]
-        gate[blocked_dir] = 0
-        sensors = TouchSensors(*gate)
-        direction, _ = grid_step(grid_cml, goal, cell, sensors)
+        gate = np.ones(4)
+        gate[blocked_dir] = 0.0
+        direction = grid_step(grid_cml, goal, cell, gate)
         assert direction != DIRECTIONS[blocked_dir]
+
+
+@pytest.mark.parametrize("width,height", [(20, 10), (3, 1), (2, 5)])
+def test_border_gate_equals_open_maze_sensors(width, height):
+    # verify_grid_cml's gate, derived from DELTAS, is what the touch sensors
+    # read on the wall-free maze, cell by cell
+    gate = experiments._border_gate(width, height)
+    maze = Maze(frozenset(), {}, (0, 0), width, height)
+    assert gate.shape == (4, width * height)
+    for index in range(width * height):
+        assert np.array_equal(gate[:, index], sense(maze, divmod(index, width)))
 
 
 # --- open-grid optimality -----------------------------------------------------------

@@ -165,6 +165,30 @@ def test_blocking_all_doors_separates_rooms(sample):
 # --- sensing / movement -------------------------------------------------------------
 
 
+def old_sense_gate(maze, cell):
+    """The sensors before they became a gate: named e/s/n/w readings, stacked [e, s, n, w]."""
+    values = {}
+    for direction in DIRECTIONS:
+        dr, dc = DELTAS[direction]
+        values[direction.lower()] = int(maze.passable((cell[0] + dr, cell[1] + dc)))
+    return np.array([values["e"], values["s"], values["n"], values["w"]], dtype=float)
+
+
+def test_sense_equals_named_sensors_on_sampled_mazes():
+    rng = np.random.default_rng(12)
+    cells = 0
+    for _ in range(200):
+        maze = mz.generate_maze(rng)
+        for row in range(maze.height):
+            for col in range(maze.width):
+                if maze.passable((row, col)):
+                    gate = mz.sense(maze, (row, col))
+                    assert gate.dtype == float
+                    assert np.array_equal(gate, old_sense_gate(maze, (row, col)))
+                    cells += 1
+    assert cells > 200 * 150
+
+
 def test_sense_interior_open_cell():
     maze = mz.generate_maze(np.random.default_rng(5))
     # find an interior cell with no blocked neighbors
@@ -175,8 +199,7 @@ def test_sense_interior_open_cell():
                 (row + dr, col + dc) for dr, dc in DELTAS.values()
             ]
             if maze.passable(cell) and all(maze.passable(c) for c in neighborhood):
-                s = mz.sense(maze, cell)
-                assert (s.e, s.s, s.n, s.w) == (1, 1, 1, 1)
+                assert mz.sense(maze, cell).tolist() == [1.0, 1.0, 1.0, 1.0]
                 return
     pytest.fail("no fully open interior cell found")
 
@@ -184,8 +207,8 @@ def test_sense_interior_open_cell():
 def test_sense_northwest_corner(sample):
     if not sample.passable((0, 0)):
         pytest.skip("corner blocked in this layout")
-    s = mz.sense(sample, (0, 0))
-    assert s.n == 0 and s.w == 0
+    gate = dict(zip(DIRECTIONS, mz.sense(sample, (0, 0))))
+    assert gate["N"] == 0 and gate["W"] == 0
 
 
 def test_sense_wall_adjacency(sample):
@@ -193,7 +216,7 @@ def test_sense_wall_adjacency(sample):
     row_a = sample.placements["a"][0]
     row = next(r for r in range(sample.height) if r != row_a and r != sample.placements["b"][0])
     cell = (row, left_wall - 1)
-    assert mz.sense(sample, cell).e == 0
+    assert mz.sense(sample, cell)[DIRECTIONS.index("E")] == 0
 
 
 def test_sense_blocked_cell_rejected(sample):
@@ -203,24 +226,24 @@ def test_sense_blocked_cell_rejected(sample):
 
 
 def test_move_and_inverse(sample):
-    s = mz.sense(sample, sample.robot)
-    for direction, ok in zip(DIRECTIONS, s.as_gate()):
+    start = sample.robot
+    for direction, ok in zip(DIRECTIONS, mz.sense(sample, start)):
         if ok:
-            moved = mz.move_robot(sample, direction)
+            moved = mz.move_robot(sample, start, direction)
             dr, dc = DELTAS[direction]
-            assert moved.robot == (sample.robot[0] + dr, sample.robot[1] + dc)
+            assert moved == (start[0] + dr, start[1] + dc)
             back = {"E": "W", "W": "E", "N": "S", "S": "N"}[direction]
-            assert mz.move_robot(moved, back).robot == sample.robot
+            assert mz.move_robot(sample, moved, back) == start
+            assert sample.robot == start  # the maze keeps its start cell
             return
     pytest.fail("robot boxed in")
 
 
 def test_move_into_wall_raises(sample):
-    s = mz.sense(sample, sample.robot)
-    for direction, ok in zip(DIRECTIONS, s.as_gate()):
+    for direction, ok in zip(DIRECTIONS, mz.sense(sample, sample.robot)):
         if not ok:
             with pytest.raises(ValueError, match="illegal move"):
-                mz.move_robot(sample, direction)
+                mz.move_robot(sample, sample.robot, direction)
             return
     pytest.skip("robot has no adjacent wall in this layout")
 
@@ -232,14 +255,12 @@ def test_move_legality_matches_sense(sample):
             cell = (row, col)
             if not sample.passable(cell):
                 continue
-            s = mz.sense(sample, cell)
-            maze_here = mz.Maze(sample.blocked, sample.placements, cell)
-            for direction, ok in zip(DIRECTIONS, s.as_gate()):
+            for direction, ok in zip(DIRECTIONS, mz.sense(sample, cell)):
                 if ok:
-                    mz.move_robot(maze_here, direction)
+                    mz.move_robot(sample, cell, direction)
                 else:
                     with pytest.raises(ValueError):
-                        mz.move_robot(maze_here, direction)
+                        mz.move_robot(sample, cell, direction)
 
 
 # --- object lookup -------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,16 +196,32 @@ def test_mission_unreachable_goal_reports_failure(config, object_cml, grid_cml, 
     assert result.failure_reason in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
 
-def test_mission_zero_step_classification(object_cml):
+def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
+    maze, memory, _ = viable_setup
     states = object_cml.state_dictionary()
-    noise = hdc.random_bipolar(object_cml.d, np.random.default_rng(2))
-    reason = mission._classify_zero_step(object_cml, noise, object_cml.state("h"), 0.1)
-    assert reason is FailureReason.UNRECOVERABLE_STATE
-    reason = mission._classify_zero_step(
-        object_cml, object_cml.state("k"), object_cml.state("h"), 0.1
-    )
-    assert reason is FailureReason.UNREACHABLE
     assert hdc.recover(object_cml.state("k"), states, 0.1) == "k"
+
+    def run(planner, mem):
+        policy = sm.encode_policy(["k"], mem.objects, np.random.default_rng(2))
+        return mission.run_mission(
+            MissionContext(
+                object_cml=planner, grid_cml=grid_cml, memory=mem, maze=maze, policy=policy
+            )
+        )
+
+    # both states recover, but no gate leaves home: the goal is unreachable
+    gated = object_cml.G.copy()
+    gated[:, object_cml.graph.node_index("h")] = 0.0
+    result = run(replace(object_cml, G=gated), memory)
+    assert result.failure_reason is FailureReason.UNREACHABLE
+    # goal states the planner cannot recover: the step refuses unrecognised input
+    rng = np.random.default_rng(3)
+    noise = hdc.Dictionary.from_pairs(
+        [(label, hdc.random_bipolar(object_cml.d, rng)) for label in states.labels]
+    )
+    result = run(object_cml, sm.build_map(noise, maze, grid_cml, rng))
+    assert result.failure_reason is FailureReason.UNRECOVERABLE_STATE
+    assert result.goal_outcomes[0].object_path == ("h",)
 
 
 # --- run_grid_only ----------------------------------------------------------------------

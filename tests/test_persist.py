@@ -72,6 +72,19 @@ def test_truncated_file_rejected(object_cml, tmp_path):
         persist.load_model(path)
 
 
+def _oversized_grid_file(path):
+    """141 bytes whose header claims d=10^12: far more block bytes than the file holds."""
+    header = b"HDNAV-MODEL 2 grid\nd=1000000000000\nwidth=2\nheight=1\n\n"
+    path.write_bytes(header + bytes(141 - len(header)))
+    assert path.stat().st_size == 141
+    return path
+
+
+def test_oversized_header_rejected_before_reading(tmp_path):
+    with pytest.raises(ValueError, match="truncated"):
+        persist.load_model(_oversized_grid_file(tmp_path / "huge.hdm"))
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.hdm"
     path.write_bytes(b"NOT-A-MODEL 1 object\n\n")

@@ -354,9 +354,16 @@ def test_query_object_with_noise_vector_is_none(viable_setup):
 
 def test_policy_is_bipolar_and_counts_goals():
     rng = np.random.default_rng(36)
-    policy = sm.encode_policy(["k", "t", "h"], random_objects(), rng)
+    objects = random_objects()
+    policy = sm.encode_policy(["k", "t", "h"], objects, rng)
     assert hdc.is_bipolar(policy.policy_hv)
-    assert policy.remaining == 3
+    revealed = []
+    for _ in range(5):
+        goal, policy = sm.next_goal(policy, objects)
+        if goal is None:
+            break
+        revealed.append(goal)
+    assert len(revealed) == 3
 
 
 def test_policy_replays_goals_in_order():
