@@ -292,7 +292,6 @@ def plan_path(
     cml: Cml,
     target: np.ndarray,
     start: np.ndarray,
-    phi: float = 0.8,
     theta: float = hdc.DEFAULT_THETA,
     max_steps: int | None = None,
 ) -> list[str] | None:
@@ -300,8 +299,8 @@ def plan_path(
 
     The predicted next state loops back as the current state after every
     step.  Returns the node-label sequence including both endpoints, or
-    None when a step fails or ``max_steps`` runs out before the current
-    state becomes phi-similar to the recovered target.
+    None when a step fails or ``max_steps`` steps pass before the path
+    ends on the recovered target's label.
     """
     if max_steps is None:
         max_steps = 4 * cml.graph.n
@@ -315,12 +314,12 @@ def plan_path(
     target_state = cml.state(target_label)
     path = [start_label]
     current = start
-    for _ in range(max_steps):
-        if hdc.cosine(target_state, current) >= phi:
-            return path
+    while path[-1] != target_label:
+        if len(path) > max_steps:
+            return None
         result = step(cml, target_state, current, theta)
         if result.chosen_edge is None:
             return None
         path.append(cml.graph.node_labels[cml.graph.directed_edges[result.chosen_edge][1]])
         current = result.predicted_next
-    return path if hdc.cosine(target_state, current) >= phi else None
+    return path

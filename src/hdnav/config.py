@@ -16,9 +16,7 @@ from pathlib import Path
 @dataclass
 class ExperimentConfig:
     d: int = 1000
-    theta: float = 0.1        # recovery noise floor
-    theta_o: float = 0.1      # policy exhaustion threshold
-    phi_o: float = 0.8        # object-goal arrival similarity
+    theta: float = 0.1        # the noise floor of every recovery
     mission_goals: str = "k,t,h"    # comma-separated object labels
     mission_trials: int = 50
     grid_only_trials: int = 100
@@ -31,10 +29,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def validate(self) -> None:
-        for name in ("theta", "theta_o", "phi_o"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        if not 0.0 <= self.theta < 1.0:
+            raise ValueError(f"theta must lie in [0, 1), got {self.theta}")
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.workers < 1:

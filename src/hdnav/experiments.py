@@ -63,7 +63,6 @@ def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict
                 object_cml,
                 object_cml.S[:, goal],
                 object_cml.S[:, start],
-                phi=config.phi_o,
                 theta=config.theta,
             )
             oracle = cml_mod.bfs_hops(graph, start, goal)
@@ -229,8 +228,6 @@ def mission_trial(
             maze=maze,
             policy=policy,
             theta=config.theta,
-            theta_o=config.theta_o,
-            phi_o=config.phi_o,
         )
     )
     record.update(

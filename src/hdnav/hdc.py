@@ -14,8 +14,9 @@ are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).  The algebra has four basic oper
   position.
 - ``recover``: cleanup against a dictionary of known vectors, returning
   the best match above a noise floor ``theta``.  Its scores come from
-  ``cosines``, which takes the query norms from the caller; a zero-norm
-  entry or query has no direction and never matches.
+  ``cosines``, which scores an (m, d) stack against the dictionary with
+  the query norms taken from the caller; a zero-norm entry or query has
+  no direction and never matches.  A (d,) query is a one-row stack.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
@@ -80,17 +81,24 @@ def bundle(
 
     When the number of summands is even, a fresh random bipolar vector is
     added last to break elementwise ties, so bundles of bipolar inputs
-    are always bipolar.
+    are always bipolar.  An int8 stack holds sign terms (entries -1, 0,
+    +1); it is summed exactly in int16, so it may have at most 2**15 - 1
+    rows, and the tie-break is added in float.
     """
     if len(vectors) == 0:
         raise ValueError("bundle requires at least one vector")
+    dtype = float
     if not isinstance(vectors, np.ndarray):
         d = len(vectors[0])
         if any(len(v) != d for v in vectors):
             raise ValueError("bundle inputs must share one dimension")
-    total = np.add.reduce(vectors, axis=0, dtype=float)
+    elif vectors.dtype == np.int8:
+        if len(vectors) >= 2**15:
+            raise ValueError(f"an int8 bundle sums in int16: {len(vectors)} rows is too many")
+        dtype = np.int16
+    total = np.add.reduce(vectors, axis=0, dtype=dtype)
     if len(vectors) % 2 == 0:
-        total += random_bipolar(len(total), rng)
+        total = total + random_bipolar(len(total), rng)
     return sign(total)
 
 
@@ -120,9 +128,7 @@ class Dictionary:
     for recovery (lowest index wins on exact score ties).  Two tables are
     derived once from the rows: ``norms``, the row norms, and ``signs``,
     the rows' sign patterns ``sign(vectors)`` as int8 (the terms that
-    bind into a map).  ``_zero_row`` is False when no row can have zero
-    norm (a sub-dictionary inherits its parent's flag), which lets
-    ``cosines`` skip its zero-norm guard for a vector query.
+    bind into a map).
     """
 
     labels: tuple[Hashable, ...]
@@ -130,7 +136,6 @@ class Dictionary:
     _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
     norms: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n,)
     signs: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n, d), int8
-    _zero_row: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) == 0:
@@ -142,7 +147,6 @@ class Dictionary:
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         object.__setattr__(self, "norms", row_norms(self.vectors))
         object.__setattr__(self, "signs", np.sign(self.vectors).astype(np.int8))
-        object.__setattr__(self, "_zero_row", not self.norms.all())
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -176,7 +180,6 @@ class Dictionary:
         object.__setattr__(sub, "_index", index)
         object.__setattr__(sub, "norms", self.norms[rows])
         object.__setattr__(sub, "signs", self.signs[rows])
-        object.__setattr__(sub, "_zero_row", self._zero_row)
         return sub
 
     @classmethod
@@ -193,25 +196,18 @@ def check_theta(theta: float) -> None:
 
 
 def cosines(
-    query: np.ndarray, query_norms: np.ndarray | float, dictionary: Dictionary
+    queries: np.ndarray, query_norms: np.ndarray, dictionary: Dictionary
 ) -> np.ndarray:
-    """Cosine of a (d,) query, or of each row of an (m, d) stack, to every entry.
+    """Cosine of each row of an (m, d) stack to every entry: an (m, n) block.
 
-    Gives (n,) scores for a vector and an (m, n) block for a stack.
-    ``query_norms`` is the query's norm (one per row for a stack), passed
-    in so that a caller who knows it exactly need not recompute it.  A
-    pair with a zero-norm side has no direction and scores -inf: a zero
-    entry never wins, and a zero query clears no threshold.
+    ``query_norms`` holds the (m,) row norms, passed in so that a caller
+    who knows them exactly need not recompute them.  A pair with a
+    zero-norm side has no direction and scores -inf: a zero entry never
+    wins, and a zero query clears no threshold.
     """
-    if query.ndim == 1:
-        sims = dictionary.vectors @ query
-        scale = dictionary.norms * query_norms
-        directionless = query_norms == 0.0 or dictionary._zero_row
-    else:
-        sims = query @ dictionary.vectors.T
-        scale = dictionary.norms * query_norms[:, None]
-        directionless = not scale.all()
-    if directionless:
+    sims = queries @ dictionary.vectors.T
+    scale = dictionary.norms * query_norms[:, None]
+    if not scale.all():
         zero = scale == 0.0
         sims[zero] = -np.inf
         scale[zero] = 1.0
@@ -229,25 +225,23 @@ def recover(
     zero norm) recovers nothing, and a zero-norm entry is never recovered.
     Exact ties resolve to the lowest index.  An (n, d) stack of queries
     is cleaned up in one matrix product and gives a tuple with one such
-    result per row.
+    result per row; a (d,) query is cleaned up as a one-row stack and
+    gives its one result.
     """
     check_theta(theta)
     if query.shape[-1] != dictionary.dim:
         raise ValueError(
             f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
         )
-    if query.ndim == 1:
-        sims = cosines(query, np.linalg.norm(query), dictionary)
-        best = int(np.argmax(sims))  # argmax returns the first (lowest) index on ties
-        if sims[best] < theta:
-            return None
-        return dictionary.labels[best]
-    sims = cosines(query, row_norms(query), dictionary)
+    queries = query.reshape(-1, dictionary.dim)
+    sims = cosines(queries, row_norms(queries), dictionary)
     labels = dictionary.labels
-    return tuple(
+    # argmax returns the first (lowest) index on ties
+    found = tuple(
         None if score < theta else labels[b]
         for score, b in zip(sims.max(axis=1).tolist(), sims.argmax(axis=1).tolist())
     )
+    return found if query.ndim > 1 else found[0]
 
 
 def _check_same_dim(x: np.ndarray, y: np.ndarray) -> None:

@@ -6,7 +6,10 @@ learner for the next waypoint object on the way to the goal, looks its
 position up in the map memory, and hands that position to the grid
 layer.  The inner loop steps the robot cell by cell under touch-sensor
 gating until it stands on the waypoint, where the map is queried for the
-object found there and the answer feeds the middle loop.
+object found there and the answer feeds the middle loop.  The middle
+loop ends when that answer is the goal's label.  Every decision is one
+recovery at the same noise floor ``theta``: the next goal, the planner's
+inputs, the waypoint's cell and the object found on arrival.
 
 The executor reads each layer through its smallest interface: the maze
 gives the sensor gate at a cell and checks each move, the grid layer
@@ -70,9 +73,7 @@ class MissionContext:
     memory: MapMemory
     maze: Maze
     policy: Policy
-    theta: float = hdc.DEFAULT_THETA      # noise floor for recoveries
-    theta_o: float = hdc.DEFAULT_THETA    # policy exhaustion threshold
-    phi_o: float = 0.8                    # object-goal arrival similarity
+    theta: float = hdc.DEFAULT_THETA  # the noise floor of every recovery
 
 
 def grid_step_cap(maze: Maze) -> int:
@@ -147,27 +148,29 @@ def run_mission(ctx: MissionContext) -> TrialResult:
     outcomes: list[GoalOutcome] = []
     hop_cap = 2 * ctx.object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
+    objects = ctx.memory.objects
     robot = maze.robot
     current_label = "h"  # the robot starts at home and knows it
-    o_t = ctx.memory.objects.vector(current_label)
 
     while True:
-        goal_label, policy = semantic_map.next_goal(policy, ctx.memory.objects, ctx.theta_o)
+        goal_label, policy = semantic_map.next_goal(policy, objects, ctx.theta)
         if goal_label is None:
             break
-        o_star = ctx.memory.objects.vector(goal_label)
+        o_star = objects.vector(goal_label)
         object_path = [current_label]
         grid_path: list[Cell] = [robot]
         hops = 0
         failure = FailureReason.NONE
         dither: tuple[Cell, ...] = ()
 
-        while hdc.cosine(o_star, o_t) < ctx.phi_o:
+        while current_label != goal_label:
             if hops >= hop_cap:
                 failure = FailureReason.STEP_CAP
                 break
             hops += 1
-            planned = cml_mod.step(ctx.object_cml, o_star, o_t, ctx.theta)
+            planned = cml_mod.step(
+                ctx.object_cml, o_star, objects.vector(current_label), ctx.theta
+            )
             if planned.chosen_edge is None:
                 # recognised inputs with no open gate: the goal is cut off
                 failure = (
@@ -196,7 +199,6 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                 ctx.memory, ctx.grid_cml.state(robot), ctx.theta
             )
             if found is not None:  # non-recoveries are ignored
-                o_t = ctx.memory.objects.vector(found)
                 current_label = found
                 object_path.append(found)
 

@@ -70,7 +70,7 @@ def build_map(
 
     Each term is ``sign(o_i) * sign(p_i)`` from the dictionaries' int8 sign
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
-    terms in float, so the map and the tie-break draw are unchanged.
+    int8 terms exactly in int16 and adds its tie-break draw in float.
     """
     positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
     terms = objects.signs * positions.signs

@@ -197,6 +197,20 @@ def test_run_rejects_nonpositive_attempt_cap(models_dir, capsys, cap):
     assert "viable_attempt_cap" in err
 
 
+@pytest.mark.parametrize("key", ["phi_o", "theta_o"])
+def test_run_rejects_removed_thresholds(models_dir, capsys, key):
+    # every decision is one recovery at the noise floor theta; the arrival and
+    # policy thresholds are gone
+    code = main(
+        ["run", "mission", "--seed", "42", "--out", str(models_dir),
+         "--set", "mission_trials=1", "--set", f"{key}=0.5"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert key in err
+
+
 def test_config_file_drives_run(models_dir, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"mission_trials = 2\noutput_dir = {models_dir}\n")

@@ -179,6 +179,47 @@ def test_utility_antisymmetric(graph, rng):
     assert np.abs(u_fwd + u_rev).max() < 1e-9
 
 
+# (current, target) pairs whose best two gated utilities are equal: symmetric
+# routes carry the same share of the flow
+EXACT_TIES = {
+    ("a", "b"), ("b", "a"), ("c", "h"), ("h", "c"), ("c", "k"), ("k", "c"),
+    ("c", "t"), ("t", "c"), ("d", "e"), ("e", "d"), ("h", "t"), ("t", "h"),
+    ("k", "t"), ("t", "k"),
+}
+
+
+def test_object_utilities_are_the_state_free_flow_with_exact_ties(graph, object_cml):
+    # A = S B for the graph's (n, e) incidence matrix B, and S has full column
+    # rank, so A_dagger (s_t - s_c) is the minimum-norm flow pinv(B) (e_t - e_c):
+    # no state enters it.  On the tied pairs the pick is left to rounding (at
+    # seed 42, k->t picks b and t->h picks e at a gap of about 5e-16), so the
+    # mission and door_removal digests depend on it; every other pair is
+    # decided by a gap of 1/132 or more.
+    incidence = np.zeros((graph.n, graph.e))
+    for edge, (src, dst) in enumerate(graph.directed_edges):
+        incidence[dst, edge], incidence[src, edge] = 1.0, -1.0
+    flow = np.linalg.pinv(incidence)
+    nodes = np.eye(graph.n)
+    models = (object_cml, cml.init_calculated(graph, D, np.random.default_rng(7)))
+    ties, gaps = set(), []
+    for c in range(graph.n):
+        for t in range(graph.n):
+            if c == t:
+                continue
+            exact = flow @ (nodes[t] - nodes[c])
+            legal = np.nonzero(object_cml.G[:, c])[0]
+            for model in models:
+                u = cml.utility(model, model.S[:, t], model.S[:, c])
+                assert np.abs(u - exact).max() < 1e-13
+            best, second = np.sort(object_cml.G[legal, c] * exact[legal])[::-1][:2]
+            if best - second < 1e-13:
+                ties.add((graph.node_labels[c], graph.node_labels[t]))
+            else:
+                gaps.append(best - second)
+    assert ties == EXACT_TIES
+    assert min(gaps) > 0.0075
+
+
 def test_select_action_honors_gating():
     assert cml.select_action(np.array([0.2, 0.9, 5.0]), np.array([1.0, 1.0, 0.0])) == 1
 

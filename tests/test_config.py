@@ -57,7 +57,8 @@ def test_config_file_parsing(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key", ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g"]
+    "key",
+    ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o", "theta_o"],
 )
 def test_config_file_unknown_key(tmp_path, key):
     path = tmp_path / "bad.cfg"
@@ -87,4 +88,8 @@ def test_as_dict_round_trip():
     echo = cfg.as_dict()
     assert echo["seed"] == 3
     assert echo["mission_trials"] == 7
-    assert set(echo) >= {"d", "theta", "phi_o", "output_dir"}
+    assert set(echo) == {
+        "d", "theta", "mission_goals", "mission_trials", "grid_only_trials",
+        "viability_mazes", "door_removal_trials", "hdc_pairs", "viable_attempt_cap",
+        "workers", "seed", "output_dir",
+    }

@@ -138,6 +138,28 @@ def test_bundle_rejects_ragged_list():
         hdc.bundle([np.ones(4), np.ones(5)], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 9])
+def test_bundle_int8_stack_equals_float_stack(n):
+    # an int8 stack sums in int16 and adds the tie-break in float: the same map
+    # and the same draws as the float sum
+    terms = np.stack([bipolar(seed) for seed in range(n)])
+    terms[:, :5] = 0.0  # a sign term may be 0
+    rng, reference_rng = np.random.default_rng(19), np.random.default_rng(19)
+    from_int8 = hdc.bundle(terms.astype(np.int8), rng)
+    assert np.array_equal(from_int8, hdc.bundle(terms, reference_rng))
+    assert from_int8.dtype == np.float64
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def test_bundle_int8_stack_row_limit():
+    # 2**15 - 1 agreeing rows reach the int16 maximum exactly; one more is refused
+    rows = np.ones((2**15 - 1, 3), dtype=np.int8)
+    rows[:, 1] = -1
+    assert np.array_equal(hdc.bundle(rows, np.random.default_rng(0)), [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="int16"):
+        hdc.bundle(np.ones((2**15, 3), dtype=np.int8), np.random.default_rng(0))
+
+
 # --- bind -----------------------------------------------------------------------
 
 
@@ -408,8 +430,9 @@ def test_cosines_match_recover_scores():
     block = hdc.cosines(queries, hdc.row_norms(queries), d)
     assert block.shape == (5, len(d))
     for q, row in zip(queries, block):
-        # the vector path is a matrix-vector product: equal up to rounding
-        assert np.allclose(hdc.cosines(q, np.linalg.norm(q), d), row)
+        # a one-row stack scores as its row of the block, up to rounding
+        one = q[None]
+        assert np.allclose(hdc.cosines(one, hdc.row_norms(one), d), row[None])
         assert np.allclose(row, [hdc.cosine(q, v) for v in d.vectors])
     # a zero query row and a zero entry score -inf, not NaN
     zeroed = hdc.Dictionary(("z",) + d.labels, np.vstack([np.zeros(D), d.vectors]))
@@ -417,6 +440,41 @@ def test_cosines_match_recover_scores():
     block = hdc.cosines(queries, hdc.row_norms(queries), zeroed)
     assert np.isneginf(block[:, 0]).all() and np.isneginf(block[1]).all()
     assert np.isfinite(np.delete(np.delete(block, 1, axis=0), 0, axis=1)).all()
+
+
+def reference_vector_recover(query, dictionary, theta):
+    """The separate (d,) path that recover had before a vector became a one-row stack."""
+    sims = dictionary.vectors @ query
+    scale = dictionary.norms * np.linalg.norm(query)
+    zero = scale == 0.0
+    sims[zero] = -np.inf
+    scale[zero] = 1.0
+    sims /= scale
+    best = int(np.argmax(sims))
+    return None if sims[best] < theta else dictionary.labels[best]
+
+
+def test_vector_recover_matches_the_old_vector_path(object_cml, grid_cml):
+    rng = np.random.default_rng(40)
+    states, cells = object_cml.state_dictionary(), grid_cml.cells
+    with_zero = hdc.Dictionary(
+        states.labels + ("zero",), np.vstack([states.vectors, np.zeros(states.dim)])
+    )
+    cases = [(states, states.vectors), (cells, cells.vectors), (with_zero, states.vectors)]
+    for dictionary, rows in list(cases):
+        # noisy copies: the planner's predictions and unbound map queries are
+        # approximate; the larger noise falls below the floor for some rows
+        for scale in (0.5, 10.0):
+            cases.append((dictionary, rows + rng.normal(0.0, scale, rows.shape)))
+        cases.append((dictionary, np.zeros((1, dictionary.dim))))
+    for theta in (0.0, hdc.DEFAULT_THETA):
+        for dictionary, queries in cases:
+            found = [hdc.recover(q, dictionary, theta) for q in queries]
+            assert found == [reference_vector_recover(q, dictionary, theta) for q in queries]
+            assert tuple(found) == hdc.recover(queries, dictionary, theta)
+    # the exact rows recover themselves, a zero query recovers nothing
+    assert [hdc.recover(v, cells, 0.1) for v in cells.vectors] == list(cells.labels)
+    assert hdc.recover(np.zeros(states.dim), with_zero, 0.0) is None
 
 
 def test_recover_stack_dimension_mismatch():
