@@ -6,8 +6,8 @@ satisfy ``s_j ~= s_i + a_edge``:
 
 - ``S`` (d x n): one state column per node,
 - ``A`` (d x e): one action column per directed edge,
-- ``G`` (e x n): gating; entry (edge, node) is 1/weight when the edge
-  leaves that node, else 0.
+- ``G`` (e x n): gating; entry (edge, node) is 1 when the edge leaves
+  that node and is open, else 0.
 
 Planning works without any path search: the utility of every action with
 respect to a target state is ``u = A_dagger (target - current)`` and a
@@ -34,20 +34,15 @@ DEFAULT_EPOCH_CAP = 10_000
 
 @dataclass(frozen=True)
 class CmlGraph:
-    """Directed graph with labelled nodes and positive edge weights."""
+    """Directed graph with labelled nodes."""
 
     node_labels: tuple[str, ...]
     directed_edges: tuple[tuple[int, int], ...]
-    edge_weights: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.node_labels)
         if len(set(self.node_labels)) != n:
             raise ValueError("node labels must be unique")
-        if not self.edge_weights:
-            object.__setattr__(self, "edge_weights", (1.0,) * len(self.directed_edges))
-        if len(self.edge_weights) != len(self.directed_edges):
-            raise ValueError("need one weight per directed edge")
         seen = set()
         for src, dst in self.directed_edges:
             if src == dst:
@@ -57,8 +52,6 @@ class CmlGraph:
             if (src, dst) in seen:
                 raise ValueError(f"duplicate directed edge ({src}, {dst})")
             seen.add((src, dst))
-        if any(w <= 0 for w in self.edge_weights):
-            raise ValueError("edge weights must be positive")
 
     @property
     def n(self) -> int:
@@ -158,10 +151,13 @@ class StepResult:
 
 
 def _gating_from_graph(graph: CmlGraph) -> np.ndarray:
-    G = np.zeros((graph.e, graph.n))
-    for edge_idx, (src, _) in enumerate(graph.directed_edges):
-        G[edge_idx, src] = 1.0 / graph.edge_weights[edge_idx]
-    return G
+    src = np.array(graph.directed_edges, dtype=int).reshape(-1, 2)[:, 0]
+    return (src[:, None] == np.arange(graph.n)).astype(float)
+
+
+def _state_differences(graph: CmlGraph, S: np.ndarray) -> np.ndarray:
+    src, dst = np.array(graph.directed_edges, dtype=int).reshape(-1, 2).T
+    return np.subtract(S[:, dst], S[:, src], order="C")  # C order like S; a gather gives F
 
 
 def _pinv(A: np.ndarray) -> np.ndarray:
@@ -179,20 +175,29 @@ def init_random(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
     return Cml(S=S, A=A, G=_gating_from_graph(graph), graph=graph, A_dagger=_pinv(A))
 
 
-def init_calculated(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
-    """Exact construction: random bipolar states, actions as state differences.
+def calculated(graph: CmlGraph, S: np.ndarray) -> Cml:
+    """The learner that the states S imply on the graph.
 
     For each directed edge (i -> j) the action column is s_j - s_i, so
     the one-step prediction ``s_i + a`` lands on s_j exactly and the
-    per-edge training error is zero from the start.
+    per-edge training error is zero; every out-edge gate is open (1).
     """
+    A = _state_differences(graph, S)
+    return Cml(S=S, A=A, G=_gating_from_graph(graph), graph=graph, A_dagger=_pinv(A))
+
+
+def is_calculated(cml: Cml) -> bool:
+    """True when A and G are exactly what ``calculated`` derives from S and the graph."""
+    A, G = _state_differences(cml.graph, cml.S), _gating_from_graph(cml.graph)
+    return np.array_equal(cml.A, A) and np.array_equal(cml.G, G)
+
+
+def init_calculated(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
+    """Exact construction: random bipolar states, actions as state differences."""
     if d < graph.e:
         raise ValueError(f"need d >= e for planning, got d={d} < e={graph.e}")
     S = np.stack([hdc.random_bipolar(d, rng) for _ in range(graph.n)], axis=1)
-    A = np.zeros((d, graph.e))
-    for edge_idx, (src, dst) in enumerate(graph.directed_edges):
-        A[:, edge_idx] = S[:, dst] - S[:, src]
-    return Cml(S=S, A=A, G=_gating_from_graph(graph), graph=graph, A_dagger=_pinv(A))
+    return calculated(graph, S)
 
 
 def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
@@ -247,37 +252,34 @@ def utility(cml: Cml, target: np.ndarray, current: np.ndarray) -> np.ndarray:
 
 
 def select_action(u: np.ndarray, g: np.ndarray) -> int | None:
-    """Winner-take-all over gated utilities.
+    """Winner-take-all over the open gates.
 
-    Among actions with nonzero gate, returns the index maximising
-    ``g * u`` even when that maximum is negative (an ungated action with
-    score 0 must never beat a legal action that merely scores badly).
-    Returns None when every gate is zero.
+    Among actions with nonzero gate, returns the index maximising ``u``
+    even when that maximum is negative (a closed action must never beat
+    an open one that merely scores badly).  Returns None when every gate
+    is zero.
     """
     if len(u) != len(g):
         raise ValueError("utility and gating vectors must have equal length")
     legal = np.nonzero(g)[0]
     if len(legal) == 0:
         return None
-    scores = g[legal] * u[legal]
-    return int(legal[np.argmax(scores)])
+    return int(legal[np.argmax(u[legal])])
 
 
 def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> StepResult:
     """One modular planning step from approximate state inputs.
 
-    Both inputs are sanitised by recovery over the node-state columns;
-    if either fails the noise floor the learner refuses to act.  Otherwise
-    the gated winner-take-all picks an edge out of the recovered current
-    node, and the result carries the predicted next state ``s_c + a_edge``
-    (or a refusal when every gate of the node is closed).
+    Both inputs are sanitised by one recovery of their two-row stack over
+    the node-state columns; if either fails the noise floor the learner
+    refuses to act.  Otherwise the gated winner-take-all picks an edge out
+    of the recovered current node, and the result carries the predicted
+    next state ``s_c + a_edge`` (or a refusal when every gate of the node
+    is closed).
     """
-    states = cml.state_dictionary()
-    target_label = hdc.recover(target, states, theta)
-    if target_label is None:
-        return StepResult(None, None, False)
-    current_label = hdc.recover(current, states, theta)
-    if current_label is None:
+    inputs = np.stack((target, current))
+    target_label, current_label = hdc.recover(inputs, cml.state_dictionary(), theta)
+    if target_label is None or current_label is None:
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
     c_idx = cml.graph.node_index(current_label)
@@ -306,9 +308,8 @@ def plan_path(
         max_steps = 4 * cml.graph.n
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    states = cml.state_dictionary()
-    target_label = hdc.recover(target, states, theta)
-    start_label = hdc.recover(start, states, theta)
+    inputs = np.stack((target, start))
+    target_label, start_label = hdc.recover(inputs, cml.state_dictionary(), theta)
     if target_label is None or start_label is None:
         return None
     target_state = cml.state(target_label)

@@ -40,11 +40,12 @@ class ExperimentConfig:
             "grid_only_trials",
             "viability_mazes",
             "door_removal_trials",
-            "hdc_pairs",
             "viable_attempt_cap",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.hdc_pairs < 2:
+            raise ValueError("hdc_pairs must be >= 2 (a sample standard deviation needs two)")
         if not self.goal_sequence():
             raise ValueError("mission_goals must name at least one object")
 

@@ -1,19 +1,19 @@
 """Versioned flat-file persistence for trained models.
 
 Layout: an ASCII header (magic line, then one ``key=value`` per line)
-terminated by a blank line, followed by the matrix blocks as raw
-row-major float64 bytes.  The object model stores S, A and G; the
-pseudo-inverse is recomputed on load.  The grid model stores its two
-coordinate chains x and y and its actions A4; its states are derived on
-load.  Round-trips are bit-exact.
+ended by a blank line, then raw row-major float64 blocks.  An object
+file is its graph (``labels``, ``edges``) and one block S; A, the gates
+and the pseudo-inverse are derived on load by ``cml.calculated``, so a
+save refuses any other model.  A grid file holds its chains x and y and
+its actions A4; its states are derived on load.  Round-trips are
+bit-exact.
 
 Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
 Loads reject a file whose blocks disagree with its header (too short or
-with trailing bytes, which is checked before any block is read; an edge
-count that does not match the edge list), hold a non-finite value, give
-a size field (``d``, ``n``, ``e``, ``width``, ``height``) below 1, or
-describe a grid of fewer than two cells.
+with trailing bytes, checked before any block is read), hold a
+non-finite value, give a size field (``d``, ``width``, ``height``)
+below 1, or describe a grid of fewer than two cells.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cml import Cml, CmlGraph, _pinv
+from .cml import Cml, CmlGraph, calculated, is_calculated
 from .grid import GridCml
 
 MAGIC = "HDNAV-MODEL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 REQUIRED_FIELDS = {
-    "object": ("d", "n", "e", "labels", "edges", "weights"),
+    "object": ("d", "labels", "edges"),
     "grid": ("d", "width", "height"),
 }
 
@@ -49,17 +49,17 @@ def _write(path: str | Path, header_lines: list[str], *blocks: np.ndarray) -> No
 
 
 def save_cml(cml: Cml, path: str | Path) -> None:
+    """Write the graph and S; refuse a model whose A or G the file could not restore."""
+    if not is_calculated(cml):
+        raise ValueError("only a calculated object model can be saved (A = s_j - s_i, open gates)")
     graph = cml.graph
     header = [
         f"{MAGIC} {FORMAT_VERSION} object",
         f"d={cml.d}",
-        f"n={graph.n}",
-        f"e={graph.e}",
         "labels=" + " ".join(graph.node_labels),
         "edges=" + " ".join(f"{s}>{t}" for s, t in graph.directed_edges),
-        "weights=" + " ".join(repr(w) for w in graph.edge_weights),
     ]
-    _write(path, header, cml.S, cml.A, cml.G)
+    _write(path, header, cml.S)
 
 
 def save_grid_cml(grid_cml: GridCml, path: str | Path) -> None:
@@ -130,21 +130,16 @@ def load_model(path: str | Path) -> Cml | GridCml:
             if key not in fields:
                 raise ValueError(f"{kind} model header lacks the field {key!r}")
         if kind == "object":
-            d, n, e = int(fields["d"]), int(fields["n"]), int(fields["e"])
-            _require_positive(d=d, n=n, e=e)
+            d = int(fields["d"])
+            _require_positive(d=d)
             labels = tuple(fields["labels"].split(" "))
-            if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
             edges = tuple(
                 (int(src), int(dst))
                 for src, dst in (item.split(">") for item in fields["edges"].split(" "))
             )
-            if len(edges) != e:
-                raise ValueError(f"expected {e} edges, got {len(edges)}")
-            weights = tuple(float(w) for w in fields["weights"].split(" "))
-            graph = CmlGraph(node_labels=labels, directed_edges=edges, edge_weights=weights)
-            S, A, G = _read_blocks(fh, (d, n), (d, e), (e, n))
-            return Cml(S=S, A=A, G=G, graph=graph, A_dagger=_pinv(A))
+            graph = CmlGraph(node_labels=labels, directed_edges=edges)
+            (S,) = _read_blocks(fh, (d, graph.n))
+            return calculated(graph, S)
         if kind == "grid":
             d = int(fields["d"])
             width, height = int(fields["width"]), int(fields["height"])

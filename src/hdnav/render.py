@@ -4,16 +4,20 @@ Input is one record from a trial JSONL file.  Both styles are pure
 functions of the record, so the same trace always renders to the same
 bytes.  Mission records draw one distinguishable path per goal leg;
 grid-only failure records flag the two cells of the dithering 2-cycle.
+A path or dither cell outside the maze's W x H raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 LEG_MARKS = "123456789"
 LEG_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DITHER_MARK = "!"
+
+Cell = tuple[int, int]
 
 
 def load_trace(path: str | Path) -> list[dict]:
@@ -30,7 +34,7 @@ def load_trace(path: str | Path) -> list[dict]:
     return records
 
 
-def _legs(record: dict) -> list[list[tuple[int, int]]]:
+def _legs(record: dict) -> list[list[Cell]]:
     if "goals" in record:
         return [[tuple(c) for c in goal["grid_path"]] for goal in record["goals"]]
     if "grid_path" in record:
@@ -38,23 +42,29 @@ def _legs(record: dict) -> list[list[tuple[int, int]]]:
     raise ValueError("trace record has no grid paths")
 
 
-def _maze_lines(record: dict) -> tuple[str, list[list[str]]]:
+def _maze(record: dict) -> tuple[str, list[list[str]], list[list[Cell]], list[Cell]]:
+    """The maze header and rows, the legs and the dither cells, all on the W x H maze."""
     if "maze" not in record:
         raise ValueError("trace record has no maze text")
-    lines = record["maze"].strip("\n").split("\n")
-    return lines[0], [list(row) for row in lines[1:]]
+    header, *rows = record["maze"].strip("\n").split("\n")
+    width, height = (int(x) for x in header.split())
+    legs = _legs(record)
+    dither = [tuple(c) for c in record.get("dither_cells", [])]
+    for row, col in itertools.chain(dither, *legs):
+        if not (0 <= row < height and 0 <= col < width):  # a negative index would wrap
+            raise ValueError(f"trace cell ({row}, {col}) is off the {width}x{height} maze")
+    return header, [list(row) for row in rows], legs, dither
 
 
 def render_text(record: dict) -> str:
     """Maze text with per-leg digit overlays; earliest leg wins a cell."""
-    header, grid = _maze_lines(record)
-    for leg_idx, leg in enumerate(_legs(record)):
+    header, grid, legs, dither = _maze(record)
+    for leg_idx, leg in enumerate(legs):
         mark = LEG_MARKS[min(leg_idx, len(LEG_MARKS) - 1)]
         for row, col in leg:
             if grid[row][col] == ".":
                 grid[row][col] = mark
-    for cell in record.get("dither_cells", []):
-        row, col = cell
+    for row, col in dither:
         grid[row][col] = DITHER_MARK
     lines = [header]
     lines.extend("".join(row) for row in grid)
@@ -63,7 +73,7 @@ def render_text(record: dict) -> str:
 
 def render_svg(record: dict, cell_px: int = 24) -> str:
     """Standalone SVG: walls, objects, one polyline per leg, dither crosses."""
-    header, grid = _maze_lines(record)
+    header, grid, legs, dither = _maze(record)
     width, height = (int(x) for x in header.split())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
@@ -86,7 +96,7 @@ def render_svg(record: dict, cell_px: int = 24) -> str:
                     f'font-family="monospace" font-size="{cell_px * 2 // 3}" '
                     f'text-anchor="middle">{char}</text>'
                 )
-    for leg_idx, leg in enumerate(_legs(record)):
+    for leg_idx, leg in enumerate(legs):
         if len(leg) < 2:
             continue
         color = LEG_COLORS[leg_idx % len(LEG_COLORS)]
@@ -98,8 +108,7 @@ def render_svg(record: dict, cell_px: int = 24) -> str:
             f'<polyline points="{points}" fill="none" stroke="{color}" '
             f'stroke-width="{2 + leg_idx}" stroke-opacity="0.7"/>'
         )
-    for cell in record.get("dither_cells", []):
-        row, col = cell
+    for row, col in dither:
         x, y = col * cell_px, row * cell_px
         parts.append(
             f'<path d="M {x + 4} {y + 4} L {x + cell_px - 4} {y + cell_px - 4} '

@@ -7,6 +7,8 @@ from hdnav import experiments, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 
+MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
+
 
 @pytest.fixture()
 def models_dir(tmp_path, object_cml, grid_cml):
@@ -33,6 +35,13 @@ def test_hdc_stats_small_dimension_allowed(tmp_path):
     assert main(["hdc-stats", "--seed", "1", "--d", "4", "--out", str(out)]) == 0
     report = json.loads((out / "hdc_stats_report.json").read_text())
     assert report["aggregates"]["max_abs"] == 1.0  # tiny dimension degeneracy
+
+
+def test_hdc_stats_rejects_one_pair(tmp_path, capsys):
+    out = tmp_path / "stats1"
+    assert main(["hdc-stats", "--seed", "1", "--out", str(out), "--set", "hdc_pairs=1"]) == 1
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "hdc_stats_report.json").exists()
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
@@ -108,6 +117,13 @@ def test_render_bad_trial_index(models_dir, capsys):
     assert "error[trace]" in capsys.readouterr().err
 
 
+def test_render_rejects_cell_off_the_maze(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"maze": "3 2\nr..\n...\n", "grid_path": [[99, 99]]}) + "\n")
+    assert main(["render", "--trace", str(trace)]) == 1
+    assert "error[trace]" in capsys.readouterr().err
+
+
 def test_render_missing_trace(tmp_path, capsys):
     assert main(["render", "--trace", str(tmp_path / "nope.jsonl")]) == 1
     assert "error[trace]" in capsys.readouterr().err
@@ -140,7 +156,7 @@ def test_verify_rejects_old_format(tmp_path, capsys):
 
 def test_verify_rejects_missing_header_field(tmp_path, capsys):
     headless = tmp_path / "no_d.hdm"
-    headless.write_bytes(b"HDNAV-MODEL 2 grid\nwidth=20\nheight=10\n\n")
+    headless.write_bytes(f"{MODEL_LINE} grid\nwidth=20\nheight=10\n\n".encode("ascii"))
     assert main(["verify", str(headless)]) == 1
     err = capsys.readouterr().err
     assert "error[models]" in err
@@ -149,7 +165,7 @@ def test_verify_rejects_missing_header_field(tmp_path, capsys):
 
 def test_verify_rejects_oversized_header(tmp_path, capsys):
     huge = tmp_path / "huge.hdm"
-    header = b"HDNAV-MODEL 2 grid\nd=1000000000000\nwidth=2\nheight=1\n\n"
+    header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
     huge.write_bytes(header + bytes(141 - len(header)))
     assert main(["verify", str(huge)]) == 1
     err = capsys.readouterr().err
@@ -159,7 +175,7 @@ def test_verify_rejects_oversized_header(tmp_path, capsys):
 
 def test_verify_rejects_zero_width_grid(tmp_path, capsys):
     empty = tmp_path / "empty.hdm"
-    header = b"HDNAV-MODEL 2 grid\nd=4\nwidth=0\nheight=10\n\n"
+    header = f"{MODEL_LINE} grid\nd=4\nwidth=0\nheight=10\n\n".encode("ascii")
     empty.write_bytes(header + np.zeros(10).tobytes() + np.eye(4).tobytes())
     assert main(["verify", str(empty)]) == 1
     err = capsys.readouterr().err

@@ -92,6 +92,18 @@ def test_init_calculated_exact_construction(graph, rng):
             assert abs(hdc.cosine(c.S[:, i], c.S[:, j])) < 0.15
 
 
+def test_calculated_matches_the_per_edge_loop(graph, rng):
+    S = rng.normal(size=(D, graph.n))  # generic floats, so any rounding difference shows
+    c = cml.calculated(graph, S)
+    A, G = np.zeros((D, graph.e)), np.zeros((graph.e, graph.n))
+    for edge_idx, (src, dst) in enumerate(graph.directed_edges):
+        A[:, edge_idx] = S[:, dst] - S[:, src]
+        G[edge_idx, src] = 1.0
+    assert np.array_equal(c.A, A)
+    assert np.array_equal(c.G, G)
+    assert cml.is_calculated(c)
+
+
 def test_init_calculated_reverse_edges_negate(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     index = {edge: i for i, edge in enumerate(graph.directed_edges)}

@@ -25,6 +25,13 @@ def test_viable_attempt_cap_must_be_positive(cap):
     ExperimentConfig(viable_attempt_cap=1).validate()
 
 
+@pytest.mark.parametrize("pairs", [1, 0])
+def test_hdc_pairs_needs_two_for_a_standard_deviation(pairs):
+    with pytest.raises(ValueError, match="hdc_pairs must be >= 2"):
+        ExperimentConfig(hdc_pairs=pairs).validate()
+    ExperimentConfig(hdc_pairs=2).validate()
+
+
 def test_model_commands_need_hdc_scale_dimension():
     cfg = ExperimentConfig(d=128, seed=1)
     cfg.validate()  # similarity stats may run at any dimension

@@ -3,8 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hdnav import cml, persist
+from hdnav import cml, mission, persist
 from hdnav.grid import GridCml
+from hdnav.maze import object_graph
+
+MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
 
 def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
@@ -15,7 +18,32 @@ def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
     assert np.array_equal(loaded.S, object_cml.S)
     assert np.array_equal(loaded.A, object_cml.A)
     assert np.array_equal(loaded.G, object_cml.G)
+    assert np.array_equal(loaded.A_dagger, object_cml.A_dagger)
     assert loaded.graph == object_cml.graph
+
+
+def test_object_file_is_header_and_states(object_cml, tmp_path):
+    path = tmp_path / "object.hdm"
+    persist.save_cml(object_cml, path)
+    data = path.read_bytes()
+    header, _ = data.split(b"\n\n", 1)
+    assert [line.split(b"=")[0] for line in header.split(b"\n")[1:]] == [b"d", b"labels", b"edges"]
+    assert len(data) == len(header) + 2 + 8 * object_cml.d * object_cml.graph.n
+
+
+def _random_object_cml(object_cml):
+    return cml.init_random(object_graph(), object_cml.d, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "derive",
+    [lambda model: mission.remove_door(model, "d"), _random_object_cml],
+    ids=["door_removed", "init_random"],
+)
+def test_save_refuses_model_the_file_cannot_hold(object_cml, tmp_path, derive):
+    with pytest.raises(ValueError, match="only a calculated object model"):
+        persist.save_cml(derive(object_cml), tmp_path / "object.hdm")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_pseudo_inverse_recomputed_on_load(object_cml, tmp_path):
@@ -49,20 +77,6 @@ def test_save_load_save_is_stable(grid_cml, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_weighted_graph_round_trips(tmp_path, rng):
-    graph = cml.CmlGraph(
-        ("x", "y", "z"),
-        ((0, 1), (1, 0), (1, 2), (2, 1)),
-        (1.0, 1.0, 2.5, 2.5),
-    )
-    model = cml.init_calculated(graph, 256, rng)
-    path = tmp_path / "weighted.hdm"
-    persist.save_cml(model, path)
-    loaded = persist.load_model(path)
-    assert loaded.graph.edge_weights == (1.0, 1.0, 2.5, 2.5)
-    assert np.array_equal(loaded.G, model.G)
-
-
 def test_truncated_file_rejected(object_cml, tmp_path):
     path = tmp_path / "object.hdm"
     persist.save_cml(object_cml, path)
@@ -74,7 +88,7 @@ def test_truncated_file_rejected(object_cml, tmp_path):
 
 def _oversized_grid_file(path):
     """141 bytes whose header claims d=10^12: far more block bytes than the file holds."""
-    header = b"HDNAV-MODEL 2 grid\nd=1000000000000\nwidth=2\nheight=1\n\n"
+    header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
     path.write_bytes(header + bytes(141 - len(header)))
     assert path.stat().st_size == 141
     return path
@@ -92,7 +106,7 @@ def test_bad_magic_rejected(tmp_path):
         persist.load_model(path)
 
 
-@pytest.mark.parametrize("version", [1, 99])
+@pytest.mark.parametrize("version", [1, 2, 99])
 def test_unsupported_version_rejected(tmp_path, version):
     path = tmp_path / "other.hdm"
     path.write_bytes(f"HDNAV-MODEL {version} object\n\n".encode("ascii"))
@@ -106,14 +120,6 @@ def _append_byte(data: bytes) -> bytes:
 
 def _nan_in_last_value(data: bytes) -> bytes:
     return data[:-8] + np.array([np.nan]).tobytes()
-
-
-def _edge_count_one_short(data: bytes) -> bytes:
-    header, body = data.split(b"\n\n", 1)
-    lines = header.split(b"\n")
-    e = next(int(line[2:]) for line in lines if line.startswith(b"e="))
-    lines = [f"e={e - 1}".encode("ascii") if line.startswith(b"e=") else line for line in lines]
-    return b"\n".join(lines) + b"\n\n" + body
 
 
 def _object_size_zero(key: str):
@@ -130,9 +136,7 @@ def _object_size_zero(key: str):
 
 def _degenerate_grid(width: int, height: int, d: int = 4):
     """A grid file of a degenerate size, with zero chains, in place of the input."""
-    header = "\n".join(
-        [f"{persist.MAGIC} {persist.FORMAT_VERSION} grid", f"d={d}", f"width={width}", f"height={height}"]
-    )
+    header = "\n".join([f"{MODEL_LINE} grid", f"d={d}", f"width={width}", f"height={height}"])
     body = np.zeros(max(height, 0)).tobytes() + np.zeros(max(width, 0)).tobytes()
     body += np.eye(max(d, 0), 4).tobytes()
     contents = (header + "\n\n").encode("ascii") + body
@@ -144,16 +148,15 @@ def _degenerate_grid(width: int, height: int, d: int = 4):
     [
         (_append_byte, "trailing bytes"),
         (_nan_in_last_value, "non-finite"),
-        (_edge_count_one_short, "edges"),
         (_degenerate_grid(0, 10), "two cells"),
         (_degenerate_grid(1, 1), "two cells"),
         (_degenerate_grid(-1, -2), "'width' must be at least 1, got -1"),
         (_degenerate_grid(20, 10, d=0), "'d' must be at least 1, got 0"),
-        (_object_size_zero("n"), "'n' must be at least 1, got 0"),
+        (_object_size_zero("d"), "'d' must be at least 1, got 0"),
     ],
     ids=[
-        "trailing_bytes", "nan", "edge_count", "zero_width_grid", "one_cell_grid",
-        "negative_size_grid", "zero_d_grid", "zero_n_object",
+        "trailing_bytes", "nan", "zero_width_grid", "one_cell_grid",
+        "negative_size_grid", "zero_d_grid", "zero_d_object",
     ],
 )
 def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
@@ -173,7 +176,7 @@ def _drop_header_field(data: bytes, key: str) -> bytes:
 
 @pytest.mark.parametrize(
     "kind,key",
-    [("object", key) for key in ("d", "n", "e", "labels", "edges", "weights")]
+    [("object", key) for key in ("d", "labels", "edges")]
     + [("grid", key) for key in ("d", "width", "height")],
 )
 def test_missing_header_field_rejected(object_cml, grid_cml, tmp_path, kind, key):

@@ -94,3 +94,12 @@ def test_load_trace_rejects_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(ValueError, match="empty"):
         render.load_trace(path)
+
+
+@pytest.mark.parametrize("style", ["text", "svg"])
+@pytest.mark.parametrize("cell", [[99, 99], [-1, -1], [2, 0], [0, 3]])
+@pytest.mark.parametrize("key", ["grid_path", "dither_cells"])
+def test_render_rejects_cells_off_the_maze(style, cell, key):
+    record = {"maze": "3 2\nr..\n...\n", "grid_path": [[0, 0], [0, 1]], key: [cell]}
+    with pytest.raises(ValueError, match="off the 3x2 maze"):
+        render.render(record, style)
