@@ -77,22 +77,16 @@ class CmlGraph:
         return cls(tuple(node_labels), tuple(directed))
 
 
-def bfs_hops(
-    graph: CmlGraph, start: int, goal: int, disabled_nodes: set[int] | None = None
-) -> int | None:
+def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
     """Shortest-path edge count by breadth-first search; None if unreachable.
 
     Independent of the map learner: used as the optimality oracle for
-    planned paths.  ``disabled_nodes`` removes nodes (and all their
-    edges) from consideration, except that start and goal always count.
+    planned paths.
     """
-    disabled = disabled_nodes or set()
     if start == goal:
         return 0
     adjacency: list[list[int]] = [[] for _ in range(graph.n)]
     for src, dst in graph.directed_edges:
-        if src in disabled or dst in disabled:
-            continue
         adjacency[src].append(dst)
     seen = {start}
     queue = deque([(start, 0)])
@@ -226,16 +220,13 @@ def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
 def train(
     cml: Cml,
     learning_rate: float = DEFAULT_LEARNING_RATE,
-    tolerance: float | None = None,
     epoch_cap: int = DEFAULT_EPOCH_CAP,
 ) -> tuple[Cml, int, float]:
-    """Run train_epoch until the mean edge error drops below tolerance.
+    """Run train_epoch until the mean edge error drops below 1e-3 * sqrt(d).
 
-    Default tolerance is 1e-3 * sqrt(d).  Raises RuntimeError when the
-    epoch cap is reached without converging.
+    Raises RuntimeError when the epoch cap is reached without converging.
     """
-    if tolerance is None:
-        tolerance = 1e-3 * np.sqrt(cml.d)
+    tolerance = 1e-3 * np.sqrt(cml.d)
     error = np.inf
     for epoch in range(epoch_cap):
         cml, error = train_epoch(cml, learning_rate)
@@ -295,19 +286,14 @@ def plan_path(
     target: np.ndarray,
     start: np.ndarray,
     theta: float = hdc.DEFAULT_THETA,
-    max_steps: int | None = None,
 ) -> list[str] | None:
     """Iterate step with prediction feedback until the target is reached.
 
     The predicted next state loops back as the current state after every
     step.  Returns the node-label sequence including both endpoints, or
-    None when a step fails or ``max_steps`` steps pass before the path
+    None when a step fails or 4 n steps (n nodes) pass before the path
     ends on the recovered target's label.
     """
-    if max_steps is None:
-        max_steps = 4 * cml.graph.n
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
     inputs = np.stack((target, start))
     target_label, start_label = hdc.recover(inputs, cml.state_dictionary(), theta)
     if target_label is None or start_label is None:
@@ -316,7 +302,7 @@ def plan_path(
     path = [start_label]
     current = start
     while path[-1] != target_label:
-        if len(path) > max_steps:
+        if len(path) > 4 * cml.graph.n:
             return None
         result = step(cml, target_state, current, theta)
         if result.chosen_edge is None:

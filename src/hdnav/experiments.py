@@ -16,7 +16,7 @@ from . import cml as cml_mod
 from . import hdc, maze as maze_mod, mission, persist, semantic_map
 from .config import ExperimentConfig
 from .grid import DELTAS, DIRECTIONS, GridCml, build_actions, train_grid
-from .mission import MissionContext, TrialResult
+from .mission import FailureReason, TrialResult
 from .reports import ExperimentReport
 from .semantic_map import MapMemory
 
@@ -205,6 +205,12 @@ def mission_trial(
     trial: int,
     remove_random_door: bool = False,
 ) -> dict:
+    """One sequential-goal mission on a mission-ready maze, optionally with a door closed.
+
+    The trial succeeds only when the goals the policy revealed are the
+    configured goal sequence, each reached; a policy that reveals fewer
+    (or other) goals is an ``unrecoverable_state``.
+    """
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
     rng = trial_rng(config.require_seed(), tag, trial)
     objects = object_cml.state_dictionary()
@@ -219,22 +225,17 @@ def mission_trial(
         maze, door_cell = maze_mod.close_door(maze, door)
         record["removed_door"] = door
         record["door_cell"] = list(door_cell)
-    policy = semantic_map.encode_policy(config.goal_sequence(), objects, rng)
-    result = mission.run_mission(
-        MissionContext(
-            object_cml=planner,
-            grid_cml=grid_cml,
-            memory=memory,
-            maze=maze,
-            policy=policy,
-            theta=config.theta,
-        )
-    )
+    goals = config.goal_sequence()
+    policy = semantic_map.encode_policy(goals, objects, rng)
+    result = mission.run_mission(planner, grid_cml, memory, maze, policy, config.theta)
+    failure = result.failure_reason
+    if failure is FailureReason.NONE and [o.goal for o in result.goal_outcomes] != goals:
+        failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
     record.update(
         {
-            "goal_sequence": config.goal_sequence(),
-            "success": result.success,
-            "failure_reason": result.failure_reason.value,
+            "goal_sequence": goals,
+            "success": failure is FailureReason.NONE,
+            "failure_reason": failure.value,
             "goals": _goal_records(result),
             "steps": result.total_steps,
             "maze": maze_mod.to_text(maze),
@@ -249,18 +250,25 @@ def mission_trial(
 def grid_only_trial(
     config: ExperimentConfig, grid_cml: GridCml, trial: int
 ) -> dict:
+    """Key-to-treasure traversal with the grid layer and sensors alone.
+
+    No object graph, no map: one grid leg from the key's cell to the
+    treasure's.  Greedy utility steering cannot see doors displaced from
+    its straight line, so a sizeable fraction of mazes ends in a
+    dithering abort, whose two cells the record carries.
+    """
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
-    result = mission.run_grid_only(grid_cml, trial_maze)
-    leg = result.goal_outcomes[0]
+    key, treasure = trial_maze.placements["k"], trial_maze.placements["t"]
+    leg = mission._grid_leg(grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze))
     return {
         "trial": trial,
         "seed": config.seed,
-        "success": result.success,
-        "failure_reason": result.failure_reason.value,
-        "steps": leg.steps,
-        "grid_path": [list(cell) for cell in leg.grid_path],
-        "dither_cells": [list(cell) for cell in result.dither_cells],
+        "success": leg.reason is FailureReason.NONE,
+        "failure_reason": leg.reason.value,
+        "steps": len(leg.path) - 1,
+        "grid_path": [list(cell) for cell in leg.path],
+        "dither_cells": [list(cell) for cell in leg.dither_cells],
         "maze": maze_mod.to_text(trial_maze),
     }
 
@@ -306,7 +314,6 @@ def _run_one(name, config, object_cml, grid_cml, trial: int) -> dict:
         return grid_only_trial(config, grid_cml, trial)
     if name == "viability":
         return viability_trial(config, object_cml, grid_cml, trial)
-    raise ValueError(f"unknown experiment {name!r}")
 
 
 EXPERIMENT_NAMES = ("mission", "grid_only", "viability", "door_removal")
@@ -341,7 +348,6 @@ def run_experiment(
             records = list(pool.map(_worker_run, [(name, t) for t in range(trials)]))
     else:
         records = [_run_one(name, config, object_cml, grid_cml, t) for t in range(trials)]
-    records.sort(key=lambda r: r["trial"])
     return ExperimentReport(
         experiment=name,
         records=records,

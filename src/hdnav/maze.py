@@ -146,14 +146,6 @@ def move_robot(maze: Maze, cell: Cell, direction: str) -> Cell:
     return nxt
 
 
-def object_at(maze: Maze, cell: Cell) -> str | None:
-    """Ground-truth lookup of the object at a cell (None when empty)."""
-    for label, placed in maze.placements.items():
-        if placed == cell:
-            return label
-    return None
-
-
 def close_door(maze: Maze, door: str) -> tuple[Maze, Cell]:
     """Turn a door cell into wall, removing the door from play.
 

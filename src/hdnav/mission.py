@@ -28,11 +28,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import cml as cml_mod
-from . import hdc, semantic_map
+from . import semantic_map
 from .grid import Cell, GridCml, grid_step
 from .maze import DOOR_LABELS, Maze, move_robot, sense
-from .semantic_map import MapMemory, Policy
+from .semantic_map import MapMemory
 
 
 class FailureReason(enum.Enum):
@@ -54,26 +56,12 @@ class GoalOutcome:
 
 @dataclass(frozen=True)
 class TrialResult:
-    success: bool
     goal_outcomes: tuple[GoalOutcome, ...]
     failure_reason: FailureReason
-    dither_cells: tuple[Cell, ...] = ()
 
     @property
     def total_steps(self) -> int:
         return sum(outcome.steps for outcome in self.goal_outcomes)
-
-
-@dataclass(frozen=True)
-class MissionContext:
-    """Everything one trial needs; hypervector dimensions must agree."""
-
-    object_cml: cml_mod.Cml
-    grid_cml: GridCml
-    memory: MapMemory
-    maze: Maze
-    policy: Policy
-    theta: float = hdc.DEFAULT_THETA  # the noise floor of every recovery
 
 
 def grid_step_cap(maze: Maze) -> int:
@@ -141,19 +129,31 @@ def _grid_leg(
             return _LegResult(path=path, reason=FailureReason.DITHER_ABORT, dither_cells=cycle)
 
 
-def run_mission(ctx: MissionContext) -> TrialResult:
-    """Execute every goal in the policy; returns the full trial trace."""
-    maze = ctx.maze
-    policy = ctx.policy
+def run_mission(
+    object_cml: cml_mod.Cml,
+    grid_cml: GridCml,
+    memory: MapMemory,
+    maze: Maze,
+    policy: np.ndarray,
+    theta: float,
+) -> TrialResult:
+    """Execute the goals the policy hypervector reveals; returns the full trial trace.
+
+    The hypervector dimensions of the models, the map and the policy must
+    agree; ``theta`` is the noise floor of every recovery.  The trace ends
+    at the first goal not reached, or with ``FailureReason.NONE`` once the
+    policy reveals no further goal; whether the revealed goals were the
+    encoded ones is the caller's to judge.
+    """
     outcomes: list[GoalOutcome] = []
-    hop_cap = 2 * ctx.object_cml.graph.n
+    hop_cap = 2 * object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
-    objects = ctx.memory.objects
+    objects = memory.objects
     robot = maze.robot
     current_label = "h"  # the robot starts at home and knows it
 
     while True:
-        goal_label, policy = semantic_map.next_goal(policy, objects, ctx.theta)
+        goal_label, policy = semantic_map.next_goal(policy, objects, theta)
         if goal_label is None:
             break
         o_star = objects.vector(goal_label)
@@ -161,16 +161,13 @@ def run_mission(ctx: MissionContext) -> TrialResult:
         grid_path: list[Cell] = [robot]
         hops = 0
         failure = FailureReason.NONE
-        dither: tuple[Cell, ...] = ()
 
         while current_label != goal_label:
             if hops >= hop_cap:
                 failure = FailureReason.STEP_CAP
                 break
             hops += 1
-            planned = cml_mod.step(
-                ctx.object_cml, o_star, objects.vector(current_label), ctx.theta
-            )
+            planned = cml_mod.step(object_cml, o_star, objects.vector(current_label), theta)
             if planned.chosen_edge is None:
                 # recognised inputs with no open gate: the goal is cut off
                 failure = (
@@ -179,76 +176,34 @@ def run_mission(ctx: MissionContext) -> TrialResult:
                     else FailureReason.UNRECOVERABLE_STATE
                 )
                 break
-            cell = semantic_map.query_position(
-                ctx.memory, planned.predicted_next, ctx.theta
-            )
+            cell = semantic_map.query_position(memory, planned.predicted_next, theta)
             if cell is None:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
             leg = _grid_leg(
-                ctx.grid_cml, maze, robot, cell, min(grid_step_cap(maze), cells_budget)
+                grid_cml, maze, robot, cell, min(grid_step_cap(maze), cells_budget)
             )
             robot = leg.path[-1]
             cells_budget -= len(leg.path) - 1
             grid_path.extend(leg.path[1:])
             if leg.reason is not FailureReason.NONE:
                 failure = leg.reason
-                dither = leg.dither_cells
                 break
-            found = semantic_map.query_object(
-                ctx.memory, ctx.grid_cml.state(robot), ctx.theta
-            )
+            found = semantic_map.query_object(memory, grid_cml.state(robot), theta)
             if found is not None:  # non-recoveries are ignored
                 current_label = found
                 object_path.append(found)
 
-        reached = failure is FailureReason.NONE
         outcomes.append(
             GoalOutcome(
                 goal=goal_label,
-                reached=reached,
+                reached=failure is FailureReason.NONE,
                 object_path=tuple(object_path),
                 grid_path=tuple(grid_path),
                 steps=len(grid_path) - 1,
             )
         )
-        if not reached:
-            return TrialResult(
-                success=False,
-                goal_outcomes=tuple(outcomes),
-                failure_reason=failure,
-                dither_cells=dither,
-            )
+        if failure is not FailureReason.NONE:
+            return TrialResult(goal_outcomes=tuple(outcomes), failure_reason=failure)
 
-    return TrialResult(
-        success=bool(outcomes) and all(o.reached for o in outcomes),
-        goal_outcomes=tuple(outcomes),
-        failure_reason=FailureReason.NONE,
-    )
-
-
-def run_grid_only(grid_cml: GridCml, maze: Maze) -> TrialResult:
-    """Key-to-treasure traversal with the grid layer and sensors alone.
-
-    No object graph, no map: the target is the treasure cell's state.
-    Greedy utility steering cannot see doors displaced from its straight
-    line, so a sizeable fraction of mazes ends in a dithering abort; the
-    result carries the classification for the baseline statistic.
-    """
-    leg = _grid_leg(
-        grid_cml, maze, maze.placements["k"], maze.placements["t"], grid_step_cap(maze)
-    )
-    reached = leg.reason is FailureReason.NONE
-    outcome = GoalOutcome(
-        goal="t",
-        reached=reached,
-        object_path=("k", "t") if reached else ("k",),
-        grid_path=tuple(leg.path),
-        steps=len(leg.path) - 1,
-    )
-    return TrialResult(
-        success=reached,
-        goal_outcomes=(outcome,),
-        failure_reason=leg.reason,
-        dither_cells=leg.dither_cells,
-    )
+    return TrialResult(goal_outcomes=tuple(outcomes), failure_reason=FailureReason.NONE)

@@ -135,7 +135,7 @@ def load_model(path: str | Path) -> Cml | GridCml:
             labels = tuple(fields["labels"].split(" "))
             edges = tuple(
                 (int(src), int(dst))
-                for src, dst in (item.split(">") for item in fields["edges"].split(" "))
+                for src, dst in (item.split(">") for item in fields["edges"].split())
             )
             graph = CmlGraph(node_labels=labels, directed_edges=edges)
             (S,) = _read_blocks(fh, (d, graph.n))

@@ -4,7 +4,8 @@ Input is one record from a trial JSONL file.  Both styles are pure
 functions of the record, so the same trace always renders to the same
 bytes.  Mission records draw one distinguishable path per goal leg;
 grid-only failure records flag the two cells of the dithering 2-cycle.
-A path or dither cell outside the maze's W x H raises ``ValueError``.
+Maze text whose rows do not match its ``W H`` header, or a path or
+dither cell outside the maze's W x H, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ import itertools
 import json
 from pathlib import Path
 
+from . import maze as maze_mod
+
+CELL_PX = 24
 LEG_MARKS = "123456789"
 LEG_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DITHER_MARK = "!"
@@ -42,23 +46,28 @@ def _legs(record: dict) -> list[list[Cell]]:
     raise ValueError("trace record has no grid paths")
 
 
-def _maze(record: dict) -> tuple[str, list[list[str]], list[list[Cell]], list[Cell]]:
-    """The maze header and rows, the legs and the dither cells, all on the W x H maze."""
+def _maze(record: dict) -> tuple[maze_mod.Maze, list[list[str]], list[list[Cell]], list[Cell]]:
+    """The maze and its character rows, the legs and the dither cells, all on the maze.
+
+    ``maze.from_text`` parses the maze text, checking its header, its row
+    count and each row's width; the rows are the parsed maze written out.
+    """
     if "maze" not in record:
         raise ValueError("trace record has no maze text")
-    header, *rows = record["maze"].strip("\n").split("\n")
-    width, height = (int(x) for x in header.split())
+    maze = maze_mod.from_text(record["maze"])
+    rows = maze_mod.to_text(maze).splitlines()[1:]
     legs = _legs(record)
     dither = [tuple(c) for c in record.get("dither_cells", [])]
     for row, col in itertools.chain(dither, *legs):
-        if not (0 <= row < height and 0 <= col < width):  # a negative index would wrap
-            raise ValueError(f"trace cell ({row}, {col}) is off the {width}x{height} maze")
-    return header, [list(row) for row in rows], legs, dither
+        if not maze.in_bounds((row, col)):  # a negative index would wrap
+            size = f"{maze.width}x{maze.height}"
+            raise ValueError(f"trace cell ({row}, {col}) is off the {size} maze")
+    return maze, [list(row) for row in rows], legs, dither
 
 
 def render_text(record: dict) -> str:
     """Maze text with per-leg digit overlays; earliest leg wins a cell."""
-    header, grid, legs, dither = _maze(record)
+    maze, grid, legs, dither = _maze(record)
     for leg_idx, leg in enumerate(legs):
         mark = LEG_MARKS[min(leg_idx, len(LEG_MARKS) - 1)]
         for row, col in leg:
@@ -66,34 +75,34 @@ def render_text(record: dict) -> str:
                 grid[row][col] = mark
     for row, col in dither:
         grid[row][col] = DITHER_MARK
-    lines = [header]
+    lines = [f"{maze.width} {maze.height}"]
     lines.extend("".join(row) for row in grid)
     return "\n".join(lines) + "\n"
 
 
-def render_svg(record: dict, cell_px: int = 24) -> str:
+def render_svg(record: dict) -> str:
     """Standalone SVG: walls, objects, one polyline per leg, dither crosses."""
-    header, grid, legs, dither = _maze(record)
-    width, height = (int(x) for x in header.split())
+    maze, grid, legs, dither = _maze(record)
+    width, height = maze.width, maze.height
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width * cell_px}" height="{height * cell_px}" '
-        f'viewBox="0 0 {width * cell_px} {height * cell_px}">',
-        f'<rect width="{width * cell_px}" height="{height * cell_px}" fill="white"/>',
+        f'width="{width * CELL_PX}" height="{height * CELL_PX}" '
+        f'viewBox="0 0 {width * CELL_PX} {height * CELL_PX}">',
+        f'<rect width="{width * CELL_PX}" height="{height * CELL_PX}" fill="white"/>',
     ]
     for row in range(height):
         for col in range(width):
             char = grid[row][col]
-            x, y = col * cell_px, row * cell_px
+            x, y = col * CELL_PX, row * CELL_PX
             if char == "#":
                 parts.append(
-                    f'<rect x="{x}" y="{y}" width="{cell_px}" height="{cell_px}" '
+                    f'<rect x="{x}" y="{y}" width="{CELL_PX}" height="{CELL_PX}" '
                     f'fill="#444444"/>'
                 )
             elif char != ".":
                 parts.append(
-                    f'<text x="{x + cell_px // 2}" y="{y + cell_px * 3 // 4}" '
-                    f'font-family="monospace" font-size="{cell_px * 2 // 3}" '
+                    f'<text x="{x + CELL_PX // 2}" y="{y + CELL_PX * 3 // 4}" '
+                    f'font-family="monospace" font-size="{CELL_PX * 2 // 3}" '
                     f'text-anchor="middle">{char}</text>'
                 )
     for leg_idx, leg in enumerate(legs):
@@ -101,7 +110,7 @@ def render_svg(record: dict, cell_px: int = 24) -> str:
             continue
         color = LEG_COLORS[leg_idx % len(LEG_COLORS)]
         points = " ".join(
-            f"{col * cell_px + cell_px // 2},{row * cell_px + cell_px // 2}"
+            f"{col * CELL_PX + CELL_PX // 2},{row * CELL_PX + CELL_PX // 2}"
             for row, col in leg
         )
         parts.append(
@@ -109,10 +118,10 @@ def render_svg(record: dict, cell_px: int = 24) -> str:
             f'stroke-width="{2 + leg_idx}" stroke-opacity="0.7"/>'
         )
     for row, col in dither:
-        x, y = col * cell_px, row * cell_px
+        x, y = col * CELL_PX, row * CELL_PX
         parts.append(
-            f'<path d="M {x + 4} {y + 4} L {x + cell_px - 4} {y + cell_px - 4} '
-            f'M {x + cell_px - 4} {y + 4} L {x + 4} {y + cell_px - 4}" '
+            f'<path d="M {x + 4} {y + 4} L {x + CELL_PX - 4} {y + CELL_PX - 4} '
+            f'M {x + CELL_PX - 4} {y + 4} L {x + 4} {y + CELL_PX - 4}" '
             f'stroke="#d62728" stroke-width="3"/>'
         )
     parts.append("</svg>")

@@ -85,7 +85,6 @@ class ExperimentReport:
     config: dict
     wall_clock_s: float
     aggregates: dict = field(default_factory=dict)
-    format_version: int = REPORT_FORMAT_VERSION
 
     def __post_init__(self) -> None:
         if not self.aggregates:
@@ -118,7 +117,7 @@ class ExperimentReport:
         report_path.write_text(
             json.dumps(
                 {
-                    "format_version": self.format_version,
+                    "format_version": REPORT_FORMAT_VERSION,
                     "experiment": self.experiment,
                     "aggregates": self.aggregates,
                     "config": self.config,

@@ -56,13 +56,6 @@ class MapMemory:
         return self.positions.labels[self.objects.labels.index(label)]
 
 
-@dataclass(frozen=True)
-class Policy:
-    """Bundled goal sequence: the goals not yet revealed, still permuted."""
-
-    policy_hv: np.ndarray
-
-
 def build_map(
     objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, rng: np.random.Generator
 ) -> MapMemory:
@@ -146,24 +139,26 @@ def query_object(
 
 def encode_policy(
     goals: list[str], objects: hdc.Dictionary, rng: np.random.Generator
-) -> Policy:
-    """Bundle the goal vectors, the i-th goal permuted by i (1-based)."""
+) -> np.ndarray:
+    """The policy hypervector: the goal vectors bundled, the i-th goal permuted by i (1-based)."""
     if not goals:
         raise ValueError("policy needs at least one goal")
     for goal in goals:
         if goal not in objects:
             raise ValueError(f"unknown goal object {goal!r}")
     terms = [hdc.permute(objects.vector(goal), i) for i, goal in enumerate(goals, start=1)]
-    return Policy(policy_hv=hdc.bundle(terms, rng))
+    return hdc.bundle(terms, rng)
 
 
 def next_goal(
-    policy: Policy, objects: hdc.Dictionary, theta: float = hdc.DEFAULT_THETA
-) -> tuple[str | None, Policy]:
-    """Unpermute the policy once and recover the revealed goal.
+    policy: np.ndarray, objects: hdc.Dictionary, theta: float = hdc.DEFAULT_THETA
+) -> tuple[str | None, np.ndarray]:
+    """Unpermute the policy hypervector once and recover the revealed goal.
 
-    Returns (label, advanced policy); a None label means the policy is
-    exhausted (the unpermuted vector no longer resembles any object).
+    Returns (label, advanced policy): the unpermuted vector, which holds
+    the goals not yet revealed, still permuted.  A None label means the
+    policy is exhausted (the unpermuted vector no longer resembles any
+    object).
     """
-    unrolled = hdc.permute(policy.policy_hv, -1)
-    return hdc.recover(unrolled, objects, theta), Policy(policy_hv=unrolled)
+    unrolled = hdc.permute(policy, -1)
+    return hdc.recover(unrolled, objects, theta), unrolled

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,17 @@ ROOT_SEED = 42
 @pytest.fixture(scope="session")
 def config() -> ExperimentConfig:
     return ExperimentConfig(seed=ROOT_SEED)
+
+
+@pytest.fixture(scope="session")
+def checks():
+    """``perfbench/checks.py``: the seed-42 digest pins and the record checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.PINNED_SEED == ROOT_SEED
+    return module
 
 
 @pytest.fixture(scope="session")

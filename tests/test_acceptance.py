@@ -7,9 +7,7 @@ to later calibration.
 
 import dataclasses
 import hashlib
-import importlib.util
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,16 +16,6 @@ from hdnav import cml, experiments, hdc
 from hdnav.reports import wilson_interval
 
 SEED = 42
-
-
-def load_pins() -> dict:
-    """The seed-42 digest pins, read from their one home in ``perfbench/checks.py``."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    assert checks.PINNED_SEED == SEED
-    return checks.PINS
 
 
 def announce(number: int, passed: bool, description: str, started: float) -> None:
@@ -239,16 +227,19 @@ def test_criterion_11_determinism(config, object_cml, grid_cml):
     assert ok
 
 
-def test_behaviour_gate_digests(mission_report, door_report, grid_only_report, viability_report):
+def test_behaviour_gate_digests(
+    checks, mission_report, door_report, grid_only_report, viability_report
+):
     # not a release criterion: the behaviour gate, the sha256 prefixes of the
-    # default seed-42 batches' records, which a refactor must leave unchanged
+    # default seed-42 batches' records (pinned in perfbench/checks.py), which
+    # a refactor must leave unchanged
     reports = {
         "mission": mission_report,
         "door_removal": door_report,
         "grid_only": grid_only_report,
         "viability": viability_report,
     }
-    pins = load_pins()
+    pins = checks.PINS
     assert set(pins) == set(reports)
     for name, report in reports.items():
         pin, trials = pins[name]

@@ -124,6 +124,13 @@ def test_render_rejects_cell_off_the_maze(tmp_path, capsys):
     assert "error[trace]" in capsys.readouterr().err
 
 
+def test_render_rejects_maze_shorter_than_its_header(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"maze": "3 2\nr..\n", "grid_path": [[0, 0]]}) + "\n")
+    assert main(["render", "--trace", str(trace), "--style", "svg"]) == 1
+    assert "error[trace]" in capsys.readouterr().err
+
+
 def test_render_missing_trace(tmp_path, capsys):
     assert main(["render", "--trace", str(tmp_path / "nope.jsonl")]) == 1
     assert "error[trace]" in capsys.readouterr().err

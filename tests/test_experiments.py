@@ -122,6 +122,35 @@ def test_mission_custom_goal_sequence(config, object_cml, grid_cml):
         assert record["goals"][0]["object_path"][0] == "h"  # robot starts at home
 
 
+def test_mission_short_of_its_goals_is_a_classified_failure(
+    config, object_cml, grid_cml, checks
+):
+    # at seed 42 the 20-goal policy of trial 4 stops revealing goals after
+    # 10 of them, each reached: a shortfall, not a success
+    cfg = small(config, mission_trials=5, mission_goals="k,t,h,c,a,e,b,d," * 2 + "k,t,h,c")
+    goals = cfg.goal_sequence()
+    assert len(goals) == 20
+    report = experiments.run_experiment(cfg, "mission", object_cml, grid_cml)
+    for record in report.records:
+        assert checks.mission_record_errors(record, goals) == []
+    short = [
+        r for r in report.records if not r["success"] and all(g["reached"] for g in r["goals"])
+    ]
+    assert short
+    assert {r["failure_reason"] for r in short} == {"unrecoverable_state"}
+
+
+def test_mission_policy_revealing_no_goal_is_a_classified_failure(
+    config, object_cml, grid_cml, monkeypatch
+):
+    # a policy that reveals nothing runs no leg; the record still says why it failed
+    monkeypatch.setattr(sm, "encode_policy", lambda goals, objects, rng: np.zeros(objects.dim))
+    record = experiments.mission_trial(config, object_cml, grid_cml, 0)
+    assert record["goals"] == []
+    assert not record["success"]
+    assert record["failure_reason"] == "unrecoverable_state"
+
+
 def test_mission_rejects_unknown_goal_label(config, object_cml, grid_cml):
     cfg = small(config, mission_trials=1, mission_goals="k,x")
     with pytest.raises(ValueError, match="unknown goal"):

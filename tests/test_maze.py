@@ -263,25 +263,6 @@ def test_move_legality_matches_sense(sample):
                         mz.move_robot(sample, cell, direction)
 
 
-# --- object lookup -------------------------------------------------------------------
-
-
-def test_object_at_placements(sample):
-    for label, cell in sample.placements.items():
-        assert mz.object_at(sample, cell) == label
-    assert mz.object_at(sample, (0, 1)) in (None, *mz.OBJECT_LABELS)
-
-
-def test_object_at_empty_cell(sample):
-    empty = next(
-        (r, c)
-        for r in range(sample.height)
-        for c in range(sample.width)
-        if sample.passable((r, c)) and (r, c) not in sample.placements.values()
-    )
-    assert mz.object_at(sample, empty) is None
-
-
 # --- door closing --------------------------------------------------------------------
 
 

@@ -5,26 +5,21 @@ import pytest
 
 from hdnav import cml, experiments, hdc, maze as mz, mission, semantic_map as sm
 from hdnav.grid import DELTAS
-from hdnav.mission import FailureReason, MissionContext
+from hdnav.mission import FailureReason
 
 
 @pytest.fixture(scope="module")
-def mission_ctx(config, object_cml, grid_cml, viable_setup):
+def mission_result(config, object_cml, grid_cml, viable_setup):
     maze, memory, _ = viable_setup
-    rng = np.random.default_rng(99)
-    policy = sm.encode_policy(["k", "t", "h"], memory.objects, rng)
-    return MissionContext(
-        object_cml=object_cml,
-        grid_cml=grid_cml,
-        memory=memory,
-        maze=maze,
-        policy=policy,
-    )
+    policy = sm.encode_policy(["k", "t", "h"], memory.objects, np.random.default_rng(99))
+    return mission.run_mission(object_cml, grid_cml, memory, maze, policy, config.theta)
 
 
-@pytest.fixture(scope="module")
-def mission_result(mission_ctx):
-    return mission.run_mission(mission_ctx)
+def without_door(graph: cml.CmlGraph, *doors: str) -> cml.CmlGraph:
+    """The graph minus every edge that touches one of the doors."""
+    cut = {graph.node_index(door) for door in doors}
+    kept = tuple(edge for edge in graph.directed_edges if cut.isdisjoint(edge))
+    return cml.CmlGraph(graph.node_labels, kept)
 
 
 # --- dither detection ---------------------------------------------------------------
@@ -86,8 +81,7 @@ def test_plan_reroutes_around_every_removed_door(object_cml):
         assert path is not None
         assert door not in path
         oracle = cml.bfs_hops(
-            graph, graph.node_index("k"), graph.node_index("t"),
-            disabled_nodes={graph.node_index(door)},
+            without_door(graph, door), graph.node_index("k"), graph.node_index("t")
         )
         assert oracle <= len(path) - 1 <= oracle + 1
 
@@ -109,9 +103,8 @@ def test_two_left_doors_removed_makes_treasure_unreachable(object_cml):
     # with both a and b gone the key's room only connects to home; the
     # breadth-first oracle agrees there is no route, and planning fails
     reduced = mission.remove_door(mission.remove_door(object_cml, "a"), "b")
-    graph = reduced.graph
-    disabled = {graph.node_index("a"), graph.node_index("b")}
-    assert cml.bfs_hops(graph, graph.node_index("k"), graph.node_index("t"), disabled) is None
+    graph = without_door(reduced.graph, "a", "b")
+    assert cml.bfs_hops(graph, graph.node_index("k"), graph.node_index("t")) is None
     assert cml.plan_path(reduced, reduced.state("t"), reduced.state("k")) is None
 
 
@@ -119,7 +112,6 @@ def test_two_left_doors_removed_makes_treasure_unreachable(object_cml):
 
 
 def test_mission_succeeds_on_viable_maze(mission_result):
-    assert mission_result.success
     assert mission_result.failure_reason is FailureReason.NONE
     assert [o.goal for o in mission_result.goal_outcomes] == ["k", "t", "h"]
     assert all(o.reached for o in mission_result.goal_outcomes)
@@ -132,8 +124,8 @@ def test_mission_object_paths_match_reported_sets(mission_result):
     assert legs["h"] in (("t", "e", "a", "h"), ("t", "d", "b", "h"))
 
 
-def test_mission_grid_paths_are_legal(mission_ctx, mission_result):
-    maze = mission_ctx.maze
+def test_mission_grid_paths_are_legal(viable_setup, mission_result):
+    maze, _, _ = viable_setup
     for outcome in mission_result.goal_outcomes:
         for cell in outcome.grid_path:
             assert maze.passable(cell)
@@ -142,8 +134,8 @@ def test_mission_grid_paths_are_legal(mission_ctx, mission_result):
             assert step in DELTAS.values()
 
 
-def test_mission_paths_connect_across_goals(mission_ctx, mission_result):
-    maze = mission_ctx.maze
+def test_mission_paths_connect_across_goals(viable_setup, mission_result):
+    maze, _, _ = viable_setup
     first = mission_result.goal_outcomes[0]
     assert first.grid_path[0] == maze.placements["h"]
     previous_end = None
@@ -183,31 +175,18 @@ def test_mission_unreachable_goal_reports_failure(config, object_cml, grid_cml, 
     sealed, _ = mz.close_door(maze, "a")
     sealed, _ = mz.close_door(sealed, "b")
     policy = sm.encode_policy(["t"], memory.objects, np.random.default_rng(1))
-    result = mission.run_mission(
-        MissionContext(
-            object_cml=reduced,
-            grid_cml=grid_cml,
-            memory=memory,
-            maze=sealed,
-            policy=policy,
-        )
-    )
-    assert not result.success
+    result = mission.run_mission(reduced, grid_cml, memory, sealed, policy, config.theta)
     assert result.failure_reason in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
 
-def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
+def test_mission_zero_step_classification(config, object_cml, grid_cml, viable_setup):
     maze, memory, _ = viable_setup
     states = object_cml.state_dictionary()
     assert hdc.recover(object_cml.state("k"), states, 0.1) == "k"
 
     def run(planner, mem):
         policy = sm.encode_policy(["k"], mem.objects, np.random.default_rng(2))
-        return mission.run_mission(
-            MissionContext(
-                object_cml=planner, grid_cml=grid_cml, memory=mem, maze=maze, policy=policy
-            )
-        )
+        return mission.run_mission(planner, grid_cml, mem, maze, policy, config.theta)
 
     # both states recover, but no gate leaves home: the goal is unreachable
     gated = object_cml.G.copy()
@@ -224,7 +203,7 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     assert result.goal_outcomes[0].object_path == ("h",)
 
 
-# --- run_grid_only ----------------------------------------------------------------------
+# --- grid_only_trial --------------------------------------------------------------------
 
 
 def test_grid_only_success_and_failure_mix(config, grid_cml):
@@ -256,9 +235,11 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
         },
         robot=(4, 1),
     )
-    result = mission.run_grid_only(grid_cml, maze)
-    assert result.success
-    assert result.goal_outcomes[0].steps == 15  # straight line, Manhattan-optimal
+    leg = mission._grid_leg(
+        grid_cml, maze, maze.placements["k"], maze.placements["t"], mission.grid_step_cap(maze)
+    )
+    assert leg.reason is FailureReason.NONE
+    assert len(leg.path) - 1 == 15  # straight line, Manhattan-optimal
 
 
 def test_grid_only_starts_at_key(config, grid_cml):

@@ -22,6 +22,17 @@ def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
     assert loaded.graph == object_cml.graph
 
 
+def test_edgeless_object_model_round_trips(tmp_path):
+    graph = cml.CmlGraph(("a",), ())
+    model = cml.init_calculated(graph, 4, np.random.default_rng(0))
+    path = tmp_path / "object.hdm"
+    persist.save_cml(model, path)
+    loaded = persist.load_model(path)
+    assert loaded.graph == graph
+    assert np.array_equal(loaded.S, model.S)
+    assert loaded.A.shape == (4, 0)
+
+
 def test_object_file_is_header_and_states(object_cml, tmp_path):
     path = tmp_path / "object.hdm"
     persist.save_cml(object_cml, path)

@@ -1,0 +1,59 @@
+"""No dead code: every top-level function and class in the package is referenced by
+name in the package, the benchmark, the scripts or the acceptance suite."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hdnav"
+CALLERS = [PACKAGE, ROOT / "perfbench", ROOT / "scripts", ROOT / "tests" / "test_acceptance.py"]
+
+# Kept for unit tests alone: the paper's delta rule, run from random states,
+# and the bipolarity predicate the hypervector tests assert with.
+TEST_ONLY = {"cml.init_random", "cml.train", "hdc.is_bipolar"}
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Names of the module's top-level functions and classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node.name for node in tree.body if isinstance(node, kinds)]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Every name a module uses: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def sources(paths: list[Path]) -> list[Path]:
+    return [f for p in paths for f in (sorted(p.glob("*.py")) if p.is_dir() else [p])]
+
+
+def test_every_package_definition_has_a_caller():
+    used = set().union(*(references(parse(path)) for path in sources(CALLERS)))
+    defined = {
+        f"{path.stem}.{name}" for path in sources([PACKAGE]) for name in definitions(parse(path))
+    }
+    assert TEST_ONLY <= defined
+    unused = {name for name in defined if name.rsplit(".", 1)[1] not in used}
+    assert unused == TEST_ONLY
+
+
+def test_reference_scan_sees_names_attributes_and_imports():
+    tree = ast.parse(
+        "from a import b\nimport c.d\nx.e()\nf(g)\ndef i(): pass\nclass J: pass\n"
+    )
+    assert {"b", "d", "e", "f", "g"} <= references(tree)
+    assert not {"i", "J"} & references(tree)
+    assert definitions(tree) == ["i", "J"]

@@ -103,3 +103,11 @@ def test_render_rejects_cells_off_the_maze(style, cell, key):
     record = {"maze": "3 2\nr..\n...\n", "grid_path": [[0, 0], [0, 1]], key: [cell]}
     with pytest.raises(ValueError, match="off the 3x2 maze"):
         render.render(record, style)
+
+
+@pytest.mark.parametrize("style", ["text", "svg"])
+@pytest.mark.parametrize("maze", ["3 2\nr..\n", "3 2\nr..\n..\n", "3 2\nr..\n...\n...\n"])
+def test_render_rejects_maze_text_that_disagrees_with_its_header(style, maze):
+    record = {"maze": maze, "grid_path": [[0, 0], [0, 1]]}
+    with pytest.raises(ValueError, match="rows|row 1"):
+        render.render(record, style)

@@ -356,7 +356,7 @@ def test_policy_is_bipolar_and_counts_goals():
     rng = np.random.default_rng(36)
     objects = random_objects()
     policy = sm.encode_policy(["k", "t", "h"], objects, rng)
-    assert hdc.is_bipolar(policy.policy_hv)
+    assert hdc.is_bipolar(policy)
     revealed = []
     for _ in range(5):
         goal, policy = sm.next_goal(policy, objects)
@@ -392,7 +392,7 @@ def test_policy_pseudo_orthogonal_to_raw_objects():
     objects = random_objects()
     policy = sm.encode_policy(["k", "t", "h"], objects, rng)
     for label in LABELS:
-        assert abs(hdc.cosine(policy.policy_hv, objects.vector(label))) < 0.1
+        assert abs(hdc.cosine(policy, objects.vector(label))) < 0.1
 
 
 def test_policy_rejects_unknown_goal():
