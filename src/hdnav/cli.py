@@ -56,8 +56,6 @@ def _build_config(args) -> ExperimentConfig:
 def _cmd_hdc_stats(args) -> int:
     config = _build_config(args)
     try:
-        config.validate()
-        config.require_seed()
         report = experiments.run_hdc_stats(config)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
@@ -126,12 +124,16 @@ def _cmd_render(args) -> int:
 def _cmd_verify(args) -> int:
     config = _build_config(args)
     try:
+        config.validate()
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
+    try:
         model = persist.load_model(args.model)
     except (OSError, ValueError) as exc:
         raise CliError("models", str(exc)) from exc
     try:
         if isinstance(model, Cml):
-            info = experiments.verify_object_cml(model, config)
+            info = experiments.verify_object_cml(model, config.theta)
         else:
             info = experiments.verify_grid_cml(model)
     except RuntimeError as exc:

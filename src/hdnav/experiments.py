@@ -15,7 +15,7 @@ import numpy as np
 from . import cml as cml_mod
 from . import hdc, maze as maze_mod, mission, persist, semantic_map
 from .config import ExperimentConfig
-from .grid import DELTAS, DIRECTIONS, GridCml, build_actions, train_grid
+from .grid import DELTAS, DIRECTIONS, GridCml, train_grid
 from .mission import FailureReason, TrialResult
 from .reports import ExperimentReport
 from .semantic_map import MapMemory
@@ -46,12 +46,14 @@ def build_object_cml(config: ExperimentConfig) -> cml_mod.Cml:
 
 
 def build_grid_cml(config: ExperimentConfig) -> GridCml:
+    """The grid learner, trained against Gaussian south and east actions drawn in that order."""
     rng = trial_rng(config.require_seed(), TAG_TRAIN, 1)
-    actions = build_actions(config.d, rng)
-    return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, actions)
+    a_s = rng.normal(0.0, 1.0, size=config.d)
+    a_e = rng.normal(0.0, 1.0, size=config.d)
+    return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, a_s, a_e)
 
 
-def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict:
+def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
     """Planned path length must match the breadth-first oracle for all pairs."""
     graph = object_cml.graph
     checked = 0
@@ -63,7 +65,7 @@ def verify_object_cml(object_cml: cml_mod.Cml, config: ExperimentConfig) -> dict
                 object_cml,
                 object_cml.S[:, goal],
                 object_cml.S[:, start],
-                theta=config.theta,
+                theta=theta,
             )
             oracle = cml_mod.bfs_hops(graph, start, goal)
             if path is None or len(path) - 1 != oracle:
@@ -134,7 +136,7 @@ def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
     info: dict = {}
     if which in ("object", "both"):
         object_cml = build_object_cml(config)
-        info["object"] = verify_object_cml(object_cml, config)
+        info["object"] = verify_object_cml(object_cml, config.theta)
         persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
         info["object"]["path"] = str(config.models_dir / OBJECT_MODEL_FILE)
     if which in ("grid", "both"):

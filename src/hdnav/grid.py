@@ -1,9 +1,10 @@
 """Grid-position map learner: shared cardinal actions, touch-sensor gating.
 
-Physical grids let one action matrix column serve every cell: movement
-east from any cell adds the same action vector.  Two random Gaussian
-action vectors are drawn for south and east; north and west are their
-exact negations, so opposite moves cancel (``a_s + a_n = 0``).
+Physical grids let one action serve every cell: movement east from any
+cell adds the same action vector.  The model holds two random Gaussian
+action vectors, a_s for south and a_e for east; north and west are their
+exact negations, so opposite moves cancel (``a_s + a_n = 0``) and no
+model can hold any other north or west action.
 
 The cell states start from zero and are trained against the fixed
 actions over every directed adjacency until
@@ -11,10 +12,11 @@ actions over every directed adjacency until
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
 therefore iterates the two coordinate chains x (one scalar per row) and
-y (one per column); the model holds the chains and the actions, and
-derives the states from them once: the cell dictionary ``cells`` (one
-row per cell in row-major order, norms computed once) and its transposed
-view P (d x W H), whose column for a cell is that cell's state.
+y (one per column).  The model is the chains and the two actions, and
+derives everything else from them once: the action matrix A4 in
+``DIRECTIONS`` order, the cell dictionary ``cells`` (one row per cell in
+row-major order, norms computed once) and its transposed view P
+(d x W H), whose column for a cell is that cell's state.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -47,30 +49,33 @@ DEFAULT_GRID_EPOCH_CAP = 20_000
 
 @dataclass(frozen=True)
 class GridCml:
-    """Trained grid learner: the two coordinate chains and the fixed actions.
+    """Trained grid learner: the two coordinate chains and the two drawn actions.
 
-    ``cells``, ``P``, the utility table ``U``, ``width`` and ``height`` are
-    derived from the chains once, on construction; they are plain
-    attributes.  ``cells`` is the state dictionary, one row per cell in
-    row-major order with its norm computed once; ``P`` is the transposed
-    view of its rows, one column per cell.
+    ``A4``, ``cells``, ``P``, the utility table ``U``, ``width`` and
+    ``height`` are derived on construction; they are plain attributes.
+    ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in ``DIRECTIONS`` order.
+    ``cells`` is the state dictionary, one row per cell in row-major order
+    with its norm computed once; ``P`` is the transposed view of its rows,
+    one column per cell.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
     y: np.ndarray  # (width,) east coordinate of each column
-    A4: np.ndarray  # (d, 4) in [E, S, N, W] order
+    a_s: np.ndarray  # (d,) south action; north is -a_s
+    a_e: np.ndarray  # (d,) east action; west is -a_e
 
     def __post_init__(self) -> None:
         height, width = len(self.x), len(self.y)
-        a_e, a_s = self.A4[:, 0], self.A4[:, 1]
         # (width * height, d), row row*width + col for cell (row, col); the
         # in-place sum rounds like a + b and leaves one temporary fewer
-        S = np.outer(np.repeat(self.x, width), a_s)
-        S += np.outer(np.tile(self.y, height), a_e)
+        S = np.outer(np.repeat(self.x, width), self.a_s)
+        S += np.outer(np.tile(self.y, height), self.a_e)
         labels = tuple((row, col) for row in range(height) for col in range(width))
+        A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
+        object.__setattr__(self, "A4", A4)
         object.__setattr__(self, "cells", hdc.Dictionary(labels, S))
         object.__setattr__(self, "P", S.T)  # (d, width * height), a view
-        object.__setattr__(self, "U", self.A4.T @ self.P)  # (4, width * height)
+        object.__setattr__(self, "U", A4.T @ self.P)  # (4, width * height)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
 
@@ -88,27 +93,17 @@ class GridCml:
         return self.P[:, self.cell_index(cell)]
 
 
-def build_actions(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw south/east action vectors and derive north/west by negation.
-
-    Columns are ordered [E, S, N, W] to match the sensor gate.  The
-    vectors are Gaussian N(0, 1) like every learned action column; only
-    their direction matters to the cosine arithmetic downstream.
-    """
-    if d < 4:
-        raise ValueError(f"need d >= 4, got {d}")
-    a_s = rng.normal(0.0, 1.0, size=d)
-    a_e = rng.normal(0.0, 1.0, size=d)
-    return np.stack([a_e, a_s, -a_s, -a_e], axis=1)
-
-
 def directed_edge_count(width: int, height: int) -> int:
     """Directed adjacencies of the full grid: 2 * ((W-1) H + (H-1) W)."""
     return 2 * ((width - 1) * height + (height - 1) * width)
 
 
 def train_grid(
-    width: int, height: int, A4: np.ndarray, epoch_cap: int = DEFAULT_GRID_EPOCH_CAP
+    width: int,
+    height: int,
+    a_s: np.ndarray,
+    a_e: np.ndarray,
+    epoch_cap: int = DEFAULT_GRID_EPOCH_CAP,
 ) -> GridCml:
     """Train the grid states from zeros over all directed adjacencies, actions fixed.
 
@@ -128,8 +123,7 @@ def train_grid(
         raise ValueError("grid needs at least two cells")
     if epoch_cap < 1:
         raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
-    tol = 1e-2 * np.sqrt(A4.shape[0])
-    a_e, a_s = A4[:, 0], A4[:, 1]
+    tol = 1e-2 * np.sqrt(len(a_s))
     norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
     x = np.zeros(height)  # south coordinate of each row
@@ -142,7 +136,7 @@ def train_grid(
             + width * norm_s * float(np.abs(err_x).sum())
         ) / edge_pairs
         if mean_residual < tol:
-            return GridCml(x=x, y=y, A4=A4.copy())
+            return GridCml(x=x, y=y, a_s=a_s.copy(), a_e=a_e.copy())
         y[:-1] += (2 * GRID_LEARNING_RATE) * err_y
         y[1:] -= (2 * GRID_LEARNING_RATE) * err_y
         x[:-1] += (2 * GRID_LEARNING_RATE) * err_x

@@ -4,9 +4,10 @@ Layout: an ASCII header (magic line, then one ``key=value`` per line)
 ended by a blank line, then raw row-major float64 blocks.  An object
 file is its graph (``labels``, ``edges``) and one block S; A, the gates
 and the pseudo-inverse are derived on load by ``cml.calculated``, so a
-save refuses any other model.  A grid file holds its chains x and y and
-its actions A4; its states are derived on load.  Round-trips are
-bit-exact.
+save refuses any other model.  A grid file is its chains x and y and its
+two drawn actions a_s and a_e; A4, the states and U are derived on load,
+so no file can hold a north or west action other than -a_s or -a_e.
+Round-trips are bit-exact.
 
 Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
@@ -28,7 +29,7 @@ from .cml import Cml, CmlGraph, calculated, is_calculated
 from .grid import GridCml
 
 MAGIC = "HDNAV-MODEL"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 REQUIRED_FIELDS = {
     "object": ("d", "labels", "edges"),
     "grid": ("d", "width", "height"),
@@ -69,7 +70,7 @@ def save_grid_cml(grid_cml: GridCml, path: str | Path) -> None:
         f"width={grid_cml.width}",
         f"height={grid_cml.height}",
     ]
-    _write(path, header, grid_cml.x, grid_cml.y, grid_cml.A4)
+    _write(path, header, grid_cml.x, grid_cml.y, grid_cml.a_s, grid_cml.a_e)
 
 
 def _read_header(fh) -> tuple[str, dict[str, str]]:
@@ -146,6 +147,6 @@ def load_model(path: str | Path) -> Cml | GridCml:
             if width * height < 2:
                 raise ValueError(f"grid needs at least two cells, got {width}x{height}")
             _require_positive(d=d, width=width, height=height)
-            x, y, A4 = _read_blocks(fh, (height,), (width,), (d, 4))
-            return GridCml(x=x, y=y, A4=A4)
+            x, y, a_s, a_e = _read_blocks(fh, (height,), (width,), (d,), (d,))
+            return GridCml(x=x, y=y, a_s=a_s, a_e=a_e)
         raise ValueError(f"unknown model kind {kind!r}")

@@ -58,7 +58,7 @@ def test_train_object_model(tmp_path, capsys):
 
 def test_train_refuses_small_dimension(tmp_path, capsys):
     assert main(["train", "--seed", "1", "--d", "64", "--out", str(tmp_path)]) == 1
-    assert "d >= 512" in capsys.readouterr().err
+    assert "d >= 1000" in capsys.readouterr().err
 
 
 def test_run_requires_models(tmp_path, capsys):
@@ -161,6 +161,31 @@ def test_verify_rejects_old_format(tmp_path, capsys):
     assert "hdnav train" in err
 
 
+def test_verify_rejects_bad_theta(models_dir, capsys):
+    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
+    assert main(["verify", str(object_model), "--set", "theta=2"]) == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "theta must lie in [0, 1)" in err
+
+
+def test_run_refuses_format_3_grid_with_a_free_north_action(models_dir, grid_cml, capsys):
+    # format 3 stored the (d, 4) action matrix, so its north column could be
+    # anything; here it is +a_s, which such a file let a run load
+    A4 = grid_cml.A4.copy()
+    A4[:, 2] = grid_cml.a_s
+    header = f"{persist.MAGIC} 3 grid\nd={grid_cml.d}\nwidth=20\nheight=10\n\n".encode("ascii")
+    (models_dir / "models" / experiments.GRID_MODEL_FILE).write_bytes(
+        header + grid_cml.x.tobytes() + grid_cml.y.tobytes() + A4.tobytes()
+    )
+    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert "version 3" in err and "hdnav train" in err
+    assert not (models_dir / "mission_trials.jsonl").exists()
+
+
 def test_verify_rejects_missing_header_field(tmp_path, capsys):
     headless = tmp_path / "no_d.hdm"
     headless.write_bytes(f"{MODEL_LINE} grid\nwidth=20\nheight=10\n\n".encode("ascii"))
@@ -183,7 +208,7 @@ def test_verify_rejects_oversized_header(tmp_path, capsys):
 def test_verify_rejects_zero_width_grid(tmp_path, capsys):
     empty = tmp_path / "empty.hdm"
     header = f"{MODEL_LINE} grid\nd=4\nwidth=0\nheight=10\n\n".encode("ascii")
-    empty.write_bytes(header + np.zeros(10).tobytes() + np.eye(4).tobytes())
+    empty.write_bytes(header + np.zeros(10).tobytes() + np.zeros(8).tobytes())
     assert main(["verify", str(empty)]) == 1
     err = capsys.readouterr().err
     assert "error[models]" in err

@@ -33,10 +33,12 @@ def test_hdc_pairs_needs_two_for_a_standard_deviation(pairs):
 
 
 def test_model_commands_need_hdc_scale_dimension():
-    cfg = ExperimentConfig(d=128, seed=1)
-    cfg.validate()  # similarity stats may run at any dimension
-    with pytest.raises(ValueError, match="d >= 512"):
-        cfg.validate_for_models()
+    for d in (128, 512, 999):
+        cfg = ExperimentConfig(d=d, seed=1)
+        cfg.validate()  # similarity stats may run at any dimension
+        with pytest.raises(ValueError, match="d >= 1000"):
+            cfg.validate_for_models()
+    ExperimentConfig(d=1000, seed=1).validate_for_models()
 
 
 def test_require_seed():

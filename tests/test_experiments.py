@@ -16,7 +16,7 @@ def small(config, **kw):
 def test_verify_grid_rejects_swapped_chain_entries(grid_cml):
     y = grid_cml.y.copy()
     y[[3, 4]] = y[[4, 3]]
-    broken = GridCml(x=grid_cml.x, y=y, A4=grid_cml.A4)
+    broken = GridCml(x=grid_cml.x, y=y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
     with pytest.raises(RuntimeError, match="failed verification") as failure:
         experiments.verify_grid_cml(broken)
     named = re.search(r"\((\d+), (\d+)\)->\((\d+), (\d+)\)", str(failure.value))
@@ -31,9 +31,7 @@ def test_verify_grid_gates_the_border():
     # row, only the border gate keeps the picks on the grid, as the touch
     # sensors do on a walk
     a_e = np.ones(4)
-    row_grid = GridCml(
-        x=np.zeros(1), y=np.arange(3.0), A4=np.stack([a_e, 2 * a_e, -2 * a_e, -a_e], axis=1)
-    )
+    row_grid = GridCml(x=np.zeros(1), y=np.arange(3.0), a_s=2 * a_e, a_e=a_e)
     assert experiments.verify_grid_cml(row_grid) == {"pairs_checked": 6}
     for start in range(3):
         for goal in range(3):
@@ -45,9 +43,7 @@ def test_verify_grid_rejects_sideways_first_step():
     # with a_e = 2 a_s, toward a target straight south the east utility
     # outscores the south one, so the first step from (0, 0) goes sideways
     a_s = np.ones(4)
-    skewed = GridCml(
-        x=np.arange(2.0), y=np.arange(2.0), A4=np.stack([2 * a_s, a_s, -a_s, -2 * a_s], axis=1)
-    )
+    skewed = GridCml(x=np.arange(2.0), y=np.arange(2.0), a_s=a_s, a_e=2 * a_s)
     with pytest.raises(RuntimeError, match=r"\(0, 0\)->\(1, 0\)"):
         experiments.verify_grid_cml(skewed)
     assert experiments._open_grid_steps(skewed, (0, 0), (1, 0)) is None
@@ -74,6 +70,10 @@ def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_c
             record = experiments.viability_trial(seeded, object_cml, grid_cml, trial)
             candidates += 1
             ready += record["mission_ready"]
+    # the bound holds at the model-building floor: config.d is that floor
+    with pytest.raises(ValueError, match=f"d >= {config.d}"):
+        small(config, d=config.d - 1).validate_for_models()
+    config.validate_for_models()
     p_lo, _ = wilson_interval(ready, candidates, z=3.0)
     assert p_lo > 0.0
     assert (1.0 - p_lo) ** config.viable_attempt_cap < 1e-6

@@ -9,7 +9,6 @@ from hdnav.cml import select_action
 from hdnav.grid import (
     DIRECTIONS,
     GridCml,
-    build_actions,
     directed_edge_count,
     grid_step,
     grid_utility,
@@ -22,17 +21,18 @@ D = 1000
 
 @pytest.fixture(scope="module")
 def actions():
-    return build_actions(D, np.random.default_rng(3))
+    """(a_s, a_e): Gaussian south and east actions, drawn in that order."""
+    rng = np.random.default_rng(3)
+    return rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)
 
 
 @pytest.fixture(scope="module")
-def small_grid():
+def small_grid(actions):
     # 5x5 grid trains in well under a second; used for exhaustive checks
-    a4 = build_actions(D, np.random.default_rng(3))
-    return train_grid(5, 5, a4)
+    return train_grid(5, 5, *actions)
 
 
-def reference_train_grid(width, height, d, A4, learning_rate=0.05, epoch_cap=20_000):
+def reference_train_grid(width, height, d, a_s, a_e, learning_rate=0.05, epoch_cap=20_000):
     """The delta rule over the full (d x H x W) state array, one column per cell.
 
     The direct form of the training objective that ``train_grid`` reduces
@@ -40,8 +40,8 @@ def reference_train_grid(width, height, d, A4, learning_rate=0.05, epoch_cap=20_
     """
     tol = 1e-2 * np.sqrt(d)
     P3 = np.zeros((d, height, width))
-    a_e = A4[:, 0][:, None, None]
-    a_s = A4[:, 1][:, None, None]
+    a_e = a_e[:, None, None]
+    a_s = a_s[:, None, None]
     for _ in range(epoch_cap):
         err_e = P3[:, :, 1:] - (P3[:, :, :-1] + a_e)
         err_s = P3[:, 1:, :] - (P3[:, :-1, :] + a_s)
@@ -92,8 +92,9 @@ def navigate_open(grid: GridCml, start, goal, cap=200):
 # --- actions ---------------------------------------------------------------------
 
 
-def test_actions_exact_antiparallel_pairs(actions):
-    a_e, a_s, a_n, a_w = actions.T
+def test_actions_exact_antiparallel_pairs(grid_cml):
+    a_e, a_s, a_n, a_w = grid_cml.A4.T
+    assert np.array_equal(a_s, grid_cml.a_s) and np.array_equal(a_e, grid_cml.a_e)
     assert np.array_equal(a_n, -a_s)
     assert np.array_equal(a_w, -a_e)
     assert np.array_equal(a_s + a_n, np.zeros(D))
@@ -101,13 +102,22 @@ def test_actions_exact_antiparallel_pairs(actions):
     assert hdc.cosine(a_e, a_w) == pytest.approx(-1.0)
 
 
-def test_south_east_pseudo_orthogonal(actions):
-    assert abs(hdc.cosine(actions[:, 1], actions[:, 0])) < 0.15
+def test_south_east_pseudo_orthogonal(grid_cml):
+    assert abs(hdc.cosine(grid_cml.a_s, grid_cml.a_e)) < 0.15
 
 
-def test_actions_dimension_check():
-    with pytest.raises(ValueError, match="d >= 4"):
-        build_actions(2, np.random.default_rng(0))
+def test_derived_actions_and_table_equal_the_stacked_action_matrix(config):
+    # the reference: the (d, 4) matrix stacked from the south and east draws
+    # of the training stream and their negations, C-ordered
+    rng = experiments.trial_rng(config.seed, experiments.TAG_TRAIN, 1)
+    a_s = rng.normal(0.0, 1.0, size=config.d)
+    a_e = rng.normal(0.0, 1.0, size=config.d)
+    stacked = np.stack([a_e, a_s, -a_s, -a_e], axis=1)
+    grid_cml = experiments.build_grid_cml(config)
+    assert np.array_equal(grid_cml.a_s, a_s) and np.array_equal(grid_cml.a_e, a_e)
+    assert grid_cml.A4.flags.c_contiguous
+    assert grid_cml.A4.tobytes() == stacked.tobytes()
+    assert grid_cml.U.tobytes() == (stacked.T @ grid_cml.P).tobytes()
 
 
 # --- training ---------------------------------------------------------------------
@@ -121,6 +131,7 @@ def test_trained_grid_shapes(grid_cml):
     assert grid_cml.x.shape == (10,)
     assert grid_cml.y.shape == (20,)
     assert grid_cml.P.shape == (D, 200)
+    assert grid_cml.a_s.shape == grid_cml.a_e.shape == (D,)
     assert grid_cml.A4.shape == (D, 4)
     assert grid_cml.width == 20 and grid_cml.height == 10
 
@@ -128,7 +139,7 @@ def test_trained_grid_shapes(grid_cml):
 def test_neighbor_prediction_residuals(grid_cml):
     # the training objective: p_neighbor ~ p_cell + a_direction
     tol = 1e-2 * np.sqrt(D)
-    a_e, a_s = grid_cml.A4[:, 0], grid_cml.A4[:, 1]
+    a_e, a_s = grid_cml.a_e, grid_cml.a_s
     residuals = []
     for row in range(grid_cml.height):
         for col in range(grid_cml.width):
@@ -172,7 +183,7 @@ def test_grid_states_are_rank_two(grid_cml):
 
 
 def test_grid_states_separate_into_row_and_column_chains(grid_cml):
-    a_e, a_s = grid_cml.A4[:, 0], grid_cml.A4[:, 1]
+    a_e, a_s = grid_cml.a_e, grid_cml.a_s
     coef, *_ = np.linalg.lstsq(np.stack([a_s, a_e], axis=1), grid_cml.P, rcond=None)
     shape = (grid_cml.height, grid_cml.width)
     x_coef, y_coef = coef[0].reshape(shape), coef[1].reshape(shape)
@@ -192,17 +203,17 @@ def test_grid_states_separate_into_row_and_column_chains(grid_cml):
 
 @pytest.mark.parametrize("width,height", [(6, 4), (3, 7), (1, 5)])
 def test_train_grid_matches_reference_delta_rule(actions, width, height):
-    trained = train_grid(width, height, actions)
-    reference = reference_train_grid(width, height, D, actions)
+    trained = train_grid(width, height, *actions)
+    reference = reference_train_grid(width, height, D, *actions)
     assert trained.P.shape == reference.shape
     assert np.abs(trained.P - reference).max() < 1e-10
 
 
 def test_training_cap_raises(actions):
     with pytest.raises(RuntimeError, match="converge"):
-        train_grid(20, 10, actions, epoch_cap=5)
+        train_grid(20, 10, *actions, epoch_cap=5)
     with pytest.raises(ValueError, match="epoch_cap"):
-        train_grid(20, 10, actions, epoch_cap=0)
+        train_grid(20, 10, *actions, epoch_cap=0)
 
 
 # --- utilities ---------------------------------------------------------------------
@@ -337,7 +348,7 @@ def test_states_gather_matches_p_columns(grid_cml):
 
 def reference_states(grid_cml):
     """The (d, W H) outer-product construction of the states, one column per cell."""
-    a_e, a_s = grid_cml.A4[:, 0], grid_cml.A4[:, 1]
+    a_e, a_s = grid_cml.a_e, grid_cml.a_s
     P = np.outer(a_s, np.repeat(grid_cml.x, grid_cml.width))
     P += np.outer(a_e, np.tile(grid_cml.y, grid_cml.height))
     return P

@@ -69,16 +69,23 @@ def test_grid_model_round_trip_bit_exact(grid_cml, tmp_path):
     persist.save_grid_cml(grid_cml, path)
     loaded = persist.load_model(path)
     assert isinstance(loaded, GridCml)
-    assert np.array_equal(loaded.x, grid_cml.x)
-    assert np.array_equal(loaded.y, grid_cml.y)
-    assert np.array_equal(loaded.P, grid_cml.P)
-    assert np.array_equal(loaded.A4, grid_cml.A4)
+    # the stored plane and everything derived from it, bit for bit
+    for name in ("x", "y", "a_s", "a_e", "A4", "P", "U"):
+        assert getattr(loaded, name).tobytes() == getattr(grid_cml, name).tobytes(), name
+    assert loaded.cells.norms.tobytes() == grid_cml.cells.norms.tobytes()
     assert (loaded.width, loaded.height) == (grid_cml.width, grid_cml.height)
-    # the file holds the chains and the actions, not the state matrix
+
+
+def test_grid_file_is_header_and_plane(grid_cml, tmp_path):
+    # the file holds the chains and the two drawn actions, not A4 or the states
+    path = tmp_path / "grid.hdm"
+    persist.save_grid_cml(grid_cml, path)
     data = path.read_bytes()
-    header_size = data.index(b"\n\n") + 2
+    header, _ = data.split(b"\n\n", 1)
+    assert [line.split(b"=")[0] for line in header.split(b"\n")[1:]] == [b"d", b"width", b"height"]
     height, width, d = grid_cml.height, grid_cml.width, grid_cml.d
-    assert len(data) == header_size + 8 * (height + width + 4 * d)
+    assert len(data) == len(header) + 2 + 8 * (height + width + 2 * d)
+    assert len(data) - len(header) - 2 == 16_240
 
 
 def test_save_load_save_is_stable(grid_cml, tmp_path):
@@ -117,12 +124,19 @@ def test_bad_magic_rejected(tmp_path):
         persist.load_model(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
-def test_unsupported_version_rejected(tmp_path, version):
-    path = tmp_path / "other.hdm"
-    path.write_bytes(f"HDNAV-MODEL {version} object\n\n".encode("ascii"))
-    with pytest.raises(ValueError, match="version"):
-        persist.load_model(path)
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
+def test_unsupported_version_rejected(object_cml, grid_cml, tmp_path, version):
+    # a file of an older layout, of either kind, is refused before its body is read
+    for kind, save, model in (
+        ("object", persist.save_cml, object_cml),
+        ("grid", persist.save_grid_cml, grid_cml),
+    ):
+        path = tmp_path / f"{kind}.hdm"
+        save(model, path)
+        old = f"{persist.MAGIC} {version} {kind}".encode("ascii")
+        path.write_bytes(path.read_bytes().replace(f"{MODEL_LINE} {kind}".encode("ascii"), old, 1))
+        with pytest.raises(ValueError, match=f"version {version} .*retrain the models"):
+            persist.load_model(path)
 
 
 def _append_byte(data: bytes) -> bytes:
@@ -149,7 +163,7 @@ def _degenerate_grid(width: int, height: int, d: int = 4):
     """A grid file of a degenerate size, with zero chains, in place of the input."""
     header = "\n".join([f"{MODEL_LINE} grid", f"d={d}", f"width={width}", f"height={height}"])
     body = np.zeros(max(height, 0)).tobytes() + np.zeros(max(width, 0)).tobytes()
-    body += np.eye(max(d, 0), 4).tobytes()
+    body += np.zeros(2 * max(d, 0)).tobytes()
     contents = (header + "\n\n").encode("ascii") + body
     return lambda data: contents
 
@@ -218,7 +232,8 @@ def test_failed_save_keeps_existing_file(grid_cml, tmp_path):
         height=grid_cml.height,
         x=grid_cml.x,
         y=grid_cml.y,
-        A4=_FailingBlock(),
+        a_s=grid_cml.a_s,
+        a_e=_FailingBlock(),
     )
     with pytest.raises(OSError, match="disk full"):
         persist.save_grid_cml(broken, path)

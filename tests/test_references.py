@@ -1,5 +1,6 @@
-"""No dead code: every top-level function and class in the package is referenced by
-name in the package, the benchmark, the scripts or the acceptance suite."""
+"""No dead code: every top-level function and class in the package, and every method
+and property of its classes, is referenced by name in the package, the benchmark, the
+scripts or the acceptance suite."""
 
 import ast
 from pathlib import Path
@@ -14,9 +15,18 @@ TEST_ONLY = {"cml.init_random", "cml.train", "hdc.is_bipolar"}
 
 
 def definitions(tree: ast.Module) -> list[str]:
-    """Names of the module's top-level functions and classes."""
+    """Names of the module's top-level functions and classes, then ``Class.method``
+    for its classes' methods and properties; dunders run implicitly and are left out."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [node.name for node in tree.body if isinstance(node, kinds)]
+    top = [node for node in tree.body if isinstance(node, kinds)]
+    methods = [
+        f"{node.name}.{member.name}"
+        for node in top
+        if isinstance(node, ast.ClassDef)
+        for member in node.body
+        if isinstance(member, kinds[:2]) and not member.name.startswith("__")
+    ]
+    return [node.name for node in top] + methods
 
 
 def references(tree: ast.Module) -> set[str]:
@@ -52,8 +62,10 @@ def test_every_package_definition_has_a_caller():
 
 def test_reference_scan_sees_names_attributes_and_imports():
     tree = ast.parse(
-        "from a import b\nimport c.d\nx.e()\nf(g)\ndef i(): pass\nclass J: pass\n"
+        "from a import b\nimport c.d\nx.e()\nf(g)\ndef i(): pass\nclass J:\n"
+        "    def __init__(self): pass\n    def k(self): pass\n"
+        "    @property\n    def m(self): pass\n    n = 1\n"
     )
     assert {"b", "d", "e", "f", "g"} <= references(tree)
-    assert not {"i", "J"} & references(tree)
-    assert definitions(tree) == ["i", "J"]
+    assert not {"i", "J", "k", "m"} & references(tree)
+    assert definitions(tree) == ["i", "J", "J.k", "J.m"]
