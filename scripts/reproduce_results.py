@@ -50,7 +50,7 @@ def main() -> int:
     )
 
     rows = []
-    for name in experiments.EXPERIMENT_NAMES:
+    for name in experiments.EXPERIMENTS:
         t0 = time.perf_counter()
         report = experiments.run_experiment(config, name, object_cml, grid_cml)
         report.write(config.output_dir)

@@ -67,12 +67,9 @@ def _cmd_hdc_stats(args) -> int:
 def _cmd_train(args) -> int:
     config = _build_config(args)
     try:
-        config.validate_for_models()
-        config.require_seed()
+        info = experiments.train_and_save(config, which=args.which)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    try:
-        info = experiments.train_and_save(config, which=args.which)
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
     for kind, details in info.items():
@@ -82,7 +79,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    try:
+    try:  # before the models load, so a bad config is not reported as missing models
         config.validate_for_models()
         config.require_seed()
     except ValueError as exc:
@@ -172,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=_cmd_train)
 
     p_run = sub.add_parser("run", help="run a seeded experiment batch")
-    p_run.add_argument("experiment", choices=experiments.EXPERIMENT_NAMES)
+    p_run.add_argument("experiment", choices=tuple(experiments.EXPERIMENTS))
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 

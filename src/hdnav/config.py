@@ -12,13 +12,13 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .hdc import check_theta
+from .hdc import DEFAULT_THETA, check_theta
 
 
 @dataclass
 class ExperimentConfig:
     d: int = 1000
-    theta: float = 0.1        # the noise floor of every recovery
+    theta: float = DEFAULT_THETA  # the noise floor of every recovery
     mission_goals: str = "k,t,h"    # comma-separated object labels
     mission_trials: int = 50
     grid_only_trials: int = 100

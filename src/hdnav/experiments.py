@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -78,32 +79,25 @@ def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
     return {"pairs_checked": checked}
 
 
-def _border_gate(width: int, height: int) -> np.ndarray:
-    """The wall-free sensor gate of every cell: (4, W H), ``DIRECTIONS`` by row-major cell.
-
-    A move is open when it stays on the grid.
-    """
-    rows, cols = np.divmod(np.arange(width * height), width)
-    dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T[:, :, None]
-    return (0 <= rows + dr) & (rows + dr < height) & (0 <= cols + dc) & (cols + dc < width)
-
-
 def verify_grid_cml(grid_cml: GridCml) -> dict:
     """Prove wall-free navigation Manhattan-optimal for every ordered cell pair.
 
     From every cell toward every other cell, the move ``grid_step`` picks
-    under the border gate must shorten the Manhattan distance; by
-    induction, every open-grid leg is then a shortest path.  Blocked
-    moves score -inf and ties go to the lowest index, as in
+    under the robot's own sensors on the wall-free maze (``maze.sense``,
+    which closes only the moves off the grid) must shorten the Manhattan
+    distance; by induction, every open-grid leg is then a shortest path.
+    Blocked moves score -inf and ties go to the lowest index, as in
     ``select_action``.
     """
     width, height = grid_cml.width, grid_cml.height
     cells = width * height
     rows, cols = np.divmod(np.arange(cells), width)
-    gate = _border_gate(width, height)
+    open_grid = maze_mod.Maze(frozenset(), {}, width, height)
+    # (4, W H): the sensor gate of every cell, ``DIRECTIONS`` by row-major cell
+    gate = np.stack([maze_mod.sense(open_grid, divmod(i, width)) for i in range(cells)], axis=1)
     U = grid_cml.U
     # scores [direction, current, target] = U[:, target] - U[:, current]
-    pick = np.where(gate[:, :, None], U[:, None, :] - U[:, :, None], -np.inf).argmax(axis=0)
+    pick = np.where(gate[:, :, None] > 0, U[:, None, :] - U[:, :, None], -np.inf).argmax(axis=0)
     dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T
     # a unit move shortens the Manhattan distance iff it points along target - current
     progress = dr[pick] * (rows - rows[:, None]) + dc[pick] * (cols - cols[:, None])
@@ -119,7 +113,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
 
 def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
     """Steps of a grid leg on the wall-free grid; None if it does not end on the goal."""
-    open_grid = maze_mod.Maze(frozenset(), {}, start, grid_cml.width, grid_cml.height)
+    open_grid = maze_mod.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
     leg = mission._grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
     return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
@@ -132,6 +126,7 @@ def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
     if which not in ("object", "grid", "both"):
         raise ValueError(f"which must be object|grid|both, got {which!r}")
     config.validate_for_models()
+    config.require_seed()
     config.models_dir.mkdir(parents=True, exist_ok=True)
     info: dict = {}
     if which in ("object", "both"):
@@ -148,6 +143,7 @@ def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
 
 
 def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
+    """The persisted models; ``ValueError`` if they do not fit the maze or each other."""
     object_path = config.models_dir / OBJECT_MODEL_FILE
     grid_path = config.models_dir / GRID_MODEL_FILE
     for path in (object_path, grid_path):
@@ -160,6 +156,18 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
     grid_cml = persist.load_model(grid_path)
     if not isinstance(object_cml, cml_mod.Cml) or not isinstance(grid_cml, GridCml):
         raise ValueError("model files have swapped kinds")
+    labels = object_cml.graph.node_labels
+    if sorted(labels) != sorted(maze_mod.OBJECT_LABELS):
+        raise ValueError(
+            f"object model labels {labels} are not the maze's objects {maze_mod.OBJECT_LABELS}"
+        )
+    if (grid_cml.width, grid_cml.height) != (maze_mod.WIDTH, maze_mod.HEIGHT):
+        raise ValueError(
+            f"grid model is {grid_cml.width}x{grid_cml.height}, "
+            f"the maze {maze_mod.WIDTH}x{maze_mod.HEIGHT}"
+        )
+    if object_cml.d != grid_cml.d:
+        raise ValueError(f"object model d={object_cml.d} differs from grid model d={grid_cml.d}")
     return object_cml, grid_cml
 
 
@@ -303,28 +311,19 @@ def _worker_init(config, object_cml, grid_cml) -> None:
 
 def _worker_run(task: tuple[str, int]) -> dict:
     name, trial = task
-    config, object_cml, grid_cml = _WORKER_STATE["args"]
-    return _run_one(name, config, object_cml, grid_cml, trial)
+    return EXPERIMENTS[name][1](*_WORKER_STATE["args"], trial)
 
 
-def _run_one(name, config, object_cml, grid_cml, trial: int) -> dict:
-    if name == "mission":
-        return mission_trial(config, object_cml, grid_cml, trial)
-    if name == "door_removal":
-        return mission_trial(config, object_cml, grid_cml, trial, remove_random_door=True)
-    if name == "grid_only":
-        return grid_only_trial(config, grid_cml, trial)
-    if name == "viability":
-        return viability_trial(config, object_cml, grid_cml, trial)
-
-
-EXPERIMENT_NAMES = ("mission", "grid_only", "viability", "door_removal")
-
-_TRIAL_COUNTS = {
-    "mission": "mission_trials",
-    "grid_only": "grid_only_trials",
-    "viability": "viability_mazes",
-    "door_removal": "door_removal_trials",
+# name -> (config field of its trial count, trial(config, object_cml, grid_cml, trial));
+# the CLI choices and the reproduction script follow this order
+EXPERIMENTS = {
+    "mission": ("mission_trials", mission_trial),
+    "grid_only": (
+        "grid_only_trials",
+        lambda config, _object_cml, grid_cml, trial: grid_only_trial(config, grid_cml, trial),
+    ),
+    "viability": ("viability_mazes", viability_trial),
+    "door_removal": ("door_removal_trials", partial(mission_trial, remove_random_door=True)),
 }
 
 
@@ -335,11 +334,12 @@ def run_experiment(
     grid_cml: GridCml,
 ) -> ExperimentReport:
     """Run one named trial batch and assemble its report."""
-    if name not in EXPERIMENT_NAMES:
-        raise ValueError(f"unknown experiment {name!r} (choose from {EXPERIMENT_NAMES})")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r} (choose from {tuple(EXPERIMENTS)})")
     config.validate_for_models()
     config.require_seed()
-    trials = getattr(config, _TRIAL_COUNTS[name])
+    count_field, run_trial = EXPERIMENTS[name]
+    trials = getattr(config, count_field)
     started = time.perf_counter()
     if config.workers > 1:
         with ProcessPoolExecutor(
@@ -349,7 +349,7 @@ def run_experiment(
         ) as pool:
             records = list(pool.map(_worker_run, [(name, t) for t in range(trials)]))
     else:
-        records = [_run_one(name, config, object_cml, grid_cml, t) for t in range(trials)]
+        records = [run_trial(config, object_cml, grid_cml, t) for t in range(trials)]
     return ExperimentReport(
         experiment=name,
         records=records,

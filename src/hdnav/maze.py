@@ -1,4 +1,4 @@
-"""Three-room grid maze with doors, eight placed objects, and a robot.
+"""Three-room grid maze with doors and eight placed objects.
 
 The layout template: two full-height vertical walls split the 10x20
 grid into left/middle/right rooms.  The left wall carries door ``a``
@@ -7,9 +7,9 @@ grid into left/middle/right rooms.  The left wall carries door ``a``
 random interior row with door ``c`` in it, separating an upper sub-room
 (sighted through a and e) from a lower one (b and d).  ``h`` (home) and
 ``k`` (key) land in the left room, ``t`` (treasure) in the right room;
-the robot starts at home.  ``Maze.robot`` is that start cell: the
-executor tracks the robot's cell as it moves, ``move_robot`` returns the
-next cell, and ``sense`` gives the touch-sensor gate at a cell.
+the robot starts at home, ``placements["h"]``.  The maze holds no robot:
+the executor tracks the robot's cell as it moves, ``move_robot`` returns
+the next cell, and ``sense`` gives the touch-sensor gate at a cell.
 
 Walls are blocked cells; doors are ordinary passable cells carrying an
 object label.  The relative structure is fixed across trials while the
@@ -61,7 +61,6 @@ def object_graph() -> cml.CmlGraph:
 class Maze:
     blocked: frozenset[Cell]
     placements: dict[str, Cell]  # object label -> cell
-    robot: Cell
     width: int = WIDTH
     height: int = HEIGHT
 
@@ -121,7 +120,7 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     t_row, t_col = divmod(int(rng.integers(0, height * right_width)), right_width)
     placements["t"] = (t_row, wall2 + 1 + t_col)
 
-    return Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
+    return Maze(blocked=frozenset(blocked), placements=placements)
 
 
 def sense(maze: Maze, cell: Cell) -> np.ndarray:
@@ -156,8 +155,6 @@ def close_door(maze: Maze, door: str) -> tuple[Maze, Cell]:
     if door not in DOOR_LABELS:
         raise ValueError(f"not a door: {door!r}")
     cell = maze.placements[door]
-    if maze.robot == cell:
-        raise ValueError(f"robot occupies door {door!r}")
     placements = {k: v for k, v in maze.placements.items() if k != door}
     return (
         replace(maze, blocked=maze.blocked | {cell}, placements=placements),
@@ -167,10 +164,12 @@ def close_door(maze: Maze, door: str) -> tuple[Maze, Cell]:
 
 # --- text serialization ------------------------------------------------------
 #
-# Header "W H", then H rows of W characters: '#' wall, '.' open cell,
-# object letters at their cells, 'r' for the robot.  A robot standing on
-# an object cell renders as the uppercase object letter so the format
-# round-trips exactly.
+# Header "W H", then H rows of W characters: '#' wall, '.' open cell, and
+# each object's letter at its cell.  Home, where the robot starts, is the
+# uppercase 'H'; the other objects are lowercase.
+
+_LETTERS = {label: label.upper() if label == "h" else label for label in OBJECT_LABELS}
+_LABELS = {letter: label for label, letter in _LETTERS.items()}
 
 
 def to_text(maze: Maze) -> str:
@@ -178,15 +177,17 @@ def to_text(maze: Maze) -> str:
     for row, col in maze.blocked:
         grid[row][col] = "#"
     for label, (row, col) in maze.placements.items():
-        grid[row][col] = label
-    rr, rc = maze.robot
-    grid[rr][rc] = grid[rr][rc].upper() if grid[rr][rc] != "." else "r"
+        grid[row][col] = _LETTERS[label]
     lines = [f"{maze.width} {maze.height}"]
     lines.extend("".join(row) for row in grid)
     return "\n".join(lines) + "\n"
 
 
 def from_text(text: str) -> Maze:
+    """Parse ``to_text`` output: its shape against the header, then its characters.
+
+    The text must mark home with 'H'.
+    """
     lines = text.strip("\n").split("\n")
     try:
         width, height = (int(part) for part in lines[0].split())
@@ -194,28 +195,19 @@ def from_text(text: str) -> Maze:
         raise ValueError(f"bad maze header {lines[0]!r}") from exc
     if len(lines) != height + 1:
         raise ValueError(f"expected {height} rows, got {len(lines) - 1}")
-    blocked = set()
-    placements: dict[str, Cell] = {}
-    robot: Cell | None = None
     for row, line in enumerate(lines[1:]):
         if len(line) != width:
             raise ValueError(f"row {row} has length {len(line)}, expected {width}")
+    blocked = set()
+    placements: dict[str, Cell] = {}
+    for row, line in enumerate(lines[1:]):
         for col, char in enumerate(line):
             if char == "#":
                 blocked.add((row, col))
-            elif char == "r":
-                robot = (row, col)
-            elif char.isupper():
-                placements[char.lower()] = (row, col)
-                robot = (row, col)
+            elif char in _LABELS:
+                placements[_LABELS[char]] = (row, col)
             elif char != ".":
-                placements[char] = (row, col)
-    if robot is None:
-        raise ValueError("maze text has no robot")
-    return Maze(
-        blocked=frozenset(blocked),
-        placements=placements,
-        robot=robot,
-        width=width,
-        height=height,
-    )
+                raise ValueError(f"unknown maze character {char!r} at {(row, col)}")
+    if "h" not in placements:
+        raise ValueError("maze text has no home 'H'")
+    return Maze(blocked=frozenset(blocked), placements=placements, width=width, height=height)

@@ -15,8 +15,8 @@ The executor reads each layer through its smallest interface: the maze
 gives the sensor gate at a cell and checks each move, the grid layer
 turns a target cell and that gate into a direction, and the object layer
 returns the next predicted state or a refusal that says whether it
-recognised its inputs.  The robot's cell is the executor's own state;
-``Maze.robot`` is only where the trial starts.
+recognised its inputs.  The robot's cell is the executor's own state; it
+starts at home, ``maze.placements["h"]``.
 
 The executor never raises on a failed trial: every abort path is
 classified (dithering, step caps, unrecoverable states, unreachable
@@ -139,18 +139,19 @@ def run_mission(
 ) -> TrialResult:
     """Execute the goals the policy hypervector reveals; returns the full trial trace.
 
-    The hypervector dimensions of the models, the map and the policy must
-    agree; ``theta`` is the noise floor of every recovery.  The trace ends
-    at the first goal not reached, or with ``FailureReason.NONE`` once the
-    policy reveals no further goal; whether the revealed goals were the
-    encoded ones is the caller's to judge.
+    The robot starts at home, ``maze.placements["h"]``.  The hypervector
+    dimensions of the models, the map and the policy must agree;
+    ``theta`` is the noise floor of every recovery.  The trace ends at the
+    first goal not reached, or with ``FailureReason.NONE`` once the policy
+    reveals no further goal; whether the revealed goals were the encoded
+    ones is the caller's to judge.
     """
     outcomes: list[GoalOutcome] = []
     hop_cap = 2 * object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
     objects = memory.objects
-    robot = maze.robot
     current_label = "h"  # the robot starts at home and knows it
+    robot = maze.placements[current_label]
 
     while True:
         goal_label, policy = semantic_map.next_goal(policy, objects, theta)

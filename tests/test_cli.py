@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hdnav import experiments, persist
+from hdnav import cml, experiments, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
+from hdnav.grid import GridCml
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
@@ -54,6 +55,13 @@ def test_train_object_model(tmp_path, capsys):
     assert main(["train", "--seed", "42", "--which", "object", "--out", str(out)]) == 0
     assert "verified" in capsys.readouterr().out
     assert (out / "models" / experiments.OBJECT_MODEL_FILE).exists()
+
+
+def test_train_without_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--out", str(out)]) == 1
+    assert "error[config]" in capsys.readouterr().err
+    assert not (out / "models").exists()
 
 
 def test_train_refuses_small_dimension(tmp_path, capsys):
@@ -119,14 +127,14 @@ def test_render_bad_trial_index(models_dir, capsys):
 
 def test_render_rejects_cell_off_the_maze(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"maze": "3 2\nr..\n...\n", "grid_path": [[99, 99]]}) + "\n")
+    trace.write_text(json.dumps({"maze": "3 2\nH..\n...\n", "grid_path": [[99, 99]]}) + "\n")
     assert main(["render", "--trace", str(trace)]) == 1
     assert "error[trace]" in capsys.readouterr().err
 
 
 def test_render_rejects_maze_shorter_than_its_header(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
-    trace.write_text(json.dumps({"maze": "3 2\nr..\n", "grid_path": [[0, 0]]}) + "\n")
+    trace.write_text(json.dumps({"maze": "3 2\nH..\n", "grid_path": [[0, 0]]}) + "\n")
     assert main(["render", "--trace", str(trace), "--style", "svg"]) == 1
     assert "error[trace]" in capsys.readouterr().err
 
@@ -184,6 +192,37 @@ def test_run_refuses_format_3_grid_with_a_free_north_action(models_dir, grid_cml
     assert "error[models]" in err
     assert "version 3" in err and "hdnav train" in err
     assert not (models_dir / "mission_trials.jsonl").exists()
+
+
+def run_refuses_models(models_dir, capsys, mismatch: str) -> None:
+    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[models]" in err
+    assert mismatch in err
+    assert not (models_dir / "mission_trials.jsonl").exists()
+
+
+def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):
+    graph = cml.CmlGraph.from_undirected(["h", "x"], [("h", "x")])
+    other = cml.init_calculated(graph, grid_cml.d, np.random.default_rng(1))
+    persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
+    run_refuses_models(models_dir, capsys, "are not the maze's objects")
+
+
+def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
+    small = GridCml(x=grid_cml.x[:4], y=grid_cml.y[:7], a_s=grid_cml.a_s, a_e=grid_cml.a_e)
+    persist.save_grid_cml(small, models_dir / "models" / experiments.GRID_MODEL_FILE)
+    run_refuses_models(models_dir, capsys, "grid model is 7x4, the maze 20x10")
+
+
+def test_run_refuses_models_of_different_dimensions(models_dir, grid_cml, capsys):
+    d = grid_cml.d + 8
+    wider = GridCml(
+        x=grid_cml.x, y=grid_cml.y, a_s=np.resize(grid_cml.a_s, d), a_e=np.resize(grid_cml.a_e, d)
+    )
+    persist.save_grid_cml(wider, models_dir / "models" / experiments.GRID_MODEL_FILE)
+    run_refuses_models(models_dir, capsys, f"object model d=1000 differs from grid model d={d}")
 
 
 def test_verify_rejects_missing_header_field(tmp_path, capsys):

@@ -39,6 +39,22 @@ def test_verify_grid_gates_the_border():
             assert steps == abs(start - goal)
 
 
+def test_verify_grid_rejects_a_wrong_pick_on_the_border():
+    # columns 1 and 2 share one east coordinate, so between them every utility
+    # is 0 and the lowest open direction wins: east from column 1, which is
+    # right, but east is off the grid in column 2, where the pick is south
+    # (north on the bottom row) instead of west
+    flat = GridCml(
+        x=np.arange(3.0), y=np.array([0.0, 1.0, 1.0]),
+        a_s=np.array([1.0, 0.0]), a_e=np.array([0.0, 1.0]),
+    )
+    with pytest.raises(RuntimeError, match=r"\(0, 2\)->\(0, 1\)"):
+        experiments.verify_grid_cml(flat)
+    assert experiments._open_grid_steps(flat, (1, 1), (1, 2)) == 1
+    for row in range(3):
+        assert experiments._open_grid_steps(flat, (row, 2), (row, 1)) is None
+
+
 def test_verify_grid_rejects_sideways_first_step():
     # with a_e = 2 a_s, toward a target straight south the east utility
     # outscores the south one, so the first step from (0, 0) goes sideways
@@ -56,7 +72,6 @@ def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):
     )
     assert rejections >= 0
     assert sm.check_viability(memory, config.theta)
-    assert maze.robot == maze.placements["h"]
 
 
 def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_cml):

@@ -73,7 +73,7 @@ ALL_GATES = np.array([g for g in itertools.product((0, 1), repeat=4) if any(g)],
 
 def open_maze(grid: GridCml) -> Maze:
     """The wall-free maze of the grid's size."""
-    return Maze(frozenset(), {}, (0, 0), grid.width, grid.height)
+    return Maze(frozenset(), {}, grid.width, grid.height)
 
 
 def open_sensors(grid: GridCml, cell) -> np.ndarray:
@@ -289,17 +289,6 @@ def test_step_never_moves_into_gated_direction(grid_cml):
         gate[blocked_dir] = 0.0
         direction = grid_step(grid_cml, goal, cell, gate)
         assert direction != DIRECTIONS[blocked_dir]
-
-
-@pytest.mark.parametrize("width,height", [(20, 10), (3, 1), (2, 5)])
-def test_border_gate_equals_open_maze_sensors(width, height):
-    # verify_grid_cml's gate, derived from DELTAS, is what the touch sensors
-    # read on the wall-free maze, cell by cell
-    gate = experiments._border_gate(width, height)
-    maze = Maze(frozenset(), {}, (0, 0), width, height)
-    assert gate.shape == (4, width * height)
-    for index in range(width * height):
-        assert np.array_equal(gate[:, index], sense(maze, divmod(index, width)))
 
 
 # --- open-grid optimality -----------------------------------------------------------

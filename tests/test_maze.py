@@ -70,7 +70,7 @@ def reference_layout(rng):
     placements["h"] = left_room[int(h_pick)]
     placements["k"] = left_room[int(k_pick)]
     placements["t"] = right_room[int(rng.integers(0, len(right_room)))]
-    return mz.Maze(blocked=frozenset(blocked), placements=placements, robot=placements["h"])
+    return mz.Maze(blocked=frozenset(blocked), placements=placements)
 
 
 def test_layout_matches_list_based_reference():
@@ -97,7 +97,11 @@ def test_no_object_on_wall(sample):
 
 
 def test_robot_starts_at_home(sample):
-    assert sample.robot == sample.placements["h"]
+    # the maze holds no robot; its text marks home, where the robot starts, as H
+    assert not hasattr(sample, "robot")
+    rows = mz.to_text(sample).splitlines()[1:]
+    upper = [(r, c) for r, line in enumerate(rows) for c, char in enumerate(line) if char.isupper()]
+    assert upper == [sample.placements["h"]]
 
 
 @given(st.integers(0, 10_000))
@@ -154,11 +158,7 @@ def test_doors_are_only_wall_gaps(sample):
 
 def test_blocking_all_doors_separates_rooms(sample):
     blocked = sample.blocked | {sample.placements[d] for d in mz.DOOR_LABELS}
-    sealed = mz.Maze(
-        blocked=frozenset(blocked),
-        placements=sample.placements,
-        robot=sample.robot,
-    )
+    sealed = mz.Maze(blocked=frozenset(blocked), placements=sample.placements)
     assert not connected_from(sealed, sealed.placements["h"])
 
 
@@ -226,7 +226,7 @@ def test_sense_blocked_cell_rejected(sample):
 
 
 def test_move_and_inverse(sample):
-    start = sample.robot
+    start = sample.placements["h"]
     for direction, ok in zip(DIRECTIONS, mz.sense(sample, start)):
         if ok:
             moved = mz.move_robot(sample, start, direction)
@@ -234,16 +234,16 @@ def test_move_and_inverse(sample):
             assert moved == (start[0] + dr, start[1] + dc)
             back = {"E": "W", "W": "E", "N": "S", "S": "N"}[direction]
             assert mz.move_robot(sample, moved, back) == start
-            assert sample.robot == start  # the maze keeps its start cell
             return
     pytest.fail("robot boxed in")
 
 
 def test_move_into_wall_raises(sample):
-    for direction, ok in zip(DIRECTIONS, mz.sense(sample, sample.robot)):
+    home = sample.placements["h"]
+    for direction, ok in zip(DIRECTIONS, mz.sense(sample, home)):
         if not ok:
             with pytest.raises(ValueError, match="illegal move"):
-                mz.move_robot(sample, sample.robot, direction)
+                mz.move_robot(sample, home, direction)
             return
     pytest.skip("robot has no adjacent wall in this layout")
 
@@ -298,7 +298,10 @@ def test_text_round_trip(sample):
 @settings(max_examples=40, deadline=None)
 def test_text_round_trip_across_seeds(seed):
     maze = mz.generate_maze(np.random.default_rng(seed))
-    assert mz.from_text(mz.to_text(maze)) == maze
+    text = mz.to_text(maze)
+    assert mz.from_text(text) == maze
+    row, col = maze.placements["h"]
+    assert text.splitlines()[1 + row][col] == "H"
 
 
 def test_robot_on_object_renders_uppercase(sample):
@@ -316,6 +319,17 @@ def test_from_text_rejects_wrong_row_length():
         mz.from_text("4 1\n...\n")
 
 
-def test_from_text_requires_robot():
-    with pytest.raises(ValueError, match="robot"):
+def test_from_text_requires_home():
+    # to_text marks home with H, and missions start there
+    with pytest.raises(ValueError, match="no home"):
         mz.from_text("2 1\n..\n")
+    with pytest.raises(ValueError, match="no home"):
+        mz.from_text("2 1\nk.\n")
+
+
+@pytest.mark.parametrize("char", ["r", "h", "K", "z"])
+def test_from_text_rejects_unknown_characters(char):
+    # the text has no robot character ('r'): the robot starts at H, and every
+    # other letter is one of the objects, lowercase
+    with pytest.raises(ValueError, match=f"unknown maze character '{char}'"):
+        mz.from_text(f"3 1\nH.{char}\n")

@@ -134,10 +134,15 @@ def test_mission_grid_paths_are_legal(viable_setup, mission_result):
             assert step in DELTAS.values()
 
 
-def test_mission_paths_connect_across_goals(viable_setup, mission_result):
+def test_mission_starts_at_home(viable_setup, mission_result):
     maze, _, _ = viable_setup
     first = mission_result.goal_outcomes[0]
     assert first.grid_path[0] == maze.placements["h"]
+    assert first.object_path[0] == "h"
+
+
+def test_mission_paths_connect_across_goals(viable_setup, mission_result):
+    maze, _, _ = viable_setup
     previous_end = None
     for outcome in mission_result.goal_outcomes:
         if previous_end is not None:
@@ -233,7 +238,6 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
             "a": (4, 6), "b": (4, 6), "c": (4, 10), "d": (4, 13), "e": (4, 13),
             "k": (4, 2), "t": (4, 17), "h": (4, 1),
         },
-        robot=(4, 1),
     )
     leg = mission._grid_leg(
         grid_cml, maze, maze.placements["k"], maze.placements["t"], mission.grid_step_cap(maze)
