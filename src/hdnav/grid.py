@@ -15,8 +15,9 @@ therefore iterates the two coordinate chains x (one scalar per row) and
 y (one per column).  The model is the chains and the two actions, and
 derives everything else from them once: the action matrix A4 in
 ``DIRECTIONS`` order, the cell dictionary ``cells`` (one row per cell in
-row-major order, norms computed once) and its transposed view P
-(d x W H), whose column for a cell is that cell's state.
+row-major order, norms computed once), its transposed view P
+(d x W H), whose column for a cell is that cell's state, and the plane
+tables that score ``q . p / |p|`` as ``(basis @ q) . plane[cell]``.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -51,12 +52,14 @@ DEFAULT_GRID_EPOCH_CAP = 20_000
 class GridCml:
     """Trained grid learner: the two coordinate chains and the two drawn actions.
 
-    ``A4``, ``cells``, ``P``, the utility table ``U``, ``width`` and
-    ``height`` are derived on construction; they are plain attributes.
-    ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in ``DIRECTIONS`` order.
-    ``cells`` is the state dictionary, one row per cell in row-major order
-    with its norm computed once; ``P`` is the transposed view of its rows,
-    one column per cell.
+    ``A4``, ``cells``, ``P``, the utility table ``U``, ``basis``,
+    ``plane``, ``width`` and ``height`` are derived on construction; they
+    are plain attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in
+    ``DIRECTIONS`` order.  ``cells`` is the state dictionary, one row per
+    cell in row-major order with its norm computed once; ``P`` is the
+    transposed view of its rows, one column per cell.  ``basis`` is
+    ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
+    ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -76,6 +79,11 @@ class GridCml:
         object.__setattr__(self, "cells", hdc.Dictionary(labels, S))
         object.__setattr__(self, "P", S.T)  # (d, width * height), a view
         object.__setattr__(self, "U", A4.T @ self.P)  # (4, width * height)
+        object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))
+        coords = np.stack([np.repeat(self.x, width), np.tile(self.y, height)], axis=1)
+        norms = self.cells.norms[:, None]
+        plane = np.divide(coords, norms, out=np.full(coords.shape, np.nan), where=norms > 0)
+        object.__setattr__(self, "plane", plane)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
 

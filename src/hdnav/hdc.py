@@ -161,23 +161,24 @@ class Dictionary:
     def vector(self, label: Hashable) -> np.ndarray:
         return self.vectors[self._index[label]]
 
-    def take(self, labels: tuple[Hashable, ...]) -> "Dictionary":
-        """The sub-dictionary of the given labels, in their order.
-
-        Rows, norms and sign patterns are gathered, not recomputed.  An
-        unknown or repeated label raises ``ValueError``.
-        """
+    def rows(self, labels: tuple[Hashable, ...]) -> list[int]:
+        """Row indices of the given labels, in their order; an unknown or
+        repeated label, or none, raises ``ValueError``."""
         try:
             rows = [self._index[label] for label in labels]
         except KeyError as err:
             raise ValueError(f"label {err.args[0]!r} not in dictionary") from None
-        index = {label: i for i, label in enumerate(labels)}
-        if not rows or len(index) != len(rows):
+        if not rows or len(set(rows)) != len(rows):
             raise ValueError("sub-dictionary labels must be unique and non-empty")
+        return rows
+
+    def take(self, labels: tuple[Hashable, ...]) -> "Dictionary":
+        """The sub-dictionary of ``labels`` (see ``rows``): rows, norms and signs gathered."""
+        rows = self.rows(labels)
         sub = object.__new__(Dictionary)
         object.__setattr__(sub, "labels", tuple(labels))
         object.__setattr__(sub, "vectors", self.vectors[rows])
-        object.__setattr__(sub, "_index", index)
+        object.__setattr__(sub, "_index", {label: i for i, label in enumerate(labels)})
         object.__setattr__(sub, "norms", self.norms[rows])
         object.__setattr__(sub, "signs", self.signs[rows])
         return sub

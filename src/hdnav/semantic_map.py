@@ -14,12 +14,13 @@ multiplies patterns and takes no sign of its own.
 Binding the map with an object vector releases a noisy copy of that
 object's position, cleaned up against the trial's eight known position
 states; binding with a position state releases the object stored there.
-Unbinding a bipolar map only flips signs, so each forward query has its
-object's norm and the readiness check scores it with the norms the
-object dictionary already holds.  Grid states of different cells can be
-strongly correlated, so not every arrangement yields a map whose
-recoveries are all unambiguous; the ``check_viability`` predicate tells
-usable maps apart and the harness regenerates mazes that fail it.
+Grid states of different cells can be strongly correlated, so not every
+arrangement yields a map whose recoveries are all unambiguous; the
+``check_viability`` predicate tells usable maps apart and the harness
+regenerates mazes that fail it.  Grid states lie in span{a_s, a_e}, so
+the check scores in that plane and reads no state: a rejected map costs
+its draws, its sign terms and two small products, and only a map that
+is kept or queried gathers its position dictionary.
 
 A goal policy is a bundle of permuted object vectors, the i-th goal
 shifted i places.  Unpermuting once exposes the next goal above the
@@ -30,6 +31,7 @@ falls below threshold, signalling completion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,20 +42,25 @@ from .maze import Maze
 
 @dataclass(frozen=True)
 class MapMemory:
-    """The map hypervector plus the trial's explicit dictionaries.
+    """The map hypervector, the object dictionary and the eight placement cells.
 
     ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
-    bipolar).  ``positions`` holds the grid states of the eight placement
-    cells, keyed by the cells themselves, one row per object in
-    ``objects`` order: the sub-dictionary of the grid model's ``cells``.
+    bipolar).  ``rows`` holds the ``grid_cml.cells`` row of each object's
+    cell, in ``objects`` order.  ``positions``, the sub-dictionary of those
+    cells' states keyed by the cells themselves, is gathered on first use.
     """
 
     map_hv: np.ndarray
     objects: hdc.Dictionary
-    positions: hdc.Dictionary
+    grid_cml: GridCml
+    rows: list[int]
+
+    @cached_property
+    def positions(self) -> hdc.Dictionary:
+        return self.grid_cml.cells.take(tuple(map(self.position_of, self.objects.labels)))
 
     def position_of(self, label: str) -> Cell:
-        return self.positions.labels[self.objects.labels.index(label)]
+        return self.grid_cml.cells.labels[self.rows[self.objects.labels.index(label)]]
 
 
 def build_map(
@@ -65,10 +72,10 @@ def build_map(
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
     int8 terms exactly in int16 and adds its tie-break draw in float.
     """
-    positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
-    terms = objects.signs * positions.signs
+    rows = grid_cml.cells.rows(tuple(maze.placements[label] for label in objects.labels))
+    terms = objects.signs * grid_cml.cells.signs[rows]
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
-    return MapMemory(map_hv, objects, positions)
+    return MapMemory(map_hv, objects, grid_cml, rows)
 
 
 def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
@@ -79,19 +86,20 @@ def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool
     collide; those maps are unusable and counted by the viability
     statistic.
 
-    All eight objects are scored in one cosine block: object ``i`` recovers
-    its own position when row ``i``'s best entry is entry ``i`` at a cosine
-    of at least ``theta`` (the position labels are unique).  Unbinding a map
-    without zero entries flips signs only, so each query's norm is its
-    object's norm, bit for bit; a map with a zero entry computes them.
+    Object ``i`` recovers its position when ``q_i . p_j / |p_j|``, with
+    ``q_i = map * o_i``, is largest at ``j = i`` and reaches ``theta * |q_i|``.
+    As ``p_j = x a_s + y a_e``, the (8, 2) block ``o_i . (map * [a_s; a_e])``
+    times the cells' ``plane`` rows gives every score.  Unbinding a map
+    without zero entries flips signs only, so ``|q_i|`` is the object's
+    norm, bit for bit; a map with a zero entry computes it.  A zero query
+    or a zero-state cell (a NaN plane row) is never viable.
     """
     hdc.check_theta(theta)
-    objects = memory.objects
-    queries = hdc.bind(memory.map_hv, objects.vectors)
-    norms = objects.norms if memory.map_hv.all() else hdc.row_norms(queries)
-    sims = hdc.cosines(queries, norms, memory.positions)
-    return sims.argmax(axis=1).tolist() == list(range(len(sims))) and bool(
-        sims.diagonal().min() >= theta
+    objects, grid_cml, m = memory.objects, memory.grid_cml, memory.map_hv
+    norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
+    scores = objects.vectors @ (m * grid_cml.basis).T @ grid_cml.plane[memory.rows].T
+    return scores.argmax(axis=1).tolist() == list(range(len(scores))) and bool(
+        ((scores.diagonal() >= theta * norms) & (norms > 0)).all()
     )
 
 
@@ -105,7 +113,8 @@ def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
     """
     if not check_viability(memory, theta):
         return False
-    return query_object(memory, memory.positions.signs, theta) == memory.objects.labels
+    signs = memory.grid_cml.cells.signs[memory.rows]
+    return query_object(memory, signs, theta) == memory.objects.labels
 
 
 def query_position(

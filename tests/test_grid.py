@@ -323,6 +323,22 @@ def test_cell_index_row_major(grid_cml):
         grid_cml.cell_index((10, 0))
 
 
+def test_plane_tables_score_states_over_their_norms(grid_cml):
+    # (basis @ q) . plane[cell] is q . p / |p| for any q: the state is
+    # x a_s + y a_e, so its dot product with q needs only q . a_s and q . a_e
+    assert np.array_equal(grid_cml.basis, np.stack([grid_cml.a_s, grid_cml.a_e]))
+    assert grid_cml.plane.shape == (grid_cml.width * grid_cml.height, 2)
+    rng = np.random.default_rng(9)
+    queries = rng.normal(0.0, 1.0, size=(5, D))
+    for cell in ((0, 0), (9, 19), (3, 7), (5, 0)):
+        row = grid_cml.cell_index(cell)
+        norm = grid_cml.cells.norms[row]
+        coords = [grid_cml.x[cell[0]] / norm, grid_cml.y[cell[1]] / norm]
+        assert np.array_equal(grid_cml.plane[row], coords)
+        scores = queries @ grid_cml.basis.T @ grid_cml.plane[row]
+        assert np.allclose(scores, queries @ grid_cml.state(cell) / norm, rtol=0, atol=1e-12)
+
+
 def test_states_gather_matches_p_columns(grid_cml):
     cells = ((0, 0), (9, 19), (3, 7), (5, 0))
     states = grid_cml.cells.take(cells).vectors

@@ -374,12 +374,17 @@ def test_dictionary_take_gathers_rows_and_norms():
     assert np.array_equal(sub.vector("v11"), d.vector("v11"))
     assert "v5" not in sub and "v3" in sub
     assert hdc.recover(d.vector("v0"), sub, 0.1) == "v0"
+    assert d.rows(labels) == [7, 0, 11, 3]
     with pytest.raises(ValueError, match="not in dictionary"):
         d.take(("v1", "v12"))
     with pytest.raises(ValueError, match="unique"):
         d.take(("v1", "v2", "v1"))
     with pytest.raises(ValueError, match="empty"):
         d.take(())
+    bad_labels = {("v1", "v12"): "not in dictionary", ("v2", "v2"): "unique", (): "empty"}
+    for labels, match in bad_labels.items():
+        with pytest.raises(ValueError, match=match):
+            d.rows(labels)
 
 
 def _with_zero_entry(first: bool) -> hdc.Dictionary:

@@ -1,9 +1,13 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdnav import hdc, maze as mz, semantic_map as sm
+from hdnav import experiments, hdc, maze as mz, semantic_map as sm
+from hdnav.grid import GridCml
 
 D = 1000
 LABELS = list(mz.OBJECT_LABELS)
@@ -16,8 +20,12 @@ def random_objects(seed=11):
     )
 
 
-def synthetic_memory(seed):
-    """Map built over pseudo-orthogonal random 'positions' (the easy regime)."""
+def synthetic_map(seed):
+    """Map over pseudo-orthogonal random 'positions' (the easy regime).
+
+    No grid model has such states: they span eight dimensions, not a plane,
+    so the map is scored by the float cleanup reference alone.
+    """
     rng = np.random.default_rng(seed)
     objects = hdc.Dictionary.from_pairs(
         [(label, hdc.random_bipolar(D, rng)) for label in LABELS]
@@ -28,11 +36,7 @@ def synthetic_memory(seed):
         hdc.sign(hdc.bind(objects.vector(label), positions[i]))
         for i, label in enumerate(LABELS)
     ]
-    return sm.MapMemory(
-        map_hv=hdc.bundle(terms, rng),
-        objects=objects,
-        positions=hdc.Dictionary(cells, positions),
-    )
+    return hdc.bundle(terms, rng), objects, hdc.Dictionary(cells, positions)
 
 
 # --- build_map ----------------------------------------------------------------------
@@ -87,7 +91,11 @@ def test_map_dictionaries_complete(viable_setup, grid_cml):
 
 
 def test_synthetic_orthogonal_positions_nearly_always_viable():
-    viable = sum(sm.check_viability(synthetic_memory(seed)) for seed in range(1000))
+    viable = 0
+    for seed in range(1000):
+        map_hv, objects, positions = synthetic_map(seed)
+        found = hdc.recover(hdc.bind(map_hv, objects.vectors), positions, hdc.DEFAULT_THETA)
+        viable += found == positions.labels
     assert viable >= 990
 
 
@@ -97,15 +105,25 @@ def test_fixture_map_is_viable(viable_setup):
 
 
 def test_tampered_position_dictionary_fails_viability(viable_setup):
+    # two objects' cells get parallel states, p_i = 2 p_j, so their
+    # recoveries tie exactly and the map is ambiguous
     _, memory, _ = viable_setup
-    vectors = memory.positions.vectors.copy()
-    vectors[0] = vectors[1] + 1e-9  # near-duplicate forces ambiguous recovery
-    tampered = sm.MapMemory(
-        map_hv=memory.map_hv,
-        objects=memory.objects,
-        positions=hdc.Dictionary(memory.positions.labels, vectors),
+    grid_cml = memory.grid_cml
+    cells = [memory.position_of(label) for label in LABELS]
+    i, j = next(
+        (i, j)
+        for i in range(8)
+        for j in range(8)
+        if cells[i][0] != cells[j][0] and cells[i][1] != cells[j][1]
     )
+    x, y = grid_cml.x.copy(), grid_cml.y.copy()
+    x[cells[i][0]], y[cells[i][1]] = 2 * x[cells[j][0]], 2 * y[cells[j][1]]
+    tampered_grid = GridCml(x=x, y=y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
+    assert np.array_equal(tampered_grid.state(cells[i]), 2 * tampered_grid.state(cells[j]))
+    tampered = dataclasses.replace(memory, grid_cml=tampered_grid)
+    assert sm.check_viability(memory)
     assert not sm.check_viability(tampered)
+    assert reference_forward_verdict(tampered, hdc.DEFAULT_THETA) is False
 
 
 def test_trained_grid_viability_fraction_is_small(object_cml, grid_cml, config):
@@ -235,7 +253,6 @@ def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml, 
         reference = reference_build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
         assert np.array_equal(memory.map_hv, reference)
         memories.append(memory)
-    memories += [synthetic_memory(seed) for seed in range(50)]
     verdicts = _assert_forward_verdicts_match(memories, config.theta)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -247,14 +264,14 @@ def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable
     for k in (1, 10, 300, 900):
         map_hv = memory.map_hv.copy()
         map_hv[rng.choice(D, size=k, replace=False)] = 0.0
-        memories.append(sm.MapMemory(map_hv, memory.objects, memory.positions))
+        memories.append(dataclasses.replace(memory, map_hv=map_hv))
     _assert_forward_verdicts_match(memories, config.theta)
     # with 100 zero entries every query is shorter than its object, so the
     # object norms would understate each cosine by sqrt(900/1000); a theta
     # between the two readings is met only when the norms are computed
     map_hv = memory.map_hv.copy()
     map_hv[:100] = 0.0
-    zeroed = sm.MapMemory(map_hv, memory.objects, memory.positions)
+    zeroed = dataclasses.replace(memory, map_hv=map_hv)
     queries = hdc.bind(map_hv, memory.objects.vectors)
     true = hdc.cosines(queries, hdc.row_norms(queries), memory.positions).diagonal().min()
     theta = true * (1 + np.sqrt(0.9)) / 2
@@ -273,43 +290,123 @@ def test_forward_verdict_rejects_theta_out_of_range(viable_setup):
 
 
 def test_forward_verdict_fails_on_a_zero_query_row(viable_setup, config):
+    # a zero query scores 0 everywhere, so in row 0 it is its own argmax and
+    # meets theta 0 * |q| = 0: only its norm tells it apart
     _, memory, _ = viable_setup
-    vectors = memory.objects.vectors.copy()
-    vectors[3] = 0.0  # its query is zero on any map: no direction, no recovery
-    objects = hdc.Dictionary(memory.objects.labels, vectors)
     zeroed_map = memory.map_hv.copy()
     zeroed_map[::5] = 0.0
-    for map_hv in (memory.map_hv, zeroed_map):
-        tampered = sm.MapMemory(map_hv, objects, memory.positions)
-        for theta in (0.0, config.theta):
-            assert sm.query_position(tampered, vectors[3], theta) is None
-            assert sm.check_viability(tampered, theta) is False
-            assert reference_forward_verdict(tampered, theta) is False
+    for row in (0, 3):
+        vectors = memory.objects.vectors.copy()
+        vectors[row] = 0.0  # its query is zero on any map: no direction, no recovery
+        objects = hdc.Dictionary(memory.objects.labels, vectors)
+        for map_hv in (memory.map_hv, zeroed_map):
+            tampered = dataclasses.replace(memory, map_hv=map_hv, objects=objects)
+            for theta in (0.0, config.theta):
+                assert sm.query_position(tampered, vectors[row], theta) is None
+                assert sm.check_viability(tampered, theta) is False
+                assert reference_forward_verdict(tampered, theta) is False
+
+
+def pinned_candidates(config, objects, grid_cml, mission_trials=10):
+    """Every map the seed-42 batches score: the viability batch's, then each
+    candidate of the first mission trials, rejected ones included."""
+    for trial in range(config.viability_mazes):
+        rng = experiments.trial_rng(config.seed, experiments.TAG_VIABILITY, trial)
+        yield sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+    for trial in range(mission_trials):
+        rng = experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial)
+        _, _, rejections = experiments.generate_viable_maze(
+            experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial),
+            objects, grid_cml, config.theta, config.viable_attempt_cap,
+        )
+        for _ in range(rejections + 1):
+            yield sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+
+
+def plane_cosines(memory):
+    """The forward check's scores ``q_i . p_j / |p_j|`` over ``|q_i|``."""
+    grid_cml, objects = memory.grid_cml, memory.objects
+    scores = objects.vectors @ (memory.map_hv * grid_cml.basis).T
+    return scores @ grid_cml.plane[memory.rows].T / objects.norms[:, None]
+
+
+PLANE_ROUNDING = 1e-12  # bound on |plane cosine - float cosine|
 
 
 def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, config):
     # the viability and mission digests must not depend on BLAS summation
-    # order: over the pinned batch's candidates every deciding forward cosine
-    # clears its runner-up and theta by far more than rounding, and the
-    # reverse cosines are exact integer dot products over a common norm
-    from hdnav import experiments
-
+    # order or on scoring in the plane: over the pinned batches' candidates
+    # the plane scores match the float cosines to PLANE_ROUNDING, every
+    # deciding score clears its runner-up and theta by far more than that,
+    # and the reverse cosines are exact integer dot products over a common norm
     objects = object_cml.state_dictionary()
     assert np.array_equal(np.abs(objects.vectors), np.ones_like(objects.vectors))
-    top_gaps, theta_gaps = [], []
-    for trial in range(config.viability_mazes):
-        rng = experiments.trial_rng(config.seed, experiments.TAG_VIABILITY, trial)
-        memory = sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+    count, errors, top_gaps, theta_gaps = 0, [], [], []
+    for memory in pinned_candidates(config, objects, grid_cml):
+        count += 1
         forward = hdc.bind(memory.map_hv, objects.vectors)
-        norms = memory.positions.norms * np.linalg.norm(forward, axis=1)[:, None]
-        ranked = np.sort(forward @ memory.positions.vectors.T / norms, axis=1)
+        floats = hdc.cosines(forward, hdc.row_norms(forward), memory.positions)
+        plane = plane_cosines(memory)
+        errors.append(np.abs(plane - floats).max())
+        ranked = np.sort(plane, axis=1)
         top_gaps.append((ranked[:, -1] - ranked[:, -2]).min())
         theta_gaps.append(np.abs(ranked[:, -1] - config.theta).min())
         reverse = hdc.bind(memory.map_hv, hdc.sign(memory.positions.vectors))
         assert np.array_equal(np.abs(reverse), np.ones_like(reverse))
+    assert count > config.viability_mazes + 10
+    assert max(errors) <= PLANE_ROUNDING
     rounding = 1e6 * np.finfo(float).eps
-    assert min(top_gaps) > rounding
-    assert min(theta_gaps) > rounding
+    assert min(top_gaps) > max(rounding, PLANE_ROUNDING)
+    assert min(theta_gaps) > max(rounding, PLANE_ROUNDING)
+
+
+def test_zero_state_cells_have_no_direction(object_cml):
+    # an odd grid centred on zero has its middle cell at the origin; its
+    # plane row is NaN, and a map with an object there is never viable
+    objects = object_cml.state_dictionary()
+    actions = np.random.default_rng(81).normal(0.0, 1.0, size=(2, D))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid_cml = GridCml(np.arange(-1.0, 2.0), np.arange(-1.0, 2.0), *actions)
+    centre = grid_cml.cell_index((1, 1))
+    assert grid_cml.cells.norms[centre] == 0.0
+    assert np.isnan(grid_cml.plane[centre]).all()
+    assert np.isfinite(np.delete(grid_cml.plane, centre, axis=0)).all()
+    for left_out in range(9):  # each choice of the one cell no object takes
+        rows = [row for row in range(9) if row != left_out]
+        rng = np.random.default_rng([82, left_out])
+        map_hv = hdc.bundle(objects.signs * grid_cml.cells.signs[rows], rng)
+        memory = sm.MapMemory(map_hv, objects, grid_cml, rows)
+        for theta in (0.0, hdc.DEFAULT_THETA):
+            verdict = sm.check_viability(memory, theta)
+            assert verdict == reference_forward_verdict(memory, theta)
+            if left_out != centre:
+                assert verdict is False
+                assert sm.mission_ready(memory, theta) is False
+
+
+def test_rejected_maps_never_gather_positions(object_cml, grid_cml, config):
+    objects = object_cml.state_dictionary()
+    kept = 0
+    for i in range(300):
+        rng = np.random.default_rng([83, i])
+        maze = mz.generate_maze(rng)
+        memory = sm.build_map(objects, maze, grid_cml, rng)
+        sm.check_viability(memory, config.theta)
+        ready = sm.mission_ready(memory, config.theta)
+        assert "positions" not in vars(memory)
+        if not ready:
+            continue
+        kept += 1
+        cells = tuple(maze.placements[label] for label in objects.labels)
+        gathered = grid_cml.cells.take(cells)
+        assert [memory.position_of(label) for label in objects.labels] == list(cells)
+        assert memory.positions.labels == gathered.labels
+        assert np.array_equal(memory.positions.vectors, gathered.vectors)
+        assert np.array_equal(memory.positions.norms, gathered.norms)
+        assert np.array_equal(memory.positions.signs, gathered.signs)
+        assert "positions" in vars(memory)
+    assert kept > 0
 
 
 # --- queries ------------------------------------------------------------------------
