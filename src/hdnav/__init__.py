@@ -7,7 +7,7 @@ objects in randomly generated grid mazes:
 - ``hdc``: bipolar/real hypervector algebra (similarity, bundling,
   binding, permutation, dictionary cleanup).
 - ``cml``: cognitive map learner over an abstract object graph; plans
-  near-optimal paths via pseudo-inverse action utilities.
+  near-optimal paths from the graph's minimum-norm flow table.
 - ``grid``: grid-position map learner with four shared cardinal actions
   and touch-sensor gating.
 - ``maze``: the 10x20 three-room maze environment with doors and objects.

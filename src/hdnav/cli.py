@@ -8,8 +8,8 @@ Verbs:
   trial batches against persisted models.
 - ``render``: draw one trace record as text or SVG.
 - ``verify <model>``: re-verify a persisted model: object plans against a
-  breadth-first oracle for every node pair, and open-grid optimality of
-  the grid model for every ordered cell pair.
+  breadth-first oracle for every node pair (and a count of tied pairs),
+  and open-grid optimality of the grid model for every ordered cell pair.
 
 Experiment commands require an explicit ``--seed``.  Errors print one
 categorized line to stderr and exit nonzero.
@@ -135,7 +135,8 @@ def _cmd_verify(args) -> int:
             info = experiments.verify_grid_cml(model)
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
-    print(f"verified: {info['pairs_checked']} pairs")
+    ties = f", {info['tied_pairs']} tied" if "tied_pairs" in info else ""
+    print(f"verified: {info['pairs_checked']} pairs{ties}")
     return 0
 
 

@@ -9,13 +9,15 @@ satisfy ``s_j ~= s_i + a_edge``:
 - ``G`` (e x n): gating; entry (edge, node) is 1 when the edge leaves
   that node and is open, else 0.
 
-Planning works without any path search: the utility of every action with
-respect to a target state is ``u = A_dagger (target - current)`` and a
-winner-take-all pick over the gated utilities chooses the next hop.
-Iterating that single step with the predicted state fed back as the
-current state walks a near-optimal path through the graph.  A step that
-refuses to act says why: an input it did not recognise, or a node with
-no open gate.
+Planning works without any path search.  As ``A = S B`` for the graph's
+(n x e) incidence matrix B, the paper's least-squares action utility is
+the minimum-norm flow ``F[:, target] - F[:, current]`` of the (e x n)
+table ``F = pinv(B)``, whatever the states.  A step takes the last open
+edge within ``TIE_TOLERANCE`` of the best, so exact ties between
+symmetric routes never fall to rounding.  Iterating that step with the
+predicted state ``s_c + a_edge`` fed back walks a near-optimal path.  A
+step that refuses to act says why: an input it did not recognise, or a
+node with no open gate.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ import numpy as np
 
 from . import hdc
 
-PINV_RCOND = 1e-10
-DEFAULT_LEARNING_RATE = 0.05
-DEFAULT_EPOCH_CAP = 10_000
+# Exact ties in F agree to about 1e-15; distinct scores differ by 1/176 or more.
+TIE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,21 +104,24 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
 
 @dataclass(frozen=True)
 class Cml:
-    """Trained map learner state: (S, A, G) plus the cached pseudo-inverse of A.
+    """Map learner state (S, A, G) on its graph.
 
-    The node-state dictionary is derived from S once, on construction; it
-    is a plain attribute, not a field.
+    The node-state dictionary and the flow table ``F = pinv(B)`` (e x n)
+    of the graph's incidence matrix are derived once, on construction;
+    they are plain attributes, not fields.
     """
 
     S: np.ndarray  # (d, n)
     A: np.ndarray  # (d, e)
     G: np.ndarray  # (e, n)
     graph: CmlGraph
-    A_dagger: np.ndarray  # (e, d)
 
     def __post_init__(self) -> None:
         states = hdc.Dictionary(self.graph.node_labels, self.S.T.copy())
         object.__setattr__(self, "_states", states)
+        # A = S B, so the incidence matrix B is the actions of identity states
+        B = _state_differences(self.graph, np.eye(self.graph.n))
+        object.__setattr__(self, "F", np.linalg.pinv(B))
 
     @property
     def d(self) -> int:
@@ -151,22 +155,7 @@ def _gating_from_graph(graph: CmlGraph) -> np.ndarray:
 
 def _state_differences(graph: CmlGraph, S: np.ndarray) -> np.ndarray:
     src, dst = np.array(graph.directed_edges, dtype=int).reshape(-1, 2).T
-    return np.subtract(S[:, dst], S[:, src], order="C")  # C order like S; a gather gives F
-
-
-def _pinv(A: np.ndarray) -> np.ndarray:
-    # SVD-based Moore-Penrose inverse; singular values below
-    # PINV_RCOND * sigma_max are treated as zero.
-    return np.linalg.pinv(A, rcond=PINV_RCOND)
-
-
-def init_random(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
-    """Gaussian initialisation: S ~ N(0, 0.1), A ~ N(0, 1)."""
-    if d < graph.e:
-        raise ValueError(f"need d >= e for planning, got d={d} < e={graph.e}")
-    S = rng.normal(0.0, 0.1, size=(d, graph.n))
-    A = rng.normal(0.0, 1.0, size=(d, graph.e))
-    return Cml(S=S, A=A, G=_gating_from_graph(graph), graph=graph, A_dagger=_pinv(A))
+    return np.subtract(S[:, dst], S[:, src], order="C")  # C order like S, not a gather's
 
 
 def calculated(graph: CmlGraph, S: np.ndarray) -> Cml:
@@ -176,8 +165,7 @@ def calculated(graph: CmlGraph, S: np.ndarray) -> Cml:
     the one-step prediction ``s_i + a`` lands on s_j exactly and the
     per-edge training error is zero; every out-edge gate is open (1).
     """
-    A = _state_differences(graph, S)
-    return Cml(S=S, A=A, G=_gating_from_graph(graph), graph=graph, A_dagger=_pinv(A))
+    return Cml(S=S, A=_state_differences(graph, S), G=_gating_from_graph(graph), graph=graph)
 
 
 def is_calculated(cml: Cml) -> bool:
@@ -188,8 +176,6 @@ def is_calculated(cml: Cml) -> bool:
 
 def init_calculated(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
     """Exact construction: random bipolar states, actions as state differences."""
-    if d < graph.e:
-        raise ValueError(f"need d >= e for planning, got d={d} < e={graph.e}")
     S = np.stack([hdc.random_bipolar(d, rng) for _ in range(graph.n)], axis=1)
     return calculated(graph, S)
 
@@ -214,48 +200,15 @@ def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
     dS = np.zeros_like(cml.S)
     np.add.at(dS.T, dst, (-learning_rate * err).T)
     S = cml.S + dS
-    return replace(cml, S=S, A=A, A_dagger=_pinv(A)), epoch_error
+    return replace(cml, S=S, A=A), epoch_error
 
 
-def train(
-    cml: Cml,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    epoch_cap: int = DEFAULT_EPOCH_CAP,
-) -> tuple[Cml, int, float]:
-    """Run train_epoch until the mean edge error drops below 1e-3 * sqrt(d).
-
-    Raises RuntimeError when the epoch cap is reached without converging.
-    """
-    tolerance = 1e-3 * np.sqrt(cml.d)
-    error = np.inf
-    for epoch in range(epoch_cap):
-        cml, error = train_epoch(cml, learning_rate)
-        if error < tolerance:
-            return cml, epoch + 1, error
-    raise RuntimeError(
-        f"training failed to converge: error {error:.3g} after {epoch_cap} epochs"
-    )
-
-
-def utility(cml: Cml, target: np.ndarray, current: np.ndarray) -> np.ndarray:
-    """Per-action progress scores: u = A_dagger (target - current)."""
-    return cml.A_dagger @ (target - current)
-
-
-def select_action(u: np.ndarray, g: np.ndarray) -> int | None:
-    """Winner-take-all over the open gates.
-
-    Among actions with nonzero gate, returns the index maximising ``u``
-    even when that maximum is negative (a closed action must never beat
-    an open one that merely scores badly).  Returns None when every gate
-    is zero.
-    """
-    if len(u) != len(g):
-        raise ValueError("utility and gating vectors must have equal length")
-    legal = np.nonzero(g)[0]
-    if len(legal) == 0:
-        return None
-    return int(legal[np.argmax(u[legal])])
+def best_edges(cml: Cml, target_idx: int, current_idx: int) -> np.ndarray:
+    """The open edges out of the current node, in edge order, whose flow
+    ``F[edge, target] - F[edge, current]`` is within ``TIE_TOLERANCE`` of the best."""
+    legal = np.nonzero(cml.G[:, current_idx])[0]
+    u = cml.F[legal, target_idx] - cml.F[legal, current_idx]
+    return legal[u >= u.max(initial=-np.inf) - TIE_TOLERANCE]
 
 
 def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> StepResult:
@@ -263,8 +216,8 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> Ste
 
     Both inputs are sanitised by one recovery of their two-row stack over
     the node-state columns; if either fails the noise floor the learner
-    refuses to act.  Otherwise the gated winner-take-all picks an edge out
-    of the recovered current node, and the result carries the predicted
+    refuses to act.  Otherwise it takes the last of ``best_edges`` out of
+    the recovered current node, and the result carries the predicted
     next state ``s_c + a_edge`` (or a refusal when every gate of the node
     is closed).
     """
@@ -274,10 +227,10 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> Ste
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
     c_idx = cml.graph.node_index(current_label)
-    u = utility(cml, cml.S[:, t_idx], cml.S[:, c_idx])
-    edge = select_action(u, cml.G[:, c_idx])
-    if edge is None:
+    edges = best_edges(cml, t_idx, c_idx)
+    if len(edges) == 0:
         return StepResult(None, None, True)
+    edge = int(edges[-1])
     return StepResult(cml.S[:, c_idx] + cml.A[:, edge], edge, True)
 
 

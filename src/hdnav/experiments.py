@@ -55,9 +55,9 @@ def build_grid_cml(config: ExperimentConfig) -> GridCml:
 
 
 def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
-    """Planned path length must match the breadth-first oracle for all pairs."""
+    """Planned path length must match the breadth-first oracle for all pairs; count ties."""
     graph = object_cml.graph
-    checked = 0
+    checked = tied = 0
     for start in range(graph.n):
         for goal in range(graph.n):
             if start == goal:
@@ -76,7 +76,8 @@ def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
                     f"planned {path}, oracle {oracle} hops"
                 )
             checked += 1
-    return {"pairs_checked": checked}
+            tied += len(cml_mod.best_edges(object_cml, goal, start)) > 1
+    return {"pairs_checked": checked, "tied_pairs": tied}
 
 
 def verify_grid_cml(grid_cml: GridCml) -> dict:

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hdc
-from .cml import select_action
 
 Cell = tuple[int, int]  # (row, col); (0, 0) is the northwest corner
 
@@ -164,6 +163,22 @@ def grid_utility(grid_cml: GridCml, target_cell: Cell, current_cell: Cell) -> np
     """
     U = grid_cml.U
     return U[:, grid_cml.cell_index(target_cell)] - U[:, grid_cml.cell_index(current_cell)]
+
+
+def select_action(u: np.ndarray, g: np.ndarray) -> int | None:
+    """Winner-take-all over the open gates.
+
+    Among actions with nonzero gate, returns the index maximising ``u``
+    even when that maximum is negative (a closed action must never beat
+    an open one that merely scores badly); ties go to the lowest index.
+    Returns None when every gate is zero.
+    """
+    if len(u) != len(g):
+        raise ValueError("utility and gating vectors must have equal length")
+    legal = np.nonzero(g)[0]
+    if len(legal) == 0:
+        return None
+    return int(legal[np.argmax(u[legal])])
 
 
 def grid_step(

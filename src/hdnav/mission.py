@@ -84,9 +84,9 @@ def detect_dither(path: list[Cell]) -> tuple[Cell, Cell] | None:
 def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
     """Zero the gates of every edge touching a door node.
 
-    Only the gating matrix changes: states, actions, and the cached
-    pseudo-inverse stay untouched, so planning reroutes around the
-    missing node with no retraining.
+    Only the gating matrix changes: states, actions and the graph's flow
+    table are unchanged, so planning reroutes around the missing node
+    with no retraining.
     """
     if door not in DOOR_LABELS:
         raise ValueError(f"not a door: {door!r}")

@@ -144,6 +144,12 @@ def test_render_missing_trace(tmp_path, capsys):
     assert "error[trace]" in capsys.readouterr().err
 
 
+def test_verify_reports_tied_object_pairs(models_dir, capsys):
+    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
+    assert main(["verify", str(object_model)]) == 0
+    assert capsys.readouterr().out == "verified: 56 pairs, 14 tied\n"
+
+
 def test_verify_model_files(models_dir, capsys):
     object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
     grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE

@@ -1,9 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from hdnav import cml, hdc
+from hdnav import cml, hdc, mission
 from hdnav.maze import object_graph
 
 D = 1000
@@ -12,6 +12,60 @@ D = 1000
 @pytest.fixture(scope="module")
 def graph():
     return object_graph()
+
+
+# --- reference: the paper's delta rule from random states --------------------------
+
+
+def init_random(graph: cml.CmlGraph, d: int, rng: np.random.Generator) -> cml.Cml:
+    """Gaussian initialisation: S ~ N(0, 0.1), A ~ N(0, 1), every gate open."""
+    S = rng.normal(0.0, 0.1, size=(d, graph.n))
+    return replace(cml.calculated(graph, S), A=rng.normal(0.0, 1.0, size=(d, graph.e)))
+
+
+def train(
+    model: cml.Cml, learning_rate: float = 0.05, epoch_cap: int = 10_000
+) -> tuple[cml.Cml, int, float]:
+    """Run train_epoch until the mean edge error drops below 1e-3 * sqrt(d).
+
+    Raises RuntimeError when the epoch cap is reached without converging.
+    """
+    tolerance = 1e-3 * np.sqrt(model.d)
+    error = np.inf
+    for epoch in range(epoch_cap):
+        model, error = cml.train_epoch(model, learning_rate)
+        if error < tolerance:
+            return model, epoch + 1, error
+    raise RuntimeError(
+        f"training failed to converge: error {error:.3g} after {epoch_cap} epochs"
+    )
+
+
+def reference_utility(model: cml.Cml) -> np.ndarray:
+    """The paper's utilities A_dagger (s_t - s_c) of a model, (e, n, n) by (edge, t, c)."""
+    A_dagger = np.linalg.pinv(model.A, rcond=1e-10)
+    scores = A_dagger @ model.S  # (e, n): A_dagger s for every node state
+    return scores[:, :, None] - scores[:, None, :]
+
+
+def reference_pick(utility: np.ndarray, gate: np.ndarray) -> int | None:
+    """Gated winner-take-all: the open edge with the largest utility, ties to the lowest."""
+    legal = np.nonzero(gate)[0]
+    return int(legal[np.argmax(utility[legal])]) if len(legal) else None
+
+
+def flow_utility(model: cml.Cml, target: str, current: str) -> np.ndarray:
+    """The flow table's score of every edge toward the target."""
+    t, c = model.graph.node_index(target), model.graph.node_index(current)
+    return model.F[:, t] - model.F[:, c]
+
+
+def incidence(graph: cml.CmlGraph) -> np.ndarray:
+    """The (n, e) incidence matrix, built edge by edge."""
+    B = np.zeros((graph.n, graph.e))
+    for edge, (src, dst) in enumerate(graph.directed_edges):
+        B[dst, edge], B[src, edge] = 1.0, -1.0
+    return B
 
 
 # --- graph validation -----------------------------------------------------------
@@ -57,7 +111,7 @@ def test_bfs_unreachable():
 
 
 def test_init_random_shapes_and_scales(graph, rng):
-    c = cml.init_random(graph, D, rng)
+    c = init_random(graph, D, rng)
     assert c.S.shape == (D, 8)
     assert c.A.shape == (D, 26)
     assert c.G.shape == (26, 8)
@@ -65,21 +119,31 @@ def test_init_random_shapes_and_scales(graph, rng):
     assert 0.9 < c.A.std() < 1.1
 
 
-def test_init_requires_enough_dimensions(graph, rng):
-    with pytest.raises(ValueError, match="d >= e"):
-        cml.init_random(graph, 4, rng)
+def test_init_calculated_plans_with_fewer_dimensions_than_edges(graph, rng):
+    # no planning quantity depends on d: the flow table is the graph's
+    c = cml.init_calculated(graph, 16, rng)
+    assert c.d < graph.e
+    for start in range(graph.n):
+        for goal in range(graph.n):
+            path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
+            assert len(path) - 1 == cml.bfs_hops(graph, start, goal)
 
 
 def test_gating_column_counts_outgoing_edges(graph, rng):
-    c = cml.init_random(graph, D, rng)
+    c = cml.init_calculated(graph, D, rng)
     h = graph.node_index("h")
     assert np.count_nonzero(c.G[:, h]) == 3  # h sees k, a, b
     assert set(np.unique(c.G)) == {0.0, 1.0}  # unweighted graph gates are 1
 
 
-def test_pseudo_inverse_defining_property(graph, rng):
-    c = cml.init_random(graph, D, rng)
-    assert np.abs(c.A @ c.A_dagger @ c.A - c.A).max() < 1e-6
+def test_pseudo_inverse_defining_property(graph, object_cml):
+    # F is the Moore-Penrose inverse of the graph's incidence matrix
+    B, F = incidence(graph), object_cml.F
+    assert F.shape == (graph.e, graph.n)
+    assert np.abs(B @ F @ B - B).max() < 1e-12
+    assert np.abs(F @ B @ F - F).max() < 1e-12
+    assert np.abs(B @ F - (B @ F).T).max() < 1e-12
+    assert np.abs(F @ B - (F @ B).T).max() < 1e-12
 
 
 def test_init_calculated_exact_construction(graph, rng):
@@ -124,7 +188,7 @@ def test_calculated_is_training_fixed_point(graph, rng):
 
 
 def test_zero_learning_rate_changes_nothing(graph, rng):
-    c = cml.init_random(graph, D, rng)
+    c = init_random(graph, D, rng)
     trained, err = cml.train_epoch(c, 0.0)
     assert err > 0
     assert np.array_equal(trained.S, c.S)
@@ -132,8 +196,8 @@ def test_zero_learning_rate_changes_nothing(graph, rng):
 
 
 def test_random_init_training_converges(graph, rng):
-    c = cml.init_random(graph, D, rng)
-    trained, epochs, err = cml.train(c)
+    c = init_random(graph, D, rng)
+    trained, epochs, err = train(c)
     assert err < 1e-3 * np.sqrt(D)
     assert epochs < 1000  # observed ~140 epochs at lr 0.05
     # converged model predicts every edge transition
@@ -143,52 +207,62 @@ def test_random_init_training_converges(graph, rng):
 
 
 def test_trained_model_plans_like_calculated(graph, rng):
-    trained, _, _ = cml.train(cml.init_random(graph, D, rng))
+    trained, _, _ = train(init_random(graph, D, rng))
     for start, goal in (("k", "t"), ("h", "t"), ("c", "h")):
         path = cml.plan_path(trained, trained.state(goal), trained.state(start))
         oracle = cml.bfs_hops(graph, graph.node_index(start), graph.node_index(goal))
         assert path is not None and len(path) - 1 == oracle
+    # the delta rule's own utilities pick the flow table's hop wherever one edge wins
+    utility = reference_utility(trained)
+    untied = 0
+    for c in range(graph.n):
+        for t in range(graph.n):
+            best = cml.best_edges(trained, t, c)
+            if t != c and len(best) == 1:
+                assert reference_pick(utility[:, t, c], trained.G[:, c]) == best[0]
+                untied += 1
+    assert untied == graph.n * (graph.n - 1) - len(EXACT_TIES)
 
 
 def test_training_cap_raises(graph, rng):
-    c = cml.init_random(graph, D, rng)
+    c = init_random(graph, D, rng)
     with pytest.raises(RuntimeError, match="converge"):
-        cml.train(c, learning_rate=1e-9, epoch_cap=3)
+        train(c, learning_rate=1e-9, epoch_cap=3)
 
 
-# --- utility / selection ----------------------------------------------------------
+# --- utility / tie rule -------------------------------------------------------------
 
 
 def test_utility_zero_for_reached_target(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    u = cml.utility(c, c.state("k"), c.state("k"))
-    assert np.abs(u).max() < 1e-9
+    assert np.abs(flow_utility(c, "k", "k")).max() < 1e-9
 
 
-def test_utility_matches_least_squares_oracle(graph, rng):
-    c = cml.init_calculated(graph, D, rng)
-    diff = c.state("t") - c.state("k")
-    u = cml.utility(c, c.state("t"), c.state("k"))
-    oracle, *_ = np.linalg.lstsq(c.A, diff, rcond=None)
-    assert np.abs(u - oracle).max() < 1e-8
+def test_utility_matches_least_squares_oracle(graph, object_cml):
+    # A = S B for the graph's incidence matrix B, and S has full column rank,
+    # so the paper's A_dagger (s_t - s_c) is the minimum-norm flow F (e_t - e_c)
+    # on every pair, whatever the states
+    for model in (object_cml, cml.init_calculated(graph, D, np.random.default_rng(7))):
+        flow = model.F[:, :, None] - model.F[:, None, :]
+        assert np.abs(reference_utility(model) - flow).max() < 1e-13
+    diff = object_cml.state("t") - object_cml.state("k")
+    oracle, *_ = np.linalg.lstsq(object_cml.A, diff, rcond=None)
+    assert np.abs(flow_utility(object_cml, "t", "k") - oracle).max() < 1e-8
 
 
 def test_one_hop_utility_is_gated_max(graph, rng):
-    # anti-parallel reverse columns halve A's rank, so the one-hop
-    # coefficient is ~0.25 rather than 1; the gated argmax is what matters
+    # anti-parallel reverse edges split the flow, so the one-hop
+    # coefficient is 0.25 rather than 1; the gated best is what matters
     c = cml.init_calculated(graph, D, rng)
     h, k = graph.node_index("h"), graph.node_index("k")
     edge_idx = graph.directed_edges.index((h, k))
-    u = cml.utility(c, c.state("k"), c.state("h"))
-    assert u[edge_idx] == pytest.approx(0.25, abs=0.05)
-    assert cml.select_action(u, c.G[:, h]) == edge_idx
+    assert flow_utility(c, "k", "h")[edge_idx] == pytest.approx(0.25, abs=1e-12)
+    assert cml.best_edges(c, k, h).tolist() == [edge_idx]
 
 
 def test_utility_antisymmetric(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    u_fwd = cml.utility(c, c.state("t"), c.state("k"))
-    u_rev = cml.utility(c, c.state("k"), c.state("t"))
-    assert np.abs(u_fwd + u_rev).max() < 1e-9
+    assert np.abs(flow_utility(c, "t", "k") + flow_utility(c, "k", "t")).max() < 1e-9
 
 
 # (current, target) pairs whose best two gated utilities are equal: symmetric
@@ -200,58 +274,65 @@ EXACT_TIES = {
 }
 
 
-def test_object_utilities_are_the_state_free_flow_with_exact_ties(graph, object_cml):
-    # A = S B for the graph's (n, e) incidence matrix B, and S has full column
-    # rank, so A_dagger (s_t - s_c) is the minimum-norm flow pinv(B) (e_t - e_c):
-    # no state enters it.  On the tied pairs the pick is left to rounding (at
-    # seed 42, k->t picks b and t->h picks e at a gap of about 5e-16), so the
-    # mission and door_removal digests depend on it; every other pair is
-    # decided by a gap of 1/132 or more.
-    incidence = np.zeros((graph.n, graph.e))
-    for edge, (src, dst) in enumerate(graph.directed_edges):
-        incidence[dst, edge], incidence[src, edge] = 1.0, -1.0
-    flow = np.linalg.pinv(incidence)
-    nodes = np.eye(graph.n)
-    models = (object_cml, cml.init_calculated(graph, D, np.random.default_rng(7)))
-    ties, gaps = set(), []
+def door_models(object_cml):
+    return {"all_doors": object_cml, "door_d_removed": mission.remove_door(object_cml, "d")}
+
+
+def test_flow_table_ties_are_exact_or_far_apart(graph, object_cml):
+    # on every pair, any two out-edges score within 1e-12 of each other or
+    # 5e-3 apart, so the 1e-9 tie tolerance cannot misread either case
+    ties = set()
     for c in range(graph.n):
+        out = np.nonzero(object_cml.G[:, c])[0]
         for t in range(graph.n):
             if c == t:
                 continue
-            exact = flow @ (nodes[t] - nodes[c])
-            legal = np.nonzero(object_cml.G[:, c])[0]
-            for model in models:
-                u = cml.utility(model, model.S[:, t], model.S[:, c])
-                assert np.abs(u - exact).max() < 1e-13
-            best, second = np.sort(object_cml.G[legal, c] * exact[legal])[::-1][:2]
-            if best - second < 1e-13:
+            u = object_cml.F[out, t] - object_cml.F[out, c]
+            gaps = np.abs(u[:, None] - u[None, :])
+            assert np.all((gaps < 1e-12) | (gaps >= 5e-3))
+            best = out[u >= u.max() - 1e-12]
+            assert np.array_equal(cml.best_edges(object_cml, t, c), best)
+            if len(best) > 1:
                 ties.add((graph.node_labels[c], graph.node_labels[t]))
-            else:
-                gaps.append(best - second)
     assert ties == EXACT_TIES
-    assert min(gaps) > 0.0075
 
 
-def test_select_action_honors_gating():
-    assert cml.select_action(np.array([0.2, 0.9, 5.0]), np.array([1.0, 1.0, 0.0])) == 1
+@pytest.mark.parametrize("doors", ["all_doors", "door_d_removed"])
+def test_step_takes_the_last_tied_edge(graph, object_cml, doors):
+    model = door_models(object_cml)[doors]
+    ties = set()
+    for c in range(graph.n):
+        out = np.nonzero(model.G[:, c])[0]
+        for t in range(graph.n):
+            if c == t or len(out) == 0:
+                continue
+            u = model.F[out, t] - model.F[out, c]
+            best = out[u >= u.max() - 1e-12]
+            result = cml.step(model, model.S[:, t], model.S[:, c], hdc.DEFAULT_THETA)
+            assert result.chosen_edge == best[-1]
+            if len(best) > 1:
+                ties.add((graph.node_labels[c], graph.node_labels[t]))
+    if doors == "all_doors":
+        assert ties == EXACT_TIES
+    else:  # closing d's gates leaves 9 of the 14 ties: none out of d or t, nor c->t
+        assert ties < EXACT_TIES and len(ties) == 9
 
 
-def test_select_action_accepts_negative_maximum():
-    assert cml.select_action(np.array([-0.5, -0.1]), np.array([1.0, 1.0])) == 1
+@pytest.mark.parametrize("doors", ["all_doors", "door_d_removed"])
+def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, doors):
+    # another BLAS build may round F differently in its last bits; no pick moves
+    model = door_models(object_cml)[doors]
+    pairs = [(c, t) for c in range(graph.n) for t in range(graph.n) if c != t]
 
+    def picks(m):
+        return [cml.step(m, m.S[:, t], m.S[:, c], hdc.DEFAULT_THETA).chosen_edge for c, t in pairs]
 
-def test_select_action_all_gated_out():
-    assert cml.select_action(np.array([1.0, 2.0]), np.array([0.0, 0.0])) is None
-
-
-@given(st.integers(0, 2**31 - 1))
-@settings(max_examples=50, deadline=None)
-def test_select_action_never_picks_gated_edge(seed):
-    r = np.random.default_rng(seed)
-    u = r.normal(size=10)
-    g = r.choice([0.0, 1.0], size=10)
-    pick = cml.select_action(u, g)
-    assert pick is None or g[pick] != 0.0
+    expected = picks(model)
+    noise = np.random.default_rng(0)
+    for _ in range(20):
+        noisy = replace(model)
+        object.__setattr__(noisy, "F", model.F + noise.uniform(-1e-12, 1e-12, model.F.shape))
+        assert picks(noisy) == expected
 
 
 # --- step -------------------------------------------------------------------------
@@ -295,8 +376,6 @@ def test_step_zero_when_all_gates_closed(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     gated = c.G.copy()
     gated[:, graph.node_index("h")] = 0.0
-    from dataclasses import replace
-
     result = cml.step(replace(c, G=gated), c.state("k"), c.state("h"), 0.1)
     assert result.chosen_edge is None
     assert result.predicted_next is None

@@ -2,16 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdnav import experiments, hdc
 from hdnav.config import ExperimentConfig
-from hdnav.cml import select_action
 from hdnav.grid import (
     DIRECTIONS,
     GridCml,
     directed_edge_count,
     grid_step,
     grid_utility,
+    select_action,
     train_grid,
 )
 from hdnav.maze import Maze, move_robot, sense
@@ -258,6 +260,28 @@ def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     ranked = np.sort(table_scores, axis=1)
     gaps = ranked[:, -1] - ranked[:, -2]
     assert gaps[np.isfinite(gaps)].min() > 1e-6 * np.abs(grid_cml.U).max()
+
+
+def test_select_action_honors_gating():
+    assert select_action(np.array([0.2, 0.9, 5.0]), np.array([1.0, 1.0, 0.0])) == 1
+
+
+def test_select_action_accepts_negative_maximum():
+    assert select_action(np.array([-0.5, -0.1]), np.array([1.0, 1.0])) == 1
+
+
+def test_select_action_all_gated_out():
+    assert select_action(np.array([1.0, 2.0]), np.array([0.0, 0.0])) is None
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_select_action_never_picks_gated_edge(seed):
+    r = np.random.default_rng(seed)
+    u = r.normal(size=10)
+    g = r.choice([0.0, 1.0], size=10)
+    pick = select_action(u, g)
+    assert pick is None or g[pick] != 0.0
 
 
 # --- stepping ---------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_remove_door_zeroes_incident_gates(object_cml):
             assert np.array_equal(reduced.G[edge_idx], object_cml.G[edge_idx])
     assert np.array_equal(reduced.S, object_cml.S)
     assert np.array_equal(reduced.A, object_cml.A)
-    assert np.array_equal(reduced.A_dagger, object_cml.A_dagger)
+    assert np.array_equal(reduced.F, object_cml.F)
 
 
 def test_remove_door_keeps_state_dictionary(object_cml):

@@ -9,9 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hdnav"
 CALLERS = [PACKAGE, ROOT / "perfbench", ROOT / "scripts", ROOT / "tests" / "test_acceptance.py"]
 
-# Kept for unit tests alone: the paper's delta rule, run from random states,
-# and the bipolarity predicate the hypervector tests assert with.
-TEST_ONLY = {"cml.init_random", "cml.train", "hdc.is_bipolar"}
+# Kept for unit tests alone: the bipolarity predicate the hypervector tests assert with.
+TEST_ONLY = {"hdc.is_bipolar"}
 
 
 def definitions(tree: ast.Module) -> list[str]:
