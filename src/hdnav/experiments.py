@@ -14,7 +14,7 @@ from functools import partial
 import numpy as np
 
 from . import cml as cml_mod
-from . import hdc, maze as maze_mod, mission, persist, semantic_map
+from . import grid as grid_mod, hdc, maze as maze_mod, mission, persist, semantic_map
 from .config import ExperimentConfig
 from .grid import DELTAS, DIRECTIONS, GridCml, train_grid
 from .mission import FailureReason, TrialResult
@@ -87,18 +87,18 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     under the robot's own sensors on the wall-free maze (``maze.sense``,
     which closes only the moves off the grid) must shorten the Manhattan
     distance; by induction, every open-grid leg is then a shortest path.
-    Blocked moves score -inf and ties go to the lowest index, as in
-    ``select_action``.
+    The picks come from ``grid.moves``, the move rule ``grid_step`` runs,
+    in one call over all pairs.
     """
     width, height = grid_cml.width, grid_cml.height
     cells = width * height
-    rows, cols = np.divmod(np.arange(cells), width)
+    index = np.arange(cells)
+    rows, cols = np.divmod(index, width)
     open_grid = maze_mod.Maze(frozenset(), {}, width, height)
     # (4, W H): the sensor gate of every cell, ``DIRECTIONS`` by row-major cell
     gate = np.stack([maze_mod.sense(open_grid, divmod(i, width)) for i in range(cells)], axis=1)
-    U = grid_cml.U
-    # scores [direction, current, target] = U[:, target] - U[:, current]
-    pick = np.where(gate[:, :, None] > 0, U[:, None, :] - U[:, :, None], -np.inf).argmax(axis=0)
+    # pick[current, target]
+    pick = grid_mod.moves(grid_cml, index[None, :], index[:, None], gate[:, :, None])
     dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T
     # a unit move shortens the Manhattan distance iff it points along target - current
     progress = dr[pick] * (rows - rows[:, None]) + dc[pick] * (cols - cols[:, None])
@@ -344,7 +344,7 @@ def run_experiment(
     started = time.perf_counter()
     if config.workers > 1:
         with ProcessPoolExecutor(
-            max_workers=config.workers,
+            max_workers=min(config.workers, trials),
             initializer=_worker_init,
             initargs=(config, object_cml, grid_cml),
         ) as pool:

@@ -26,8 +26,12 @@ touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (0 = wall
 contact).  The transpose utility ``A4^T (p_target - p_current)`` is
 linear in the states, so the model derives the 4 x (W H) table
 ``U = A4^T P`` once and every move reads the difference of two of its
-columns.  A step returns only the direction it picks; the executor,
-which owns the robot's cell, makes the move.
+columns.  ``moves`` is the one move rule, a gated winner-take-all over
+those differences that broadcasts over cell index arrays: ``grid_step``
+runs it for the executor's one move, and the open-grid proof
+(``experiments.verify_grid_cml``) for every cell pair at once.  A step
+returns only the direction it picks; the executor, which owns the
+robot's cell, makes the move.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ DIRECTIONS = ("E", "S", "N", "W")
 DELTAS: dict[str, Cell] = {"E": (0, 1), "S": (1, 0), "N": (-1, 0), "W": (0, -1)}
 
 GRID_LEARNING_RATE = 0.05
-DEFAULT_GRID_EPOCH_CAP = 20_000
+GRID_EPOCH_CAP = 20_000  # training epochs before train_grid gives up
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,7 @@ def directed_edge_count(width: int, height: int) -> int:
     return 2 * ((width - 1) * height + (height - 1) * width)
 
 
-def train_grid(
-    width: int,
-    height: int,
-    a_s: np.ndarray,
-    a_e: np.ndarray,
-    epoch_cap: int = DEFAULT_GRID_EPOCH_CAP,
-) -> GridCml:
+def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> GridCml:
     """Train the grid states from zeros over all directed adjacencies, actions fixed.
 
     Each epoch accumulates, for every directed edge (i -> j) with action
@@ -128,14 +126,12 @@ def train_grid(
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
-    if epoch_cap < 1:
-        raise ValueError(f"epoch_cap must be >= 1, got {epoch_cap}")
     tol = 1e-2 * np.sqrt(len(a_s))
     norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
     x = np.zeros(height)  # south coordinate of each row
     y = np.zeros(width)  # east coordinate of each column
-    for _ in range(epoch_cap):
+    for _ in range(GRID_EPOCH_CAP):
         err_x = np.diff(x) - 1.0
         err_y = np.diff(y) - 1.0
         mean_residual = (
@@ -150,49 +146,36 @@ def train_grid(
         x[1:] -= (2 * GRID_LEARNING_RATE) * err_x
     raise RuntimeError(
         f"grid training failed to converge: residual {mean_residual:.3g} "
-        f"after {epoch_cap} epochs"
+        f"after {GRID_EPOCH_CAP} epochs"
     )
 
 
-def grid_utility(grid_cml: GridCml, target_cell: Cell, current_cell: Cell) -> np.ndarray:
-    """Transpose utility A4^T (p_target - p_current) as ``U[:, target] - U[:, current]``.
+def moves(grid_cml: GridCml, target, current, gate: np.ndarray) -> np.ndarray:
+    """The gated winner-take-all move: the ``DIRECTIONS`` index of each pick.
 
-    The regular structure of trained grid states makes the transpose as
-    good a direction scorer as the pseudo-inverse, and opposite actions
-    get exactly opposite scores.
+    ``target`` and ``current`` are row-major cell indices, or index arrays
+    that broadcast together; ``gate`` has one row per direction (0 = wall
+    contact) and broadcasts against them.  Each move scores
+    ``U[:, target] - U[:, current]``, a closed gate scores -inf, and the
+    largest score wins even when it is negative (a closed move must never
+    beat an open one that merely scores badly); ties go to the lowest
+    index.  Where every gate is closed the pick is 0.
     """
     U = grid_cml.U
-    return U[:, grid_cml.cell_index(target_cell)] - U[:, grid_cml.cell_index(current_cell)]
-
-
-def select_action(u: np.ndarray, g: np.ndarray) -> int | None:
-    """Winner-take-all over the open gates.
-
-    Among actions with nonzero gate, returns the index maximising ``u``
-    even when that maximum is negative (a closed action must never beat
-    an open one that merely scores badly); ties go to the lowest index.
-    Returns None when every gate is zero.
-    """
-    if len(u) != len(g):
-        raise ValueError("utility and gating vectors must have equal length")
-    legal = np.nonzero(g)[0]
-    if len(legal) == 0:
-        return None
-    return int(legal[np.argmax(u[legal])])
+    # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
+    return np.where(gate, U[:, target] - U[:, current], -np.inf).argmax(axis=0)
 
 
 def grid_step(
     grid_cml: GridCml, target_cell: Cell, current_cell: Cell, gate: np.ndarray
 ) -> str:
-    """One sensor-gated move toward the target cell: the direction to take.
+    """One sensor-gated move toward the target cell: the direction ``moves`` picks.
 
-    ``gate`` is the touch-sensor gate in ``DIRECTIONS`` order (0 = wall
-    contact).  The gated winner-take-all (largest nonzero score, even if
-    negative) over the utilities of ``current_cell`` toward
-    ``target_cell`` picks the direction; the environment, which owns the
-    true coordinates, makes the move.
+    ``gate`` is the touch-sensor gate in ``DIRECTIONS`` order; when every
+    gate is closed there is no legal move and ``ValueError`` is raised.
+    The environment, which owns the true coordinates, makes the move.
     """
-    pick = select_action(grid_utility(grid_cml, target_cell, current_cell), gate)
-    if pick is None:
+    if not any(gate):  # the builtin over four floats costs a tenth of ``gate.any()``
         raise ValueError(f"no legal move from {current_cell}: all sensors report walls")
-    return DIRECTIONS[pick]
+    target, current = grid_cml.cell_index(target_cell), grid_cml.cell_index(current_cell)
+    return DIRECTIONS[moves(grid_cml, target, current, gate)]

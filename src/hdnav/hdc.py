@@ -13,10 +13,10 @@ are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).  The algebra has four basic oper
 - ``permute``: circular shift; reversible, used to encode sequence
   position.
 - ``recover``: cleanup against a dictionary of known vectors, returning
-  the best match above a noise floor ``theta``.  Its scores come from
-  ``cosines``, which scores an (m, d) stack against the dictionary with
-  the query norms taken from the caller; a zero-norm entry or query has
-  no direction and never matches.  A (d,) query is a one-row stack.
+  the best match above a noise floor ``theta``.  It scores an (m, d)
+  stack by its cosines to every entry in one matrix product; a zero-norm
+  entry or query has no direction and never matches.  A (d,) query is a
+  one-row stack.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
@@ -172,17 +172,6 @@ class Dictionary:
             raise ValueError("sub-dictionary labels must be unique and non-empty")
         return rows
 
-    def take(self, labels: tuple[Hashable, ...]) -> "Dictionary":
-        """The sub-dictionary of ``labels`` (see ``rows``): rows, norms and signs gathered."""
-        rows = self.rows(labels)
-        sub = object.__new__(Dictionary)
-        object.__setattr__(sub, "labels", tuple(labels))
-        object.__setattr__(sub, "vectors", self.vectors[rows])
-        object.__setattr__(sub, "_index", {label: i for i, label in enumerate(labels)})
-        object.__setattr__(sub, "norms", self.norms[rows])
-        object.__setattr__(sub, "signs", self.signs[rows])
-        return sub
-
     @classmethod
     def from_pairs(cls, pairs: list[tuple[Hashable, np.ndarray]]) -> "Dictionary":
         labels = tuple(label for label, _ in pairs)
@@ -194,26 +183,6 @@ def check_theta(theta: float) -> None:
     """Reject a noise floor outside [0, 1)."""
     if not 0.0 <= theta < 1.0:
         raise ValueError(f"theta must lie in [0, 1), got {theta}")
-
-
-def cosines(
-    queries: np.ndarray, query_norms: np.ndarray, dictionary: Dictionary
-) -> np.ndarray:
-    """Cosine of each row of an (m, d) stack to every entry: an (m, n) block.
-
-    ``query_norms`` holds the (m,) row norms, passed in so that a caller
-    who knows them exactly need not recompute them.  A pair with a
-    zero-norm side has no direction and scores -inf: a zero entry never
-    wins, and a zero query clears no threshold.
-    """
-    sims = queries @ dictionary.vectors.T
-    scale = dictionary.norms * query_norms[:, None]
-    if not scale.all():
-        zero = scale == 0.0
-        sims[zero] = -np.inf
-        scale[zero] = 1.0
-    sims /= scale
-    return sims
 
 
 def recover(
@@ -235,7 +204,14 @@ def recover(
             f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
         )
     queries = query.reshape(-1, dictionary.dim)
-    sims = cosines(queries, row_norms(queries), dictionary)
+    # (m, n) cosines; a pair with a zero-norm side has no direction and scores -inf
+    sims = queries @ dictionary.vectors.T
+    scale = dictionary.norms * row_norms(queries)[:, None]
+    if not scale.all():  # the rare case pays for the mask, the common one does not
+        zero = scale == 0.0
+        sims[zero] = -np.inf
+        scale[zero] = 1.0
+    sims /= scale
     labels = dictionary.labels
     # argmax returns the first (lowest) index on ties
     found = tuple(

@@ -57,7 +57,9 @@ class MapMemory:
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
-        return self.grid_cml.cells.take(tuple(map(self.position_of, self.objects.labels)))
+        cells = self.grid_cml.cells
+        labels = tuple(cells.labels[row] for row in self.rows)
+        return hdc.Dictionary(labels, cells.vectors[self.rows])
 
     def position_of(self, label: str) -> Cell:
         return self.grid_cml.cells.labels[self.rows[self.objects.labels.index(label)]]

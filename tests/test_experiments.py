@@ -225,6 +225,36 @@ def test_worker_parallelism_preserves_records(config, object_cml, grid_cml):
     assert r1.records_text() == r2.records_text()
 
 
+def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, monkeypatch):
+    # an in-process stand-in for the pool: no process is started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_WORKER_STATE", {})
+    serial = experiments.run_experiment(
+        small(config, grid_only_trials=3), "grid_only", object_cml, grid_cml
+    )
+    for workers in (2, 3, 64):
+        cfg = small(config, grid_only_trials=3, workers=workers)
+        report = experiments.run_experiment(cfg, "grid_only", object_cml, grid_cml)
+        assert report.records_text() == serial.records_text()
+    assert sizes == [2, 3, 3]
+
+
 def test_unknown_experiment_rejected(config, object_cml, grid_cml):
     with pytest.raises(ValueError, match="unknown experiment"):
         experiments.run_experiment(config, "bogus", object_cml, grid_cml)

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdnav import experiments, hdc
+from hdnav import experiments, grid as grid_mod, hdc
 from hdnav.config import ExperimentConfig
-from hdnav.grid import (
-    DIRECTIONS,
-    GridCml,
-    directed_edge_count,
-    grid_step,
-    grid_utility,
-    select_action,
-    train_grid,
-)
+from hdnav.grid import DIRECTIONS, GridCml, directed_edge_count, grid_step, moves, train_grid
 from hdnav.maze import Maze, move_robot, sense
 
 D = 1000
@@ -67,6 +59,17 @@ def reference_train_grid(width, height, d, a_s, a_e, learning_rate=0.05, epoch_c
 def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
     """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced."""
     return grid.A4.T @ (grid.state(target_cell) - grid.state(current_cell))
+
+
+def reference_select_action(u: np.ndarray, g: np.ndarray) -> int | None:
+    """The per-move rule ``moves`` replaced: the best of the nonzero gates, or None."""
+    legal = np.nonzero(g)[0]
+    return int(legal[np.argmax(u[legal])]) if len(legal) else None
+
+
+def utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
+    """The four table utilities of one move, ``U[:, target] - U[:, current]``."""
+    return grid.U[:, grid.cell_index(target_cell)] - grid.U[:, grid.cell_index(current_cell)]
 
 
 # the 15 sensor gates with at least one open direction, as rows of [E, S, N, W]
@@ -211,22 +214,21 @@ def test_train_grid_matches_reference_delta_rule(actions, width, height):
     assert np.abs(trained.P - reference).max() < 1e-10
 
 
-def test_training_cap_raises(actions):
-    with pytest.raises(RuntimeError, match="converge"):
-        train_grid(20, 10, *actions, epoch_cap=5)
-    with pytest.raises(ValueError, match="epoch_cap"):
-        train_grid(20, 10, *actions, epoch_cap=0)
+def test_training_cap_raises(actions, monkeypatch):
+    monkeypatch.setattr(grid_mod, "GRID_EPOCH_CAP", 5)
+    with pytest.raises(RuntimeError, match="after 5 epochs"):
+        train_grid(20, 10, *actions)
 
 
 # --- utilities ---------------------------------------------------------------------
 
 
 def test_utility_zero_at_target(grid_cml):
-    assert np.abs(grid_utility(grid_cml, (4, 7), (4, 7))).max() < 1e-9
+    assert np.abs(utility(grid_cml, (4, 7), (4, 7))).max() < 1e-9
 
 
 def test_utility_opposite_directions_negate(grid_cml):
-    u = grid_utility(grid_cml, (7, 3), (4, 3))
+    u = utility(grid_cml, (7, 3), (4, 3))
     e, s, n, w = u
     assert n == pytest.approx(-s)
     assert w == pytest.approx(-e)
@@ -234,7 +236,7 @@ def test_utility_opposite_directions_negate(grid_cml):
 
 
 def test_utility_east_adjacent_target(grid_cml):
-    u = grid_utility(grid_cml, (5, 11), (5, 10))
+    u = utility(grid_cml, (5, 11), (5, 10))
     assert int(np.argmax(u)) == DIRECTIONS.index("E")
 
 
@@ -244,44 +246,111 @@ def test_utility_table_is_actions_transpose_times_states(grid_cml):
 
 
 def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
-    cells = [(row, col) for row in range(10) for col in range(20)]
-    pairs = [(current, target) for current in cells for target in cells if current != target]
-    table = np.stack([grid_utility(grid_cml, t, c) for c, t in pairs], axis=1)
+    # all 39,800 ordered pairs under all 15 gates in one call of the move rule
+    cells = grid_cml.width * grid_cml.height
+    index = np.arange(cells)
+    gates = ALL_GATES.T[:, :, None, None]  # (direction, gate, current, target)
+    picks = moves(grid_cml, index[None, None, :], index[None, :, None], gates)
+    off_diagonal = ~np.eye(cells, dtype=bool)
+    picks = picks[:, off_diagonal]  # (gate, pair), pairs current-major
+    cell = grid_cml.cells.labels
+    pairs = [(cell[c], cell[t]) for c in range(cells) for t in range(cells) if c != t]
+    assert picks.shape == (len(ALL_GATES), len(pairs)) == (15, 39_800)
+    # the d-dimensional matvec utilities pick the same moves
     reference = np.stack([reference_grid_utility(grid_cml, t, c) for c, t in pairs], axis=1)
-    # (gate, direction, pair): blocked directions never win, ties go to the lowest index
-    legal = ALL_GATES[:, :, None] > 0
-    table_scores = np.where(legal, table, -np.inf)
-    picks = np.argmax(table_scores, axis=1)
+    legal = ALL_GATES[:, :, None] != 0  # (gate, direction, pair)
     assert np.array_equal(picks, np.argmax(np.where(legal, reference, -np.inf), axis=1))
-    for pair in range(0, len(pairs), 199):
+    # ... and so does the per-move rule over the nonzero gates, on every 7th pair
+    table = grid_cml.U[:, index[None, :]] - grid_cml.U[:, index[:, None]]
+    table = table[:, off_diagonal]  # (direction, pair)
+    for pair in range(0, len(pairs), 7):
         for gate_index, gate in enumerate(ALL_GATES):
-            assert select_action(table[:, pair], gate) == picks[gate_index, pair]
+            assert reference_select_action(table[:, pair], gate) == picks[gate_index, pair]
     # the picks do not hinge on rounding: the top two legal utilities stay far apart
-    ranked = np.sort(table_scores, axis=1)
+    ranked = np.sort(np.where(legal, table, -np.inf), axis=1)
     gaps = ranked[:, -1] - ranked[:, -2]
     assert gaps[np.isfinite(gaps)].min() > 1e-6 * np.abs(grid_cml.U).max()
 
 
-def test_select_action_honors_gating():
-    assert select_action(np.array([0.2, 0.9, 5.0]), np.array([1.0, 1.0, 0.0])) == 1
+def test_moves_honors_gating(grid_cml):
+    # (4, 7) toward (4, 9): east scores best and west worst; with east closed,
+    # the better of south and north wins
+    target, current = grid_cml.cell_index((4, 9)), grid_cml.cell_index((4, 7))
+    u = utility(grid_cml, (4, 9), (4, 7))
+    assert moves(grid_cml, target, current, np.ones(4)) == DIRECTIONS.index("E")
+    assert moves(grid_cml, target, current, np.array([0.0, 1.0, 1.0, 1.0])) == 1 + np.argmax(u[1:3])
 
 
-def test_select_action_accepts_negative_maximum():
-    assert select_action(np.array([-0.5, -0.1]), np.array([1.0, 1.0])) == 1
+def test_moves_accepts_negative_maximum(grid_cml):
+    # only west is open on the way east: its score is negative, and it still wins
+    target, current = grid_cml.cell_index((4, 9)), grid_cml.cell_index((4, 7))
+    assert utility(grid_cml, (4, 9), (4, 7))[3] < 0
+    assert moves(grid_cml, target, current, np.array([0.0, 0.0, 0.0, 1.0])) == 3
 
 
-def test_select_action_all_gated_out():
-    assert select_action(np.array([1.0, 2.0]), np.array([0.0, 0.0])) is None
+def test_moves_all_gated_out(grid_cml):
+    # the rule alone would fall back to index 0; the step refuses to move
+    target, current = grid_cml.cell_index((4, 9)), grid_cml.cell_index((4, 7))
+    assert moves(grid_cml, target, current, np.zeros(4)) == 0
+    with pytest.raises(ValueError, match="no legal move"):
+        grid_step(grid_cml, (4, 9), (4, 7), np.zeros(4))
+
+
+# a 5x5 model on random chains, so that its scores follow no order that training sets
+RANDOM_GRID = GridCml(*np.random.default_rng(13).normal(0.0, 1.0, size=(4, 5)))
 
 
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=50, deadline=None)
-def test_select_action_never_picks_gated_edge(seed):
+def test_moves_never_picks_gated_edge(seed):
+    grid_cml = RANDOM_GRID
     r = np.random.default_rng(seed)
-    u = r.normal(size=10)
-    g = r.choice([0.0, 1.0], size=10)
-    pick = select_action(u, g)
-    assert pick is None or g[pick] != 0.0
+    target, current = r.integers(0, 25, size=2)
+    g = r.choice([0.0, 1.0], size=4)
+    pick = moves(grid_cml, target, current, g)
+    expected = reference_select_action(grid_cml.U[:, target] - grid_cml.U[:, current], g)
+    if expected is None:  # every gate closed: grid_step raises instead of moving
+        assert pick == 0
+    else:
+        assert g[pick] != 0.0 and pick == expected
+
+
+def ignore_gate(grid_cml, target, current, gate):
+    return np.argmax(grid_cml.U[:, target] - grid_cml.U[:, current], axis=0)
+
+
+def highest_index_on_ties(grid_cml, target, current, gate):
+    scores = np.where(gate != 0, grid_cml.U[:, target] - grid_cml.U[:, current], -np.inf)
+    return len(scores) - 1 - scores[::-1].argmax(axis=0)
+
+
+# a row whose south action outscores east: only the border gate keeps the
+# first move on the row
+BORDER_GATED_ROW = GridCml(np.zeros(1), np.arange(3.0), 2 * np.ones(4), np.ones(4))
+# a column whose last two rows share a state: between them every score is
+# zero, and only the lowest index steps south
+TIED_COLUMN = GridCml(np.array([1.0, 2.0, 2.0]), np.zeros(1), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize(
+    "mutant,model,start,goal",
+    [
+        (ignore_gate, BORDER_GATED_ROW, (0, 0), (0, 2)),
+        (highest_index_on_ties, TIED_COLUMN, (1, 0), (2, 0)),
+    ],
+    ids=["ignore_gate", "highest_index_on_ties"],
+)
+def test_rule_mutations_change_steps_and_fail_verification(
+    mutant, model, start, goal, monkeypatch
+):
+    # the executor and the proof run one move rule: break it, and both see it
+    gate = open_sensors(model, start)
+    before = grid_step(model, goal, start, gate)
+    assert experiments.verify_grid_cml(model)["pairs_checked"] == 6
+    monkeypatch.setattr(grid_mod, "moves", mutant)
+    assert grid_step(model, goal, start, gate) != before
+    with pytest.raises(RuntimeError, match="failed verification"):
+        experiments.verify_grid_cml(model)
 
 
 # --- stepping ---------------------------------------------------------------------
@@ -365,14 +434,16 @@ def test_plane_tables_score_states_over_their_norms(grid_cml):
 
 def test_states_gather_matches_p_columns(grid_cml):
     cells = ((0, 0), (9, 19), (3, 7), (5, 0))
-    states = grid_cml.cells.take(cells).vectors
+    rows = grid_cml.cells.rows(cells)
+    assert rows == [0, 199, 67, 100]
+    states = hdc.Dictionary(cells, grid_cml.cells.vectors[rows]).vectors
     assert states.flags.c_contiguous
     assert np.array_equal(states, np.stack([grid_cml.state(cell) for cell in cells]))
-    assert np.array_equal(states, grid_cml.P[:, [0, 199, 67, 100]].T)
+    assert np.array_equal(states, grid_cml.P[:, rows].T)
     with pytest.raises(ValueError, match="not in dictionary"):
-        grid_cml.cells.take(((0, 0), (0, 20)))
+        grid_cml.cells.rows(((0, 0), (0, 20)))
     with pytest.raises(ValueError, match="unique"):
-        grid_cml.cells.take(((0, 0), (9, 19), (3, 7), (5, 0), (3, 7)))
+        grid_cml.cells.rows(((0, 0), (9, 19), (3, 7), (5, 0), (3, 7)))
 
 
 def reference_states(grid_cml):

@@ -358,29 +358,23 @@ def test_row_norms_bit_equal_linalg_norm(grid_cml):
         assert np.array_equal(hdc.row_norms(x), np.linalg.norm(x, axis=1))
 
 
-def test_dictionary_take_gathers_rows_and_norms():
+def test_dictionary_rows_gather_rows_and_norms():
     rng = np.random.default_rng(35)
     d = hdc.Dictionary(
         tuple(f"v{i}" for i in range(12)), rng.normal(0.0, 1.0, size=(12, D))
     )
     labels = ("v7", "v0", "v11", "v3")
-    sub = d.take(labels)
-    fresh = hdc.Dictionary(labels, np.stack([d.vector(label) for label in labels]))
+    rows = d.rows(labels)
+    assert rows == [7, 0, 11, 3]
+    sub = hdc.Dictionary(labels, d.vectors[rows])
     assert sub.labels == labels
-    assert np.array_equal(sub.vectors, fresh.vectors)
-    assert np.array_equal(sub.norms, fresh.norms)
-    assert np.array_equal(sub.signs, fresh.signs)
+    # the sub-dictionary's derived tables are the gathered rows of the parent's
+    assert np.array_equal(sub.norms, d.norms[rows])
+    assert np.array_equal(sub.signs, d.signs[rows])
     assert sub.signs.dtype == np.int8
     assert np.array_equal(sub.vector("v11"), d.vector("v11"))
     assert "v5" not in sub and "v3" in sub
     assert hdc.recover(d.vector("v0"), sub, 0.1) == "v0"
-    assert d.rows(labels) == [7, 0, 11, 3]
-    with pytest.raises(ValueError, match="not in dictionary"):
-        d.take(("v1", "v12"))
-    with pytest.raises(ValueError, match="unique"):
-        d.take(("v1", "v2", "v1"))
-    with pytest.raises(ValueError, match="empty"):
-        d.take(())
     bad_labels = {("v1", "v12"): "not in dictionary", ("v2", "v2"): "unique", (): "empty"}
     for labels, match in bad_labels.items():
         with pytest.raises(ValueError, match=match):
@@ -415,7 +409,7 @@ def test_recover_never_returns_a_zero_entry(first, theta):
         "one", at_zero, None, None if theta > 0 else "one", "two"
     )
     # a sub-dictionary that keeps the zero entry keeps the rule
-    sub = d.take(("zero", "one"))
+    sub = hdc.Dictionary(("zero", "one"), d.vectors[d.rows(("zero", "one"))])
     assert hdc.recover(e1, sub, theta) == "one"
     assert hdc.recover(-e1, sub, theta) is None
     assert hdc.recover(np.stack([e1, -e1]), sub, theta) == ("one", None)
@@ -429,22 +423,31 @@ def test_recover_from_all_zero_dictionary_is_none(theta):
 
 
 def test_cosines_match_recover_scores():
+    # recover picks the entry of largest cosine, as a (d,) query and as a row
+    # of an (n, d) stack, and names it only when that cosine clears theta
     rng = np.random.default_rng(39)
     d = _dictionary(rng)
     queries = rng.normal(0.0, 1.0, size=(5, D))
-    block = hdc.cosines(queries, hdc.row_norms(queries), d)
-    assert block.shape == (5, len(d))
-    for q, row in zip(queries, block):
-        # a one-row stack scores as its row of the block, up to rounding
-        one = q[None]
-        assert np.allclose(hdc.cosines(one, hdc.row_norms(one), d), row[None])
-        assert np.allclose(row, [hdc.cosine(q, v) for v in d.vectors])
-    # a zero query row and a zero entry score -inf, not NaN
+    queries += 2.0 * d.vectors[[3, 0, 7, 3, 5]]
+    cosines = np.array([[hdc.cosine(q, v) for v in d.vectors] for q in queries])
+    best = cosines.max(axis=1)
+    expected = tuple(d.labels[b] for b in cosines.argmax(axis=1))
+    assert expected == tuple(d.labels[b] for b in (3, 0, 7, 3, 5))
+    assert hdc.recover(queries, d, 0.0) == expected
+    assert tuple(hdc.recover(q, d, 0.0) for q in queries) == expected
+    theta = float(np.sort(best)[1:3].mean())  # two rows fall below it
+    assert hdc.recover(queries, d, theta) == tuple(
+        label if score >= theta else None for label, score in zip(expected, best)
+    )
+    # a zero query row and a zero entry score -inf, not NaN: the zero entry
+    # never wins, and the zero row clears no threshold
     zeroed = hdc.Dictionary(("z",) + d.labels, np.vstack([np.zeros(D), d.vectors]))
     queries[1] = 0.0
-    block = hdc.cosines(queries, hdc.row_norms(queries), zeroed)
-    assert np.isneginf(block[:, 0]).all() and np.isneginf(block[1]).all()
-    assert np.isfinite(np.delete(np.delete(block, 1, axis=0), 0, axis=1)).all()
+    assert hdc.recover(queries, zeroed, 0.0) == expected[:1] + (None,) + expected[2:]
+    # exact ties go to the lowest index
+    twins = hdc.Dictionary(("a", "b", "c"), np.stack([d.vectors[1], d.vectors[0], d.vectors[0]]))
+    assert hdc.recover(d.vectors[0], twins, 0.5) == "b"
+    assert hdc.recover(np.stack([d.vectors[0], d.vectors[1]]), twins, 0.5) == ("b", "a")
 
 
 def reference_vector_recover(query, dictionary, theta):

@@ -213,8 +213,13 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
 
 def reference_build_map(objects, maze, grid_cml, rng):
     """The float construction that the int8 sign patterns replaced."""
-    positions = grid_cml.cells.take(tuple(maze.placements[label] for label in objects.labels))
-    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, positions.vectors)), rng)
+    rows = grid_cml.cells.rows(tuple(maze.placements[label] for label in objects.labels))
+    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, grid_cml.cells.vectors[rows])), rng)
+
+
+def float_cosines(queries, dictionary):
+    """The (m, n) cosines of an (m, d) stack of nonzero queries to every entry."""
+    return queries @ dictionary.vectors.T / np.outer(hdc.row_norms(queries), dictionary.norms)
 
 
 def reference_forward_verdict(memory, theta):
@@ -273,7 +278,7 @@ def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable
     map_hv[:100] = 0.0
     zeroed = dataclasses.replace(memory, map_hv=map_hv)
     queries = hdc.bind(map_hv, memory.objects.vectors)
-    true = hdc.cosines(queries, hdc.row_norms(queries), memory.positions).diagonal().min()
+    true = float_cosines(queries, memory.positions).diagonal().min()
     theta = true * (1 + np.sqrt(0.9)) / 2
     assert reference_forward_verdict(zeroed, theta) is True
     assert sm.check_viability(zeroed, theta) is True
@@ -345,7 +350,7 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
     for memory in pinned_candidates(config, objects, grid_cml):
         count += 1
         forward = hdc.bind(memory.map_hv, objects.vectors)
-        floats = hdc.cosines(forward, hdc.row_norms(forward), memory.positions)
+        floats = float_cosines(forward, memory.positions)
         plane = plane_cosines(memory)
         errors.append(np.abs(plane - floats).max())
         ranked = np.sort(plane, axis=1)
@@ -399,12 +404,14 @@ def test_rejected_maps_never_gather_positions(object_cml, grid_cml, config):
             continue
         kept += 1
         cells = tuple(maze.placements[label] for label in objects.labels)
-        gathered = grid_cml.cells.take(cells)
+        rows = grid_cml.cells.rows(cells)
         assert [memory.position_of(label) for label in objects.labels] == list(cells)
-        assert memory.positions.labels == gathered.labels
-        assert np.array_equal(memory.positions.vectors, gathered.vectors)
-        assert np.array_equal(memory.positions.norms, gathered.norms)
-        assert np.array_equal(memory.positions.signs, gathered.signs)
+        # the positions are a fresh dictionary whose derived tables are bit-equal
+        # to the gathered rows of the cell dictionary's
+        assert memory.positions.labels == cells
+        assert np.array_equal(memory.positions.vectors, grid_cml.cells.vectors[rows])
+        assert np.array_equal(memory.positions.norms, grid_cml.cells.norms[rows])
+        assert np.array_equal(memory.positions.signs, grid_cml.cells.signs[rows])
         assert "positions" in vars(memory)
     assert kept > 0
 
