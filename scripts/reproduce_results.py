@@ -33,7 +33,7 @@ def main() -> int:
     print(f"# hdnav benchmark suite (seed {args.seed})")
     started = time.perf_counter()
     print("training models ...", flush=True)
-    info = experiments.train_and_save(config, which="both")
+    info = experiments.train_and_save(config)
     print(
         f"  object model verified on {info['object']['pairs_checked']} node pairs; "
         f"grid model verified on {info['grid']['pairs_checked']} cell pairs "

@@ -3,7 +3,8 @@
 Verbs:
 
 - ``hdc-stats``: random-pair similarity statistics at the configured d.
-- ``train``: build and verify the object/grid models, then persist them.
+- ``train``: build and verify the object and grid models from one seed,
+  then persist both.
 - ``run <experiment>``: mission, grid_only, viability, or door_removal
   trial batches against persisted models.
 - ``render``: draw one trace record as text or SVG.
@@ -40,7 +41,6 @@ def _build_config(args) -> ExperimentConfig:
         overrides = {
             "seed": getattr(args, "seed", None),
             "output_dir": getattr(args, "out", None),
-            "d": getattr(args, "d", None),
         }
         config = apply_overrides(config, overrides)
         for item in getattr(args, "set", None) or []:
@@ -67,7 +67,7 @@ def _cmd_hdc_stats(args) -> int:
 def _cmd_train(args) -> int:
     config = _build_config(args)
     try:
-        info = experiments.train_and_save(config, which=args.which)
+        info = experiments.train_and_save(config)
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
     except RuntimeError as exc:
@@ -144,7 +144,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="config file of key = value lines")
     parser.add_argument("--seed", type=int, help="root seed (required for experiments)")
     parser.add_argument("--out", help="output directory (default: out)")
-    parser.add_argument("--d", type=int, help="hypervector dimension override")
     parser.add_argument(
         "--set",
         action="append",
@@ -164,9 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_stats)
     p_stats.set_defaults(func=_cmd_hdc_stats)
 
-    p_train = sub.add_parser("train", help="train, verify, and persist models")
+    p_train = sub.add_parser("train", help="train, verify, and persist both models")
     _add_config_flags(p_train)
-    p_train.add_argument("--which", choices=("object", "grid", "both"), default="both")
     p_train.set_defaults(func=_cmd_train)
 
     p_run = sub.add_parser("run", help="run a seeded experiment batch")

@@ -58,10 +58,6 @@ class CmlGraph:
     def n(self) -> int:
         return len(self.node_labels)
 
-    @property
-    def e(self) -> int:
-        return len(self.directed_edges)
-
     def node_index(self, label: str) -> int:
         return self.node_labels.index(label)
 

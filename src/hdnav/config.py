@@ -1,7 +1,8 @@
 """Experiment configuration: a flat dataclass, a flat key=value file format.
 
-Every knob an experiment reads lives here so a report can echo the full
-configuration and a run can be reproduced from (config, seed) alone.
+Every setting with a second value in use lives here, so a report can echo
+the full configuration and a run can be reproduced from (config, seed)
+alone; a value that never changes is a constant of the module that reads it.
 CLI flags override file values; the seed has no default on purpose (no
 silent entropy: experiment commands must be given one explicitly).
 """
@@ -24,8 +25,6 @@ class ExperimentConfig:
     grid_only_trials: int = 100
     viability_mazes: int = 500
     door_removal_trials: int = 50
-    hdc_pairs: int = 1000
-    viable_attempt_cap: int = 2000  # maze regenerations allowed per viable maze
     workers: int = 1
     seed: int | None = None
     output_dir: str = "out"
@@ -41,12 +40,9 @@ class ExperimentConfig:
             "grid_only_trials",
             "viability_mazes",
             "door_removal_trials",
-            "viable_attempt_cap",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.hdc_pairs < 2:
-            raise ValueError("hdc_pairs must be >= 2 (a sample standard deviation needs two)")
         if not self.goal_sequence():
             raise ValueError("mission_goals must name at least one object")
 
@@ -57,8 +53,9 @@ class ExperimentConfig:
         """Stricter check for model training and experiments.
 
         Missions need mission-ready maps: about 1.2 % of candidates at d =
-        1000 but 0.1 % at d = 512, where the default ``viable_attempt_cap``
-        aborts about one trial in seven.  Similarity statistics run at any d.
+        1000 but 0.1 % at d = 512, where ``experiments.VIABLE_ATTEMPT_CAP``
+        would abort about one trial in seven.  Similarity statistics run at
+        any d.
         """
         self.validate()
         if self.d < 1000:

@@ -32,6 +32,9 @@ TAG_TRAIN = 5
 OBJECT_MODEL_FILE = "object_cml.hdm"
 GRID_MODEL_FILE = "grid_cml.hdm"
 
+HDC_PAIRS = 1000  # random pairs behind the similarity statistics
+VIABLE_ATTEMPT_CAP = 2000  # maze candidates allowed per mission-ready maze
+
 
 def trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, trial])
@@ -119,28 +122,24 @@ def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
     return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
 
-def train_and_save(config: ExperimentConfig, which: str = "both") -> dict:
-    """Train/calculate the requested models, verify, then persist.
+def train_and_save(config: ExperimentConfig) -> dict:
+    """Calculate the object model and train the grid model, verify both, then persist.
 
-    Unverified models are never written.
+    Both come from the one configured seed.  Unverified models are never written.
     """
-    if which not in ("object", "grid", "both"):
-        raise ValueError(f"which must be object|grid|both, got {which!r}")
     config.validate_for_models()
     config.require_seed()
     config.models_dir.mkdir(parents=True, exist_ok=True)
-    info: dict = {}
-    if which in ("object", "both"):
-        object_cml = build_object_cml(config)
-        info["object"] = verify_object_cml(object_cml, config.theta)
-        persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
-        info["object"]["path"] = str(config.models_dir / OBJECT_MODEL_FILE)
-    if which in ("grid", "both"):
-        grid_cml = build_grid_cml(config)
-        info["grid"] = verify_grid_cml(grid_cml)
-        persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
-        info["grid"]["path"] = str(config.models_dir / GRID_MODEL_FILE)
-    return info
+    object_cml = build_object_cml(config)
+    object_info = verify_object_cml(object_cml, config.theta)
+    persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
+    grid_cml = build_grid_cml(config)
+    grid_info = verify_grid_cml(grid_cml)
+    persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
+    return {
+        "object": {**object_info, "path": str(config.models_dir / OBJECT_MODEL_FILE)},
+        "grid": {**grid_info, "path": str(config.models_dir / GRID_MODEL_FILE)},
+    }
 
 
 def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
@@ -157,11 +156,9 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
     grid_cml = persist.load_model(grid_path)
     if not isinstance(object_cml, cml_mod.Cml) or not isinstance(grid_cml, GridCml):
         raise ValueError("model files have swapped kinds")
-    labels = object_cml.graph.node_labels
-    if sorted(labels) != sorted(maze_mod.OBJECT_LABELS):
-        raise ValueError(
-            f"object model labels {labels} are not the maze's objects {maze_mod.OBJECT_LABELS}"
-        )
+    # labels, their order, the edges and the edge order: the tie rule takes the last tied edge
+    if object_cml.graph != maze_mod.object_graph():
+        raise ValueError("object model graph is not the maze's object graph")
     if (grid_cml.width, grid_cml.height) != (maze_mod.WIDTH, maze_mod.HEIGHT):
         raise ValueError(
             f"grid model is {grid_cml.width}x{grid_cml.height}, "
@@ -180,7 +177,6 @@ def generate_viable_maze(
     objects: hdc.Dictionary,
     grid_cml: GridCml,
     theta: float,
-    attempt_cap: int,
 ) -> tuple[maze_mod.Maze, MapMemory, int]:
     """Regenerate mazes until the map is fully usable for a mission.
 
@@ -188,12 +184,12 @@ def generate_viable_maze(
     and arrival-cell object recovery must both be unambiguous for all
     eight objects.
     """
-    for rejections in range(attempt_cap):
+    for rejections in range(VIABLE_ATTEMPT_CAP):
         candidate = maze_mod.generate_maze(rng)
         memory = semantic_map.build_map(objects, candidate, grid_cml, rng)
         if semantic_map.mission_ready(memory, theta):
             return candidate, memory, rejections
-    raise RuntimeError(f"no viable maze within {attempt_cap} attempts")
+    raise RuntimeError(f"no viable maze within {VIABLE_ATTEMPT_CAP} attempts")
 
 
 def _goal_records(result: TrialResult) -> list[dict]:
@@ -225,9 +221,7 @@ def mission_trial(
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
     rng = trial_rng(config.require_seed(), tag, trial)
     objects = object_cml.state_dictionary()
-    maze, memory, rejections = generate_viable_maze(
-        rng, objects, grid_cml, config.theta, config.viable_attempt_cap
-    )
+    maze, memory, rejections = generate_viable_maze(rng, objects, grid_cml, config.theta)
     planner = object_cml
     record: dict = {"trial": trial, "seed": config.seed, "rejections": rejections}
     if remove_random_door:
@@ -364,12 +358,11 @@ def run_hdc_stats(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     rng = trial_rng(config.require_seed(), TAG_HDC_STATS, 0)
     started = time.perf_counter()
-    pairs = config.hdc_pairs
-    xs = rng.choice(np.array([-1.0, 1.0]), size=(pairs, config.d))
-    ys = rng.choice(np.array([-1.0, 1.0]), size=(pairs, config.d))
+    xs = rng.choice(np.array([-1.0, 1.0]), size=(HDC_PAIRS, config.d))
+    ys = rng.choice(np.array([-1.0, 1.0]), size=(HDC_PAIRS, config.d))
     sims = (xs * ys).sum(axis=1) / config.d
     record = {
-        "pairs": pairs,
+        "pairs": HDC_PAIRS,
         "d": config.d,
         "mean": float(sims.mean()),
         "std": float(sims.std(ddof=1)),

@@ -186,7 +186,7 @@ def to_text(maze: Maze) -> str:
 def from_text(text: str) -> Maze:
     """Parse ``to_text`` output: its shape against the header, then its characters.
 
-    The text must mark home with 'H'.
+    The text must mark home with 'H' and place each object at most once.
     """
     lines = text.strip("\n").split("\n")
     try:
@@ -205,6 +205,8 @@ def from_text(text: str) -> Maze:
             if char == "#":
                 blocked.add((row, col))
             elif char in _LABELS:
+                if _LABELS[char] in placements:
+                    raise ValueError(f"maze character {char!r} repeats at {(row, col)}")
                 placements[_LABELS[char]] = (row, col)
             elif char != ".":
                 raise ValueError(f"unknown maze character {char!r} at {(row, col)}")

@@ -42,7 +42,7 @@ def viable_setup(config, object_cml, grid_cml):
     """A viable maze with its map memory, as the mission harness builds them."""
     rng = experiments.trial_rng(ROOT_SEED, experiments.TAG_MISSION, 0)
     maze, memory, rejections = experiments.generate_viable_maze(
-        rng, object_cml.state_dictionary(), grid_cml, config.theta, config.viable_attempt_cap
+        rng, object_cml.state_dictionary(), grid_cml, config.theta
     )
     return maze, memory, rejections
 

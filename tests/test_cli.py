@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hdnav import cml, experiments, persist
+from hdnav import cml, experiments, maze as mz, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
@@ -33,16 +33,9 @@ def test_hdc_stats_command(tmp_path, capsys):
 
 def test_hdc_stats_small_dimension_allowed(tmp_path):
     out = tmp_path / "stats4"
-    assert main(["hdc-stats", "--seed", "1", "--d", "4", "--out", str(out)]) == 0
+    assert main(["hdc-stats", "--seed", "1", "--set", "d=4", "--out", str(out)]) == 0
     report = json.loads((out / "hdc_stats_report.json").read_text())
     assert report["aggregates"]["max_abs"] == 1.0  # tiny dimension degeneracy
-
-
-def test_hdc_stats_rejects_one_pair(tmp_path, capsys):
-    out = tmp_path / "stats1"
-    assert main(["hdc-stats", "--seed", "1", "--out", str(out), "--set", "hdc_pairs=1"]) == 1
-    assert "error[config]" in capsys.readouterr().err
-    assert not (out / "hdc_stats_report.json").exists()
 
 
 def test_seed_is_mandatory(tmp_path, capsys):
@@ -52,9 +45,23 @@ def test_seed_is_mandatory(tmp_path, capsys):
 
 def test_train_object_model(tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["train", "--seed", "42", "--which", "object", "--out", str(out)]) == 0
-    assert "verified" in capsys.readouterr().out
+    assert main(["train", "--seed", "42", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.count("verified") == 2
+    # one seed writes both models, so a model directory never mixes seeds
     assert (out / "models" / experiments.OBJECT_MODEL_FILE).exists()
+    assert (out / "models" / experiments.GRID_MODEL_FILE).exists()
+
+
+@pytest.mark.parametrize(
+    "flags", [["train", "--which", "grid"], ["train", "--d", "1000"], ["hdc-stats", "--d", "4"]]
+)
+def test_removed_flags_are_rejected(tmp_path, capsys, flags):
+    # one model set per seed; the dimension is set with --set d=N
+    with pytest.raises(SystemExit) as exit_info:
+        main(flags + ["--seed", "42", "--out", str(tmp_path / "out")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_without_seed_writes_nothing(tmp_path, capsys):
@@ -65,7 +72,7 @@ def test_train_without_seed_writes_nothing(tmp_path, capsys):
 
 
 def test_train_refuses_small_dimension(tmp_path, capsys):
-    assert main(["train", "--seed", "1", "--d", "64", "--out", str(tmp_path)]) == 1
+    assert main(["train", "--seed", "1", "--set", "d=64", "--out", str(tmp_path)]) == 1
     assert "d >= 1000" in capsys.readouterr().err
 
 
@@ -137,6 +144,15 @@ def test_render_rejects_maze_shorter_than_its_header(tmp_path, capsys):
     trace.write_text(json.dumps({"maze": "3 2\nH..\n", "grid_path": [[0, 0]]}) + "\n")
     assert main(["render", "--trace", str(trace), "--style", "svg"]) == 1
     assert "error[trace]" in capsys.readouterr().err
+
+
+def test_render_rejects_repeated_object(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps({"maze": "4 2\nHk..\n..k.\n", "grid_path": [[0, 0]]}) + "\n")
+    assert main(["render", "--trace", str(trace)]) == 1
+    err = capsys.readouterr().err
+    assert "error[trace]" in err
+    assert "'k' repeats" in err
 
 
 def test_render_missing_trace(tmp_path, capsys):
@@ -213,7 +229,17 @@ def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):
     graph = cml.CmlGraph.from_undirected(["h", "x"], [("h", "x")])
     other = cml.init_calculated(graph, grid_cml.d, np.random.default_rng(1))
     persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
-    run_refuses_models(models_dir, capsys, "are not the maze's objects")
+    run_refuses_models(models_dir, capsys, "is not the maze's object graph")
+
+
+def test_run_refuses_object_model_of_another_graph(models_dir, object_cml, capsys):
+    # the maze's eight labels, but without the h-k sight line
+    graph = mz.object_graph()
+    h, k = graph.node_index("h"), graph.node_index("k")
+    edges = tuple(edge for edge in graph.directed_edges if set(edge) != {h, k})
+    other = cml.calculated(cml.CmlGraph(graph.node_labels, edges), object_cml.S)
+    persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
+    run_refuses_models(models_dir, capsys, "is not the maze's object graph")
 
 
 def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
@@ -278,18 +304,6 @@ def test_run_mission_bad_goal_label(models_dir, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_run_rejects_nonpositive_attempt_cap(models_dir, capsys, cap):
-    code = main(
-        ["run", "mission", "--seed", "42", "--out", str(models_dir),
-         "--set", "mission_trials=1", "--set", f"viable_attempt_cap={cap}"]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[config]" in err
-    assert "viable_attempt_cap" in err
-
-
 @pytest.mark.parametrize("key", ["phi_o", "theta_o"])
 def test_run_rejects_removed_thresholds(models_dir, capsys, key):
     # every decision is one recovery at the noise floor theta; the arrival and
@@ -314,7 +328,7 @@ def test_config_file_drives_run(models_dir, tmp_path, capsys):
 
 def test_full_train_and_save_round(tmp_path):
     cfg = ExperimentConfig(seed=42, output_dir=str(tmp_path / "full"))
-    info = experiments.train_and_save(cfg, which="both")
+    info = experiments.train_and_save(cfg)
     assert info["object"]["pairs_checked"] == 56
     assert info["grid"]["pairs_checked"] == 39800
     object_cml, grid_cml = experiments.load_models(cfg)

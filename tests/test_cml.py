@@ -20,7 +20,8 @@ def graph():
 def init_random(graph: cml.CmlGraph, d: int, rng: np.random.Generator) -> cml.Cml:
     """Gaussian initialisation: S ~ N(0, 0.1), A ~ N(0, 1), every gate open."""
     S = rng.normal(0.0, 0.1, size=(d, graph.n))
-    return replace(cml.calculated(graph, S), A=rng.normal(0.0, 1.0, size=(d, graph.e)))
+    A = rng.normal(0.0, 1.0, size=(d, len(graph.directed_edges)))
+    return replace(cml.calculated(graph, S), A=A)
 
 
 def train(
@@ -62,7 +63,7 @@ def flow_utility(model: cml.Cml, target: str, current: str) -> np.ndarray:
 
 def incidence(graph: cml.CmlGraph) -> np.ndarray:
     """The (n, e) incidence matrix, built edge by edge."""
-    B = np.zeros((graph.n, graph.e))
+    B = np.zeros((graph.n, len(graph.directed_edges)))
     for edge, (src, dst) in enumerate(graph.directed_edges):
         B[dst, edge], B[src, edge] = 1.0, -1.0
     return B
@@ -73,7 +74,7 @@ def incidence(graph: cml.CmlGraph) -> np.ndarray:
 
 def test_object_graph_shape(graph):
     assert graph.n == 8
-    assert graph.e == 26  # 13 sight lines, both directions
+    assert len(graph.directed_edges) == 26  # 13 sight lines, both directions
 
 
 def test_graph_rejects_self_loops():
@@ -122,7 +123,7 @@ def test_init_random_shapes_and_scales(graph, rng):
 def test_init_calculated_plans_with_fewer_dimensions_than_edges(graph, rng):
     # no planning quantity depends on d: the flow table is the graph's
     c = cml.init_calculated(graph, 16, rng)
-    assert c.d < graph.e
+    assert c.d < len(graph.directed_edges)
     for start in range(graph.n):
         for goal in range(graph.n):
             path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
@@ -139,7 +140,7 @@ def test_gating_column_counts_outgoing_edges(graph, rng):
 def test_pseudo_inverse_defining_property(graph, object_cml):
     # F is the Moore-Penrose inverse of the graph's incidence matrix
     B, F = incidence(graph), object_cml.F
-    assert F.shape == (graph.e, graph.n)
+    assert F.shape == (len(graph.directed_edges), graph.n)
     assert np.abs(B @ F @ B - B).max() < 1e-12
     assert np.abs(F @ B @ F - F).max() < 1e-12
     assert np.abs(B @ F - (B @ F).T).max() < 1e-12
@@ -159,7 +160,8 @@ def test_init_calculated_exact_construction(graph, rng):
 def test_calculated_matches_the_per_edge_loop(graph, rng):
     S = rng.normal(size=(D, graph.n))  # generic floats, so any rounding difference shows
     c = cml.calculated(graph, S)
-    A, G = np.zeros((D, graph.e)), np.zeros((graph.e, graph.n))
+    e = len(graph.directed_edges)
+    A, G = np.zeros((D, e)), np.zeros((e, graph.n))
     for edge_idx, (src, dst) in enumerate(graph.directed_edges):
         A[:, edge_idx] = S[:, dst] - S[:, src]
         G[edge_idx, src] = 1.0

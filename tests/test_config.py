@@ -17,21 +17,6 @@ def test_threshold_range_enforced():
         cfg.validate()
 
 
-@pytest.mark.parametrize("cap", [0, -3])
-def test_viable_attempt_cap_must_be_positive(cap):
-    cfg = ExperimentConfig(viable_attempt_cap=cap)
-    with pytest.raises(ValueError, match="viable_attempt_cap must be >= 1"):
-        cfg.validate()
-    ExperimentConfig(viable_attempt_cap=1).validate()
-
-
-@pytest.mark.parametrize("pairs", [1, 0])
-def test_hdc_pairs_needs_two_for_a_standard_deviation(pairs):
-    with pytest.raises(ValueError, match="hdc_pairs must be >= 2"):
-        ExperimentConfig(hdc_pairs=pairs).validate()
-    ExperimentConfig(hdc_pairs=2).validate()
-
-
 def test_model_commands_need_hdc_scale_dimension():
     for d in (128, 512, 999):
         cfg = ExperimentConfig(d=d, seed=1)
@@ -99,6 +84,5 @@ def test_as_dict_round_trip():
     assert echo["mission_trials"] == 7
     assert set(echo) == {
         "d", "theta", "mission_goals", "mission_trials", "grid_only_trials",
-        "viability_mazes", "door_removal_trials", "hdc_pairs", "viable_attempt_cap",
-        "workers", "seed", "output_dir",
+        "viability_mazes", "door_removal_trials", "workers", "seed", "output_dir",
     }

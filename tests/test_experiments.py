@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hdnav import experiments, maze as mz, semantic_map as sm
+from hdnav import cml, experiments, maze as mz, persist, semantic_map as sm
 from hdnav.grid import GridCml
 from hdnav.reports import recompute_aggregates, wilson_interval
 
@@ -68,14 +68,14 @@ def test_verify_grid_rejects_sideways_first_step():
 def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 0)
     maze, memory, rejections = experiments.generate_viable_maze(
-        rng, object_cml.state_dictionary(), grid_cml, config.theta, config.viable_attempt_cap
+        rng, object_cml.state_dictionary(), grid_cml, config.theta
     )
     assert rejections >= 0
     assert sm.check_viability(memory, config.theta)
 
 
 def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_cml):
-    # a mission trial fails only if viable_attempt_cap candidates in a row are
+    # a mission trial fails only if VIABLE_ATTEMPT_CAP candidates in a row are
     # not mission ready; bound the ready rate from below, pooled over six trial
     # seeds rather than one seed's largest rejection count
     candidates = ready = 0
@@ -91,14 +91,15 @@ def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_c
     config.validate_for_models()
     p_lo, _ = wilson_interval(ready, candidates, z=3.0)
     assert p_lo > 0.0
-    assert (1.0 - p_lo) ** config.viable_attempt_cap < 1e-6
+    assert (1.0 - p_lo) ** experiments.VIABLE_ATTEMPT_CAP < 1e-6
 
 
-def test_viable_generation_cap(config, object_cml, grid_cml):
+def test_viable_generation_cap(config, object_cml, grid_cml, monkeypatch):
+    monkeypatch.setattr(experiments, "VIABLE_ATTEMPT_CAP", 1)
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 1)
-    with pytest.raises(RuntimeError, match="viable"):
+    with pytest.raises(RuntimeError, match="no viable maze within 1 attempts"):
         experiments.generate_viable_maze(
-            rng, object_cml.state_dictionary(), grid_cml, config.theta, attempt_cap=1
+            rng, object_cml.state_dictionary(), grid_cml, config.theta
         )
 
 
@@ -255,12 +256,43 @@ def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, m
     assert sizes == [2, 3, 3]
 
 
+def _without_h_k(graph):
+    h, k = graph.node_index("h"), graph.node_index("k")
+    edges = tuple(edge for edge in graph.directed_edges if set(edge) != {h, k})
+    return cml.CmlGraph(graph.node_labels, edges)
+
+
+def _relabelled(graph):
+    # the same eight labels in another order: every edge now joins other objects
+    return cml.CmlGraph(graph.node_labels[::-1], graph.directed_edges)
+
+
+def _edges_reversed(graph):
+    # the same edges in reverse order: the tie rule's "last tied edge" changes
+    return cml.CmlGraph(graph.node_labels, graph.directed_edges[::-1])
+
+
+@pytest.mark.parametrize("change", [_without_h_k, _relabelled, _edges_reversed])
+def test_load_models_refuses_another_object_graph(config, object_cml, grid_cml, tmp_path, change):
+    cfg = small(config, output_dir=str(tmp_path))
+    cfg.models_dir.mkdir()
+    other = cml.calculated(change(mz.object_graph()), object_cml.S)
+    persist.save_cml(other, cfg.models_dir / experiments.OBJECT_MODEL_FILE)
+    persist.save_grid_cml(grid_cml, cfg.models_dir / experiments.GRID_MODEL_FILE)
+    with pytest.raises(ValueError, match="is not the maze's object graph"):
+        experiments.load_models(cfg)
+    persist.save_cml(object_cml, cfg.models_dir / experiments.OBJECT_MODEL_FILE)
+    assert experiments.load_models(cfg)[0].graph == mz.object_graph()
+
+
 def test_unknown_experiment_rejected(config, object_cml, grid_cml):
     with pytest.raises(ValueError, match="unknown experiment"):
         experiments.run_experiment(config, "bogus", object_cml, grid_cml)
 
 
-def test_hdc_stats_scaling(config):
-    report = experiments.run_hdc_stats(small(config, d=512, hdc_pairs=2000))
+def test_hdc_stats_scaling(config, monkeypatch):
+    monkeypatch.setattr(experiments, "HDC_PAIRS", 2000)
+    report = experiments.run_hdc_stats(small(config, d=512))
+    assert report.aggregates["pairs"] == 2000
     # law of large numbers: std ~ 1/sqrt(d) ~ 0.044 at d = 512
     assert report.aggregates["std"] == pytest.approx(1 / 512**0.5, rel=0.2)

@@ -327,6 +327,14 @@ def test_from_text_requires_home():
         mz.from_text("2 1\nk.\n")
 
 
+def test_from_text_rejects_repeated_object():
+    # keeping the last 'k' would drop an object from the record's maze
+    with pytest.raises(ValueError, match=r"'k' repeats at \(1, 2\)"):
+        mz.from_text("4 2\nHk..\n..k.\n")
+    with pytest.raises(ValueError, match="'H' repeats"):
+        mz.from_text("2 1\nHH\n")
+
+
 @pytest.mark.parametrize("char", ["r", "h", "K", "z"])
 def test_from_text_rejects_unknown_characters(char):
     # the text has no robot character ('r'): the robot starts at H, and every

@@ -64,7 +64,7 @@ def test_pseudo_inverse_recomputed_on_load(object_cml, tmp_path):
     persist.save_cml(object_cml, path)
     loaded = persist.load_model(path)
     assert loaded.F.tobytes() == object_cml.F.tobytes()
-    assert loaded.F.shape == (object_cml.graph.e, object_cml.graph.n)
+    assert loaded.F.shape == (len(object_cml.graph.directed_edges), object_cml.graph.n)
 
 
 def test_grid_model_round_trip_bit_exact(grid_cml, tmp_path):

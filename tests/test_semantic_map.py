@@ -322,7 +322,7 @@ def pinned_candidates(config, objects, grid_cml, mission_trials=10):
         rng = experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial)
         _, _, rejections = experiments.generate_viable_maze(
             experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial),
-            objects, grid_cml, config.theta, config.viable_attempt_cap,
+            objects, grid_cml, config.theta,
         )
         for _ in range(rejections + 1):
             yield sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
