@@ -4,27 +4,34 @@ Verbs:
 
 - ``hdc-stats``: random-pair similarity statistics at the configured d.
 - ``train``: build and verify the object and grid models from one seed,
-  then persist both.
+  then persist both; prints the wall time of each phase.
 - ``run <experiment>``: mission, grid_only, viability, or door_removal
   trial batches against persisted models.
 - ``render``: draw one trace record as text or SVG.
 - ``verify <model>``: re-verify a persisted model: object plans against a
   breadth-first oracle for every node pair (and a count of tied pairs),
-  and open-grid optimality of the grid model for every ordered cell pair.
+  and open-grid optimality of the grid model for every ordered cell pair
+  (then the grid's shape, its chains' distance from their fixed points
+  and its number of distinct cell sign patterns).
 
 Experiment commands require an explicit ``--seed``.  Errors print one
-categorized line to stderr and exit nonzero.
+categorized line to stderr and exit nonzero.  When the reader of stdout
+goes away (a closed pipe), the command exits nonzero without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import experiments, persist, render as render_mod
 from .cml import Cml
 from .config import ExperimentConfig, apply_overrides, load_config
+from .grid import GridCml
 
 
 class CliError(Exception):
@@ -64,6 +71,15 @@ def _cmd_hdc_stats(args) -> int:
     return 0
 
 
+# the phase times train_and_save returns, by the label ``train`` prints them under
+TRAIN_PHASES = {
+    "build_s": "build and proof",
+    "train_s": "training",
+    "verify_s": "proof",
+    "save_s": "save",
+}
+
+
 def _cmd_train(args) -> int:
     config = _build_config(args)
     try:
@@ -73,7 +89,14 @@ def _cmd_train(args) -> int:
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
     for kind, details in info.items():
-        print(f"{kind}: verified ({details['pairs_checked']} pairs) -> {details['path']}")
+        phases = ", ".join(
+            f"{label} {details[key] * 1e3:.1f} ms"
+            for key, label in TRAIN_PHASES.items()
+            if key in details
+        )
+        print(
+            f"{kind}: verified ({details['pairs_checked']} pairs) -> {details['path']} [{phases}]"
+        )
     return 0
 
 
@@ -137,7 +160,26 @@ def _cmd_verify(args) -> int:
         raise CliError("verify", str(exc)) from exc
     ties = f", {info['tied_pairs']} tied" if "tied_pairs" in info else ""
     print(f"verified: {info['pairs_checked']} pairs{ties}")
+    if isinstance(model, GridCml):
+        print("\n".join(_grid_geometry(model)))
     return 0
+
+
+def _grid_geometry(grid_cml: GridCml) -> list[str]:
+    """The grid's shape, each chain's largest distance from its fixed point, its sign patterns.
+
+    Training keeps each chain's sum at 0 and drives its steps to 1, so the
+    fixed points are ``r - (H-1)/2`` for x and ``c - (W-1)/2`` for y.
+    """
+    width, height = grid_cml.width, grid_cml.height
+    x_gap = np.abs(grid_cml.x - (np.arange(height) - (height - 1) / 2)).max()
+    y_gap = np.abs(grid_cml.y - (np.arange(width) - (width - 1) / 2)).max()
+    patterns = len(np.unique(grid_cml.cells.signs, axis=0))
+    return [
+        f"shape: {width}x{height} (width x height), d={grid_cml.d}",
+        f"distance from the fixed point: x {x_gap:.3g}, y {y_gap:.3g}",
+        f"sign patterns: {patterns} distinct of {width * height} cells",
+    ]
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -191,7 +233,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone raises here, inside the handlers
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at the null device, so the
+        # flush at exit cannot raise again, and exit nonzero without a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CliError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         return 1

@@ -126,19 +126,40 @@ def train_and_save(config: ExperimentConfig) -> dict:
     """Calculate the object model and train the grid model, verify both, then persist.
 
     Both come from the one configured seed.  Unverified models are never written.
+    Each model's info also gives the wall time of its phases in seconds:
+    ``build_s`` (the object model's build and proof), ``train_s`` and
+    ``verify_s`` (the grid's training and proof) and ``save_s``.  The
+    times are for the caller to print; no model file holds them.
     """
     config.validate_for_models()
     config.require_seed()
     config.models_dir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
     object_cml = build_object_cml(config)
     object_info = verify_object_cml(object_cml, config.theta)
+    built = time.perf_counter()
     persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
+    saved = time.perf_counter()
     grid_cml = build_grid_cml(config)
+    trained = time.perf_counter()
     grid_info = verify_grid_cml(grid_cml)
+    verified = time.perf_counter()
     persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
+    grid_saved = time.perf_counter()
     return {
-        "object": {**object_info, "path": str(config.models_dir / OBJECT_MODEL_FILE)},
-        "grid": {**grid_info, "path": str(config.models_dir / GRID_MODEL_FILE)},
+        "object": {
+            **object_info,
+            "path": str(config.models_dir / OBJECT_MODEL_FILE),
+            "build_s": built - started,
+            "save_s": saved - built,
+        },
+        "grid": {
+            **grid_info,
+            "path": str(config.models_dir / GRID_MODEL_FILE),
+            "train_s": trained - saved,
+            "verify_s": verified - trained,
+            "save_s": grid_saved - verified,
+        },
     }
 
 

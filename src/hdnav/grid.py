@@ -12,12 +12,15 @@ actions over every directed adjacency until
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
 therefore iterates the two coordinate chains x (one scalar per row) and
-y (one per column).  The model is the chains and the two actions, and
-derives everything else from them once: the action matrix A4 in
-``DIRECTIONS`` order, the cell dictionary ``cells`` (one row per cell in
-row-major order, norms computed once), its transposed view P
-(d x W H), whose column for a cell is that cell's state, and the plane
-tables that score ``q . p / |p|`` as ``(basis @ q) . plane[cell]``.
+y (one per column), stacked as one array ``[y, x]`` whose seam is no edge
+and steps by exactly 0; the stopping rule is read once per block of
+``GRID_EPOCH_BLOCK`` epochs, for each of them.  The model is the chains
+and the two actions, and derives everything else from them once: the
+action matrix A4 in ``DIRECTIONS`` order, the cell dictionary ``cells``
+(one row per cell in row-major order, norms computed once), its
+transposed view P (d x W H), whose column for a cell is that cell's
+state, and the plane tables that score ``q . p / |p|`` as
+``(basis @ q) . plane[cell]``.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -49,6 +52,7 @@ DELTAS: dict[str, Cell] = {"E": (0, 1), "S": (1, 0), "N": (-1, 0), "W": (0, -1)}
 
 GRID_LEARNING_RATE = 0.05
 GRID_EPOCH_CAP = 20_000  # training epochs before train_grid gives up
+GRID_EPOCH_BLOCK = 64  # epochs trained between two reads of the stopping rule
 
 
 @dataclass(frozen=True)
@@ -123,29 +127,52 @@ def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> Gri
     same holds for south edges and x).  Convergence is the mean error
     norm over all directed edges dropping below 1e-2 * sqrt(d); each
     edge's norm is its chain coefficient times ``|a_e|`` or ``|a_s|``.
+
+    The two chains are trained as one array ``z = [y, x]``; the seam
+    between y's last entry and x's first is no edge, so its error is held
+    at exactly 0 and its step adds 0.  Every entry gets the operations of
+    two separate chains in their order (``err = (z[j+1] - z[j]) - 1``,
+    then ``+ 0.1 err[j]``, then ``- 0.1 err[j-1]``), so the chains are
+    bit-identical to training x and y apart.  An epoch stores its errors
+    and the chains it started from in one row of a block buffer; after
+    each ``GRID_EPOCH_BLOCK`` epochs the stopping rule is read for the
+    whole block at once, and the chains of the first epoch whose residual
+    is below the tolerance are returned.  The row sums run along a
+    contiguous axis, the same pairwise sums as a 1-D ``sum``.
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
     tol = 1e-2 * np.sqrt(len(a_s))
     norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
-    x = np.zeros(height)  # south coordinate of each row
-    y = np.zeros(width)  # east coordinate of each column
-    for _ in range(GRID_EPOCH_CAP):
-        err_x = np.diff(x) - 1.0
-        err_y = np.diff(y) - 1.0
+    z = np.zeros(width + height)  # [y, x]: east coordinate of each column, south of each row
+    low, high = z[:-1], z[1:]  # the two ends of each chain step, views of z
+    step = np.empty(width + height - 1)
+    errors = np.empty((GRID_EPOCH_BLOCK, width + height - 1))
+    starts = np.empty((GRID_EPOCH_BLOCK, width + height))
+    for first in range(0, GRID_EPOCH_CAP, GRID_EPOCH_BLOCK):
+        block = min(GRID_EPOCH_BLOCK, GRID_EPOCH_CAP - first)
+        for err, start in zip(errors[:block], starts[:block]):
+            start[:] = z
+            np.subtract(high, low, out=err)
+            err -= 1.0
+            err[width - 1] = 0.0  # the seam is no edge
+            np.multiply(err, 2 * GRID_LEARNING_RATE, out=step)
+            low += step
+            high -= step
+        residual = np.abs(errors[:block])
         mean_residual = (
-            height * norm_e * float(np.abs(err_y).sum())
-            + width * norm_s * float(np.abs(err_x).sum())
+            height * norm_e * np.add.reduce(residual[:, : width - 1], axis=1)
+            + width * norm_s * np.add.reduce(residual[:, width:], axis=1)
         ) / edge_pairs
-        if mean_residual < tol:
-            return GridCml(x=x, y=y, a_s=a_s.copy(), a_e=a_e.copy())
-        y[:-1] += (2 * GRID_LEARNING_RATE) * err_y
-        y[1:] -= (2 * GRID_LEARNING_RATE) * err_y
-        x[:-1] += (2 * GRID_LEARNING_RATE) * err_x
-        x[1:] -= (2 * GRID_LEARNING_RATE) * err_x
+        converged = np.flatnonzero(mean_residual < tol)
+        if len(converged):
+            chains = starts[converged[0]]
+            return GridCml(
+                x=chains[width:].copy(), y=chains[:width].copy(), a_s=a_s.copy(), a_e=a_e.copy()
+            )
     raise RuntimeError(
-        f"grid training failed to converge: residual {mean_residual:.3g} "
+        f"grid training failed to converge: residual {mean_residual[-1]:.3g} "
         f"after {GRID_EPOCH_CAP} epochs"
     )
 

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -46,7 +50,11 @@ def test_seed_is_mandatory(tmp_path, capsys):
 def test_train_object_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--seed", "42", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.count("verified") == 2
+    printed = capsys.readouterr().out
+    assert printed.count("verified") == 2
+    # each model's line ends with the wall time of its phases
+    assert re.search(r"object: .* \[build and proof \S+ ms, save \S+ ms\]$", printed, re.M)
+    assert re.search(r"grid: .* \[training \S+ ms, proof \S+ ms, save \S+ ms\]$", printed, re.M)
     # one seed writes both models, so a model directory never mixes seeds
     assert (out / "models" / experiments.OBJECT_MODEL_FILE).exists()
     assert (out / "models" / experiments.GRID_MODEL_FILE).exists()
@@ -173,6 +181,43 @@ def test_verify_model_files(models_dir, capsys):
     assert main(["verify", str(grid_model)]) == 0
     printed = capsys.readouterr().out
     assert printed.count("verified") == 2
+
+
+def test_verify_prints_the_grid_geometry(models_dir, capsys):
+    grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE
+    assert main(["verify", str(grid_model)]) == 0
+    verified, shape, distance, patterns = capsys.readouterr().out.splitlines()
+    assert verified == "verified: 39800 pairs"
+    assert shape == "shape: 20x10 (width x height), d=1000"
+    gaps = re.fullmatch(r"distance from the fixed point: x (\S+), y (\S+)", distance)
+    x_gap, y_gap = gaps.groups()
+    # x stops within 1e-6 of r - 4.5; y up to 0.18 short of c - 9.5 (a mean-residual stop)
+    assert float(x_gap) == pytest.approx(1.13e-6, rel=1e-2)
+    assert float(y_gap) == pytest.approx(0.184, rel=1e-2)
+    assert patterns == "sign patterns: 164 distinct of 200 cells"
+
+
+def test_closed_stdout_exits_nonzero_without_traceback(tmp_path, monkeypatch):
+    sink = open(tmp_path / "stdout", "w")
+
+    class ClosedPipe(io.TextIOBase):
+        """A stdout whose reader has gone: every write raises."""
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return sink.fileno()
+
+    stderr = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    with sink:
+        args = ["hdc-stats", "--seed", "1", "--set", "d=64", "--out", str(tmp_path / "stats")]
+        assert main(args) == 1
+        # stdout's descriptor now writes to the null device, so the flush at exit cannot raise
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    assert stderr.getvalue() == ""
 
 
 def test_verify_rejects_garbage(tmp_path, capsys):
@@ -331,6 +376,13 @@ def test_full_train_and_save_round(tmp_path):
     info = experiments.train_and_save(cfg)
     assert info["object"]["pairs_checked"] == 56
     assert info["grid"]["pairs_checked"] == 39800
+    # every phase is timed, and the times reach no model file
+    assert info["object"]["build_s"] > 0 and info["object"]["save_s"] > 0
+    assert min(info["grid"][key] for key in ("train_s", "verify_s", "save_s")) > 0
+    again = ExperimentConfig(seed=42, output_dir=str(tmp_path / "again"))
+    experiments.train_and_save(again)
+    for name in (experiments.OBJECT_MODEL_FILE, experiments.GRID_MODEL_FILE):
+        assert (cfg.models_dir / name).read_bytes() == (again.models_dir / name).read_bytes()
     object_cml, grid_cml = experiments.load_models(cfg)
     assert object_cml.graph.n == 8
     assert grid_cml.P.shape == (1000, 200)

@@ -56,6 +56,36 @@ def reference_train_grid(width, height, d, a_s, a_e, learning_rate=0.05, epoch_c
     raise RuntimeError("reference training did not converge")
 
 
+def reference_chains(width, height, a_s, a_e, epoch_cap=grid_mod.GRID_EPOCH_CAP):
+    """The two-chain delta-rule loop ``train_grid`` replaced: (x, y, stopping epoch).
+
+    One epoch at a time, each chain on its own, the stopping rule read
+    before every update; ``train_grid`` must match it bit for bit.
+    """
+    tol = 1e-2 * np.sqrt(len(a_s))
+    norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
+    edge_pairs = directed_edge_count(width, height) // 2
+    x = np.zeros(height)
+    y = np.zeros(width)
+    for epoch in range(epoch_cap):
+        err_x = np.diff(x) - 1.0
+        err_y = np.diff(y) - 1.0
+        mean_residual = (
+            height * norm_e * float(np.abs(err_y).sum())
+            + width * norm_s * float(np.abs(err_x).sum())
+        ) / edge_pairs
+        if mean_residual < tol:
+            return x, y, epoch
+        y[:-1] += (2 * grid_mod.GRID_LEARNING_RATE) * err_y
+        y[1:] -= (2 * grid_mod.GRID_LEARNING_RATE) * err_y
+        x[:-1] += (2 * grid_mod.GRID_LEARNING_RATE) * err_x
+        x[1:] -= (2 * grid_mod.GRID_LEARNING_RATE) * err_x
+    raise RuntimeError(
+        f"grid training failed to converge: residual {mean_residual:.3g} "
+        f"after {epoch_cap} epochs"
+    )
+
+
 def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
     """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced."""
     return grid.A4.T @ (grid.state(target_cell) - grid.state(current_cell))
@@ -214,10 +244,40 @@ def test_train_grid_matches_reference_delta_rule(actions, width, height):
     assert np.abs(trained.P - reference).max() < 1e-10
 
 
+TRAINING_SHAPES = [(20, 10), (7, 3), (5, 5), (1, 5), (5, 1), (2, 1), (64, 2)]
+
+
+@pytest.mark.parametrize("width,height", TRAINING_SHAPES)
+def test_train_grid_is_bit_identical_to_the_two_chain_loop(width, height):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        a_s, a_e = rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)
+        x, y, _ = reference_chains(width, height, a_s, a_e)
+        trained = train_grid(width, height, a_s, a_e)
+        assert np.array_equal(trained.x, x) and np.array_equal(trained.y, y), seed
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_training_stops_at_the_same_epoch_across_a_block_boundary(actions, monkeypatch, offset):
+    # the stopping epoch is the last of a block (-1), the first of the next (0), or its second (1)
+    x, y, epoch = reference_chains(20, 10, *actions)
+    block = epoch - offset
+    monkeypatch.setattr(grid_mod, "GRID_EPOCH_BLOCK", block)
+    assert epoch // block == (0 if offset < 0 else 1) and epoch % block == offset % block
+    trained = train_grid(20, 10, *actions)
+    assert np.array_equal(trained.x, x) and np.array_equal(trained.y, y)
+
+
 def test_training_cap_raises(actions, monkeypatch):
-    monkeypatch.setattr(grid_mod, "GRID_EPOCH_CAP", 5)
-    with pytest.raises(RuntimeError, match="after 5 epochs"):
-        train_grid(20, 10, *actions)
+    # neither cap is a multiple of the block; the message gives the last epoch's residual
+    for cap in (5, grid_mod.GRID_EPOCH_BLOCK + 7):
+        assert cap % grid_mod.GRID_EPOCH_BLOCK
+        monkeypatch.setattr(grid_mod, "GRID_EPOCH_CAP", cap)
+        with pytest.raises(RuntimeError, match=f"after {cap} epochs") as expected:
+            reference_chains(20, 10, *actions, epoch_cap=cap)
+        with pytest.raises(RuntimeError) as raised:
+            train_grid(20, 10, *actions)
+        assert str(raised.value) == str(expected.value)
 
 
 # --- utilities ---------------------------------------------------------------------
