@@ -8,8 +8,9 @@ Verbs:
 - ``run <experiment>``: mission, grid_only, viability, or door_removal
   trial batches against persisted models.
 - ``render``: draw one trace record as text or SVG.
-- ``verify <model>``: re-verify a persisted model: object plans against a
-  breadth-first oracle for every node pair (and a count of tied pairs),
+- ``verify <model>``: re-prove a persisted model: object plans
+  BFS-shortest for every node pair (with the count of tied pairs and the
+  tie rule's rounding headroom: the route margin and the tie spread),
   and open-grid optimality of the grid model for every ordered cell pair
   (then the grid's shape, its chains' distance from their fixed points
   and its number of distinct cell sign patterns).
@@ -73,7 +74,7 @@ def _cmd_hdc_stats(args) -> int:
 
 # the phase times train_and_save returns, by the label ``train`` prints them under
 TRAIN_PHASES = {
-    "build_s": "build and proof",
+    "build_s": "build",
     "train_s": "training",
     "verify_s": "proof",
     "save_s": "save",
@@ -158,7 +159,12 @@ def _cmd_verify(args) -> int:
             info = experiments.verify_grid_cml(model)
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
-    ties = f", {info['tied_pairs']} tied" if "tied_pairs" in info else ""
+    ties = (
+        f", {info['tied_pairs']} tied, route margin {info['route_margin']:.3g},"
+        f" tie spread {info['tie_spread']:.2g}"
+        if "tied_pairs" in info
+        else ""
+    )
     print(f"verified: {info['pairs_checked']} pairs{ties}")
     if isinstance(model, GridCml):
         print("\n".join(_grid_geometry(model)))

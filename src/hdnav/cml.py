@@ -12,12 +12,16 @@ satisfy ``s_j ~= s_i + a_edge``:
 Planning works without any path search.  As ``A = S B`` for the graph's
 (n x e) incidence matrix B, the paper's least-squares action utility is
 the minimum-norm flow ``F[:, target] - F[:, current]`` of the (e x n)
-table ``F = pinv(B)``, whatever the states.  A step takes the last open
-edge within ``TIE_TOLERANCE`` of the best, so exact ties between
-symmetric routes never fall to rounding.  Iterating that step with the
-predicted state ``s_c + a_edge`` fed back walks a near-optimal path.  A
-step that refuses to act says why: an input it did not recognise, or a
-node with no open gate.
+table ``F = pinv(B)``, whatever the states.  The pick rule is written
+once, as ``best_edges`` (the tie set: every open edge within
+``TIE_TOLERANCE`` of the best) and ``last_edge`` (the step takes the
+last of it), so exact ties between symmetric routes never fall to
+rounding.  Both broadcast over target and current index arrays:
+``step`` runs them for its one pair, and the planner proof
+(``experiments.verify_object_cml``) for every pair at once.  Iterating
+the step with the predicted state ``s_c + a_edge`` fed back walks a
+near-optimal path.  A step that refuses to act says why: an input it
+did not recognise, or a node with no open gate.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import numpy as np
 
 from . import hdc
 
-# Exact ties in F agree to about 1e-15; distinct scores differ by 1/176 or more.
+# Exact ties in F agree to about 1e-15; the step's pick beats every open edge
+# outside its tie set by 1/132 or more (``route_margin`` of the planner proof).
 TIE_TOLERANCE = 1e-9
 
 
@@ -96,6 +101,27 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
                 seen.add(nxt)
                 queue.append((nxt, hops + 1))
     return None
+
+
+def hop_distances(graph: CmlGraph) -> np.ndarray:
+    """All-pairs shortest-path edge counts, (n, n) by (start, goal); -1 if unreachable.
+
+    Read from the graph's edges alone, like ``bfs_hops``: the frontier of
+    every start grows by one hop per boolean matrix product.
+    """
+    n = graph.n
+    adjacency = np.zeros((n, n), dtype=bool)
+    for src, dst in graph.directed_edges:
+        adjacency[src, dst] = True
+    reached = np.eye(n, dtype=bool)
+    hops = np.where(reached, 0, -1)
+    for hop in range(1, n):
+        grown = reached | (reached @ adjacency)
+        hops[grown & ~reached] = hop
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    return hops
 
 
 @dataclass(frozen=True)
@@ -199,12 +225,35 @@ def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
     return replace(cml, S=S, A=A), epoch_error
 
 
-def best_edges(cml: Cml, target_idx: int, current_idx: int) -> np.ndarray:
-    """The open edges out of the current node, in edge order, whose flow
-    ``F[edge, target] - F[edge, current]`` is within ``TIE_TOLERANCE`` of the best."""
-    legal = np.nonzero(cml.G[:, current_idx])[0]
-    u = cml.F[legal, target_idx] - cml.F[legal, current_idx]
-    return legal[u >= u.max(initial=-np.inf) - TIE_TOLERANCE]
+def route_scores(cml: Cml, target, current) -> np.ndarray:
+    """Each edge's flow toward the target, ``F[edge, target] - F[edge, current]``.
+
+    ``target`` and ``current`` are node indices, or index arrays that
+    broadcast together; the result has one row per edge in front of their
+    shape.  An edge whose gate at the current node is closed scores -inf.
+    """
+    F = cml.F
+    # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
+    return np.where(cml.G[:, current], F[:, target] - F[:, current], -np.inf)
+
+
+def best_edges(cml: Cml, target, current) -> np.ndarray:
+    """The tie set of each (target, current) pair, as an edge mask.
+
+    True for the open edges out of the current node whose
+    ``route_scores`` are within ``TIE_TOLERANCE`` of the best; no edge
+    where every gate is closed.  Broadcasts like ``route_scores``.
+    """
+    scores = route_scores(cml, target, current)
+    return (scores >= scores.max(axis=0) - TIE_TOLERANCE) & (scores > -np.inf)
+
+
+def last_edge(best: np.ndarray) -> np.ndarray:
+    """The edge a step takes from each tie set of ``best_edges``: its last, in edge order.
+
+    Meaningless for an empty tie set; the caller checks for one first.
+    """
+    return len(best) - 1 - best[::-1].argmax(axis=0)
 
 
 def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> StepResult:
@@ -212,10 +261,10 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> Ste
 
     Both inputs are sanitised by one recovery of their two-row stack over
     the node-state columns; if either fails the noise floor the learner
-    refuses to act.  Otherwise it takes the last of ``best_edges`` out of
-    the recovered current node, and the result carries the predicted
-    next state ``s_c + a_edge`` (or a refusal when every gate of the node
-    is closed).
+    refuses to act.  Otherwise it takes the ``last_edge`` of the
+    ``best_edges`` out of the recovered current node, and the result
+    carries the predicted next state ``s_c + a_edge`` (or a refusal when
+    every gate of the node is closed).
     """
     inputs = np.stack((target, current))
     target_label, current_label = hdc.recover(inputs, cml.state_dictionary(), theta)
@@ -223,10 +272,10 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> Ste
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
     c_idx = cml.graph.node_index(current_label)
-    edges = best_edges(cml, t_idx, c_idx)
-    if len(edges) == 0:
+    best = best_edges(cml, t_idx, c_idx)
+    if not best.any():
         return StepResult(None, None, True)
-    edge = int(edges[-1])
+    edge = int(last_edge(best))
     return StepResult(cml.S[:, c_idx] + cml.A[:, edge], edge, True)
 
 

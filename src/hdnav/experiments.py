@@ -58,29 +58,74 @@ def build_grid_cml(config: ExperimentConfig) -> GridCml:
 
 
 def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
-    """Planned path length must match the breadth-first oracle for all pairs; count ties."""
+    """Prove every planned path BFS-shortest for every ordered node pair, by induction.
+
+    ``plan_path`` walks from the recovered start node by ``step``, and
+    feeds each prediction ``s_c + a_edge`` back as the current state.  So
+    every walk is a shortest one when
+    1. every node state recovers to its own node, and every one-step
+       prediction ``S[:, src] + A`` to its edge's head (one recovery of
+       the stacked states and predictions), and
+    2. for every (target, current) pair with target != current, the edge
+       the step picks leaves the current node and its head is one hop
+       closer to the target.  The picks come from ``cml.best_edges`` and
+       ``cml.last_edge``, the rule ``step`` runs, in one call over all
+       pairs; the distances from ``cml.hop_distances``, which reads the
+       graph's edges alone, independent of F and G.
+    A failure raises ``RuntimeError`` naming the pair.  Returned: the
+    pairs checked, the pairs whose tie set has more than one edge, and
+    the tie rule's rounding headroom on both sides of ``TIE_TOLERANCE``:
+    ``route_margin``, the smallest gap between a pair's picked score and
+    its best open edge outside the tie set, and ``tie_spread``, the
+    largest spread of scores inside a tie set.
+    """
     graph = object_cml.graph
-    checked = tied = 0
-    for start in range(graph.n):
-        for goal in range(graph.n):
-            if start == goal:
-                continue
-            path = cml_mod.plan_path(
-                object_cml,
-                object_cml.S[:, goal],
-                object_cml.S[:, start],
-                theta=theta,
-            )
-            oracle = cml_mod.bfs_hops(graph, start, goal)
-            if path is None or len(path) - 1 != oracle:
-                raise RuntimeError(
-                    f"object model failed verification: "
-                    f"{graph.node_labels[start]}->{graph.node_labels[goal]} "
-                    f"planned {path}, oracle {oracle} hops"
-                )
-            checked += 1
-            tied += len(cml_mod.best_edges(object_cml, goal, start)) > 1
-    return {"pairs_checked": checked, "tied_pairs": tied}
+    labels = graph.node_labels
+    src, dst = np.array(graph.directed_edges, dtype=int).reshape(-1, 2).T
+
+    def fail(start: int, goal: int, why: str):
+        raise RuntimeError(
+            f"object model failed verification: {labels[start]}->{labels[goal]}: {why}"
+        )
+
+    # node states first, then the prediction of every edge
+    stack = np.concatenate([object_cml.S.T, (object_cml.S[:, src] + object_cml.A).T])
+    recovered = hdc.recover(stack, object_cml.state_dictionary(), theta)
+    for node, label in enumerate(recovered[: graph.n]):
+        if label != labels[node]:
+            fail(node, node, f"the state of {labels[node]} recovers to {label}")
+    for edge, label in enumerate(recovered[graph.n :]):
+        if label != labels[dst[edge]]:
+            fail(src[edge], dst[edge], f"the prediction recovers to {label}")
+    index = np.arange(graph.n)
+    # (edge, current, target) and (current, target), like hops[start, goal]
+    scores = cml_mod.route_scores(object_cml, index[None, :], index[:, None])
+    best = cml_mod.best_edges(object_cml, index[None, :], index[:, None])
+    pick = cml_mod.last_edge(best)
+    hops = cml_mod.hop_distances(graph)
+    pairs = ~np.eye(graph.n, dtype=bool)
+    for start, goal in np.argwhere(pairs & (hops < 0)):
+        fail(start, goal, f"no walk reaches {labels[goal]}")
+    for start, goal in np.argwhere(pairs & ~best.any(axis=0)):
+        fail(start, goal, f"no open edge leaves {labels[start]}")
+    closer = (src[pick] == index[:, None]) & (hops[dst[pick], index] == hops - 1)
+    for start, goal in np.argwhere(pairs & ~closer):
+        edge = pick[start, goal]
+        fail(
+            start, goal,
+            f"the step takes {labels[src[edge]]}->{labels[dst[edge]]}, "
+            f"not one hop closer (oracle {hops[start, goal]} hops)",
+        )
+    picked = np.take_along_axis(scores, pick[None], axis=0)[0]
+    runner_up = np.where(best, -np.inf, scores).max(axis=0)  # -inf where every open edge ties
+    top = np.where(best, scores, -np.inf).max(axis=0)
+    spread = top - np.where(best, scores, np.inf).min(axis=0)
+    return {
+        "pairs_checked": int(pairs.sum()),
+        "tied_pairs": int((pairs & (best.sum(axis=0) > 1)).sum()),
+        "route_margin": float((picked - runner_up)[pairs].min(initial=np.inf)),
+        "tie_spread": float(spread[pairs].max(initial=0.0)),
+    }
 
 
 def verify_grid_cml(grid_cml: GridCml) -> dict:
@@ -127,17 +172,18 @@ def train_and_save(config: ExperimentConfig) -> dict:
 
     Both come from the one configured seed.  Unverified models are never written.
     Each model's info also gives the wall time of its phases in seconds:
-    ``build_s`` (the object model's build and proof), ``train_s`` and
-    ``verify_s`` (the grid's training and proof) and ``save_s``.  The
-    times are for the caller to print; no model file holds them.
+    ``build_s`` (the object model's build) or ``train_s`` (the grid's
+    training), then ``verify_s`` (its proof) and ``save_s``.  The times
+    are for the caller to print; no model file holds them.
     """
     config.validate_for_models()
     config.require_seed()
     config.models_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     object_cml = build_object_cml(config)
-    object_info = verify_object_cml(object_cml, config.theta)
     built = time.perf_counter()
+    object_info = verify_object_cml(object_cml, config.theta)
+    proved = time.perf_counter()
     persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
     saved = time.perf_counter()
     grid_cml = build_grid_cml(config)
@@ -151,7 +197,8 @@ def train_and_save(config: ExperimentConfig) -> dict:
             **object_info,
             "path": str(config.models_dir / OBJECT_MODEL_FILE),
             "build_s": built - started,
-            "save_s": saved - built,
+            "verify_s": proved - built,
+            "save_s": saved - proved,
         },
         "grid": {
             **grid_info,

@@ -53,7 +53,7 @@ def test_train_object_model(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert printed.count("verified") == 2
     # each model's line ends with the wall time of its phases
-    assert re.search(r"object: .* \[build and proof \S+ ms, save \S+ ms\]$", printed, re.M)
+    assert re.search(r"object: .* \[build \S+ ms, proof \S+ ms, save \S+ ms\]$", printed, re.M)
     assert re.search(r"grid: .* \[training \S+ ms, proof \S+ ms, save \S+ ms\]$", printed, re.M)
     # one seed writes both models, so a model directory never mixes seeds
     assert (out / "models" / experiments.OBJECT_MODEL_FILE).exists()
@@ -171,7 +171,10 @@ def test_render_missing_trace(tmp_path, capsys):
 def test_verify_reports_tied_object_pairs(models_dir, capsys):
     object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
     assert main(["verify", str(object_model)]) == 0
-    assert capsys.readouterr().out == "verified: 56 pairs, 14 tied\n"
+    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16 inside
+    assert capsys.readouterr().out == (
+        "verified: 56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16\n"
+    )
 
 
 def test_verify_model_files(models_dir, capsys):
@@ -376,8 +379,9 @@ def test_full_train_and_save_round(tmp_path):
     info = experiments.train_and_save(cfg)
     assert info["object"]["pairs_checked"] == 56
     assert info["grid"]["pairs_checked"] == 39800
-    # every phase is timed, and the times reach no model file
-    assert info["object"]["build_s"] > 0 and info["object"]["save_s"] > 0
+    # every phase is timed, the object model's proof apart from its build, and the
+    # times reach no model file
+    assert min(info["object"][key] for key in ("build_s", "verify_s", "save_s")) > 0
     assert min(info["grid"][key] for key in ("train_s", "verify_s", "save_s")) > 0
     again = ExperimentConfig(seed=42, output_dir=str(tmp_path / "again"))
     experiments.train_and_save(again)

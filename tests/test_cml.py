@@ -219,7 +219,7 @@ def test_trained_model_plans_like_calculated(graph, rng):
     untied = 0
     for c in range(graph.n):
         for t in range(graph.n):
-            best = cml.best_edges(trained, t, c)
+            best = np.flatnonzero(cml.best_edges(trained, t, c))
             if t != c and len(best) == 1:
                 assert reference_pick(utility[:, t, c], trained.G[:, c]) == best[0]
                 untied += 1
@@ -259,7 +259,7 @@ def test_one_hop_utility_is_gated_max(graph, rng):
     h, k = graph.node_index("h"), graph.node_index("k")
     edge_idx = graph.directed_edges.index((h, k))
     assert flow_utility(c, "k", "h")[edge_idx] == pytest.approx(0.25, abs=1e-12)
-    assert cml.best_edges(c, k, h).tolist() == [edge_idx]
+    assert np.flatnonzero(cml.best_edges(c, k, h)).tolist() == [edge_idx]
 
 
 def test_utility_antisymmetric(graph, rng):
@@ -293,7 +293,7 @@ def test_flow_table_ties_are_exact_or_far_apart(graph, object_cml):
             gaps = np.abs(u[:, None] - u[None, :])
             assert np.all((gaps < 1e-12) | (gaps >= 5e-3))
             best = out[u >= u.max() - 1e-12]
-            assert np.array_equal(cml.best_edges(object_cml, t, c), best)
+            assert np.array_equal(np.flatnonzero(cml.best_edges(object_cml, t, c)), best)
             if len(best) > 1:
                 ties.add((graph.node_labels[c], graph.node_labels[t]))
     assert ties == EXACT_TIES
@@ -382,6 +382,34 @@ def test_step_zero_when_all_gates_closed(graph, rng):
     assert result.chosen_edge is None
     assert result.predicted_next is None
     assert result.recognised  # both states recover; no gate leaves h
+
+
+def test_tie_set_broadcasts_like_the_one_pair_rule(graph, object_cml):
+    # one call over all (current, target) pairs gives each pair's own tie set and pick
+    index = np.arange(graph.n)
+    for model in door_models(object_cml).values():
+        table = cml.best_edges(model, index[None, :], index[:, None])
+        picks = cml.last_edge(table)
+        for c in range(graph.n):
+            for t in range(graph.n):
+                best = cml.best_edges(model, t, c)
+                assert np.array_equal(table[:, c, t], best)
+                if best.any():
+                    assert picks[c, t] == np.flatnonzero(best)[-1]
+        # closed gates leave an empty tie set, never a pick among closed edges
+        door = graph.node_index("d")
+        assert table[:, door].any() == (model is object_cml)
+
+
+def test_hop_distances_equal_bfs_hops(graph):
+    one_way = cml.CmlGraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    two_parts = cml.CmlGraph.from_undirected(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    for g in (graph, one_way, two_parts):
+        hops = cml.hop_distances(g)
+        for start in range(g.n):
+            for goal in range(g.n):
+                oracle = cml.bfs_hops(g, start, goal)
+                assert hops[start, goal] == (-1 if oracle is None else oracle)
 
 
 # --- plan_path --------------------------------------------------------------------

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hdnav import cml, experiments, maze as mz, persist, semantic_map as sm
+from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
 from hdnav.reports import recompute_aggregates, wilson_interval
 
@@ -63,6 +64,103 @@ def test_verify_grid_rejects_sideways_first_step():
     with pytest.raises(RuntimeError, match=r"\(0, 0\)->\(1, 0\)"):
         experiments.verify_grid_cml(skewed)
     assert experiments._open_grid_steps(skewed, (0, 0), (1, 0)) is None
+
+
+def seeded_object_cml(seed):
+    return experiments.build_object_cml(ExperimentConfig(seed=seed))
+
+
+def walked_proof(model, theta):
+    """The per-pair walk the table proof replaced: (pairs, tied pairs, first edge of each pair).
+
+    ``plan_path`` from every node to every other must take ``bfs_hops``
+    steps, and its first hop must be the head of the edge ``step`` takes;
+    ties are counted per pair as the open edges within ``TIE_TOLERANCE``
+    of the best.
+    """
+    graph = model.graph
+    checked = tied = 0
+    first = np.zeros((graph.n, graph.n), dtype=int)
+    for start in range(graph.n):
+        for goal in range(graph.n):
+            if start == goal:
+                continue
+            path = cml.plan_path(model, model.S[:, goal], model.S[:, start], theta=theta)
+            assert path is not None and len(path) - 1 == cml.bfs_hops(graph, start, goal)
+            edge = cml.step(model, model.S[:, goal], model.S[:, start], theta).chosen_edge
+            assert path[1] == graph.node_labels[graph.directed_edges[edge][1]]
+            first[start, goal] = edge
+            checked += 1
+            legal = np.nonzero(model.G[:, start])[0]
+            u = model.F[legal, goal] - model.F[legal, start]
+            tied += np.count_nonzero(u >= u.max() - cml.TIE_TOLERANCE) > 1
+    return checked, tied, first
+
+
+@pytest.mark.parametrize("seed", [42, 1, 2, 3, 4, 5])
+def test_verify_object_matches_the_walk_it_replaced(config, monkeypatch, seed):
+    model = seeded_object_cml(seed)
+    # the pick table the proof builds, read from its one call of the step's rule
+    tables = []
+    last_edge = cml.last_edge
+
+    def recorded(best):
+        tables.append(last_edge(best))
+        return tables[-1]
+
+    monkeypatch.setattr(cml, "last_edge", recorded)
+    info = experiments.verify_object_cml(model, config.theta)
+    monkeypatch.undo()
+    (picks,) = tables
+    checked, tied, first = walked_proof(model, config.theta)
+    assert (info["pairs_checked"], info["tied_pairs"]) == (checked, tied) == (56, 14)
+    off_diagonal = ~np.eye(model.graph.n, dtype=bool)
+    assert np.array_equal(picks[off_diagonal], first[off_diagonal])
+
+
+@pytest.mark.parametrize("seed", [42, 7, 11, 1001])
+def test_tie_rule_has_rounding_headroom_on_both_sides(config, seed):
+    info = experiments.verify_object_cml(seeded_object_cml(seed), config.theta)
+    # exact ties agree to the last bits; every other open edge trails the pick by 1/132
+    assert info["tie_spread"] < cml.TIE_TOLERANCE < info["route_margin"]
+    assert info["tie_spread"] < 1e-14
+    assert info["route_margin"] == pytest.approx(1 / 132, rel=1e-9)
+
+
+def test_verify_object_rejects_a_prediction_that_recovers_elsewhere(config, object_cml):
+    # the k->a action lands on t: the walk k->a still reads two labels, the proof does not
+    graph = object_cml.graph
+    k, a, t = (graph.node_index(label) for label in "kat")
+    A = object_cml.A.copy()
+    A[:, graph.directed_edges.index((k, a))] = object_cml.S[:, t] - object_cml.S[:, k]
+    with pytest.raises(RuntimeError, match=r"failed verification: k->a: .*recovers to t"):
+        experiments.verify_object_cml(dataclasses.replace(object_cml, A=A), config.theta)
+
+
+def test_verify_object_rejects_an_unreachable_pair(config, rng):
+    two_parts = cml.CmlGraph.from_undirected(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    model = cml.init_calculated(two_parts, 256, rng)
+    with pytest.raises(RuntimeError, match=r"failed verification: a->c: no walk reaches c"):
+        experiments.verify_object_cml(model, config.theta)
+    assert cml.plan_path(model, model.state("c"), model.state("a")) is None
+
+
+def test_verify_object_rejects_a_node_with_every_gate_closed(config, object_cml):
+    G = object_cml.G.copy()
+    G[:, object_cml.graph.node_index("h")] = 0.0
+    closed = dataclasses.replace(object_cml, G=G)
+    with pytest.raises(RuntimeError, match=r"failed verification: h->a: no open edge leaves h"):
+        experiments.verify_object_cml(closed, config.theta)
+    assert cml.plan_path(closed, closed.state("a"), closed.state("h")) is None
+
+
+def test_verify_object_rejects_a_step_away_from_the_target(config, object_cml):
+    # a negated flow table routes every step away: the first pair fails, and its walk too
+    away = dataclasses.replace(object_cml)
+    object.__setattr__(away, "F", -object_cml.F)
+    with pytest.raises(RuntimeError, match=r"failed verification: a->b: .*not one hop closer"):
+        experiments.verify_object_cml(away, config.theta)
+    assert cml.plan_path(away, away.state("b"), away.state("a")) is None
 
 
 def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):

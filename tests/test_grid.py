@@ -56,26 +56,34 @@ def reference_train_grid(width, height, d, a_s, a_e, learning_rate=0.05, epoch_c
     raise RuntimeError("reference training did not converge")
 
 
-def reference_chains(width, height, a_s, a_e, epoch_cap=grid_mod.GRID_EPOCH_CAP):
-    """The two-chain delta-rule loop ``train_grid`` replaced: (x, y, stopping epoch).
+def reference_chains(width, height, actions, epoch_cap=grid_mod.GRID_EPOCH_CAP):
+    """The two-chain loop ``train_grid`` replaced: (x, y, stopping epoch) per action pair.
 
     One epoch at a time, each chain on its own, the stopping rule read
-    before every update; ``train_grid`` must match it bit for bit.
+    before every update; ``train_grid`` must match it bit for bit.  The
+    chains' trajectory does not depend on the actions, only the stopping
+    epoch does (through ``|a_s|`` and ``|a_e|``), so one pass serves every
+    ``(a_s, a_e)`` in ``actions``: each pair's rule is read at every epoch,
+    as the same scalar expression, until that pair stops.
     """
-    tol = 1e-2 * np.sqrt(len(a_s))
-    norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
+    rules = [
+        (1e-2 * np.sqrt(len(a_s)), float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s)))
+        for a_s, a_e in actions
+    ]
+    stopped = [None] * len(rules)
     x = np.zeros(height)
     y = np.zeros(width)
     for epoch in range(epoch_cap):
         err_x = np.diff(x) - 1.0
         err_y = np.diff(y) - 1.0
-        mean_residual = (
-            height * norm_e * float(np.abs(err_y).sum())
-            + width * norm_s * float(np.abs(err_x).sum())
-        ) / edge_pairs
-        if mean_residual < tol:
-            return x, y, epoch
+        sum_y, sum_x = float(np.abs(err_y).sum()), float(np.abs(err_x).sum())
+        for pair, (tol, norm_e, norm_s) in enumerate(rules):
+            mean_residual = (height * norm_e * sum_y + width * norm_s * sum_x) / edge_pairs
+            if stopped[pair] is None and mean_residual < tol:
+                stopped[pair] = (x.copy(), y.copy(), epoch)
+        if None not in stopped:
+            return stopped
         y[:-1] += (2 * grid_mod.GRID_LEARNING_RATE) * err_y
         y[1:] -= (2 * grid_mod.GRID_LEARNING_RATE) * err_y
         x[:-1] += (2 * grid_mod.GRID_LEARNING_RATE) * err_x
@@ -249,10 +257,12 @@ TRAINING_SHAPES = [(20, 10), (7, 3), (5, 5), (1, 5), (5, 1), (2, 1), (64, 2)]
 
 @pytest.mark.parametrize("width,height", TRAINING_SHAPES)
 def test_train_grid_is_bit_identical_to_the_two_chain_loop(width, height):
+    actions = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        a_s, a_e = rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)
-        x, y, _ = reference_chains(width, height, a_s, a_e)
+        actions.append((rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)))
+    references = reference_chains(width, height, actions)
+    for seed, ((a_s, a_e), (x, y, _)) in enumerate(zip(actions, references)):
         trained = train_grid(width, height, a_s, a_e)
         assert np.array_equal(trained.x, x) and np.array_equal(trained.y, y), seed
 
@@ -260,7 +270,7 @@ def test_train_grid_is_bit_identical_to_the_two_chain_loop(width, height):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_training_stops_at_the_same_epoch_across_a_block_boundary(actions, monkeypatch, offset):
     # the stopping epoch is the last of a block (-1), the first of the next (0), or its second (1)
-    x, y, epoch = reference_chains(20, 10, *actions)
+    ((x, y, epoch),) = reference_chains(20, 10, [actions])
     block = epoch - offset
     monkeypatch.setattr(grid_mod, "GRID_EPOCH_BLOCK", block)
     assert epoch // block == (0 if offset < 0 else 1) and epoch % block == offset % block
@@ -274,7 +284,7 @@ def test_training_cap_raises(actions, monkeypatch):
         assert cap % grid_mod.GRID_EPOCH_BLOCK
         monkeypatch.setattr(grid_mod, "GRID_EPOCH_CAP", cap)
         with pytest.raises(RuntimeError, match=f"after {cap} epochs") as expected:
-            reference_chains(20, 10, *actions, epoch_cap=cap)
+            reference_chains(20, 10, [actions], epoch_cap=cap)
         with pytest.raises(RuntimeError) as raised:
             train_grid(20, 10, *actions)
         assert str(raised.value) == str(expected.value)
