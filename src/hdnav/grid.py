@@ -76,10 +76,11 @@ class GridCml:
 
     def __post_init__(self) -> None:
         height, width = len(self.x), len(self.y)
-        # (width * height, d), row row*width + col for cell (row, col); the
-        # in-place sum rounds like a + b and leaves one temporary fewer
-        S = np.outer(np.repeat(self.x, width), self.a_s)
-        S += np.outer(np.tile(self.y, height), self.a_e)
+        # (width * height, d), row row*width + col for cell (row, col): each
+        # entry is x[row] a_s + y[col] a_e, the same two roundings as the sum of
+        # two (width * height, d) outer products, from (height, d) and (width, d)
+        S = np.multiply.outer(self.x, self.a_s)[:, None] + np.multiply.outer(self.y, self.a_e)
+        S = S.reshape(width * height, -1)
         labels = tuple((row, col) for row in range(height) for col in range(width))
         A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
         object.__setattr__(self, "A4", A4)
