@@ -13,7 +13,8 @@ Verbs:
   tie rule's rounding headroom: the route margin and the tie spread),
   and open-grid optimality of the grid model for every ordered cell pair
   (then the grid's shape, its chains' distance from their fixed points
-  and its number of distinct cell sign patterns).
+  and its number of distinct cell sign patterns).  It reads no config:
+  its one argument is the model file.
 
 Experiment commands require an explicit ``--seed``.  Errors print one
 categorized line to stderr and exit nonzero.  When the reader of stdout
@@ -143,18 +144,13 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _build_config(args)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
     try:
         model = persist.load_model(args.model)
     except (OSError, ValueError) as exc:
         raise CliError("models", str(exc)) from exc
     try:
         if isinstance(model, Cml):
-            info = experiments.verify_object_cml(model, config.theta)
+            info = experiments.verify_object_cml(model)
         else:
             info = experiments.verify_grid_cml(model)
     except RuntimeError as exc:
@@ -229,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-verify a persisted model")
     p_verify.add_argument("model", help="model file path")
-    _add_config_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

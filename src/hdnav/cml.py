@@ -256,18 +256,18 @@ def last_edge(best: np.ndarray) -> np.ndarray:
     return len(best) - 1 - best[::-1].argmax(axis=0)
 
 
-def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> StepResult:
+def step(cml: Cml, target: np.ndarray, current: np.ndarray) -> StepResult:
     """One modular planning step from approximate state inputs.
 
     Both inputs are sanitised by one recovery of their two-row stack over
-    the node-state columns; if either fails the noise floor the learner
-    refuses to act.  Otherwise it takes the ``last_edge`` of the
+    the node-state columns; if either fails the noise floor ``hdc.THETA``,
+    the learner refuses to act.  Otherwise it takes the ``last_edge`` of the
     ``best_edges`` out of the recovered current node, and the result
     carries the predicted next state ``s_c + a_edge`` (or a refusal when
     every gate of the node is closed).
     """
     inputs = np.stack((target, current))
-    target_label, current_label = hdc.recover(inputs, cml.state_dictionary(), theta)
+    target_label, current_label = hdc.recover(inputs, cml.state_dictionary(), hdc.THETA)
     if target_label is None or current_label is None:
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
@@ -279,12 +279,7 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray, theta: float) -> Ste
     return StepResult(cml.S[:, c_idx] + cml.A[:, edge], edge, True)
 
 
-def plan_path(
-    cml: Cml,
-    target: np.ndarray,
-    start: np.ndarray,
-    theta: float = hdc.DEFAULT_THETA,
-) -> list[str] | None:
+def plan_path(cml: Cml, target: np.ndarray, start: np.ndarray) -> list[str] | None:
     """Iterate step with prediction feedback until the target is reached.
 
     The predicted next state loops back as the current state after every
@@ -293,7 +288,7 @@ def plan_path(
     ends on the recovered target's label.
     """
     inputs = np.stack((target, start))
-    target_label, start_label = hdc.recover(inputs, cml.state_dictionary(), theta)
+    target_label, start_label = hdc.recover(inputs, cml.state_dictionary(), hdc.THETA)
     if target_label is None or start_label is None:
         return None
     target_state = cml.state(target_label)
@@ -302,7 +297,7 @@ def plan_path(
     while path[-1] != target_label:
         if len(path) > 4 * cml.graph.n:
             return None
-        result = step(cml, target_state, current, theta)
+        result = step(cml, target_state, current)
         if result.chosen_edge is None:
             return None
         path.append(cml.graph.node_labels[cml.graph.directed_edges[result.chosen_edge][1]])

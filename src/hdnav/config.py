@@ -2,9 +2,10 @@
 
 Every setting with a second value in use lives here, so a report can echo
 the full configuration and a run can be reproduced from (config, seed)
-alone; a value that never changes is a constant of the module that reads it.
-CLI flags override file values; the seed has no default on purpose (no
-silent entropy: experiment commands must be given one explicitly).
+alone; a value that never changes is a constant of the module that reads it,
+as the noise floor of every recovery is ``hdc.THETA``.  CLI flags override
+file values; the seed has no default on purpose (no silent entropy:
+experiment commands must be given one explicitly).
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .hdc import DEFAULT_THETA, check_theta
+from . import hdc
 
 
 @dataclass
 class ExperimentConfig:
     d: int = 1000
-    theta: float = DEFAULT_THETA  # the noise floor of every recovery
     mission_goals: str = "k,t,h"    # comma-separated object labels
     mission_trials: int = 50
     grid_only_trials: int = 100
@@ -28,9 +28,9 @@ class ExperimentConfig:
     workers: int = 1
     seed: int | None = None
     output_dir: str = "out"
+    theta = hdc.THETA  # not a field: read by the benchmark's viability oracle
 
     def validate(self) -> None:
-        check_theta(self.theta)
         if self.d < 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if self.workers < 1:
@@ -84,8 +84,6 @@ def _parse_value(name: str, raw: str):
     raw = raw.strip()
     if kind == "int":
         return int(raw)
-    if kind == "float":
-        return float(raw)
     if kind == "int | None":
         return None if raw.lower() == "none" else int(raw)
     return raw

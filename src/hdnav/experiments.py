@@ -57,7 +57,7 @@ def build_grid_cml(config: ExperimentConfig) -> GridCml:
     return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, a_s, a_e)
 
 
-def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
+def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     """Prove every planned path BFS-shortest for every ordered node pair, by induction.
 
     ``plan_path`` walks from the recovered start node by ``step``, and
@@ -90,7 +90,7 @@ def verify_object_cml(object_cml: cml_mod.Cml, theta: float) -> dict:
 
     # node states first, then the prediction of every edge
     stack = np.concatenate([object_cml.S.T, (object_cml.S[:, src] + object_cml.A).T])
-    recovered = hdc.recover(stack, object_cml.state_dictionary(), theta)
+    recovered = hdc.recover(stack, object_cml.state_dictionary(), hdc.THETA)
     for node, label in enumerate(recovered[: graph.n]):
         if label != labels[node]:
             fail(node, node, f"the state of {labels[node]} recovers to {label}")
@@ -170,7 +170,9 @@ def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
 def train_and_save(config: ExperimentConfig) -> dict:
     """Calculate the object model and train the grid model, verify both, then persist.
 
-    Both come from the one configured seed.  Unverified models are never written.
+    Both come from the one configured seed.  Neither file is written until
+    both models are proved, so a failed proof leaves the directory's
+    previous pair, whatever its seed, as it was.
     Each model's info also gives the wall time of its phases in seconds:
     ``build_s`` (the object model's build) or ``train_s`` (the grid's
     training), then ``verify_s`` (its proof) and ``save_s``.  The times
@@ -182,14 +184,14 @@ def train_and_save(config: ExperimentConfig) -> dict:
     started = time.perf_counter()
     object_cml = build_object_cml(config)
     built = time.perf_counter()
-    object_info = verify_object_cml(object_cml, config.theta)
+    object_info = verify_object_cml(object_cml)
     proved = time.perf_counter()
-    persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
-    saved = time.perf_counter()
     grid_cml = build_grid_cml(config)
     trained = time.perf_counter()
     grid_info = verify_grid_cml(grid_cml)
     verified = time.perf_counter()
+    persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
+    saved = time.perf_counter()
     persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
     grid_saved = time.perf_counter()
     return {
@@ -198,14 +200,14 @@ def train_and_save(config: ExperimentConfig) -> dict:
             "path": str(config.models_dir / OBJECT_MODEL_FILE),
             "build_s": built - started,
             "verify_s": proved - built,
-            "save_s": saved - proved,
+            "save_s": saved - verified,
         },
         "grid": {
             **grid_info,
             "path": str(config.models_dir / GRID_MODEL_FILE),
-            "train_s": trained - saved,
+            "train_s": trained - proved,
             "verify_s": verified - trained,
-            "save_s": grid_saved - verified,
+            "save_s": grid_saved - saved,
         },
     }
 
@@ -241,10 +243,7 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
 
 
 def generate_viable_maze(
-    rng: np.random.Generator,
-    objects: hdc.Dictionary,
-    grid_cml: GridCml,
-    theta: float,
+    rng: np.random.Generator, objects: hdc.Dictionary, grid_cml: GridCml
 ) -> tuple[maze_mod.Maze, MapMemory, int]:
     """Regenerate mazes until the map is fully usable for a mission.
 
@@ -255,7 +254,7 @@ def generate_viable_maze(
     for rejections in range(VIABLE_ATTEMPT_CAP):
         candidate = maze_mod.generate_maze(rng)
         memory = semantic_map.build_map(objects, candidate, grid_cml, rng)
-        if semantic_map.mission_ready(memory, theta):
+        if semantic_map.mission_ready(memory):
             return candidate, memory, rejections
     raise RuntimeError(f"no viable maze within {VIABLE_ATTEMPT_CAP} attempts")
 
@@ -289,7 +288,7 @@ def mission_trial(
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
     rng = trial_rng(config.require_seed(), tag, trial)
     objects = object_cml.state_dictionary()
-    maze, memory, rejections = generate_viable_maze(rng, objects, grid_cml, config.theta)
+    maze, memory, rejections = generate_viable_maze(rng, objects, grid_cml)
     planner = object_cml
     record: dict = {"trial": trial, "seed": config.seed, "rejections": rejections}
     if remove_random_door:
@@ -300,7 +299,7 @@ def mission_trial(
         record["door_cell"] = list(door_cell)
     goals = config.goal_sequence()
     policy = semantic_map.encode_policy(goals, objects, rng)
-    result = mission.run_mission(planner, grid_cml, memory, maze, policy, config.theta)
+    result = mission.run_mission(planner, grid_cml, memory, maze, policy)
     failure = result.failure_reason
     if failure is FailureReason.NONE and [o.goal for o in result.goal_outcomes] != goals:
         failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
@@ -354,12 +353,12 @@ def viability_trial(
     memory = semantic_map.build_map(
         object_cml.state_dictionary(), candidate, grid_cml, rng
     )
-    viable = semantic_map.check_viability(memory, config.theta)
+    viable = semantic_map.check_viability(memory)
     return {
         "trial": trial,
         "seed": config.seed,
         "viable": viable,
-        "mission_ready": viable and semantic_map.mission_ready(memory, config.theta),
+        "mission_ready": viable and semantic_map.check_arrivals(memory),
     }
 
 

@@ -8,8 +8,8 @@ layer.  The inner loop steps the robot cell by cell under touch-sensor
 gating until it stands on the waypoint, where the map is queried for the
 object found there and the answer feeds the middle loop.  The middle
 loop ends when that answer is the goal's label.  Every decision is one
-recovery at the same noise floor ``theta``: the next goal, the planner's
-inputs, the waypoint's cell and the object found on arrival.
+recovery at the one noise floor ``hdc.THETA``: the next goal, the
+planner's inputs, the waypoint's cell and the object found on arrival.
 
 The executor reads each layer through its smallest interface: the maze
 gives the sensor gate at a cell and checks each move, the grid layer
@@ -73,9 +73,7 @@ def detect_dither(path: list[Cell]) -> tuple[Cell, Cell] | None:
     """The two cells of a position 2-cycle repeated three times, if present."""
     if len(path) < 7:
         return None
-    a, b = path[-1], path[-2]
-    if a == b:
-        return None
+    a, b = path[-1], path[-2]  # a != b: every move leaves its cell
     if path[-3] == a and path[-5] == a and path[-4] == b and path[-6] == b:
         return (b, a)
     return None
@@ -135,16 +133,15 @@ def run_mission(
     memory: MapMemory,
     maze: Maze,
     policy: np.ndarray,
-    theta: float,
 ) -> TrialResult:
     """Execute the goals the policy hypervector reveals; returns the full trial trace.
 
     The robot starts at home, ``maze.placements["h"]``.  The hypervector
-    dimensions of the models, the map and the policy must agree;
-    ``theta`` is the noise floor of every recovery.  The trace ends at the
-    first goal not reached, or with ``FailureReason.NONE`` once the policy
-    reveals no further goal; whether the revealed goals were the encoded
-    ones is the caller's to judge.
+    dimensions of the models, the map and the policy must agree.  The
+    trace ends at the first goal not reached, or with
+    ``FailureReason.NONE`` once the policy reveals no further goal;
+    whether the revealed goals were the encoded ones is the caller's to
+    judge.
     """
     outcomes: list[GoalOutcome] = []
     hop_cap = 2 * object_cml.graph.n
@@ -154,7 +151,7 @@ def run_mission(
     robot = maze.placements[current_label]
 
     while True:
-        goal_label, policy = semantic_map.next_goal(policy, objects, theta)
+        goal_label, policy = semantic_map.next_goal(policy, objects)
         if goal_label is None:
             break
         o_star = objects.vector(goal_label)
@@ -168,7 +165,7 @@ def run_mission(
                 failure = FailureReason.STEP_CAP
                 break
             hops += 1
-            planned = cml_mod.step(object_cml, o_star, objects.vector(current_label), theta)
+            planned = cml_mod.step(object_cml, o_star, objects.vector(current_label))
             if planned.chosen_edge is None:
                 # recognised inputs with no open gate: the goal is cut off
                 failure = (
@@ -177,7 +174,7 @@ def run_mission(
                     else FailureReason.UNRECOVERABLE_STATE
                 )
                 break
-            cell = semantic_map.query_position(memory, planned.predicted_next, theta)
+            cell = semantic_map.query_position(memory, planned.predicted_next)
             if cell is None:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
@@ -190,7 +187,7 @@ def run_mission(
             if leg.reason is not FailureReason.NONE:
                 failure = leg.reason
                 break
-            found = semantic_map.query_object(memory, grid_cml.state(robot), theta)
+            found = semantic_map.query_object(memory, grid_cml.state(robot))
             if found is not None:  # non-recoveries are ignored
                 current_label = found
                 object_path.append(found)

@@ -15,12 +15,14 @@ Binding the map with an object vector releases a noisy copy of that
 object's position, cleaned up against the trial's eight known position
 states; binding with a position state releases the object stored there.
 Grid states of different cells can be strongly correlated, so not every
-arrangement yields a map whose recoveries are all unambiguous; the
-``check_viability`` predicate tells usable maps apart and the harness
-regenerates mazes that fail it.  Grid states lie in span{a_s, a_e}, so
-the check scores in that plane and reads no state: a rejected map costs
-its draws, its sign terms and two small products, and only a map that
-is kept or queried gathers its position dictionary.
+arrangement yields a map whose recoveries are all unambiguous.  The
+``check_viability`` predicate tells usable maps apart, ``check_arrivals``
+checks the reverse direction, and the harness regenerates mazes that
+fail either.  Grid states lie in span{a_s, a_e}, so the forward check
+scores in that plane and reads no state: a rejected map costs its
+draws, its sign terms and two small products, and only a map that is
+kept or queried gathers its position dictionary.  Every recovery is
+made at the one noise floor ``hdc.THETA``.
 
 A goal policy is a bundle of permuted object vectors, the i-th goal
 shifted i places.  Unpermuting once exposes the next goal above the
@@ -80,7 +82,7 @@ def build_map(
     return MapMemory(map_hv, objects, grid_cml, rows)
 
 
-def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
+def check_viability(memory: MapMemory) -> bool:
     """True when every object's position recovers unambiguously from the map.
 
     Grid states of different cells can be strongly correlated, so a
@@ -89,38 +91,43 @@ def check_viability(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool
     statistic.
 
     Object ``i`` recovers its position when ``q_i . p_j / |p_j|``, with
-    ``q_i = map * o_i``, is largest at ``j = i`` and reaches ``theta * |q_i|``.
+    ``q_i = map * o_i``, is largest at ``j = i`` and reaches ``hdc.THETA * |q_i|``.
     As ``p_j = x a_s + y a_e``, the (8, 2) block ``o_i . (map * [a_s; a_e])``
     times the cells' ``plane`` rows gives every score.  Unbinding a map
     without zero entries flips signs only, so ``|q_i|`` is the object's
     norm, bit for bit; a map with a zero entry computes it.  A zero query
     or a zero-state cell (a NaN plane row) is never viable.
     """
-    hdc.check_theta(theta)
     objects, grid_cml, m = memory.objects, memory.grid_cml, memory.map_hv
     norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
     scores = objects.vectors @ (m * grid_cml.basis).T @ grid_cml.plane[memory.rows].T
     return scores.argmax(axis=1).tolist() == list(range(len(scores))) and bool(
-        ((scores.diagonal() >= theta * norms) & (norms > 0)).all()
+        ((scores.diagonal() >= hdc.THETA * norms) & (norms > 0)).all()
     )
 
 
-def mission_ready(memory: MapMemory, theta: float = hdc.DEFAULT_THETA) -> bool:
+def check_arrivals(memory: MapMemory) -> bool:
+    """True when each object's cell recovers that object: reliable arrival feedback.
+
+    The executor queries the object found at each arrival cell, and with
+    near-parallel grid states that reverse direction can collide on maps
+    whose forward recoveries are clean.
+    """
+    signs = memory.grid_cml.cells.signs[memory.rows]
+    return query_object(memory, signs) == memory.objects.labels
+
+
+def mission_ready(memory: MapMemory) -> bool:
     """Viability plus reliable arrival feedback: the full round trip.
 
-    The executor also queries the object found at each arrival cell, and
-    with near-parallel grid states that reverse direction can collide on
-    maps whose forward recoveries are clean.  The mission harness
-    regenerates mazes until both directions hold for all eight objects.
+    The mission harness regenerates mazes until both directions hold for
+    all eight objects.
     """
-    if not check_viability(memory, theta):
-        return False
-    signs = memory.grid_cml.cells.signs[memory.rows]
-    return query_object(memory, signs, theta) == memory.objects.labels
+    return check_viability(memory) and check_arrivals(memory)
 
 
 def query_position(
-    memory: MapMemory, object_hv: np.ndarray, theta: float = hdc.DEFAULT_THETA
+    memory: MapMemory, object_hv: np.ndarray
 ) -> Cell | None | tuple[Cell | None, ...]:
     """Cell of the object bound into the map; None below threshold.
 
@@ -128,11 +135,11 @@ def query_position(
     just exact dictionary entries.  An (n, d) stack of object vectors
     gives a tuple of n results.
     """
-    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions, theta)
+    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions, hdc.THETA)
 
 
 def query_object(
-    memory: MapMemory, position_hv: np.ndarray, theta: float = hdc.DEFAULT_THETA
+    memory: MapMemory, position_hv: np.ndarray
 ) -> str | None | tuple[str | None, ...]:
     """Object label stored at a grid position; None at object-free cells.
 
@@ -144,7 +151,7 @@ def query_object(
     results.
     """
     return hdc.recover(
-        hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects, theta
+        hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects, hdc.THETA
     )
 
 
@@ -161,9 +168,7 @@ def encode_policy(
     return hdc.bundle(terms, rng)
 
 
-def next_goal(
-    policy: np.ndarray, objects: hdc.Dictionary, theta: float = hdc.DEFAULT_THETA
-) -> tuple[str | None, np.ndarray]:
+def next_goal(policy: np.ndarray, objects: hdc.Dictionary) -> tuple[str | None, np.ndarray]:
     """Unpermute the policy hypervector once and recover the revealed goal.
 
     Returns (label, advanced policy): the unpermuted vector, which holds
@@ -172,4 +177,4 @@ def next_goal(
     object).
     """
     unrolled = hdc.permute(policy, -1)
-    return hdc.recover(unrolled, objects, theta), unrolled
+    return hdc.recover(unrolled, objects, hdc.THETA), unrolled

@@ -38,11 +38,11 @@ def grid_cml(config):
 
 
 @pytest.fixture(scope="session")
-def viable_setup(config, object_cml, grid_cml):
+def viable_setup(object_cml, grid_cml):
     """A viable maze with its map memory, as the mission harness builds them."""
     rng = experiments.trial_rng(ROOT_SEED, experiments.TAG_MISSION, 0)
     maze, memory, rejections = experiments.generate_viable_maze(
-        rng, object_cml.state_dictionary(), grid_cml, config.theta
+        rng, object_cml.state_dictionary(), grid_cml
     )
     return maze, memory, rejections
 

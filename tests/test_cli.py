@@ -72,6 +72,24 @@ def test_removed_flags_are_rejected(tmp_path, capsys, flags):
     assert not (tmp_path / "out").exists()
 
 
+def test_failed_grid_proof_keeps_the_previous_model_pair(tmp_path, monkeypatch, capsys):
+    # both models are proved before either is written, so the pair never mixes seeds
+    out = tmp_path / "out"
+    assert main(["train", "--seed", "7", "--out", str(out)]) == 0
+    paths = [out / "models" / name for name in (experiments.OBJECT_MODEL_FILE,
+                                                 experiments.GRID_MODEL_FILE)]
+    before = [path.read_bytes() for path in paths]
+
+    def failing_proof(grid_cml):
+        raise RuntimeError("grid model failed verification: injected")
+
+    monkeypatch.setattr(experiments, "verify_grid_cml", failing_proof)
+    capsys.readouterr()
+    assert main(["train", "--seed", "42", "--out", str(out)]) == 1
+    assert "error[verify]: grid model failed verification" in capsys.readouterr().err
+    assert [path.read_bytes() for path in paths] == before
+
+
 def test_train_without_seed_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--out", str(out)]) == 1
@@ -239,12 +257,16 @@ def test_verify_rejects_old_format(tmp_path, capsys):
     assert "hdnav train" in err
 
 
-def test_verify_rejects_bad_theta(models_dir, capsys):
+@pytest.mark.parametrize(
+    "flags", [["--seed", "1"], ["--set", "theta=0.2"], ["--config", "run.cfg"], ["--out", "out"]]
+)
+def test_verify_takes_only_a_model_path(models_dir, capsys, flags):
+    # the proofs read no config: the noise floor is the constant hdc.THETA
     object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
-    assert main(["verify", str(object_model), "--set", "theta=2"]) == 1
-    err = capsys.readouterr().err
-    assert "error[config]" in err
-    assert "theta must lie in [0, 1)" in err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", str(object_model), *flags])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_run_refuses_format_3_grid_with_a_free_north_action(models_dir, grid_cml, capsys):
@@ -352,10 +374,10 @@ def test_run_mission_bad_goal_label(models_dir, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["phi_o", "theta_o"])
+@pytest.mark.parametrize("key", ["phi_o", "theta_o", "theta"])
 def test_run_rejects_removed_thresholds(models_dir, capsys, key):
-    # every decision is one recovery at the noise floor theta; the arrival and
-    # policy thresholds are gone
+    # every decision is one recovery at the constant noise floor hdc.THETA; the
+    # arrival and policy thresholds are gone, and no setting moves the floor
     code = main(
         ["run", "mission", "--seed", "42", "--out", str(models_dir),
          "--set", "mission_trials=1", "--set", f"{key}=0.5"]
@@ -364,6 +386,17 @@ def test_run_rejects_removed_thresholds(models_dir, capsys, key):
     err = capsys.readouterr().err
     assert "error[config]" in err
     assert key in err
+
+
+def test_run_rejects_a_theta_line_in_the_config_file(models_dir, tmp_path, capsys):
+    cfg = tmp_path / "theta.cfg"
+    cfg.write_text("theta = 0.2\n")
+    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "unknown config key 'theta'" in err
+    assert not (models_dir / "mission_trials.jsonl").exists()
 
 
 def test_config_file_drives_run(models_dir, tmp_path, capsys):

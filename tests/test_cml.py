@@ -310,7 +310,7 @@ def test_step_takes_the_last_tied_edge(graph, object_cml, doors):
                 continue
             u = model.F[out, t] - model.F[out, c]
             best = out[u >= u.max() - 1e-12]
-            result = cml.step(model, model.S[:, t], model.S[:, c], hdc.DEFAULT_THETA)
+            result = cml.step(model, model.S[:, t], model.S[:, c])
             assert result.chosen_edge == best[-1]
             if len(best) > 1:
                 ties.add((graph.node_labels[c], graph.node_labels[t]))
@@ -327,7 +327,7 @@ def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, 
     pairs = [(c, t) for c in range(graph.n) for t in range(graph.n) if c != t]
 
     def picks(m):
-        return [cml.step(m, m.S[:, t], m.S[:, c], hdc.DEFAULT_THETA).chosen_edge for c, t in pairs]
+        return [cml.step(m, m.S[:, t], m.S[:, c]).chosen_edge for c, t in pairs]
 
     expected = picks(model)
     noise = np.random.default_rng(0)
@@ -343,7 +343,7 @@ def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, 
 def test_step_refuses_noise_target(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     noise = hdc.random_bipolar(D, rng)
-    result = cml.step(c, noise, c.state("h"), 0.1)
+    result = cml.step(c, noise, c.state("h"))
     assert result.chosen_edge is None
     assert result.predicted_next is None
     assert not result.recognised
@@ -351,7 +351,7 @@ def test_step_refuses_noise_target(graph, rng):
 
 def test_step_refuses_noise_current(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    result = cml.step(c, c.state("k"), hdc.random_bipolar(D, rng), 0.1)
+    result = cml.step(c, c.state("k"), hdc.random_bipolar(D, rng))
     assert result.chosen_edge is None
     assert result.predicted_next is None
     assert not result.recognised
@@ -360,14 +360,14 @@ def test_step_refuses_noise_current(graph, rng):
 def test_step_accepts_noisy_but_recoverable_target(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     noisy = c.state("k") + 0.5 * rng.normal(size=D)
-    clean = cml.step(c, c.state("k"), c.state("h"), 0.1)
-    noisy_step = cml.step(c, noisy, c.state("h"), 0.1)
+    clean = cml.step(c, c.state("k"), c.state("h"))
+    noisy_step = cml.step(c, noisy, c.state("h"))
     assert noisy_step.chosen_edge == clean.chosen_edge
 
 
 def test_step_prediction_close_to_destination(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    result = cml.step(c, c.state("k"), c.state("h"), 0.1)
+    result = cml.step(c, c.state("k"), c.state("h"))
     assert result.recognised
     assert hdc.cosine(result.predicted_next, c.state("k")) > 0.9
     edge = result.chosen_edge
@@ -378,7 +378,7 @@ def test_step_zero_when_all_gates_closed(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     gated = c.G.copy()
     gated[:, graph.node_index("h")] = 0.0
-    result = cml.step(replace(c, G=gated), c.state("k"), c.state("h"), 0.1)
+    result = cml.step(replace(c, G=gated), c.state("k"), c.state("h"))
     assert result.chosen_edge is None
     assert result.predicted_next is None
     assert result.recognised  # both states recover; no gate leaves h

@@ -1,5 +1,6 @@
 import pytest
 
+from hdnav import hdc
 from hdnav.config import ExperimentConfig, apply_overrides, load_config
 
 
@@ -7,14 +8,15 @@ def test_defaults_validate():
     cfg = ExperimentConfig()
     cfg.validate()
     assert cfg.d == 1000
-    assert cfg.theta == 0.1
     assert cfg.seed is None
 
 
-def test_threshold_range_enforced():
-    cfg = ExperimentConfig(theta=1.0)
-    with pytest.raises(ValueError, match="theta"):
-        cfg.validate()
+def test_theta_is_the_hdc_constant_not_a_field():
+    # the benchmark's viability oracle reads ExperimentConfig().theta
+    assert ExperimentConfig().theta == hdc.THETA
+    assert "theta" not in ExperimentConfig().as_dict()
+    with pytest.raises(TypeError):
+        ExperimentConfig(theta=0.2)
 
 
 def test_model_commands_need_hdc_scale_dimension():
@@ -37,22 +39,24 @@ def test_config_file_parsing(tmp_path):
     path.write_text(
         """
         # experiment setup
-        d = 512
-        theta = 0.2       # noise floor
+        d = 512           # dimension
         mission_trials = 5
         output_dir = results
         seed = 9
         """
     )
     cfg = load_config(path)
-    assert (cfg.d, cfg.theta, cfg.mission_trials) == (512, 0.2, 5)
+    assert (cfg.d, cfg.mission_trials) == (512, 5)
     assert cfg.output_dir == "results"
     assert cfg.seed == 9
 
 
 @pytest.mark.parametrize(
     "key",
-    ["bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o", "theta_o"],
+    [
+        "bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o",
+        "theta_o", "theta",
+    ],
 )
 def test_config_file_unknown_key(tmp_path, key):
     path = tmp_path / "bad.cfg"
@@ -83,6 +87,6 @@ def test_as_dict_round_trip():
     assert echo["seed"] == 3
     assert echo["mission_trials"] == 7
     assert set(echo) == {
-        "d", "theta", "mission_goals", "mission_trials", "grid_only_trials",
+        "d", "mission_goals", "mission_trials", "grid_only_trials",
         "viability_mazes", "door_removal_trials", "workers", "seed", "output_dir",
     }

@@ -70,7 +70,7 @@ def seeded_object_cml(seed):
     return experiments.build_object_cml(ExperimentConfig(seed=seed))
 
 
-def walked_proof(model, theta):
+def walked_proof(model):
     """The per-pair walk the table proof replaced: (pairs, tied pairs, first edge of each pair).
 
     ``plan_path`` from every node to every other must take ``bfs_hops``
@@ -85,9 +85,9 @@ def walked_proof(model, theta):
         for goal in range(graph.n):
             if start == goal:
                 continue
-            path = cml.plan_path(model, model.S[:, goal], model.S[:, start], theta=theta)
+            path = cml.plan_path(model, model.S[:, goal], model.S[:, start])
             assert path is not None and len(path) - 1 == cml.bfs_hops(graph, start, goal)
-            edge = cml.step(model, model.S[:, goal], model.S[:, start], theta).chosen_edge
+            edge = cml.step(model, model.S[:, goal], model.S[:, start]).chosen_edge
             assert path[1] == graph.node_labels[graph.directed_edges[edge][1]]
             first[start, goal] = edge
             checked += 1
@@ -98,7 +98,7 @@ def walked_proof(model, theta):
 
 
 @pytest.mark.parametrize("seed", [42, 1, 2, 3, 4, 5])
-def test_verify_object_matches_the_walk_it_replaced(config, monkeypatch, seed):
+def test_verify_object_matches_the_walk_it_replaced(monkeypatch, seed):
     model = seeded_object_cml(seed)
     # the pick table the proof builds, read from its one call of the step's rule
     tables = []
@@ -109,67 +109,67 @@ def test_verify_object_matches_the_walk_it_replaced(config, monkeypatch, seed):
         return tables[-1]
 
     monkeypatch.setattr(cml, "last_edge", recorded)
-    info = experiments.verify_object_cml(model, config.theta)
+    info = experiments.verify_object_cml(model)
     monkeypatch.undo()
     (picks,) = tables
-    checked, tied, first = walked_proof(model, config.theta)
+    checked, tied, first = walked_proof(model)
     assert (info["pairs_checked"], info["tied_pairs"]) == (checked, tied) == (56, 14)
     off_diagonal = ~np.eye(model.graph.n, dtype=bool)
     assert np.array_equal(picks[off_diagonal], first[off_diagonal])
 
 
 @pytest.mark.parametrize("seed", [42, 7, 11, 1001])
-def test_tie_rule_has_rounding_headroom_on_both_sides(config, seed):
-    info = experiments.verify_object_cml(seeded_object_cml(seed), config.theta)
+def test_tie_rule_has_rounding_headroom_on_both_sides(seed):
+    info = experiments.verify_object_cml(seeded_object_cml(seed))
     # exact ties agree to the last bits; every other open edge trails the pick by 1/132
     assert info["tie_spread"] < cml.TIE_TOLERANCE < info["route_margin"]
     assert info["tie_spread"] < 1e-14
     assert info["route_margin"] == pytest.approx(1 / 132, rel=1e-9)
 
 
-def test_verify_object_rejects_a_prediction_that_recovers_elsewhere(config, object_cml):
+def test_verify_object_rejects_a_prediction_that_recovers_elsewhere(object_cml):
     # the k->a action lands on t: the walk k->a still reads two labels, the proof does not
     graph = object_cml.graph
     k, a, t = (graph.node_index(label) for label in "kat")
     A = object_cml.A.copy()
     A[:, graph.directed_edges.index((k, a))] = object_cml.S[:, t] - object_cml.S[:, k]
     with pytest.raises(RuntimeError, match=r"failed verification: k->a: .*recovers to t"):
-        experiments.verify_object_cml(dataclasses.replace(object_cml, A=A), config.theta)
+        experiments.verify_object_cml(dataclasses.replace(object_cml, A=A))
 
 
-def test_verify_object_rejects_an_unreachable_pair(config, rng):
+def test_verify_object_rejects_an_unreachable_pair(rng):
     two_parts = cml.CmlGraph.from_undirected(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     model = cml.init_calculated(two_parts, 256, rng)
     with pytest.raises(RuntimeError, match=r"failed verification: a->c: no walk reaches c"):
-        experiments.verify_object_cml(model, config.theta)
+        experiments.verify_object_cml(model)
     assert cml.plan_path(model, model.state("c"), model.state("a")) is None
 
 
-def test_verify_object_rejects_a_node_with_every_gate_closed(config, object_cml):
+def test_verify_object_rejects_a_node_with_every_gate_closed(object_cml):
     G = object_cml.G.copy()
     G[:, object_cml.graph.node_index("h")] = 0.0
     closed = dataclasses.replace(object_cml, G=G)
     with pytest.raises(RuntimeError, match=r"failed verification: h->a: no open edge leaves h"):
-        experiments.verify_object_cml(closed, config.theta)
+        experiments.verify_object_cml(closed)
     assert cml.plan_path(closed, closed.state("a"), closed.state("h")) is None
 
 
-def test_verify_object_rejects_a_step_away_from_the_target(config, object_cml):
+def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
     # a negated flow table routes every step away: the first pair fails, and its walk too
     away = dataclasses.replace(object_cml)
     object.__setattr__(away, "F", -object_cml.F)
     with pytest.raises(RuntimeError, match=r"failed verification: a->b: .*not one hop closer"):
-        experiments.verify_object_cml(away, config.theta)
+        experiments.verify_object_cml(away)
     assert cml.plan_path(away, away.state("b"), away.state("a")) is None
 
 
-def test_viable_maze_generation_counts_rejections(config, object_cml, grid_cml):
+def test_viable_maze_generation_counts_rejections(object_cml, grid_cml):
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 0)
     maze, memory, rejections = experiments.generate_viable_maze(
-        rng, object_cml.state_dictionary(), grid_cml, config.theta
+        rng, object_cml.state_dictionary(), grid_cml
     )
     assert rejections >= 0
-    assert sm.check_viability(memory, config.theta)
+    assert sm.check_viability(memory)
 
 
 def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_cml):
@@ -192,12 +192,12 @@ def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_c
     assert (1.0 - p_lo) ** experiments.VIABLE_ATTEMPT_CAP < 1e-6
 
 
-def test_viable_generation_cap(config, object_cml, grid_cml, monkeypatch):
+def test_viable_generation_cap(object_cml, grid_cml, monkeypatch):
     monkeypatch.setattr(experiments, "VIABLE_ATTEMPT_CAP", 1)
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 1)
     with pytest.raises(RuntimeError, match="no viable maze within 1 attempts"):
         experiments.generate_viable_maze(
-            rng, object_cml.state_dictionary(), grid_cml, config.theta
+            rng, object_cml.state_dictionary(), grid_cml
         )
 
 

@@ -475,7 +475,7 @@ def test_vector_recover_matches_the_old_vector_path(object_cml, grid_cml):
         for scale in (0.5, 10.0):
             cases.append((dictionary, rows + rng.normal(0.0, scale, rows.shape)))
         cases.append((dictionary, np.zeros((1, dictionary.dim))))
-    for theta in (0.0, hdc.DEFAULT_THETA):
+    for theta in (0.0, hdc.THETA):
         for dictionary, queries in cases:
             found = [hdc.recover(q, dictionary, theta) for q in queries]
             assert found == [reference_vector_recover(q, dictionary, theta) for q in queries]

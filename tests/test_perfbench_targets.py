@@ -48,7 +48,7 @@ def test_viability_oracle_reads_the_map_memory(checks, object_cml, grid_cml, con
     for i in range(200):
         rng = np.random.default_rng([84, i])
         memory = semantic_map.build_map(objects, maze.generate_maze(rng), grid_cml, rng)
-        verdict = semantic_map.check_viability(memory, config.theta)
+        verdict = semantic_map.check_viability(memory)
         assert verdict == checks.viable(
             memory.map_hv, memory.objects, memory.positions, memory.position_of, config.theta
         )

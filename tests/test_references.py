@@ -69,6 +69,20 @@ def test_every_package_definition_has_a_caller():
     assert set(filter(unused, defined)) == TEST_ONLY
 
 
+def test_only_recover_takes_a_noise_floor():
+    # every layer reads the one floor hdc.THETA at call time; only the algebra's
+    # cleanup takes it as an argument
+    takers = {
+        f"{path.stem}.{node.name}"
+        for path in sources([PACKAGE])
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == "theta"
+    }
+    assert takers == {"hdc.recover"}
+
+
 def test_reference_scan_sees_names_attributes_and_imports():
     tree = ast.parse(
         "from a import b\nimport c.d\nx.e()\nf(g)\ndef i(): pass\nclass J:\n"

@@ -94,7 +94,7 @@ def test_synthetic_orthogonal_positions_nearly_always_viable():
     viable = 0
     for seed in range(1000):
         map_hv, objects, positions = synthetic_map(seed)
-        found = hdc.recover(hdc.bind(map_hv, objects.vectors), positions, hdc.DEFAULT_THETA)
+        found = hdc.recover(hdc.bind(map_hv, objects.vectors), positions, hdc.THETA)
         viable += found == positions.labels
     assert viable >= 990
 
@@ -123,7 +123,7 @@ def test_tampered_position_dictionary_fails_viability(viable_setup):
     tampered = dataclasses.replace(memory, grid_cml=tampered_grid)
     assert sm.check_viability(memory)
     assert not sm.check_viability(tampered)
-    assert reference_forward_verdict(tampered, hdc.DEFAULT_THETA) is False
+    assert reference_forward_verdict(tampered) is False
 
 
 def test_trained_grid_viability_fraction_is_small(object_cml, grid_cml, config):
@@ -158,35 +158,35 @@ def test_mission_ready_implies_viable_not_conversely(object_cml, grid_cml):
     assert viable_only > 0
 
 
-def reference_check_viability(memory, theta):
+def reference_check_viability(memory):
     """The per-object loop that the batched check replaced."""
     for label in memory.objects.labels:
         query = hdc.bind(memory.map_hv, memory.objects.vector(label))
-        if hdc.recover(query, memory.positions, theta) != memory.position_of(label):
+        if hdc.recover(query, memory.positions, hdc.THETA) != memory.position_of(label):
             return False
     return True
 
 
-def reference_mission_ready(memory, theta):
-    if not reference_check_viability(memory, theta):
-        return False
+def reference_check_arrivals(memory):
     for label in memory.objects.labels:
         position_state = memory.positions.vector(memory.position_of(label))
-        if sm.query_object(memory, position_state, theta) != label:
+        if sm.query_object(memory, position_state) != label:
             return False
     return True
 
 
-def test_batched_readiness_matches_per_object_loops(object_cml, grid_cml, config):
+def test_batched_readiness_matches_per_object_loops(object_cml, grid_cml):
     objects = object_cml.state_dictionary()
     verdicts = []
     for i in range(600):
         rng = np.random.default_rng([73, i])
         memory = sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
-        viable = sm.check_viability(memory, config.theta)
-        ready = sm.mission_ready(memory, config.theta)
-        assert viable == reference_check_viability(memory, config.theta)
-        assert ready == reference_mission_ready(memory, config.theta)
+        viable = sm.check_viability(memory)
+        arrivals = sm.check_arrivals(memory)
+        ready = sm.mission_ready(memory)
+        assert viable == reference_check_viability(memory)
+        assert arrivals == reference_check_arrivals(memory)
+        assert ready == (viable and arrivals)
         verdicts.append((viable, ready))
     # every verdict pair occurs: not viable, viable only, mission ready
     assert set(verdicts) == {(False, False), (True, False), (True, True)}
@@ -222,31 +222,35 @@ def float_cosines(queries, dictionary):
     return queries @ dictionary.vectors.T / np.outer(hdc.row_norms(queries), dictionary.norms)
 
 
-def reference_forward_verdict(memory, theta):
+def reference_forward_verdict(memory):
     """The batched recovery that the one-block forward check replaced."""
-    return sm.query_position(memory, memory.objects.vectors, theta) == memory.positions.labels
+    return sm.query_position(memory, memory.objects.vectors) == memory.positions.labels
 
 
-def _assert_forward_verdicts_match(memories, theta):
-    verdicts = [sm.check_viability(memory, theta) for memory in memories]
+def _assert_forward_verdicts_match(memories):
+    verdicts = [sm.check_viability(memory) for memory in memories]
     assert all(type(v) is bool for v in verdicts)
-    assert verdicts == [reference_forward_verdict(memory, theta) for memory in memories]
+    assert verdicts == [reference_forward_verdict(memory) for memory in memories]
     return verdicts
 
 
-def test_forward_verdict_matches_batched_recovery_on_trained_models(object_cml, grid_cml, config):
+def test_forward_verdict_matches_batched_recovery_on_trained_models(
+    object_cml, grid_cml, monkeypatch
+):
     objects = object_cml.state_dictionary()
     memories = []
     for i in range(600):
         rng = np.random.default_rng([77, i])
         memories.append(sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng))
-    for theta in (0.0, config.theta, 0.3):
-        verdicts = _assert_forward_verdicts_match(memories, theta)
-        if theta == config.theta:
+    floor = hdc.THETA
+    for theta in (0.0, floor, 0.3):
+        monkeypatch.setattr(hdc, "THETA", theta)  # both sides read the floor at call time
+        verdicts = _assert_forward_verdicts_match(memories)
+        if theta == floor:
             assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml, config):
+def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml):
     # sign(o * p) == sign(o) * sign(p) holds for any nonzero entries, so
     # Gaussian objects also build the reference map
     rng = np.random.default_rng(78)
@@ -258,11 +262,13 @@ def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml, 
         reference = reference_build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
         assert np.array_equal(memory.map_hv, reference)
         memories.append(memory)
-    verdicts = _assert_forward_verdicts_match(memories, config.theta)
+    verdicts = _assert_forward_verdicts_match(memories)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable_setup, config):
+def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(
+    viable_setup, monkeypatch
+):
     _, memory, _ = viable_setup
     rng = np.random.default_rng(79)
     memories = []
@@ -270,7 +276,7 @@ def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable
         map_hv = memory.map_hv.copy()
         map_hv[rng.choice(D, size=k, replace=False)] = 0.0
         memories.append(dataclasses.replace(memory, map_hv=map_hv))
-    _assert_forward_verdicts_match(memories, config.theta)
+    _assert_forward_verdicts_match(memories)
     # with 100 zero entries every query is shorter than its object, so the
     # object norms would understate each cosine by sqrt(900/1000); a theta
     # between the two readings is met only when the norms are computed
@@ -279,37 +285,31 @@ def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(viable
     zeroed = dataclasses.replace(memory, map_hv=map_hv)
     queries = hdc.bind(map_hv, memory.objects.vectors)
     true = float_cosines(queries, memory.positions).diagonal().min()
-    theta = true * (1 + np.sqrt(0.9)) / 2
-    assert reference_forward_verdict(zeroed, theta) is True
-    assert sm.check_viability(zeroed, theta) is True
-    assert sm.check_viability(zeroed, true * 1.001) is False
+    monkeypatch.setattr(hdc, "THETA", true * (1 + np.sqrt(0.9)) / 2)
+    assert reference_forward_verdict(zeroed) is True
+    assert sm.check_viability(zeroed) is True
+    monkeypatch.setattr(hdc, "THETA", true * 1.001)
+    assert sm.check_viability(zeroed) is False
 
 
-def test_forward_verdict_rejects_theta_out_of_range(viable_setup):
-    _, memory, _ = viable_setup
-    for theta in (-0.1, 1.0):
-        with pytest.raises(ValueError, match="theta"):
-            sm.check_viability(memory, theta)
-        with pytest.raises(ValueError, match="theta"):
-            sm.mission_ready(memory, theta)
-
-
-def test_forward_verdict_fails_on_a_zero_query_row(viable_setup, config):
+def test_forward_verdict_fails_on_a_zero_query_row(viable_setup, monkeypatch):
     # a zero query scores 0 everywhere, so in row 0 it is its own argmax and
     # meets theta 0 * |q| = 0: only its norm tells it apart
     _, memory, _ = viable_setup
     zeroed_map = memory.map_hv.copy()
     zeroed_map[::5] = 0.0
+    floor = hdc.THETA
     for row in (0, 3):
         vectors = memory.objects.vectors.copy()
         vectors[row] = 0.0  # its query is zero on any map: no direction, no recovery
         objects = hdc.Dictionary(memory.objects.labels, vectors)
         for map_hv in (memory.map_hv, zeroed_map):
             tampered = dataclasses.replace(memory, map_hv=map_hv, objects=objects)
-            for theta in (0.0, config.theta):
-                assert sm.query_position(tampered, vectors[row], theta) is None
-                assert sm.check_viability(tampered, theta) is False
-                assert reference_forward_verdict(tampered, theta) is False
+            for theta in (0.0, floor):
+                monkeypatch.setattr(hdc, "THETA", theta)
+                assert sm.query_position(tampered, vectors[row]) is None
+                assert sm.check_viability(tampered) is False
+                assert reference_forward_verdict(tampered) is False
 
 
 def pinned_candidates(config, objects, grid_cml, mission_trials=10):
@@ -322,7 +322,7 @@ def pinned_candidates(config, objects, grid_cml, mission_trials=10):
         rng = experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial)
         _, _, rejections = experiments.generate_viable_maze(
             experiments.trial_rng(config.seed, experiments.TAG_MISSION, trial),
-            objects, grid_cml, config.theta,
+            objects, grid_cml
         )
         for _ in range(rejections + 1):
             yield sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
@@ -355,7 +355,7 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
         errors.append(np.abs(plane - floats).max())
         ranked = np.sort(plane, axis=1)
         top_gaps.append((ranked[:, -1] - ranked[:, -2]).min())
-        theta_gaps.append(np.abs(ranked[:, -1] - config.theta).min())
+        theta_gaps.append(np.abs(ranked[:, -1] - hdc.THETA).min())
         reverse = hdc.bind(memory.map_hv, hdc.sign(memory.positions.vectors))
         assert np.array_equal(np.abs(reverse), np.ones_like(reverse))
     assert count > config.viability_mazes + 10
@@ -365,7 +365,7 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
     assert min(theta_gaps) > max(rounding, PLANE_ROUNDING)
 
 
-def test_zero_state_cells_have_no_direction(object_cml):
+def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
     # an odd grid centred on zero has its middle cell at the origin; its
     # plane row is NaN, and a map with an object there is never viable
     objects = object_cml.state_dictionary()
@@ -377,28 +377,30 @@ def test_zero_state_cells_have_no_direction(object_cml):
     assert grid_cml.cells.norms[centre] == 0.0
     assert np.isnan(grid_cml.plane[centre]).all()
     assert np.isfinite(np.delete(grid_cml.plane, centre, axis=0)).all()
+    floor = hdc.THETA
     for left_out in range(9):  # each choice of the one cell no object takes
         rows = [row for row in range(9) if row != left_out]
         rng = np.random.default_rng([82, left_out])
         map_hv = hdc.bundle(objects.signs * grid_cml.cells.signs[rows], rng)
         memory = sm.MapMemory(map_hv, objects, grid_cml, rows)
-        for theta in (0.0, hdc.DEFAULT_THETA):
-            verdict = sm.check_viability(memory, theta)
-            assert verdict == reference_forward_verdict(memory, theta)
+        for theta in (0.0, floor):
+            monkeypatch.setattr(hdc, "THETA", theta)
+            verdict = sm.check_viability(memory)
+            assert verdict == reference_forward_verdict(memory)
             if left_out != centre:
                 assert verdict is False
-                assert sm.mission_ready(memory, theta) is False
+                assert sm.mission_ready(memory) is False
 
 
-def test_rejected_maps_never_gather_positions(object_cml, grid_cml, config):
+def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
     objects = object_cml.state_dictionary()
     kept = 0
     for i in range(300):
         rng = np.random.default_rng([83, i])
         maze = mz.generate_maze(rng)
         memory = sm.build_map(objects, maze, grid_cml, rng)
-        sm.check_viability(memory, config.theta)
-        ready = sm.mission_ready(memory, config.theta)
+        sm.check_viability(memory)
+        ready = sm.mission_ready(memory)
         assert "positions" not in vars(memory)
         if not ready:
             continue
