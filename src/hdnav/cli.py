@@ -16,9 +16,13 @@ Verbs:
   and its number of distinct cell sign patterns).  It reads no config:
   its one argument is the model file.
 
-Experiment commands require an explicit ``--seed``.  Errors print one
-categorized line to stderr and exit nonzero.  When the reader of stdout
-goes away (a closed pipe), the command exits nonzero without a traceback.
+``hdc-stats``, ``train`` and ``run`` build their config from the defaults,
+then ``--seed`` (the ``seed`` field) and ``--out`` (``output_dir``), then
+each ``--set key=value`` in order, every value typed by
+``config.parse_value``.  Experiment commands require an explicit
+``--seed``.  Errors print one categorized line to stderr and exit
+nonzero.  When the reader of stdout goes away (a closed pipe), the
+command exits nonzero without a traceback.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import experiments, persist, render as render_mod
 from .cml import Cml
-from .config import ExperimentConfig, apply_overrides, load_config
+from .config import ExperimentConfig, parse_value
 from .grid import GridCml
 
 
@@ -43,23 +47,19 @@ class CliError(Exception):
 
 
 def _build_config(args) -> ExperimentConfig:
+    """The defaults, then ``--seed`` and ``--out``, then each ``--set`` item in order."""
+    flags = (("seed", args.seed), ("output_dir", args.out))
+    items = [f"{key}={value}" for key, value in flags if value is not None] + (args.set or [])
+    config = ExperimentConfig()
     try:
-        config = ExperimentConfig()
-        if getattr(args, "config", None):
-            config = load_config(args.config, config)
-        overrides = {
-            "seed": getattr(args, "seed", None),
-            "output_dir": getattr(args, "out", None),
-        }
-        config = apply_overrides(config, overrides)
-        for item in getattr(args, "set", None) or []:
-            if "=" not in item:
+        for item in items:
+            key, equals, value = item.partition("=")
+            if not equals:
                 raise ValueError(f"--set expects key=value, got {item!r}")
-            key, value = item.split("=", 1)
-            apply_overrides(config, {key.strip(): value.strip()})
-        return config
-    except (ValueError, OSError) as exc:
+            setattr(config, key.strip(), parse_value(key.strip(), value))
+    except ValueError as exc:
         raise CliError("config", str(exc)) from exc
+    return config
 
 
 def _cmd_hdc_stats(args) -> int:
@@ -185,8 +185,7 @@ def _grid_geometry(grid_cml: GridCml) -> list[str]:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="config file of key = value lines")
-    parser.add_argument("--seed", type=int, help="root seed (required for experiments)")
+    parser.add_argument("--seed", help="root seed (required for experiments)")
     parser.add_argument("--out", help="output directory (default: out)")
     parser.add_argument(
         "--set",

@@ -1,11 +1,12 @@
-"""Experiment configuration: a flat dataclass, a flat key=value file format.
+"""Experiment configuration: a flat dataclass, set field by field from ``key=value`` text.
 
 Every setting with a second value in use lives here, so a report can echo
 the full configuration and a run can be reproduced from (config, seed)
 alone; a value that never changes is a constant of the module that reads it,
-as the noise floor of every recovery is ``hdc.THETA``.  CLI flags override
-file values; the seed has no default on purpose (no silent entropy:
-experiment commands must be given one explicitly).
+as the noise floor of every recovery is ``hdc.THETA``.  ``parse_value`` types
+a field's value from its text, the one parser behind every CLI setting; the
+seed has no default on purpose (no silent entropy: experiment commands must
+be given one explicitly).
 """
 
 from __future__ import annotations
@@ -31,18 +32,10 @@ class ExperimentConfig:
     theta = hdc.THETA  # not a field: read by the benchmark's viability oracle
 
     def validate(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        for name in (
-            "mission_trials",
-            "grid_only_trials",
-            "viability_mazes",
-            "door_removal_trials",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for field in dataclasses.fields(self):  # d, the four trial counts and workers
+            value = getattr(self, field.name)
+            if field.type == "int" and value < 1:
+                raise ValueError(f"{field.name} must be >= 1, got {value}")
         if not self.goal_sequence():
             raise ValueError("mission_goals must name at least one object")
 
@@ -64,6 +57,8 @@ class ExperimentConfig:
     def require_seed(self) -> int:
         if self.seed is None:
             raise ValueError("no seed configured: pass --seed (no silent entropy)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         return self.seed
 
     def as_dict(self) -> dict:
@@ -77,35 +72,17 @@ class ExperimentConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _parse_value(name: str, raw: str):
+def parse_value(name: str, raw: str):
+    """Field ``name``'s value typed from its text; ``ValueError`` for an unknown key."""
     if name not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {name!r}")
     kind = _FIELD_TYPES[name]
     raw = raw.strip()
-    if kind == "int":
+    if kind == "str":
+        return raw
+    if kind == "int | None" and raw.lower() == "none":
+        return None
+    try:
         return int(raw)
-    if kind == "int | None":
-        return None if raw.lower() == "none" else int(raw)
-    return raw
-
-
-def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Read ``key = value`` lines ('#' comments, blank lines ignored)."""
-    config = base or ExperimentConfig()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        name, raw = (part.strip() for part in stripped.split("=", 1))
-        setattr(config, name, _parse_value(name, raw))
-    return config
-
-
-def apply_overrides(config: ExperimentConfig, overrides: dict) -> ExperimentConfig:
-    """Set non-None override values (CLI flags beat file values)."""
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(config, name, _parse_value(name, str(value)))
-    return config
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None

@@ -170,9 +170,9 @@ def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
 def train_and_save(config: ExperimentConfig) -> dict:
     """Calculate the object model and train the grid model, verify both, then persist.
 
-    Both come from the one configured seed.  Neither file is written until
-    both models are proved, so a failed proof leaves the directory's
-    previous pair, whatever its seed, as it was.
+    Both come from the one configured seed.  Neither file, nor the models
+    directory, is written until both models are proved, so a failed proof
+    leaves the directory's previous pair, whatever its seed, as it was.
     Each model's info also gives the wall time of its phases in seconds:
     ``build_s`` (the object model's build) or ``train_s`` (the grid's
     training), then ``verify_s`` (its proof) and ``save_s``.  The times
@@ -180,7 +180,6 @@ def train_and_save(config: ExperimentConfig) -> dict:
     """
     config.validate_for_models()
     config.require_seed()
-    config.models_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     object_cml = build_object_cml(config)
     built = time.perf_counter()
@@ -190,6 +189,7 @@ def train_and_save(config: ExperimentConfig) -> dict:
     trained = time.perf_counter()
     grid_info = verify_grid_cml(grid_cml)
     verified = time.perf_counter()
+    config.models_dir.mkdir(parents=True, exist_ok=True)
     persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
     saved = time.perf_counter()
     persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
@@ -213,7 +213,7 @@ def train_and_save(config: ExperimentConfig) -> dict:
 
 
 def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
-    """The persisted models; ``ValueError`` if they do not fit the maze or each other."""
+    """The persisted models; ``ValueError`` if they do not fit the maze, each other or the config."""
     object_path = config.models_dir / OBJECT_MODEL_FILE
     grid_path = config.models_dir / GRID_MODEL_FILE
     for path in (object_path, grid_path):
@@ -236,6 +236,8 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
         )
     if object_cml.d != grid_cml.d:
         raise ValueError(f"object model d={object_cml.d} differs from grid model d={grid_cml.d}")
+    if object_cml.d != config.d:
+        raise ValueError(f"models have d={object_cml.d}, the config d={config.d}")
     return object_cml, grid_cml
 
 
@@ -425,8 +427,8 @@ def run_hdc_stats(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     rng = trial_rng(config.require_seed(), TAG_HDC_STATS, 0)
     started = time.perf_counter()
-    xs = rng.choice(np.array([-1.0, 1.0]), size=(HDC_PAIRS, config.d))
-    ys = rng.choice(np.array([-1.0, 1.0]), size=(HDC_PAIRS, config.d))
+    xs = hdc.random_bipolar(HDC_PAIRS * config.d, rng).reshape(HDC_PAIRS, config.d)
+    ys = hdc.random_bipolar(HDC_PAIRS * config.d, rng).reshape(HDC_PAIRS, config.d)
     sims = (xs * ys).sum(axis=1) / config.d
     record = {
         "pairs": HDC_PAIRS,

@@ -47,6 +47,27 @@ def test_seed_is_mandatory(tmp_path, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_seed_is_typed_by_the_field_parser(tmp_path, capsys):
+    assert main(["hdc-stats", "--seed", "abc", "--out", str(tmp_path / "out")]) == 1
+    assert "error[config]: seed must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_applies_after_seed(tmp_path):
+    # --seed and --out are the first two settings, then each --set in order
+    out = tmp_path / "out"
+    code = main(["hdc-stats", "--seed", "1", "--out", str(out), "--set", "d=4",
+                 "--set", "seed=2"])
+    assert code == 0
+    report = json.loads((out / "hdc_stats_report.json").read_text())
+    assert report["config"]["seed"] == 2
+
+
+def test_set_item_without_equals_sign_is_a_config_error(tmp_path, capsys):
+    assert main(["hdc-stats", "--seed", "1", "--out", str(tmp_path), "--set", "d"]) == 1
+    assert "error[config]: --set expects key=value, got 'd'" in capsys.readouterr().err
+
+
 def test_train_object_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--seed", "42", "--out", str(out)]) == 0
@@ -61,10 +82,16 @@ def test_train_object_model(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["train", "--which", "grid"], ["train", "--d", "1000"], ["hdc-stats", "--d", "4"]]
+    "flags",
+    [
+        ["train", "--which", "grid"],
+        ["train", "--d", "1000"],
+        ["hdc-stats", "--d", "4"],
+        ["run", "mission", "--config", "run.cfg"],
+    ],
 )
 def test_removed_flags_are_rejected(tmp_path, capsys, flags):
-    # one model set per seed; the dimension is set with --set d=N
+    # one model set per seed; every field, the dimension too, is set with --set key=value
     with pytest.raises(SystemExit) as exit_info:
         main(flags + ["--seed", "42", "--out", str(tmp_path / "out")])
     assert exit_info.value.code == 2
@@ -95,6 +122,22 @@ def test_train_without_seed_writes_nothing(tmp_path, capsys):
     assert main(["train", "--out", str(out)]) == 1
     assert "error[config]" in capsys.readouterr().err
     assert not (out / "models").exists()
+
+
+def test_train_with_negative_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["train", "--seed", "-1", "--out", str(out)]) == 1
+    assert "error[config]: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_refuses_negative_seed_before_loading_models(models_dir, monkeypatch, capsys):
+    def no_load(config):
+        raise AssertionError("models loaded")
+
+    monkeypatch.setattr(experiments, "load_models", no_load)
+    assert main(["run", "mission", "--seed", "-1", "--out", str(models_dir)]) == 1
+    assert "error[config]: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_train_refuses_small_dimension(tmp_path, capsys):
@@ -318,6 +361,18 @@ def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
     run_refuses_models(models_dir, capsys, "grid model is 7x4, the maze 20x10")
 
 
+def test_run_refuses_models_of_another_dimension_than_the_config(models_dir, capsys):
+    # the trials run at the models' d, so a report echoing another d would misstate them
+    code = main(
+        ["run", "viability", "--seed", "42", "--out", str(models_dir),
+         "--set", "d=2000", "--set", "viability_mazes=3"]
+    )
+    assert code == 1
+    assert "error[models]: models have d=1000, the config d=2000" in capsys.readouterr().err
+    assert not (models_dir / "viability_report.json").exists()
+    assert not (models_dir / "viability_trials.jsonl").exists()
+
+
 def test_run_refuses_models_of_different_dimensions(models_dir, grid_cml, capsys):
     d = grid_cml.d + 8
     wider = GridCml(
@@ -374,37 +429,25 @@ def test_run_mission_bad_goal_label(models_dir, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["phi_o", "theta_o", "theta"])
+@pytest.mark.parametrize(
+    "key",
+    [
+        "bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o",
+        "theta_o", "theta",
+    ],
+)
 def test_run_rejects_removed_thresholds(models_dir, capsys, key):
     # every decision is one recovery at the constant noise floor hdc.THETA; the
-    # arrival and policy thresholds are gone, and no setting moves the floor
+    # arrival and policy thresholds and the step caps are gone, and no setting
+    # moves the floor
     code = main(
         ["run", "mission", "--seed", "42", "--out", str(models_dir),
          "--set", "mission_trials=1", "--set", f"{key}=0.5"]
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "error[config]" in err
-    assert key in err
-
-
-def test_run_rejects_a_theta_line_in_the_config_file(models_dir, tmp_path, capsys):
-    cfg = tmp_path / "theta.cfg"
-    cfg.write_text("theta = 0.2\n")
-    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir), "--config", str(cfg)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[config]" in err
-    assert "unknown config key 'theta'" in err
+    assert f"error[config]: unknown config key {key!r}" in err
     assert not (models_dir / "mission_trials.jsonl").exists()
-
-
-def test_config_file_drives_run(models_dir, tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"mission_trials = 2\noutput_dir = {models_dir}\n")
-    code = main(["run", "mission", "--seed", "42", "--config", str(cfg)])
-    assert code == 0
-    assert "success_count: 2" in capsys.readouterr().out
 
 
 def test_full_train_and_save_round(tmp_path):

@@ -1,7 +1,7 @@
 import pytest
 
 from hdnav import hdc
-from hdnav.config import ExperimentConfig, apply_overrides, load_config
+from hdnav.config import ExperimentConfig, parse_value
 
 
 def test_defaults_validate():
@@ -31,54 +31,33 @@ def test_model_commands_need_hdc_scale_dimension():
 def test_require_seed():
     with pytest.raises(ValueError, match="seed"):
         ExperimentConfig().require_seed()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        ExperimentConfig(seed=-3).require_seed()
+    assert ExperimentConfig(seed=0).require_seed() == 0
     assert ExperimentConfig(seed=7).require_seed() == 7
 
 
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        """
-        # experiment setup
-        d = 512           # dimension
-        mission_trials = 5
-        output_dir = results
-        seed = 9
-        """
-    )
-    cfg = load_config(path)
-    assert (cfg.d, cfg.mission_trials) == (512, 5)
-    assert cfg.output_dir == "results"
-    assert cfg.seed == 9
+def test_every_int_field_must_be_at_least_one():
+    int_fields = [
+        "d", "mission_trials", "grid_only_trials", "viability_mazes", "door_removal_trials",
+        "workers",
+    ]
+    for name in int_fields:
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            ExperimentConfig(**{name: 0}).validate()
 
 
-@pytest.mark.parametrize(
-    "key",
-    [
-        "bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o",
-        "theta_o", "theta",
-    ],
-)
-def test_config_file_unknown_key(tmp_path, key):
-    path = tmp_path / "bad.cfg"
-    path.write_text(f"{key} = 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        load_config(path)
-
-
-def test_config_file_bad_line(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("just some text\n")
-    with pytest.raises(ValueError, match="key = value"):
-        load_config(path)
-
-
-def test_cli_overrides_beat_file_values(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text("d = 512\nseed = 1\n")
-    cfg = load_config(path)
-    cfg = apply_overrides(cfg, {"d": 1000, "seed": None})
-    assert cfg.d == 1000
-    assert cfg.seed == 1  # None overrides are ignored
+def test_parse_value_types_each_field():
+    assert parse_value("d", " 512 ") == 512
+    assert parse_value("mission_trials", "5") == 5
+    assert parse_value("output_dir", " results ") == "results"
+    assert parse_value("mission_goals", "k,c,t,e,h") == "k,c,t,e,h"
+    assert parse_value("seed", "9") == 9
+    assert parse_value("seed", "None") is None
+    with pytest.raises(ValueError, match="d must be an integer, got '512.0'"):
+        parse_value("d", "512.0")
+    with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+        parse_value("bogus", "1")
 
 
 def test_as_dict_round_trip():

@@ -394,3 +394,22 @@ def test_hdc_stats_scaling(config, monkeypatch):
     assert report.aggregates["pairs"] == 2000
     # law of large numbers: std ~ 1/sqrt(d) ~ 0.044 at d = 512
     assert report.aggregates["std"] == pytest.approx(1 / 512**0.5, rel=0.2)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_hdc_stats_draws_the_rng_choice_pairs(config, seed):
+    # hdc.random_bipolar gives the same stream as rng.choice([-1.0, 1.0]), without its overhead
+    d = 64
+    rng = experiments.trial_rng(seed, experiments.TAG_HDC_STATS, 0)
+    xs = rng.choice(np.array([-1.0, 1.0]), size=(experiments.HDC_PAIRS, d))
+    ys = rng.choice(np.array([-1.0, 1.0]), size=(experiments.HDC_PAIRS, d))
+    sims = (xs * ys).sum(axis=1) / d
+    reference = {
+        "pairs": experiments.HDC_PAIRS,
+        "d": d,
+        "mean": float(sims.mean()),
+        "std": float(sims.std(ddof=1)),
+        "max_abs": float(np.abs(sims).max()),
+    }
+    report = experiments.run_hdc_stats(small(config, d=d, seed=seed))
+    assert report.records == [reference]
