@@ -60,6 +60,20 @@ def test_parse_value_types_each_field():
         parse_value("bogus", "1")
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "bogus", "grid_step_cap", "object_hop_cap", "mission_cell_cap", "phi_g", "phi_o",
+        "theta_o", "theta",
+    ],
+)
+def test_config_file_unknown_key(key):
+    # no text outside the nine fields sets anything: the one parser behind every
+    # setting refuses the key, the removed thresholds and step caps included
+    with pytest.raises(ValueError, match=f"unknown config key {key!r}"):
+        parse_value(key, "1")
+
+
 def test_as_dict_round_trip():
     cfg = ExperimentConfig(seed=3, mission_trials=7)
     echo = cfg.as_dict()
