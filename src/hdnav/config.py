@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import hdc
+from .maze import OBJECT_LABELS
 
 
 @dataclass
@@ -36,8 +37,12 @@ class ExperimentConfig:
             value = getattr(self, field.name)
             if field.type == "int" and value < 1:
                 raise ValueError(f"{field.name} must be >= 1, got {value}")
-        if not self.goal_sequence():
+        goals = self.goal_sequence()
+        if not goals:
             raise ValueError("mission_goals must name at least one object")
+        for goal in goals:
+            if goal not in OBJECT_LABELS:
+                raise ValueError(f"unknown goal object {goal!r}, not one of {OBJECT_LABELS}")
 
     def goal_sequence(self) -> list[str]:
         return [g.strip() for g in self.mission_goals.split(",") if g.strip()]

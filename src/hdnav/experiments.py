@@ -17,7 +17,7 @@ from . import cml as cml_mod
 from . import grid as grid_mod, hdc, maze as maze_mod, mission, persist, semantic_map
 from .config import ExperimentConfig
 from .grid import DELTAS, DIRECTIONS, GridCml, train_grid
-from .mission import FailureReason, TrialResult
+from .mission import FailureReason
 from .reports import ExperimentReport
 from .semantic_map import MapMemory
 
@@ -163,7 +163,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
 def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
     """Steps of a grid leg on the wall-free grid; None if it does not end on the goal."""
     open_grid = maze_mod.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
-    leg = mission._grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
+    leg = mission.grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
     return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
 
@@ -261,19 +261,6 @@ def generate_viable_maze(
     raise RuntimeError(f"no viable maze within {VIABLE_ATTEMPT_CAP} attempts")
 
 
-def _goal_records(result: TrialResult) -> list[dict]:
-    return [
-        {
-            "goal": outcome.goal,
-            "reached": outcome.reached,
-            "object_path": list(outcome.object_path),
-            "grid_path": [list(cell) for cell in outcome.grid_path],
-            "steps": outcome.steps,
-        }
-        for outcome in result.goal_outcomes
-    ]
-
-
 def mission_trial(
     config: ExperimentConfig,
     object_cml: cml_mod.Cml,
@@ -285,7 +272,10 @@ def mission_trial(
 
     The trial succeeds only when the goals the policy revealed are the
     configured goal sequence, each reached; a policy that reveals fewer
-    (or other) goals is an ``unrecoverable_state``.
+    (or other) goals is an ``unrecoverable_state``.  The record's ``goals``
+    are the entries ``mission.run_mission`` returns, stored unchanged, and
+    its ``steps`` their sum; with a door closed, ``visited_removed_cell``
+    says whether any entry's grid path crosses the door's cell.
     """
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
     rng = trial_rng(config.require_seed(), tag, trial)
@@ -301,23 +291,23 @@ def mission_trial(
         record["door_cell"] = list(door_cell)
     goals = config.goal_sequence()
     policy = semantic_map.encode_policy(goals, objects, rng)
-    result = mission.run_mission(planner, grid_cml, memory, maze, policy)
-    failure = result.failure_reason
-    if failure is FailureReason.NONE and [o.goal for o in result.goal_outcomes] != goals:
+    entries, failure = mission.run_mission(planner, grid_cml, memory, maze, policy)
+    if failure is FailureReason.NONE and [entry["goal"] for entry in entries] != goals:
         failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
     record.update(
         {
             "goal_sequence": goals,
             "success": failure is FailureReason.NONE,
             "failure_reason": failure.value,
-            "goals": _goal_records(result),
-            "steps": result.total_steps,
+            "goals": entries,
+            "steps": sum(entry["steps"] for entry in entries),
             "maze": maze_mod.to_text(maze),
         }
     )
     if remove_random_door:
-        visited = {tuple(cell) for goal in result.goal_outcomes for cell in goal.grid_path}
-        record["visited_removed_cell"] = tuple(record["door_cell"]) in visited
+        record["visited_removed_cell"] = any(
+            record["door_cell"] in entry["grid_path"] for entry in entries
+        )
     return record
 
 
@@ -334,7 +324,7 @@ def grid_only_trial(
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
     key, treasure = trial_maze.placements["k"], trial_maze.placements["t"]
-    leg = mission._grid_leg(grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze))
+    leg = mission.grid_leg(grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze))
     return {
         "trial": trial,
         "seed": config.seed,

@@ -20,7 +20,7 @@ starts at home, ``maze.placements["h"]``.
 
 The executor never raises on a failed trial: every abort path is
 classified (dithering, step caps, unrecoverable states, unreachable
-targets) and reported in the trial result.
+targets) and returned with the goal entries of the trial record.
 """
 
 from __future__ import annotations
@@ -43,25 +43,6 @@ class FailureReason(enum.Enum):
     STEP_CAP = "step_cap"
     UNRECOVERABLE_STATE = "unrecoverable_state"
     UNREACHABLE = "unreachable"
-
-
-@dataclass(frozen=True)
-class GoalOutcome:
-    goal: str
-    reached: bool
-    object_path: tuple[str, ...]
-    grid_path: tuple[Cell, ...]
-    steps: int
-
-
-@dataclass(frozen=True)
-class TrialResult:
-    goal_outcomes: tuple[GoalOutcome, ...]
-    failure_reason: FailureReason
-
-    @property
-    def total_steps(self) -> int:
-        return sum(outcome.steps for outcome in self.goal_outcomes)
 
 
 def grid_step_cap(maze: Maze) -> int:
@@ -103,7 +84,7 @@ class _LegResult:
     dither_cells: tuple[Cell, ...] = ()
 
 
-def _grid_leg(
+def grid_leg(
     grid_cml: GridCml, maze: Maze, start: Cell, target_cell: Cell, step_cap: int
 ) -> _LegResult:
     """Drive the robot from ``start`` to a target cell under sensor gating.
@@ -133,24 +114,29 @@ def run_mission(
     memory: MapMemory,
     maze: Maze,
     policy: np.ndarray,
-) -> TrialResult:
-    """Execute the goals the policy hypervector reveals; returns the full trial trace.
+) -> tuple[list[dict], FailureReason]:
+    """Execute the goals the policy hypervector reveals; returns the goal entries and the failure.
 
-    The robot starts at home, ``maze.placements["h"]``.  The hypervector
-    dimensions of the models, the map and the policy must agree.  The
-    trace ends at the first goal not reached, or with
+    One entry per goal attempted, as the trial record stores it: ``goal``,
+    ``reached``, ``object_path`` (the labels found, from where the goal's
+    leg began), ``grid_path`` (its cells as ``[row, col]`` lists, from the
+    robot's cell at the start) and ``steps`` (the moves made).  The robot
+    starts at home, ``maze.placements["h"]``.  The hypervector dimensions
+    of the models, the map and the policy must agree.  The entries end at
+    the first goal not reached, with its failure, or with
     ``FailureReason.NONE`` once the policy reveals no further goal;
     whether the revealed goals were the encoded ones is the caller's to
     judge.
     """
-    outcomes: list[GoalOutcome] = []
+    goals: list[dict] = []
+    failure = FailureReason.NONE
     hop_cap = 2 * object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
     objects = memory.objects
     current_label = "h"  # the robot starts at home and knows it
     robot = maze.placements[current_label]
 
-    while True:
+    while failure is FailureReason.NONE:
         goal_label, policy = semantic_map.next_goal(policy, objects)
         if goal_label is None:
             break
@@ -158,7 +144,6 @@ def run_mission(
         object_path = [current_label]
         grid_path: list[Cell] = [robot]
         hops = 0
-        failure = FailureReason.NONE
 
         while current_label != goal_label:
             if hops >= hop_cap:
@@ -178,7 +163,7 @@ def run_mission(
             if cell is None:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
-            leg = _grid_leg(
+            leg = grid_leg(
                 grid_cml, maze, robot, cell, min(grid_step_cap(maze), cells_budget)
             )
             robot = leg.path[-1]
@@ -192,16 +177,13 @@ def run_mission(
                 current_label = found
                 object_path.append(found)
 
-        outcomes.append(
-            GoalOutcome(
-                goal=goal_label,
-                reached=failure is FailureReason.NONE,
-                object_path=tuple(object_path),
-                grid_path=tuple(grid_path),
-                steps=len(grid_path) - 1,
-            )
+        goals.append(
+            {
+                "goal": goal_label,
+                "reached": failure is FailureReason.NONE,
+                "object_path": object_path,
+                "grid_path": [list(cell) for cell in grid_path],
+                "steps": len(grid_path) - 1,
+            }
         )
-        if failure is not FailureReason.NONE:
-            return TrialResult(goal_outcomes=tuple(outcomes), failure_reason=failure)
-
-    return TrialResult(goal_outcomes=tuple(outcomes), failure_reason=FailureReason.NONE)
+    return goals, failure

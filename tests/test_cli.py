@@ -429,6 +429,29 @@ def test_run_mission_bad_goal_label(models_dir, capsys):
     assert "error[config]" in capsys.readouterr().err
 
 
+def test_run_refuses_unknown_goal_label_before_loading_models(tmp_path, capsys):
+    # a config error, not missing models: nothing is loaded, nothing written
+    out = tmp_path / "empty"
+    code = main(
+        ["run", "mission", "--seed", "42", "--out", str(out), "--set", "mission_goals=k,z"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error[config]: unknown goal object 'z'" in err
+    assert not out.exists()
+
+
+def test_run_viability_refuses_unknown_goal_label(models_dir, capsys):
+    # viability reads no goal, yet its report would echo the bad setting
+    code = main(
+        ["run", "viability", "--seed", "42", "--out", str(models_dir),
+         "--set", "mission_goals=z", "--set", "viability_mazes=3"]
+    )
+    assert code == 1
+    assert "error[config]: unknown goal object 'z'" in capsys.readouterr().err
+    assert not (models_dir / "viability_report.json").exists()
+
+
 @pytest.mark.parametrize(
     "key",
     [

@@ -47,6 +47,14 @@ def test_every_int_field_must_be_at_least_one():
             ExperimentConfig(**{name: 0}).validate()
 
 
+def test_goal_labels_must_be_object_labels():
+    ExperimentConfig(mission_goals="k,c,t,e,h").validate()
+    with pytest.raises(ValueError, match="unknown goal object 'z'"):
+        ExperimentConfig(mission_goals="k,z").validate()
+    with pytest.raises(ValueError, match="at least one object"):
+        ExperimentConfig(mission_goals=" , ").validate()
+
+
 def test_parse_value_types_each_field():
     assert parse_value("d", " 512 ") == 512
     assert parse_value("mission_trials", "5") == 5

@@ -316,11 +316,17 @@ def test_repeat_runs_are_byte_identical(config, object_cml, grid_cml):
     assert r1.records_text() == r2.records_text()
 
 
-def test_worker_parallelism_preserves_records(config, object_cml, grid_cml):
-    serial = small(config, grid_only_trials=10)
-    parallel = small(config, grid_only_trials=10, workers=2)
-    r1 = experiments.run_experiment(serial, "grid_only", object_cml, grid_cml)
-    r2 = experiments.run_experiment(parallel, "grid_only", object_cml, grid_cml)
+@pytest.mark.parametrize(
+    "name, trials",
+    [("mission", 3), ("grid_only", 10), ("viability", 20), ("door_removal", 3)],
+)
+def test_worker_parallelism_preserves_records(config, object_cml, grid_cml, name, trials):
+    # records cross the process boundary as the trial returns them
+    count_field = experiments.EXPERIMENTS[name][0]
+    serial = small(config, **{count_field: trials})
+    parallel = small(config, **{count_field: trials}, workers=2)
+    r1 = experiments.run_experiment(serial, name, object_cml, grid_cml)
+    r2 = experiments.run_experiment(parallel, name, object_cml, grid_cml)
     assert r1.records_text() == r2.records_text()
 
 

@@ -1,9 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hdnav import cml, experiments, hdc, maze as mz, mission, semantic_map as sm
+from hdnav import cml, experiments, hdc, maze as mz, mission, reports, semantic_map as sm
 from hdnav.grid import DELTAS
 from hdnav.mission import FailureReason
 
@@ -112,56 +113,67 @@ def test_two_left_doors_removed_makes_treasure_unreachable(object_cml):
 
 
 def test_mission_succeeds_on_viable_maze(mission_result):
-    assert mission_result.failure_reason is FailureReason.NONE
-    assert [o.goal for o in mission_result.goal_outcomes] == ["k", "t", "h"]
-    assert all(o.reached for o in mission_result.goal_outcomes)
+    goals, failure = mission_result
+    assert failure is FailureReason.NONE
+    assert [g["goal"] for g in goals] == ["k", "t", "h"]
+    assert all(g["reached"] for g in goals)
+
+
+def test_mission_goal_entries_are_already_json(mission_result):
+    # the executor returns the record's own entries: every path a list and
+    # every cell a [row, col] list, which a tuple would never equal
+    goals, _ = mission_result
+    assert goals
+    for entry in goals:
+        assert entry == json.loads(reports.canonical_json(entry))
 
 
 def test_mission_object_paths_match_reported_sets(mission_result):
-    legs = {o.goal: o.object_path for o in mission_result.goal_outcomes}
-    assert legs["k"] == ("h", "k")
-    assert legs["t"] in (("k", "a", "e", "t"), ("k", "b", "d", "t"))
-    assert legs["h"] in (("t", "e", "a", "h"), ("t", "d", "b", "h"))
+    legs = {g["goal"]: g["object_path"] for g in mission_result[0]}
+    assert legs["k"] == ["h", "k"]
+    assert legs["t"] in (["k", "a", "e", "t"], ["k", "b", "d", "t"])
+    assert legs["h"] in (["t", "e", "a", "h"], ["t", "d", "b", "h"])
 
 
 def test_mission_grid_paths_are_legal(viable_setup, mission_result):
     maze, _, _ = viable_setup
-    for outcome in mission_result.goal_outcomes:
-        for cell in outcome.grid_path:
-            assert maze.passable(cell)
-        for a, b in zip(outcome.grid_path, outcome.grid_path[1:]):
+    for goal in mission_result[0]:
+        for cell in goal["grid_path"]:
+            assert maze.passable(tuple(cell))
+        for a, b in zip(goal["grid_path"], goal["grid_path"][1:]):
             step = (b[0] - a[0], b[1] - a[1])
             assert step in DELTAS.values()
+        assert goal["steps"] == len(goal["grid_path"]) - 1
 
 
 def test_mission_starts_at_home(viable_setup, mission_result):
     maze, _, _ = viable_setup
-    first = mission_result.goal_outcomes[0]
-    assert first.grid_path[0] == maze.placements["h"]
-    assert first.object_path[0] == "h"
+    first = mission_result[0][0]
+    assert first["grid_path"][0] == list(maze.placements["h"])
+    assert first["object_path"][0] == "h"
 
 
 def test_mission_paths_connect_across_goals(viable_setup, mission_result):
     maze, _, _ = viable_setup
     previous_end = None
-    for outcome in mission_result.goal_outcomes:
+    for goal in mission_result[0]:
         if previous_end is not None:
-            assert outcome.grid_path[0] == previous_end
-        assert outcome.grid_path[-1] == maze.placements[outcome.goal]
-        previous_end = outcome.grid_path[-1]
+            assert goal["grid_path"][0] == previous_end
+        assert goal["grid_path"][-1] == list(maze.placements[goal["goal"]])
+        previous_end = goal["grid_path"][-1]
 
 
 def test_mission_object_hops_follow_graph_adjacency(object_cml, mission_result):
     graph = object_cml.graph
     edges = set(graph.directed_edges)
-    for outcome in mission_result.goal_outcomes:
-        for a, b in zip(outcome.object_path, outcome.object_path[1:]):
+    for goal in mission_result[0]:
+        for a, b in zip(goal["object_path"], goal["object_path"][1:]):
             assert (graph.node_index(a), graph.node_index(b)) in edges
 
 
 def test_mission_goal_monotone_order(mission_result):
     # goals attempted strictly in encoded order
-    assert [o.goal for o in mission_result.goal_outcomes] == ["k", "t", "h"]
+    assert [g["goal"] for g in mission_result[0]] == ["k", "t", "h"]
 
 
 def test_mission_with_removed_door_avoids_its_cell(config, object_cml, grid_cml):
@@ -180,8 +192,8 @@ def test_mission_unreachable_goal_reports_failure(object_cml, grid_cml, viable_s
     sealed, _ = mz.close_door(maze, "a")
     sealed, _ = mz.close_door(sealed, "b")
     policy = sm.encode_policy(["t"], memory.objects, np.random.default_rng(1))
-    result = mission.run_mission(reduced, grid_cml, memory, sealed, policy)
-    assert result.failure_reason in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
+    _, failure = mission.run_mission(reduced, grid_cml, memory, sealed, policy)
+    assert failure in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
 
 def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
@@ -196,16 +208,16 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     # both states recover, but no gate leaves home: the goal is unreachable
     gated = object_cml.G.copy()
     gated[:, object_cml.graph.node_index("h")] = 0.0
-    result = run(replace(object_cml, G=gated), memory)
-    assert result.failure_reason is FailureReason.UNREACHABLE
+    _, failure = run(replace(object_cml, G=gated), memory)
+    assert failure is FailureReason.UNREACHABLE
     # goal states the planner cannot recover: the step refuses unrecognised input
     rng = np.random.default_rng(3)
     noise = hdc.Dictionary.from_pairs(
         [(label, hdc.random_bipolar(object_cml.d, rng)) for label in states.labels]
     )
-    result = run(object_cml, sm.build_map(noise, maze, grid_cml, rng))
-    assert result.failure_reason is FailureReason.UNRECOVERABLE_STATE
-    assert result.goal_outcomes[0].object_path == ("h",)
+    goals, failure = run(object_cml, sm.build_map(noise, maze, grid_cml, rng))
+    assert failure is FailureReason.UNRECOVERABLE_STATE
+    assert goals[0]["object_path"] == ["h"]
 
 
 # --- grid_only_trial --------------------------------------------------------------------
@@ -239,7 +251,7 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
             "k": (4, 2), "t": (4, 17), "h": (4, 1),
         },
     )
-    leg = mission._grid_leg(
+    leg = mission.grid_leg(
         grid_cml, maze, maze.placements["k"], maze.placements["t"], mission.grid_step_cap(maze)
     )
     assert leg.reason is FailureReason.NONE

@@ -1,6 +1,7 @@
 """No dead code: every top-level function and class in the package is referenced by
 name, and every method and property of its classes is read as an attribute, in the
-package, the benchmark, the scripts or the acceptance suite."""
+package, the benchmark, the scripts or the acceptance suite.  And no package module
+takes another module's private name: what one module needs of another is public."""
 
 import ast
 from pathlib import Path
@@ -42,6 +43,32 @@ def references(tree: ast.Module) -> set[str]:
 def attributes(tree: ast.Module) -> set[str]:
     """The names a module reads as attributes: ``x.name``."""
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def private_reads(tree: ast.Module) -> set[str]:
+    """``module._name`` for every private name the module takes from a sibling module:
+    read as an attribute of a relatively imported module, or imported by name."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    modules, found = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None:  # from . import mod [as alias]
+                    modules[alias.asname or alias.name] = alias.name
+                elif private(alias.name):
+                    found.add(f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and private(node.attr)
+        ):
+            found.add(f"{modules[node.value.id]}.{node.attr}")
+    return found
 
 
 def parse(path: Path) -> ast.Module:
@@ -93,3 +120,21 @@ def test_reference_scan_sees_names_attributes_and_imports():
     assert not {"i", "J", "k", "m"} & references(tree)
     assert attributes(tree) == {"e"}  # c.d is an import, f and g bare names
     assert definitions(tree) == ["i", "J", "J.k", "J.m"]
+
+
+def test_no_package_module_reads_another_modules_private_name():
+    # tests and the benchmark may reach inside a module; the package may not
+    reads = {
+        f"{path.stem} reads {name}"
+        for path in sources([PACKAGE])
+        for name in private_reads(parse(path))
+    }
+    assert reads == set()
+
+
+def test_private_read_scan_sees_module_attributes_and_imports():
+    tree = ast.parse(
+        "from . import a as b, c\nfrom .d import _e, f\nfrom __future__ import _g\n"
+        "b._h()\nc.__name__\nb.i\nself._j\nc._k = 1\n"
+    )
+    assert private_reads(tree) == {"d._e", "a._h", "c._k"}
