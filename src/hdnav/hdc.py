@@ -2,9 +2,10 @@
 
 All values are plain 1-D ``numpy`` float arrays of a shared length ``d``,
 which the caller chooses (the config's ``d``); ``bind``, ``bundle`` and
-``recover`` also take an ``(n, d)`` stack, one hypervector per row.  Information is carried by
-direction: two independently drawn random bipolar vectors of that length
-are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).  The algebra has four basic operations:
+``recover`` also take an ``(n, d)`` stack, one hypervector per row.
+Information is carried by direction: two independently drawn random
+bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
+The algebra has four basic operations:
 
 - ``bundle``: signed elementwise addition; the result stays similar to
   every summand.
