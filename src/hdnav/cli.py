@@ -4,25 +4,25 @@ Verbs:
 
 - ``hdc-stats``: random-pair similarity statistics at the configured d.
 - ``train``: build and verify the object and grid models from one seed,
-  then persist both; prints the wall time of each phase.
+  then save both; prints the wall time of each phase.
 - ``run <experiment>``: mission, grid_only, viability, or door_removal
-  trial batches against persisted models.
+  trial batches against the saved models.
 - ``render``: draw one trace record as text or SVG.
-- ``verify <model>``: re-prove a persisted model: object plans
-  BFS-shortest for every node pair (with the count of tied pairs and the
-  tie rule's rounding headroom: the route margin and the tie spread),
-  and open-grid optimality of the grid model for every ordered cell pair
-  (then the grid's shape, its chains' distance from their fixed points
-  and its number of distinct cell sign patterns).  It reads no config:
-  its one argument is the model file.
+- ``verify``: load the saved pair as ``run`` does, with its checks, and
+  re-prove it: object plans BFS-shortest for every node pair (with the
+  count of tied pairs, the route margin and the tie spread), and
+  open-grid optimality for every ordered cell pair (then the grid's
+  shape, its chains' distance from their fixed points and its number of
+  distinct cell sign patterns).  It reads ``output_dir`` and ``d``.
 
-``hdc-stats``, ``train`` and ``run`` build their config from the defaults,
+Every verb but ``render`` builds its config from the defaults,
 then ``--seed`` (the ``seed`` field) and ``--out`` (``output_dir``), then
 each ``--set key=value`` in order, every value typed by
 ``config.parse_value``.  Experiment commands require an explicit
 ``--seed``.  Errors print one categorized line to stderr and exit
-nonzero.  When the reader of stdout goes away (a closed pipe), the
-command exits nonzero without a traceback.
+nonzero, a failed write as ``error[io]``.  When the reader of stdout
+goes away (a closed pipe), the command exits nonzero without a
+traceback.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, persist, render as render_mod
-from .cml import Cml
+from . import experiments, render as render_mod
 from .config import ExperimentConfig, parse_value
 from .grid import GridCml
 
@@ -74,12 +73,22 @@ def _cmd_hdc_stats(args) -> int:
 
 
 # the phase times train_and_save returns, by the label ``train`` prints them under
-TRAIN_PHASES = {
-    "build_s": "build",
-    "train_s": "training",
-    "verify_s": "proof",
-    "save_s": "save",
-}
+TRAIN_PHASES = {"build_s": "build", "train_s": "training", "verify_s": "proof", "save_s": "save"}
+
+
+def _proof_line(kind: str, info: dict) -> str:
+    """One model's proof facts: its pairs, then the object model's ties, route margin and
+    tie spread, then (from ``train``) its path and phase times."""
+    facts = f"{info['pairs_checked']} pairs"
+    if "tied_pairs" in info:
+        facts += (
+            f", {info['tied_pairs']} tied, route margin {info['route_margin']:.3g},"
+            f" tie spread {info['tie_spread']:.2g}"
+        )
+    phases = ", ".join(
+        f"{label} {info[key] * 1e3:.1f} ms" for key, label in TRAIN_PHASES.items() if key in info
+    )
+    return f"{kind}: verified ({facts})" + (f" -> {info['path']} [{phases}]" if phases else "")
 
 
 def _cmd_train(args) -> int:
@@ -90,16 +99,16 @@ def _cmd_train(args) -> int:
         raise CliError("config", str(exc)) from exc
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
-    for kind, details in info.items():
-        phases = ", ".join(
-            f"{label} {details[key] * 1e3:.1f} ms"
-            for key, label in TRAIN_PHASES.items()
-            if key in details
-        )
-        print(
-            f"{kind}: verified ({details['pairs_checked']} pairs) -> {details['path']} [{phases}]"
-        )
+    print("\n".join(_proof_line(kind, details) for kind, details in info.items()))
     return 0
+
+
+def _load_models(config: ExperimentConfig):
+    """The saved pair, through ``experiments.load_models`` and its checks."""
+    try:
+        return experiments.load_models(config)
+    except (OSError, ValueError) as exc:
+        raise CliError("models", str(exc)) from exc
 
 
 def _cmd_run(args) -> int:
@@ -109,10 +118,7 @@ def _cmd_run(args) -> int:
         config.require_seed()
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
-    try:
-        object_cml, grid_cml = experiments.load_models(config)
-    except (FileNotFoundError, ValueError) as exc:
-        raise CliError("models", str(exc)) from exc
+    object_cml, grid_cml = _load_models(config)
     try:
         report = experiments.run_experiment(config, args.experiment, object_cml, grid_cml)
     except ValueError as exc:
@@ -144,26 +150,16 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    object_cml, grid_cml = _load_models(_build_config(args))
     try:
-        model = persist.load_model(args.model)
-    except (OSError, ValueError) as exc:
-        raise CliError("models", str(exc)) from exc
-    try:
-        if isinstance(model, Cml):
-            info = experiments.verify_object_cml(model)
-        else:
-            info = experiments.verify_grid_cml(model)
+        proofs = {
+            "object": experiments.verify_object_cml(object_cml),
+            "grid": experiments.verify_grid_cml(grid_cml),
+        }
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
-    ties = (
-        f", {info['tied_pairs']} tied, route margin {info['route_margin']:.3g},"
-        f" tie spread {info['tie_spread']:.2g}"
-        if "tied_pairs" in info
-        else ""
-    )
-    print(f"verified: {info['pairs_checked']} pairs{ties}")
-    if isinstance(model, GridCml):
-        print("\n".join(_grid_geometry(model)))
+    print("\n".join(_proof_line(kind, info) for kind, info in proofs.items()))
+    print("\n".join(_grid_geometry(grid_cml)))
     return 0
 
 
@@ -206,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_stats)
     p_stats.set_defaults(func=_cmd_hdc_stats)
 
-    p_train = sub.add_parser("train", help="train, verify, and persist both models")
+    p_train = sub.add_parser("train", help="train, verify, and save both models")
     _add_config_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
@@ -222,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--output", help="output file (default: stdout)")
     p_render.set_defaults(func=_cmd_render)
 
-    p_verify = sub.add_parser("verify", help="re-verify a persisted model")
-    p_verify.add_argument("model", help="model file path")
+    p_verify = sub.add_parser("verify", help="load and re-prove the saved models")
+    _add_config_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser
@@ -248,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except RuntimeError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # after BrokenPipeError, which is one
+        print(f"error[io]: {exc}", file=sys.stderr)
         return 1
 
 

@@ -12,6 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
+import numpy.random  # loaded now, or its lazy import lands in train's timed build
 
 from . import cml as cml_mod
 from . import grid as grid_mod, hdc, maze as maze_mod, mission, persist, semantic_map

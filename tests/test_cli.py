@@ -71,14 +71,18 @@ def test_set_item_without_equals_sign_is_a_config_error(tmp_path, capsys):
 def test_train_object_model(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["train", "--seed", "42", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    assert printed.count("verified") == 2
-    # each model's line ends with the wall time of its phases
-    assert re.search(r"object: .* \[build \S+ ms, proof \S+ ms, save \S+ ms\]$", printed, re.M)
-    assert re.search(r"grid: .* \[training \S+ ms, proof \S+ ms, save \S+ ms\]$", printed, re.M)
+    trained = capsys.readouterr().out.splitlines()
+    # each model's line carries the proof facts verify prints, then its path and phase times
+    assert main(["verify", "--out", str(out)]) == 0
+    proved = capsys.readouterr().out.splitlines()[:2]
+    paths = [out / "models" / name
+             for name in (experiments.OBJECT_MODEL_FILE, experiments.GRID_MODEL_FILE)]
+    phases = [f"{first} \\S+ ms, proof \\S+ ms, save \\S+ ms" for first in ("build", "training")]
+    assert len(trained) == 2
+    for line, proof, path, phase in zip(trained, proved, paths, phases):
+        assert re.fullmatch(re.escape(f"{proof} -> {path} [") + phase + r"\]", line)
     # one seed writes both models, so a model directory never mixes seeds
-    assert (out / "models" / experiments.OBJECT_MODEL_FILE).exists()
-    assert (out / "models" / experiments.GRID_MODEL_FILE).exists()
+    assert all(path.exists() for path in paths)
 
 
 @pytest.mark.parametrize(
@@ -146,11 +150,8 @@ def test_train_refuses_small_dimension(tmp_path, capsys):
 
 
 def test_run_requires_models(tmp_path, capsys):
-    code = main(["run", "mission", "--seed", "42", "--out", str(tmp_path / "empty")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "train" in err  # actionable: names the train command
+    err = run_and_verify_refuse(tmp_path / "empty", capsys, "missing model file")
+    assert "hdnav train" in err  # actionable: names the train command
 
 
 def test_run_mission_small_batch(models_dir, capsys):
@@ -229,36 +230,26 @@ def test_render_missing_trace(tmp_path, capsys):
     assert "error[trace]" in capsys.readouterr().err
 
 
-def test_verify_reports_tied_object_pairs(models_dir, capsys):
-    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
-    assert main(["verify", str(object_model)]) == 0
-    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16 inside
+def test_verify_model_files(models_dir, capsys):
+    assert main(["verify", "--out", str(models_dir)]) == 0
+    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16
+    # inside; x stops within 1e-6 of r - 4.5, y up to 0.18 short of c - 9.5 (a
+    # mean-residual stop)
     assert capsys.readouterr().out == (
-        "verified: 56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16\n"
+        "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)\n"
+        "grid: verified (39800 pairs)\n"
+        "shape: 20x10 (width x height), d=1000\n"
+        "distance from the fixed point: x 1.13e-06, y 0.184\n"
+        "sign patterns: 164 distinct of 200 cells\n"
     )
 
 
-def test_verify_model_files(models_dir, capsys):
-    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
-    grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE
-    assert main(["verify", str(object_model)]) == 0
-    assert main(["verify", str(grid_model)]) == 0
-    printed = capsys.readouterr().out
-    assert printed.count("verified") == 2
-
-
-def test_verify_prints_the_grid_geometry(models_dir, capsys):
-    grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE
-    assert main(["verify", str(grid_model)]) == 0
-    verified, shape, distance, patterns = capsys.readouterr().out.splitlines()
-    assert verified == "verified: 39800 pairs"
-    assert shape == "shape: 20x10 (width x height), d=1000"
-    gaps = re.fullmatch(r"distance from the fixed point: x (\S+), y (\S+)", distance)
-    x_gap, y_gap = gaps.groups()
-    # x stops within 1e-6 of r - 4.5; y up to 0.18 short of c - 9.5 (a mean-residual stop)
-    assert float(x_gap) == pytest.approx(1.13e-6, rel=1e-2)
-    assert float(y_gap) == pytest.approx(0.184, rel=1e-2)
-    assert patterns == "sign patterns: 164 distinct of 200 cells"
+def test_verify_takes_no_model_path(models_dir, capsys):
+    # verify reads the pair from --out, through the loader run uses
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", str(models_dir / "models" / experiments.OBJECT_MODEL_FILE)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_nonzero_without_traceback(tmp_path, monkeypatch):
@@ -284,32 +275,38 @@ def test_closed_stdout_exits_nonzero_without_traceback(tmp_path, monkeypatch):
     assert stderr.getvalue() == ""
 
 
-def test_verify_rejects_garbage(tmp_path, capsys):
-    bad = tmp_path / "bad.hdm"
-    bad.write_bytes(b"garbage")
-    assert main(["verify", str(bad)]) == 1
-    assert "error[models]" in capsys.readouterr().err
-
-
-def test_verify_rejects_old_format(tmp_path, capsys):
-    old = tmp_path / "old.hdm"
-    old.write_bytes(b"HDNAV-MODEL 1 grid\nd=1000\nwidth=20\nheight=10\n\n")
-    assert main(["verify", str(old)]) == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "hdnav train" in err
-
-
 @pytest.mark.parametrize(
-    "flags", [["--seed", "1"], ["--set", "theta=0.2"], ["--config", "run.cfg"], ["--out", "out"]]
+    "argv",
+    [
+        lambda out, file: ["train", "--seed", "42", "--out", f"{file}/x"],
+        lambda out, file: ["hdc-stats", "--seed", "1", "--set", "d=64", "--out", str(file)],
+        lambda out, file: ["render", "--trace", str(file), "--output", f"{out}/missing/x.txt"],
+        lambda out, file: ["run", "mission", "--seed", "42", "--out", str(out),
+                           "--set", "mission_trials=1"],
+    ],
+    ids=["train", "hdc-stats", "render", "run"],
 )
-def test_verify_takes_only_a_model_path(models_dir, capsys, flags):
-    # the proofs read no config: the noise floor is the constant hdc.THETA
-    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
-    with pytest.raises(SystemExit) as exit_info:
-        main(["verify", str(object_model), *flags])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+def test_failed_write_is_one_io_error_line(models_dir, capsys, argv):
+    # train's models dir under a file, a file as hdc-stats' output dir, render into a
+    # missing dir, run's records file taken by a dir
+    trace = models_dir / "trace.jsonl"
+    trace.write_text(json.dumps({"maze": "3 2\nH..\n...\n", "grid_path": [[0, 0]]}) + "\n")
+    (models_dir / "mission_trials.jsonl").mkdir()
+    assert main(argv(models_dir, trace)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[io]: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_garbage(models_dir, capsys):
+    (models_dir / "models" / experiments.OBJECT_MODEL_FILE).write_bytes(b"garbage")
+    run_and_verify_refuse(models_dir, capsys, "not a model file")
+
+
+def test_verify_rejects_old_format(models_dir, capsys):
+    old = models_dir / "models" / experiments.GRID_MODEL_FILE
+    old.write_bytes(b"HDNAV-MODEL 1 grid\nd=1000\nwidth=20\nheight=10\n\n")
+    err = run_and_verify_refuse(models_dir, capsys, "version 1")
+    assert "hdnav train" in err
 
 
 def test_run_refuses_format_3_grid_with_a_free_north_action(models_dir, grid_cml, capsys):
@@ -321,28 +318,31 @@ def test_run_refuses_format_3_grid_with_a_free_north_action(models_dir, grid_cml
     (models_dir / "models" / experiments.GRID_MODEL_FILE).write_bytes(
         header + grid_cml.x.tobytes() + grid_cml.y.tobytes() + A4.tobytes()
     )
-    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "version 3" in err and "hdnav train" in err
-    assert not (models_dir / "mission_trials.jsonl").exists()
+    err = run_and_verify_refuse(models_dir, capsys, "version 3")
+    assert "hdnav train" in err
 
 
-def run_refuses_models(models_dir, capsys, mismatch: str) -> None:
-    code = main(["run", "mission", "--seed", "42", "--out", str(models_dir)])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert mismatch in err
-    assert not (models_dir / "mission_trials.jsonl").exists()
+def run_and_verify_refuse(out, capsys, mismatch: str, *flags: str) -> str:
+    """``run`` and ``verify`` read the pair through one loader: each refuses it with the
+    same ``error[models]`` line, prints nothing and writes nothing; returned: that line."""
+    errors = []
+    for verb in (["run", "mission", "--seed", "42"], ["verify"]):
+        assert main([*verb, "--out", str(out), *flags]) == 1
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error[models]: ") and errors[0].count("\n") == 1
+    assert mismatch in errors[0]
+    assert [path.name for path in out.glob("*")] in ([], ["models"])
+    return errors[0]
 
 
 def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):
     graph = cml.CmlGraph.from_undirected(["h", "x"], [("h", "x")])
     other = cml.init_calculated(graph, grid_cml.d, np.random.default_rng(1))
     persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
-    run_refuses_models(models_dir, capsys, "is not the maze's object graph")
+    run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
 
 
 def test_run_refuses_object_model_of_another_graph(models_dir, object_cml, capsys):
@@ -352,25 +352,21 @@ def test_run_refuses_object_model_of_another_graph(models_dir, object_cml, capsy
     edges = tuple(edge for edge in graph.directed_edges if set(edge) != {h, k})
     other = cml.calculated(cml.CmlGraph(graph.node_labels, edges), object_cml.S)
     persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
-    run_refuses_models(models_dir, capsys, "is not the maze's object graph")
+    run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
 
 
 def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
     small = GridCml(x=grid_cml.x[:4], y=grid_cml.y[:7], a_s=grid_cml.a_s, a_e=grid_cml.a_e)
     persist.save_grid_cml(small, models_dir / "models" / experiments.GRID_MODEL_FILE)
-    run_refuses_models(models_dir, capsys, "grid model is 7x4, the maze 20x10")
+    run_and_verify_refuse(models_dir, capsys, "grid model is 7x4, the maze 20x10")
 
 
 def test_run_refuses_models_of_another_dimension_than_the_config(models_dir, capsys):
     # the trials run at the models' d, so a report echoing another d would misstate them
-    code = main(
-        ["run", "viability", "--seed", "42", "--out", str(models_dir),
-         "--set", "d=2000", "--set", "viability_mazes=3"]
+    run_and_verify_refuse(
+        models_dir, capsys, "error[models]: models have d=1000, the config d=2000",
+        "--set", "d=2000",
     )
-    assert code == 1
-    assert "error[models]: models have d=1000, the config d=2000" in capsys.readouterr().err
-    assert not (models_dir / "viability_report.json").exists()
-    assert not (models_dir / "viability_trials.jsonl").exists()
 
 
 def test_run_refuses_models_of_different_dimensions(models_dir, grid_cml, capsys):
@@ -379,36 +375,34 @@ def test_run_refuses_models_of_different_dimensions(models_dir, grid_cml, capsys
         x=grid_cml.x, y=grid_cml.y, a_s=np.resize(grid_cml.a_s, d), a_e=np.resize(grid_cml.a_e, d)
     )
     persist.save_grid_cml(wider, models_dir / "models" / experiments.GRID_MODEL_FILE)
-    run_refuses_models(models_dir, capsys, f"object model d=1000 differs from grid model d={d}")
+    run_and_verify_refuse(models_dir, capsys, f"object model d=1000 differs from grid model d={d}")
 
 
-def test_verify_rejects_missing_header_field(tmp_path, capsys):
-    headless = tmp_path / "no_d.hdm"
+def test_run_refuses_a_directory_in_place_of_a_model_file(models_dir, capsys):
+    grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE
+    grid_model.unlink()
+    grid_model.mkdir()
+    run_and_verify_refuse(models_dir, capsys, "Is a directory")
+
+
+def test_verify_rejects_missing_header_field(models_dir, capsys):
+    headless = models_dir / "models" / experiments.GRID_MODEL_FILE
     headless.write_bytes(f"{MODEL_LINE} grid\nwidth=20\nheight=10\n\n".encode("ascii"))
-    assert main(["verify", str(headless)]) == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "'d'" in err
+    run_and_verify_refuse(models_dir, capsys, "'d'")
 
 
-def test_verify_rejects_oversized_header(tmp_path, capsys):
-    huge = tmp_path / "huge.hdm"
+def test_verify_rejects_oversized_header(models_dir, capsys):
+    huge = models_dir / "models" / experiments.GRID_MODEL_FILE
     header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
     huge.write_bytes(header + bytes(141 - len(header)))
-    assert main(["verify", str(huge)]) == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "truncated" in err
+    run_and_verify_refuse(models_dir, capsys, "truncated")
 
 
-def test_verify_rejects_zero_width_grid(tmp_path, capsys):
-    empty = tmp_path / "empty.hdm"
+def test_verify_rejects_zero_width_grid(models_dir, capsys):
+    empty = models_dir / "models" / experiments.GRID_MODEL_FILE
     header = f"{MODEL_LINE} grid\nd=4\nwidth=0\nheight=10\n\n".encode("ascii")
     empty.write_bytes(header + np.zeros(10).tobytes() + np.zeros(8).tobytes())
-    assert main(["verify", str(empty)]) == 1
-    err = capsys.readouterr().err
-    assert "error[models]" in err
-    assert "two cells" in err
+    run_and_verify_refuse(models_dir, capsys, "two cells")
 
 
 def test_run_mission_custom_goals(models_dir, capsys):

@@ -1,7 +1,8 @@
 """No dead code: every top-level function and class in the package is referenced by
 name, and every method and property of its classes is read as an attribute, in the
-package, the benchmark, the scripts or the acceptance suite.  And no package module
-takes another module's private name: what one module needs of another is public."""
+package, the benchmark, the scripts or the acceptance suite.  No package module
+takes another module's private name: what one module needs of another is public.  And
+one package module, ``experiments``, reads model files."""
 
 import ast
 from pathlib import Path
@@ -45,30 +46,34 @@ def attributes(tree: ast.Module) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def private_reads(tree: ast.Module) -> set[str]:
-    """``module._name`` for every private name the module takes from a sibling module:
-    read as an attribute of a relatively imported module, or imported by name."""
-
-    def private(name: str) -> bool:
-        return name.startswith("_") and not name.startswith("__")
-
+def sibling_reads(tree: ast.Module) -> set[str]:
+    """``module.name`` for every name the module takes from a sibling module: read as an
+    attribute of a relatively imported module, or imported by name."""
     modules, found = {}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
             for alias in node.names:
                 if node.module is None:  # from . import mod [as alias]
                     modules[alias.asname or alias.name] = alias.name
-                elif private(alias.name):
+                else:
                     found.add(f"{node.module}.{alias.name}")
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name)
             and node.value.id in modules
-            and private(node.attr)
         ):
             found.add(f"{modules[node.value.id]}.{node.attr}")
     return found
+
+
+def private_reads(tree: ast.Module) -> set[str]:
+    """The private names among the module's ``sibling_reads``."""
+
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.startswith("__")
+
+    return {read for read in sibling_reads(tree) if private(read.split(".", 1)[1])}
 
 
 def parse(path: Path) -> ast.Module:
@@ -132,9 +137,20 @@ def test_no_package_module_reads_another_modules_private_name():
     assert reads == set()
 
 
+def test_only_experiments_loads_model_files():
+    # run and verify take the pair from experiments.load_models, with its checks
+    readers = {
+        path.stem
+        for path in sources([PACKAGE])
+        if "persist.load_model" in sibling_reads(parse(path))
+    }
+    assert readers == {"experiments"}
+
+
 def test_private_read_scan_sees_module_attributes_and_imports():
     tree = ast.parse(
         "from . import a as b, c\nfrom .d import _e, f\nfrom __future__ import _g\n"
         "b._h()\nc.__name__\nb.i\nself._j\nc._k = 1\n"
     )
     assert private_reads(tree) == {"d._e", "a._h", "c._k"}
+    assert sibling_reads(tree) == {"d._e", "d.f", "a._h", "c.__name__", "a.i", "c._k"}
