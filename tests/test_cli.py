@@ -232,9 +232,7 @@ def test_render_missing_trace(tmp_path, capsys):
 
 def test_verify_model_files(models_dir, capsys):
     assert main(["verify", "--out", str(models_dir)]) == 0
-    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16
-    # inside; x stops within 1e-6 of r - 4.5, y up to 0.18 short of c - 9.5 (a
-    # mean-residual stop)
+    # both proofs run on the pair in one call; the lines are checked one by one below
     assert capsys.readouterr().out == (
         "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)\n"
         "grid: verified (39800 pairs)\n"
@@ -242,6 +240,27 @@ def test_verify_model_files(models_dir, capsys):
         "distance from the fixed point: x 1.13e-06, y 0.184\n"
         "sign patterns: 164 distinct of 200 cells\n"
     )
+
+
+def test_verify_reports_tied_object_pairs(models_dir, capsys):
+    assert main(["verify", "--out", str(models_dir)]) == 0
+    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16 inside
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)"
+    )
+
+
+def test_verify_prints_the_grid_geometry(models_dir, capsys):
+    assert main(["verify", "--out", str(models_dir)]) == 0
+    _, verified, shape, distance, patterns = capsys.readouterr().out.splitlines()
+    assert verified == "grid: verified (39800 pairs)"
+    assert shape == "shape: 20x10 (width x height), d=1000"
+    gaps = re.fullmatch(r"distance from the fixed point: x (\S+), y (\S+)", distance)
+    x_gap, y_gap = gaps.groups()
+    # x stops within 1e-6 of r - 4.5; y up to 0.18 short of c - 9.5 (a mean-residual stop)
+    assert float(x_gap) == pytest.approx(1.13e-6, rel=1e-2)
+    assert float(y_gap) == pytest.approx(0.184, rel=1e-2)
+    assert patterns == "sign patterns: 164 distinct of 200 cells"
 
 
 def test_verify_takes_no_model_path(models_dir, capsys):
