@@ -103,27 +103,6 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
     return None
 
 
-def hop_distances(graph: CmlGraph) -> np.ndarray:
-    """All-pairs shortest-path edge counts, (n, n) by (start, goal); -1 if unreachable.
-
-    Read from the graph's edges alone, like ``bfs_hops``: the frontier of
-    every start grows by one hop per boolean matrix product.
-    """
-    n = graph.n
-    adjacency = np.zeros((n, n), dtype=bool)
-    for src, dst in graph.directed_edges:
-        adjacency[src, dst] = True
-    reached = np.eye(n, dtype=bool)
-    hops = np.where(reached, 0, -1)
-    for hop in range(1, n):
-        grown = reached | (reached @ adjacency)
-        hops[grown & ~reached] = hop
-        if np.array_equal(grown, reached):
-            break
-        reached = grown
-    return hops
-
-
 @dataclass(frozen=True)
 class Cml:
     """Map learner state (S, A, G) on its graph.

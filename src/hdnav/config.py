@@ -52,8 +52,8 @@ class ExperimentConfig:
 
         Missions need mission-ready maps: about 1.2 % of candidates at d =
         1000 but 0.1 % at d = 512, where ``experiments.VIABLE_ATTEMPT_CAP``
-        would abort about one trial in seven.  Similarity statistics run at
-        any d.
+        would fail about one trial in seven as ``no_ready_maze``.
+        Similarity statistics run at any d.
         """
         self.validate()
         if self.d < 1000:

@@ -71,7 +71,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
        the step picks leaves the current node and its head is one hop
        closer to the target.  The picks come from ``cml.best_edges`` and
        ``cml.last_edge``, the rule ``step`` runs, in one call over all
-       pairs; the distances from ``cml.hop_distances``, which reads the
+       pairs; the distances from ``cml.bfs_hops``, which reads the
        graph's edges alone, independent of F and G.
     A failure raises ``RuntimeError`` naming the pair.  Returned: the
     pairs checked, the pairs whose tie set has more than one edge, and
@@ -103,7 +103,9 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     scores = cml_mod.route_scores(object_cml, index[None, :], index[:, None])
     best = cml_mod.best_edges(object_cml, index[None, :], index[:, None])
     pick = cml_mod.last_edge(best)
-    hops = cml_mod.hop_distances(graph)
+    # hops[start, goal], -1 where no walk reaches the goal
+    oracle = [cml_mod.bfs_hops(graph, s, g) for s in range(graph.n) for g in range(graph.n)]
+    hops = np.array([-1 if h is None else h for h in oracle]).reshape(graph.n, graph.n)
     pairs = ~np.eye(graph.n, dtype=bool)
     for start, goal in np.argwhere(pairs & (hops < 0)):
         fail(start, goal, f"no walk reaches {labels[goal]}")
@@ -159,13 +161,6 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
             f"the first step does not shorten the Manhattan distance"
         )
     return {"pairs_checked": cells * (cells - 1)}
-
-
-def _open_grid_steps(grid_cml: GridCml, start, goal) -> int | None:
-    """Steps of a grid leg on the wall-free grid; None if it does not end on the goal."""
-    open_grid = maze_mod.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
-    leg = mission.grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
-    return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
 
 
 def train_and_save(config: ExperimentConfig) -> dict:
@@ -252,14 +247,16 @@ def generate_viable_maze(
 
     Mission readiness subsumes the viability check: position recovery
     and arrival-cell object recovery must both be unambiguous for all
-    eight objects.
+    eight objects.  Returned: the ready maze, its map and the candidates
+    rejected before it; or, when all ``VIABLE_ATTEMPT_CAP`` candidates
+    are rejected, the last of them, its map and the cap.
     """
     for rejections in range(VIABLE_ATTEMPT_CAP):
         candidate = maze_mod.generate_maze(rng)
         memory = semantic_map.build_map(objects, candidate, grid_cml, rng)
         if semantic_map.mission_ready(memory):
             return candidate, memory, rejections
-    raise RuntimeError(f"no viable maze within {VIABLE_ATTEMPT_CAP} attempts")
+    return candidate, memory, VIABLE_ATTEMPT_CAP
 
 
 def mission_trial(
@@ -276,25 +273,29 @@ def mission_trial(
     (or other) goals is an ``unrecoverable_state``.  The record's ``goals``
     are the entries ``mission.run_mission`` returns, stored unchanged, and
     its ``steps`` their sum; with a door closed, ``visited_removed_cell``
-    says whether any entry's grid path crosses the door's cell.
+    says whether any entry's grid path crosses the door's cell.  A trial
+    whose maze search meets ``VIABLE_ATTEMPT_CAP`` is a ``no_ready_maze``
+    on the last candidate, with no door closed and no goals.
     """
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
     rng = trial_rng(config.require_seed(), tag, trial)
     objects = object_cml.state_dictionary()
     maze, memory, rejections = generate_viable_maze(rng, objects, grid_cml)
-    planner = object_cml
     record: dict = {"trial": trial, "seed": config.seed, "rejections": rejections}
-    if remove_random_door:
-        door = maze_mod.DOOR_LABELS[int(rng.integers(0, len(maze_mod.DOOR_LABELS)))]
-        planner = mission.remove_door(object_cml, door)
-        maze, door_cell = maze_mod.close_door(maze, door)
-        record["removed_door"] = door
-        record["door_cell"] = list(door_cell)
     goals = config.goal_sequence()
-    policy = semantic_map.encode_policy(goals, objects, rng)
-    entries, failure = mission.run_mission(planner, grid_cml, memory, maze, policy)
-    if failure is FailureReason.NONE and [entry["goal"] for entry in entries] != goals:
-        failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
+    entries, failure = [], FailureReason.NO_READY_MAZE
+    if rejections < VIABLE_ATTEMPT_CAP:
+        planner = object_cml
+        if remove_random_door:
+            door = maze_mod.DOOR_LABELS[int(rng.integers(0, len(maze_mod.DOOR_LABELS)))]
+            planner = mission.remove_door(object_cml, door)
+            maze, door_cell = maze_mod.close_door(maze, door)
+            record["removed_door"] = door
+            record["door_cell"] = list(door_cell)
+        policy = semantic_map.encode_policy(goals, objects, rng)
+        entries, failure = mission.run_mission(planner, grid_cml, memory, maze, policy)
+        if failure is FailureReason.NONE and [entry["goal"] for entry in entries] != goals:
+            failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
     record.update(
         {
             "goal_sequence": goals,

@@ -43,11 +43,6 @@ def random_bipolar(d: int, rng: np.random.Generator) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=d) - 1.0
 
 
-def is_bipolar(x: np.ndarray) -> bool:
-    """True when every element is exactly -1 or +1."""
-    return bool(np.all(np.abs(x) == 1.0))
-
-
 def cosine(x: np.ndarray, y: np.ndarray) -> float:
     """Cosine similarity x.y / (|x||y|), in [-1, 1].
 
@@ -174,12 +169,6 @@ class Dictionary:
         if not rows or len(set(rows)) != len(rows):
             raise ValueError("sub-dictionary labels must be unique and non-empty")
         return rows
-
-    @classmethod
-    def from_pairs(cls, pairs: list[tuple[Hashable, np.ndarray]]) -> "Dictionary":
-        labels = tuple(label for label, _ in pairs)
-        vectors = np.array([v for _, v in pairs], dtype=float)
-        return cls(labels, vectors)
 
 
 def recover(

@@ -43,6 +43,7 @@ class FailureReason(enum.Enum):
     STEP_CAP = "step_cap"
     UNRECOVERABLE_STATE = "unrecoverable_state"
     UNREACHABLE = "unreachable"
+    NO_READY_MAZE = "no_ready_maze"  # mission_trial's: no mission-ready maze within the cap
 
 
 def grid_step_cap(maze: Maze) -> int:

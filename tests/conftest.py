@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdnav import experiments
+from hdnav import experiments, maze, mission
 from hdnav.config import ExperimentConfig
 
 ROOT_SEED = 42
@@ -45,6 +45,19 @@ def viable_setup(object_cml, grid_cml):
         rng, object_cml.state_dictionary(), grid_cml
     )
     return maze, memory, rejections
+
+
+@pytest.fixture(scope="session")
+def open_grid_steps():
+    """``steps(grid_cml, start, goal)``: the steps of a grid leg on the wall-free grid of
+    the model's size, or None if the leg does not end on the goal."""
+
+    def steps(grid_cml, start, goal):
+        open_grid = maze.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
+        leg = mission.grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
+        return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
+
+    return steps
 
 
 @pytest.fixture()

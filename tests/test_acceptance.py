@@ -74,7 +74,7 @@ def test_criterion_02_algebra_laws():
     for case in range(100):
         case_rng = np.random.default_rng([SEED, case])
         w, x, y, z = (hdc.random_bipolar(d, case_rng) for _ in range(4))
-        dictionary = hdc.Dictionary.from_pairs([("w", w), ("x", x), ("y", y), ("z", z)])
+        dictionary = hdc.Dictionary(("w", "x", "y", "z"), np.stack([w, x, y, z]))
         q = hdc.bundle([hdc.bind(w, x), hdc.bind(y, z)], case_rng)
         recovered += hdc.recover(hdc.bind(w, q), dictionary, 0.1) == "x"
     ok = recovered == 100
@@ -100,7 +100,7 @@ def test_criterion_03_object_path_optimality(object_cml):
     assert ok
 
 
-def test_criterion_04_open_grid_optimality(grid_cml):
+def test_criterion_04_open_grid_optimality(grid_cml, open_grid_steps):
     started = time.perf_counter()
     rng = np.random.default_rng(SEED)
     checked = 0
@@ -111,7 +111,7 @@ def test_criterion_04_open_grid_optimality(grid_cml):
         if start == goal:
             continue
         checked += 1
-        steps = experiments._open_grid_steps(grid_cml, start, goal)
+        steps = open_grid_steps(grid_cml, start, goal)
         optimal += steps == abs(start[0] - goal[0]) + abs(start[1] - goal[1])
     ok = optimal == 200
     announce(4, ok, f"open-grid navigation Manhattan-optimal on {optimal}/200 pairs", started)

@@ -401,17 +401,6 @@ def test_tie_set_broadcasts_like_the_one_pair_rule(graph, object_cml):
         assert table[:, door].any() == (model is object_cml)
 
 
-def test_hop_distances_equal_bfs_hops(graph):
-    one_way = cml.CmlGraph(("a", "b", "c"), ((0, 1), (1, 2)))
-    two_parts = cml.CmlGraph.from_undirected(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
-    for g in (graph, one_way, two_parts):
-        hops = cml.hop_distances(g)
-        for start in range(g.n):
-            for goal in range(g.n):
-                oracle = cml.bfs_hops(g, start, goal)
-                assert hops[start, goal] == (-1 if oracle is None else oracle)
-
-
 # --- plan_path --------------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ def small(config, **kw):
     return dataclasses.replace(config, **kw)
 
 
-def test_verify_grid_rejects_swapped_chain_entries(grid_cml):
+def test_verify_grid_rejects_swapped_chain_entries(grid_cml, open_grid_steps):
     y = grid_cml.y.copy()
     y[[3, 4]] = y[[4, 3]]
     broken = GridCml(x=grid_cml.x, y=y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
@@ -23,11 +23,11 @@ def test_verify_grid_rejects_swapped_chain_entries(grid_cml):
     named = re.search(r"\((\d+), (\d+)\)->\((\d+), (\d+)\)", str(failure.value))
     r0, c0, r1, c1 = map(int, named.groups())
     # the named pair really is walked off a shortest path
-    steps = experiments._open_grid_steps(broken, (r0, c0), (r1, c1))
+    steps = open_grid_steps(broken, (r0, c0), (r1, c1))
     assert steps != abs(r0 - r1) + abs(c0 - c1)
 
 
-def test_verify_grid_gates_the_border():
+def test_verify_grid_gates_the_border(open_grid_steps):
     # on a 1x3 grid whose south/north actions outscore east/west along the
     # row, only the border gate keeps the picks on the grid, as the touch
     # sensors do on a walk
@@ -36,11 +36,11 @@ def test_verify_grid_gates_the_border():
     assert experiments.verify_grid_cml(row_grid) == {"pairs_checked": 6}
     for start in range(3):
         for goal in range(3):
-            steps = experiments._open_grid_steps(row_grid, (0, start), (0, goal))
+            steps = open_grid_steps(row_grid, (0, start), (0, goal))
             assert steps == abs(start - goal)
 
 
-def test_verify_grid_rejects_a_wrong_pick_on_the_border():
+def test_verify_grid_rejects_a_wrong_pick_on_the_border(open_grid_steps):
     # columns 1 and 2 share one east coordinate, so between them every utility
     # is 0 and the lowest open direction wins: east from column 1, which is
     # right, but east is off the grid in column 2, where the pick is south
@@ -51,19 +51,19 @@ def test_verify_grid_rejects_a_wrong_pick_on_the_border():
     )
     with pytest.raises(RuntimeError, match=r"\(0, 2\)->\(0, 1\)"):
         experiments.verify_grid_cml(flat)
-    assert experiments._open_grid_steps(flat, (1, 1), (1, 2)) == 1
+    assert open_grid_steps(flat, (1, 1), (1, 2)) == 1
     for row in range(3):
-        assert experiments._open_grid_steps(flat, (row, 2), (row, 1)) is None
+        assert open_grid_steps(flat, (row, 2), (row, 1)) is None
 
 
-def test_verify_grid_rejects_sideways_first_step():
+def test_verify_grid_rejects_sideways_first_step(open_grid_steps):
     # with a_e = 2 a_s, toward a target straight south the east utility
     # outscores the south one, so the first step from (0, 0) goes sideways
     a_s = np.ones(4)
     skewed = GridCml(x=np.arange(2.0), y=np.arange(2.0), a_s=a_s, a_e=2 * a_s)
     with pytest.raises(RuntimeError, match=r"\(0, 0\)->\(1, 0\)"):
         experiments.verify_grid_cml(skewed)
-    assert experiments._open_grid_steps(skewed, (0, 0), (1, 0)) is None
+    assert open_grid_steps(skewed, (0, 0), (1, 0)) is None
 
 
 def seeded_object_cml(seed):
@@ -192,13 +192,42 @@ def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_c
     assert (1.0 - p_lo) ** experiments.VIABLE_ATTEMPT_CAP < 1e-6
 
 
-def test_viable_generation_cap(object_cml, grid_cml, monkeypatch):
+def assert_no_ready_maze(record, goals):
+    """A trial whose maze search met the cap: classified, with no goal run, on its last maze."""
+    assert record["rejections"] == experiments.VIABLE_ATTEMPT_CAP
+    assert (record["success"], record["failure_reason"]) == (False, "no_ready_maze")
+    assert (record["goal_sequence"], record["goals"], record["steps"]) == (goals, [], 0)
+    assert "door_cell" not in record and record.get("visited_removed_cell", False) is False
+    assert mz.from_text(record["maze"]).width == 20
+
+
+def test_viable_generation_cap(config, object_cml, grid_cml, monkeypatch, checks):
     monkeypatch.setattr(experiments, "VIABLE_ATTEMPT_CAP", 1)
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 1)
-    with pytest.raises(RuntimeError, match="no viable maze within 1 attempts"):
-        experiments.generate_viable_maze(
-            rng, object_cml.state_dictionary(), grid_cml
-        )
+    _, memory, rejections = experiments.generate_viable_maze(
+        rng, object_cml.state_dictionary(), grid_cml
+    )
+    assert rejections == 1 and not sm.mission_ready(memory)
+    # such a trial is a classified failure, not an exception that ends its batch
+    cfg = small(config, mission_trials=2, door_removal_trials=2)
+    for name in ("mission", "door_removal"):
+        report = experiments.run_experiment(cfg, name, object_cml, grid_cml)
+        assert report.aggregates["failure_reasons"] == {"no_ready_maze": 2}
+        for record in report.records:
+            assert_no_ready_maze(record, cfg.goal_sequence())
+            assert ("visited_removed_cell" in record) == (name == "door_removal")
+            assert checks.mission_record_errors(record, cfg.goal_sequence()) == []
+
+
+def test_model_seed_12_has_a_trial_without_a_ready_maze(checks):
+    # at model seed 12 (mission-ready rate about 0.003), mission trial 3043
+    # rejects every one of its 2000 candidates
+    seeded = ExperimentConfig(seed=12)
+    models = experiments.build_object_cml(seeded), experiments.build_grid_cml(seeded)
+    record = experiments.mission_trial(seeded, *models, 3043)
+    assert experiments.VIABLE_ATTEMPT_CAP == 2000
+    assert_no_ready_maze(record, seeded.goal_sequence())
+    assert checks.mission_record_errors(record, seeded.goal_sequence()) == []
 
 
 def test_mission_batch_all_succeed(config, object_cml, grid_cml):

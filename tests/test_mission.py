@@ -212,8 +212,8 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     assert failure is FailureReason.UNREACHABLE
     # goal states the planner cannot recover: the step refuses unrecognised input
     rng = np.random.default_rng(3)
-    noise = hdc.Dictionary.from_pairs(
-        [(label, hdc.random_bipolar(object_cml.d, rng)) for label in states.labels]
+    noise = hdc.Dictionary(
+        states.labels, np.stack([hdc.random_bipolar(object_cml.d, rng) for _ in states.labels])
     )
     goals, failure = run(object_cml, sm.build_map(noise, maze, grid_cml, rng))
     assert failure is FailureReason.UNRECOVERABLE_STATE
