@@ -321,20 +321,23 @@ def grid_only_trial(
     No object graph, no map: one grid leg from the key's cell to the
     treasure's.  Greedy utility steering cannot see doors displaced from
     its straight line, so a sizeable fraction of mazes ends in a
-    dithering abort, whose two cells the record carries.
+    dithering abort; the record names the walk's last two cells.
     """
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
     key, treasure = trial_maze.placements["k"], trial_maze.placements["t"]
-    leg = mission.grid_leg(grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze))
+    path, reason = mission.grid_leg(
+        grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze)
+    )
+    dither = path[-2:] if reason is FailureReason.DITHER_ABORT else []
     return {
         "trial": trial,
         "seed": config.seed,
-        "success": leg.reason is FailureReason.NONE,
-        "failure_reason": leg.reason.value,
-        "steps": len(leg.path) - 1,
-        "grid_path": [list(cell) for cell in leg.path],
-        "dither_cells": [list(cell) for cell in leg.dither_cells],
+        "success": reason is FailureReason.NONE,
+        "failure_reason": reason.value,
+        "steps": len(path) - 1,
+        "grid_path": [list(cell) for cell in path],
+        "dither_cells": [list(cell) for cell in dither],
         "maze": maze_mod.to_text(trial_maze),
     }
 

@@ -159,17 +159,6 @@ class Dictionary:
     def vector(self, label: Hashable) -> np.ndarray:
         return self.vectors[self._index[label]]
 
-    def rows(self, labels: tuple[Hashable, ...]) -> list[int]:
-        """Row indices of the given labels, in their order; an unknown or
-        repeated label, or none, raises ``ValueError``."""
-        try:
-            rows = [self._index[label] for label in labels]
-        except KeyError as err:
-            raise ValueError(f"label {err.args[0]!r} not in dictionary") from None
-        if not rows or len(set(rows)) != len(rows):
-            raise ValueError("sub-dictionary labels must be unique and non-empty")
-        return rows
-
 
 def recover(
     query: np.ndarray, dictionary: Dictionary, theta: float

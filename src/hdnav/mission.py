@@ -26,7 +26,7 @@ targets) and returned with the goal entries of the trial record.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -51,14 +51,10 @@ def grid_step_cap(maze: Maze) -> int:
     return 4 * (maze.width + maze.height)
 
 
-def detect_dither(path: list[Cell]) -> tuple[Cell, Cell] | None:
-    """The two cells of a position 2-cycle repeated three times, if present."""
-    if len(path) < 7:
-        return None
-    a, b = path[-1], path[-2]  # a != b: every move leaves its cell
-    if path[-3] == a and path[-5] == a and path[-4] == b and path[-6] == b:
-        return (b, a)
-    return None
+def detect_dither(path: list[Cell]) -> bool:
+    """True when the walk ends in a position 2-cycle, its last two cells, repeated
+    three times; a walk of fewer than seven cells never dithers."""
+    return len(path) >= 7 and path[-6:] == path[-2:] * 3
 
 
 def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
@@ -78,35 +74,29 @@ def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
     return replace(object_cml, G=G)
 
 
-@dataclass
-class _LegResult:
-    path: list[Cell]
-    reason: FailureReason
-    dither_cells: tuple[Cell, ...] = ()
-
-
 def grid_leg(
     grid_cml: GridCml, maze: Maze, start: Cell, target_cell: Cell, step_cap: int
-) -> _LegResult:
+) -> tuple[list[Cell], FailureReason]:
     """Drive the robot from ``start`` to a target cell under sensor gating.
 
-    The leg ends when the robot stands on the target cell, by the
-    environment's true coordinates.  A similarity test on the grid states
-    would not do: near-duplicate states pass it a few cells early, while
-    the utilities still point at the real target.
+    Returns the cells walked, ``start`` first, and how the leg ended; a
+    dithering leg's 2-cycle is the walk's last two cells.  The leg ends
+    when the robot stands on the target cell, by the environment's true
+    coordinates.  A similarity test on the grid states would not do:
+    near-duplicate states pass it a few cells early, while the utilities
+    still point at the real target.
     """
     cell, path = start, [start]
     while True:
         if cell == target_cell:
-            return _LegResult(path=path, reason=FailureReason.NONE)
+            return path, FailureReason.NONE
         if len(path) - 1 >= step_cap:
-            return _LegResult(path=path, reason=FailureReason.STEP_CAP)
+            return path, FailureReason.STEP_CAP
         direction = grid_step(grid_cml, target_cell, cell, sense(maze, cell))
         cell = move_robot(maze, cell, direction)
         path.append(cell)
-        cycle = detect_dither(path)
-        if cycle is not None:
-            return _LegResult(path=path, reason=FailureReason.DITHER_ABORT, dither_cells=cycle)
+        if detect_dither(path):
+            return path, FailureReason.DITHER_ABORT
 
 
 def run_mission(
@@ -164,14 +154,13 @@ def run_mission(
             if cell is None:
                 failure = FailureReason.UNRECOVERABLE_STATE
                 break
-            leg = grid_leg(
+            leg, failure = grid_leg(
                 grid_cml, maze, robot, cell, min(grid_step_cap(maze), cells_budget)
             )
-            robot = leg.path[-1]
-            cells_budget -= len(leg.path) - 1
-            grid_path.extend(leg.path[1:])
-            if leg.reason is not FailureReason.NONE:
-                failure = leg.reason
+            robot = leg[-1]
+            cells_budget -= len(leg) - 1
+            grid_path.extend(leg[1:])
+            if failure is not FailureReason.NONE:
                 break
             found = semantic_map.query_object(memory, grid_cml.state(robot))
             if found is not None:  # non-recoveries are ignored

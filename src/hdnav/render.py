@@ -4,13 +4,13 @@ Input is one record from a trial JSONL file.  Both styles are pure
 functions of the record, so the same trace always renders to the same
 bytes.  Mission records draw one distinguishable path per goal leg;
 grid-only failure records flag the two cells of the dithering 2-cycle.
-Maze text whose rows do not match its ``W H`` header, or a path or
-dither cell outside the maze's W x H, raises ``ValueError``.
+A malformed record raises ``ValueError``: not an object, maze text that is
+not a string or disagrees with its ``W H`` header, a goal entry without a
+``grid_path``, or a cell that is not two ints or lies off the maze's W x H.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from pathlib import Path
 
@@ -38,11 +38,29 @@ def load_trace(path: str | Path) -> list[dict]:
     return records
 
 
-def _legs(record: dict) -> list[list[Cell]]:
+def _cells(cells: object, maze: maze_mod.Maze) -> list[Cell]:
+    """A path or the dither pair: ``[row, col]`` lists of two ints, each on the maze."""
+    if not isinstance(cells, list):
+        raise ValueError(f"trace cells {cells!r} are not a list")
+    for cell in cells:
+        # JSON true is an int to isinstance, but no coordinate
+        if not (isinstance(cell, list) and len(cell) == 2 and all(type(v) is int for v in cell)):
+            raise ValueError(f"trace cell {cell!r} is not a [row, col] pair of ints")
+        if not maze.in_bounds(tuple(cell)):  # a negative index would wrap
+            raise ValueError(f"trace cell {tuple(cell)} is off the {maze.width}x{maze.height} maze")
+    return [tuple(cell) for cell in cells]
+
+
+def _legs(record: dict, maze: maze_mod.Maze) -> list[list[Cell]]:
     if "goals" in record:
-        return [[tuple(c) for c in goal["grid_path"]] for goal in record["goals"]]
+        goals = record["goals"]
+        if not isinstance(goals, list) or not all(
+            isinstance(goal, dict) and "grid_path" in goal for goal in goals
+        ):
+            raise ValueError("trace goals are not a list of entries with a grid_path")
+        return [_cells(goal["grid_path"], maze) for goal in goals]
     if "grid_path" in record:
-        return [[tuple(c) for c in record["grid_path"]]]
+        return [_cells(record["grid_path"], maze)]
     raise ValueError("trace record has no grid paths")
 
 
@@ -52,16 +70,14 @@ def _maze(record: dict) -> tuple[maze_mod.Maze, list[list[str]], list[list[Cell]
     ``maze.from_text`` parses the maze text, checking its header, its row
     count and each row's width; the rows are the parsed maze written out.
     """
-    if "maze" not in record:
+    if not isinstance(record, dict):
+        raise ValueError("trace record is not an object")
+    if not isinstance(record.get("maze"), str):
         raise ValueError("trace record has no maze text")
     maze = maze_mod.from_text(record["maze"])
     rows = maze_mod.to_text(maze).splitlines()[1:]
-    legs = _legs(record)
-    dither = [tuple(c) for c in record.get("dither_cells", [])]
-    for row, col in itertools.chain(dither, *legs):
-        if not maze.in_bounds((row, col)):  # a negative index would wrap
-            size = f"{maze.width}x{maze.height}"
-            raise ValueError(f"trace cell ({row}, {col}) is off the {size} maze")
+    legs = _legs(record, maze)
+    dither = _cells(record.get("dither_cells", []), maze)
     return maze, [list(row) for row in rows], legs, dither
 
 

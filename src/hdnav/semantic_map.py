@@ -47,9 +47,10 @@ class MapMemory:
     """The map hypervector, the object dictionary and the eight placement cells.
 
     ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
-    bipolar).  ``rows`` holds the ``grid_cml.cells`` row of each object's
-    cell, in ``objects`` order.  ``positions``, the sub-dictionary of those
-    cells' states keyed by the cells themselves, is gathered on first use.
+    bipolar).  ``rows`` holds the ``grid_cml.cell_index`` of each object's
+    cell, its row in ``grid_cml.cells``, in ``objects`` order.
+    ``positions``, the sub-dictionary of those cells' states keyed by the
+    cells themselves, is gathered on first use.
     """
 
     map_hv: np.ndarray
@@ -76,7 +77,7 @@ def build_map(
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
     int8 terms exactly in int16 and adds its tie-break draw in float.
     """
-    rows = grid_cml.cells.rows(tuple(maze.placements[label] for label in objects.labels))
+    rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
     terms = objects.signs * grid_cml.cells.signs[rows]
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, grid_cml, rows)

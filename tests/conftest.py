@@ -54,8 +54,10 @@ def open_grid_steps():
 
     def steps(grid_cml, start, goal):
         open_grid = maze.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
-        leg = mission.grid_leg(grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid))
-        return len(leg.path) - 1 if leg.reason is mission.FailureReason.NONE else None
+        path, reason = mission.grid_leg(
+            grid_cml, open_grid, start, goal, mission.grid_step_cap(open_grid)
+        )
+        return len(path) - 1 if reason is mission.FailureReason.NONE else None
 
     return steps
 

@@ -225,6 +225,33 @@ def test_render_rejects_repeated_object(tmp_path, capsys):
     assert "'k' repeats" in err
 
 
+SMALL_MAZE = "3 2\nH..\n...\n"
+MALFORMED_RECORDS = {
+    "dither_cell_not_a_pair": {"maze": SMALL_MAZE, "grid_path": [[0, 0]], "dither_cells": [5]},
+    "goal_without_grid_path": {"maze": SMALL_MAZE, "goals": [{"goal": "k"}]},
+    "maze_not_text": {"maze": 5, "grid_path": [[0, 0]]},
+    "cell_a_string": {"maze": SMALL_MAZE, "grid_path": ["ab"]},
+    "cell_a_float": {"maze": SMALL_MAZE, "grid_path": [[0.5, 1]]},
+    "cell_a_bool": {"maze": SMALL_MAZE, "grid_path": [[True, 0]]},
+    "cell_of_three_ints": {"maze": SMALL_MAZE, "grid_path": [[0, 1, 2]]},
+    "path_not_a_list": {"maze": SMALL_MAZE, "grid_path": 7},
+    "goals_not_a_list": {"maze": SMALL_MAZE, "goals": {"goal": "k"}},
+    "goal_not_an_object": {"maze": SMALL_MAZE, "goals": [[[0, 0]]]},
+    "no_maze": {"grid_path": [[0, 0]]},
+    "record_not_an_object": [SMALL_MAZE, [[0, 0]]],
+}
+
+
+@pytest.mark.parametrize("record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_render_refuses_a_malformed_record_in_one_line(tmp_path, capsys, record):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text(json.dumps(record) + "\n")
+    assert main(["render", "--trace", str(trace)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[trace]: ") and err.count("\n") == 1
+
+
 def test_render_missing_trace(tmp_path, capsys):
     assert main(["render", "--trace", str(tmp_path / "nope.jsonl")]) == 1
     assert "error[trace]" in capsys.readouterr().err

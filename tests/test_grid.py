@@ -504,16 +504,14 @@ def test_plane_tables_score_states_over_their_norms(grid_cml):
 
 def test_states_gather_matches_p_columns(grid_cml):
     cells = ((0, 0), (9, 19), (3, 7), (5, 0))
-    rows = grid_cml.cells.rows(cells)
+    rows = [grid_cml.cell_index(cell) for cell in cells]
     assert rows == [0, 199, 67, 100]
     states = hdc.Dictionary(cells, grid_cml.cells.vectors[rows]).vectors
     assert states.flags.c_contiguous
     assert np.array_equal(states, np.stack([grid_cml.state(cell) for cell in cells]))
     assert np.array_equal(states, grid_cml.P[:, rows].T)
-    with pytest.raises(ValueError, match="not in dictionary"):
-        grid_cml.cells.rows(((0, 0), (0, 20)))
-    with pytest.raises(ValueError, match="unique"):
-        grid_cml.cells.rows(((0, 0), (9, 19), (3, 7), (5, 0), (3, 7)))
+    with pytest.raises(ValueError, match="outside"):
+        grid_cml.cell_index((0, 20))
 
 
 def reference_states(grid_cml):

@@ -28,17 +28,26 @@ def without_door(graph: cml.CmlGraph, *doors: str) -> cml.CmlGraph:
 
 def test_detect_dither_finds_repeated_two_cycle():
     a, b = (1, 1), (1, 2)
-    assert mission.detect_dither([(0, 0), b, a, b, a, b, a]) == (b, a)
+    assert mission.detect_dither([(0, 0), b, a, b, a, b, a]) is True
 
 
 def test_detect_dither_requires_three_repeats():
     a, b = (1, 1), (1, 2)
-    assert mission.detect_dither([b, a, b, a]) is None
+    assert mission.detect_dither([b, a, b, a]) is False
+    assert mission.detect_dither([(0, 0), (0, 1), a, b, a, b, a]) is False
+
+
+def test_detect_dither_needs_a_seventh_cell():
+    # a walk that alternates from its start is judged on its seventh cell:
+    # the bare three-repeat tail is already there at six
+    a, b = (1, 1), (1, 2)
+    assert mission.detect_dither([b, a, b, a, b, a]) is False
+    assert mission.detect_dither([b, a, b, a, b, a, b]) is True
 
 
 def test_detect_dither_ignores_straight_paths():
     path = [(0, c) for c in range(8)]
-    assert mission.detect_dither(path) is None
+    assert mission.detect_dither(path) is False
 
 
 # --- remove_door ---------------------------------------------------------------------
@@ -233,7 +242,10 @@ def test_grid_only_success_and_failure_mix(config, grid_cml):
     dithers = [r for r in failures if r["failure_reason"] == "dither_abort"]
     assert dithers
     for record in dithers:
-        assert len(record["dither_cells"]) == 2
+        assert record["dither_cells"] == record["grid_path"][-2:]
+    for record in results:
+        if record["failure_reason"] != "dither_abort":
+            assert record["dither_cells"] == []
 
 
 def test_grid_only_straight_corridor_succeeds(grid_cml):
@@ -251,11 +263,12 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
             "k": (4, 2), "t": (4, 17), "h": (4, 1),
         },
     )
-    leg = mission.grid_leg(
+    path, reason = mission.grid_leg(
         grid_cml, maze, maze.placements["k"], maze.placements["t"], mission.grid_step_cap(maze)
     )
-    assert leg.reason is FailureReason.NONE
-    assert len(leg.path) - 1 == 15  # straight line, Manhattan-optimal
+    assert reason is FailureReason.NONE
+    assert path[0] == maze.placements["k"] and path[-1] == maze.placements["t"]
+    assert len(path) - 1 == 15  # straight line, Manhattan-optimal
 
 
 def test_grid_only_starts_at_key(config, grid_cml):

@@ -86,6 +86,31 @@ def private_reads(tree: ast.Module) -> set[str]:
     return {read for read in sibling_reads(tree) if private(read.split(".", 1)[1])}
 
 
+def private_classes(tree: ast.Module) -> set[str]:
+    """Names of the module's top-level classes that carry a leading underscore."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+    }
+
+
+def private_returns(tree: ast.Module, private: set[str]) -> set[str]:
+    """``function -> Class`` for each public function or method whose return
+    annotation names one of the ``private`` classes."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("_") or node.returns is None:
+            continue
+        for part in ast.walk(node.returns):
+            name = part.id if isinstance(part, ast.Name) else getattr(part, "attr", None)
+            if name in private:
+                found.add(f"{node.name} -> {name}")
+    return found
+
+
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -145,6 +170,27 @@ def test_no_package_module_reads_another_modules_private_name():
         for name in private_reads(parse(path))
     }
     assert reads == set()
+
+
+def test_public_functions_return_public_types():
+    # what a caller is handed, it may name: a public function returns no private class
+    trees = {path.stem: parse(path) for path in sources([PACKAGE])}
+    private = set().union(*map(private_classes, trees.values()))
+    returns = {
+        f"{stem}.{found}"
+        for stem, tree in trees.items()
+        for found in private_returns(tree, private)
+    }
+    assert returns == set()
+
+
+def test_private_return_scan_sees_names_and_attributes():
+    tree = ast.parse(
+        "class _A: pass\nclass B: pass\ndef f() -> _A: pass\ndef g() -> tuple[m._A, B]: pass\n"
+        "def _h() -> _A: pass\ndef i() -> B: pass\nclass C:\n    def j(self) -> list[_A]: pass\n"
+    )
+    assert private_classes(tree) == {"_A"}
+    assert private_returns(tree, {"_A"}) == {"f -> _A", "g -> _A", "j -> _A"}
 
 
 def test_only_experiments_loads_model_files():

@@ -209,7 +209,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
 
 def reference_build_map(objects, maze, grid_cml, rng):
     """The float construction that the int8 sign patterns replaced."""
-    rows = grid_cml.cells.rows(tuple(maze.placements[label] for label in objects.labels))
+    rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
     return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, grid_cml.cells.vectors[rows])), rng)
 
 
@@ -402,7 +402,7 @@ def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
             continue
         kept += 1
         cells = tuple(maze.placements[label] for label in objects.labels)
-        rows = grid_cml.cells.rows(cells)
+        rows = [grid_cml.cell_index(cell) for cell in cells]
         assert [memory.position_of(label) for label in objects.labels] == list(cells)
         # the positions are a fresh dictionary whose derived tables are bit-equal
         # to the gathered rows of the cell dictionary's
