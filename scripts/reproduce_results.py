@@ -18,7 +18,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hdnav import experiments  # noqa: E402
 from hdnav.config import ExperimentConfig  # noqa: E402
-from hdnav.reports import wilson_interval  # noqa: E402
 
 
 def main() -> int:
@@ -58,7 +57,7 @@ def main() -> int:
         flag = "viable" if name == "viability" else "success"
         count = agg[f"{flag}_count"]
         trials = agg["trials"]
-        lo, hi = wilson_interval(count, trials)
+        lo, hi = agg["ci95"]
         rows.append(
             (name, f"{count}/{trials}", f"{count / trials:.3f}",
              f"[{lo:.3f}, {hi:.3f}]", f"{time.perf_counter() - t0:.1f}s")

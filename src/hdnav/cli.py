@@ -104,7 +104,12 @@ def _cmd_train(args) -> int:
 
 
 def _load_models(config: ExperimentConfig):
-    """The saved pair, through ``experiments.load_models`` and its checks."""
+    """The saved pair, through ``experiments.load_models`` and its checks, after the
+    config's: a config that cannot run is an ``error[config]``, not a model fault."""
+    try:
+        config.validate_for_models()
+    except ValueError as exc:
+        raise CliError("config", str(exc)) from exc
     try:
         return experiments.load_models(config)
     except (OSError, ValueError) as exc:
@@ -113,8 +118,7 @@ def _load_models(config: ExperimentConfig):
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    try:  # before the models load, so a bad config is not reported as missing models
-        config.validate_for_models()
+    try:  # before the models load, so a missing seed is not reported as missing models
         config.require_seed()
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc

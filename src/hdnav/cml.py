@@ -246,7 +246,7 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray) -> StepResult:
     every gate of the node is closed).
     """
     inputs = np.stack((target, current))
-    target_label, current_label = hdc.recover(inputs, cml.state_dictionary(), hdc.THETA)
+    target_label, current_label = hdc.recover(inputs, cml.state_dictionary())
     if target_label is None or current_label is None:
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
@@ -267,7 +267,7 @@ def plan_path(cml: Cml, target: np.ndarray, start: np.ndarray) -> list[str] | No
     ends on the recovered target's label.
     """
     inputs = np.stack((target, start))
-    target_label, start_label = hdc.recover(inputs, cml.state_dictionary(), hdc.THETA)
+    target_label, start_label = hdc.recover(inputs, cml.state_dictionary())
     if target_label is None or start_label is None:
         return None
     target_state = cml.state(target_label)

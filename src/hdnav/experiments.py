@@ -91,7 +91,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
 
     # node states first, then the prediction of every edge
     stack = np.concatenate([object_cml.S.T, (object_cml.S[:, src] + object_cml.A).T])
-    recovered = hdc.recover(stack, object_cml.state_dictionary(), hdc.THETA)
+    recovered = hdc.recover(stack, object_cml.state_dictionary())
     for node, label in enumerate(recovered[: graph.n]):
         if label != labels[node]:
             fail(node, node, f"the state of {labels[node]} recovers to {label}")
@@ -293,7 +293,7 @@ def mission_trial(
             record["removed_door"] = door
             record["door_cell"] = list(door_cell)
         policy = semantic_map.encode_policy(goals, objects, rng)
-        entries, failure = mission.run_mission(planner, grid_cml, memory, maze, policy)
+        entries, failure = mission.run_mission(planner, memory, maze, policy)
         if failure is FailureReason.NONE and [entry["goal"] for entry in entries] != goals:
             failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
     record.update(

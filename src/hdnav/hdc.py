@@ -1,23 +1,24 @@
 """Hypervector algebra on bipolar/real vectors.
 
 All values are plain 1-D ``numpy`` float arrays of a shared length ``d``,
-which the caller chooses (the config's ``d``); ``bind``, ``bundle`` and
-``recover`` also take an ``(n, d)`` stack, one hypervector per row.
+which the caller chooses (the config's ``d``); ``bind`` and ``recover``
+also take an ``(n, d)`` stack, one hypervector per row, and ``bundle``
+sums the rows of one.
 Information is carried by direction: two independently drawn random
 bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
 The algebra has four basic operations:
 
-- ``bundle``: signed elementwise addition; the result stays similar to
-  every summand.
+- ``bundle``: signed elementwise addition of a stack's rows; the result
+  stays similar to every summand.
 - ``bind``: elementwise multiplication; the result is dissimilar to both
   inputs but the operation is self-inverse on bipolar vectors.
 - ``permute``: circular shift; reversible, used to encode sequence
   position.
 - ``recover``: cleanup against a dictionary of known vectors, returning
-  the best match above a noise floor ``theta``.  It scores an (m, d)
-  stack by its cosines to every entry in one matrix product; a zero-norm
-  entry or query has no direction and never matches.  A (d,) query is a
-  one-row stack.  Every layer cleans up at the one floor ``THETA``.
+  the best match at or above the one noise floor ``THETA``.  It scores an
+  (m, d) stack by its cosines to every entry in one matrix product; a
+  zero-norm entry or query has no direction and never matches.  A (d,)
+  query is a one-row stack.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
@@ -72,10 +73,8 @@ def sign(x: np.ndarray) -> np.ndarray:
     return np.sign(np.asarray(x, dtype=float))
 
 
-def bundle(
-    vectors: list[np.ndarray] | np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Signed elementwise sum of the given vectors (a list or an (n, d) stack).
+def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Signed elementwise sum of the rows of an (n, d) stack.
 
     When the number of summands is even, a fresh random bipolar vector is
     added last to break elementwise ties, so bundles of bipolar inputs
@@ -86,11 +85,7 @@ def bundle(
     if len(vectors) == 0:
         raise ValueError("bundle requires at least one vector")
     dtype = float
-    if not isinstance(vectors, np.ndarray):
-        d = len(vectors[0])
-        if any(len(v) != d for v in vectors):
-            raise ValueError("bundle inputs must share one dimension")
-    elif vectors.dtype == np.int8:
+    if vectors.dtype == np.int8:
         if len(vectors) >= 2**15:
             raise ValueError(f"an int8 bundle sums in int16: {len(vectors)} rows is too many")
         dtype = np.int16
@@ -161,20 +156,18 @@ class Dictionary:
 
 
 def recover(
-    query: np.ndarray, dictionary: Dictionary, theta: float
+    query: np.ndarray, dictionary: Dictionary
 ) -> Hashable | None | tuple[Hashable | None, ...]:
     """Cleanup: label of the most similar dictionary entry, or None.
 
     Returns the entry with maximum cosine to ``query`` provided that
-    maximum is at least ``theta``; a query below the noise floor (or with
-    zero norm) recovers nothing, and a zero-norm entry is never recovered.
-    Exact ties resolve to the lowest index.  An (n, d) stack of queries
-    is cleaned up in one matrix product and gives a tuple with one such
-    result per row; a (d,) query is cleaned up as a one-row stack and
-    gives its one result.  ``theta`` must lie in [0, 1).
+    maximum is at least ``THETA``, read at call time; a query below the
+    noise floor (or with zero norm) recovers nothing, and a zero-norm
+    entry is never recovered.  Exact ties resolve to the lowest index.
+    An (n, d) stack of queries is cleaned up in one matrix product and
+    gives a tuple with one such result per row; a (d,) query is cleaned up
+    as a one-row stack and gives its one result.
     """
-    if not 0.0 <= theta < 1.0:
-        raise ValueError(f"theta must lie in [0, 1), got {theta}")
     if query.shape[-1] != dictionary.dim:
         raise ValueError(
             f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
@@ -191,7 +184,7 @@ def recover(
     labels = dictionary.labels
     # argmax returns the first (lowest) index on ties
     found = tuple(
-        None if score < theta else labels[b]
+        None if score < THETA else labels[b]
         for score, b in zip(sims.max(axis=1).tolist(), sims.argmax(axis=1).tolist())
     )
     return found if query.ndim > 1 else found[0]

@@ -193,6 +193,8 @@ def from_text(text: str) -> Maze:
         width, height = (int(part) for part in lines[0].split())
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad maze header {lines[0]!r}") from exc
+    if width < 1 or height < 1:
+        raise ValueError(f"bad maze header {lines[0]!r}: width and height must be >= 1")
     if len(lines) != height + 1:
         raise ValueError(f"expected {height} rows, got {len(lines) - 1}")
     for row, line in enumerate(lines[1:]):

@@ -100,11 +100,7 @@ def grid_leg(
 
 
 def run_mission(
-    object_cml: cml_mod.Cml,
-    grid_cml: GridCml,
-    memory: MapMemory,
-    maze: Maze,
-    policy: np.ndarray,
+    object_cml: cml_mod.Cml, memory: MapMemory, maze: Maze, policy: np.ndarray
 ) -> tuple[list[dict], FailureReason]:
     """Execute the goals the policy hypervector reveals; returns the goal entries and the failure.
 
@@ -112,18 +108,19 @@ def run_mission(
     ``reached``, ``object_path`` (the labels found, from where the goal's
     leg began), ``grid_path`` (its cells as ``[row, col]`` lists, from the
     robot's cell at the start) and ``steps`` (the moves made).  The robot
-    starts at home, ``maze.placements["h"]``.  The hypervector dimensions
-    of the models, the map and the policy must agree.  The entries end at
-    the first goal not reached, with its failure, or with
-    ``FailureReason.NONE`` once the policy reveals no further goal;
-    whether the revealed goals were the encoded ones is the caller's to
-    judge.
+    starts at home, ``maze.placements["h"]``.  The grid legs run on
+    ``memory.grid_cml``, the grid model the map was built from.  The
+    hypervector dimensions of the models, the map and the policy must
+    agree.  The entries end at the first goal not reached, with its
+    failure, or with ``FailureReason.NONE`` once the policy reveals no
+    further goal; whether the revealed goals were the encoded ones is the
+    caller's to judge.
     """
     goals: list[dict] = []
     failure = FailureReason.NONE
     hop_cap = 2 * object_cml.graph.n
     cells_budget = 10 * maze.width * maze.height
-    objects = memory.objects
+    objects, grid_cml = memory.objects, memory.grid_cml
     current_label = "h"  # the robot starts at home and knows it
     robot = maze.placements[current_label]
 

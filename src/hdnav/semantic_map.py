@@ -136,7 +136,7 @@ def query_position(
     just exact dictionary entries.  An (n, d) stack of object vectors
     gives a tuple of n results.
     """
-    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions, hdc.THETA)
+    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions)
 
 
 def query_object(
@@ -151,9 +151,7 @@ def query_object(
     crowd toward 1.  An (n, d) stack of positions gives a tuple of n
     results.
     """
-    return hdc.recover(
-        hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects, hdc.THETA
-    )
+    return hdc.recover(hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects)
 
 
 def encode_policy(
@@ -166,7 +164,7 @@ def encode_policy(
         if goal not in objects:
             raise ValueError(f"unknown goal object {goal!r}")
     terms = [hdc.permute(objects.vector(goal), i) for i, goal in enumerate(goals, start=1)]
-    return hdc.bundle(terms, rng)
+    return hdc.bundle(np.stack(terms), rng)
 
 
 def next_goal(policy: np.ndarray, objects: hdc.Dictionary) -> tuple[str | None, np.ndarray]:
@@ -178,4 +176,4 @@ def next_goal(policy: np.ndarray, objects: hdc.Dictionary) -> tuple[str | None, 
     object).
     """
     unrolled = hdc.permute(policy, -1)
-    return hdc.recover(unrolled, objects, hdc.THETA), unrolled
+    return hdc.recover(unrolled, objects), unrolled

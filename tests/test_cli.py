@@ -239,6 +239,7 @@ MALFORMED_RECORDS = {
     "goal_not_an_object": {"maze": SMALL_MAZE, "goals": [[[0, 0]]]},
     "no_maze": {"grid_path": [[0, 0]]},
     "record_not_an_object": [SMALL_MAZE, [[0, 0]]],
+    "header_size_below_one": {"maze": "-1 2\nH..\n...\n", "grid_path": [[0, 0]]},
 }
 
 
@@ -413,6 +414,31 @@ def test_run_refuses_models_of_another_dimension_than_the_config(models_dir, cap
         models_dir, capsys, "error[models]: models have d=1000, the config d=2000",
         "--set", "d=2000",
     )
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ("d=0", "d must be >= 1, got 0"),
+        ("d=500", "model building requires d >= 1000, got d=500"),
+        ("mission_goals=z", "unknown goal object 'z'"),
+    ],
+    ids=["d_zero", "d_below_1000", "unknown_goal"],
+)
+def test_run_and_verify_refuse_a_bad_config_before_loading_models(
+    models_dir, monkeypatch, capsys, setting, message
+):
+    # both verbs check the config in their one loader, before any model file is read
+    def no_load(config):
+        raise AssertionError("models loaded")
+
+    monkeypatch.setattr(experiments, "load_models", no_load)
+    for verb in (["run", "mission", "--seed", "42"], ["verify"]):
+        assert main([*verb, "--out", str(models_dir), "--set", setting]) == 1
+        printed, err = capsys.readouterr()
+        assert printed == ""
+        assert err.startswith("error[config]: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_run_refuses_models_of_different_dimensions(models_dir, grid_cml, capsys):

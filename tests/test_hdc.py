@@ -100,7 +100,7 @@ def test_random_bipolar_matches_choice_stream(d):
 def test_bundle_similar_to_components():
     rng = np.random.default_rng(11)
     x, y, z = (hdc.random_bipolar(D, rng) for _ in range(3))
-    q = hdc.bundle([x, y, z], rng)
+    q = hdc.bundle(np.stack([x, y, z]), rng)
     assert np.all(np.abs(q) == 1.0)
     # majority-of-3 agrees with each component 3/4 of the time -> cosine ~ 0.5
     for v in (x, y, z):
@@ -111,31 +111,18 @@ def test_bundle_similar_to_components():
 def test_bundle_even_count_stays_bipolar():
     rng = np.random.default_rng(12)
     x, y = hdc.random_bipolar(D, rng), hdc.random_bipolar(D, rng)
-    assert np.all(np.abs(hdc.bundle([x, y], rng)) == 1.0)
+    assert np.all(np.abs(hdc.bundle(np.stack([x, y]), rng)) == 1.0)
 
 
 def test_bundle_singleton_is_identity():
     rng = np.random.default_rng(13)
     x = hdc.random_bipolar(D, rng)
-    assert np.array_equal(hdc.bundle([x], rng), x)
+    assert np.array_equal(hdc.bundle(x[None, :], rng), x)
 
 
 def test_bundle_empty_rejected():
     with pytest.raises(ValueError, match="at least one"):
-        hdc.bundle([], np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("n", [1, 2, 8, 9])
-def test_bundle_stack_equals_list(n):
-    terms = np.stack([bipolar(seed) for seed in range(n)])
-    from_stack = hdc.bundle(terms, np.random.default_rng(18))
-    from_list = hdc.bundle(list(terms), np.random.default_rng(18))
-    assert np.array_equal(from_stack, from_list)
-
-
-def test_bundle_rejects_ragged_list():
-    with pytest.raises(ValueError, match="share one dimension"):
-        hdc.bundle([np.ones(4), np.ones(5)], np.random.default_rng(0))
+        hdc.bundle(np.empty((0, D)), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9])
@@ -176,7 +163,7 @@ def test_bind_dissimilar_to_inputs():
 def test_bind_releases_bound_value_from_bundle():
     rng = np.random.default_rng(17)
     w, x, y, z = (hdc.random_bipolar(D, rng) for _ in range(4))
-    q = hdc.bundle([hdc.bind(w, x), hdc.bind(y, z)], rng)
+    q = hdc.bundle(np.stack([hdc.bind(w, x), hdc.bind(y, z)]), rng)
     released = hdc.bind(w, q)
     fresh = hdc.random_bipolar(D, rng)
     assert hdc.cosine(released, x) > 3 * abs(hdc.cosine(released, fresh))
@@ -234,7 +221,7 @@ def test_permute_inverse():
 def test_permute_extracts_sequence_position():
     rng = np.random.default_rng(20)
     x, y, z = (hdc.random_bipolar(D, rng) for _ in range(3))
-    q = hdc.bundle([x, hdc.permute(y, 1), hdc.permute(z, 2)], rng)
+    q = hdc.bundle(np.stack([x, hdc.permute(y, 1), hdc.permute(z, 2)]), rng)
     assert hdc.cosine(hdc.permute(q, -1), y) > 0.1
 
 
@@ -257,53 +244,46 @@ def _dictionary(rng, n=8):
 def test_recover_exact_member():
     rng = np.random.default_rng(21)
     d = _dictionary(rng)
-    assert hdc.recover(d.vector("v3"), d, 0.1) == "v3"
+    assert hdc.recover(d.vector("v3"), d) == "v3"
 
 
 def test_recover_noise_returns_none():
     rng = np.random.default_rng(22)
     d = _dictionary(rng)
-    assert hdc.recover(hdc.random_bipolar(D, rng), d, 0.1) is None
+    assert hdc.recover(hdc.random_bipolar(D, rng), d) is None
 
 
 def test_recover_after_unbinding():
     rng = np.random.default_rng(23)
     w, x, y, z = (hdc.random_bipolar(D, rng) for _ in range(4))
     d = hdc.Dictionary(("x", "y", "z", "w"), np.stack([x, y, z, w]))
-    q = hdc.bundle([hdc.bind(w, x), hdc.bind(y, z)], rng)
-    assert hdc.recover(hdc.bind(w, q), d, 0.1) == "x"
+    q = hdc.bundle(np.stack([hdc.bind(w, x), hdc.bind(y, z)]), rng)
+    assert hdc.recover(hdc.bind(w, q), d) == "x"
 
 
 def test_recover_tie_breaks_to_lowest_index():
     rng = np.random.default_rng(24)
     v = hdc.random_bipolar(D, rng)
     d = hdc.Dictionary(("first", "second"), np.stack([v, v]))
-    assert hdc.recover(v, d, 0.1) == "first"
+    assert hdc.recover(v, d) == "first"
 
 
 def test_recover_idempotent_cleanup():
     rng = np.random.default_rng(25)
     d = _dictionary(rng)
     for label in d.labels:
-        assert hdc.recover(d.vector(label), d, 0.1) == label
+        assert hdc.recover(d.vector(label), d) == label
 
 
 def test_recover_zero_query_is_none():
     rng = np.random.default_rng(26)
-    assert hdc.recover(np.zeros(D), _dictionary(rng), 0.1) is None
+    assert hdc.recover(np.zeros(D), _dictionary(rng)) is None
 
 
 def test_recover_dimension_mismatch():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError, match="dimension"):
-        hdc.recover(np.ones(12), _dictionary(rng), 0.1)
-
-
-def test_recover_theta_range():
-    rng = np.random.default_rng(28)
-    d = _dictionary(rng)
-    with pytest.raises(ValueError, match="theta"):
-        hdc.recover(d.vector("v0"), d, 1.0)
+        hdc.recover(np.ones(12), _dictionary(rng))
 
 
 def test_dictionary_validation():
@@ -372,7 +352,7 @@ def test_dictionary_rows_gather_rows_and_norms():
     assert sub.signs.dtype == np.int8
     assert np.array_equal(sub.vector("v11"), d.vector("v11"))
     assert "v5" not in sub and "v3" in sub
-    assert hdc.recover(d.vector("v0"), sub, 0.1) == "v0"
+    assert hdc.recover(d.vector("v0"), sub) == "v0"
 
 
 def _with_zero_entry(first: bool) -> hdc.Dictionary:
@@ -385,40 +365,42 @@ def _with_zero_entry(first: bool) -> hdc.Dictionary:
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
 @pytest.mark.parametrize("first", [True, False], ids=["zero_first", "zero_last"])
-def test_recover_never_returns_a_zero_entry(first, theta):
+def test_recover_never_returns_a_zero_entry(monkeypatch, first, theta):
     # a zero-norm entry has no direction: it used to score 0/0 = NaN, which
     # argmax took as the winner for every query
+    monkeypatch.setattr(hdc, "THETA", theta)
     d = _with_zero_entry(first)
     e1, orthogonal = np.zeros(D), np.zeros(D)
     e1[0], orthogonal[2] = 3.0, 1.0
     # an orthogonal query scores 0 against "two" (and against "one" too),
     # which clears theta 0 only; the zero entry never wins
     at_zero = None if theta > 0 else "two"
-    assert hdc.recover(e1, d, theta) == "one"
-    assert hdc.recover(-e1, d, theta) == at_zero
-    assert hdc.recover(np.zeros(D), d, theta) is None
-    assert hdc.recover(orthogonal, d, theta) == (None if theta > 0 else "one")
+    assert hdc.recover(e1, d) == "one"
+    assert hdc.recover(-e1, d) == at_zero
+    assert hdc.recover(np.zeros(D), d) is None
+    assert hdc.recover(orthogonal, d) == (None if theta > 0 else "one")
     queries = np.stack([e1, -e1, np.zeros(D), orthogonal, d.vector("two")])
-    assert hdc.recover(queries, d, theta) == (
+    assert hdc.recover(queries, d) == (
         "one", at_zero, None, None if theta > 0 else "one", "two"
     )
     # a sub-dictionary that keeps the zero entry keeps the rule
     sub = hdc.Dictionary(("zero", "one"), np.stack([d.vector("zero"), d.vector("one")]))
-    assert hdc.recover(e1, sub, theta) == "one"
-    assert hdc.recover(-e1, sub, theta) is None
-    assert hdc.recover(np.stack([e1, -e1]), sub, theta) == ("one", None)
+    assert hdc.recover(e1, sub) == "one"
+    assert hdc.recover(-e1, sub) is None
+    assert hdc.recover(np.stack([e1, -e1]), sub) == ("one", None)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5])
-def test_recover_from_all_zero_dictionary_is_none(theta):
+def test_recover_from_all_zero_dictionary_is_none(monkeypatch, theta):
+    monkeypatch.setattr(hdc, "THETA", theta)
     d = hdc.Dictionary(("a", "b"), np.zeros((2, D)))
-    assert hdc.recover(bipolar(38), d, theta) is None
-    assert hdc.recover(np.stack([bipolar(38), np.zeros(D)]), d, theta) == (None, None)
+    assert hdc.recover(bipolar(38), d) is None
+    assert hdc.recover(np.stack([bipolar(38), np.zeros(D)]), d) == (None, None)
 
 
-def test_cosines_match_recover_scores():
+def test_cosines_match_recover_scores(monkeypatch):
     # recover picks the entry of largest cosine, as a (d,) query and as a row
-    # of an (n, d) stack, and names it only when that cosine clears theta
+    # of an (n, d) stack, and names it only when that cosine clears the floor
     rng = np.random.default_rng(39)
     d = _dictionary(rng)
     queries = rng.normal(0.0, 1.0, size=(5, D))
@@ -427,21 +409,25 @@ def test_cosines_match_recover_scores():
     best = cosines.max(axis=1)
     expected = tuple(d.labels[b] for b in cosines.argmax(axis=1))
     assert expected == tuple(d.labels[b] for b in (3, 0, 7, 3, 5))
-    assert hdc.recover(queries, d, 0.0) == expected
-    assert tuple(hdc.recover(q, d, 0.0) for q in queries) == expected
+    monkeypatch.setattr(hdc, "THETA", 0.0)
+    assert hdc.recover(queries, d) == expected
+    assert tuple(hdc.recover(q, d) for q in queries) == expected
     theta = float(np.sort(best)[1:3].mean())  # two rows fall below it
-    assert hdc.recover(queries, d, theta) == tuple(
+    monkeypatch.setattr(hdc, "THETA", theta)
+    assert hdc.recover(queries, d) == tuple(
         label if score >= theta else None for label, score in zip(expected, best)
     )
     # a zero query row and a zero entry score -inf, not NaN: the zero entry
     # never wins, and the zero row clears no threshold
     zeroed = hdc.Dictionary(("z",) + d.labels, np.vstack([np.zeros(D), d.vectors]))
     queries[1] = 0.0
-    assert hdc.recover(queries, zeroed, 0.0) == expected[:1] + (None,) + expected[2:]
+    monkeypatch.setattr(hdc, "THETA", 0.0)
+    assert hdc.recover(queries, zeroed) == expected[:1] + (None,) + expected[2:]
     # exact ties go to the lowest index
     twins = hdc.Dictionary(("a", "b", "c"), np.stack([d.vectors[1], d.vectors[0], d.vectors[0]]))
-    assert hdc.recover(d.vectors[0], twins, 0.5) == "b"
-    assert hdc.recover(np.stack([d.vectors[0], d.vectors[1]]), twins, 0.5) == ("b", "a")
+    monkeypatch.setattr(hdc, "THETA", 0.5)
+    assert hdc.recover(d.vectors[0], twins) == "b"
+    assert hdc.recover(np.stack([d.vectors[0], d.vectors[1]]), twins) == ("b", "a")
 
 
 def reference_vector_recover(query, dictionary, theta):
@@ -456,7 +442,7 @@ def reference_vector_recover(query, dictionary, theta):
     return None if sims[best] < theta else dictionary.labels[best]
 
 
-def test_vector_recover_matches_the_old_vector_path(object_cml, grid_cml):
+def test_vector_recover_matches_the_old_vector_path(monkeypatch, object_cml, grid_cml):
     rng = np.random.default_rng(40)
     states, cells = object_cml.state_dictionary(), grid_cml.cells
     with_zero = hdc.Dictionary(
@@ -470,19 +456,21 @@ def test_vector_recover_matches_the_old_vector_path(object_cml, grid_cml):
             cases.append((dictionary, rows + rng.normal(0.0, scale, rows.shape)))
         cases.append((dictionary, np.zeros((1, dictionary.dim))))
     for theta in (0.0, hdc.THETA):
+        monkeypatch.setattr(hdc, "THETA", theta)
         for dictionary, queries in cases:
-            found = [hdc.recover(q, dictionary, theta) for q in queries]
+            found = [hdc.recover(q, dictionary) for q in queries]
             assert found == [reference_vector_recover(q, dictionary, theta) for q in queries]
-            assert tuple(found) == hdc.recover(queries, dictionary, theta)
+            assert tuple(found) == hdc.recover(queries, dictionary)
     # the exact rows recover themselves, a zero query recovers nothing
-    assert [hdc.recover(v, cells, 0.1) for v in cells.vectors] == list(cells.labels)
-    assert hdc.recover(np.zeros(states.dim), with_zero, 0.0) is None
+    assert [hdc.recover(v, cells) for v in cells.vectors] == list(cells.labels)
+    monkeypatch.setattr(hdc, "THETA", 0.0)
+    assert hdc.recover(np.zeros(states.dim), with_zero) is None
 
 
 def test_recover_stack_dimension_mismatch():
     d = _dictionary(np.random.default_rng(33))
     with pytest.raises(ValueError, match="dimension"):
-        hdc.recover(np.ones((2, 12)), d, 0.1)
+        hdc.recover(np.ones((2, 12)), d)
 
 
 # Small integer entries keep every dot product and squared norm exact, so the
@@ -512,8 +500,10 @@ def _recovery_case(draw):
 @settings(max_examples=200, deadline=None)
 def test_recover_stack_matches_per_row_property(case):
     dictionary, queries, theta = case
-    batched = hdc.recover(queries, dictionary, theta)
-    assert batched == tuple(hdc.recover(q, dictionary, theta) for q in queries)
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+        patch.setattr(hdc, "THETA", theta)
+        batched = hdc.recover(queries, dictionary)
+        assert batched == tuple(hdc.recover(q, dictionary) for q in queries)
     # a zero row recovers nothing, even at theta 0; an orthogonal row scores 0,
     # below any positive theta; the exact tie between row 0 and its duplicate
     # goes to the lowest index

@@ -310,8 +310,10 @@ def test_robot_on_object_renders_uppercase(sample):
 
 
 def test_from_text_rejects_bad_header():
-    with pytest.raises(ValueError, match="header"):
-        mz.from_text("bogus\n....\n")
+    # a size below 1 is refused by the header, not by a later row or home check
+    for text in ("bogus\n....\n", "-1 2\nH..\n...\n", "0 0\n"):
+        with pytest.raises(ValueError, match="header"):
+            mz.from_text(text)
 
 
 def test_from_text_rejects_wrong_row_length():

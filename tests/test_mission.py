@@ -10,10 +10,10 @@ from hdnav.mission import FailureReason
 
 
 @pytest.fixture(scope="module")
-def mission_result(object_cml, grid_cml, viable_setup):
+def mission_result(object_cml, viable_setup):
     maze, memory, _ = viable_setup
     policy = sm.encode_policy(["k", "t", "h"], memory.objects, np.random.default_rng(99))
-    return mission.run_mission(object_cml, grid_cml, memory, maze, policy)
+    return mission.run_mission(object_cml, memory, maze, policy)
 
 
 def without_door(graph: cml.CmlGraph, *doors: str) -> cml.CmlGraph:
@@ -194,25 +194,25 @@ def test_mission_with_removed_door_avoids_its_cell(config, object_cml, grid_cml)
         assert removed not in goal["object_path"]
 
 
-def test_mission_unreachable_goal_reports_failure(object_cml, grid_cml, viable_setup):
+def test_mission_unreachable_goal_reports_failure(object_cml, viable_setup):
     maze, memory, _ = viable_setup
     # seal both left-wall doors: the key leg can never complete
     reduced = mission.remove_door(mission.remove_door(object_cml, "a"), "b")
     sealed, _ = mz.close_door(maze, "a")
     sealed, _ = mz.close_door(sealed, "b")
     policy = sm.encode_policy(["t"], memory.objects, np.random.default_rng(1))
-    _, failure = mission.run_mission(reduced, grid_cml, memory, sealed, policy)
+    _, failure = mission.run_mission(reduced, memory, sealed, policy)
     assert failure in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
 
 def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     maze, memory, _ = viable_setup
     states = object_cml.state_dictionary()
-    assert hdc.recover(object_cml.state("k"), states, 0.1) == "k"
+    assert hdc.recover(object_cml.state("k"), states) == "k"
 
     def run(planner, mem):
         policy = sm.encode_policy(["k"], mem.objects, np.random.default_rng(2))
-        return mission.run_mission(planner, grid_cml, mem, maze, policy)
+        return mission.run_mission(planner, mem, maze, policy)
 
     # both states recover, but no gate leaves home: the goal is unreachable
     gated = object_cml.G.copy()

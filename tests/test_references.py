@@ -136,9 +136,9 @@ def test_every_package_definition_has_a_caller():
     assert set(filter(unused, defined)) == REFERENCES
 
 
-def test_only_recover_takes_a_noise_floor():
-    # every layer reads the one floor hdc.THETA at call time; only the algebra's
-    # cleanup takes it as an argument
+def test_no_function_takes_a_noise_floor():
+    # every recovery reads the one floor hdc.THETA at call time; no function
+    # takes it as an argument
     takers = {
         f"{path.stem}.{node.name}"
         for path in sources([PACKAGE])
@@ -147,7 +147,7 @@ def test_only_recover_takes_a_noise_floor():
         for arg in ast.walk(node.args)
         if isinstance(arg, ast.arg) and arg.arg == "theta"
     }
-    assert takers == {"hdc.recover"}
+    assert takers == set()
 
 
 def test_reference_scan_sees_names_attributes_and_imports():

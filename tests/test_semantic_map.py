@@ -32,7 +32,7 @@ def synthetic_map(seed):
         hdc.sign(hdc.bind(objects.vector(label), positions[i]))
         for i, label in enumerate(LABELS)
     ]
-    return hdc.bundle(terms, rng), objects, hdc.Dictionary(cells, positions)
+    return hdc.bundle(np.stack(terms), rng), objects, hdc.Dictionary(cells, positions)
 
 
 # --- build_map ----------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_synthetic_orthogonal_positions_nearly_always_viable():
     viable = 0
     for seed in range(1000):
         map_hv, objects, positions = synthetic_map(seed)
-        found = hdc.recover(hdc.bind(map_hv, objects.vectors), positions, hdc.THETA)
+        found = hdc.recover(hdc.bind(map_hv, objects.vectors), positions)
         viable += found == positions.labels
     assert viable >= 990
 
@@ -158,7 +158,7 @@ def reference_check_viability(memory):
     """The per-object loop that the batched check replaced."""
     for label in memory.objects.labels:
         query = hdc.bind(memory.map_hv, memory.objects.vector(label))
-        if hdc.recover(query, memory.positions, hdc.THETA) != memory.position_of(label):
+        if hdc.recover(query, memory.positions) != memory.position_of(label):
             return False
     return True
 
@@ -199,7 +199,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
         cells = tuple(maze.placements[label] for label in objects.labels)
         states = np.stack([grid_cml.state(cell) for cell in cells])
         terms = [hdc.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
-        assert np.array_equal(memory.map_hv, hdc.bundle(terms, reference_rng))
+        assert np.array_equal(memory.map_hv, hdc.bundle(np.stack(terms), reference_rng))
         assert memory.map_hv.dtype == np.float64
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert memory.positions.labels == cells
