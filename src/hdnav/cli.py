@@ -36,7 +36,7 @@ import numpy as np
 
 from . import experiments, render as render_mod
 from .config import ExperimentConfig, parse_value
-from .grid import GridCml
+from .grid import GridCml, fixed_chains
 
 
 class CliError(Exception):
@@ -168,14 +168,11 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_geometry(grid_cml: GridCml) -> list[str]:
-    """The grid's shape, each chain's largest distance from its fixed point, its sign patterns.
-
-    Training keeps each chain's sum at 0 and drives its steps to 1, so the
-    fixed points are ``r - (H-1)/2`` for x and ``c - (W-1)/2`` for y.
-    """
+    """The grid's shape, each chain's largest distance from its fixed point, its sign patterns."""
     width, height = grid_cml.width, grid_cml.height
-    x_gap = np.abs(grid_cml.x - (np.arange(height) - (height - 1) / 2)).max()
-    y_gap = np.abs(grid_cml.y - (np.arange(width) - (width - 1) / 2)).max()
+    x_star, y_star = fixed_chains(width, height)
+    x_gap = np.abs(grid_cml.x - x_star).max()
+    y_gap = np.abs(grid_cml.y - y_star).max()
     patterns = len(np.unique(grid_cml.cells.signs, axis=0))
     return [
         f"shape: {width}x{height} (width x height), d={grid_cml.d}",

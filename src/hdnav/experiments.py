@@ -146,10 +146,10 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     index = np.arange(cells)
     rows, cols = np.divmod(index, width)
     open_grid = maze_mod.Maze(frozenset(), {}, width, height)
-    # (4, W H): the sensor gate of every cell, ``DIRECTIONS`` by row-major cell
-    gate = np.stack([maze_mod.sense(open_grid, divmod(i, width)) for i in range(cells)], axis=1)
+    # (W H, 4): the sensor gate of every cell, row-major cell by ``DIRECTIONS``
+    gate = np.stack([maze_mod.sense(open_grid, divmod(i, width)) for i in range(cells)])
     # pick[current, target]
-    pick = grid_mod.moves(grid_cml, index[None, :], index[:, None], gate[:, :, None])
+    pick = grid_mod.moves(grid_cml, index[None, :], index[:, None], gate[:, None])
     dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T
     # a unit move shortens the Manhattan distance iff it points along target - current
     progress = dr[pick] * (rows - rows[:, None]) + dc[pick] * (cols - cols[:, None])

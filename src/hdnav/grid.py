@@ -11,15 +11,16 @@ actions over every directed adjacency until
 ``p_neighbor ~= p_cell + a_direction`` holds everywhere.
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
-therefore iterates the two coordinate chains x (one scalar per row) and
-y (one per column), stacked as one array ``[y, x]`` whose seam is no edge
-and steps by exactly 0; the stopping rule is read once per block of
-``GRID_EPOCH_BLOCK`` epochs, for each of them.  The model is the chains
-and the two actions, and derives everything else from them once: the
-action matrix A4 in ``DIRECTIONS`` order, the cell dictionary ``cells``
-(one row per cell in row-major order, norms computed once), its
-transposed view P (d x W H), whose column for a cell is that cell's
-state, and the plane tables that score ``q . p / |p|`` as
+is therefore linear in the two coordinate chains x (one scalar per row)
+and y (one per column), and ``train_grid`` writes its trajectory in
+closed form: the chains' fixed point (``fixed_chains``, each chain
+centred with unit steps) minus modes that decay geometrically, read
+``GRID_EPOCH_BLOCK`` epochs at a time until the stopping rule holds.  The
+model is the chains and the two actions, and derives everything else
+from them once: the action matrix A4 in ``DIRECTIONS`` order, the cell
+dictionary ``cells`` (one row per cell in row-major order, norms
+computed once), its transposed view P (d x W H), whose column for a cell
+is that cell's state, and the plane tables that score ``q . p / |p|`` as
 ``(basis @ q) . plane[cell]``.
 
 Navigation differs from the abstract learner in two ways: the action
@@ -27,11 +28,12 @@ utilities use the plain transpose of the action matrix instead of a
 pseudo-inverse, and the per-node gating matrix is replaced by the live
 touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (0 = wall
 contact).  The transpose utility ``A4^T (p_target - p_current)`` is
-linear in the states, so the model derives the 4 x (W H) table
-``U = A4^T P`` once and every move reads the difference of two of its
-columns.  ``moves`` is the one move rule, a gated winner-take-all over
-those differences that broadcasts over cell index arrays: ``grid_step``
-runs it for the executor's one move, and the open-grid proof
+linear in the states, so the model derives the (W H) x 4 table
+``U = (A4^T P)^T`` once, one row per cell with the directions last, and
+every move reads the difference of two of its rows.  ``moves`` is the
+one move rule, a gated winner-take-all over those differences that
+broadcasts over cell index arrays: ``grid_step`` runs it for the
+executor's one move, and the open-grid proof
 (``experiments.verify_grid_cml``) for every cell pair at once.  A step
 returns only the direction it picks; the executor, which owns the
 robot's cell, makes the move.
@@ -52,7 +54,7 @@ DELTAS: dict[str, Cell] = {"E": (0, 1), "S": (1, 0), "N": (-1, 0), "W": (0, -1)}
 
 GRID_LEARNING_RATE = 0.05
 GRID_EPOCH_CAP = 20_000  # training epochs before train_grid gives up
-GRID_EPOCH_BLOCK = 64  # epochs trained between two reads of the stopping rule
+GRID_EPOCH_BLOCK = 64  # epochs whose stopping rule train_grid reads at once
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,9 @@ class GridCml:
     are plain attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in
     ``DIRECTIONS`` order.  ``cells`` is the state dictionary, one row per
     cell in row-major order with its norm computed once; ``P`` is the
-    transposed view of its rows, one column per cell.  ``basis`` is
-    ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
+    transposed view of its rows, one column per cell.  ``U`` is
+    ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
+    ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
     ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.
     """
 
@@ -86,7 +89,8 @@ class GridCml:
         object.__setattr__(self, "A4", A4)
         object.__setattr__(self, "cells", hdc.Dictionary(labels, S))
         object.__setattr__(self, "P", S.T)  # (d, width * height), a view
-        object.__setattr__(self, "U", A4.T @ self.P)  # (4, width * height)
+        # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
+        object.__setattr__(self, "U", np.ascontiguousarray((A4.T @ self.P).T))
         object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))
         coords = np.stack([np.repeat(self.x, width), np.tile(self.y, height)], axis=1)
         norms = self.cells.norms[:, None]
@@ -114,8 +118,13 @@ def directed_edge_count(width: int, height: int) -> int:
     return 2 * ((width - 1) * height + (height - 1) * width)
 
 
+def fixed_chains(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chains ``(x, y)`` training converges to: each keeps a sum of 0 and steps by 1."""
+    return np.arange(height) - (height - 1) / 2, np.arange(width) - (width - 1) / 2
+
+
 def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> GridCml:
-    """Train the grid states from zeros over all directed adjacencies, actions fixed.
+    """The grid states that training from zeros over all directed adjacencies reaches.
 
     Each epoch accumulates, for every directed edge (i -> j) with action
     a, the batch update that shrinks the prediction error
@@ -129,49 +138,41 @@ def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> Gri
     norm over all directed edges dropping below 1e-2 * sqrt(d); each
     edge's norm is its chain coefficient times ``|a_e|`` or ``|a_s|``.
 
-    The two chains are trained as one array ``z = [y, x]``; the seam
-    between y's last entry and x's first is no edge, so its error is held
-    at exactly 0 and its step adds 0.  Every entry gets the operations of
-    two separate chains in their order (``err = (z[j+1] - z[j]) - 1``,
-    then ``+ 0.1 err[j]``, then ``- 0.1 err[j-1]``), so the chains are
-    bit-identical to training x and y apart.  An epoch stores its errors
-    and the chains it started from in one row of a block buffer; after
-    each ``GRID_EPOCH_BLOCK`` epochs the stopping rule is read for the
-    whole block at once, and the chains of the first epoch whose residual
-    is below the tolerance are returned.  The row sums run along a
-    contiguous axis, the same pairwise sums as a 1-D ``sum``.
+    So the chains, stacked as ``z = [y, x]``, follow one linear update
+    from zero, ``z <- M z + 2 lr D^T 1`` with ``M = I - 2 lr D^T D``; row j
+    of ``D`` takes the step ``z[j+1] - z[j]``, and the seam row (y's last
+    entry to x's first) is no edge and zero.  The fixed point is ``z* =
+    [y*, x*]`` (``fixed_chains``), so with ``M = V diag(rate) V^T`` and
+    ``w = V^T z*`` the chains at the start of epoch n are
+    ``z* - V (rate^n * w)``, and their steps miss 1 by
+    ``-D V (rate^n * w)``.  The stopping rule is read for
+    ``GRID_EPOCH_BLOCK`` epochs at a time, in epoch order (the residual, an
+    L1 sum, is not monotone in n), and the chains of the first epoch
+    below the tolerance are returned.
     """
     if width * height < 2:
         raise ValueError("grid needs at least two cells")
     tol = 1e-2 * np.sqrt(len(a_s))
     norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
     edge_pairs = directed_edge_count(width, height) // 2
-    z = np.zeros(width + height)  # [y, x]: east coordinate of each column, south of each row
-    low, high = z[:-1], z[1:]  # the two ends of each chain step, views of z
-    step = np.empty(width + height - 1)
-    errors = np.empty((GRID_EPOCH_BLOCK, width + height - 1))
-    starts = np.empty((GRID_EPOCH_BLOCK, width + height))
+    x_star, y_star = fixed_chains(width, height)
+    z_star = np.concatenate([y_star, x_star])
+    D = np.diff(np.eye(width + height), axis=0)
+    D[width - 1] = 0.0  # the seam is no edge
+    rate, V = np.linalg.eigh(np.eye(width + height) - 2 * GRID_LEARNING_RATE * (D.T @ D))
+    w = V.T @ z_star
+    DV = D @ V
+    # an epoch's mean residual weighs each step's miss by its edges' action norm
+    weights = np.repeat([height * norm_e, 0.0, width * norm_s], [width - 1, 1, height - 1])
+    weights /= edge_pairs
     for first in range(0, GRID_EPOCH_CAP, GRID_EPOCH_BLOCK):
-        block = min(GRID_EPOCH_BLOCK, GRID_EPOCH_CAP - first)
-        for err, start in zip(errors[:block], starts[:block]):
-            start[:] = z
-            np.subtract(high, low, out=err)
-            err -= 1.0
-            err[width - 1] = 0.0  # the seam is no edge
-            np.multiply(err, 2 * GRID_LEARNING_RATE, out=step)
-            low += step
-            high -= step
-        residual = np.abs(errors[:block])
-        mean_residual = (
-            height * norm_e * np.add.reduce(residual[:, : width - 1], axis=1)
-            + width * norm_s * np.add.reduce(residual[:, width:], axis=1)
-        ) / edge_pairs
+        epochs = np.arange(first, min(first + GRID_EPOCH_BLOCK, GRID_EPOCH_CAP))
+        modes = rate ** epochs[:, None] * w  # (block, W + H): z* - z per epoch, in V's basis
+        mean_residual = np.abs(modes @ DV.T) @ weights
         converged = np.flatnonzero(mean_residual < tol)
         if len(converged):
-            chains = starts[converged[0]]
-            return GridCml(
-                x=chains[width:].copy(), y=chains[:width].copy(), a_s=a_s.copy(), a_e=a_e.copy()
-            )
+            chains = z_star - V @ modes[converged[0]]
+            return GridCml(x=chains[width:], y=chains[:width], a_s=a_s.copy(), a_e=a_e.copy())
     raise RuntimeError(
         f"grid training failed to converge: residual {mean_residual[-1]:.3g} "
         f"after {GRID_EPOCH_CAP} epochs"
@@ -182,16 +183,16 @@ def moves(grid_cml: GridCml, target, current, gate: np.ndarray) -> np.ndarray:
     """The gated winner-take-all move: the ``DIRECTIONS`` index of each pick.
 
     ``target`` and ``current`` are row-major cell indices, or index arrays
-    that broadcast together; ``gate`` has one row per direction (0 = wall
-    contact) and broadcasts against them.  Each move scores
-    ``U[:, target] - U[:, current]``, a closed gate scores -inf, and the
+    that broadcast together; ``gate`` holds the directions along its last
+    axis (0 = wall contact) and broadcasts against them.  Each move scores
+    ``U[target] - U[current]``, a closed gate scores -inf, and the
     largest score wins even when it is negative (a closed move must never
     beat an open one that merely scores badly); ties go to the lowest
     index.  Where every gate is closed the pick is 0.
     """
     U = grid_cml.U
     # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
-    return np.where(gate, U[:, target] - U[:, current], -np.inf).argmax(axis=0)
+    return np.where(gate, U[target] - U[current], -np.inf).argmax(axis=-1)
 
 
 def grid_step(

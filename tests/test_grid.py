@@ -60,7 +60,7 @@ def reference_chains(width, height, actions, epoch_cap=grid_mod.GRID_EPOCH_CAP):
     """The two-chain loop ``train_grid`` replaced: (x, y, stopping epoch) per action pair.
 
     One epoch at a time, each chain on its own, the stopping rule read
-    before every update; ``train_grid`` must match it bit for bit.  The
+    before every update; ``train_grid``'s closed form must match it.  The
     chains' trajectory does not depend on the actions, only the stopping
     epoch does (through ``|a_s|`` and ``|a_e|``), so one pass serves every
     ``(a_s, a_e)`` in ``actions``: each pair's rule is read at every epoch,
@@ -94,6 +94,36 @@ def reference_chains(width, height, actions, epoch_cap=grid_mod.GRID_EPOCH_CAP):
     )
 
 
+def loop_step(x, y):
+    """The step the two-chain loop takes out of chains (x, y), as ``[y, x]``."""
+    steps = []
+    for chain in (y, x):
+        err = np.diff(chain) - 1.0
+        change = np.append(err, 0.0) - np.insert(err, 0, 0.0)  # +err[j], then -err[j-1]
+        steps.append((2 * grid_mod.GRID_LEARNING_RATE) * change)
+    return np.concatenate(steps)
+
+
+# the tolerance between the closed-form chains and the loop's: float64 rounding
+# of chains of magnitude <= 32 over a few thousand epochs, with headroom
+CHAIN_TOL = 1e-12
+
+
+def assert_matches_loop(trained: GridCml, x, y, a_s, a_e) -> None:
+    """``trained`` holds the loop's chains within ``CHAIN_TOL`` and its exact sign table.
+
+    The middle cell of an odd-by-odd grid is left out of the signs: both of
+    its chain entries are 0 up to the loop's rounding, so its state is
+    rounding noise with no sign to keep.
+    """
+    assert np.abs(trained.x - x).max() <= CHAIN_TOL and np.abs(trained.y - y).max() <= CHAIN_TOL
+    width, height = len(y), len(x)
+    noise = (np.abs(np.repeat(x, width)) < CHAIN_TOL) & (np.abs(np.tile(y, height)) < CHAIN_TOL)
+    assert noise.sum() == (width % 2) * (height % 2)
+    signs = GridCml(x, y, a_s, a_e).cells.signs
+    assert np.array_equal(trained.cells.signs[~noise], signs[~noise])
+
+
 def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
     """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced."""
     return grid.A4.T @ (grid.state(target_cell) - grid.state(current_cell))
@@ -106,8 +136,8 @@ def reference_select_action(u: np.ndarray, g: np.ndarray) -> int | None:
 
 
 def utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
-    """The four table utilities of one move, ``U[:, target] - U[:, current]``."""
-    return grid.U[:, grid.cell_index(target_cell)] - grid.U[:, grid.cell_index(current_cell)]
+    """The four table utilities of one move, ``U[target] - U[current]``."""
+    return grid.U[grid.cell_index(target_cell)] - grid.U[grid.cell_index(current_cell)]
 
 
 # the 15 sensor gates with at least one open direction, as rows of [E, S, N, W]
@@ -160,7 +190,8 @@ def test_derived_actions_and_table_equal_the_stacked_action_matrix(config):
     assert np.array_equal(grid_cml.a_s, a_s) and np.array_equal(grid_cml.a_e, a_e)
     assert grid_cml.A4.flags.c_contiguous
     assert grid_cml.A4.tobytes() == stacked.tobytes()
-    assert grid_cml.U.tobytes() == (stacked.T @ grid_cml.P).tobytes()
+    assert grid_cml.U.flags.c_contiguous
+    assert grid_cml.U.tobytes() == (stacked.T @ grid_cml.P).T.tobytes()
 
 
 # --- training ---------------------------------------------------------------------
@@ -256,15 +287,20 @@ TRAINING_SHAPES = [(20, 10), (7, 3), (5, 5), (1, 5), (5, 1), (2, 1), (64, 2)]
 
 
 @pytest.mark.parametrize("width,height", TRAINING_SHAPES)
-def test_train_grid_is_bit_identical_to_the_two_chain_loop(width, height):
+def test_train_grid_matches_the_two_chain_loop(width, height):
     actions = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
         actions.append((rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)))
     references = reference_chains(width, height, actions)
     for seed, ((a_s, a_e), (x, y, _)) in enumerate(zip(actions, references)):
-        trained = train_grid(width, height, a_s, a_e)
-        assert np.array_equal(trained.x, x) and np.array_equal(trained.y, y), seed
+        assert_matches_loop(train_grid(width, height, a_s, a_e), x, y, a_s, a_e)
+        # CHAIN_TOL cannot accept a neighbouring epoch: the loop contracts, so the
+        # step into the stopping epoch is no shorter than the step out of it, and
+        # either neighbour's chains differ from these in some entry by at least the
+        # step out's root mean square (the smallest seen is 7.8e-5, at 64x2)
+        step = loop_step(x, y)
+        assert np.linalg.norm(step) / np.sqrt(len(step)) > 1e3 * CHAIN_TOL, seed
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -274,8 +310,26 @@ def test_training_stops_at_the_same_epoch_across_a_block_boundary(actions, monke
     block = epoch - offset
     monkeypatch.setattr(grid_mod, "GRID_EPOCH_BLOCK", block)
     assert epoch // block == (0 if offset < 0 else 1) and epoch % block == offset % block
-    trained = train_grid(20, 10, *actions)
-    assert np.array_equal(trained.x, x) and np.array_equal(trained.y, y)
+    assert_matches_loop(train_grid(20, 10, *actions), x, y, *actions)
+
+
+MODEL_SEEDS = [*range(1, 31), 42]
+
+
+@pytest.fixture(scope="module")
+def model_seed_loops():
+    """Per model seed: build_grid_cml's draws and the loop's (x, y, epoch), from one pass."""
+    actions = []
+    for seed in MODEL_SEEDS:
+        rng = experiments.trial_rng(seed, experiments.TAG_TRAIN, 1)
+        actions.append((rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)))
+    return dict(zip(MODEL_SEEDS, zip(actions, reference_chains(20, 10, actions))))
+
+
+@pytest.mark.parametrize("seed", MODEL_SEEDS)
+def test_model_seed_trains_the_loops_grid(model_seed_loops, seed):
+    (a_s, a_e), (x, y, _) = model_seed_loops[seed]
+    assert_matches_loop(train_grid(20, 10, a_s, a_e), x, y, a_s, a_e)
 
 
 def test_training_cap_raises(actions, monkeypatch):
@@ -311,15 +365,15 @@ def test_utility_east_adjacent_target(grid_cml):
 
 
 def test_utility_table_is_actions_transpose_times_states(grid_cml):
-    assert grid_cml.U.shape == (4, 200)
-    assert np.array_equal(grid_cml.U, grid_cml.A4.T @ grid_cml.P)
+    assert grid_cml.U.shape == (200, 4)
+    assert np.array_equal(grid_cml.U, (grid_cml.A4.T @ grid_cml.P).T)
 
 
 def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     # all 39,800 ordered pairs under all 15 gates in one call of the move rule
     cells = grid_cml.width * grid_cml.height
     index = np.arange(cells)
-    gates = ALL_GATES.T[:, :, None, None]  # (direction, gate, current, target)
+    gates = ALL_GATES[:, None, None, :]  # (gate, current, target, direction)
     picks = moves(grid_cml, index[None, None, :], index[None, :, None], gates)
     off_diagonal = ~np.eye(cells, dtype=bool)
     picks = picks[:, off_diagonal]  # (gate, pair), pairs current-major
@@ -331,14 +385,14 @@ def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     legal = ALL_GATES[:, :, None] != 0  # (gate, direction, pair)
     assert np.array_equal(picks, np.argmax(np.where(legal, reference, -np.inf), axis=1))
     # ... and so does the per-move rule over the nonzero gates, on every 7th pair
-    table = grid_cml.U[:, index[None, :]] - grid_cml.U[:, index[:, None]]
-    table = table[:, off_diagonal]  # (direction, pair)
+    table = grid_cml.U[index[None, :]] - grid_cml.U[index[:, None]]
+    table = table[off_diagonal]  # (pair, direction)
     for pair in range(0, len(pairs), 7):
         for gate_index, gate in enumerate(ALL_GATES):
-            assert reference_select_action(table[:, pair], gate) == picks[gate_index, pair]
+            assert reference_select_action(table[pair], gate) == picks[gate_index, pair]
     # the picks do not hinge on rounding: the top two legal utilities stay far apart
-    ranked = np.sort(np.where(legal, table, -np.inf), axis=1)
-    gaps = ranked[:, -1] - ranked[:, -2]
+    ranked = np.sort(np.where(ALL_GATES[:, None, :] != 0, table, -np.inf), axis=-1)
+    gaps = ranked[..., -1] - ranked[..., -2]
     assert gaps[np.isfinite(gaps)].min() > 1e-6 * np.abs(grid_cml.U).max()
 
 
@@ -378,7 +432,7 @@ def test_moves_never_picks_gated_edge(seed):
     target, current = r.integers(0, 25, size=2)
     g = r.choice([0.0, 1.0], size=4)
     pick = moves(grid_cml, target, current, g)
-    expected = reference_select_action(grid_cml.U[:, target] - grid_cml.U[:, current], g)
+    expected = reference_select_action(grid_cml.U[target] - grid_cml.U[current], g)
     if expected is None:  # every gate closed: grid_step raises instead of moving
         assert pick == 0
     else:
@@ -386,12 +440,12 @@ def test_moves_never_picks_gated_edge(seed):
 
 
 def ignore_gate(grid_cml, target, current, gate):
-    return np.argmax(grid_cml.U[:, target] - grid_cml.U[:, current], axis=0)
+    return np.argmax(grid_cml.U[target] - grid_cml.U[current], axis=-1)
 
 
 def highest_index_on_ties(grid_cml, target, current, gate):
-    scores = np.where(gate != 0, grid_cml.U[:, target] - grid_cml.U[:, current], -np.inf)
-    return len(scores) - 1 - scores[::-1].argmax(axis=0)
+    scores = np.where(gate != 0, grid_cml.U[target] - grid_cml.U[current], -np.inf)
+    return scores.shape[-1] - 1 - scores[..., ::-1].argmax(axis=-1)
 
 
 # a row whose south action outscores east: only the border gate keeps the
@@ -531,6 +585,6 @@ def test_cell_dictionary_view_matches_outer_product_states(model_seed):
     assert cells.vectors.flags.c_contiguous
     assert np.shares_memory(grid_cml.P, cells.vectors)
     assert np.array_equal(grid_cml.P, reference)
-    assert np.array_equal(grid_cml.U, grid_cml.A4.T @ reference)
+    assert np.array_equal(grid_cml.U, (grid_cml.A4.T @ reference).T)
     # the norms a fresh dictionary over the gathered state rows computes
     assert np.array_equal(cells.norms, np.linalg.norm(np.ascontiguousarray(reference.T), axis=1))
