@@ -135,9 +135,10 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     """Prove wall-free navigation Manhattan-optimal for every ordered cell pair.
 
     From every cell toward every other cell, the move ``grid_step`` picks
-    under the robot's own sensors on the wall-free maze (``maze.sense``,
-    which closes only the moves off the grid) must shorten the Manhattan
-    distance; by induction, every open-grid leg is then a shortest path.
+    under the robot's own sensors on the wall-free maze (its ``gates``
+    table, which closes only the moves off the grid) must shorten the
+    Manhattan distance; by induction, every open-grid leg is then a
+    shortest path.
     The picks come from ``grid.moves``, the move rule ``grid_step`` runs,
     in one call over all pairs.
     """
@@ -145,9 +146,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     cells = width * height
     index = np.arange(cells)
     rows, cols = np.divmod(index, width)
-    open_grid = maze_mod.Maze(frozenset(), {}, width, height)
-    # (W H, 4): the sensor gate of every cell, row-major cell by ``DIRECTIONS``
-    gate = np.stack([maze_mod.sense(open_grid, divmod(i, width)) for i in range(cells)])
+    gate = maze_mod.Maze(frozenset(), {}, width, height).gates
     # pick[current, target]
     pick = grid_mod.moves(grid_cml, index[None, :], index[:, None], gate[:, None])
     dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T

@@ -19,6 +19,7 @@ exact wall columns, door rows, and h/k/t cells vary with the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,29 @@ class Maze:
     def passable(self, cell: Cell) -> bool:
         return self.in_bounds(cell) and cell not in self.blocked
 
+    @cached_property
+    def gates(self) -> np.ndarray:
+        """(H W, 4) read-only: every cell's touch-sensor gate, row-major cell by ``DIRECTIONS``.
+
+        1 where the neighbour in that direction is passable, 0 for a wall or
+        off the grid.  A blocked cell has a row too; ``sense`` refuses it.
+        One pass over a padded occupancy grid, built on first use.
+        """
+        height, width = self.height, self.width
+        open_cells = np.zeros((height + 2, width + 2))  # one ring of padding, closed
+        open_cells[1:-1, 1:-1] = 1.0
+        for row, col in self.blocked:
+            open_cells[row + 1, col + 1] = 0.0
+        table = np.stack(
+            [
+                open_cells[1 + dr : height + 1 + dr, 1 + dc : width + 1 + dc]
+                for dr, dc in map(DELTAS.get, DIRECTIONS)
+            ],
+            axis=-1,
+        ).reshape(height * width, 4)
+        table.flags.writeable = False
+        return table
+
 
 def generate_maze(rng: np.random.Generator) -> Maze:
     """Sample a maze from the template; every layout is connected.
@@ -83,27 +107,57 @@ def generate_maze(rng: np.random.Generator) -> Maze:
     return _sample_layout(rng)
 
 
+# the 32-bit words of one layout when no draw rejects its word: the eight
+# wall and door draws, Floyd's two draws for h and k, their shuffle, and t
+_LAYOUT_WORDS = 12
+_WORD_MASK = 0xFFFFFFFF
+
+
+def _below(words: list[int], rng: np.random.Generator, n: int) -> int:
+    """``rng.integers(0, n)`` for ``1 <= n <= 2**32``, read from 32-bit words.
+
+    numpy's rule for it (Lemire's method): a word w gives ``w * n >> 32``,
+    unless the low 32 bits of ``w * n`` fall below ``(2**32 - n) % n``;
+    then the word is rejected and the next one is read.  ``n == 1`` reads
+    no word.  ``words`` holds words already drawn from ``rng``, the next
+    one last; once it is empty, each further word is drawn from ``rng``.
+    """
+    if n == 1:
+        return 0
+    threshold = (_WORD_MASK + 1 - n) % n
+    while True:
+        word = words.pop() if words else int(rng.integers(0, 2**32, dtype=np.uint32))
+        scaled = word * n
+        if scaled & _WORD_MASK >= threshold:
+            return scaled >> 32
+
+
 def _sample_layout(rng: np.random.Generator) -> Maze:
+    """One layout from one block of 32-bit words, as numpy's scalar draws make it.
+
+    Each bound below is the one a ``rng.integers(low, high)`` call drew
+    before, and ``_below`` maps words to it by numpy's own rule, so the
+    same stream gives the same maze and leaves the same state behind.
+    """
     width, height = WIDTH, HEIGHT
-    wall1 = int(rng.integers(2, width // 3 + 1))            # left third, >= 2 off border
-    wall2 = int(rng.integers(2 * width // 3, width - 2))    # right third, >= 2 off border
-    hrow = int(rng.integers(2, height - 2))                 # interior row of middle wall
-    row_a = int(rng.integers(0, min(height // 2, hrow)))    # upper half, above hrow
-    row_e = int(rng.integers(0, min(height // 2, hrow)))
-    row_b = int(rng.integers(max(height // 2, hrow + 1), height))  # lower half, below
-    row_d = int(rng.integers(max(height // 2, hrow + 1), height))
-    door_c_col = int(rng.integers(wall1 + 1, wall2))
+    words = rng.integers(0, 2**32, size=_LAYOUT_WORDS, dtype=np.uint32).tolist()[::-1]
+    wall1 = 2 + _below(words, rng, width // 3 - 1)  # left third, >= 2 off border
+    right = 2 * width // 3                          # right third, >= 2 off border
+    wall2 = right + _below(words, rng, width - 2 - right)
+    hrow = 2 + _below(words, rng, height - 4)       # interior row of middle wall
+    upper = min(height // 2, hrow)                  # a, e: upper half, above hrow
+    row_a = _below(words, rng, upper)
+    row_e = _below(words, rng, upper)
+    lower = max(height // 2, hrow + 1)              # b, d: lower half, below hrow
+    row_b = lower + _below(words, rng, height - lower)
+    row_d = lower + _below(words, rng, height - lower)
+    door_c_col = wall1 + 1 + _below(words, rng, wall2 - wall1 - 1)
 
-    blocked = set()
-    for row in range(height):
-        if row not in (row_a, row_b):
-            blocked.add((row, wall1))
-        if row not in (row_d, row_e):
-            blocked.add((row, wall2))
-    for col in range(wall1 + 1, wall2):
-        if col != door_c_col:
-            blocked.add((hrow, col))
-
+    blocked = frozenset(
+        [(row, wall1) for row in range(height) if row != row_a and row != row_b]
+        + [(row, wall2) for row in range(height) if row != row_d and row != row_e]
+        + [(hrow, col) for col in range(wall1 + 1, wall2) if col != door_c_col]
+    )
     placements: dict[str, Cell] = {
         "a": (row_a, wall1),
         "b": (row_b, wall1),
@@ -112,26 +166,33 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
         "e": (row_e, wall2),
     }
     # h and k: two distinct row-major indices into the left room (columns
-    # 0..wall1-1); t: one into the right room (columns wall2+1..width-1)
+    # 0..wall1-1), as ``rng.choice(n, 2, replace=False)`` draws them: Floyd's
+    # two draws, then one shuffle draw that swaps the pair when it reads 0
+    left = height * wall1
+    h_pick = _below(words, rng, left - 1)
+    k_pick = _below(words, rng, left)
+    if k_pick == h_pick:
+        k_pick = left - 1
+    if _below(words, rng, 2) == 0:
+        h_pick, k_pick = k_pick, h_pick
+    placements["h"] = divmod(h_pick, wall1)
+    placements["k"] = divmod(k_pick, wall1)
+    # t: one row-major index into the right room (columns wall2+1..width-1)
     right_width = width - wall2 - 1
-    h_pick, k_pick = rng.choice(height * wall1, size=2, replace=False)
-    placements["h"] = divmod(int(h_pick), wall1)
-    placements["k"] = divmod(int(k_pick), wall1)
-    t_row, t_col = divmod(int(rng.integers(0, height * right_width)), right_width)
+    t_row, t_col = divmod(_below(words, rng, height * right_width), right_width)
     placements["t"] = (t_row, wall2 + 1 + t_col)
 
-    return Maze(blocked=frozenset(blocked), placements=placements)
+    return Maze(blocked=blocked, placements=placements)
 
 
 def sense(maze: Maze, cell: Cell) -> np.ndarray:
-    """The touch-sensor gate at a cell, in ``DIRECTIONS`` order; 0 = blocked or off-grid."""
+    """The touch-sensor gate at a cell, in ``DIRECTIONS`` order; 0 = blocked or off-grid.
+
+    A read-only row of ``maze.gates``.
+    """
     if not maze.passable(cell):
         raise ValueError(f"cannot sense from blocked cell {cell}")
-    row, col = cell
-    return np.array(
-        [maze.passable((row + dr, col + dc)) for dr, dc in map(DELTAS.get, DIRECTIONS)],
-        dtype=float,
-    )
+    return maze.gates[cell[0] * maze.width + cell[1]]
 
 
 def move_robot(maze: Maze, cell: Cell, direction: str) -> Cell:

@@ -74,12 +74,34 @@ def reference_layout(rng):
 
 
 def test_layout_matches_list_based_reference():
-    for seed in range(200):
+    # the reference makes numpy's own scalar draws; 0-2 words drawn first move the
+    # layout's words across the bit generator's buffered half of a 64-bit output
+    for seed in range(2000):
+        for drawn in range(3):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours.integers(0, 5, size=drawn)
+            theirs.integers(0, 5, size=drawn)
+            maze, expected = mz._sample_layout(ours), reference_layout(theirs)
+            assert maze == expected
+            assert list(maze.placements.items()) == list(expected.placements.items())
+            assert all(type(v) is int for cell in maze.placements.values() for v in cell)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 3 * 2**30, 2**32 - 1])
+def test_below_matches_numpy_bounded_draw(n):
+    # at 3 * 2**30 a quarter of the words are rejected, so 40 draws read past the
+    # 12-word block and draw further words one at a time
+    for seed in range(20):
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        maze, expected = mz._sample_layout(ours), reference_layout(theirs)
-        assert maze == expected
-        assert list(maze.placements.items()) == list(expected.placements.items())
-        assert all(type(v) is int for cell in maze.placements.values() for v in cell)
+        words = ours.integers(0, 2**32, size=12, dtype=np.uint32).tolist()[::-1]
+        drawn = [mz._below(words, ours, n) for _ in range(40)]
+        assert drawn == [int(theirs.integers(0, n)) for _ in range(40)]
+        assert all(0 <= value < n for value in drawn)
+        if n == 1:
+            assert len(words) == 12  # numpy reads no word for a one-value draw
+            continue
+        assert not words
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -187,6 +209,34 @@ def test_sense_equals_named_sensors_on_sampled_mazes():
                     assert np.array_equal(gate, old_sense_gate(maze, (row, col)))
                     cells += 1
     assert cells > 200 * 150
+
+
+def old_gate_table(maze):
+    """Every cell's gate by the named-sensor rule, row-major."""
+    cells = [(row, col) for row in range(maze.height) for col in range(maze.width)]
+    return np.stack([old_sense_gate(maze, cell) for cell in cells])
+
+
+def test_gate_table_equals_named_sensors():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        maze = mz.generate_maze(rng)
+        maze.gates  # built before close_door: each closed maze must build its own
+        variants = [maze] + [mz.close_door(maze, door)[0] for door in mz.DOOR_LABELS]
+        for variant in variants:
+            assert variant.gates.shape == (variant.height * variant.width, 4)
+            assert np.array_equal(variant.gates, old_gate_table(variant))
+    for width, height in [(20, 10), (7, 3), (1, 5), (5, 1), (1, 1)]:
+        open_grid = mz.Maze(frozenset(), {}, width, height)
+        assert np.array_equal(open_grid.gates, old_gate_table(open_grid))
+
+
+def test_gate_table_is_read_only(sample):
+    gate = mz.sense(sample, sample.placements["h"])
+    with pytest.raises(ValueError, match="read-only"):
+        gate[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        sample.gates[0, 0] = 1.0
 
 
 def test_sense_interior_open_cell():
