@@ -173,7 +173,7 @@ def _grid_geometry(grid_cml: GridCml) -> list[str]:
     x_star, y_star = fixed_chains(width, height)
     x_gap = np.abs(grid_cml.x - x_star).max()
     y_gap = np.abs(grid_cml.y - y_star).max()
-    patterns = len(np.unique(grid_cml.cells.signs, axis=0))
+    patterns = len(np.unique(grid_cml.signs, axis=0))
     return [
         f"shape: {width}x{height} (width x height), d={grid_cml.d}",
         f"distance from the fixed point: x {x_gap:.3g}, y {y_gap:.3g}",

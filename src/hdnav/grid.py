@@ -17,11 +17,14 @@ closed form: the chains' fixed point (``fixed_chains``, each chain
 centred with unit steps) minus modes that decay geometrically, read
 ``GRID_EPOCH_BLOCK`` epochs at a time until the stopping rule holds.  The
 model is the chains and the two actions, and derives everything else
-from them once: the action matrix A4 in ``DIRECTIONS`` order, the cell
-dictionary ``cells`` (one row per cell in row-major order, norms
-computed once), its transposed view P (d x W H), whose column for a cell
-is that cell's state, and the plane tables that score ``q . p / |p|`` as
-``(basis @ q) . plane[cell]``.
+from them once: the action matrix A4 in ``DIRECTIONS`` order, the int8
+table ``signs`` of the cells' sign patterns (one row per cell in
+row-major order; a map binds these), the utility table ``U`` below, and
+the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
+plane[cell]``.  The d-dimensional states are built once to derive these
+tables and then dropped: the model keeps its plane.  ``states`` rebuilds
+the rows a caller asks for, and P the whole (d x W H) table whose column
+for a cell is that cell's state, each bit for bit.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -45,7 +48,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hdc
 
 Cell = tuple[int, int]  # (row, col); (0, 0) is the northwest corner
 
@@ -61,15 +63,15 @@ GRID_EPOCH_BLOCK = 64  # epochs whose stopping rule train_grid reads at once
 class GridCml:
     """Trained grid learner: the two coordinate chains and the two drawn actions.
 
-    ``A4``, ``cells``, ``P``, the utility table ``U``, ``basis``,
-    ``plane``, ``width`` and ``height`` are derived on construction; they
-    are plain attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in
-    ``DIRECTIONS`` order.  ``cells`` is the state dictionary, one row per
-    cell in row-major order with its norm computed once; ``P`` is the
-    transposed view of its rows, one column per cell.  ``U`` is
+    ``A4``, ``signs``, the utility table ``U``, ``basis``, ``plane``,
+    ``width`` and ``height`` are derived on construction; they are plain
+    attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in ``DIRECTIONS``
+    order.  ``signs`` holds each cell's sign pattern ``sign(p)`` as int8,
+    (W H, d), one row per cell in row-major order.  ``U`` is
     ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
     ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
-    ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.
+    ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.  No
+    table of states is kept: ``states`` and ``P`` rebuild them on request.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -79,29 +81,41 @@ class GridCml:
 
     def __post_init__(self) -> None:
         height, width = len(self.x), len(self.y)
-        # (width * height, d), row row*width + col for cell (row, col): each
-        # entry is x[row] a_s + y[col] a_e, the same two roundings as the sum of
-        # two (width * height, d) outer products, from (height, d) and (width, d)
-        S = np.multiply.outer(self.x, self.a_s)[:, None] + np.multiply.outer(self.y, self.a_e)
-        S = S.reshape(width * height, -1)
-        labels = tuple((row, col) for row in range(height) for col in range(width))
-        A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
-        object.__setattr__(self, "A4", A4)
-        object.__setattr__(self, "cells", hdc.Dictionary(labels, S))
-        object.__setattr__(self, "P", S.T)  # (d, width * height), a view
-        # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
-        object.__setattr__(self, "U", np.ascontiguousarray((A4.T @ self.P).T))
-        object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))
-        coords = np.stack([np.repeat(self.x, width), np.tile(self.y, height)], axis=1)
-        norms = self.cells.norms[:, None]
-        plane = np.divide(coords, norms, out=np.full(coords.shape, np.nan), where=norms > 0)
-        object.__setattr__(self, "plane", plane)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
+        # (width * height, d), dropped once read; no table below takes a second
+        # float temporary of its size, whose page faults every build would pay
+        S = self.P.T
+        A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
+        object.__setattr__(self, "A4", A4)
+        # np.sign(S).astype(np.int8), from two bool masks
+        object.__setattr__(self, "signs", (S > 0).view(np.int8) - (S < 0).view(np.int8))
+        # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
+        object.__setattr__(self, "U", np.ascontiguousarray((A4.T @ S.T).T))
+        object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))
+        coords = np.stack([np.repeat(self.x, width), np.tile(self.y, height)], axis=1)
+        # hdc.row_norms(S), bit for bit, with S squared in place: the table is spent
+        norms = np.sqrt(np.add.reduce(np.multiply(S, S, out=S), axis=-1))[:, None]
+        plane = np.divide(coords, norms, out=np.full(coords.shape, np.nan), where=norms > 0)
+        object.__setattr__(self, "plane", plane)
 
     @property
     def d(self) -> int:
-        return self.P.shape[0]
+        return len(self.a_s)
+
+    @property
+    def P(self) -> np.ndarray:
+        """The (d, W H) state table, one column per cell, built anew on each read."""
+        # row row*width + col of the (width * height, d) table is cell (row, col): each
+        # entry is x[row] a_s + y[col] a_e, the same two roundings as the sum of
+        # two (width * height, d) outer products, from (height, d) and (width, d)
+        S = np.multiply.outer(self.x, self.a_s)[:, None] + np.multiply.outer(self.y, self.a_e)
+        return S.reshape(self.width * self.height, -1).T
+
+    def states(self, rows) -> np.ndarray:
+        """The states of the cells at row-major indices ``rows``: ``P.T[rows]``, bit for bit."""
+        row, col = np.divmod(rows, self.width)
+        return np.multiply.outer(self.x[row], self.a_s) + np.multiply.outer(self.y[col], self.a_e)
 
     def cell_index(self, cell: Cell) -> int:
         row, col = cell
@@ -109,8 +123,9 @@ class GridCml:
             raise ValueError(f"cell {cell} outside {self.height}x{self.width} grid")
         return row * self.width + col
 
-    def state(self, cell: Cell) -> np.ndarray:
-        return self.P[:, self.cell_index(cell)]
+    def cell(self, index: int) -> Cell:
+        """The cell at row-major index ``index``: the inverse of ``cell_index``."""
+        return divmod(index, self.width)
 
 
 def directed_edge_count(width: int, height: int) -> int:

@@ -159,7 +159,9 @@ def run_mission(
             grid_path.extend(leg[1:])
             if failure is not FailureReason.NONE:
                 break
-            found = semantic_map.query_object(memory, grid_cml.state(robot))
+            # the robot's cell's sign pattern, the row check_arrivals asks with
+            signs = grid_cml.signs[grid_cml.cell_index(robot)]
+            found = semantic_map.query_object(memory, signs)
             if found is not None:  # non-recoveries are ignored
                 current_label = found
                 object_path.append(found)

@@ -7,22 +7,22 @@ total bipolar):
     map = sgn(sgn(o_1 * p_1) + ... + sgn(o_8 * p_8) + eta)
 
 Each term ``sgn(o_i * p_i)`` equals ``sgn(o_i) * sgn(p_i)`` (exactly, for
-the bipolar object states), and the object and cell dictionaries hold
-those sign patterns as int8 tables computed once, so a map build
-multiplies patterns and takes no sign of its own.
+the bipolar object states), and the object dictionary and the grid
+model hold those sign patterns as int8 tables computed once, so a map
+build multiplies patterns and takes no sign of its own.
 
 Binding the map with an object vector releases a noisy copy of that
 object's position, cleaned up against the trial's eight known position
-states; binding with a position state releases the object stored there.
-Grid states of different cells can be strongly correlated, so not every
-arrangement yields a map whose recoveries are all unambiguous.  The
-``check_viability`` predicate tells usable maps apart, ``check_arrivals``
-checks the reverse direction, and the harness regenerates mazes that
-fail either.  Grid states lie in span{a_s, a_e}, so the forward check
-scores in that plane and reads no state: a rejected map costs its
-draws, its sign terms and two small products, and only a map that is
-kept or queried gathers its position dictionary.  Every recovery is
-made at the one noise floor ``hdc.THETA``.
+states; binding with a cell's sign pattern releases the object stored
+there.  Grid states of different cells can be strongly correlated, so
+not every arrangement yields a map whose recoveries are all
+unambiguous.  The ``check_viability`` predicate tells usable maps apart,
+``check_arrivals`` checks the reverse direction, and the harness
+regenerates mazes that fail either.  Grid states lie in span{a_s, a_e},
+so every position lookup scores in that plane and reads no state: the
+forward check and the executor's ``query_position`` share one score,
+two small products from the map and the cells' ``plane`` rows.  Every
+recovery is made at the one noise floor ``hdc.THETA``.
 
 A goal policy is a bundle of permuted object vectors, the i-th goal
 shifted i places.  Unpermuting once exposes the next goal above the
@@ -48,9 +48,9 @@ class MapMemory:
 
     ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
     bipolar).  ``rows`` holds the ``grid_cml.cell_index`` of each object's
-    cell, its row in ``grid_cml.cells``, in ``objects`` order.
-    ``positions``, the sub-dictionary of those cells' states keyed by the
-    cells themselves, is gathered on first use.
+    cell, in ``objects`` order.  ``positions``, the dictionary of those
+    cells' states keyed by the cells themselves, is built on first use;
+    no lookup of the package reads it.
     """
 
     map_hv: np.ndarray
@@ -60,12 +60,11 @@ class MapMemory:
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
-        cells = self.grid_cml.cells
-        labels = tuple(cells.labels[row] for row in self.rows)
-        return hdc.Dictionary(labels, cells.vectors[self.rows])
+        cells = tuple(self.grid_cml.cell(row) for row in self.rows)
+        return hdc.Dictionary(cells, self.grid_cml.states(self.rows))
 
     def position_of(self, label: str) -> Cell:
-        return self.grid_cml.cells.labels[self.rows[self.objects.labels.index(label)]]
+        return self.grid_cml.cell(self.rows[self.objects.labels.index(label)])
 
 
 def build_map(
@@ -78,9 +77,21 @@ def build_map(
     int8 terms exactly in int16 and adds its tie-break draw in float.
     """
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
-    terms = objects.signs * grid_cml.cells.signs[rows]
+    terms = objects.signs * grid_cml.signs[rows]
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, grid_cml, rows)
+
+
+def _plane_scores(memory: MapMemory, vectors: np.ndarray) -> np.ndarray:
+    """``q . p_j / |p_j|`` for each query ``q = map * v`` and each of the map's cells j.
+
+    ``vectors`` is an (n, d) stack of the ``v``; the scores are (n, 8), one
+    column per object in ``objects`` order.  As ``p_j = x a_s + y a_e``,
+    the (n, 2) block ``v . (map * [a_s; a_e])`` times the cells' ``plane``
+    rows gives every score.  A zero-state cell (a NaN plane row) scores NaN.
+    """
+    grid_cml = memory.grid_cml
+    return vectors @ (memory.map_hv * grid_cml.basis).T @ grid_cml.plane[memory.rows].T
 
 
 def check_viability(memory: MapMemory) -> bool:
@@ -91,17 +102,16 @@ def check_viability(memory: MapMemory) -> bool:
     collide; those maps are unusable and counted by the viability
     statistic.
 
-    Object ``i`` recovers its position when ``q_i . p_j / |p_j|``, with
-    ``q_i = map * o_i``, is largest at ``j = i`` and reaches ``hdc.THETA * |q_i|``.
-    As ``p_j = x a_s + y a_e``, the (8, 2) block ``o_i . (map * [a_s; a_e])``
-    times the cells' ``plane`` rows gives every score.  Unbinding a map
-    without zero entries flips signs only, so ``|q_i|`` is the object's
-    norm, bit for bit; a map with a zero entry computes it.  A zero query
-    or a zero-state cell (a NaN plane row) is never viable.
+    Object ``i`` recovers its position when its plane score against cell
+    ``j``, with ``q_i = map * o_i``, is largest at ``j = i`` and reaches
+    ``hdc.THETA * |q_i|``: the rule ``query_position`` applies.
+    Unbinding a map without zero entries flips signs only, so ``|q_i|`` is
+    the object's norm, bit for bit; a map with a zero entry computes it.
+    A zero query or a zero-state cell (a NaN plane row) is never viable.
     """
-    objects, grid_cml, m = memory.objects, memory.grid_cml, memory.map_hv
+    objects, m = memory.objects, memory.map_hv
     norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
-    scores = objects.vectors @ (m * grid_cml.basis).T @ grid_cml.plane[memory.rows].T
+    scores = _plane_scores(memory, objects.vectors)
     return scores.argmax(axis=1).tolist() == list(range(len(scores))) and bool(
         ((scores.diagonal() >= hdc.THETA * norms) & (norms > 0)).all()
     )
@@ -114,7 +124,7 @@ def check_arrivals(memory: MapMemory) -> bool:
     near-parallel grid states that reverse direction can collide on maps
     whose forward recoveries are clean.
     """
-    signs = memory.grid_cml.cells.signs[memory.rows]
+    signs = memory.grid_cml.signs[memory.rows]
     return query_object(memory, signs) == memory.objects.labels
 
 
@@ -135,8 +145,26 @@ def query_position(
     Works for approximate object vectors (e.g. planner predictions), not
     just exact dictionary entries.  An (n, d) stack of object vectors
     gives a tuple of n results.
+
+    Each query ``q = map * o`` is scored against the map's eight cells in
+    the plane, as ``check_viability`` scores it: the largest score wins,
+    ties go to the lowest index, and it must reach ``hdc.THETA * |q|``.
+    That is ``hdc.recover`` over ``positions`` up to rounding.  A zero
+    query recovers nothing, and a zero-state cell is never recovered.
     """
-    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions)
+    vectors = np.atleast_2d(object_hv)
+    norms = hdc.row_norms(hdc.bind(memory.map_hv, vectors))  # raises on a dimension mismatch
+    scores = _plane_scores(memory, vectors)
+    scores[np.isnan(scores)] = -np.inf  # as recover scores a zero-norm entry
+    cell, rows = memory.grid_cml.cell, memory.rows
+    # argmax returns the first (lowest) index on ties
+    found = tuple(
+        cell(rows[b]) if score >= hdc.THETA * norm and norm > 0 else None
+        for score, norm, b in zip(
+            scores.max(axis=1).tolist(), norms.tolist(), scores.argmax(axis=1).tolist()
+        )
+    )
+    return found if object_hv.ndim > 1 else found[0]
 
 
 def query_object(

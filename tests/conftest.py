@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdnav import experiments, maze, mission
+from hdnav import experiments, hdc, maze, mission
 from hdnav.config import ExperimentConfig
 
 ROOT_SEED = 42
@@ -35,6 +35,14 @@ def object_cml(config):
 def grid_cml(config):
     # trained once per session; every grid-dependent test shares it
     return experiments.build_grid_cml(config)
+
+
+@pytest.fixture(scope="session")
+def grid_cells(grid_cml):
+    """Every grid state as a dictionary keyed by its cell, in row-major order: the
+    float table the model rebuilds on request and does not keep."""
+    cells = tuple(grid_cml.cell(row) for row in range(grid_cml.width * grid_cml.height))
+    return hdc.Dictionary(cells, grid_cml.P.T)
 
 
 @pytest.fixture(scope="session")

@@ -283,6 +283,19 @@ def test_mission_short_of_its_goals_is_a_classified_failure(
     assert {r["failure_reason"] for r in short} == {"unrecoverable_state"}
 
 
+def test_mission_with_a_policy_the_model_cannot_serve_is_unrecoverable(
+    config, object_cml, grid_cml
+):
+    # h,k,k is one of the five length-3 policies that the seed-42 object model
+    # unrolls with an extra goal, c: every goal is reached, and the trial fails
+    cfg = small(config, mission_goals="h,k,k")
+    record = experiments.mission_trial(cfg, object_cml, grid_cml, 0)
+    assert [goal["goal"] for goal in record["goals"]] == ["h", "k", "k", "c"]
+    assert all(goal["reached"] for goal in record["goals"])
+    assert not record["success"]
+    assert record["failure_reason"] == "unrecoverable_state"
+
+
 def test_mission_policy_revealing_no_goal_is_a_classified_failure(
     config, object_cml, grid_cml, monkeypatch
 ):

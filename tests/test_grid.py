@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -120,13 +121,19 @@ def assert_matches_loop(trained: GridCml, x, y, a_s, a_e) -> None:
     width, height = len(y), len(x)
     noise = (np.abs(np.repeat(x, width)) < CHAIN_TOL) & (np.abs(np.tile(y, height)) < CHAIN_TOL)
     assert noise.sum() == (width % 2) * (height % 2)
-    signs = GridCml(x, y, a_s, a_e).cells.signs
-    assert np.array_equal(trained.cells.signs[~noise], signs[~noise])
+    signs = GridCml(x, y, a_s, a_e).signs
+    assert np.array_equal(trained.signs[~noise], signs[~noise])
 
 
-def reference_grid_utility(grid: GridCml, target_cell, current_cell) -> np.ndarray:
-    """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced."""
-    return grid.A4.T @ (grid.state(target_cell) - grid.state(current_cell))
+def reference_grid_utility(grid: GridCml, P: np.ndarray, target, current) -> np.ndarray:
+    """The d-dimensional transpose utility A4^T (p_t - p_c) that the table replaced,
+    read from the state table ``P`` at row-major cell indices."""
+    return grid.A4.T @ (P[:, target] - P[:, current])
+
+
+def state(grid: GridCml, cell) -> np.ndarray:
+    """The cell's d-dimensional state, rebuilt from the chains and the actions."""
+    return grid.states([grid.cell_index(cell)])[0]
 
 
 def reference_select_action(u: np.ndarray, g: np.ndarray) -> int | None:
@@ -217,15 +224,11 @@ def test_neighbor_prediction_residuals(grid_cml):
     residuals = []
     for row in range(grid_cml.height):
         for col in range(grid_cml.width):
-            here = grid_cml.state((row, col))
+            here = state(grid_cml, (row, col))
             if col + 1 < grid_cml.width:
-                residuals.append(
-                    np.linalg.norm(grid_cml.state((row, col + 1)) - here - a_e)
-                )
+                residuals.append(np.linalg.norm(state(grid_cml, (row, col + 1)) - here - a_e))
             if row + 1 < grid_cml.height:
-                residuals.append(
-                    np.linalg.norm(grid_cml.state((row + 1, col)) - here - a_s)
-                )
+                residuals.append(np.linalg.norm(state(grid_cml, (row + 1, col)) - here - a_s))
     assert float(np.mean(residuals)) < tol
     assert float(np.max(residuals)) < 10 * tol
 
@@ -377,11 +380,11 @@ def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     picks = moves(grid_cml, index[None, None, :], index[None, :, None], gates)
     off_diagonal = ~np.eye(cells, dtype=bool)
     picks = picks[:, off_diagonal]  # (gate, pair), pairs current-major
-    cell = grid_cml.cells.labels
-    pairs = [(cell[c], cell[t]) for c in range(cells) for t in range(cells) if c != t]
+    pairs = [(c, t) for c in range(cells) for t in range(cells) if c != t]
     assert picks.shape == (len(ALL_GATES), len(pairs)) == (15, 39_800)
     # the d-dimensional matvec utilities pick the same moves
-    reference = np.stack([reference_grid_utility(grid_cml, t, c) for c, t in pairs], axis=1)
+    P = grid_cml.P
+    reference = np.stack([reference_grid_utility(grid_cml, P, t, c) for c, t in pairs], axis=1)
     legal = ALL_GATES[:, :, None] != 0  # (gate, direction, pair)
     assert np.array_equal(picks, np.argmax(np.where(legal, reference, -np.inf), axis=1))
     # ... and so does the per-move rule over the nonzero gates, on every 7th pair
@@ -549,21 +552,22 @@ def test_plane_tables_score_states_over_their_norms(grid_cml):
     queries = rng.normal(0.0, 1.0, size=(5, D))
     for cell in ((0, 0), (9, 19), (3, 7), (5, 0)):
         row = grid_cml.cell_index(cell)
-        norm = grid_cml.cells.norms[row]
+        norm = np.linalg.norm(grid_cml.P[:, row])
         coords = [grid_cml.x[cell[0]] / norm, grid_cml.y[cell[1]] / norm]
         assert np.array_equal(grid_cml.plane[row], coords)
         scores = queries @ grid_cml.basis.T @ grid_cml.plane[row]
-        assert np.allclose(scores, queries @ grid_cml.state(cell) / norm, rtol=0, atol=1e-12)
+        assert np.allclose(scores, queries @ state(grid_cml, cell) / norm, rtol=0, atol=1e-12)
 
 
 def test_states_gather_matches_p_columns(grid_cml):
     cells = ((0, 0), (9, 19), (3, 7), (5, 0))
     rows = [grid_cml.cell_index(cell) for cell in cells]
     assert rows == [0, 199, 67, 100]
-    states = hdc.Dictionary(cells, grid_cml.cells.vectors[rows]).vectors
+    assert [grid_cml.cell(row) for row in rows] == list(cells)
+    states = grid_cml.states(rows)
     assert states.flags.c_contiguous
-    assert np.array_equal(states, np.stack([grid_cml.state(cell) for cell in cells]))
-    assert np.array_equal(states, grid_cml.P[:, rows].T)
+    assert states.tobytes() == np.ascontiguousarray(grid_cml.P[:, rows].T).tobytes()
+    assert np.array_equal(states, np.stack([state(grid_cml, cell) for cell in cells]))
     with pytest.raises(ValueError, match="outside"):
         grid_cml.cell_index((0, 20))
 
@@ -576,15 +580,37 @@ def reference_states(grid_cml):
     return P
 
 
+# sha256 prefixes of P's bytes from the table the model stored before it kept only
+# its plane; P is rebuilt on each read and must not move by a bit
+P_DIGESTS = {42: "5d45fd79f323ecfc", 1: "34f38d73d5332b0c", 7: "525833472b8cbbe1"}
+
+
 @pytest.mark.parametrize("model_seed", [42, 1, 7])
-def test_cell_dictionary_view_matches_outer_product_states(model_seed):
+def test_state_table_is_rebuilt_bit_for_bit(model_seed):
     grid_cml = experiments.build_grid_cml(ExperimentConfig(seed=model_seed))
     reference = reference_states(grid_cml)
-    cells = grid_cml.cells
-    assert cells.labels == tuple((row, col) for row in range(10) for col in range(20))
-    assert cells.vectors.flags.c_contiguous
-    assert np.shares_memory(grid_cml.P, cells.vectors)
-    assert np.array_equal(grid_cml.P, reference)
+    P = grid_cml.P
+    assert P.shape == (D, 200) and P.flags.f_contiguous
+    assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == P_DIGESTS[model_seed]
+    assert np.array_equal(P, reference)
+    assert P is not grid_cml.P  # built anew on each read
     assert np.array_equal(grid_cml.U, (grid_cml.A4.T @ reference).T)
-    # the norms a fresh dictionary over the gathered state rows computes
-    assert np.array_equal(cells.norms, np.linalg.norm(np.ascontiguousarray(reference.T), axis=1))
+    assert np.array_equal(grid_cml.signs, np.sign(reference.T).astype(np.int8))
+    # the norms a dictionary over the state rows computes, behind the plane rows
+    norms = np.linalg.norm(np.ascontiguousarray(reference.T), axis=1)[:, None]
+    coords = np.stack([np.repeat(grid_cml.x, 20), np.tile(grid_cml.y, 10)], axis=1)
+    assert np.array_equal(grid_cml.plane, coords / norms)
+
+
+def test_model_keeps_no_state_table(grid_cml):
+    # the plane is the stored state: no float table of d * W * H entries, and no
+    # cell dictionary or per-cell state accessor
+    tables = [
+        name
+        for name, value in vars(grid_cml).items()
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f" and value.size >= D * 200
+    ]
+    assert tables == []
+    assert not hasattr(grid_cml, "cells") and not hasattr(grid_cml, "state")
+    assert grid_cml.d == D
+    assert grid_cml.signs.dtype == np.int8 and grid_cml.signs.shape == (200, D)

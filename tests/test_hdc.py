@@ -300,22 +300,24 @@ def test_dictionary_caches_row_norms():
     assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
 
 
-def test_dictionary_sign_patterns_are_int8_signs(grid_cml):
+def test_dictionary_sign_patterns_are_int8_signs(grid_cml, grid_cells):
     rng = np.random.default_rng(36)
     gaussian = rng.normal(0.0, 1.0, size=(6, D))
     gaussian[2, ::7] = 0.0  # sign(0) = 0 survives the int8 table
-    for d in (_dictionary(rng), hdc.Dictionary(tuple(range(6)), gaussian), grid_cml.cells):
+    for d in (_dictionary(rng), hdc.Dictionary(tuple(range(6)), gaussian), grid_cells):
         assert d.signs.dtype == np.int8
         assert np.array_equal(d.signs, np.sign(d.vectors).astype(np.int8))
+    # the grid model's own sign table is the one a dictionary of its states derives
+    assert np.array_equal(grid_cml.signs, grid_cells.signs)
 
 
-def test_unbinding_a_bipolar_map_keeps_row_norms_bit_for_bit(object_cml, grid_cml):
+def test_unbinding_a_bipolar_map_keeps_row_norms_bit_for_bit(object_cml, grid_cells):
     # (m_k o_k)^2 == o_k^2 exactly and the reduction order is the same, so the
     # forward readiness check may score its queries with the stored norms
     rng = np.random.default_rng(37)
     stacks = [
         object_cml.state_dictionary().vectors,
-        grid_cml.cells.vectors,
+        grid_cells.vectors,
         rng.normal(0.0, 1.0, size=(8, D)),
         rng.normal(0.0, 5.0, size=(40, D)),
     ]
@@ -325,10 +327,10 @@ def test_unbinding_a_bipolar_map_keeps_row_norms_bit_for_bit(object_cml, grid_cm
             assert np.array_equal(hdc.row_norms(hdc.bind(m, x)), hdc.row_norms(x))
 
 
-def test_row_norms_bit_equal_linalg_norm(grid_cml):
+def test_row_norms_bit_equal_linalg_norm(grid_cells):
     rng = np.random.default_rng(34)
     stacks = [
-        grid_cml.cells.vectors,  # the trained grid states
+        grid_cells.vectors,  # the trained grid states
         np.stack([bipolar(s) for s in range(9)]),
         rng.normal(0.0, 1.0, size=(50, D)),
         rng.normal(0.0, 3.0, size=(7, 13)),
@@ -442,9 +444,9 @@ def reference_vector_recover(query, dictionary, theta):
     return None if sims[best] < theta else dictionary.labels[best]
 
 
-def test_vector_recover_matches_the_old_vector_path(monkeypatch, object_cml, grid_cml):
+def test_vector_recover_matches_the_old_vector_path(monkeypatch, object_cml, grid_cells):
     rng = np.random.default_rng(40)
-    states, cells = object_cml.state_dictionary(), grid_cml.cells
+    states, cells = object_cml.state_dictionary(), grid_cells
     with_zero = hdc.Dictionary(
         states.labels + ("zero",), np.vstack([states.vectors, np.zeros(states.dim)])
     )

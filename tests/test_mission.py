@@ -81,19 +81,27 @@ def test_remove_door_rejects_non_door(object_cml):
 
 
 def test_plan_reroutes_around_every_removed_door(object_cml):
-    # the gating edit leaves utilities untouched (no retraining), so the
-    # planner reroutes successfully but can spend one extra hop when the
-    # removed door sat on its preferred route
+    # the gating edit leaves utilities and the flow table untouched (no
+    # retraining), so over each door's 42 remaining ordered pairs the planner
+    # reroutes every time but can spend one extra hop when the removed door sat
+    # on its preferred route; exactly four pairs do
     graph = object_cml.graph
+    detours = []
     for door in mz.DOOR_LABELS:
         reduced = mission.remove_door(object_cml, door)
-        path = cml.plan_path(reduced, reduced.state("t"), reduced.state("k"))
-        assert path is not None
-        assert door not in path
-        oracle = cml.bfs_hops(
-            without_door(graph, door), graph.node_index("k"), graph.node_index("t")
-        )
-        assert oracle <= len(path) - 1 <= oracle + 1
+        pruned = without_door(graph, door)
+        nodes = [label for label in graph.node_labels if label != door]
+        pairs = [(start, goal) for start in nodes for goal in nodes if start != goal]
+        assert len(pairs) == 42
+        for start, goal in pairs:
+            path = cml.plan_path(reduced, reduced.state(goal), reduced.state(start))
+            assert path is not None and path[0] == start and path[-1] == goal
+            assert door not in path
+            oracle = cml.bfs_hops(pruned, graph.node_index(start), graph.node_index(goal))
+            assert oracle <= len(path) - 1 <= oracle + 1 <= 2 * graph.n  # the hop cap
+            if len(path) - 1 > oracle:
+                detours.append((door, start, goal))
+    assert sorted(detours) == [("a", "t", "h"), ("a", "t", "k"), ("d", "h", "t"), ("d", "k", "t")]
 
 
 def test_plan_optimal_when_removed_door_off_route(object_cml):

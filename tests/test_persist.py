@@ -73,9 +73,8 @@ def test_grid_model_round_trip_bit_exact(grid_cml, tmp_path):
     loaded = persist.load_model(path)
     assert isinstance(loaded, GridCml)
     # the stored plane and everything derived from it, bit for bit
-    for name in ("x", "y", "a_s", "a_e", "A4", "P", "U"):
+    for name in ("x", "y", "a_s", "a_e", "A4", "P", "U", "signs", "basis", "plane"):
         assert getattr(loaded, name).tobytes() == getattr(grid_cml, name).tobytes(), name
-    assert loaded.cells.norms.tobytes() == grid_cml.cells.norms.tobytes()
     assert (loaded.width, loaded.height) == (grid_cml.width, grid_cml.height)
 
 

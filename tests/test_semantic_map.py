@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_map_term_order_is_irrelevant():
     assert np.array_equal(forward, shuffled)
 
 
-def test_map_dictionaries_complete(viable_setup, grid_cml):
+def test_map_dictionaries_complete(viable_setup, grid_cells):
     maze, memory, _ = viable_setup
     assert len(memory.objects) == 8
     assert len(memory.positions) == 8
@@ -78,7 +79,7 @@ def test_map_dictionaries_complete(viable_setup, grid_cml):
     for label in LABELS:
         cell = maze.placements[label]
         assert memory.position_of(label) == cell
-        assert np.array_equal(memory.positions.vector(cell), grid_cml.state(cell))
+        assert np.array_equal(memory.positions.vector(cell), grid_cells.vector(cell))
         found = sm.query_position(memory, memory.objects.vector(label))
         assert isinstance(found, tuple) and found == cell
 
@@ -115,7 +116,9 @@ def test_tampered_position_dictionary_fails_viability(viable_setup):
     x, y = grid_cml.x.copy(), grid_cml.y.copy()
     x[cells[i][0]], y[cells[i][1]] = 2 * x[cells[j][0]], 2 * y[cells[j][1]]
     tampered_grid = GridCml(x=x, y=y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
-    assert np.array_equal(tampered_grid.state(cells[i]), 2 * tampered_grid.state(cells[j]))
+    rows = [tampered_grid.cell_index(cells[i]), tampered_grid.cell_index(cells[j])]
+    p_i, p_j = tampered_grid.states(rows)
+    assert np.array_equal(p_i, 2 * p_j)
     tampered = dataclasses.replace(memory, grid_cml=tampered_grid)
     assert sm.check_viability(memory)
     assert not sm.check_viability(tampered)
@@ -197,7 +200,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
         rng, reference_rng = np.random.default_rng(i), np.random.default_rng(i)
         memory = sm.build_map(objects, maze, grid_cml, rng)
         cells = tuple(maze.placements[label] for label in objects.labels)
-        states = np.stack([grid_cml.state(cell) for cell in cells])
+        states = grid_cml.P.T[[grid_cml.cell_index(cell) for cell in cells]]
         terms = [hdc.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
         assert np.array_equal(memory.map_hv, hdc.bundle(np.stack(terms), reference_rng))
         assert memory.map_hv.dtype == np.float64
@@ -210,7 +213,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
 def reference_build_map(objects, maze, grid_cml, rng):
     """The float construction that the int8 sign patterns replaced."""
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
-    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, grid_cml.cells.vectors[rows])), rng)
+    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, grid_cml.P.T[rows])), rng)
 
 
 def float_cosines(queries, dictionary):
@@ -218,9 +221,15 @@ def float_cosines(queries, dictionary):
     return queries @ dictionary.vectors.T / np.outer(hdc.row_norms(queries), dictionary.norms)
 
 
+def reference_query_position(memory, object_hv):
+    """The float cleanup ``query_position`` replaced: ``hdc.recover`` of ``map * o``
+    over the cosines to the map's eight gathered position states."""
+    return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions)
+
+
 def reference_forward_verdict(memory):
-    """The batched recovery that the one-block forward check replaced."""
-    return sm.query_position(memory, memory.objects.vectors) == memory.positions.labels
+    """The batched float recovery that the one-block forward check replaced."""
+    return reference_query_position(memory, memory.objects.vectors) == memory.positions.labels
 
 
 def _assert_forward_verdicts_match(memories):
@@ -370,22 +379,32 @@ def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
         warnings.simplefilter("error")
         grid_cml = GridCml(np.arange(-1.0, 2.0), np.arange(-1.0, 2.0), *actions)
     centre = grid_cml.cell_index((1, 1))
-    assert grid_cml.cells.norms[centre] == 0.0
+    assert not grid_cml.P[:, centre].any()
     assert np.isnan(grid_cml.plane[centre]).all()
     assert np.isfinite(np.delete(grid_cml.plane, centre, axis=0)).all()
     floor = hdc.THETA
     for left_out in range(9):  # each choice of the one cell no object takes
         rows = [row for row in range(9) if row != left_out]
         rng = np.random.default_rng([82, left_out])
-        map_hv = hdc.bundle(objects.signs * grid_cml.cells.signs[rows], rng)
+        map_hv = hdc.bundle(objects.signs * grid_cml.signs[rows], rng)
         memory = sm.MapMemory(map_hv, objects, grid_cml, rows)
+        cells = [grid_cml.cell(row) for row in rows]
         for theta in (0.0, floor):
             monkeypatch.setattr(hdc, "THETA", theta)
             verdict = sm.check_viability(memory)
             assert verdict == reference_forward_verdict(memory)
+            found = sm.query_position(memory, objects.vectors)
+            assert found == reference_query_position(memory, objects.vectors)
+            assert (1, 1) not in found
             if left_out != centre:
                 assert verdict is False
                 assert sm.mission_ready(memory) is False
+                # an object on the centre is never found there, and every other one
+                # still finds its cell: the NaN plane row does not win the argmax, as
+                # a zero-norm entry cannot win recover's
+                assert [f for f, cell in zip(found, cells) if cell != (1, 1)] == [
+                    cell for cell in cells if cell != (1, 1)
+                ]
 
 
 def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
@@ -397,6 +416,7 @@ def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
         memory = sm.build_map(objects, maze, grid_cml, rng)
         sm.check_viability(memory)
         ready = sm.mission_ready(memory)
+        sm.query_position(memory, objects.vectors)
         assert "positions" not in vars(memory)
         if not ready:
             continue
@@ -404,14 +424,89 @@ def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
         cells = tuple(maze.placements[label] for label in objects.labels)
         rows = [grid_cml.cell_index(cell) for cell in cells]
         assert [memory.position_of(label) for label in objects.labels] == list(cells)
-        # the positions are a fresh dictionary whose derived tables are bit-equal
-        # to the gathered rows of the cell dictionary's
+        # the positions, built on request, hold the states' rows of P and the
+        # derived tables a dictionary over those rows computes
+        states = np.ascontiguousarray(grid_cml.P.T[rows])
         assert memory.positions.labels == cells
-        assert np.array_equal(memory.positions.vectors, grid_cml.cells.vectors[rows])
-        assert np.array_equal(memory.positions.norms, grid_cml.cells.norms[rows])
-        assert np.array_equal(memory.positions.signs, grid_cml.cells.signs[rows])
+        assert memory.positions.vectors.tobytes() == states.tobytes()
+        assert np.array_equal(memory.positions.norms, np.linalg.norm(states, axis=1))
+        assert np.array_equal(memory.positions.signs, grid_cml.signs[rows])
         assert "positions" in vars(memory)
     assert kept > 0
+
+
+@pytest.fixture(scope="module")
+def batch_queries(config, object_cml, grid_cml):
+    """Every ``query_position`` call of the seed-42 mission and door_removal batches,
+    as (memory, object vectors, result), run with ``P`` and ``positions`` poisoned."""
+    calls = []
+    query_position = sm.query_position
+
+    def spy(memory, object_hv):
+        found = query_position(memory, object_hv)
+        calls.append((memory, object_hv, found))
+        return found
+
+    def poisoned(_):
+        raise AssertionError("a mission trial read a d-dimensional state table")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sm, "query_position", spy)
+        mp.setattr(GridCml, "P", property(poisoned))
+        mp.setattr(sm.MapMemory, "positions", property(poisoned))
+        records = [
+            experiments.mission_trial(config, object_cml, grid_cml, trial, door)
+            for door, count in ((False, config.mission_trials), (True, config.door_removal_trials))
+            for trial in range(count)
+        ]
+    return records, calls
+
+
+def test_mission_trials_never_gather_positions_or_read_p(batch_queries, config):
+    records, calls = batch_queries
+    assert len(records) == config.mission_trials + config.door_removal_trials
+    assert sum(record["success"] for record in records) > 0.9 * len(records)
+    assert len(calls) > 5 * len(records)
+    assert all("positions" not in vars(memory) for memory, _, _ in calls)
+
+
+def test_query_position_matches_float_recovery_on_the_pinned_batches(batch_queries):
+    # the executor's waypoint lookups: scored in the plane, they pick what the float
+    # cleanup over the gathered position states picks, and every one recovers a cell
+    _, calls = batch_queries
+    for memory, object_hv, found in calls:
+        assert found is not None
+        assert found == reference_query_position(memory, object_hv)
+
+
+def test_query_position_matches_float_recovery_on_noisy_and_gaussian_queries(
+    object_cml, grid_cml, monkeypatch
+):
+    objects = object_cml.state_dictionary()
+    rng = np.random.default_rng(84)
+    floor, recovered = hdc.THETA, 0
+    for i in range(200):
+        map_rng = np.random.default_rng([85, i])
+        memory = sm.build_map(objects, mz.generate_maze(map_rng), grid_cml, map_rng)
+        queries = [objects.vectors + scale * rng.normal(size=(8, D)) for scale in (0.5, 2, 10)]
+        queries.append(rng.normal(size=(8, D)))
+        for theta in (0.0, floor):
+            monkeypatch.setattr(hdc, "THETA", theta)
+            for stack in queries:
+                found = sm.query_position(memory, stack)
+                assert found == reference_query_position(memory, stack)
+                assert [sm.query_position(memory, q) for q in stack] == list(found)
+                recovered += sum(cell is not None for cell in found)
+    assert 0 < recovered < 200 * 2 * 4 * 8
+
+
+@pytest.mark.parametrize("length", [999, 2000])
+def test_query_position_refuses_a_query_of_another_dimension(viable_setup, length):
+    # a (2000,) query must not be read as two (1000,) queries
+    _, memory, _ = viable_setup
+    for shape in ((length,), (3, length)):
+        with pytest.raises(ValueError, match="dimension"):
+            sm.query_position(memory, np.ones(shape))
 
 
 # --- queries ------------------------------------------------------------------------
@@ -534,3 +629,23 @@ def test_policy_exhaustion_rate():
         goal, _ = sm.next_goal(policy, objects)
         false_positives += goal is not None
     assert false_positives <= 8  # ~0.8% measured over 3000 seeds
+
+
+def test_length_three_policies_that_the_seed_42_model_cannot_serve(object_cml):
+    # a bundle of an odd number of goals draws no tie-break, so a length-3 policy is
+    # a function of the object model alone and all 512 can be unrolled exactly; at
+    # seed 42 five of them reveal one extra goal after their last
+    objects = object_cml.state_dictionary()
+    extra = {}
+    for goals in itertools.product(objects.labels, repeat=3):
+        policy = sm.encode_policy(list(goals), objects, np.random.default_rng(0))
+        revealed = []
+        for _ in range(2 * len(goals)):
+            goal, policy = sm.next_goal(policy, objects)
+            if goal is None:
+                break
+            revealed.append(goal)
+        if revealed != list(goals):
+            assert revealed[:3] == list(goals) and len(revealed) == 4
+            extra["".join(goals)] = revealed[3]
+    assert extra == {"bhc": "a", "cac": "a", "ekk": "c", "ett": "k", "hkk": "c"}
