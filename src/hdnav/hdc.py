@@ -9,7 +9,8 @@ bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
 The algebra has four basic operations:
 
 - ``bundle``: signed elementwise addition of a stack's rows; the result
-  stays similar to every summand.
+  stays similar to every summand.  An int8 stack of sign terms is summed
+  exactly in the narrowest integer type that holds its sum.
 - ``bind``: elementwise multiplication; the result is dissimilar to both
   inputs but the operation is self-inverse on bipolar vectors.
 - ``permute``: circular shift; reversible, used to encode sequence
@@ -22,6 +23,9 @@ The algebra has four basic operations:
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
+``random_bipolar`` reads the same 32-bit word per entry, and the same bit
+of it, as ``rng.choice([-1.0, 1.0])``, so either draw gives the same
+vector and leaves the generator in the same state.
 """
 
 from __future__ import annotations
@@ -40,8 +44,20 @@ def random_bipolar(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random vector with each element +/-1 with equal probability."""
     if d < 1:
         raise ValueError(f"hypervector dimension must be >= 1, got {d}")
-    # the same draws as rng.choice([-1.0, 1.0], size=d), without its overhead
-    return 2.0 * rng.integers(0, 2, size=d) - 1.0
+    x = _random_bits(d, rng).astype(float)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
+def _random_bits(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d random bools: True where ``rng.choice([-1.0, 1.0], size=d)`` picks +1.
+
+    The same draws without choice's overhead: both read one 32-bit word w
+    per entry, choice takes ``w >> 31``, and the float32 uniform
+    ``(w >> 8) / 2**24`` is >= 0.5 exactly when that bit is 1.
+    """
+    return rng.random(d, dtype=np.float32) >= 0.5
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:
@@ -69,8 +85,12 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
 
 def sign(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = 0."""
-    return np.sign(np.asarray(x, dtype=float))
+    """Elementwise sign with sign(0) = 0, as floats.
+
+    An integer input (such as an int8 sign table) takes its sign in its own
+    type and is converted once, which is exact.
+    """
+    return np.sign(x).astype(float, copy=False)
 
 
 def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -79,19 +99,31 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     When the number of summands is even, a fresh random bipolar vector is
     added last to break elementwise ties, so bundles of bipolar inputs
     are always bipolar.  An int8 stack holds sign terms (entries -1, 0,
-    +1); it is summed exactly in int16, so it may have at most 2**15 - 1
-    rows, and the tie-break is added in float.
+    +1); it is summed exactly, in int8 below 128 rows and in int16 from
+    there, so it may have at most 2**15 - 1 rows, and its tie-break is
+    added in that integer type, from the same draws.
     """
-    if len(vectors) == 0:
+    n = len(vectors)
+    if n == 0:
         raise ValueError("bundle requires at least one vector")
     dtype = float
     if vectors.dtype == np.int8:
-        if len(vectors) >= 2**15:
-            raise ValueError(f"an int8 bundle sums in int16: {len(vectors)} rows is too many")
-        dtype = np.int16
+        if n >= 2**15:
+            raise ValueError(f"an int8 bundle sums in int16: {n} rows is too many")
+        dtype = np.int8 if n < 128 else np.int16
     total = np.add.reduce(vectors, axis=0, dtype=dtype)
-    if len(vectors) % 2 == 0:
-        total = total + random_bipolar(len(total), rng)
+    if n % 2:
+        return sign(total)
+    if dtype is float:
+        tie = random_bipolar(len(total), rng)
+        tie += total
+        return np.sign(tie, out=tie)
+    # the tie-break 2 b - 1 in the sum's integer type: an even count keeps
+    # |total| below that type's maximum, so no step overflows
+    bits = _random_bits(len(total), rng).view(np.int8)
+    total -= 1
+    total += bits
+    total += bits
     return sign(total)
 
 

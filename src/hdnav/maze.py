@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -111,6 +112,8 @@ def generate_maze(rng: np.random.Generator) -> Maze:
 # wall and door draws, Floyd's two draws for h and k, their shuffle, and t
 _LAYOUT_WORDS = 12
 _WORD_MASK = 0xFFFFFFFF
+# every cell of each full-height column, the walls a layout starts from
+_COLUMNS = tuple(frozenset((row, col) for row in range(HEIGHT)) for col in range(WIDTH))
 
 
 def _below(words: list[int], rng: np.random.Generator, n: int) -> int:
@@ -153,11 +156,6 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     row_d = lower + _below(words, rng, height - lower)
     door_c_col = wall1 + 1 + _below(words, rng, wall2 - wall1 - 1)
 
-    blocked = frozenset(
-        [(row, wall1) for row in range(height) if row != row_a and row != row_b]
-        + [(row, wall2) for row in range(height) if row != row_d and row != row_e]
-        + [(hrow, col) for col in range(wall1 + 1, wall2) if col != door_c_col]
-    )
     placements: dict[str, Cell] = {
         "a": (row_a, wall1),
         "b": (row_b, wall1),
@@ -165,6 +163,9 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
         "d": (row_d, wall2),
         "e": (row_e, wall2),
     }
+    # both wall columns and the middle wall's row, less the five door cells
+    middle_wall = zip(repeat(hrow), range(wall1 + 1, wall2))
+    blocked = _COLUMNS[wall1].union(_COLUMNS[wall2], middle_wall).difference(placements.values())
     # h and k: two distinct row-major indices into the left room (columns
     # 0..wall1-1), as ``rng.choice(n, 2, replace=False)`` draws them: Floyd's
     # two draws, then one shuffle draw that swaps the pair when it reads 0

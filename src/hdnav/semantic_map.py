@@ -32,7 +32,7 @@ falls below threshold, signalling completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -48,15 +48,22 @@ class MapMemory:
 
     ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
     bipolar).  ``rows`` holds the ``grid_cml.cell_index`` of each object's
-    cell, in ``objects`` order.  ``positions``, the dictionary of those
-    cells' states keyed by the cells themselves, is built on first use;
-    no lookup of the package reads it.
+    cell, in ``objects`` order.  ``map_basis``, the map bound to the plane
+    basis (``map_hv * grid_cml.basis``, (2, d)), is derived once: every
+    built map's readiness check reads it, and each later position lookup
+    reuses it.  ``positions``, the dictionary of those cells' states keyed
+    by the cells themselves, is built on first use; no lookup of the
+    package reads it.
     """
 
     map_hv: np.ndarray
     objects: hdc.Dictionary
     grid_cml: GridCml
     rows: list[int]
+    map_basis: np.ndarray = field(init=False, repr=False, compare=False)  # shape (2, d)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "map_basis", self.map_hv * self.grid_cml.basis)
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
@@ -74,10 +81,10 @@ def build_map(
 
     Each term is ``sign(o_i) * sign(p_i)`` from the dictionaries' int8 sign
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
-    int8 terms exactly in int16 and adds its tie-break draw in float.
+    eight int8 terms exactly in int8 and adds its tie-break draw there too.
     """
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
-    terms = objects.signs * grid_cml.signs[rows]
+    terms = objects.signs * grid_cml.signs.take(rows, axis=0)
     map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, grid_cml, rows)
 
@@ -87,11 +94,11 @@ def _plane_scores(memory: MapMemory, vectors: np.ndarray) -> np.ndarray:
 
     ``vectors`` is an (n, d) stack of the ``v``; the scores are (n, 8), one
     column per object in ``objects`` order.  As ``p_j = x a_s + y a_e``,
-    the (n, 2) block ``v . (map * [a_s; a_e])`` times the cells' ``plane``
-    rows gives every score.  A zero-state cell (a NaN plane row) scores NaN.
+    the (n, 2) block ``v . (map * [a_s; a_e])`` (from ``map_basis``) times
+    the cells' ``plane`` rows gives every score.  A zero-state cell (a NaN
+    plane row) scores NaN.
     """
-    grid_cml = memory.grid_cml
-    return vectors @ (memory.map_hv * grid_cml.basis).T @ grid_cml.plane[memory.rows].T
+    return vectors @ memory.map_basis.T @ memory.grid_cml.plane.take(memory.rows, axis=0).T
 
 
 def check_viability(memory: MapMemory) -> bool:
@@ -108,13 +115,15 @@ def check_viability(memory: MapMemory) -> bool:
     Unbinding a map without zero entries flips signs only, so ``|q_i|`` is
     the object's norm, bit for bit; a map with a zero entry computes it.
     A zero query or a zero-state cell (a NaN plane row) is never viable.
+    Most maps fail the argmax test, so the norms are found only for those
+    that pass it.
     """
     objects, m = memory.objects, memory.map_hv
-    norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
     scores = _plane_scores(memory, objects.vectors)
-    return scores.argmax(axis=1).tolist() == list(range(len(scores))) and bool(
-        ((scores.diagonal() >= hdc.THETA * norms) & (norms > 0)).all()
-    )
+    if scores.argmax(axis=1).tolist() != list(range(len(scores))):
+        return False
+    norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
+    return bool(((scores.diagonal() >= hdc.THETA * norms) & (norms > 0)).all())
 
 
 def check_arrivals(memory: MapMemory) -> bool:
@@ -124,7 +133,7 @@ def check_arrivals(memory: MapMemory) -> bool:
     near-parallel grid states that reverse direction can collide on maps
     whose forward recoveries are clean.
     """
-    signs = memory.grid_cml.signs[memory.rows]
+    signs = memory.grid_cml.signs.take(memory.rows, axis=0)
     return query_object(memory, signs) == memory.objects.labels
 
 

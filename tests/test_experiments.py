@@ -172,6 +172,34 @@ def test_viable_maze_generation_counts_rejections(object_cml, grid_cml):
     assert sm.check_viability(memory)
 
 
+def test_each_candidate_makes_one_maze_and_one_map(config, object_cml, grid_cml, monkeypatch):
+    # perfbench's traced count rule: maze.generate_maze and semantic_map.build_map,
+    # called through the bindings experiments uses, run once per candidate, and the
+    # records say how many candidates there were, sum(rejections + 1)
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(experiments.maze_mod, "generate_maze")
+    count(experiments.semantic_map, "build_map")
+    records = [experiments.mission_trial(config, object_cml, grid_cml, t) for t in range(3)]
+    records += [
+        experiments.mission_trial(config, object_cml, grid_cml, t, remove_random_door=True)
+        for t in range(3)
+    ]
+    records += [experiments.viability_trial(config, object_cml, grid_cml, t) for t in range(20)]
+    candidates = sum(record.get("rejections", 0) + 1 for record in records)
+    assert candidates > len(records)  # the mission trials rejected candidates
+    assert calls == {"generate_maze": candidates, "build_map": candidates}
+
+
 def test_viable_attempt_cap_has_headroom_across_seeds(config, object_cml, grid_cml):
     # a mission trial fails only if VIABLE_ATTEMPT_CAP candidates in a row are
     # not mission ready; bound the ready rate from below, pooled over six trial
@@ -446,7 +474,8 @@ def test_hdc_stats_scaling(config, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 42])
 def test_hdc_stats_draws_the_rng_choice_pairs(config, seed):
-    # hdc.random_bipolar gives the same stream as rng.choice([-1.0, 1.0]), without its overhead
+    # hdc.random_bipolar gives the same stream as rng.choice([-1.0, 1.0]): both read one
+    # 32-bit word per entry, and its float32 uniform is >= 0.5 exactly when choice picks +1
     d = 64
     rng = experiments.trial_rng(seed, experiments.TAG_HDC_STATS, 0)
     xs = rng.choice(np.array([-1.0, 1.0]), size=(experiments.HDC_PAIRS, d))

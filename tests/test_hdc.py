@@ -69,6 +69,10 @@ def test_cosine_dimension_mismatch():
 
 def test_sign_cases():
     assert np.array_equal(hdc.sign(np.array([3.2, -0.1, 0.0])), [1.0, -1.0, 0.0])
+    # an int8 input comes back as its signs, in float
+    from_int8 = hdc.sign(np.array([3, -1, 0], dtype=np.int8))
+    assert from_int8.dtype == np.float64
+    assert np.array_equal(from_int8, [1.0, -1.0, 0.0])
 
 
 def test_sign_of_bipolar_is_identity():
@@ -81,7 +85,35 @@ def test_sign_of_cancelling_sum_is_zero():
     assert np.array_equal(hdc.sign(x + (-x)), np.zeros(D))
 
 
-@pytest.mark.parametrize("d", [1, 7, 1000])
+BIT_GENERATORS = (
+    np.random.PCG64,
+    np.random.PCG64DXSM,
+    np.random.MT19937,
+    np.random.Philox,
+    np.random.SFC64,
+)
+
+# one draw of each kind a later caller may make
+NEXT_DRAWS = (
+    lambda rng: rng.integers(0, 2**32, dtype=np.uint32),
+    lambda rng: rng.integers(0, 2**64, dtype=np.uint64),
+    lambda rng: rng.integers(0, 2),
+    lambda rng: rng.random(dtype=np.float32),
+    lambda rng: rng.random(),
+    lambda rng: rng.standard_normal(),
+)
+
+
+def same_state(ours, theirs):
+    """Equal bit-generator states, entry by entry; MT19937, Philox and SFC64 hold arrays."""
+    if isinstance(ours, dict):
+        return ours.keys() == theirs.keys() and all(same_state(ours[k], theirs[k]) for k in ours)
+    if isinstance(ours, np.ndarray):
+        return ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+    return ours == theirs
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 1000, 1001])
 def test_random_bipolar_matches_choice_stream(d):
     # same values as rng.choice([-1.0, 1.0], size=d), and the generator
     # is left in the same state, so every later draw is unchanged too
@@ -92,6 +124,23 @@ def test_random_bipolar_matches_choice_stream(d):
         assert x.dtype == expected.dtype
         assert np.array_equal(x, expected)
         assert ours.bit_generator.state == theirs.bit_generator.state
+    # both read one 32-bit word per entry, on every bit generator, also when one
+    # word drawn first leaves half of a 64-bit output buffered
+    for bit_generator in BIT_GENERATORS:
+        for drawn in (0, 1):
+            for seed in range(10):
+                ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+                for rng in (ours, theirs):
+                    rng.integers(0, 2**32, size=drawn, dtype=np.uint32)
+                x = hdc.random_bipolar(d, ours)
+                expected = theirs.choice(np.array([-1.0, 1.0]), size=d)
+                assert x.dtype == expected.dtype
+                assert np.array_equal(x, expected)
+                if bit_generator in (np.random.PCG64, np.random.PCG64DXSM):  # a plain dict
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
+                for draw in NEXT_DRAWS:
+                    assert draw(ours) == draw(theirs)
 
 
 # --- bundle ---------------------------------------------------------------------
@@ -125,10 +174,10 @@ def test_bundle_empty_rejected():
         hdc.bundle(np.empty((0, D)), np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 9])
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 126, 127, 128])
 def test_bundle_int8_stack_equals_float_stack(n):
-    # an int8 stack sums in int16 and adds the tie-break in float: the same map
-    # and the same draws as the float sum
+    # an int8 stack sums in int8 below 128 rows and in int16 from there, and adds
+    # the tie-break in that type: the same map and the same draws as the float sum
     terms = np.stack([bipolar(seed) for seed in range(n)])
     terms[:, :5] = 0.0  # a sign term may be 0
     rng, reference_rng = np.random.default_rng(19), np.random.default_rng(19)
@@ -136,6 +185,16 @@ def test_bundle_int8_stack_equals_float_stack(n):
     assert np.array_equal(from_int8, hdc.bundle(terms, reference_rng))
     assert from_int8.dtype == np.float64
     assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [126, 127, 128])
+def test_bundle_int8_stack_of_agreeing_rows_keeps_its_sign(n):
+    # n agreeing rows sum to +/-n: 127 is the int8 maximum, and 128 rows sum in int16;
+    # the third column sums to n // 2, past any tie-break
+    rows = np.ones((n, 3), dtype=np.int8)
+    rows[:, 1] = -1
+    rows[n // 2 :, 2] = 0
+    assert hdc.bundle(rows, np.random.default_rng(0)).tolist() == [1.0, -1.0, 1.0]
 
 
 def test_bundle_int8_stack_row_limit():
