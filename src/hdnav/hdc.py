@@ -100,8 +100,7 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     added last to break elementwise ties, so bundles of bipolar inputs
     are always bipolar.  An int8 stack holds sign terms (entries -1, 0,
     +1); it is summed exactly, in int8 below 128 rows and in int16 from
-    there, so it may have at most 2**15 - 1 rows, and its tie-break is
-    added in that integer type, from the same draws.
+    there, so it may have at most 2**15 - 1 rows.
     """
     n = len(vectors)
     if n == 0:
@@ -112,18 +111,10 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
             raise ValueError(f"an int8 bundle sums in int16: {n} rows is too many")
         dtype = np.int8 if n < 128 else np.int16
     total = np.add.reduce(vectors, axis=0, dtype=dtype)
-    if n % 2:
-        return sign(total)
-    if dtype is float:
-        tie = random_bipolar(len(total), rng)
-        tie += total
-        return np.sign(tie, out=tie)
-    # the tie-break 2 b - 1 in the sum's integer type: an even count keeps
-    # |total| below that type's maximum, so no step overflows
-    bits = _random_bits(len(total), rng).view(np.int8)
-    total -= 1
-    total += bits
-    total += bits
+    if n % 2 == 0:
+        # the tie-break 2 b - 1 as int8: an even count keeps an integer
+        # |total| below its type's maximum, so the sum cannot overflow
+        total += _random_bits(len(total), rng).view(np.int8) * 2 - 1
     return sign(total)
 
 
