@@ -5,8 +5,9 @@ Verbs:
 - ``hdc-stats``: random-pair similarity statistics at the configured d.
 - ``train``: build and verify the object and grid models from one seed,
   then save both; prints the wall time of each phase.
-- ``run <experiment>``: mission, grid_only, viability, or door_removal
-  trial batches against the saved models.
+- ``run <experiment> [<experiment> ...]``: one or more of the mission,
+  grid_only, viability and door_removal trial batches, in the order given,
+  against the saved models loaded once.
 - ``render``: draw one trace record as text or SVG.
 - ``verify``: load the saved pair as ``run`` does, with its checks, and
   re-prove it: object plans BFS-shortest for every node pair (with the
@@ -123,14 +124,15 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise CliError("config", str(exc)) from exc
     object_cml, grid_cml = _load_models(config)
-    try:
-        report = experiments.run_experiment(config, args.experiment, object_cml, grid_cml)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
-    trials_path, report_path = report.write(config.output_dir)
-    print("\n".join(report.summary_lines()))
-    print(f"records: {trials_path}")
-    print(f"report:  {report_path}")
+    for name in args.experiments:
+        try:
+            report = experiments.run_experiment(config, name, object_cml, grid_cml)
+        except ValueError as exc:
+            raise CliError("config", str(exc)) from exc
+        trials_path, report_path = report.write(config.output_dir)
+        print("\n".join(report.summary_lines()))
+        print(f"records: {trials_path}")
+        print(f"report:  {report_path}")
     return 0
 
 
@@ -207,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
-    p_run = sub.add_parser("run", help="run a seeded experiment batch")
-    p_run.add_argument("experiment", choices=tuple(experiments.EXPERIMENTS))
+    p_run = sub.add_parser("run", help="run seeded experiment batches, in the order given")
+    p_run.add_argument("experiments", nargs="+", choices=tuple(experiments.EXPERIMENTS))
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 

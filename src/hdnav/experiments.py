@@ -8,7 +8,6 @@ farmed out to worker processes without changing any result.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -373,7 +372,7 @@ def _worker_run(task: tuple[str, int]) -> dict:
 
 
 # name -> (config field of its trial count, trial(config, object_cml, grid_cml, trial));
-# the CLI choices and the reproduction script follow this order
+# the CLI choices follow this order
 EXPERIMENTS = {
     "mission": ("mission_trials", mission_trial),
     "grid_only": (
@@ -400,6 +399,8 @@ def run_experiment(
     trials = getattr(config, count_field)
     started = time.perf_counter()
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool reads it
+
         with ProcessPoolExecutor(
             max_workers=min(config.workers, trials),
             initializer=_worker_init,

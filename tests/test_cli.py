@@ -178,6 +178,57 @@ def test_run_viability_batch(models_dir):
     assert "ci95" in report["aggregates"]
 
 
+def test_run_takes_several_batches_on_one_model_load(models_dir, monkeypatch, capsys):
+    # each batch writes what it writes run alone; the summaries follow the order given
+    sizes = ["--set", "grid_only_trials=4", "--set", "viability_mazes=6"]
+    names = ["viability", "grid_only"]
+    alone = {}
+    for name in names:
+        assert main(["run", name, "--seed", "42", "--out", str(models_dir), *sizes]) == 0
+        alone[name] = capsys.readouterr().out
+    files = {
+        name: (
+            (models_dir / f"{name}_trials.jsonl").read_bytes(),
+            json.loads((models_dir / f"{name}_report.json").read_text()),
+        )
+        for name in names
+    }
+    for path in models_dir.glob("*_*.*"):
+        path.unlink()
+    loads = []
+
+    def counted_load(config, load=experiments.load_models):
+        loads.append(config)
+        return load(config)
+
+    monkeypatch.setattr(experiments, "load_models", counted_load)
+    assert main(["run", *names, "--seed", "42", "--out", str(models_dir), *sizes]) == 0
+    printed = capsys.readouterr().out
+    assert len(loads) == 1
+    wall = re.compile(r"wall_clock_s: \S+")
+    assert wall.sub("", printed) == wall.sub("", alone["viability"] + alone["grid_only"])
+    for name, (trials, report) in files.items():
+        assert (models_dir / f"{name}_trials.jsonl").read_bytes() == trials
+        again = json.loads((models_dir / f"{name}_report.json").read_text())
+        del again["wall_clock_s"], report["wall_clock_s"]
+        assert again == report
+
+
+@pytest.mark.parametrize("names", [["bogus", "mission"], ["mission", "grid_only", "bogus"]])
+def test_run_refuses_an_unknown_batch_before_loading_models(models_dir, monkeypatch, capsys, names):
+    # argparse checks every name, wherever it stands, before anything loads or is written
+    def no_load(config):
+        raise AssertionError("models loaded")
+
+    monkeypatch.setattr(experiments, "load_models", no_load)
+    before = sorted(models_dir.rglob("*"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", *names, "--seed", "42", "--out", str(models_dir)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+    assert sorted(models_dir.rglob("*")) == before
+
+
 def test_render_text_and_svg(models_dir, tmp_path, capsys):
     main(["run", "grid_only", "--seed", "42", "--out", str(models_dir),
           "--set", "grid_only_trials=8"])

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import re
 
@@ -418,7 +419,7 @@ def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, m
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_WORKER_STATE", {})
     serial = experiments.run_experiment(
         small(config, grid_only_trials=3), "grid_only", object_cml, grid_cml

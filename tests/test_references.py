@@ -1,6 +1,6 @@
 """No dead code: every top-level function and class in the package is referenced by
 name, and every method and property of its classes is read as an attribute, in the
-package, the benchmark or the scripts; the one exception is a named reference that
+package or the benchmark; the one exception is a named reference that
 tests compare the package against.  No package module takes another module's private
 name: what one module needs of another is public.  And one package module,
 ``experiments``, reads model files."""
@@ -10,7 +10,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hdnav"
-CALLERS = [PACKAGE, ROOT / "perfbench", ROOT / "scripts"]
+CALLERS = [PACKAGE, ROOT / "perfbench"]
 
 # The references that tests compare the package against, and nothing else calls.
 REFERENCES = {
