@@ -9,10 +9,10 @@ satisfy ``s_j ~= s_i + a_edge``:
 - ``G`` (e x n): gating; entry (edge, node) is 1 when the edge leaves
   that node and is open, else 0.
 
-Planning works without any path search.  As ``A = S B`` for the graph's
-(n x e) incidence matrix B, the paper's least-squares action utility is
-the minimum-norm flow ``F[:, target] - F[:, current]`` of the (e x n)
-table ``F = pinv(B)``, whatever the states.  The pick rule is written
+Planning works without any path search.  The graph derives its (n x e)
+incidence matrix B once, so ``A = S B``, and from it the (e x n) flow table
+``F = pinv(B)``: the paper's least-squares action utility is the minimum-norm
+flow ``F[:, target] - F[:, current]``, whatever the states.  The pick rule is written
 once, as ``best_edges`` (the tie set: every open edge within
 ``TIE_TOLERANCE`` of the best) and ``last_edge`` (the step takes the
 last of it), so exact ties between symmetric routes never fall to
@@ -26,8 +26,8 @@ did not recognise, or a node with no open gate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -38,9 +38,15 @@ from . import hdc
 TIE_TOLERANCE = 1e-9
 
 
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class CmlGraph:
-    """Directed graph with labelled nodes."""
+    """Directed graph with labelled nodes; its tables, the edge tails ``src`` and heads
+    ``dst``, B and F, are read-only, derived on first use, and not fields (not in ``==``)."""
 
     node_labels: tuple[str, ...]
     directed_edges: tuple[tuple[int, int], ...]
@@ -62,6 +68,23 @@ class CmlGraph:
     @property
     def n(self) -> int:
         return len(self.node_labels)
+
+    @cached_property
+    def src(self) -> np.ndarray:
+        return _read_only(np.array([edge[0] for edge in self.directed_edges], dtype=int))
+
+    @cached_property
+    def dst(self) -> np.ndarray:
+        return _read_only(np.array([edge[1] for edge in self.directed_edges], dtype=int))
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        eye = np.eye(self.n)  # the actions of identity states; C order, not a gather's
+        return _read_only(np.subtract(eye[:, self.dst], eye[:, self.src], order="C"))
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return _read_only(np.linalg.pinv(self.B))
 
     def node_index(self, label: str) -> int:
         return self.node_labels.index(label)
@@ -85,21 +108,13 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
     Independent of the map learner: used as the optimality oracle for
     planned paths.
     """
-    if start == goal:
-        return 0
-    adjacency: list[list[int]] = [[] for _ in range(graph.n)]
-    for src, dst in graph.directed_edges:
-        adjacency[src].append(dst)
-    seen = {start}
-    queue = deque([(start, 0)])
-    while queue:
-        node, hops = queue.popleft()
-        for nxt in adjacency[node]:
-            if nxt == goal:
-                return hops + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, hops + 1))
+    frontier, seen, hops = {start}, {start}, 0
+    while frontier:
+        if goal in frontier:
+            return hops
+        frontier = {dst for src, dst in graph.directed_edges if src in frontier} - seen
+        seen |= frontier
+        hops += 1
     return None
 
 
@@ -107,9 +122,8 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
 class Cml:
     """Map learner state (S, A, G) on its graph.
 
-    The node-state dictionary and the flow table ``F = pinv(B)`` (e x n)
-    of the graph's incidence matrix are derived once, on construction;
-    they are plain attributes, not fields.
+    The node-state dictionary is derived once, on construction, and the
+    flow table ``F`` is the graph's; both are attributes, not fields.
     """
 
     S: np.ndarray  # (d, n)
@@ -120,9 +134,7 @@ class Cml:
     def __post_init__(self) -> None:
         states = hdc.Dictionary(self.graph.node_labels, self.S.T.copy())
         object.__setattr__(self, "_states", states)
-        # A = S B, so the incidence matrix B is the actions of identity states
-        B = _state_differences(self.graph, np.eye(self.graph.n))
-        object.__setattr__(self, "F", np.linalg.pinv(B))
+        object.__setattr__(self, "F", self.graph.F)
 
     @property
     def d(self) -> int:
@@ -149,30 +161,21 @@ class StepResult:
     recognised: bool
 
 
-def _gating_from_graph(graph: CmlGraph) -> np.ndarray:
-    src = np.array(graph.directed_edges, dtype=int).reshape(-1, 2)[:, 0]
-    return (src[:, None] == np.arange(graph.n)).astype(float)
-
-
-def _state_differences(graph: CmlGraph, S: np.ndarray) -> np.ndarray:
-    src, dst = np.array(graph.directed_edges, dtype=int).reshape(-1, 2).T
-    return np.subtract(S[:, dst], S[:, src], order="C")  # C order like S, not a gather's
-
-
 def calculated(graph: CmlGraph, S: np.ndarray) -> Cml:
     """The learner that the states S imply on the graph.
 
-    For each directed edge (i -> j) the action column is s_j - s_i, so
-    the one-step prediction ``s_i + a`` lands on s_j exactly and the
-    per-edge training error is zero; every out-edge gate is open (1).
+    The actions are ``A = S B``: for each directed edge (i -> j) the action
+    column is s_j - s_i, so the one-step prediction ``s_i + a`` lands on s_j
+    exactly and the per-edge training error is zero; every out-edge gate is open (1).
     """
-    return Cml(S=S, A=_state_differences(graph, S), G=_gating_from_graph(graph), graph=graph)
+    G = (graph.src[:, None] == np.arange(graph.n)).astype(float)
+    return Cml(S=S, A=S @ graph.B, G=G, graph=graph)
 
 
 def is_calculated(cml: Cml) -> bool:
     """True when A and G are exactly what ``calculated`` derives from S and the graph."""
-    A, G = _state_differences(cml.graph, cml.S), _gating_from_graph(cml.graph)
-    return np.array_equal(cml.A, A) and np.array_equal(cml.G, G)
+    model = calculated(cml.graph, cml.S)
+    return np.array_equal(cml.A, model.A) and np.array_equal(cml.G, model.G)
 
 
 def init_calculated(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
@@ -193,14 +196,10 @@ def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
     """
     if learning_rate < 0:
         raise ValueError("learning rate must be nonnegative")
-    src = np.fromiter((s for s, _ in cml.graph.directed_edges), dtype=int)
-    dst = np.fromiter((t for _, t in cml.graph.directed_edges), dtype=int)
-    err = cml.S[:, dst] - (cml.S[:, src] + cml.A)  # (d, e)
+    err = cml.S @ cml.graph.B - cml.A  # (d, e): s_j - (s_i + a) for each edge (i -> j)
     epoch_error = float(np.linalg.norm(err, axis=0).mean())
     A = cml.A + learning_rate * err
-    dS = np.zeros_like(cml.S)
-    np.add.at(dS.T, dst, (-learning_rate * err).T)
-    S = cml.S + dS
+    S = cml.S - learning_rate * err @ (cml.graph.B > 0).T  # each head sums its in-edges' errors
     return replace(cml, S=S, A=A), epoch_error
 
 
@@ -279,6 +278,6 @@ def plan_path(cml: Cml, target: np.ndarray, start: np.ndarray) -> list[str] | No
         result = step(cml, target_state, current)
         if result.chosen_edge is None:
             return None
-        path.append(cml.graph.node_labels[cml.graph.directed_edges[result.chosen_edge][1]])
+        path.append(cml.graph.node_labels[cml.graph.dst[result.chosen_edge]])
         current = result.predicted_next
     return path

@@ -81,7 +81,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     """
     graph = object_cml.graph
     labels = graph.node_labels
-    src, dst = np.array(graph.directed_edges, dtype=int).reshape(-1, 2).T
+    src, dst = graph.src, graph.dst
 
     def fail(start: int, goal: int, why: str):
         raise RuntimeError(
@@ -223,6 +223,8 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
     # labels, their order, the edges and the edge order: the tie rule takes the last tied edge
     if object_cml.graph != maze_mod.object_graph():
         raise ValueError("object model graph is not the maze's object graph")
+    if not (np.abs(object_cml.S) == 1.0).all():  # init_calculated draws every state +-1
+        raise ValueError("object model states are not all +1 or -1")
     if (grid_cml.width, grid_cml.height) != (maze_mod.WIDTH, maze_mod.HEIGHT):
         raise ValueError(
             f"grid model is {grid_cml.width}x{grid_cml.height}, "

@@ -1,9 +1,8 @@
 """Hypervector algebra on bipolar/real vectors.
 
-All values are plain 1-D ``numpy`` float arrays of a shared length ``d``,
-which the caller chooses (the config's ``d``); ``bind`` and ``recover``
-also take an ``(n, d)`` stack, one hypervector per row, and ``bundle``
-sums the rows of one.
+A hypervector is a 1-D ``numpy`` float array of a shared length ``d``, the
+config's; ``bind`` and ``recover`` also take an ``(n, d)`` stack, one per
+row, and ``bundle`` sums the rows of a float stack or an int8 one.
 Information is carried by direction: two independently drawn random
 bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
 The algebra has four basic operations:

@@ -25,8 +25,8 @@ targets) and returned with the goal entries of the trial record.
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import replace
 
 import numpy as np
 
@@ -60,18 +60,18 @@ def detect_dither(path: list[Cell]) -> bool:
 def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
     """Zero the gates of every edge touching a door node.
 
-    Only the gating matrix changes: states, actions and the graph's flow
-    table are unchanged, so planning reroutes around the missing node
-    with no retraining.
+    Only the gating matrix changes: the copy shares the states, actions,
+    state dictionary and graph (with its flow table), so planning reroutes
+    around the missing node with no retraining and nothing derived again.
     """
     if door not in DOOR_LABELS:
         raise ValueError(f"not a door: {door!r}")
     door_idx = object_cml.graph.node_index(door)
     G = object_cml.G.copy()
-    for edge_idx, (src, dst) in enumerate(object_cml.graph.directed_edges):
-        if door_idx in (src, dst):
-            G[edge_idx, :] = 0.0
-    return replace(object_cml, G=G)
+    G[(object_cml.graph.src == door_idx) | (object_cml.graph.dst == door_idx)] = 0.0
+    reduced = copy.copy(object_cml)  # not ``replace``, which would rebuild the dictionary
+    object.__setattr__(reduced, "G", G)
+    return reduced
 
 
 def grid_leg(

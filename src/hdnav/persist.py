@@ -2,9 +2,9 @@
 
 Layout: an ASCII header (magic line, then one ``key=value`` per line)
 ended by a blank line, then raw row-major float64 blocks.  An object
-file is its graph (``labels``, ``edges``) and one block S; A, the gates
-and the flow table are derived on load by ``cml.calculated``, so a save
-refuses any other model.  A grid file is its chains x and y and its
+file is its graph (``labels``, ``edges``) and one block S; A and the gates
+are derived on load by ``cml.calculated``, the flow table by the graph, so
+a save refuses any other model.  A grid file is its chains x and y and its
 two drawn actions a_s and a_e; A4, the states and U are derived on load,
 so no file can hold a north or west action other than -a_s or -a_e.
 Round-trips are bit-exact.

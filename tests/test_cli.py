@@ -11,6 +11,7 @@ from hdnav import cml, experiments, maze as mz, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
+from test_experiments import flip_lowest_state_bit
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
@@ -451,6 +452,11 @@ def test_run_refuses_object_model_of_another_graph(models_dir, object_cml, capsy
     other = cml.calculated(cml.CmlGraph(graph.node_labels, edges), object_cml.S)
     persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
     run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
+
+
+def test_run_refuses_an_object_model_with_a_changed_mantissa_bit(models_dir, capsys):
+    flip_lowest_state_bit(models_dir / "models" / experiments.OBJECT_MODEL_FILE, 5)
+    run_and_verify_refuse(models_dir, capsys, "object model states are not all +1 or -1")
 
 
 def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):

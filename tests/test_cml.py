@@ -92,6 +92,43 @@ def test_graph_rejects_bad_index():
         cml.CmlGraph(("a", "b"), ((0, 5),))
 
 
+# --- graph tables ---------------------------------------------------------------
+
+
+def test_graph_tables_are_derived_on_first_use_and_compare_nothing():
+    # a graph built only to compare against derives no table, and one whose tables are
+    # derived is still equal to, and hashes like, one whose tables are not
+    fresh, used = object_graph(), object_graph()
+    assert used.F.shape == (26, 8)
+    assert vars(fresh).keys() == {"node_labels", "directed_edges"}
+    assert fresh == used and hash(fresh) == hash(used)
+
+
+@pytest.mark.parametrize("table", ["src", "dst", "B", "F"])
+def test_graph_tables_are_read_only(graph, table):
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(graph, table)[0] = 1
+
+
+def test_graph_tables_match_the_edges(graph):
+    assert graph.src.tolist() == [src for src, _ in graph.directed_edges]
+    assert graph.dst.tolist() == [dst for _, dst in graph.directed_edges]
+    assert graph.B.tobytes() == incidence(graph).tobytes()
+    # the same bytes as the pseudo-inverse of the incidence built edge by edge
+    assert graph.F.tobytes() == np.linalg.pinv(incidence(graph)).tobytes()
+
+
+def test_actions_are_the_state_differences_bit_for_bit(graph, object_cml):
+    # A = S B adds one +s_j and one -s_i to zeros per entry, so it rounds as s_j - s_i
+    # does; on bipolar states and on generic floats, where any rounding would show
+    src, dst = np.array(graph.directed_edges).T
+    gaussian = [np.random.default_rng(seed).normal(size=(D, graph.n)) for seed in range(1, 31)]
+    for S in [object_cml.S, *gaussian]:
+        A = cml.calculated(graph, S).A
+        differences = np.subtract(S[:, dst], S[:, src], order="C")
+        assert A.flags.c_contiguous and A.tobytes() == differences.tobytes()
+
+
 # --- BFS oracle -----------------------------------------------------------------
 
 

@@ -460,6 +460,28 @@ def test_load_models_refuses_another_object_graph(config, object_cml, grid_cml, 
     assert experiments.load_models(cfg)[0].graph == mz.object_graph()
 
 
+def flip_lowest_state_bit(path, entry: int) -> None:
+    """Flip the lowest mantissa bit of S entry ``entry`` in a saved object file (its
+    blocks are little-endian float64, after the header's blank line)."""
+    data = bytearray(path.read_bytes())
+    data[data.index(b"\n\n") + 2 + 8 * entry] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def test_load_models_refuses_states_that_are_not_bipolar(config, object_cml, grid_cml, tmp_path):
+    # one changed mantissa bit leaves a finite S that the file's checks pass; every
+    # calculated model's states are +1 or -1, and the loader refuses any other
+    cfg = small(config, output_dir=str(tmp_path))
+    cfg.models_dir.mkdir()
+    object_path = cfg.models_dir / experiments.OBJECT_MODEL_FILE
+    persist.save_cml(object_cml, object_path)
+    persist.save_grid_cml(grid_cml, cfg.models_dir / experiments.GRID_MODEL_FILE)
+    flip_lowest_state_bit(object_path, 5)
+    assert not np.array_equal(persist.load_model(object_path).S, object_cml.S)
+    with pytest.raises(ValueError, match=r"object model states are not all \+1 or -1"):
+        experiments.load_models(cfg)
+
+
 def test_unknown_experiment_rejected(config, object_cml, grid_cml):
     with pytest.raises(ValueError, match="unknown experiment"):
         experiments.run_experiment(config, "bogus", object_cml, grid_cml)

@@ -75,6 +75,17 @@ def test_remove_door_keeps_state_dictionary(object_cml):
     assert np.array_equal(rebuilt.norms, original.norms)
 
 
+@pytest.mark.parametrize("door", mz.DOOR_LABELS)
+def test_remove_door_derives_nothing(object_cml, door):
+    # the planner is a copy of the gates, zeroed; everything else is the original's own
+    G = object_cml.G.copy()
+    reduced = mission.remove_door(object_cml, door)
+    assert reduced.graph is object_cml.graph and reduced.F is object_cml.F
+    assert reduced.S is object_cml.S and reduced.A is object_cml.A
+    assert reduced.state_dictionary() is object_cml.state_dictionary()
+    assert np.array_equal(object_cml.G, G) and not np.array_equal(reduced.G, G)
+
+
 def test_remove_door_rejects_non_door(object_cml):
     with pytest.raises(ValueError, match="not a door"):
         mission.remove_door(object_cml, "t")
