@@ -8,7 +8,7 @@ Verbs:
 - ``run <experiment> [<experiment> ...]``: one or more of the mission,
   grid_only, viability and door_removal trial batches, in the order given,
   against the saved models loaded once.
-- ``render``: draw one trace record as text or SVG.
+- ``render``: draw one trace record as text or SVG (``render.STYLES``).
 - ``verify``: load the saved pair as ``run`` does, with its checks, and
   re-prove it: object plans BFS-shortest for every node pair (with the
   count of tied pairs, the route margin and the tie spread), and
@@ -21,9 +21,11 @@ then ``--seed`` (the ``seed`` field) and ``--out`` (``output_dir``), then
 each ``--set key=value`` in order, every value typed by
 ``config.parse_value``.  Experiment commands require an explicit
 ``--seed``.  Errors print one categorized line to stderr and exit
-nonzero, a failed write as ``error[io]``.  When the reader of stdout
-goes away (a closed pipe), the command exits nonzero without a
-traceback.
+nonzero.  ``main`` classifies them in one place: a ``ValueError`` is
+``error[config]``; a ``CliError`` carries the category that differs
+from that (``models``, ``trace`` or ``verify``); a failed write is
+``error[io]``.  When the reader of stdout goes away (a closed pipe),
+the command exits nonzero without a traceback.
 """
 
 from __future__ import annotations
@@ -51,23 +53,17 @@ def _build_config(args) -> ExperimentConfig:
     flags = (("seed", args.seed), ("output_dir", args.out))
     items = [f"{key}={value}" for key, value in flags if value is not None] + (args.set or [])
     config = ExperimentConfig()
-    try:
-        for item in items:
-            key, equals, value = item.partition("=")
-            if not equals:
-                raise ValueError(f"--set expects key=value, got {item!r}")
-            setattr(config, key.strip(), parse_value(key.strip(), value))
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    for item in items:
+        key, equals, value = item.partition("=")
+        if not equals:
+            raise ValueError(f"--set expects key=value, got {item!r}")
+        setattr(config, key.strip(), parse_value(key.strip(), value))
     return config
 
 
 def _cmd_hdc_stats(args) -> int:
     config = _build_config(args)
-    try:
-        report = experiments.run_hdc_stats(config)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    report = experiments.run_hdc_stats(config)
     report.write(config.output_dir)
     print("\n".join(report.summary_lines()))
     return 0
@@ -96,8 +92,6 @@ def _cmd_train(args) -> int:
     config = _build_config(args)
     try:
         info = experiments.train_and_save(config)
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
     except RuntimeError as exc:
         raise CliError("verify", str(exc)) from exc
     print("\n".join(_proof_line(kind, details) for kind, details in info.items()))
@@ -107,10 +101,7 @@ def _cmd_train(args) -> int:
 def _load_models(config: ExperimentConfig):
     """The saved pair, through ``experiments.load_models`` and its checks, after the
     config's: a config that cannot run is an ``error[config]``, not a model fault."""
-    try:
-        config.validate_for_models()
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    config.validate_for_models()
     try:
         return experiments.load_models(config)
     except (OSError, ValueError) as exc:
@@ -119,16 +110,11 @@ def _load_models(config: ExperimentConfig):
 
 def _cmd_run(args) -> int:
     config = _build_config(args)
-    try:  # before the models load, so a missing seed is not reported as missing models
-        config.require_seed()
-    except ValueError as exc:
-        raise CliError("config", str(exc)) from exc
+    # before the models load, so a missing seed is not reported as missing models
+    config.require_seed()
     object_cml, grid_cml = _load_models(config)
     for name in args.experiments:
-        try:
-            report = experiments.run_experiment(config, name, object_cml, grid_cml)
-        except ValueError as exc:
-            raise CliError("config", str(exc)) from exc
+        report = experiments.run_experiment(config, name, object_cml, grid_cml)
         trials_path, report_path = report.write(config.output_dir)
         print("\n".join(report.summary_lines()))
         print(f"records: {trials_path}")
@@ -139,13 +125,10 @@ def _cmd_run(args) -> int:
 def _cmd_render(args) -> int:
     try:
         records = render_mod.load_trace(args.trace)
+        if not 0 <= args.trial < len(records):
+            raise ValueError(f"trial {args.trial} out of range (0..{len(records) - 1})")
+        drawing = render_mod.STYLES[args.style](records[args.trial])
     except (OSError, ValueError) as exc:
-        raise CliError("trace", str(exc)) from exc
-    if not 0 <= args.trial < len(records):
-        raise CliError("trace", f"trial {args.trial} out of range (0..{len(records) - 1})")
-    try:
-        drawing = render_mod.render(records[args.trial], args.style)
-    except ValueError as exc:
         raise CliError("trace", str(exc)) from exc
     if args.output:
         Path(args.output).write_text(drawing)
@@ -216,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_render = sub.add_parser("render", help="draw a trial trace")
     p_render.add_argument("--trace", required=True, help="trial JSONL file")
-    p_render.add_argument("--style", choices=("text", "svg"), default="text")
+    p_render.add_argument("--style", choices=tuple(render_mod.STYLES), default="text")
     p_render.add_argument("--trial", type=int, default=0)
     p_render.add_argument("--output", help="output file (default: stdout)")
     p_render.set_defaults(func=_cmd_render)
@@ -244,6 +227,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except CliError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # a setting no verb can run with
+        print(f"error[config]: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"error[internal]: {exc}", file=sys.stderr)

@@ -2,7 +2,8 @@
 
 Every trial derives its own generator from (root seed, experiment tag,
 trial index), so batches are reproducible record-for-record and can be
-farmed out to worker processes without changing any result.
+farmed out to worker processes without changing any result: a pool
+sends each worker one chunk of trial indices (see ``run_experiment``).
 """
 
 from __future__ import annotations
@@ -314,14 +315,15 @@ def mission_trial(
 
 
 def grid_only_trial(
-    config: ExperimentConfig, grid_cml: GridCml, trial: int
+    config: ExperimentConfig, object_cml: cml_mod.Cml, grid_cml: GridCml, trial: int
 ) -> dict:
     """Key-to-treasure traversal with the grid layer and sensors alone.
 
     No object graph, no map: one grid leg from the key's cell to the
-    treasure's.  Greedy utility steering cannot see doors displaced from
-    its straight line, so a sizeable fraction of mazes ends in a
-    dithering abort; the record names the walk's last two cells.
+    treasure's (the object model, taken as by every trial, goes unread).
+    Greedy utility steering cannot see doors displaced from its straight
+    line, so a sizeable fraction of mazes ends in a dithering abort; the
+    record names the walk's last two cells.
     """
     rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
     trial_maze = maze_mod.generate_maze(rng)
@@ -361,26 +363,11 @@ def viability_trial(
 
 # --- experiment batches ---------------------------------------------------------
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(config, object_cml, grid_cml) -> None:
-    _WORKER_STATE["args"] = (config, object_cml, grid_cml)
-
-
-def _worker_run(task: tuple[str, int]) -> dict:
-    name, trial = task
-    return EXPERIMENTS[name][1](*_WORKER_STATE["args"], trial)
-
-
 # name -> (config field of its trial count, trial(config, object_cml, grid_cml, trial));
 # the CLI choices follow this order
 EXPERIMENTS = {
     "mission": ("mission_trials", mission_trial),
-    "grid_only": (
-        "grid_only_trials",
-        lambda config, _object_cml, grid_cml, trial: grid_only_trial(config, grid_cml, trial),
-    ),
+    "grid_only": ("grid_only_trials", grid_only_trial),
     "viability": ("viability_mazes", viability_trial),
     "door_removal": ("door_removal_trials", partial(mission_trial, remove_random_door=True)),
 }
@@ -392,7 +379,13 @@ def run_experiment(
     object_cml: cml_mod.Cml,
     grid_cml: GridCml,
 ) -> ExperimentReport:
-    """Run one named trial batch and assemble its report."""
+    """Run one named trial batch and assemble its report.
+
+    At ``workers > 1`` a pool of at most one worker per trial maps the
+    trial, with the config and models bound, over ``range(trials)`` in
+    ``ceil(trials / workers)``-trial chunks: the models travel at most
+    once per worker, and the records come back in trial order.
+    """
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r} (choose from {tuple(EXPERIMENTS)})")
     config.validate_for_models()
@@ -403,12 +396,10 @@ def run_experiment(
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool reads it
 
-        with ProcessPoolExecutor(
-            max_workers=min(config.workers, trials),
-            initializer=_worker_init,
-            initargs=(config, object_cml, grid_cml),
-        ) as pool:
-            records = list(pool.map(_worker_run, [(name, t) for t in range(trials)]))
+        workers = min(config.workers, trials)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            task = partial(run_trial, config, object_cml, grid_cml)
+            records = list(pool.map(task, range(trials), chunksize=-(-trials // workers)))
     else:
         records = [run_trial(config, object_cml, grid_cml, t) for t in range(trials)]
     return ExperimentReport(

@@ -1,9 +1,10 @@
 """Render trial traces as text overlays or standalone SVG drawings.
 
-Input is one record from a trial JSONL file.  Both styles are pure
-functions of the record, so the same trace always renders to the same
-bytes.  Mission records draw one distinguishable path per goal leg;
-grid-only failure records flag the two cells of the dithering 2-cycle.
+Input is one record from a trial JSONL file.  ``STYLES`` maps each
+style name to its renderer.  Both styles are pure functions of the
+record, so the same trace always renders to the same bytes.  Mission
+records draw one distinguishable path per goal leg; grid-only failure
+records flag the two cells of the dithering 2-cycle.
 A malformed record raises ``ValueError``: not an object, maze text that is
 not a string or disagrees with its ``W H`` header, a goal entry without a
 ``grid_path``, or a cell that is not two ints or lies off the maze's W x H.
@@ -144,9 +145,5 @@ def render_svg(record: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def render(record: dict, style: str) -> str:
-    if style == "text":
-        return render_text(record)
-    if style == "svg":
-        return render_svg(record)
-    raise ValueError(f"unknown render style {style!r} (text or svg)")
+# style name -> renderer; the CLI's ``--style`` choices follow this order
+STYLES = {"text": render_text, "svg": render_svg}

@@ -596,6 +596,28 @@ def test_run_rejects_removed_thresholds(models_dir, capsys, key):
     assert not (models_dir / "mission_trials.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [("d=0", "d must be >= 1, got 0"), ("nope=1", "unknown config key 'nope'")],
+    ids=["d_zero", "unknown_key"],
+)
+@pytest.mark.parametrize(
+    "verb",
+    [["hdc-stats", "--seed", "1"], ["train", "--seed", "42"], ["run", "mission", "--seed", "42"],
+     ["verify"]],
+    ids=["hdc-stats", "train", "run", "verify"],
+)
+def test_every_verb_maps_a_bad_setting_to_one_config_line(tmp_path, capsys, verb, setting,
+                                                          message):
+    # main classifies a ValueError once, whichever verb raised it
+    assert main([*verb, "--out", str(tmp_path / "out"), "--set", setting]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error[config]: ") and err.count("\n") == 1
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_full_train_and_save_round(tmp_path):
     cfg = ExperimentConfig(seed=42, output_dir=str(tmp_path / "full"))
     info = experiments.train_and_save(cfg)

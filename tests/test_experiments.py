@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -403,12 +404,11 @@ def test_worker_parallelism_preserves_records(config, object_cml, grid_cml, name
 
 def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, monkeypatch):
     # an in-process stand-in for the pool: no process is started
-    sizes = []
+    sizes, chunks = [], []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -416,11 +416,12 @@ def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, m
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize):
+            tasks = list(tasks)
+            chunks.append(math.ceil(len(tasks) / chunksize))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(experiments, "_WORKER_STATE", {})
     serial = experiments.run_experiment(
         small(config, grid_only_trials=3), "grid_only", object_cml, grid_cml
     )
@@ -429,6 +430,8 @@ def test_worker_pool_is_no_larger_than_the_batch(config, object_cml, grid_cml, m
         report = experiments.run_experiment(cfg, "grid_only", object_cml, grid_cml)
         assert report.records_text() == serial.records_text()
     assert sizes == [2, 3, 3]
+    # each chunk carries the models once, so no worker is sent them twice
+    assert chunks == [2, 3, 3]
 
 
 def _without_h_k(graph):

@@ -251,8 +251,8 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
 # --- grid_only_trial --------------------------------------------------------------------
 
 
-def test_grid_only_success_and_failure_mix(config, grid_cml):
-    results = [experiments.grid_only_trial(config, grid_cml, i) for i in range(30)]
+def test_grid_only_success_and_failure_mix(config, object_cml, grid_cml):
+    results = [experiments.grid_only_trial(config, object_cml, grid_cml, i) for i in range(30)]
     successes = [r for r in results if r["success"]]
     failures = [r for r in results if not r["success"]]
     assert successes and failures
@@ -290,7 +290,7 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
     assert len(path) - 1 == 15  # straight line, Manhattan-optimal
 
 
-def test_grid_only_starts_at_key(config, grid_cml):
-    record = experiments.grid_only_trial(config, grid_cml, 2)
+def test_grid_only_starts_at_key(config, object_cml, grid_cml):
+    record = experiments.grid_only_trial(config, object_cml, grid_cml, 2)
     maze = mz.from_text(record["maze"])
     assert tuple(record["grid_path"][0]) == maze.placements["k"]

@@ -1,6 +1,7 @@
 import pytest
 
 from hdnav import render
+from hdnav.cli import main
 
 MAZE_TEXT = "\n".join(
     [
@@ -73,13 +74,14 @@ def test_svg_render_deterministic():
     assert render.render_svg(mission_record()) == render.render_svg(mission_record())
 
 
-def test_render_style_dispatch():
-    record = mission_record()
-    assert render.render(record, "text") == render.render_text(record)
-    assert render.render(record, "svg") == render.render_svg(record)
+def test_render_style_dispatch(capsys):
+    # one table names the styles; the CLI's --style offers its keys and refuses any other
+    assert render.STYLES == {"text": render.render_text, "svg": render.render_svg}
     for style in ("png", "vector"):
-        with pytest.raises(ValueError, match="style"):
-            render.render(record, style)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["render", "--trace", "trace.jsonl", "--style", style])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_load_trace_reports_bad_line(tmp_path):
@@ -102,7 +104,7 @@ def test_load_trace_rejects_empty(tmp_path):
 def test_render_rejects_cells_off_the_maze(style, cell, key):
     record = {"maze": "3 2\nH..\n...\n", "grid_path": [[0, 0], [0, 1]], key: [cell]}
     with pytest.raises(ValueError, match="off the 3x2 maze"):
-        render.render(record, style)
+        render.STYLES[style](record)
 
 
 @pytest.mark.parametrize("style", ["text", "svg"])
@@ -110,4 +112,4 @@ def test_render_rejects_cells_off_the_maze(style, cell, key):
 def test_render_rejects_maze_text_that_disagrees_with_its_header(style, maze):
     record = {"maze": maze, "grid_path": [[0, 0], [0, 1]]}
     with pytest.raises(ValueError, match="rows|row 1"):
-        render.render(record, style)
+        render.STYLES[style](record)

@@ -479,6 +479,19 @@ def test_query_position_matches_float_recovery_on_the_pinned_batches(batch_queri
         assert found == reference_query_position(memory, object_hv)
 
 
+def test_every_kept_map_recovers_each_object_cell_one_row_at_a_time(batch_queries):
+    # the executor looks an object up as one (1, d) row, mission_ready as one (8, d)
+    # stack; the two products differ in the last bits, and the cells must not
+    records, calls = batch_queries
+    maps = {id(memory): memory for memory, _, _ in calls}.values()
+    assert len(maps) == len(records)  # every pinned trial keeps one map
+    for memory in maps:
+        objects = memory.objects
+        assert [sm.query_position(memory, objects.vectors[i]) for i in range(8)] == [
+            memory.position_of(label) for label in objects.labels
+        ]
+
+
 def test_query_position_matches_float_recovery_on_noisy_and_gaussian_queries(
     object_cml, grid_cml, monkeypatch
 ):
