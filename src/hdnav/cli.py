@@ -69,10 +69,6 @@ def _cmd_hdc_stats(args) -> int:
     return 0
 
 
-# the phase times train_and_save returns, by the label ``train`` prints them under
-TRAIN_PHASES = {"build_s": "build", "train_s": "training", "verify_s": "proof", "save_s": "save"}
-
-
 def _proof_line(kind: str, info: dict) -> str:
     """One model's proof facts: its pairs, then the object model's ties, route margin and
     tie spread, then (from ``train``) its path and phase times."""
@@ -82,9 +78,7 @@ def _proof_line(kind: str, info: dict) -> str:
             f", {info['tied_pairs']} tied, route margin {info['route_margin']:.3g},"
             f" tie spread {info['tie_spread']:.2g}"
         )
-    phases = ", ".join(
-        f"{label} {info[key] * 1e3:.1f} ms" for key, label in TRAIN_PHASES.items() if key in info
-    )
+    phases = ", ".join(f"{label} {t * 1e3:.1f} ms" for label, t in info.get("phases", {}).items())
     return f"{kind}: verified ({facts})" + (f" -> {info['path']} [{phases}]" if phases else "")
 
 

@@ -13,14 +13,14 @@ Planning works without any path search.  The graph derives its (n x e)
 incidence matrix B once, so ``A = S B``, and from it the (e x n) flow table
 ``F = pinv(B)``: the paper's least-squares action utility is the minimum-norm
 flow ``F[:, target] - F[:, current]``, whatever the states.  The pick rule is written
-once, as ``best_edges`` (the tie set: every open edge within
-``TIE_TOLERANCE`` of the best) and ``last_edge`` (the step takes the
-last of it), so exact ties between symmetric routes never fall to
-rounding.  Both broadcast over target and current index arrays:
-``step`` runs them for its one pair, and the planner proof
-(``experiments.verify_object_cml``) for every pair at once.  Iterating
-the step with the predicted state ``s_c + a_edge`` fed back walks a
-near-optimal path.  A step that refuses to act says why: an input it
+once, as ``route_scores`` (each gated edge's utility), ``best_edges``
+(the tie set: every open edge within ``TIE_TOLERANCE`` of the best) and
+``last_edge`` (the step takes the last of it), so exact ties between
+symmetric routes never fall to rounding.  All three broadcast over
+target and current index arrays: ``step`` runs them for its one pair,
+and the planner proof (``experiments.verify_object_cml``) for every
+pair at once, scoring once.  Iterating the step with the predicted
+state ``s_c + a_edge`` fed back walks a near-optimal path.  A step that refuses to act says why: an input it
 did not recognise, or a node with no open gate.
 """
 
@@ -215,14 +215,13 @@ def route_scores(cml: Cml, target, current) -> np.ndarray:
     return np.where(cml.G[:, current], F[:, target] - F[:, current], -np.inf)
 
 
-def best_edges(cml: Cml, target, current) -> np.ndarray:
-    """The tie set of each (target, current) pair, as an edge mask.
+def best_edges(scores: np.ndarray) -> np.ndarray:
+    """The tie set of each (target, current) pair, as an edge mask, from ``route_scores``.
 
-    True for the open edges out of the current node whose
-    ``route_scores`` are within ``TIE_TOLERANCE`` of the best; no edge
-    where every gate is closed.  Broadcasts like ``route_scores``.
+    True for the open edges whose scores are within ``TIE_TOLERANCE`` of
+    the best; no edge where every gate is closed.  ``scores`` has one row
+    per edge, and the mask has its shape.
     """
-    scores = route_scores(cml, target, current)
     return (scores >= scores.max(axis=0) - TIE_TOLERANCE) & (scores > -np.inf)
 
 
@@ -250,7 +249,7 @@ def step(cml: Cml, target: np.ndarray, current: np.ndarray) -> StepResult:
         return StepResult(None, None, False)
     t_idx = cml.graph.node_index(target_label)
     c_idx = cml.graph.node_index(current_label)
-    best = best_edges(cml, t_idx, c_idx)
+    best = best_edges(route_scores(cml, t_idx, c_idx))
     if not best.any():
         return StepResult(None, None, True)
     edge = int(last_edge(best))

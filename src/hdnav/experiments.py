@@ -69,10 +69,11 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
        the stacked states and predictions), and
     2. for every (target, current) pair with target != current, the edge
        the step picks leaves the current node and its head is one hop
-       closer to the target.  The picks come from ``cml.best_edges`` and
-       ``cml.last_edge``, the rule ``step`` runs, in one call over all
-       pairs; the distances from ``cml.bfs_hops``, which reads the
-       graph's edges alone, independent of F and G.
+       closer to the target.  The picks come from ``cml.route_scores``,
+       ``cml.best_edges`` and ``cml.last_edge``, the rule ``step`` runs,
+       each called once over all pairs; the distances from
+       ``cml.bfs_hops``, which reads the graph's edges alone, independent
+       of F and G.
     A failure raises ``RuntimeError`` naming the pair.  Returned: the
     pairs checked, the pairs whose tie set has more than one edge, and
     the tie rule's rounding headroom on both sides of ``TIE_TOLERANCE``:
@@ -101,7 +102,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     index = np.arange(graph.n)
     # (edge, current, target) and (current, target), like hops[start, goal]
     scores = cml_mod.route_scores(object_cml, index[None, :], index[:, None])
-    best = cml_mod.best_edges(object_cml, index[None, :], index[:, None])
+    best = cml_mod.best_edges(scores)
     pick = cml_mod.last_edge(best)
     # hops[start, goal], -1 where no walk reaches the goal
     oracle = [cml_mod.bfs_hops(graph, s, g) for s in range(graph.n) for g in range(graph.n)]
@@ -121,8 +122,8 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
         )
     picked = np.take_along_axis(scores, pick[None], axis=0)[0]
     runner_up = np.where(best, -np.inf, scores).max(axis=0)  # -inf where every open edge ties
-    top = np.where(best, scores, -np.inf).max(axis=0)
-    spread = top - np.where(best, scores, np.inf).min(axis=0)
+    # the best open score lies in its own tie set; a pair with every gate closed is -inf
+    spread = scores.max(axis=0) - np.where(best, scores, np.inf).min(axis=0)
     return {
         "pairs_checked": int(pairs.sum()),
         "tied_pairs": int((pairs & (best.sum(axis=0) > 1)).sum()),
@@ -168,43 +169,31 @@ def train_and_save(config: ExperimentConfig) -> dict:
     Both come from the one configured seed.  Neither file, nor the models
     directory, is written until both models are proved, so a failed proof
     leaves the directory's previous pair, whatever its seed, as it was.
-    Each model's info also gives the wall time of its phases in seconds:
-    ``build_s`` (the object model's build) or ``train_s`` (the grid's
-    training), then ``verify_s`` (its proof) and ``save_s``.  The times
-    are for the caller to print; no model file holds them.
+    Each model's info also gives the wall time of its phases, ``phases``:
+    seconds by label, in the order ``train`` prints them, ``build`` (the
+    object model's) or ``training`` (the grid's), then ``proof`` and
+    ``save``.  No model file holds the times.
     """
     config.validate_for_models()
     config.require_seed()
-    started = time.perf_counter()
-    object_cml = build_object_cml(config)
-    built = time.perf_counter()
-    object_info = verify_object_cml(object_cml)
-    proved = time.perf_counter()
-    grid_cml = build_grid_cml(config)
-    trained = time.perf_counter()
-    grid_info = verify_grid_cml(grid_cml)
-    verified = time.perf_counter()
-    config.models_dir.mkdir(parents=True, exist_ok=True)
-    persist.save_cml(object_cml, config.models_dir / OBJECT_MODEL_FILE)
-    saved = time.perf_counter()
-    persist.save_grid_cml(grid_cml, config.models_dir / GRID_MODEL_FILE)
-    grid_saved = time.perf_counter()
-    return {
-        "object": {
-            **object_info,
-            "path": str(config.models_dir / OBJECT_MODEL_FILE),
-            "build_s": built - started,
-            "verify_s": proved - built,
-            "save_s": saved - verified,
-        },
-        "grid": {
-            **grid_info,
-            "path": str(config.models_dir / GRID_MODEL_FILE),
-            "train_s": trained - proved,
-            "verify_s": verified - trained,
-            "save_s": grid_saved - saved,
-        },
-    }
+    models = config.models_dir
+    paths = {"object": models / OBJECT_MODEL_FILE, "grid": models / GRID_MODEL_FILE}
+    info = {kind: {"path": str(path), "phases": {}} for kind, path in paths.items()}
+
+    def timed(kind: str, phase: str, work, *args):
+        started = time.perf_counter()
+        result = work(*args)
+        info[kind]["phases"][phase] = time.perf_counter() - started
+        return result
+
+    object_cml = timed("object", "build", build_object_cml, config)
+    info["object"].update(timed("object", "proof", verify_object_cml, object_cml))
+    grid_cml = timed("grid", "training", build_grid_cml, config)
+    info["grid"].update(timed("grid", "proof", verify_grid_cml, grid_cml))
+    models.mkdir(parents=True, exist_ok=True)
+    timed("object", "save", persist.save_cml, object_cml, paths["object"])
+    timed("grid", "save", persist.save_grid_cml, grid_cml, paths["grid"])
+    return info
 
 
 def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:

@@ -22,9 +22,9 @@ table ``signs`` of the cells' sign patterns (one row per cell in
 row-major order; a map binds these), the utility table ``U`` below, and
 the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
 plane[cell]``.  The d-dimensional states are built once to derive these
-tables and then dropped: the model keeps its plane.  ``states`` rebuilds
-the rows a caller asks for, and P the whole (d x W H) table whose column
-for a cell is that cell's state, each bit for bit.
+tables and then dropped: the model keeps its plane.  ``P`` rebuilds the
+whole (d x W H) table, whose column for a cell is that cell's state, bit
+for bit.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -71,7 +71,7 @@ class GridCml:
     ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
     ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
     ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.  No
-    table of states is kept: ``states`` and ``P`` rebuild them on request.
+    table of states is kept: ``P`` rebuilds it on request.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -111,11 +111,6 @@ class GridCml:
         # two (width * height, d) outer products, from (height, d) and (width, d)
         S = np.multiply.outer(self.x, self.a_s)[:, None] + np.multiply.outer(self.y, self.a_e)
         return S.reshape(self.width * self.height, -1).T
-
-    def states(self, rows) -> np.ndarray:
-        """The states of the cells at row-major indices ``rows``: ``P.T[rows]``, bit for bit."""
-        row, col = np.divmod(rows, self.width)
-        return np.multiply.outer(self.x[row], self.a_s) + np.multiply.outer(self.y[col], self.a_e)
 
     def cell_index(self, cell: Cell) -> int:
         row, col = cell

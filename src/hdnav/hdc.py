@@ -8,8 +8,8 @@ bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
 The algebra has four basic operations:
 
 - ``bundle``: signed elementwise addition of a stack's rows; the result
-  stays similar to every summand.  An int8 stack of sign terms is summed
-  exactly in the narrowest integer type that holds its sum.
+  stays similar to every summand.  An int8 stack of sign terms (fewer
+  than 128 rows) is summed exactly in int8.
 - ``bind``: elementwise multiplication; the result is dissimilar to both
   inputs but the operation is self-inverse on bipolar vectors.
 - ``permute``: circular shift; reversible, used to encode sequence
@@ -98,17 +98,16 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     When the number of summands is even, a fresh random bipolar vector is
     added last to break elementwise ties, so bundles of bipolar inputs
     are always bipolar.  An int8 stack holds sign terms (entries -1, 0,
-    +1); it is summed exactly, in int8 below 128 rows and in int16 from
-    there, so it may have at most 2**15 - 1 rows.
+    +1); it is summed exactly in int8, so it must have fewer than 128 rows.
     """
     n = len(vectors)
     if n == 0:
         raise ValueError("bundle requires at least one vector")
     dtype = float
     if vectors.dtype == np.int8:
-        if n >= 2**15:
-            raise ValueError(f"an int8 bundle sums in int16: {n} rows is too many")
-        dtype = np.int8 if n < 128 else np.int16
+        if n >= 128:
+            raise ValueError(f"an int8 bundle sums in int8: {n} rows is too many")
+        dtype = np.int8
     total = np.add.reduce(vectors, axis=0, dtype=dtype)
     if n % 2 == 0:
         # the tie-break 2 b - 1 as int8: an even count keeps an integer

@@ -16,13 +16,12 @@ import json
 from pathlib import Path
 
 from . import maze as maze_mod
+from .grid import Cell
 
 CELL_PX = 24
 LEG_MARKS = "123456789"
 LEG_COLORS = ("#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DITHER_MARK = "!"
-
-Cell = tuple[int, int]
 
 
 def load_trace(path: str | Path) -> list[dict]:
@@ -66,25 +65,27 @@ def _legs(record: dict, maze: maze_mod.Maze) -> list[list[Cell]]:
 
 
 def _maze(record: dict) -> tuple[maze_mod.Maze, list[list[str]], list[list[Cell]], list[Cell]]:
-    """The maze and its character rows, the legs and the dither cells, all on the maze.
+    """The maze and its text lines as characters, the legs and the dither cells, all on the maze.
 
     ``maze.from_text`` parses the maze text, checking its header, its row
-    count and each row's width; the rows are the parsed maze written out.
+    count and each row's width; the lines are the parsed maze written out,
+    its ``W H`` header first, so maze row r is line r + 1.
     """
     if not isinstance(record, dict):
         raise ValueError("trace record is not an object")
     if not isinstance(record.get("maze"), str):
         raise ValueError("trace record has no maze text")
     maze = maze_mod.from_text(record["maze"])
-    rows = maze_mod.to_text(maze).splitlines()[1:]
+    lines = [list(line) for line in maze_mod.to_text(maze).splitlines()]
     legs = _legs(record, maze)
     dither = _cells(record.get("dither_cells", []), maze)
-    return maze, [list(row) for row in rows], legs, dither
+    return maze, lines, legs, dither
 
 
 def render_text(record: dict) -> str:
     """Maze text with per-leg digit overlays; earliest leg wins a cell."""
-    maze, grid, legs, dither = _maze(record)
+    _, lines, legs, dither = _maze(record)
+    grid = lines[1:]  # the maze rows themselves, not copies
     for leg_idx, leg in enumerate(legs):
         mark = LEG_MARKS[min(leg_idx, len(LEG_MARKS) - 1)]
         for row, col in leg:
@@ -92,15 +93,13 @@ def render_text(record: dict) -> str:
                 grid[row][col] = mark
     for row, col in dither:
         grid[row][col] = DITHER_MARK
-    lines = [f"{maze.width} {maze.height}"]
-    lines.extend("".join(row) for row in grid)
-    return "\n".join(lines) + "\n"
+    return "".join("".join(line) + "\n" for line in lines)
 
 
 def render_svg(record: dict) -> str:
     """Standalone SVG: walls, objects, one polyline per leg, dither crosses."""
-    maze, grid, legs, dither = _maze(record)
-    width, height = maze.width, maze.height
+    maze, lines, legs, dither = _maze(record)
+    grid, width, height = lines[1:], maze.width, maze.height
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{width * CELL_PX}" height="{height * CELL_PX}" '

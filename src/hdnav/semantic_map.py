@@ -13,10 +13,11 @@ build multiplies patterns and takes no sign of its own.
 
 Binding the map with an object vector releases a noisy copy of that
 object's position, cleaned up against the trial's eight known position
-states; binding with a cell's sign pattern releases the object stored
-there.  Grid states of different cells can be strongly correlated, so
-not every arrangement yields a map whose recoveries are all
-unambiguous.  The ``check_viability`` predicate tells usable maps apart,
+states; binding with a cell's sign pattern (its row of the grid model's
+``signs``) releases the object stored there, so the arrival query asks
+by cell index.  Grid states of different cells can be strongly
+correlated, so not every arrangement yields a map whose recoveries are
+all unambiguous.  The ``check_viability`` predicate tells usable maps apart,
 ``check_arrivals`` checks the reverse direction, and the harness
 regenerates mazes that fail either.  Grid states lie in span{a_s, a_e},
 so every position lookup scores in that plane and reads no state: the
@@ -68,7 +69,7 @@ class MapMemory:
     @cached_property
     def positions(self) -> hdc.Dictionary:
         cells = tuple(self.grid_cml.cell(row) for row in self.rows)
-        return hdc.Dictionary(cells, self.grid_cml.states(self.rows))
+        return hdc.Dictionary(cells, self.grid_cml.P.T[self.rows])
 
     def position_of(self, label: str) -> Cell:
         return self.grid_cml.cell(self.rows[self.objects.labels.index(label)])
@@ -129,12 +130,11 @@ def check_viability(memory: MapMemory) -> bool:
 def check_arrivals(memory: MapMemory) -> bool:
     """True when each object's cell recovers that object: reliable arrival feedback.
 
-    The executor queries the object found at each arrival cell, and with
-    near-parallel grid states that reverse direction can collide on maps
-    whose forward recoveries are clean.
+    Each placement cell is asked by its row, as the executor asks at each
+    arrival cell, and with near-parallel grid states that reverse direction
+    can collide on maps whose forward recoveries are clean.
     """
-    signs = memory.grid_cml.signs.take(memory.rows, axis=0)
-    return query_object(memory, signs) == memory.objects.labels
+    return query_object(memory, memory.rows) == memory.objects.labels
 
 
 def mission_ready(memory: MapMemory) -> bool:
@@ -176,19 +176,21 @@ def query_position(
     return found if object_hv.ndim > 1 else found[0]
 
 
-def query_object(
-    memory: MapMemory, position_hv: np.ndarray
-) -> str | None | tuple[str | None, ...]:
-    """Object label stored at a grid position; None at object-free cells.
+def query_object(memory: MapMemory, rows) -> str | None | tuple[str | None, ...]:
+    """Object label stored at the cell of row-major index ``rows``; None below the floor.
 
-    The position input is sign-normalised before unbinding: grid states
-    of nearby cells differ mostly in magnitude profile, and comparing
-    sign patterns against sign patterns keeps the stored object
-    separable from its angular neighbors even where raw-state cosines
-    crowd toward 1.  An (n, d) stack of positions gives a tuple of n
-    results.
+    The map is unbound with the cell's sign pattern, its row of
+    ``grid_cml.signs``: grid states of nearby cells differ mostly in
+    magnitude profile, and comparing sign patterns against sign patterns
+    keeps the stored object separable from its angular neighbors even
+    where raw-state cosines crowd toward 1.  An object-free cell mostly
+    recovers a placed neighbour's label, so the answer is read only at
+    the cells the executor plans to.  A sequence of n indices gives a
+    tuple of n results.  The scores are integer sums, exact however many
+    rows are asked at once.
     """
-    return hdc.recover(hdc.bind(memory.map_hv, hdc.sign(position_hv)), memory.objects)
+    signs = memory.grid_cml.signs.take(rows, axis=0)
+    return hdc.recover(hdc.bind(memory.map_hv, signs), memory.objects)
 
 
 def encode_policy(

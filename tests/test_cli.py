@@ -623,10 +623,11 @@ def test_full_train_and_save_round(tmp_path):
     info = experiments.train_and_save(cfg)
     assert info["object"]["pairs_checked"] == 56
     assert info["grid"]["pairs_checked"] == 39800
-    # every phase is timed, the object model's proof apart from its build, and the
-    # times reach no model file
-    assert min(info["object"][key] for key in ("build_s", "verify_s", "save_s")) > 0
-    assert min(info["grid"][key] for key in ("train_s", "verify_s", "save_s")) > 0
+    # every phase is timed, in print order, the object model's proof apart from its
+    # build, and the times reach no model file
+    assert list(info["object"]["phases"]) == ["build", "proof", "save"]
+    assert list(info["grid"]["phases"]) == ["training", "proof", "save"]
+    assert min(t for kind in ("object", "grid") for t in info[kind]["phases"].values()) > 0
     again = ExperimentConfig(seed=42, output_dir=str(tmp_path / "again"))
     experiments.train_and_save(again)
     for name in (experiments.OBJECT_MODEL_FILE, experiments.GRID_MODEL_FILE):

@@ -256,7 +256,7 @@ def test_trained_model_plans_like_calculated(graph, rng):
     untied = 0
     for c in range(graph.n):
         for t in range(graph.n):
-            best = np.flatnonzero(cml.best_edges(trained, t, c))
+            best = np.flatnonzero(cml.best_edges(cml.route_scores(trained, t, c)))
             if t != c and len(best) == 1:
                 assert reference_pick(utility[:, t, c], trained.G[:, c]) == best[0]
                 untied += 1
@@ -296,7 +296,7 @@ def test_one_hop_utility_is_gated_max(graph, rng):
     h, k = graph.node_index("h"), graph.node_index("k")
     edge_idx = graph.directed_edges.index((h, k))
     assert flow_utility(c, "k", "h")[edge_idx] == pytest.approx(0.25, abs=1e-12)
-    assert np.flatnonzero(cml.best_edges(c, k, h)).tolist() == [edge_idx]
+    assert np.flatnonzero(cml.best_edges(cml.route_scores(c, k, h))).tolist() == [edge_idx]
 
 
 def test_utility_antisymmetric(graph, rng):
@@ -330,7 +330,8 @@ def test_flow_table_ties_are_exact_or_far_apart(graph, object_cml):
             gaps = np.abs(u[:, None] - u[None, :])
             assert np.all((gaps < 1e-12) | (gaps >= 5e-3))
             best = out[u >= u.max() - 1e-12]
-            assert np.array_equal(np.flatnonzero(cml.best_edges(object_cml, t, c)), best)
+            scores = cml.route_scores(object_cml, t, c)
+            assert np.array_equal(np.flatnonzero(cml.best_edges(scores)), best)
             if len(best) > 1:
                 ties.add((graph.node_labels[c], graph.node_labels[t]))
     assert ties == EXACT_TIES
@@ -425,11 +426,11 @@ def test_tie_set_broadcasts_like_the_one_pair_rule(graph, object_cml):
     # one call over all (current, target) pairs gives each pair's own tie set and pick
     index = np.arange(graph.n)
     for model in door_models(object_cml).values():
-        table = cml.best_edges(model, index[None, :], index[:, None])
+        table = cml.best_edges(cml.route_scores(model, index[None, :], index[:, None]))
         picks = cml.last_edge(table)
         for c in range(graph.n):
             for t in range(graph.n):
-                best = cml.best_edges(model, t, c)
+                best = cml.best_edges(cml.route_scores(model, t, c))
                 assert np.array_equal(table[:, c, t], best)
                 if best.any():
                     assert picks[c, t] == np.flatnonzero(best)[-1]

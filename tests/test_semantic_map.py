@@ -117,7 +117,7 @@ def test_tampered_position_dictionary_fails_viability(viable_setup):
     x[cells[i][0]], y[cells[i][1]] = 2 * x[cells[j][0]], 2 * y[cells[j][1]]
     tampered_grid = GridCml(x=x, y=y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
     rows = [tampered_grid.cell_index(cells[i]), tampered_grid.cell_index(cells[j])]
-    p_i, p_j = tampered_grid.states(rows)
+    p_i, p_j = tampered_grid.P.T[rows]
     assert np.array_equal(p_i, 2 * p_j)
     tampered = dataclasses.replace(memory, grid_cml=tampered_grid)
     assert sm.check_viability(memory)
@@ -167,9 +167,9 @@ def reference_check_viability(memory):
 
 
 def reference_check_arrivals(memory):
+    """The per-object loop, each cell asked by its row as the executor asks."""
     for label in memory.objects.labels:
-        position_state = memory.positions.vector(memory.position_of(label))
-        if sm.query_object(memory, position_state) != label:
+        if sm.query_object(memory, memory.grid_cml.cell_index(memory.position_of(label))) != label:
             return False
     return True
 
@@ -492,6 +492,22 @@ def test_every_kept_map_recovers_each_object_cell_one_row_at_a_time(batch_querie
         ]
 
 
+def test_every_kept_map_recovers_each_arrival_exactly_one_row_at_a_time(batch_queries):
+    # the executor asks the arrival query with one cell row, mission_ready with the
+    # eight rows stacked: the entries are +-1 and 0, so every score is an integer sum
+    # below 2**53 and the one-row and eight-row products agree bit for bit
+    records, calls = batch_queries
+    maps = {id(memory): memory for memory, _, _ in calls}.values()
+    assert len(maps) == len(records)
+    for memory in maps:
+        objects, signs = memory.objects, memory.grid_cml.signs
+        assert [sm.query_object(memory, row) for row in memory.rows] == list(objects.labels)
+        stacked = hdc.bind(memory.map_hv, signs[memory.rows]) @ objects.vectors.T
+        for i, row in enumerate(memory.rows):
+            one = hdc.bind(memory.map_hv, signs[row : row + 1]) @ objects.vectors.T
+            assert one.tobytes() == stacked[i : i + 1].tobytes()
+
+
 def test_query_position_matches_float_recovery_on_noisy_and_gaussian_queries(
     object_cml, grid_cml, monkeypatch
 ):
@@ -530,8 +546,7 @@ def test_round_trip_on_viable_map(viable_setup):
     for label in LABELS:
         pos = sm.query_position(memory, memory.objects.vector(label))
         assert pos == memory.position_of(label)
-        back = sm.query_object(memory, memory.positions.vector(pos))
-        assert back == label
+        assert sm.query_object(memory, memory.grid_cml.cell_index(pos)) == label
 
 
 def test_query_position_with_noise_vector_is_none(viable_setup):
@@ -549,14 +564,18 @@ def test_query_position_accepts_approximate_object(viable_setup):
 
 def test_query_object_at_door_cell(viable_setup):
     _, memory, _ = viable_setup
-    state = memory.positions.vector(memory.position_of("a"))
-    assert sm.query_object(memory, state) == "a"
+    assert sm.query_object(memory, memory.grid_cml.cell_index(memory.position_of("a"))) == "a"
 
 
 def test_query_object_with_noise_vector_is_none(viable_setup):
+    # a map that holds no object recovers nothing at any cell; the map's own
+    # object-free cells are no such case, as correlated sign patterns mostly recover
+    # a placed neighbour there
     _, memory, _ = viable_setup
-    rng = np.random.default_rng(35)
-    assert sm.query_object(memory, rng.normal(size=D)) is None
+    noise = dataclasses.replace(memory, map_hv=hdc.random_bipolar(D, np.random.default_rng(35)))
+    cells = memory.grid_cml.width * memory.grid_cml.height
+    assert sm.query_object(noise, range(cells)) == (None,) * cells
+    assert sm.query_object(noise, memory.rows[0]) is None
 
 
 # --- policy -------------------------------------------------------------------------
