@@ -143,11 +143,10 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     The picks come from ``grid.moves``, the move rule ``grid_step`` runs,
     in one call over all pairs.
     """
-    width, height = grid_cml.width, grid_cml.height
-    cells = width * height
+    cells = grid_cml.width * grid_cml.height
     index = np.arange(cells)
-    rows, cols = np.divmod(index, width)
-    gate = maze_mod.Maze(frozenset(), {}, width, height).gates
+    rows, cols = grid_cml.cell(index)
+    gate = maze_mod.Maze(frozenset(), {}, grid_cml.width, grid_cml.height).gates[rows, cols]
     # pick[current, target]
     pick = grid_mod.moves(grid_cml, index[None, :], index[:, None], gate[:, None])
     dr, dc = np.array([DELTAS[direction] for direction in DIRECTIONS]).T
@@ -155,7 +154,7 @@ def verify_grid_cml(grid_cml: GridCml) -> dict:
     progress = dr[pick] * (rows - rows[:, None]) + dc[pick] * (cols - cols[:, None])
     failed = np.argwhere((progress <= 0) & ~np.eye(cells, dtype=bool))
     if len(failed):
-        start, goal = (divmod(int(index), width) for index in failed[0])
+        start, goal = (grid_cml.cell(int(index)) for index in failed[0])
         raise RuntimeError(
             f"grid model failed verification: {start}->{goal}: "
             f"the first step does not shorten the Manhattan distance"

@@ -10,7 +10,8 @@ The cell states start from zero and are trained against the fixed
 actions over every directed adjacency until
 ``p_neighbor ~= p_cell + a_direction`` holds everywhere.
 Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
-2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``.  Training
+2: cell (row, col) is exactly ``x[row] * a_s + y[col] * a_e``, the one
+state formula, which ``GridCml.states`` evaluates.  Training
 is therefore linear in the two coordinate chains x (one scalar per row)
 and y (one per column), and ``train_grid`` writes its trajectory in
 closed form: the chains' fixed point (``fixed_chains``, each chain
@@ -22,9 +23,10 @@ table ``signs`` of the cells' sign patterns (one row per cell in
 row-major order; a map binds these), the utility table ``U`` below, and
 the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
 plane[cell]``.  The d-dimensional states are built once to derive these
-tables and then dropped: the model keeps its plane.  ``P`` rebuilds the
-whole (d x W H) table, whose column for a cell is that cell's state, bit
-for bit.
+tables and then dropped: the model keeps its plane.  ``states`` rebuilds
+any cells' states on request, and ``P`` the whole (d x W H) table from
+it, whose column for a cell is that cell's state, bit for bit.  Cells
+are indexed row-major; ``cell_index`` and ``cell`` convert both ways.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -71,7 +73,7 @@ class GridCml:
     ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
     ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
     ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.  No
-    table of states is kept: ``P`` rebuilds it on request.
+    table of states is kept: ``states`` and ``P`` rebuild them on request.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -103,13 +105,21 @@ class GridCml:
     def d(self) -> int:
         return len(self.a_s)
 
+    def states(self, rows, cols) -> np.ndarray:
+        """The states of cells (rows, cols), ``x[rows] a_s + y[cols] a_e``, d along the last axis.
+
+        ``rows`` and ``cols`` are index arrays that broadcast together, as
+        in ``moves``; each entry takes the same two roundings however many
+        cells are built at once.
+        """
+        return np.multiply.outer(self.x[rows], self.a_s) + np.multiply.outer(self.y[cols], self.a_e)
+
     @property
     def P(self) -> np.ndarray:
         """The (d, W H) state table, one column per cell, built anew on each read."""
-        # row row*width + col of the (width * height, d) table is cell (row, col): each
-        # entry is x[row] a_s + y[col] a_e, the same two roundings as the sum of
-        # two (width * height, d) outer products, from (height, d) and (width, d)
-        S = np.multiply.outer(self.x, self.a_s)[:, None] + np.multiply.outer(self.y, self.a_e)
+        # (height, 1, d) + (width, d): row row*width + col of the reshaped table is
+        # cell (row, col), from one (height, d) and one (width, d) outer product
+        S = self.states(np.arange(self.height)[:, None], np.arange(self.width))
         return S.reshape(self.width * self.height, -1).T
 
     def cell_index(self, cell: Cell) -> int:
@@ -118,8 +128,11 @@ class GridCml:
             raise ValueError(f"cell {cell} outside {self.height}x{self.width} grid")
         return row * self.width + col
 
-    def cell(self, index: int) -> Cell:
-        """The cell at row-major index ``index``: the inverse of ``cell_index``."""
+    def cell(self, index):
+        """The cell at row-major index ``index``: the inverse of ``cell_index``.
+
+        An index array gives the arrays of rows and of columns.
+        """
         return divmod(index, self.width)
 
 

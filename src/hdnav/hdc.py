@@ -14,11 +14,16 @@ The algebra has four basic operations:
   inputs but the operation is self-inverse on bipolar vectors.
 - ``permute``: circular shift; reversible, used to encode sequence
   position.
-- ``recover``: cleanup against a dictionary of known vectors, returning
-  the best match at or above the one noise floor ``THETA``.  It scores an
-  (m, d) stack by its cosines to every entry in one matrix product; a
+- ``recover``: cleanup against a dictionary of known vectors.  It scores
+  an (m, d) stack by its cosines to every entry in one matrix product; a
   zero-norm entry or query has no direction and never matches.  A (d,)
   query is a one-row stack.
+
+Every symbolic decision of the layers is one cleanup, and ``cleanup`` is
+its one rule: a query's best score wins, the lowest index on ties, and
+it must reach the noise floor ``THETA`` times the query's norm, which
+must be positive.  ``recover`` applies it to cosines (unit norms); the
+map's position lookups apply it to their plane scores.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
 generator passed in explicitly wherever randomness is needed.
@@ -29,7 +34,7 @@ vector and leaves the generator in the same state.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,18 +181,36 @@ class Dictionary:
         return self.vectors[self._index[label]]
 
 
+def cleanup(
+    scores: np.ndarray, norms: np.ndarray, labels: Sequence[Hashable]
+) -> tuple[Hashable | None, ...]:
+    """The cleanup rule: for each row of (m, n) ``scores``, a label of ``labels`` or None.
+
+    Row i gives ``labels[j]`` for its largest score, the lowest j on ties,
+    when that score reaches ``THETA * norms[i]`` (``THETA`` read at call
+    time) and ``norms[i] > 0``; otherwise None.  A row holding a NaN
+    clears no floor.
+    """
+    # argmax returns the first (lowest) index on ties
+    return tuple(
+        labels[b] if score >= THETA * norm and norm > 0 else None
+        for score, norm, b in zip(
+            scores.max(axis=1).tolist(), norms.tolist(), scores.argmax(axis=1).tolist()
+        )
+    )
+
+
 def recover(
     query: np.ndarray, dictionary: Dictionary
 ) -> Hashable | None | tuple[Hashable | None, ...]:
     """Cleanup: label of the most similar dictionary entry, or None.
 
-    Returns the entry with maximum cosine to ``query`` provided that
-    maximum is at least ``THETA``, read at call time; a query below the
-    noise floor (or with zero norm) recovers nothing, and a zero-norm
-    entry is never recovered.  Exact ties resolve to the lowest index.
-    An (n, d) stack of queries is cleaned up in one matrix product and
-    gives a tuple with one such result per row; a (d,) query is cleaned up
-    as a one-row stack and gives its one result.
+    ``cleanup`` over the cosines of ``query`` to every entry, with unit
+    norms: a query below the noise floor (or with zero norm) recovers
+    nothing, and a zero-norm entry is never recovered.  An (n, d) stack of
+    queries is cleaned up in one matrix product and gives a tuple with one
+    such result per row; a (d,) query is cleaned up as a one-row stack and
+    gives its one result.
     """
     if query.shape[-1] != dictionary.dim:
         raise ValueError(
@@ -195,19 +218,10 @@ def recover(
         )
     queries = query.reshape(-1, dictionary.dim)
     # (m, n) cosines; a pair with a zero-norm side has no direction and scores -inf
-    sims = queries @ dictionary.vectors.T
     scale = dictionary.norms * row_norms(queries)[:, None]
-    if not scale.all():  # the rare case pays for the mask, the common one does not
-        zero = scale == 0.0
-        sims[zero] = -np.inf
-        scale[zero] = 1.0
-    sims /= scale
-    labels = dictionary.labels
-    # argmax returns the first (lowest) index on ties
-    found = tuple(
-        None if score < THETA else labels[b]
-        for score, b in zip(sims.max(axis=1).tolist(), sims.argmax(axis=1).tolist())
-    )
+    dots = queries @ dictionary.vectors.T
+    sims = np.divide(dots, scale, out=np.full(scale.shape, -np.inf), where=scale > 0)
+    found = cleanup(sims, np.ones(len(sims)), dictionary.labels)
     return found if query.ndim > 1 else found[0]
 
 

@@ -74,10 +74,11 @@ class Maze:
 
     @cached_property
     def gates(self) -> np.ndarray:
-        """(H W, 4) read-only: every cell's touch-sensor gate, row-major cell by ``DIRECTIONS``.
+        """(H, W, 4) read-only: each cell's touch-sensor gate, in ``DIRECTIONS`` order.
 
-        1 where the neighbour in that direction is passable, 0 for a wall or
-        off the grid.  A blocked cell has a row too; ``sense`` refuses it.
+        ``gates[cell]`` is 1 where the neighbour in that direction is
+        passable, 0 for a wall or off the grid.  A blocked cell has a gate
+        too; ``sense`` refuses it.
         One pass over a padded occupancy grid, built on first use.
         """
         height, width = self.height, self.width
@@ -91,7 +92,7 @@ class Maze:
                 for dr, dc in map(DELTAS.get, DIRECTIONS)
             ],
             axis=-1,
-        ).reshape(height * width, 4)
+        )
         table.flags.writeable = False
         return table
 
@@ -189,11 +190,11 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
 def sense(maze: Maze, cell: Cell) -> np.ndarray:
     """The touch-sensor gate at a cell, in ``DIRECTIONS`` order; 0 = blocked or off-grid.
 
-    A read-only row of ``maze.gates``.
+    A read-only view into ``maze.gates``.
     """
     if not maze.passable(cell):
         raise ValueError(f"cannot sense from blocked cell {cell}")
-    return maze.gates[cell[0] * maze.width + cell[1]]
+    return maze.gates[cell]
 
 
 def move_robot(maze: Maze, cell: Cell, direction: str) -> Cell:

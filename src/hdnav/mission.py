@@ -8,8 +8,8 @@ layer.  The inner loop steps the robot cell by cell under touch-sensor
 gating until it stands on the waypoint, where the map is queried for the
 object found there and the answer feeds the middle loop.  The middle
 loop ends when that answer is the goal's label.  Every decision is one
-recovery at the one noise floor ``hdc.THETA``: the next goal, the
-planner's inputs, the waypoint's cell and the object found on arrival.
+cleanup by ``hdc.cleanup``'s rule: the next goal, the planner's inputs,
+the waypoint's cell and the object found on arrival.
 
 The executor reads each layer through its smallest interface: the maze
 gives the sensor gate at a cell and checks each move, the grid layer

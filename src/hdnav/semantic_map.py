@@ -23,7 +23,7 @@ regenerates mazes that fail either.  Grid states lie in span{a_s, a_e},
 so every position lookup scores in that plane and reads no state: the
 forward check and the executor's ``query_position`` share one score,
 two small products from the map and the cells' ``plane`` rows.  Every
-recovery is made at the one noise floor ``hdc.THETA``.
+recovery, by label or by cell, is decided by ``hdc.cleanup``'s one rule.
 
 A goal policy is a bundle of permuted object vectors, the i-th goal
 shifted i places.  Unpermuting once exposes the next goal above the
@@ -53,8 +53,8 @@ class MapMemory:
     basis (``map_hv * grid_cml.basis``, (2, d)), is derived once: every
     built map's readiness check reads it, and each later position lookup
     reuses it.  ``positions``, the dictionary of those cells' states keyed
-    by the cells themselves, is built on first use; no lookup of the
-    package reads it.
+    by the cells themselves, is built on first use from
+    ``grid_cml.states``; no lookup of the package reads it.
     """
 
     map_hv: np.ndarray
@@ -68,8 +68,9 @@ class MapMemory:
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
-        cells = tuple(self.grid_cml.cell(row) for row in self.rows)
-        return hdc.Dictionary(cells, self.grid_cml.P.T[self.rows])
+        rows, cols = self.grid_cml.cell(np.array(self.rows))
+        cells = tuple(zip(rows.tolist(), cols.tolist()))
+        return hdc.Dictionary(cells, self.grid_cml.states(rows, cols))
 
     def position_of(self, label: str) -> Cell:
         return self.grid_cml.cell(self.rows[self.objects.labels.index(label)])
@@ -110,21 +111,19 @@ def check_viability(memory: MapMemory) -> bool:
     collide; those maps are unusable and counted by the viability
     statistic.
 
-    Object ``i`` recovers its position when its plane score against cell
-    ``j``, with ``q_i = map * o_i``, is largest at ``j = i`` and reaches
-    ``hdc.THETA * |q_i|``: the rule ``query_position`` applies.
-    Unbinding a map without zero entries flips signs only, so ``|q_i|`` is
-    the object's norm, bit for bit; a map with a zero entry computes it.
-    A zero query or a zero-state cell (a NaN plane row) is never viable.
-    Most maps fail the argmax test, so the norms are found only for those
-    that pass it.
+    Object ``i``, queried as ``q_i = map * o_i``, must recover its own
+    cell from its plane scores against the map's cells by
+    ``hdc.cleanup``'s rule, as ``query_position`` decides it.  A zero query
+    or a zero-state cell (a NaN plane row) is never viable.  Most maps
+    fail the argmax alone, so the query norms are found only for those
+    whose every argmax is its own cell.
     """
-    objects, m = memory.objects, memory.map_hv
+    objects = memory.objects
     scores = _plane_scores(memory, objects.vectors)
     if scores.argmax(axis=1).tolist() != list(range(len(scores))):
         return False
-    norms = objects.norms if m.all() else np.sqrt(np.square(objects.vectors) @ np.square(m))
-    return bool(((scores.diagonal() >= hdc.THETA * norms) & (norms > 0)).all())
+    norms = hdc.row_norms(hdc.bind(memory.map_hv, objects.vectors))
+    return hdc.cleanup(scores, norms, memory.rows) == tuple(memory.rows)
 
 
 def check_arrivals(memory: MapMemory) -> bool:
@@ -156,23 +155,16 @@ def query_position(
     gives a tuple of n results.
 
     Each query ``q = map * o`` is scored against the map's eight cells in
-    the plane, as ``check_viability`` scores it: the largest score wins,
-    ties go to the lowest index, and it must reach ``hdc.THETA * |q|``.
-    That is ``hdc.recover`` over ``positions`` up to rounding.  A zero
-    query recovers nothing, and a zero-state cell is never recovered.
+    the plane, as ``check_viability`` scores it, and ``hdc.cleanup``
+    decides with the norm ``|q|``.  That is ``hdc.recover`` over
+    ``positions`` up to rounding.  A zero query recovers nothing, and a
+    zero-state cell is never recovered.
     """
     vectors = np.atleast_2d(object_hv)
     norms = hdc.row_norms(hdc.bind(memory.map_hv, vectors))  # raises on a dimension mismatch
     scores = _plane_scores(memory, vectors)
     scores[np.isnan(scores)] = -np.inf  # as recover scores a zero-norm entry
-    cell, rows = memory.grid_cml.cell, memory.rows
-    # argmax returns the first (lowest) index on ties
-    found = tuple(
-        cell(rows[b]) if score >= hdc.THETA * norm and norm > 0 else None
-        for score, norm, b in zip(
-            scores.max(axis=1).tolist(), norms.tolist(), scores.argmax(axis=1).tolist()
-        )
-    )
+    found = hdc.cleanup(scores, norms, [memory.grid_cml.cell(row) for row in memory.rows])
     return found if object_hv.ndim > 1 else found[0]
 
 

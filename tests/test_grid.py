@@ -568,6 +568,25 @@ def test_states_gather_matches_p_columns(grid_cml):
         grid_cml.cell_index((0, 20))
 
 
+@pytest.mark.parametrize("width, height", [(20, 10), (7, 5)])
+def test_states_with_broadcast_indices_equal_p_columns(actions, width, height):
+    # an odd grid centred on zero holds a zero state; every state is built bit for bit
+    model = train_grid(width, height, *actions)
+    P = model.P
+    every = model.states(np.arange(height)[:, None], np.arange(width))
+    assert every.shape == (height, width, D)
+    assert every.reshape(width * height, D).tobytes() == P.T.tobytes()
+    rows = np.array([[0], [height - 1], [height // 2]])
+    cols = np.array([[0, width // 2, width - 1]])
+    picked = model.states(rows, cols)
+    assert picked.shape == (3, 3, D)
+    for i, j in itertools.product(range(3), range(3)):
+        cell = (int(rows[i, 0]), int(cols[0, j]))
+        assert picked[i, j].tobytes() == P[:, model.cell_index(cell)].tobytes()
+    rows, cols = model.cell(np.arange(width * height))
+    assert model.states(rows, cols).tobytes() == P.T.tobytes()
+
+
 def reference_states(grid_cml):
     """The (d, W H) outer-product construction of the states, one column per cell."""
     a_e, a_s = grid_cml.a_e, grid_cml.a_s

@@ -351,6 +351,46 @@ def test_recover_zero_query_is_none():
     assert hdc.recover(np.zeros(D), _dictionary(rng)) is None
 
 
+def test_recover_all_nan_query_is_none():
+    # a NaN query has no direction: its scale is not positive, so every entry scores -inf
+    rng = np.random.default_rng(26)
+    d = _dictionary(rng)
+    assert hdc.recover(np.full(D, np.nan), d) is None
+    assert hdc.recover(np.stack([np.full(D, np.nan), d.vector("v2")]), d) == (None, "v2")
+
+
+# --- cleanup ---------------------------------------------------------------------
+
+
+def test_cleanup_ties_go_to_the_lowest_index():
+    scores = np.array([[0.5, 0.9, 0.9], [0.9, 0.9, 0.9], [0.2, 0.1, 0.3], [0.4, 0.4, 0.1]])
+    assert hdc.cleanup(scores, np.ones(4), "abc") == ("b", "a", "c", "a")
+
+
+def test_cleanup_score_exactly_at_the_floor_passes():
+    norms = np.array([1.0, 3.0, 7.5, 1e-3])
+    at = hdc.THETA * norms
+    below = np.nextafter(at, -np.inf)
+    labels = ("hit", "miss")
+    assert hdc.cleanup(np.stack([at, at / 2], axis=1), norms, labels) == ("hit",) * 4
+    assert hdc.cleanup(np.stack([below, below / 2], axis=1), norms, labels) == (None,) * 4
+
+
+def test_cleanup_zero_norm_never_passes(monkeypatch):
+    # a zero norm puts the floor at 0, which these scores reach; the rule still refuses
+    scores = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    assert hdc.cleanup(scores, np.zeros(3), "ab") == (None, None, None)
+    monkeypatch.setattr(hdc, "THETA", 0.0)
+    assert hdc.cleanup(scores, np.zeros(3), "ab") == (None, None, None)
+    assert hdc.cleanup(scores, np.ones(3), "ab") == ("a", "a", "b")
+
+
+def test_cleanup_nan_row_is_none():
+    scores = np.array([[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [1.0, 0.5]])
+    assert hdc.cleanup(scores, np.ones(4), "ab") == (None, None, None, "a")
+    assert hdc.cleanup(scores[3:], np.array([np.nan]), "ab") == (None,)
+
+
 def test_recover_dimension_mismatch():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError, match="dimension"):

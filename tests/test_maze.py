@@ -228,11 +228,13 @@ def test_gate_table_equals_named_sensors():
         maze.gates  # built before close_door: each closed maze must build its own
         variants = [maze] + [mz.close_door(maze, door)[0] for door in mz.DOOR_LABELS]
         for variant in variants:
-            assert variant.gates.shape == (variant.height * variant.width, 4)
-            assert np.array_equal(variant.gates, old_gate_table(variant))
+            assert variant.gates.shape == (variant.height, variant.width, 4)
+            reference = old_gate_table(variant).reshape(variant.height, variant.width, 4)
+            assert np.array_equal(variant.gates, reference)
     for width, height in [(20, 10), (7, 3), (1, 5), (5, 1), (1, 1)]:
         open_grid = mz.Maze(frozenset(), {}, width, height)
-        assert np.array_equal(open_grid.gates, old_gate_table(open_grid))
+        reference = old_gate_table(open_grid).reshape(height, width, 4)
+        assert np.array_equal(open_grid.gates, reference)
 
 
 def test_gate_table_is_read_only(sample):

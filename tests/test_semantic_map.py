@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -82,6 +83,22 @@ def test_map_dictionaries_complete(viable_setup, grid_cells):
         assert np.array_equal(memory.positions.vector(cell), grid_cells.vector(cell))
         found = sm.query_position(memory, memory.objects.vector(label))
         assert isinstance(found, tuple) and found == cell
+
+
+def test_positions_gather_only_their_eight_states(viable_setup):
+    # the dictionary's rows are the placement cells' columns of P, bit for bit, and
+    # building it allocates no table of every cell's state (P is 1.6 MB)
+    _, memory, _ = viable_setup
+    fresh = dataclasses.replace(memory)  # positions is cached per instance
+    tracemalloc.start()
+    try:
+        positions = fresh.positions
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert positions.vectors.tobytes() == memory.grid_cml.P.T[memory.rows].tobytes()
+    assert positions.labels == tuple(memory.grid_cml.cell(row) for row in memory.rows)
+    assert peak < 2**20
 
 
 # --- viability ----------------------------------------------------------------------
