@@ -13,8 +13,9 @@ Verbs:
   re-prove it: object plans BFS-shortest for every node pair (with the
   count of tied pairs, the route margin and the tie spread), and
   open-grid optimality for every ordered cell pair (then the grid's
-  shape, its chains' distance from their fixed points and its number of
-  distinct cell sign patterns).  It reads ``output_dir`` and ``d``.
+  shape, its chains' distance from their fixed points, its number of
+  distinct cell sign patterns and its sign margin, the smallest
+  |state coordinate|).  It reads ``output_dir`` and ``d``.
 
 Every verb but ``render`` builds its config from the defaults,
 then ``--seed`` (the ``seed`` field) and ``--out`` (``output_dir``), then
@@ -147,7 +148,9 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_geometry(grid_cml: GridCml) -> list[str]:
-    """The grid's shape, each chain's largest distance from its fixed point, its sign patterns."""
+    """The grid's shape, each chain's largest distance from its fixed point, its sign
+    patterns and their margin: the smallest |state coordinate|, which ``load_models``
+    has found nonzero."""
     width, height = grid_cml.width, grid_cml.height
     x_star, y_star = fixed_chains(width, height)
     x_gap = np.abs(grid_cml.x - x_star).max()
@@ -157,6 +160,7 @@ def _grid_geometry(grid_cml: GridCml) -> list[str]:
         f"shape: {width}x{height} (width x height), d={grid_cml.d}",
         f"distance from the fixed point: x {x_gap:.3g}, y {y_gap:.3g}",
         f"sign patterns: {patterns} distinct of {width * height} cells",
+        f"sign margin: {np.abs(grid_cml.P).min():.3g} (no zero sign)",
     ]
 
 

@@ -214,6 +214,10 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
         raise ValueError("object model graph is not the maze's object graph")
     if not (np.abs(object_cml.S) == 1.0).all():  # init_calculated draws every state +-1
         raise ValueError("object model states are not all +1 or -1")
+    # a map is the sign of eight +-1 terms and a +-1 tie-break, an odd sum, only while
+    # no cell state has a zero coordinate; then every map is +-1 and |map * v| = |v|
+    if not grid_cml.signs.all():
+        raise ValueError("grid model sign patterns are not all +1 or -1: a state has a zero")
     if (grid_cml.width, grid_cml.height) != (maze_mod.WIDTH, maze_mod.HEIGHT):
         raise ValueError(
             f"grid model is {grid_cml.width}x{grid_cml.height}, "

@@ -13,7 +13,8 @@ Saves are atomic: the file is written beside its destination and
 renamed over it, so a failed save leaves any earlier file untouched.
 Loads reject a file whose blocks disagree with its header (too short or
 with trailing bytes, checked before any block is read), hold a
-non-finite value, give a size field (``d``, ``width``, ``height``)
+non-finite value, give a header number that is not an integer (each
+error names its field), a size field (``d``, ``width``, ``height``)
 below 1, or describe a grid of fewer than two cells.
 """
 
@@ -78,7 +79,7 @@ def _read_header(fh) -> tuple[str, dict[str, str]]:
     parts = first.split()
     if len(parts) != 3 or parts[0] != MAGIC:
         raise ValueError(f"not a model file (header {first!r})")
-    if int(parts[1]) != FORMAT_VERSION:
+    if _header_int("version", parts[1]) != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format version {parts[1]} (this version reads "
             f"{FORMAT_VERSION}); retrain the models with `hdnav train`"
@@ -118,10 +119,16 @@ def _read_blocks(fh, *shapes: tuple[int, ...]) -> list[np.ndarray]:
     return blocks
 
 
-def _require_positive(**sizes: int) -> None:
-    for key, value in sizes.items():
-        if value < 1:
-            raise ValueError(f"model header field {key!r} must be at least 1, got {value}")
+def _header_int(key: str, text: str, least: int = 1) -> int:
+    """The number ``text`` of header field ``key``; a ``ValueError`` naming the field
+    unless it is an integer of at least ``least``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"model header field {key!r} must be an integer, got {text!r}") from None
+    if value < least:
+        raise ValueError(f"model header field {key!r} must be at least {least}, got {value}")
+    return value
 
 
 def load_model(path: str | Path) -> Cml | GridCml:
@@ -131,22 +138,19 @@ def load_model(path: str | Path) -> Cml | GridCml:
             if key not in fields:
                 raise ValueError(f"{kind} model header lacks the field {key!r}")
         if kind == "object":
-            d = int(fields["d"])
-            _require_positive(d=d)
+            d = _header_int("d", fields["d"])
             labels = tuple(fields["labels"].split(" "))
             edges = tuple(
-                (int(src), int(dst))
+                (_header_int("edges", src, least=0), _header_int("edges", dst, least=0))
                 for src, dst in (item.split(">") for item in fields["edges"].split())
             )
             graph = CmlGraph(node_labels=labels, directed_edges=edges)
             (S,) = _read_blocks(fh, (d, graph.n))
             return calculated(graph, S)
         if kind == "grid":
-            d = int(fields["d"])
-            width, height = int(fields["width"]), int(fields["height"])
+            d, width, height = (_header_int(key, fields[key]) for key in ("d", "width", "height"))
             if width * height < 2:
                 raise ValueError(f"grid needs at least two cells, got {width}x{height}")
-            _require_positive(d=d, width=width, height=height)
             x, y, a_s, a_e = _read_blocks(fh, (height,), (width,), (d,), (d,))
             return GridCml(x=x, y=y, a_s=a_s, a_e=a_e)
         raise ValueError(f"unknown model kind {kind!r}")

@@ -47,8 +47,11 @@ from .maze import Maze
 class MapMemory:
     """The map hypervector, the object dictionary and the eight placement cells.
 
-    ``map_hv`` is a sign vector (entries -1, 0 or +1; a bundle is
-    bipolar).  ``rows`` holds the ``grid_cml.cell_index`` of each object's
+    ``map_hv`` is bipolar: a bundle of eight +-1 terms and a +-1 tie-break
+    is an odd sum, and a loaded grid model has no zero sign
+    (``experiments.load_models`` refuses one).  So binding the map only
+    flips signs, and a query ``map * v`` has the norm of ``v`` bit for
+    bit.  ``rows`` holds the ``grid_cml.cell_index`` of each object's
     cell, in ``objects`` order.  ``map_basis``, the map bound to the plane
     basis (``map_hv * grid_cml.basis``, (2, d)), is derived once: every
     built map's readiness check reads it, and each later position lookup
@@ -113,17 +116,15 @@ def check_viability(memory: MapMemory) -> bool:
 
     Object ``i``, queried as ``q_i = map * o_i``, must recover its own
     cell from its plane scores against the map's cells by
-    ``hdc.cleanup``'s rule, as ``query_position`` decides it.  A zero query
-    or a zero-state cell (a NaN plane row) is never viable.  Most maps
-    fail the argmax alone, so the query norms are found only for those
-    whose every argmax is its own cell.
+    ``hdc.cleanup``'s rule, as ``query_position`` decides it; the query
+    norms are the objects' own, as the map is bipolar.  Most maps fail
+    the argmax alone.
     """
     objects = memory.objects
     scores = _plane_scores(memory, objects.vectors)
     if scores.argmax(axis=1).tolist() != list(range(len(scores))):
         return False
-    norms = hdc.row_norms(hdc.bind(memory.map_hv, objects.vectors))
-    return hdc.cleanup(scores, norms, memory.rows) == tuple(memory.rows)
+    return hdc.cleanup(scores, objects.norms, memory.rows) == tuple(memory.rows)
 
 
 def check_arrivals(memory: MapMemory) -> bool:
@@ -156,15 +157,14 @@ def query_position(
 
     Each query ``q = map * o`` is scored against the map's eight cells in
     the plane, as ``check_viability`` scores it, and ``hdc.cleanup``
-    decides with the norm ``|q|``.  That is ``hdc.recover`` over
-    ``positions`` up to rounding.  A zero query recovers nothing, and a
-    zero-state cell is never recovered.
+    decides with the norm ``|q| = |o|`` of the bipolar map.  That is
+    ``hdc.recover`` over ``positions`` up to rounding.  A zero query
+    recovers nothing.
     """
     vectors = np.atleast_2d(object_hv)
-    norms = hdc.row_norms(hdc.bind(memory.map_hv, vectors))  # raises on a dimension mismatch
-    scores = _plane_scores(memory, vectors)
-    scores[np.isnan(scores)] = -np.inf  # as recover scores a zero-norm entry
-    found = hdc.cleanup(scores, norms, [memory.grid_cml.cell(row) for row in memory.rows])
+    cells = [memory.grid_cml.cell(row) for row in memory.rows]
+    # _plane_scores raises on a dimension mismatch
+    found = hdc.cleanup(_plane_scores(memory, vectors), hdc.row_norms(vectors), cells)
     return found if object_hv.ndim > 1 else found[0]
 
 

@@ -11,7 +11,7 @@ from hdnav import cml, experiments, maze as mz, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
-from test_experiments import flip_lowest_state_bit
+from test_experiments import flip_lowest_state_bit, zero_grid_coordinate
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
@@ -319,6 +319,7 @@ def test_verify_model_files(models_dir, capsys):
         "shape: 20x10 (width x height), d=1000\n"
         "distance from the fixed point: x 1.13e-06, y 0.184\n"
         "sign patterns: 164 distinct of 200 cells\n"
+        "sign margin: 1.53e-05 (no zero sign)\n"
     )
 
 
@@ -330,9 +331,9 @@ def test_verify_reports_tied_object_pairs(models_dir, capsys):
     )
 
 
-def test_verify_prints_the_grid_geometry(models_dir, capsys):
+def test_verify_prints_the_grid_geometry(models_dir, grid_cml, capsys):
     assert main(["verify", "--out", str(models_dir)]) == 0
-    _, verified, shape, distance, patterns = capsys.readouterr().out.splitlines()
+    _, verified, shape, distance, patterns, margin = capsys.readouterr().out.splitlines()
     assert verified == "grid: verified (39800 pairs)"
     assert shape == "shape: 20x10 (width x height), d=1000"
     gaps = re.fullmatch(r"distance from the fixed point: x (\S+), y (\S+)", distance)
@@ -341,6 +342,10 @@ def test_verify_prints_the_grid_geometry(models_dir, capsys):
     assert float(x_gap) == pytest.approx(1.13e-6, rel=1e-2)
     assert float(y_gap) == pytest.approx(0.184, rel=1e-2)
     assert patterns == "sign patterns: 164 distinct of 200 cells"
+    # how far the model is from load_models' refusal: its smallest |state coordinate|
+    gap = re.fullmatch(r"sign margin: (\S+) \(no zero sign\)", margin).group(1)
+    assert float(gap) == pytest.approx(np.abs(grid_cml.P).min(), rel=1e-2)
+    assert float(gap) == pytest.approx(1.53e-5, rel=1e-2)
 
 
 def test_verify_takes_no_model_path(models_dir, capsys):
@@ -465,6 +470,12 @@ def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
     run_and_verify_refuse(models_dir, capsys, "grid model is 7x4, the maze 20x10")
 
 
+def test_run_refuses_a_grid_model_with_a_zero_sign(models_dir, grid_cml, capsys):
+    zeroed = zero_grid_coordinate(grid_cml, 7)
+    persist.save_grid_cml(zeroed, models_dir / "models" / experiments.GRID_MODEL_FILE)
+    run_and_verify_refuse(models_dir, capsys, "grid model sign patterns are not all +1 or -1")
+
+
 def test_run_refuses_models_of_another_dimension_than_the_config(models_dir, capsys):
     # the trials run at the models' d, so a report echoing another d would misstate them
     run_and_verify_refuse(
@@ -520,6 +531,12 @@ def test_verify_rejects_missing_header_field(models_dir, capsys):
     run_and_verify_refuse(models_dir, capsys, "'d'")
 
 
+def test_verify_names_the_header_field_of_a_number_that_is_not_an_integer(models_dir, capsys):
+    grid_model = models_dir / "models" / experiments.GRID_MODEL_FILE
+    grid_model.write_bytes(grid_model.read_bytes().replace(b"d=1000", b"d=1e3", 1))
+    run_and_verify_refuse(models_dir, capsys, "model header field 'd' must be an integer, got '1e3'")
+
+
 def test_verify_rejects_oversized_header(models_dir, capsys):
     huge = models_dir / "models" / experiments.GRID_MODEL_FILE
     header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
@@ -531,7 +548,7 @@ def test_verify_rejects_zero_width_grid(models_dir, capsys):
     empty = models_dir / "models" / experiments.GRID_MODEL_FILE
     header = f"{MODEL_LINE} grid\nd=4\nwidth=0\nheight=10\n\n".encode("ascii")
     empty.write_bytes(header + np.zeros(10).tobytes() + np.zeros(8).tobytes())
-    run_and_verify_refuse(models_dir, capsys, "two cells")
+    run_and_verify_refuse(models_dir, capsys, "'width' must be at least 1, got 0")
 
 
 def test_run_mission_custom_goals(models_dir, capsys):

@@ -485,6 +485,27 @@ def test_load_models_refuses_states_that_are_not_bipolar(config, object_cml, gri
         experiments.load_models(cfg)
 
 
+def zero_grid_coordinate(grid_cml: GridCml, coordinate: int) -> GridCml:
+    """The grid model with one coordinate of both actions set to 0: that coordinate is
+    0 in every cell's state, so a map's entry there is an even sum, which can be 0."""
+    a_s, a_e = grid_cml.a_s.copy(), grid_cml.a_e.copy()
+    a_s[coordinate] = a_e[coordinate] = 0.0
+    return GridCml(x=grid_cml.x, y=grid_cml.y, a_s=a_s, a_e=a_e)
+
+
+def test_load_models_refuses_a_grid_model_with_a_zero_sign(config, object_cml, grid_cml, tmp_path):
+    cfg = small(config, output_dir=str(tmp_path))
+    cfg.models_dir.mkdir()
+    persist.save_cml(object_cml, cfg.models_dir / experiments.OBJECT_MODEL_FILE)
+    zeroed = zero_grid_coordinate(grid_cml, 7)
+    assert not zeroed.signs[:, 7].any() and np.delete(zeroed.signs, 7, axis=1).all()
+    persist.save_grid_cml(zeroed, cfg.models_dir / experiments.GRID_MODEL_FILE)
+    with pytest.raises(ValueError, match=r"grid model sign patterns are not all \+1 or -1"):
+        experiments.load_models(cfg)
+    persist.save_grid_cml(grid_cml, cfg.models_dir / experiments.GRID_MODEL_FILE)
+    assert experiments.load_models(cfg)[1].signs.all()
+
+
 def test_unknown_experiment_rejected(config, object_cml, grid_cml):
     with pytest.raises(ValueError, match="unknown experiment"):
         experiments.run_experiment(config, "bogus", object_cml, grid_cml)

@@ -391,6 +391,33 @@ def test_cleanup_nan_row_is_none():
     assert hdc.cleanup(scores[3:], np.array([np.nan]), "ab") == (None,)
 
 
+def test_the_cosine_floor_is_already_an_integer_rule_on_bipolar_vectors():
+    # a +-1 query against a +-1 entry has an integer dot and both norms fl(sqrt(d)),
+    # so recover's verdict fl(dot / fl(sqrt(d))**2) >= THETA is one integer floor per
+    # d: an integer recovery path would decide nothing differently.  At d = 1000 that
+    # floor is 10 dot >= d.  Row k of the stack flips the entry's first k signs, so
+    # its dots d - 2k, k = 0..d, are every dot two bipolar vectors can have.
+    entry = bipolar(40)
+    flipped = np.arange(D + 1)[:, None] > np.arange(D)
+    queries = np.where(flipped, -entry, entry)
+    dots = D - 2 * np.arange(D + 1)
+    found = hdc.recover(queries, hdc.Dictionary(("entry",), entry[None]))
+    assert [label is not None for label in found] == (10 * dots >= D).tolist()
+    # every d of 1000..20000, by recover's arithmetic through cleanup: the verdict is
+    # monotone in the dot, so only dots within 3 of d / 10 can tell two floors apart.
+    # The floor is THETA fl(sqrt(d))**2, not 10 dot >= d: that differs at 485 of these
+    # d (never at 1000), where fl(sqrt(d))**2 > d fails a dot of exactly d / 10.
+    # The float rule is the one the layers run; do not "fix" it toward 10 dot >= d.
+    d = np.repeat(np.arange(1000, 20001), 7)
+    dots = d // 10 + np.tile(np.arange(-3, 4), len(d) // 7)
+    scale = np.sqrt(d.astype(float)) ** 2  # recover's norm product, one rounding
+    found = hdc.cleanup((dots / scale)[:, None], np.ones(len(d)), ("entry",))
+    passed = np.array([label is not None for label in found])
+    assert np.array_equal(passed, dots >= hdc.THETA * scale)
+    # odd dots too at d = 1000, so a floor one dot low fails as well as one dot high
+    assert np.array_equal(passed[d == D], 10 * dots[d == D] >= D)
+
+
 def test_recover_dimension_mismatch():
     rng = np.random.default_rng(27)
     with pytest.raises(ValueError, match="dimension"):

@@ -149,16 +149,23 @@ def _nan_in_last_value(data: bytes) -> bytes:
     return data[:-8] + np.array([np.nan]).tobytes()
 
 
-def _object_size_zero(key: str):
-    """The object file with one size field of its header set to 0."""
+def _object_field(key: str, value: str):
+    """The object file with one field of its header set to ``value``."""
 
     def corrupt(data: bytes) -> bytes:
         header, body = data.split(b"\n\n", 1)
         prefix = f"{key}=".encode("ascii")
-        lines = [prefix + b"0" if line.startswith(prefix) else line for line in header.split(b"\n")]
+        lines = [
+            prefix + value.encode("ascii") if line.startswith(prefix) else line
+            for line in header.split(b"\n")
+        ]
         return b"\n".join(lines) + b"\n\n" + body
 
     return corrupt
+
+
+def _version_word(data: bytes) -> bytes:
+    return data.replace(MODEL_LINE.encode("ascii"), f"{persist.MAGIC} four".encode("ascii"), 1)
 
 
 def _degenerate_grid(width: int, height: int, d: int = 4):
@@ -175,15 +182,20 @@ def _degenerate_grid(width: int, height: int, d: int = 4):
     [
         (_append_byte, "trailing bytes"),
         (_nan_in_last_value, "non-finite"),
-        (_degenerate_grid(0, 10), "two cells"),
+        (_degenerate_grid(0, 10), "'width' must be at least 1, got 0"),
         (_degenerate_grid(1, 1), "two cells"),
         (_degenerate_grid(-1, -2), "'width' must be at least 1, got -1"),
         (_degenerate_grid(20, 10, d=0), "'d' must be at least 1, got 0"),
-        (_object_size_zero("d"), "'d' must be at least 1, got 0"),
+        (_object_field("d", "0"), "'d' must be at least 1, got 0"),
+        # a header number that is not an integer is refused by its field's name
+        (_object_field("d", "1e3"), "'d' must be an integer, got '1e3'"),
+        (_version_word, "'version' must be an integer, got 'four'"),
+        (_object_field("edges", "0>x 1>0"), "'edges' must be an integer, got 'x'"),
     ],
     ids=[
         "trailing_bytes", "nan", "zero_width_grid", "one_cell_grid",
         "negative_size_grid", "zero_d_grid", "zero_d_object",
+        "float_d", "word_version", "word_edge_index",
     ],
 )
 def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):

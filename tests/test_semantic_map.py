@@ -288,30 +288,18 @@ def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml):
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_forward_verdict_computes_query_norms_for_a_map_with_zero_entries(
-    viable_setup, monkeypatch
-):
+def test_forward_verdict_reads_the_object_norms_on_a_bipolar_map(viable_setup, monkeypatch):
+    # binding a bipolar map only flips signs, so each query's norm is its object's bit
+    # for bit; a theta just below the smallest own-cell cosine passes the map and one
+    # just above fails it, as the float reference decides
     _, memory, _ = viable_setup
-    rng = np.random.default_rng(79)
-    memories = []
-    for k in (1, 10, 300, 900):
-        map_hv = memory.map_hv.copy()
-        map_hv[rng.choice(D, size=k, replace=False)] = 0.0
-        memories.append(dataclasses.replace(memory, map_hv=map_hv))
-    _assert_forward_verdicts_match(memories)
-    # with 100 zero entries every query is shorter than its object, so the
-    # object norms would understate each cosine by sqrt(900/1000); a theta
-    # between the two readings is met only when the norms are computed
-    map_hv = memory.map_hv.copy()
-    map_hv[:100] = 0.0
-    zeroed = dataclasses.replace(memory, map_hv=map_hv)
-    queries = hdc.bind(map_hv, memory.objects.vectors)
+    queries = hdc.bind(memory.map_hv, memory.objects.vectors)
+    assert hdc.row_norms(queries).tobytes() == memory.objects.norms.tobytes()
     true = float_cosines(queries, memory.positions).diagonal().min()
-    monkeypatch.setattr(hdc, "THETA", true * (1 + np.sqrt(0.9)) / 2)
-    assert reference_forward_verdict(zeroed) is True
-    assert sm.check_viability(zeroed) is True
-    monkeypatch.setattr(hdc, "THETA", true * 1.001)
-    assert sm.check_viability(zeroed) is False
+    for theta, verdict in ((true * 0.999, True), (true * 1.001, False)):
+        monkeypatch.setattr(hdc, "THETA", theta)
+        assert reference_forward_verdict(memory) is verdict
+        assert sm.check_viability(memory) is verdict
 
 
 def test_forward_verdict_fails_on_a_zero_query_row(viable_setup, monkeypatch):
@@ -388,15 +376,17 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
 
 
 def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
-    # an odd grid centred on zero has its middle cell at the origin; its
-    # plane row is NaN, and a map with an object there is never viable
+    # an odd grid centred on zero has its middle cell at the origin: its plane row is
+    # NaN and its sign pattern all 0, a grid load_models refuses.  A map with an object
+    # there is never viable, and query_position recovers nothing on it, as a NaN score
+    # clears no floor in hdc.cleanup
     objects = object_cml.state_dictionary()
     actions = np.random.default_rng(81).normal(0.0, 1.0, size=(2, D))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid_cml = GridCml(np.arange(-1.0, 2.0), np.arange(-1.0, 2.0), *actions)
     centre = grid_cml.cell_index((1, 1))
-    assert not grid_cml.P[:, centre].any()
+    assert not grid_cml.P[:, centre].any() and not grid_cml.signs[centre].any()
     assert np.isnan(grid_cml.plane[centre]).all()
     assert np.isfinite(np.delete(grid_cml.plane, centre, axis=0)).all()
     floor = hdc.THETA
@@ -405,23 +395,19 @@ def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
         rng = np.random.default_rng([82, left_out])
         map_hv = hdc.bundle(objects.signs * grid_cml.signs[rows], rng)
         memory = sm.MapMemory(map_hv, objects, grid_cml, rows)
-        cells = [grid_cml.cell(row) for row in rows]
         for theta in (0.0, floor):
             monkeypatch.setattr(hdc, "THETA", theta)
             verdict = sm.check_viability(memory)
-            assert verdict == reference_forward_verdict(memory)
             found = sm.query_position(memory, objects.vectors)
-            assert found == reference_query_position(memory, objects.vectors)
-            assert (1, 1) not in found
-            if left_out != centre:
+            if left_out == centre:
+                # eight cells with directions make a bipolar map: the reference holds
+                assert np.array_equal(np.abs(map_hv), np.ones(D))
+                assert verdict == reference_forward_verdict(memory)
+                assert found == reference_query_position(memory, objects.vectors)
+            else:
                 assert verdict is False
                 assert sm.mission_ready(memory) is False
-                # an object on the centre is never found there, and every other one
-                # still finds its cell: the NaN plane row does not win the argmax, as
-                # a zero-norm entry cannot win recover's
-                assert [f for f, cell in zip(found, cells) if cell != (1, 1)] == [
-                    cell for cell in cells if cell != (1, 1)
-                ]
+                assert found == (None,) * len(rows)
 
 
 def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
@@ -511,15 +497,19 @@ def test_every_kept_map_recovers_each_object_cell_one_row_at_a_time(batch_querie
 
 def test_every_kept_map_recovers_each_arrival_exactly_one_row_at_a_time(batch_queries):
     # the executor asks the arrival query with one cell row, mission_ready with the
-    # eight rows stacked: the entries are +-1 and 0, so every score is an integer sum
-    # below 2**53 and the one-row and eight-row products agree bit for bit
+    # eight rows stacked: every map is +-1, so is every query (its squared norm is
+    # exactly d, the precondition of this test), every score is an integer sum below
+    # 2**53, and the one-row and eight-row products agree bit for bit
     records, calls = batch_queries
     maps = {id(memory): memory for memory, _, _ in calls}.values()
     assert len(maps) == len(records)
     for memory in maps:
         objects, signs = memory.objects, memory.grid_cml.signs
+        assert np.array_equal(np.abs(memory.map_hv), np.ones(D))
+        queries = hdc.bind(memory.map_hv, signs[memory.rows])
+        assert ((queries * queries).sum(axis=1) == D).all()
         assert [sm.query_object(memory, row) for row in memory.rows] == list(objects.labels)
-        stacked = hdc.bind(memory.map_hv, signs[memory.rows]) @ objects.vectors.T
+        stacked = queries @ objects.vectors.T
         for i, row in enumerate(memory.rows):
             one = hdc.bind(memory.map_hv, signs[row : row + 1]) @ objects.vectors.T
             assert one.tobytes() == stacked[i : i + 1].tobytes()
