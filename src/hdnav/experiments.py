@@ -38,7 +38,16 @@ VIABLE_ATTEMPT_CAP = 2000  # maze candidates allowed per mission-ready maze
 
 
 def trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, tag, trial])
+    """``np.random.default_rng([seed, tag, trial])``, the same generator.
+
+    numpy turns each int of the list into its 32-bit words, one by one; when
+    all three fit one word, they go in as one uint32 array instead, which
+    numpy reads as those same words without the per-int conversion.
+    """
+    entropy = [seed, tag, trial]
+    if max(entropy) < 2**32:
+        entropy = np.array(entropy, dtype=np.uint32)
+    return np.random.default_rng(entropy)
 
 
 # --- training and verification ------------------------------------------------

@@ -115,9 +115,13 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         dtype = np.int8
     total = np.add.reduce(vectors, axis=0, dtype=dtype)
     if n % 2 == 0:
-        # the tie-break 2 b - 1 as int8: an even count keeps an integer
-        # |total| below its type's maximum, so the sum cannot overflow
-        total += _random_bits(len(total), rng).view(np.int8) * 2 - 1
+        # the tie-break 2 b - 1, formed in place in the draw's own buffer and
+        # added once; an even count keeps an integer |total| below its type's
+        # maximum, so the sum cannot overflow
+        tie = _random_bits(len(total), rng).view(np.int8)
+        tie *= 2
+        tie -= 1
+        total += tie
     return sign(total)
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -113,8 +112,24 @@ def generate_maze(rng: np.random.Generator) -> Maze:
 # wall and door draws, Floyd's two draws for h and k, their shuffle, and t
 _LAYOUT_WORDS = 12
 _WORD_MASK = 0xFFFFFFFF
-# every cell of each full-height column, the walls a layout starts from
-_COLUMNS = tuple(frozenset((row, col) for row in range(HEIGHT)) for col in range(WIDTH))
+# the places each wall is drawn from; each draw's ``_below`` bound is its
+# range's length
+_WALL1_COLS = range(2, WIDTH // 3 + 1)            # left third, >= 2 off border
+_WALL2_COLS = range(2 * WIDTH // 3, WIDTH - 2)    # right third, >= 2 off border
+_MIDDLE_ROWS = range(2, HEIGHT - 2)               # interior row of middle wall
+# the walls of every layout before its doors open, keyed by (wall1, wall2,
+# hrow): both full-height columns and the middle wall's row between them,
+# 150 sets built once from one tuple per cell
+_CELLS = [[(row, col) for col in range(WIDTH)] for row in range(HEIGHT)]
+_WALLS = {
+    (wall1, wall2, hrow): frozenset(
+        [_CELLS[row][col] for row in range(HEIGHT) for col in (wall1, wall2)]
+        + _CELLS[hrow][wall1 + 1 : wall2]
+    )
+    for wall1 in _WALL1_COLS
+    for wall2 in _WALL2_COLS
+    for hrow in _MIDDLE_ROWS
+}
 
 
 def _below(words: list[int], rng: np.random.Generator, n: int) -> int:
@@ -125,14 +140,16 @@ def _below(words: list[int], rng: np.random.Generator, n: int) -> int:
     then the word is rejected and the next one is read.  ``n == 1`` reads
     no word.  ``words`` holds words already drawn from ``rng``, the next
     one last; once it is empty, each further word is drawn from ``rng``.
+    As in numpy, the threshold is computed only for a word whose low bits
+    fall below n: the threshold is below n, so any other word is accepted.
     """
     if n == 1:
         return 0
-    threshold = (_WORD_MASK + 1 - n) % n
     while True:
         word = words.pop() if words else int(rng.integers(0, 2**32, dtype=np.uint32))
         scaled = word * n
-        if scaled & _WORD_MASK >= threshold:
+        low = scaled & _WORD_MASK
+        if low >= n or low >= (_WORD_MASK + 1 - n) % n:
             return scaled >> 32
 
 
@@ -145,10 +162,9 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     """
     width, height = WIDTH, HEIGHT
     words = rng.integers(0, 2**32, size=_LAYOUT_WORDS, dtype=np.uint32).tolist()[::-1]
-    wall1 = 2 + _below(words, rng, width // 3 - 1)  # left third, >= 2 off border
-    right = 2 * width // 3                          # right third, >= 2 off border
-    wall2 = right + _below(words, rng, width - 2 - right)
-    hrow = 2 + _below(words, rng, height - 4)       # interior row of middle wall
+    wall1 = _WALL1_COLS[_below(words, rng, len(_WALL1_COLS))]
+    wall2 = _WALL2_COLS[_below(words, rng, len(_WALL2_COLS))]
+    hrow = _MIDDLE_ROWS[_below(words, rng, len(_MIDDLE_ROWS))]
     upper = min(height // 2, hrow)                  # a, e: upper half, above hrow
     row_a = _below(words, rng, upper)
     row_e = _below(words, rng, upper)
@@ -164,9 +180,7 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
         "d": (row_d, wall2),
         "e": (row_e, wall2),
     }
-    # both wall columns and the middle wall's row, less the five door cells
-    middle_wall = zip(repeat(hrow), range(wall1 + 1, wall2))
-    blocked = _COLUMNS[wall1].union(_COLUMNS[wall2], middle_wall).difference(placements.values())
+    blocked = _WALLS[wall1, wall2, hrow].difference(placements.values())
     # h and k: two distinct row-major indices into the left room (columns
     # 0..wall1-1), as ``rng.choice(n, 2, replace=False)`` draws them: Floyd's
     # two draws, then one shuffle draw that swaps the pair when it reads 0

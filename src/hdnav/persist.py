@@ -131,6 +131,16 @@ def _header_int(key: str, text: str, least: int = 1) -> int:
     return value
 
 
+def _header_edge(item: str) -> tuple[int, int]:
+    """One ``src>dst`` item of header field ``edges``; a ``ValueError`` naming the
+    field unless it is two integers of at least 0."""
+    ends = item.split(">")
+    if len(ends) != 2:
+        raise ValueError(f"model header field 'edges' must hold src>dst pairs, got {item!r}")
+    src, dst = (_header_int("edges", end, least=0) for end in ends)
+    return src, dst
+
+
 def load_model(path: str | Path) -> Cml | GridCml:
     with open(path, "rb") as fh:
         kind, fields = _read_header(fh)
@@ -140,10 +150,7 @@ def load_model(path: str | Path) -> Cml | GridCml:
         if kind == "object":
             d = _header_int("d", fields["d"])
             labels = tuple(fields["labels"].split(" "))
-            edges = tuple(
-                (_header_int("edges", src, least=0), _header_int("edges", dst, least=0))
-                for src, dst in (item.split(">") for item in fields["edges"].split())
-            )
+            edges = tuple(_header_edge(item) for item in fields["edges"].split())
             graph = CmlGraph(node_labels=labels, directed_edges=edges)
             (S,) = _read_blocks(fh, (d, graph.n))
             return calculated(graph, S)

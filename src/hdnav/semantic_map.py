@@ -55,9 +55,10 @@ class MapMemory:
     cell, in ``objects`` order.  ``map_basis``, the map bound to the plane
     basis (``map_hv * grid_cml.basis``, (2, d)), is derived once: every
     built map's readiness check reads it, and each later position lookup
-    reuses it.  ``positions``, the dictionary of those cells' states keyed
-    by the cells themselves, is built on first use from
-    ``grid_cml.states``; no lookup of the package reads it.
+    reuses it.  ``map_signs``, the map as int8, is made on the first
+    arrival query, the one reader of it.  ``positions``, the dictionary of
+    those cells' states keyed by the cells themselves, is built on first
+    use from ``grid_cml.states``; no lookup of the package reads it.
     """
 
     map_hv: np.ndarray
@@ -68,6 +69,10 @@ class MapMemory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "map_basis", self.map_hv * self.grid_cml.basis)
+
+    @cached_property
+    def map_signs(self) -> np.ndarray:
+        return self.map_hv.astype(np.int8)
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
@@ -178,11 +183,14 @@ def query_object(memory: MapMemory, rows) -> str | None | tuple[str | None, ...]
     where raw-state cosines crowd toward 1.  An object-free cell mostly
     recovers a placed neighbour's label, so the answer is read only at
     the cells the executor plans to.  A sequence of n indices gives a
-    tuple of n results.  The scores are integer sums, exact however many
-    rows are asked at once.
+    tuple of n results.
+
+    The map and the sign patterns are both int8 +-1, so the bind is an
+    int8 product and every query is +-1: ``recover`` scores it by integer
+    dots, exact however many rows are asked at once.
     """
     signs = memory.grid_cml.signs.take(rows, axis=0)
-    return hdc.recover(hdc.bind(memory.map_hv, signs), memory.objects)
+    return hdc.recover(hdc.bind(memory.map_signs, signs), memory.objects)
 
 
 def encode_policy(

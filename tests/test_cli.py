@@ -537,6 +537,16 @@ def test_verify_names_the_header_field_of_a_number_that_is_not_an_integer(models
     run_and_verify_refuse(models_dir, capsys, "model header field 'd' must be an integer, got '1e3'")
 
 
+def test_verify_names_the_edges_field_of_an_edge_that_is_not_a_pair(models_dir, capsys):
+    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
+    header, body = object_model.read_bytes().split(b"\n\n", 1)
+    lines = [b"edges=0>1>2" if line.startswith(b"edges=") else line for line in header.split(b"\n")]
+    object_model.write_bytes(b"\n".join(lines) + b"\n\n" + body)
+    run_and_verify_refuse(
+        models_dir, capsys, "model header field 'edges' must hold src>dst pairs, got '0>1>2'"
+    )
+
+
 def test_verify_rejects_oversized_header(models_dir, capsys):
     huge = models_dir / "models" / experiments.GRID_MODEL_FILE
     header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")

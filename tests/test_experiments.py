@@ -165,6 +165,18 @@ def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
     assert cml.plan_path(away, away.state("b"), away.state("a")) is None
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1, 2**32, 2**40 + 3, 2**64])
+def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
+    # a seed past one 32-bit word goes in as the list; either way the entropy pool,
+    # the state and the stream are those of default_rng([seed, tag, trial])
+    for tag, trial in ((0, 0), (experiments.TAG_MISSION, 5), (experiments.TAG_TRAIN, 2**32 - 1)):
+        ours = experiments.trial_rng(seed, tag, trial)
+        theirs = np.random.default_rng([seed, tag, trial])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.bit_generator.seed_seq.pool.tolist() == theirs.bit_generator.seed_seq.pool.tolist()
+        assert ours.integers(0, 2**32, size=8).tolist() == theirs.integers(0, 2**32, size=8).tolist()
+
+
 def test_viable_maze_generation_counts_rejections(object_cml, grid_cml):
     rng = experiments.trial_rng(42, experiments.TAG_MISSION, 0)
     maze, memory, rejections = experiments.generate_viable_maze(

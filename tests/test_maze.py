@@ -109,6 +109,53 @@ def test_below_matches_numpy_bounded_draw(n):
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+# hand-picked words per bound n: one whose low half of w * n, in [threshold, n), runs
+# the threshold loop and is accepted there; one below the threshold, rejected; one
+# past n, accepted without the threshold (2**32 - n) % n being computed
+HAND_PICKED_WORDS = {
+    5: {"accepted": 3435973837, "rejected": 0, "early": 2**31 + 7},
+    39: {"accepted": 4184839930, "rejected": 1651910499, "early": 2**31 + 7},
+    60: {"accepted": 1002159036, "rejected": 214748365, "early": 2**31 + 7},
+}
+
+
+@pytest.mark.parametrize("n", sorted(HAND_PICKED_WORDS))
+@pytest.mark.parametrize("kind", ["accepted", "rejected", "early"])
+def test_below_matches_numpy_on_hand_picked_words(n, kind):
+    # numpy reads the 32-bit half a generator buffers before any fresh output, so a
+    # buffered word is the first word numpy's own scalar draw reads: fed the same
+    # word, from the list or from an empty list through the generator, _below draws
+    # numpy's value and leaves numpy's state
+    word = HAND_PICKED_WORDS[n][kind]
+    threshold, low = (2**32 - n) % n, word * n % 2**32
+    assert {"accepted": threshold <= low < n, "rejected": low < threshold, "early": low >= n}[kind]
+    for listed in (True, False):
+        theirs = np.random.default_rng(n)
+        theirs.bit_generator.state = {**theirs.bit_generator.state, "has_uint32": 1, "uinteger": word}
+        ours = np.random.default_rng(n)
+        ours.bit_generator.state = {**theirs.bit_generator.state, "has_uint32": int(not listed)}
+        words = [word] if listed else []
+        assert mz._below(words, ours, n) == int(theirs.integers(0, n))
+        assert not words
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_wall_table_equals_the_union_of_both_columns_and_the_middle_row():
+    # the walls each (wall1, wall2, hrow) triple of the reference layout's draws builds
+    width, height = mz.WIDTH, mz.HEIGHT
+    columns = [frozenset((row, col) for row in range(height)) for col in range(width)]
+    expected = {
+        (wall1, wall2, hrow): columns[wall1].union(
+            columns[wall2], ((hrow, col) for col in range(wall1 + 1, wall2))
+        )
+        for wall1 in range(2, width // 3 + 1)
+        for wall2 in range(2 * width // 3, width - 2)
+        for hrow in range(2, height - 2)
+    }
+    assert len(expected) == 150
+    assert mz._WALLS == expected
+
+
 # --- generation invariants --------------------------------------------------------
 
 

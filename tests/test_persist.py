@@ -191,11 +191,14 @@ def _degenerate_grid(width: int, height: int, d: int = 4):
         (_object_field("d", "1e3"), "'d' must be an integer, got '1e3'"),
         (_version_word, "'version' must be an integer, got 'four'"),
         (_object_field("edges", "0>x 1>0"), "'edges' must be an integer, got 'x'"),
+        # an edge item that is not one src>dst pair is refused by the field's name too
+        (_object_field("edges", "0>1>2 1>0"), "'edges' must hold src>dst pairs, got '0>1>2'"),
+        (_object_field("edges", "0 1>0"), "'edges' must hold src>dst pairs, got '0'"),
     ],
     ids=[
         "trailing_bytes", "nan", "zero_width_grid", "one_cell_grid",
         "negative_size_grid", "zero_d_grid", "zero_d_object",
-        "float_d", "word_version", "word_edge_index",
+        "float_d", "word_version", "word_edge_index", "three_ended_edge", "one_ended_edge",
     ],
 )
 def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):

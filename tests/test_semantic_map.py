@@ -244,6 +244,12 @@ def reference_query_position(memory, object_hv):
     return hdc.recover(hdc.bind(memory.map_hv, object_hv), memory.positions)
 
 
+def reference_query_object(memory, rows):
+    """The float arrival query the int8 bind replaced: ``hdc.recover`` of the float
+    map times the cells' sign patterns."""
+    return hdc.recover(hdc.bind(memory.map_hv, memory.grid_cml.signs[rows]), memory.objects)
+
+
 def reference_forward_verdict(memory):
     """The batched float recovery that the one-block forward check replaced."""
     return reference_query_position(memory, memory.objects.vectors) == memory.positions.labels
@@ -499,7 +505,8 @@ def test_every_kept_map_recovers_each_arrival_exactly_one_row_at_a_time(batch_qu
     # the executor asks the arrival query with one cell row, mission_ready with the
     # eight rows stacked: every map is +-1, so is every query (its squared norm is
     # exactly d, the precondition of this test), every score is an integer sum below
-    # 2**53, and the one-row and eight-row products agree bit for bit
+    # 2**53, and the one-row and eight-row products agree bit for bit.  Either way
+    # the int8 bind recovers what the float bind does
     records, calls = batch_queries
     maps = {id(memory): memory for memory, _, _ in calls}.values()
     assert len(maps) == len(records)
@@ -509,10 +516,85 @@ def test_every_kept_map_recovers_each_arrival_exactly_one_row_at_a_time(batch_qu
         queries = hdc.bind(memory.map_hv, signs[memory.rows])
         assert ((queries * queries).sum(axis=1) == D).all()
         assert [sm.query_object(memory, row) for row in memory.rows] == list(objects.labels)
+        assert sm.query_object(memory, memory.rows) == reference_query_object(memory, memory.rows)
+        for row in memory.rows:
+            assert sm.query_object(memory, row) == reference_query_object(memory, row)
         stacked = queries @ objects.vectors.T
         for i, row in enumerate(memory.rows):
             one = hdc.bind(memory.map_hv, signs[row : row + 1]) @ objects.vectors.T
             assert one.tobytes() == stacked[i : i + 1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_rejection_loop_candidates_ask_arrivals_as_the_float_recovery_does(seed, monkeypatch):
+    # every candidate the mission rejection loop builds, kept or rejected, until 5,000
+    # per model seed: its eight arrival rows at once, and its first row alone
+    config = experiments.ExperimentConfig(seed=seed)
+    objects = experiments.build_object_cml(config).state_dictionary()
+    grid_cml = experiments.build_grid_cml(config)
+    build_map, candidates, wrong = sm.build_map, [0], [0]
+
+    def checked(*args):
+        memory = build_map(*args)
+        found = sm.query_object(memory, memory.rows)
+        assert found == reference_query_object(memory, memory.rows)
+        assert sm.query_object(memory, memory.rows[0]) == reference_query_object(memory, memory.rows[0])
+        candidates[0] += 1
+        wrong[0] += found != objects.labels
+        return memory
+
+    monkeypatch.setattr(sm, "build_map", checked)
+    for trial in itertools.count():
+        if candidates[0] >= 5000:
+            break
+        experiments.generate_viable_maze(
+            experiments.trial_rng(seed, experiments.TAG_MISSION, trial), objects, grid_cml
+        )
+    assert 0 < wrong[0] < candidates[0]  # candidates that fail and pass their arrivals
+
+
+def synthetic_grid_map(d, seed):
+    """A +-1 map at dimension ``d`` from a grid model of random chains and actions."""
+    rng = np.random.default_rng(seed)
+    chains = rng.normal(size=mz.HEIGHT), rng.normal(size=mz.WIDTH)
+    grid_cml = GridCml(*chains, *rng.normal(size=(2, d)))
+    objects = hdc.Dictionary(tuple(LABELS), np.stack([hdc.random_bipolar(d, rng) for _ in LABELS]))
+    return sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
+
+
+@pytest.mark.parametrize("d", [500, 2000])
+def test_synthetic_maps_ask_arrivals_as_the_float_recovery_does(d):
+    # fl(sqrt(d))**2 != d at these d, so the floor is not the naive 10 dot >= d
+    assert np.sqrt(float(d)) ** 2 != d
+    cells = mz.WIDTH * mz.HEIGHT
+    for seed in range(10):
+        memory = synthetic_grid_map(d, [d, seed])
+        assert np.array_equal(np.abs(memory.map_hv), np.ones(d))
+        assert sm.query_object(memory, range(cells)) == reference_query_object(memory, range(cells))
+        assert sm.query_object(memory, memory.rows[0]) == reference_query_object(memory, memory.rows[0])
+
+
+@pytest.mark.parametrize("d,floor_dot", [(500, 52), (1000, 100), (2000, 202)])
+def test_an_arrival_dot_at_the_floor_recovers_and_one_below_does_not(d, floor_dot):
+    # one object, stored so that a cell's arrival query has the integer dot t with
+    # it: it is recovered exactly when t >= THETA * fl(sqrt(d))**2, the cosine floor
+    # on +-1 vectors.  That is 10 t >= d at d = 1000, and one dot step above d / 10
+    # where fl(sqrt(d))**2 > d; a strict > in the floor fails the first case
+    memory = synthetic_grid_map(d, [d, 99])
+    objects = hdc.Dictionary(("a",), memory.objects.vectors[:1])
+    row = memory.rows[0]
+    # the map whose arrival query at the row is the object itself, dot d
+    matching = objects.vectors[0] * memory.grid_cml.signs[row]
+    scale = np.sqrt(float(d)) ** 2
+    for dot in (floor_dot - 2, floor_dot):
+        flipped = (d - dot) // 2
+        map_hv = np.concatenate([-matching[:flipped], matching[flipped:]])
+        stored = sm.MapMemory(map_hv, objects, memory.grid_cml, [row])
+        assert hdc.bind(stored.map_hv, stored.grid_cml.signs[row]) @ objects.vectors[0] == dot
+        expected = "a" if dot >= hdc.THETA * scale else None
+        assert expected == ("a" if dot == floor_dot else None)
+        assert sm.query_object(stored, row) == reference_query_object(stored, row) == expected
+        assert sm.query_object(stored, [row, row]) == (expected, expected)
 
 
 def test_query_position_matches_float_recovery_on_noisy_and_gaussian_queries(
