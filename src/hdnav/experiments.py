@@ -9,7 +9,7 @@ sends each worker one chunk of trial indices (see ``run_experiment``).
 from __future__ import annotations
 
 import time
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 import numpy.random  # loaded now, or its lazy import lands in train's timed build
@@ -35,19 +35,115 @@ GRID_MODEL_FILE = "grid_cml.hdm"
 
 HDC_PAIRS = 1000  # random pairs behind the similarity statistics
 VIABLE_ATTEMPT_CAP = 2000  # maze candidates allowed per mission-ready maze
+TRIAL_BLOCK = 1024  # trials per seed table; it divides 2**32
 
 
 def trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     """``np.random.default_rng([seed, tag, trial])``, the same generator.
 
-    numpy turns each int of the list into its 32-bit words, one by one; when
-    all three fit one word, they go in as one uint32 array instead, which
-    numpy reads as those same words without the per-int conversion.
+    numpy seeds it through ``SeedSequence``, a fixed uint32 hash (O'Neill's
+    ``seed_seq_fe``, kept stable by NEP 19) of the list's 32-bit words.  So
+    ``seed_table`` hashes an aligned block of ``TRIAL_BLOCK`` trials at once,
+    in uint32 array arithmetic, into each trial's pool and the four uint64
+    words ``PCG64`` seeds from; the trial's generator then costs only its
+    ``PCG64``, seeded from a ``TrialSeed`` that holds its row.  Its state,
+    pool and stream are ``default_rng``'s.
     """
-    entropy = [seed, tag, trial]
-    if max(entropy) < 2**32:
-        entropy = np.array(entropy, dtype=np.uint32)
-    return np.random.default_rng(entropy)
+    block, row = divmod(trial, TRIAL_BLOCK)
+    pools, states = seed_table(seed, tag, block)
+    return np.random.Generator(np.random.PCG64(TrialSeed(pools[row], states[row])))
+
+
+class TrialSeed(np.random.bit_generator.ISeedSequence):
+    """One trial's row of a seed table: its ``SeedSequence`` pool, and the words
+    ``generate_state(4, np.uint64)`` gives, the only request ``PCG64`` makes."""
+
+    def __init__(self, pool: np.ndarray, state: np.ndarray) -> None:
+        self.pool = pool
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+# seed_seq_fe's constants, as numpy's SeedSequence has them (pool of 4 words)
+_WORD_MASK = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # the hash that fills and mixes the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # the hash that reads state words out of it
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _words(n: int) -> list[int]:
+    """numpy's 32-bit words of an int, lowest first; 0 is one word."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _WORD_MASK]
+    while n := n >> 32:
+        words.append(n & _WORD_MASK)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """seed_seq_fe's hashmix: each call xors its words with the running constant,
+    steps the constant by ``mult``, multiplies by it and folds the top half in."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _WORD_MASK
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
+
+
+@lru_cache(maxsize=4)
+def seed_table(seed: int, tag: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``SeedSequence`` pools (uint32) and ``PCG64`` seed words (uint64) of
+    trials ``block * TRIAL_BLOCK`` onwards, one read-only (TRIAL_BLOCK, 4) row each.
+
+    The block's trials differ only in the low 10 bits of the trial's lowest word,
+    as TRIAL_BLOCK divides 2**32, so they have one word count and each row hashes
+    the same word list but for that one column.  The first row is checked against
+    numpy's own ``SeedSequence``: a numpy that hashes otherwise raises here rather
+    than forking the streams.
+    """
+    head = _words(seed) + _words(tag)
+    entropy = head + _words(block * TRIAL_BLOCK)
+    words = np.repeat(np.array(entropy, dtype=np.uint32)[:, None], TRIAL_BLOCK, axis=1)
+    words[len(head)] += np.arange(TRIAL_BLOCK, dtype=np.uint32)
+    # fill the pool from the first words (zeros past the list's end), mix every
+    # pool word into every other, then mix each remaining word into all of them
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    fill = list(words[:_POOL_WORDS])
+    fill += [np.zeros(TRIAL_BLOCK, dtype=np.uint32)] * (_POOL_WORDS - len(fill))
+    pool = [hashmix(word) for word in fill]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): eight words read cyclically, little end first
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    halves = [hashmix(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
+    states = np.stack([halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+    pools = np.stack(pool, axis=1)
+    reference = np.random.SeedSequence(entropy)
+    if (
+        pools[0].tolist() != reference.pool.tolist()
+        or states[0].tolist() != reference.generate_state(4, np.uint64).tolist()
+    ):
+        raise RuntimeError(f"numpy's SeedSequence no longer hashes {entropy} as seed_table does")
+    pools.flags.writeable = states.flags.writeable = False
+    return pools, states
 
 
 # --- training and verification ------------------------------------------------

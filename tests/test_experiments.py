@@ -167,14 +167,50 @@ def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1, 2**32, 2**40 + 3, 2**64])
 def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
-    # a seed past one 32-bit word goes in as the list; either way the entropy pool,
-    # the state and the stream are those of default_rng([seed, tag, trial])
-    for tag, trial in ((0, 0), (experiments.TAG_MISSION, 5), (experiments.TAG_TRAIN, 2**32 - 1)):
+    # whatever the word counts of seed, tag and trial, and on either side of a seed
+    # table's block edge, the entropy pool, the state and the stream are those of
+    # default_rng([seed, tag, trial])
+    for tag, trial in (
+        (0, 0),
+        (experiments.TAG_MISSION, 5),
+        (experiments.TAG_TRAIN, 2**32 - 1),
+        (experiments.TAG_VIABILITY, 1023),
+        (experiments.TAG_VIABILITY, 1024),
+        (experiments.TAG_MISSION, 2**32),
+        (experiments.TAG_MISSION, 2**32 + 1025),
+        (2**32, 7),
+    ):
         ours = experiments.trial_rng(seed, tag, trial)
         theirs = np.random.default_rng([seed, tag, trial])
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert ours.bit_generator.seed_seq.pool.tolist() == theirs.bit_generator.seed_seq.pool.tolist()
         assert ours.integers(0, 2**32, size=8).tolist() == theirs.integers(0, 2**32, size=8).tolist()
+
+
+@pytest.mark.parametrize("entropy", [(-1, 0, 0), (42, -1, 0), (42, 0, -1), (42, 0, -1025)])
+def test_trial_rng_refuses_a_negative_int(entropy):
+    # as numpy does; a word split that shifts a negative int never reaches 0
+    with pytest.raises(ValueError):
+        np.random.default_rng(list(entropy))
+    with pytest.raises(ValueError):
+        experiments.trial_rng(*entropy)
+
+
+def test_trial_rng_does_not_depend_on_the_cached_blocks():
+    # a trial's generator is the same built cold, warm, or after its block was evicted
+    trial = 3 * experiments.TRIAL_BLOCK + 17
+    experiments.seed_table.cache_clear()
+    cold = experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state
+    assert cold == np.random.default_rng([42, experiments.TAG_VIABILITY, trial]).bit_generator.state
+    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    for block in range(experiments.seed_table.cache_info().maxsize + 1):
+        experiments.trial_rng(42, experiments.TAG_MISSION, block * experiments.TRIAL_BLOCK)
+    assert experiments.seed_table.cache_info().currsize == experiments.seed_table.cache_info().maxsize
+    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    experiments.seed_table.cache_clear()
+    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    rows = experiments.seed_table(42, experiments.TAG_VIABILITY, 3)
+    assert not any(table.flags.writeable for table in rows)
 
 
 def test_viable_maze_generation_counts_rejections(object_cml, grid_cml):
