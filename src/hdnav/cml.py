@@ -9,19 +9,22 @@ satisfy ``s_j ~= s_i + a_edge``:
 - ``G`` (e x n): gating; entry (edge, node) is 1 when the edge leaves
   that node and is open, else 0.
 
-Planning works without any path search.  The graph derives its (n x e)
-incidence matrix B once, so ``A = S B``, and from it the (e x n) flow table
-``F = pinv(B)``: the paper's least-squares action utility is the minimum-norm
-flow ``F[:, target] - F[:, current]``, whatever the states.  The pick rule is written
-once, as ``route_scores`` (each gated edge's utility), ``best_edges``
-(the tie set: every open edge within ``TIE_TOLERANCE`` of the best) and
-``last_edge`` (the step takes the last of it), so exact ties between
-symmetric routes never fall to rounding.  All three broadcast over
-target and current index arrays: ``step`` runs them for its one pair,
-and the planner proof (``experiments.verify_object_cml``) for every
-pair at once, scoring once.  Iterating the step with the predicted
-state ``s_c + a_edge`` fed back walks a near-optimal path.  A step that refuses to act says why: an input it
-did not recognise, or a node with no open gate.
+Planning works without any path search.  The graph is the one home of its
+tables, each derived on first use: the (n x e) incidence matrix B, so
+``A = S B``, and from it the (e x n) flow table ``F = pinv(B)``, which no
+learner copies.  The paper's least-squares action utility is the
+minimum-norm flow ``F[:, target] - F[:, current]``, whatever the states,
+so a learner that never plans never pays the pseudo-inverse.  The pick
+rule is written once, as ``route_scores`` (each gated edge's utility),
+``best_edges`` (the tie set: every open edge within ``TIE_TOLERANCE`` of
+the best) and ``last_edge`` (the step takes the last of it), so exact
+ties between symmetric routes never fall to rounding.  All three
+broadcast over target and current index arrays: ``step`` runs them for
+its one pair, and the planner proof (``experiments.verify_object_cml``)
+for every pair at once, scoring once.  Iterating the step with the
+predicted state ``s_c + a_edge`` fed back walks a near-optimal path.  A
+step that refuses to act says why: an input it did not recognise, or a
+node with no open gate.
 """
 
 from __future__ import annotations
@@ -122,8 +125,9 @@ def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
 class Cml:
     """Map learner state (S, A, G) on its graph.
 
-    The node-state dictionary is derived once, on construction, and the
-    flow table ``F`` is the graph's; both are attributes, not fields.
+    The node-state dictionary is derived once, on construction, as an
+    attribute, not a field.  The flow table is the graph's own
+    (``graph.F``), derived when a step first reads it.
     """
 
     S: np.ndarray  # (d, n)
@@ -134,7 +138,6 @@ class Cml:
     def __post_init__(self) -> None:
         states = hdc.Dictionary(self.graph.node_labels, self.S.T.copy())
         object.__setattr__(self, "_states", states)
-        object.__setattr__(self, "F", self.graph.F)
 
     @property
     def d(self) -> int:
@@ -206,11 +209,12 @@ def train_epoch(cml: Cml, learning_rate: float) -> tuple[Cml, float]:
 def route_scores(cml: Cml, target, current) -> np.ndarray:
     """Each edge's flow toward the target, ``F[edge, target] - F[edge, current]``.
 
-    ``target`` and ``current`` are node indices, or index arrays that
-    broadcast together; the result has one row per edge in front of their
-    shape.  An edge whose gate at the current node is closed scores -inf.
+    F is the graph's flow table, ``cml.graph.F``.  ``target`` and
+    ``current`` are node indices, or index arrays that broadcast together;
+    the result has one row per edge in front of their shape.  An edge whose
+    gate at the current node is closed scores -inf.
     """
-    F = cml.F
+    F = cml.graph.F
     # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
     return np.where(cml.G[:, current], F[:, target] - F[:, current], -np.inf)
 

@@ -22,11 +22,14 @@ from them once: the action matrix A4 in ``DIRECTIONS`` order, the int8
 table ``signs`` of the cells' sign patterns (one row per cell in
 row-major order; a map binds these), the utility table ``U`` below, and
 the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
-plane[cell]``.  The d-dimensional states are built once to derive these
-tables and then dropped: the model keeps its plane.  ``states`` rebuilds
-any cells' states on request, and ``P`` the whole (d x W H) table from
-it, whose column for a cell is that cell's state, bit for bit.  Cells
-are indexed row-major; ``cell_index`` and ``cell`` convert both ways.
+plane[cell]``.  The sign rule is not the grid's own: ``signs`` is
+``hdc.sign_pattern`` of the states, the rule a dictionary's rows use, so
+the grid and the object layer bind sign terms made one way.  The
+d-dimensional states are built once to derive these tables and then
+dropped: the model keeps its plane.  ``states`` rebuilds any cells'
+states on request, and ``P`` the whole (d x W H) table from it, whose
+column for a cell is that cell's state, bit for bit.  Cells are indexed
+row-major; ``cell_index`` and ``cell`` convert both ways.
 
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hdc
 
 Cell = tuple[int, int]  # (row, col); (0, 0) is the northwest corner
 
@@ -68,8 +72,8 @@ class GridCml:
     ``A4``, ``signs``, the utility table ``U``, ``basis``, ``plane``,
     ``width`` and ``height`` are derived on construction; they are plain
     attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in ``DIRECTIONS``
-    order.  ``signs`` holds each cell's sign pattern ``sign(p)`` as int8,
-    (W H, d), one row per cell in row-major order.  ``U`` is
+    order.  ``signs`` holds each cell's ``hdc.sign_pattern``, (W H, d)
+    int8, one row per cell in row-major order.  ``U`` is
     ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
     ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
     ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.  No
@@ -90,8 +94,7 @@ class GridCml:
         S = self.P.T
         A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
         object.__setattr__(self, "A4", A4)
-        # np.sign(S).astype(np.int8), from two bool masks
-        object.__setattr__(self, "signs", (S > 0).view(np.int8) - (S < 0).view(np.int8))
+        object.__setattr__(self, "signs", hdc.sign_pattern(S))
         # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
         object.__setattr__(self, "U", np.ascontiguousarray((A4.T @ S.T).T))
         object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))

@@ -26,10 +26,13 @@ must be positive.  ``recover`` applies it to cosines (unit norms); the
 map's position lookups apply it to their plane scores.
 
 Operations are pure; the only mutable argument is the ``numpy`` random
-generator passed in explicitly wherever randomness is needed.
-``random_bipolar`` reads the same 32-bit word per entry, and the same bit
-of it, as ``rng.choice([-1.0, 1.0])``, so either draw gives the same
-vector and leaves the generator in the same state.
+generator passed in explicitly wherever randomness is needed.  Each rule
+has one home here: ``_random_signs`` is the one random-sign draw, which
+``random_bipolar`` casts to float and ``bundle`` adds as its tie-break; it
+reads the same 32-bit word per entry, and the same bit of it, as
+``rng.choice([-1.0, 1.0])``, so either draw gives the same vector and
+leaves the generator in the same state.  ``sign_pattern`` is the one
+int8 sign rule, for a dictionary's rows and the grid's cells alike.
 """
 
 from __future__ import annotations
@@ -48,20 +51,21 @@ def random_bipolar(d: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a random vector with each element +/-1 with equal probability."""
     if d < 1:
         raise ValueError(f"hypervector dimension must be >= 1, got {d}")
-    x = _random_bits(d, rng).astype(float)
-    x *= 2.0
-    x -= 1.0
-    return x
+    return _random_signs(d, rng).astype(float)
 
 
-def _random_bits(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d random bools: True where ``rng.choice([-1.0, 1.0], size=d)`` picks +1.
+def _random_signs(d: int, rng: np.random.Generator) -> np.ndarray:
+    """d random int8 signs, ``rng.choice([-1, 1], size=d)``'s pick for each entry.
 
     The same draws without choice's overhead: both read one 32-bit word w
     per entry, choice takes ``w >> 31``, and the float32 uniform
-    ``(w >> 8) / 2**24`` is >= 0.5 exactly when that bit is 1.
+    ``(w >> 8) / 2**24`` is >= 0.5 exactly when that bit is 1.  The bit b
+    becomes the sign 2 b - 1 in place, in the comparison's own buffer.
     """
-    return rng.random(d, dtype=np.float32) >= 0.5
+    signs = (rng.random(d, dtype=np.float32) >= 0.5).view(np.int8)
+    signs += signs  # 2 b; a scalar operand would cost a cast check per call
+    signs -= 1
+    return signs
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:
@@ -97,6 +101,15 @@ def sign(x: np.ndarray) -> np.ndarray:
     return np.sign(x).astype(float, copy=False)
 
 
+def sign_pattern(x: np.ndarray) -> np.ndarray:
+    """Elementwise sign with sign(0) = 0, as int8: the terms that bind into a map.
+
+    ``np.sign(x).astype(np.int8)`` for real input, formed from two bool
+    masks, with no float temporary.
+    """
+    return (x > 0).view(np.int8) - (x < 0).view(np.int8)
+
+
 def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Signed elementwise sum of the rows of an (n, d) stack.
 
@@ -115,13 +128,9 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         dtype = np.int8
     total = np.add.reduce(vectors, axis=0, dtype=dtype)
     if n % 2 == 0:
-        # the tie-break 2 b - 1, formed in place in the draw's own buffer and
-        # added once; an even count keeps an integer |total| below its type's
-        # maximum, so the sum cannot overflow
-        tie = _random_bits(len(total), rng).view(np.int8)
-        tie *= 2
-        tie -= 1
-        total += tie
+        # an even count keeps an integer |total| below its type's maximum, so
+        # adding the tie-break cannot overflow
+        total += _random_signs(len(total), rng)
     return sign(total)
 
 
@@ -150,8 +159,7 @@ class Dictionary:
     ``vectors`` holds one row per entry; row order defines the tie-break
     for recovery (lowest index wins on exact score ties).  Two tables are
     derived once from the rows: ``norms``, the row norms, and ``signs``,
-    the rows' sign patterns ``sign(vectors)`` as int8 (the terms that
-    bind into a map).
+    the rows' ``sign_pattern`` (the int8 terms that bind into a map).
     """
 
     labels: tuple[Hashable, ...]
@@ -169,7 +177,7 @@ class Dictionary:
             raise ValueError("need one vector row per label")
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         object.__setattr__(self, "norms", row_norms(self.vectors))
-        object.__setattr__(self, "signs", np.sign(self.vectors).astype(np.int8))
+        object.__setattr__(self, "signs", sign_pattern(self.vectors))
 
     def __len__(self) -> int:
         return len(self.labels)

@@ -22,9 +22,7 @@ def canonical_json(record: dict) -> str:
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial fraction."""
-    if n == 0:
-        return (0.0, 1.0)
+    """95% Wilson score interval for a binomial fraction of n >= 1 trials."""
     p = successes / n
     denom = 1 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
@@ -33,10 +31,8 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, flo
 
 
 def mean_std(values: list[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (ddof=1; 0 for < 2 values)."""
+    """Mean and sample standard deviation of one or more values (ddof=1; 0 for one)."""
     n = len(values)
-    if n == 0:
-        return (0.0, 0.0)
     mean = sum(values) / n
     if n < 2:
         return (mean, 0.0)
@@ -62,7 +58,7 @@ def recompute_aggregates(records: list[dict]) -> dict:
         wins = sum(1 for r in records if r[flag_key])
         lo, hi = wilson_interval(wins, len(records))
         aggregates[f"{flag_key}_count"] = wins
-        aggregates[f"{flag_key}_fraction"] = wins / len(records) if records else 0.0
+        aggregates[f"{flag_key}_fraction"] = wins / len(records)
         aggregates["ci95"] = [lo, hi]
     if records and "steps" in records[0]:
         mean, std = mean_std([float(r["steps"]) for r in records])

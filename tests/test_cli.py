@@ -2,7 +2,9 @@ import io
 import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +442,52 @@ def run_and_verify_refuse(out, capsys, mismatch: str, *flags: str) -> str:
     assert mismatch in errors[0]
     assert [path.name for path in out.glob("*")] in ([], ["models"])
     return errors[0]
+
+
+def test_run_refuses_swapped_model_files(models_dir, capsys):
+    models = models_dir / "models"
+    object_path = models / experiments.OBJECT_MODEL_FILE
+    grid_path = models / experiments.GRID_MODEL_FILE
+    object_bytes = object_path.read_bytes()
+    object_path.write_bytes(grid_path.read_bytes())
+    grid_path.write_bytes(object_bytes)
+    run_and_verify_refuse(models_dir, capsys, "model files have swapped kinds")
+
+
+def test_verify_reports_a_failed_proof_of_a_pair_that_loads(models_dir, grid_cml, capsys):
+    # east and west swapped: the pair passes every load check, and the grid proof fails
+    mirrored = GridCml(x=grid_cml.x, y=-grid_cml.y, a_s=grid_cml.a_s, a_e=grid_cml.a_e)
+    persist.save_grid_cml(mirrored, models_dir / "models" / experiments.GRID_MODEL_FILE)
+    assert main(["verify", "--out", str(models_dir)]) == 1
+    printed, err = capsys.readouterr()
+    assert printed == ""
+    assert err.startswith("error[verify]: grid model failed verification: (0, 0)->")
+    assert err.count("\n") == 1
+
+
+def test_a_runtime_error_outside_a_proof_is_internal(models_dir, monkeypatch, capsys):
+    def failing_batch(*args):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(experiments, "run_experiment", failing_batch)
+    assert main(["run", "viability", "--seed", "42", "--out", str(models_dir)]) == 1
+    assert capsys.readouterr() == ("", "error[internal]: injected\n")
+
+
+def test_python_m_hdnav_runs_the_cli_and_exits_with_its_code(tmp_path):
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def hdnav(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hdnav", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = hdnav("--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: hdnav")
+    done = hdnav("run", "viability", "--out", str(tmp_path / "out"))
+    assert done.returncode == 1 and done.stderr.startswith("error[config]: ")
 
 
 def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):

@@ -58,7 +58,14 @@ def reference_pick(utility: np.ndarray, gate: np.ndarray) -> int | None:
 def flow_utility(model: cml.Cml, target: str, current: str) -> np.ndarray:
     """The flow table's score of every edge toward the target."""
     t, c = model.graph.node_index(target), model.graph.node_index(current)
-    return model.F[:, t] - model.F[:, c]
+    return model.graph.F[:, t] - model.graph.F[:, c]
+
+
+def with_flow(model: cml.Cml, F: np.ndarray) -> cml.Cml:
+    """The model on a copy of its graph whose flow table is F, in place of the derived one."""
+    graph = cml.CmlGraph(model.graph.node_labels, model.graph.directed_edges)
+    object.__setattr__(graph, "F", F)
+    return replace(model, graph=graph)
 
 
 def incidence(graph: cml.CmlGraph) -> np.ndarray:
@@ -176,7 +183,7 @@ def test_gating_column_counts_outgoing_edges(graph, rng):
 
 def test_pseudo_inverse_defining_property(graph, object_cml):
     # F is the Moore-Penrose inverse of the graph's incidence matrix
-    B, F = incidence(graph), object_cml.F
+    B, F = incidence(graph), object_cml.graph.F
     assert F.shape == (len(graph.directed_edges), graph.n)
     assert np.abs(B @ F @ B - B).max() < 1e-12
     assert np.abs(F @ B @ F - F).max() < 1e-12
@@ -282,7 +289,7 @@ def test_utility_matches_least_squares_oracle(graph, object_cml):
     # so the paper's A_dagger (s_t - s_c) is the minimum-norm flow F (e_t - e_c)
     # on every pair, whatever the states
     for model in (object_cml, cml.init_calculated(graph, D, np.random.default_rng(7))):
-        flow = model.F[:, :, None] - model.F[:, None, :]
+        flow = model.graph.F[:, :, None] - model.graph.F[:, None, :]
         assert np.abs(reference_utility(model) - flow).max() < 1e-13
     diff = object_cml.state("t") - object_cml.state("k")
     oracle, *_ = np.linalg.lstsq(object_cml.A, diff, rcond=None)
@@ -326,7 +333,7 @@ def test_flow_table_ties_are_exact_or_far_apart(graph, object_cml):
         for t in range(graph.n):
             if c == t:
                 continue
-            u = object_cml.F[out, t] - object_cml.F[out, c]
+            u = object_cml.graph.F[out, t] - object_cml.graph.F[out, c]
             gaps = np.abs(u[:, None] - u[None, :])
             assert np.all((gaps < 1e-12) | (gaps >= 5e-3))
             best = out[u >= u.max() - 1e-12]
@@ -346,7 +353,7 @@ def test_step_takes_the_last_tied_edge(graph, object_cml, doors):
         for t in range(graph.n):
             if c == t or len(out) == 0:
                 continue
-            u = model.F[out, t] - model.F[out, c]
+            u = model.graph.F[out, t] - model.graph.F[out, c]
             best = out[u >= u.max() - 1e-12]
             result = cml.step(model, model.S[:, t], model.S[:, c])
             assert result.chosen_edge == best[-1]
@@ -369,9 +376,9 @@ def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, 
 
     expected = picks(model)
     noise = np.random.default_rng(0)
+    F = model.graph.F
     for _ in range(20):
-        noisy = replace(model)
-        object.__setattr__(noisy, "F", model.F + noise.uniform(-1e-12, 1e-12, model.F.shape))
+        noisy = with_flow(model, F + noise.uniform(-1e-12, 1e-12, F.shape))
         assert picks(noisy) == expected
 
 

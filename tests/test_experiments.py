@@ -10,6 +10,7 @@ from hdnav import cml, experiments, maze as mz, persist, semantic_map as sm
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
 from hdnav.reports import recompute_aggregates, wilson_interval
+from test_cml import with_flow
 
 
 def small(config, **kw):
@@ -94,7 +95,7 @@ def walked_proof(model):
             first[start, goal] = edge
             checked += 1
             legal = np.nonzero(model.G[:, start])[0]
-            u = model.F[legal, goal] - model.F[legal, start]
+            u = model.graph.F[legal, goal] - model.graph.F[legal, start]
             tied += np.count_nonzero(u >= u.max() - cml.TIE_TOLERANCE) > 1
     return checked, tied, first
 
@@ -158,8 +159,7 @@ def test_verify_object_rejects_a_node_with_every_gate_closed(object_cml):
 
 def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
     # a negated flow table routes every step away: the first pair fails, and its walk too
-    away = dataclasses.replace(object_cml)
-    object.__setattr__(away, "F", -object_cml.F)
+    away = with_flow(object_cml, -object_cml.graph.F)
     with pytest.raises(RuntimeError, match=r"failed verification: a->b: .*not one hop closer"):
         experiments.verify_object_cml(away)
     assert cml.plan_path(away, away.state("b"), away.state("a")) is None

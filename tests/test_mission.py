@@ -64,7 +64,7 @@ def test_remove_door_zeroes_incident_gates(object_cml):
             assert np.array_equal(reduced.G[edge_idx], object_cml.G[edge_idx])
     assert np.array_equal(reduced.S, object_cml.S)
     assert np.array_equal(reduced.A, object_cml.A)
-    assert np.array_equal(reduced.F, object_cml.F)
+    assert np.array_equal(reduced.graph.F, object_cml.graph.F)
 
 
 def test_remove_door_keeps_state_dictionary(object_cml):
@@ -80,7 +80,7 @@ def test_remove_door_derives_nothing(object_cml, door):
     # the planner is a copy of the gates, zeroed; everything else is the original's own
     G = object_cml.G.copy()
     reduced = mission.remove_door(object_cml, door)
-    assert reduced.graph is object_cml.graph and reduced.F is object_cml.F
+    assert reduced.graph is object_cml.graph
     assert reduced.S is object_cml.S and reduced.A is object_cml.A
     assert reduced.state_dictionary() is object_cml.state_dictionary()
     assert np.array_equal(object_cml.G, G) and not np.array_equal(reduced.G, G)
@@ -224,6 +224,34 @@ def test_mission_unreachable_goal_reports_failure(object_cml, viable_setup):
     assert failure in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
 
+def test_mission_without_a_waypoint_cell_is_unrecoverable(object_cml, viable_setup):
+    # the planner steps, but a map that holds no object gives its waypoint no cell
+    maze, memory, _ = viable_setup
+    noise_hv = hdc.random_bipolar(memory.grid_cml.d, np.random.default_rng(35))
+    noise = replace(memory, map_hv=noise_hv)
+    policy = sm.encode_policy(["k"], memory.objects, np.random.default_rng(2))
+    planned = cml.step(object_cml, object_cml.state("k"), object_cml.state("h"))
+    assert planned.chosen_edge is not None
+    goals, failure = mission.run_mission(object_cml, noise, maze, policy)
+    assert failure is FailureReason.UNRECOVERABLE_STATE
+    assert len(goals) == 1 and not goals[0]["reached"]
+    assert goals[0]["object_path"] == ["h"] and goals[0]["steps"] == 0
+    assert goals[0]["grid_path"] == [list(maze.placements["h"])]
+
+
+def test_mission_ends_at_the_goal_whose_leg_fails(object_cml, viable_setup):
+    # door a closed in the maze but not in the planner: k and t are reached, and the
+    # way home walks t -> e, then dithers beside a's walled cell; no later leg runs
+    maze, memory, _ = viable_setup
+    closed, _ = mz.close_door(maze, "a")
+    policy = sm.encode_policy(["k", "t", "h"], memory.objects, np.random.default_rng(99))
+    goals, failure = mission.run_mission(object_cml, memory, closed, policy)
+    assert failure is FailureReason.DITHER_ABORT
+    assert [(g["goal"], g["reached"]) for g in goals] == [("k", True), ("t", True), ("h", False)]
+    assert goals[-1]["object_path"] == ["t", "e"]
+    assert goals[-1]["grid_path"][-6:] == [[1, 7], [0, 7]] * 3
+
+
 def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     maze, memory, _ = viable_setup
     states = object_cml.state_dictionary()
@@ -288,6 +316,14 @@ def test_grid_only_straight_corridor_succeeds(grid_cml):
     assert reason is FailureReason.NONE
     assert path[0] == maze.placements["k"] and path[-1] == maze.placements["t"]
     assert len(path) - 1 == 15  # straight line, Manhattan-optimal
+
+
+def test_grid_leg_stops_at_its_step_cap(grid_cml):
+    # an open grid and a cap shorter than the walk: the leg stops after cap moves
+    open_grid = mz.Maze(frozenset(), {}, grid_cml.width, grid_cml.height)
+    path, reason = mission.grid_leg(grid_cml, open_grid, (0, 0), (0, 10), 4)
+    assert reason is FailureReason.STEP_CAP
+    assert path == [(0, col) for col in range(5)]
 
 
 def test_grid_only_starts_at_key(config, object_cml, grid_cml):

@@ -19,7 +19,7 @@ def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
     assert np.array_equal(loaded.S, object_cml.S)
     assert np.array_equal(loaded.A, object_cml.A)
     assert np.array_equal(loaded.G, object_cml.G)
-    assert np.array_equal(loaded.F, object_cml.F)
+    assert np.array_equal(loaded.graph.F, object_cml.graph.F)
     assert loaded.graph == object_cml.graph
 
 
@@ -63,8 +63,18 @@ def test_pseudo_inverse_recomputed_on_load(object_cml, tmp_path):
     path = tmp_path / "object.hdm"
     persist.save_cml(object_cml, path)
     loaded = persist.load_model(path)
-    assert loaded.F.tobytes() == object_cml.F.tobytes()
-    assert loaded.F.shape == (len(object_cml.graph.directed_edges), object_cml.graph.n)
+    assert loaded.graph.F.tobytes() == object_cml.graph.F.tobytes()
+    assert loaded.graph.F.shape == (len(object_cml.graph.directed_edges), object_cml.graph.n)
+
+
+def test_loaded_model_derives_its_flow_table_when_it_first_plans(object_cml, tmp_path):
+    # loading builds the learner and checks it, and pays no pseudo-inverse
+    path = tmp_path / "object.hdm"
+    persist.save_cml(object_cml, path)
+    loaded = persist.load_model(path)
+    assert "F" not in vars(loaded.graph)
+    cml.step(loaded, loaded.state("t"), loaded.state("h"))
+    assert "F" in vars(loaded.graph)
 
 
 def test_grid_model_round_trip_bit_exact(grid_cml, tmp_path):
