@@ -235,7 +235,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # after BrokenPipeError, which is one
         print(f"error[io]: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

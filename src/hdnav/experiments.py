@@ -44,22 +44,20 @@ def trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
     numpy seeds it through ``SeedSequence``, a fixed uint32 hash (O'Neill's
     ``seed_seq_fe``, kept stable by NEP 19) of the list's 32-bit words.  So
     ``seed_table`` hashes an aligned block of ``TRIAL_BLOCK`` trials at once,
-    in uint32 array arithmetic, into each trial's pool and the four uint64
-    words ``PCG64`` seeds from; the trial's generator then costs only its
-    ``PCG64``, seeded from a ``TrialSeed`` that holds its row.  Its state,
-    pool and stream are ``default_rng``'s.
+    in uint32 array arithmetic, into the four uint64 words ``PCG64`` seeds
+    from for each trial; the trial's generator then costs only its
+    ``PCG64``, seeded from a ``TrialSeed`` that holds its row.  Its state
+    and stream are ``default_rng``'s.
     """
     block, row = divmod(trial, TRIAL_BLOCK)
-    pools, states = seed_table(seed, tag, block)
-    return np.random.Generator(np.random.PCG64(TrialSeed(pools[row], states[row])))
+    return np.random.Generator(np.random.PCG64(TrialSeed(seed_table(seed, tag, block)[row])))
 
 
 class TrialSeed(np.random.bit_generator.ISeedSequence):
-    """One trial's row of a seed table: its ``SeedSequence`` pool, and the words
-    ``generate_state(4, np.uint64)`` gives, the only request ``PCG64`` makes."""
+    """One trial's row of a seed table: the words ``generate_state(4, np.uint64)``
+    gives, the only request ``PCG64`` makes of its seed sequence."""
 
-    def __init__(self, pool: np.ndarray, state: np.ndarray) -> None:
-        self.pool = pool
+    def __init__(self, state: np.ndarray) -> None:
         self.state = state
 
     def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
@@ -104,15 +102,16 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def seed_table(seed: int, tag: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``SeedSequence`` pools (uint32) and ``PCG64`` seed words (uint64) of
-    trials ``block * TRIAL_BLOCK`` onwards, one read-only (TRIAL_BLOCK, 4) row each.
+def seed_table(seed: int, tag: int, block: int) -> np.ndarray:
+    """The ``PCG64`` seed words of trials ``block * TRIAL_BLOCK`` onwards: a
+    read-only (TRIAL_BLOCK, 4) uint64 table, one row per trial.
 
     The block's trials differ only in the low 10 bits of the trial's lowest word,
     as TRIAL_BLOCK divides 2**32, so they have one word count and each row hashes
-    the same word list but for that one column.  The first row is checked against
-    numpy's own ``SeedSequence``: a numpy that hashes otherwise raises here rather
-    than forking the streams.
+    the same word list but for that one column, through the ``SeedSequence`` pool
+    to the words read out of it.  The first row is checked against numpy's own
+    ``SeedSequence``: its words are hashed from the pool, so a numpy that hashes
+    either step otherwise raises here rather than forking the streams.
     """
     head = _words(seed) + _words(tag)
     entropy = head + _words(block * TRIAL_BLOCK)
@@ -135,15 +134,11 @@ def seed_table(seed: int, tag: int, block: int) -> tuple[np.ndarray, np.ndarray]
     hashmix = _hasher(_INIT_B, _MULT_B)
     halves = [hashmix(pool[i % _POOL_WORDS]).astype(np.uint64) for i in range(8)]
     states = np.stack([halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-    pools = np.stack(pool, axis=1)
-    reference = np.random.SeedSequence(entropy)
-    if (
-        pools[0].tolist() != reference.pool.tolist()
-        or states[0].tolist() != reference.generate_state(4, np.uint64).tolist()
-    ):
+    reference = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+    if states[0].tolist() != reference.tolist():
         raise RuntimeError(f"numpy's SeedSequence no longer hashes {entropy} as seed_table does")
-    pools.flags.writeable = states.flags.writeable = False
-    return pools, states
+    states.flags.writeable = False
+    return states
 
 
 # --- training and verification ------------------------------------------------

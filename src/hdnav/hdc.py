@@ -1,15 +1,16 @@
 """Hypervector algebra on bipolar/real vectors.
 
-A hypervector is a 1-D ``numpy`` float array of a shared length ``d``, the
-config's; ``bind`` and ``recover`` also take an ``(n, d)`` stack, one per
-row, and ``bundle`` sums the rows of a float stack or an int8 one.
+A hypervector is a 1-D ``numpy`` array of a shared length ``d``, the
+config's: float, or int8 when it holds only signs; ``bind`` and ``recover``
+also take an ``(n, d)`` stack, one per row, and ``bundle`` sums the rows of
+a float stack or an int8 one.
 Information is carried by direction: two independently drawn random
 bipolar vectors of that length are pseudo-orthogonal (cosine 0 +/- 1/sqrt(d)).
 The algebra has four basic operations:
 
 - ``bundle``: signed elementwise addition of a stack's rows; the result
   stays similar to every summand.  An int8 stack of sign terms (fewer
-  than 128 rows) is summed exactly in int8.
+  than 128 rows) is summed exactly in int8 and bundles to int8 signs.
 - ``bind``: elementwise multiplication; the result is dissimilar to both
   inputs but the operation is self-inverse on bipolar vectors.
 - ``permute``: circular shift; reversible, used to encode sequence
@@ -92,15 +93,6 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def sign(x: np.ndarray) -> np.ndarray:
-    """Elementwise sign with sign(0) = 0, as floats.
-
-    An integer input (such as an int8 sign table) takes its sign in its own
-    type and is converted once, which is exact.
-    """
-    return np.sign(x).astype(float, copy=False)
-
-
 def sign_pattern(x: np.ndarray) -> np.ndarray:
     """Elementwise sign with sign(0) = 0, as int8: the terms that bind into a map.
 
@@ -111,12 +103,13 @@ def sign_pattern(x: np.ndarray) -> np.ndarray:
 
 
 def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Signed elementwise sum of the rows of an (n, d) stack.
+    """Signed elementwise sum of the rows of an (n, d) stack, in the sum's own type.
 
     When the number of summands is even, a fresh random bipolar vector is
     added last to break elementwise ties, so bundles of bipolar inputs
-    are always bipolar.  An int8 stack holds sign terms (entries -1, 0,
-    +1); it is summed exactly in int8, so it must have fewer than 128 rows.
+    are always bipolar.  A float stack gives a float bundle.  An int8
+    stack holds sign terms (entries -1, 0, +1); it is summed exactly in
+    int8, so it must have fewer than 128 rows, and its bundle is int8.
     """
     n = len(vectors)
     if n == 0:
@@ -131,7 +124,7 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # an even count keeps an integer |total| below its type's maximum, so
         # adding the tie-break cannot overflow
         total += _random_signs(len(total), rng)
-    return sign(total)
+    return np.sign(total)
 
 
 def bind(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -47,18 +47,18 @@ from .maze import Maze
 class MapMemory:
     """The map hypervector, the object dictionary and the eight placement cells.
 
-    ``map_hv`` is bipolar: a bundle of eight +-1 terms and a +-1 tie-break
-    is an odd sum, and a loaded grid model has no zero sign
+    ``map_hv`` is the one copy of the map, int8 as ``bundle`` sums it, and
+    bipolar: a bundle of eight +-1 terms and a +-1 tie-break is an odd
+    sum, and a loaded grid model has no zero sign
     (``experiments.load_models`` refuses one).  So binding the map only
     flips signs, and a query ``map * v`` has the norm of ``v`` bit for
     bit.  ``rows`` holds the ``grid_cml.cell_index`` of each object's
     cell, in ``objects`` order.  ``map_basis``, the map bound to the plane
-    basis (``map_hv * grid_cml.basis``, (2, d)), is derived once: every
-    built map's readiness check reads it, and each later position lookup
-    reuses it.  ``map_signs``, the map as int8, is made on the first
-    arrival query, the one reader of it.  ``positions``, the dictionary of
-    those cells' states keyed by the cells themselves, is built on first
-    use from ``grid_cml.states``; no lookup of the package reads it.
+    basis (``map_hv * grid_cml.basis``, (2, d), float), is derived once:
+    every built map's readiness check reads it, and each later position
+    lookup reuses it.  ``positions``, the dictionary of those cells'
+    states keyed by the cells themselves, is built on first use from
+    ``grid_cml.states``; no lookup of the package reads it.
     """
 
     map_hv: np.ndarray
@@ -69,10 +69,6 @@ class MapMemory:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "map_basis", self.map_hv * self.grid_cml.basis)
-
-    @cached_property
-    def map_signs(self) -> np.ndarray:
-        return self.map_hv.astype(np.int8)
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
@@ -91,7 +87,8 @@ def build_map(
 
     Each term is ``sign(o_i) * sign(p_i)`` from the dictionaries' int8 sign
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
-    eight int8 terms exactly in int8 and adds its tie-break draw there too.
+    eight int8 terms exactly in int8, adds its tie-break draw there too,
+    and returns the sum's int8 sign, the map.
     """
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
     terms = objects.signs * grid_cml.signs.take(rows, axis=0)
@@ -190,7 +187,7 @@ def query_object(memory: MapMemory, rows) -> str | None | tuple[str | None, ...]
     dots, exact however many rows are asked at once.
     """
     signs = memory.grid_cml.signs.take(rows, axis=0)
-    return hdc.recover(hdc.bind(memory.map_signs, signs), memory.objects)
+    return hdc.recover(hdc.bind(memory.map_hv, signs), memory.objects)
 
 
 def encode_policy(

@@ -168,7 +168,7 @@ def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1, 2**32, 2**40 + 3, 2**64])
 def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
     # whatever the word counts of seed, tag and trial, and on either side of a seed
-    # table's block edge, the entropy pool, the state and the stream are those of
+    # table's block edge, the state and the stream are those of
     # default_rng([seed, tag, trial])
     for tag, trial in (
         (0, 0),
@@ -183,7 +183,6 @@ def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
         ours = experiments.trial_rng(seed, tag, trial)
         theirs = np.random.default_rng([seed, tag, trial])
         assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.bit_generator.seed_seq.pool.tolist() == theirs.bit_generator.seed_seq.pool.tolist()
         assert ours.integers(0, 2**32, size=8).tolist() == theirs.integers(0, 2**32, size=8).tolist()
 
 
@@ -210,7 +209,22 @@ def test_trial_rng_does_not_depend_on_the_cached_blocks():
     experiments.seed_table.cache_clear()
     assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
     rows = experiments.seed_table(42, experiments.TAG_VIABILITY, 3)
-    assert not any(table.flags.writeable for table in rows)
+    assert not rows.flags.writeable
+
+
+def test_seed_table_refuses_a_numpy_that_hashes_otherwise(monkeypatch):
+    # the first row is checked against numpy's own SeedSequence: one flipped bit in
+    # its words raises rather than seeding every trial of the block from other words
+    class Flipped(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return super().generate_state(n_words, dtype) ^ dtype(1)
+
+    experiments.seed_table.cache_clear()
+    monkeypatch.setattr(np.random, "SeedSequence", Flipped)
+    with pytest.raises(RuntimeError, match="no longer hashes"):
+        experiments.trial_rng(42, experiments.TAG_VIABILITY, 5)
+    monkeypatch.undo()
+    assert experiments.seed_table.cache_info().currsize == 0
 
 
 def test_viable_maze_generation_counts_rejections(object_cml, grid_cml):

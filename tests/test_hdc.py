@@ -64,27 +64,6 @@ def test_cosine_dimension_mismatch():
         hdc.cosine(bipolar(8), bipolar(8, d=999))
 
 
-# --- sign -----------------------------------------------------------------------
-
-
-def test_sign_cases():
-    assert np.array_equal(hdc.sign(np.array([3.2, -0.1, 0.0])), [1.0, -1.0, 0.0])
-    # an int8 input comes back as its signs, in float
-    from_int8 = hdc.sign(np.array([3, -1, 0], dtype=np.int8))
-    assert from_int8.dtype == np.float64
-    assert np.array_equal(from_int8, [1.0, -1.0, 0.0])
-
-
-def test_sign_of_bipolar_is_identity():
-    x = bipolar(9)
-    assert np.array_equal(hdc.sign(x), x)
-
-
-def test_sign_of_cancelling_sum_is_zero():
-    x = bipolar(10)
-    assert np.array_equal(hdc.sign(x + (-x)), np.zeros(D))
-
-
 BIT_GENERATORS = (
     np.random.PCG64,
     np.random.PCG64DXSM,
@@ -166,7 +145,18 @@ def test_bundle_even_count_stays_bipolar():
 def test_bundle_singleton_is_identity():
     rng = np.random.default_rng(13)
     x = hdc.random_bipolar(D, rng)
+    state = rng.bit_generator.state
     assert np.array_equal(hdc.bundle(x[None, :], rng), x)
+    # an odd count draws no tie-break: one row bundles to its elementwise sign,
+    # sign(0) = 0, float for a float row and int8 for an int8 row
+    from_float = hdc.bundle(np.array([[3.2, -0.1, 0.0]]), rng)
+    assert from_float.dtype == np.float64
+    assert from_float.tolist() == [1.0, -1.0, 0.0]
+    from_int8 = hdc.bundle(np.array([[3, -1, 0]], dtype=np.int8), rng)
+    assert from_int8.dtype == np.int8
+    assert from_int8.tolist() == [1, -1, 0]
+    assert np.array_equal(hdc.bundle((x + (-x))[None, :], rng), np.zeros(D))
+    assert rng.bit_generator.state == state
 
 
 def test_bundle_empty_rejected():
@@ -176,8 +166,9 @@ def test_bundle_empty_rejected():
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 126, 127, 128])
 def test_bundle_int8_stack_equals_float_stack(n):
-    # an int8 stack sums in int8 and adds the tie-break there: the same map and the
-    # same draws as the float sum; from 128 rows it is refused, drawing nothing
+    # an int8 stack sums in int8 and adds the tie-break there: the same map, as int8
+    # signs, and the same draws as the float sum; from 128 rows it is refused,
+    # drawing nothing
     terms = np.stack([bipolar(seed) for seed in range(n)])
     terms[:, :5] = 0.0  # a sign term may be 0
     rng, reference_rng = np.random.default_rng(19), np.random.default_rng(19)
@@ -188,7 +179,7 @@ def test_bundle_int8_stack_equals_float_stack(n):
         return
     from_int8 = hdc.bundle(terms.astype(np.int8), rng)
     assert np.array_equal(from_int8, hdc.bundle(terms, reference_rng))
-    assert from_int8.dtype == np.float64
+    assert from_int8.dtype == np.int8
     assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 

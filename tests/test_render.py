@@ -65,6 +65,14 @@ def test_svg_render_has_one_polyline_per_leg():
     assert svg.rstrip().endswith("</svg>")
 
 
+def test_svg_render_draws_no_polyline_for_a_one_cell_leg():
+    # a goal that fails at zero steps has a one-cell grid path: no line to draw
+    record = mission_record()
+    record["goals"][1] = {"goal": "t", "grid_path": [[3, 2]], "reached": False}
+    del record["goals"][2]
+    assert render.render_svg(record).count("<polyline") == 1
+
+
 def test_svg_render_marks_dither():
     svg = render.render_svg(dither_record())
     assert svg.count("<path d=") == 2

@@ -31,7 +31,7 @@ def synthetic_map(seed):
     cells = tuple((i, i) for i in range(8))
     positions = np.stack([hdc.random_bipolar(D, rng) for _ in range(8)])
     terms = [
-        hdc.sign(hdc.bind(objects.vector(label), positions[i]))
+        np.sign(hdc.bind(objects.vector(label), positions[i]))
         for i, label in enumerate(LABELS)
     ]
     return hdc.bundle(np.stack(terms), rng), objects, hdc.Dictionary(cells, positions)
@@ -65,8 +65,8 @@ def test_map_term_order_is_irrelevant():
     rng = np.random.default_rng(31)
     terms = [hdc.random_bipolar(D, rng) for _ in range(8)]
     eta = hdc.random_bipolar(D, rng)
-    forward = hdc.sign(np.sum(terms + [eta], axis=0))
-    shuffled = hdc.sign(np.sum(terms[::-1] + [eta], axis=0))
+    forward = np.sign(np.sum(terms + [eta], axis=0))
+    shuffled = np.sign(np.sum(terms[::-1] + [eta], axis=0))
     assert np.array_equal(forward, shuffled)
 
 
@@ -218,9 +218,9 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
         memory = sm.build_map(objects, maze, grid_cml, rng)
         cells = tuple(maze.placements[label] for label in objects.labels)
         states = grid_cml.P.T[[grid_cml.cell_index(cell) for cell in cells]]
-        terms = [hdc.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
+        terms = [np.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
         assert np.array_equal(memory.map_hv, hdc.bundle(np.stack(terms), reference_rng))
-        assert memory.map_hv.dtype == np.float64
+        assert memory.map_hv.dtype == np.int8
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert memory.positions.labels == cells
         assert np.array_equal(memory.positions.vectors, states)
@@ -230,7 +230,7 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
 def reference_build_map(objects, maze, grid_cml, rng):
     """The float construction that the int8 sign patterns replaced."""
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
-    return hdc.bundle(hdc.sign(hdc.bind(objects.vectors, grid_cml.P.T[rows])), rng)
+    return hdc.bundle(np.sign(hdc.bind(objects.vectors, grid_cml.P.T[rows])), rng)
 
 
 def float_cosines(queries, dictionary):
@@ -247,7 +247,8 @@ def reference_query_position(memory, object_hv):
 def reference_query_object(memory, rows):
     """The float arrival query the int8 bind replaced: ``hdc.recover`` of the float
     map times the cells' sign patterns."""
-    return hdc.recover(hdc.bind(memory.map_hv, memory.grid_cml.signs[rows]), memory.objects)
+    float_map = memory.map_hv.astype(float)
+    return hdc.recover(hdc.bind(float_map, memory.grid_cml.signs[rows]), memory.objects)
 
 
 def reference_forward_verdict(memory):
@@ -372,7 +373,7 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
         ranked = np.sort(plane, axis=1)
         top_gaps.append((ranked[:, -1] - ranked[:, -2]).min())
         theta_gaps.append(np.abs(ranked[:, -1] - hdc.THETA).min())
-        reverse = hdc.bind(memory.map_hv, hdc.sign(memory.positions.vectors))
+        reverse = hdc.bind(memory.map_hv, np.sign(memory.positions.vectors))
         assert np.array_equal(np.abs(reverse), np.ones_like(reverse))
     assert count > config.viability_mazes + 10
     assert max(errors) <= PLANE_ROUNDING
