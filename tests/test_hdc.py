@@ -64,6 +64,33 @@ def test_cosine_dimension_mismatch():
         hdc.cosine(bipolar(8), bipolar(8, d=999))
 
 
+# --- sign: a one-row bundle is its row's elementwise sign, drawing no tie-break ---
+
+
+def test_sign_cases():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    # sign(0) = 0, float for a float row and int8 for an int8 row
+    from_float = hdc.bundle(np.array([[3.2, -0.1, 0.0]]), rng)
+    assert from_float.dtype == np.float64
+    assert from_float.tolist() == [1.0, -1.0, 0.0]
+    from_int8 = hdc.bundle(np.array([[3, -1, 0]], dtype=np.int8), rng)
+    assert from_int8.dtype == np.int8
+    assert from_int8.tolist() == [1, -1, 0]
+    assert rng.bit_generator.state == state
+
+
+def test_sign_of_bipolar_is_identity():
+    x = bipolar(9)
+    assert np.array_equal(hdc.bundle(x[None, :], np.random.default_rng(0)), x)
+
+
+def test_sign_of_cancelling_sum_is_zero():
+    x = bipolar(10)
+    zero = hdc.bundle((x + (-x))[None, :], np.random.default_rng(0))
+    assert np.array_equal(zero, np.zeros(D))
+
+
 BIT_GENERATORS = (
     np.random.PCG64,
     np.random.PCG64DXSM,
@@ -147,15 +174,6 @@ def test_bundle_singleton_is_identity():
     x = hdc.random_bipolar(D, rng)
     state = rng.bit_generator.state
     assert np.array_equal(hdc.bundle(x[None, :], rng), x)
-    # an odd count draws no tie-break: one row bundles to its elementwise sign,
-    # sign(0) = 0, float for a float row and int8 for an int8 row
-    from_float = hdc.bundle(np.array([[3.2, -0.1, 0.0]]), rng)
-    assert from_float.dtype == np.float64
-    assert from_float.tolist() == [1.0, -1.0, 0.0]
-    from_int8 = hdc.bundle(np.array([[3, -1, 0]], dtype=np.int8), rng)
-    assert from_int8.dtype == np.int8
-    assert from_int8.tolist() == [1, -1, 0]
-    assert np.array_equal(hdc.bundle((x + (-x))[None, :], rng), np.zeros(D))
     assert rng.bit_generator.state == state
 
 
