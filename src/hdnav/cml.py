@@ -181,9 +181,9 @@ def is_calculated(cml: Cml) -> bool:
     return np.array_equal(cml.A, model.A) and np.array_equal(cml.G, model.G)
 
 
-def init_calculated(graph: CmlGraph, d: int, rng: np.random.Generator) -> Cml:
+def init_calculated(graph: CmlGraph, d: int, stream: hdc.Stream) -> Cml:
     """Exact construction: random bipolar states, actions as state differences."""
-    S = np.stack([hdc.random_bipolar(d, rng) for _ in range(graph.n)], axis=1)
+    S = np.stack([hdc.random_bipolar(d, stream) for _ in range(graph.n)], axis=1)
     return calculated(graph, S)
 
 

@@ -1,9 +1,10 @@
 """Seeded experiment suites: training, verification, and the trial batches.
 
-Every trial derives its own generator from (root seed, experiment tag,
-trial index), so batches are reproducible record-for-record and can be
-farmed out to worker processes without changing any result: a pool
-sends each worker one chunk of trial indices (see ``run_experiment``).
+Every trial derives its own stream of random words from (root seed,
+experiment tag, trial index) and draws only from it, so batches are
+reproducible record-for-record and can be farmed out to worker processes
+without changing any result: a pool sends each worker one chunk of trial
+indices (see ``run_experiment``).
 """
 
 from __future__ import annotations
@@ -38,19 +39,21 @@ VIABLE_ATTEMPT_CAP = 2000  # maze candidates allowed per mission-ready maze
 TRIAL_BLOCK = 1024  # trials per seed table; it divides 2**32
 
 
-def trial_rng(seed: int, tag: int, trial: int) -> np.random.Generator:
-    """``np.random.default_rng([seed, tag, trial])``, the same generator.
+def trial_rng(seed: int, tag: int, trial: int) -> hdc.Stream:
+    """The trial's stream: ``default_rng([seed, tag, trial])``'s ``PCG64``, in an ``hdc.Stream``.
 
-    numpy seeds it through ``SeedSequence``, a fixed uint32 hash (O'Neill's
-    ``seed_seq_fe``, kept stable by NEP 19) of the list's 32-bit words.  So
-    ``seed_table`` hashes an aligned block of ``TRIAL_BLOCK`` trials at once,
-    in uint32 array arithmetic, into the four uint64 words ``PCG64`` seeds
-    from for each trial; the trial's generator then costs only its
-    ``PCG64``, seeded from a ``TrialSeed`` that holds its row.  Its state
-    and stream are ``default_rng``'s.
+    numpy seeds that generator through ``SeedSequence``, a fixed uint32 hash
+    (O'Neill's ``seed_seq_fe``, kept stable by NEP 19) of the list's 32-bit
+    words.  So ``seed_table`` hashes an aligned block of ``TRIAL_BLOCK``
+    trials at once, in uint32 array arithmetic, into the four uint64 words
+    ``PCG64`` seeds from for each trial; the trial's stream then costs only
+    its ``PCG64``, seeded from a ``TrialSeed`` that holds its row.  Every
+    draw of the trial reads the stream's words, which are the words
+    ``default_rng``'s methods read, so a trial's records rest only on
+    ``SeedSequence`` and ``PCG64``.
     """
     block, row = divmod(trial, TRIAL_BLOCK)
-    return np.random.Generator(np.random.PCG64(TrialSeed(seed_table(seed, tag, block)[row])))
+    return hdc.Stream(np.random.PCG64(TrialSeed(seed_table(seed, tag, block)[row])))
 
 
 class TrialSeed(np.random.bit_generator.ISeedSequence):
@@ -146,13 +149,17 @@ def seed_table(seed: int, tag: int, block: int) -> np.ndarray:
 
 def build_object_cml(config: ExperimentConfig) -> cml_mod.Cml:
     """The object-graph learner: bipolar states, actions calculated exactly."""
-    rng = trial_rng(config.require_seed(), TAG_TRAIN, 0)
-    return cml_mod.init_calculated(maze_mod.object_graph(), config.d, rng)
+    stream = trial_rng(config.require_seed(), TAG_TRAIN, 0)
+    return cml_mod.init_calculated(maze_mod.object_graph(), config.d, stream)
 
 
 def build_grid_cml(config: ExperimentConfig) -> GridCml:
-    """The grid learner, trained against Gaussian south and east actions drawn in that order."""
-    rng = trial_rng(config.require_seed(), TAG_TRAIN, 1)
+    """The grid learner, trained against Gaussian south and east actions drawn in that order.
+
+    The two normals are the package's one draw through a ``Generator`` method:
+    a fresh ``Generator`` on the stream's ``PCG64``, which reads no word first.
+    """
+    rng = np.random.Generator(trial_rng(config.require_seed(), TAG_TRAIN, 1).bit_generator)
     a_s = rng.normal(0.0, 1.0, size=config.d)
     a_e = rng.normal(0.0, 1.0, size=config.d)
     return train_grid(maze_mod.WIDTH, maze_mod.HEIGHT, a_s, a_e)
@@ -334,7 +341,7 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
 
 
 def generate_viable_maze(
-    rng: np.random.Generator, objects: hdc.Dictionary, grid_cml: GridCml
+    stream: hdc.Stream, objects: hdc.Dictionary, grid_cml: GridCml
 ) -> tuple[maze_mod.Maze, MapMemory, int]:
     """Regenerate mazes until the map is fully usable for a mission.
 
@@ -345,8 +352,8 @@ def generate_viable_maze(
     are rejected, the last of them, its map and the cap.
     """
     for rejections in range(VIABLE_ATTEMPT_CAP):
-        candidate = maze_mod.generate_maze(rng)
-        memory = semantic_map.build_map(objects, candidate, grid_cml, rng)
+        candidate = maze_mod.generate_maze(stream)
+        memory = semantic_map.build_map(objects, candidate, grid_cml, stream)
         if semantic_map.mission_ready(memory):
             return candidate, memory, rejections
     return candidate, memory, VIABLE_ATTEMPT_CAP
@@ -371,21 +378,21 @@ def mission_trial(
     on the last candidate, with no door closed and no goals.
     """
     tag = TAG_DOOR_REMOVAL if remove_random_door else TAG_MISSION
-    rng = trial_rng(config.require_seed(), tag, trial)
+    stream = trial_rng(config.require_seed(), tag, trial)
     objects = object_cml.state_dictionary()
-    maze, memory, rejections = generate_viable_maze(rng, objects, grid_cml)
+    maze, memory, rejections = generate_viable_maze(stream, objects, grid_cml)
     record: dict = {"trial": trial, "seed": config.seed, "rejections": rejections}
     goals = config.goal_sequence()
     entries, failure = [], FailureReason.NO_READY_MAZE
     if rejections < VIABLE_ATTEMPT_CAP:
         planner = object_cml
         if remove_random_door:
-            door = maze_mod.DOOR_LABELS[int(rng.integers(0, len(maze_mod.DOOR_LABELS)))]
+            door = maze_mod.DOOR_LABELS[stream.below(len(maze_mod.DOOR_LABELS))]
             planner = mission.remove_door(object_cml, door)
             maze, door_cell = maze_mod.close_door(maze, door)
             record["removed_door"] = door
             record["door_cell"] = list(door_cell)
-        policy = semantic_map.encode_policy(goals, objects, rng)
+        policy = semantic_map.encode_policy(goals, objects, stream)
         entries, failure = mission.run_mission(planner, memory, maze, policy)
         if failure is FailureReason.NONE and [entry["goal"] for entry in entries] != goals:
             failure = FailureReason.UNRECOVERABLE_STATE  # the policy revealed other goals
@@ -417,8 +424,7 @@ def grid_only_trial(
     line, so a sizeable fraction of mazes ends in a dithering abort; the
     record names the walk's last two cells.
     """
-    rng = trial_rng(config.require_seed(), TAG_GRID_ONLY, trial)
-    trial_maze = maze_mod.generate_maze(rng)
+    trial_maze = maze_mod.generate_maze(trial_rng(config.require_seed(), TAG_GRID_ONLY, trial))
     key, treasure = trial_maze.placements["k"], trial_maze.placements["t"]
     path, reason = mission.grid_leg(
         grid_cml, trial_maze, key, treasure, mission.grid_step_cap(trial_maze)
@@ -439,10 +445,10 @@ def grid_only_trial(
 def viability_trial(
     config: ExperimentConfig, object_cml: cml_mod.Cml, grid_cml: GridCml, trial: int
 ) -> dict:
-    rng = trial_rng(config.require_seed(), TAG_VIABILITY, trial)
-    candidate = maze_mod.generate_maze(rng)
+    stream = trial_rng(config.require_seed(), TAG_VIABILITY, trial)
+    candidate = maze_mod.generate_maze(stream)
     memory = semantic_map.build_map(
-        object_cml.state_dictionary(), candidate, grid_cml, rng
+        object_cml.state_dictionary(), candidate, grid_cml, stream
     )
     viable = semantic_map.check_viability(memory)
     return {
@@ -505,10 +511,10 @@ def run_experiment(
 def run_hdc_stats(config: ExperimentConfig) -> ExperimentReport:
     """Similarity statistics of random bipolar pairs at the configured d."""
     config.validate()
-    rng = trial_rng(config.require_seed(), TAG_HDC_STATS, 0)
+    stream = trial_rng(config.require_seed(), TAG_HDC_STATS, 0)
     started = time.perf_counter()
-    xs = hdc.random_bipolar(HDC_PAIRS * config.d, rng).reshape(HDC_PAIRS, config.d)
-    ys = hdc.random_bipolar(HDC_PAIRS * config.d, rng).reshape(HDC_PAIRS, config.d)
+    xs = hdc.random_bipolar(HDC_PAIRS * config.d, stream).reshape(HDC_PAIRS, config.d)
+    ys = hdc.random_bipolar(HDC_PAIRS * config.d, stream).reshape(HDC_PAIRS, config.d)
     sims = (xs * ys).sum(axis=1) / config.d
     record = {
         "pairs": HDC_PAIRS,

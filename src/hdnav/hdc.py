@@ -26,13 +26,11 @@ it must reach the noise floor ``THETA`` times the query's norm, which
 must be positive.  ``recover`` applies it to cosines (unit norms); the
 map's position lookups apply it to their plane scores.
 
-Operations are pure; the only mutable argument is the ``numpy`` random
-generator passed in explicitly wherever randomness is needed.  Each rule
-has one home here: ``_random_signs`` is the one random-sign draw, which
-``random_bipolar`` casts to float and ``bundle`` adds as its tie-break; it
-reads the same 32-bit word per entry, and the same bit of it, as
-``rng.choice([-1.0, 1.0])``, so either draw gives the same vector and
-leaves the generator in the same state.  ``sign_pattern`` is the one
+Operations are pure; the only mutable argument is the ``Stream`` of
+random words passed in explicitly wherever randomness is needed.  Each rule
+has one home here: ``Stream`` is the one source of a trial's draws, and
+``Stream.signs`` the one random-sign draw, which ``random_bipolar`` casts
+to float and ``bundle`` adds as its tie-break.  ``sign_pattern`` is the one
 int8 sign rule, for a dictionary's rows and the grid's cells alike.
 """
 
@@ -47,26 +45,97 @@ import numpy as np
 # d = 1000 it sits about 3.2 sigma above the cosine of a random match.
 THETA = 0.1
 
+# a raw output as little-endian bytes, and a 32-bit word of it: a word view of
+# the outputs reads each one's low half first on any host
+_RAW = np.dtype("<u8")
+_WORD = np.dtype("<u4")
+_WORD_MASK = 0xFFFFFFFF
+_TOP_BIT = 0x80000000
 
-def random_bipolar(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a random vector with each element +/-1 with equal probability."""
+
+class Stream:
+    """A trial's random words: its ``PCG64`` and the half-word numpy would keep pending.
+
+    numpy's ``Generator`` draws a 32-bit word as the low half of one 64-bit
+    ``PCG64`` output and keeps the high half pending for its next word.  The
+    stream reads the same words from ``random_raw``, with none of the
+    ``Generator`` methods' per-call overhead, and its draws give the values,
+    and leave the position (the ``PCG64`` state and the pending half), of
+    numpy's:
+
+    - ``words(n)``: ``integers(0, 2**32, size=n, dtype=np.uint32)``;
+    - ``below(n)``: ``integers(0, n)``, by numpy's rule;
+    - ``signs(d)``: ``2 * (random(d, dtype=np.float32) >= 0.5) - 1``, as int8.
+
+    So a stream's draws rest only on ``PCG64``'s raw output, which NEP 19
+    keeps stable, and not on the methods' own streams.  Any other bit
+    generator is refused.
+    """
+
+    __slots__ = ("bit_generator", "pending")
+
+    def __init__(self, bit_generator: np.random.PCG64) -> None:
+        if type(bit_generator) is not np.random.PCG64:
+            raise TypeError(f"a stream reads PCG64 words, not {type(bit_generator).__name__}'s")
+        self.bit_generator = bit_generator
+        self.pending: int | None = None  # the high half of the last output, not yet read
+
+    def words(self, n: int) -> np.ndarray:
+        """The next n 32-bit words, uint32: the pending half first, then each
+        output's low half before its high half."""
+        head = self.pending
+        if head is None or n == 0:
+            return self._fresh(n)
+        self.pending = None
+        return np.concatenate((np.array([head], dtype=np.uint32), self._fresh(n - 1)))
+
+    def _fresh(self, n: int) -> np.ndarray:
+        # ceil(n / 2) outputs as words; an odd n leaves the last high half pending
+        words = self.bit_generator.random_raw(-(-n // 2)).astype(_RAW, copy=False).view(_WORD)
+        if n % 2:
+            self.pending = int(words[-1])
+            return words[:-1]
+        return words
+
+    def below(self, n: int, words: list[int] | None = None) -> int:
+        """``integers(0, n)`` for ``1 <= n <= 2**32``, by numpy's rule (Lemire's method).
+
+        A word w gives ``w * n >> 32``, unless the low 32 bits of ``w * n``
+        fall below ``(2**32 - n) % n``; then the word is rejected and the
+        next one is read.  ``n == 1`` reads no word.  ``words``, if given,
+        holds the stream's next words, already drawn by ``words``, the next
+        one last; they are read first, then the stream's own.  As in numpy,
+        the threshold is computed only for a word whose low bits fall below
+        n: the threshold is below n, so any other word is accepted.
+        """
+        if n == 1:
+            return 0
+        while True:
+            word = words.pop() if words else int(self.words(1)[0])
+            scaled = word * n
+            low = scaled & _WORD_MASK
+            if low >= n or low >= (_WORD_MASK + 1 - n) % n:
+                return scaled >> 32
+
+    def signs(self, d: int) -> np.ndarray:
+        """d random int8 signs, +1 where the entry's word has its top bit set.
+
+        That bit is numpy's float32 uniform ``(w >> 8) / 2**24 >= 0.5``, and
+        ``Generator.choice([-1, 1])``'s pick ``w >> 31``.  The bit b becomes the
+        sign 2 b - 1 in place, in the comparison's own buffer.
+        """
+        signs = (self.words(d) >= _TOP_BIT).view(np.int8)
+        signs += signs  # 2 b; a scalar operand would cost a cast check per call
+        signs -= 1
+        return signs
+
+
+def random_bipolar(d: int, stream: Stream) -> np.ndarray:
+    """Draw a random float vector with each element +/-1 with equal probability:
+    the stream's ``signs``."""
     if d < 1:
         raise ValueError(f"hypervector dimension must be >= 1, got {d}")
-    return _random_signs(d, rng).astype(float)
-
-
-def _random_signs(d: int, rng: np.random.Generator) -> np.ndarray:
-    """d random int8 signs, ``rng.choice([-1, 1], size=d)``'s pick for each entry.
-
-    The same draws without choice's overhead: both read one 32-bit word w
-    per entry, choice takes ``w >> 31``, and the float32 uniform
-    ``(w >> 8) / 2**24`` is >= 0.5 exactly when that bit is 1.  The bit b
-    becomes the sign 2 b - 1 in place, in the comparison's own buffer.
-    """
-    signs = (rng.random(d, dtype=np.float32) >= 0.5).view(np.int8)
-    signs += signs  # 2 b; a scalar operand would cost a cast check per call
-    signs -= 1
-    return signs
+    return stream.signs(d).astype(float)
 
 
 def cosine(x: np.ndarray, y: np.ndarray) -> float:
@@ -102,14 +171,15 @@ def sign_pattern(x: np.ndarray) -> np.ndarray:
     return (x > 0).view(np.int8) - (x < 0).view(np.int8)
 
 
-def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def bundle(vectors: np.ndarray, stream: Stream) -> np.ndarray:
     """Signed elementwise sum of the rows of an (n, d) stack, in the sum's own type.
 
-    When the number of summands is even, a fresh random bipolar vector is
+    When the number of summands is even, the stream's next d ``signs`` are
     added last to break elementwise ties, so bundles of bipolar inputs
-    are always bipolar.  A float stack gives a float bundle.  An int8
-    stack holds sign terms (entries -1, 0, +1); it is summed exactly in
-    int8, so it must have fewer than 128 rows, and its bundle is int8.
+    are always bipolar; an odd count reads no word.  A float stack gives
+    a float bundle.  An int8 stack holds sign terms (entries -1, 0, +1);
+    it is summed exactly in int8, so it must have fewer than 128 rows, and
+    its bundle is int8.
     """
     n = len(vectors)
     if n == 0:
@@ -123,7 +193,7 @@ def bundle(vectors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if n % 2 == 0:
         # an even count keeps an integer |total| below its type's maximum, so
         # adding the tie-break cannot overflow
-        total += _random_signs(len(total), rng)
+        total += stream.signs(len(total))
     return np.sign(total)
 
 
@@ -221,11 +291,16 @@ def recover(
         raise ValueError(
             f"query dimension {query.shape[-1]} != dictionary dimension {dictionary.dim}"
         )
-    queries = query.reshape(-1, dictionary.dim)
-    # (m, n) cosines; a pair with a zero-norm side has no direction and scores -inf
+    # an int8 stack of signs is cast to float once, exactly, for its norms and its dots
+    queries = query.reshape(-1, dictionary.dim).astype(float, copy=False)
+    # (m, n) cosines; a pair with a zero-norm side has no direction and scores -inf,
+    # so only a stack with such a pair (or a NaN) pays for the masked divide
     scale = dictionary.norms * row_norms(queries)[:, None]
     dots = queries @ dictionary.vectors.T
-    sims = np.divide(dots, scale, out=np.full(scale.shape, -np.inf), where=scale > 0)
+    if scale.min() > 0:
+        sims = dots / scale
+    else:
+        sims = np.divide(dots, scale, out=np.full(scale.shape, -np.inf), where=scale > 0)
     found = cleanup(sims, np.ones(len(sims)), dictionary.labels)
     return found if query.ndim > 1 else found[0]
 

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import cml
+from . import cml, hdc
 from .grid import DELTAS, DIRECTIONS, Cell
 
 WIDTH = 20
@@ -96,7 +96,7 @@ class Maze:
         return table
 
 
-def generate_maze(rng: np.random.Generator) -> Maze:
+def generate_maze(stream: hdc.Stream) -> Maze:
     """Sample a maze from the template; every layout is connected.
 
     No retry is needed: doors a and e sit on rows above the middle wall
@@ -105,14 +105,13 @@ def generate_maze(rng: np.random.Generator) -> Maze:
     lower one, while door c joins the two sub-rooms.  Objects occupy
     passable cells and block nothing.
     """
-    return _sample_layout(rng)
+    return _sample_layout(stream)
 
 
 # the 32-bit words of one layout when no draw rejects its word: the eight
 # wall and door draws, Floyd's two draws for h and k, their shuffle, and t
 _LAYOUT_WORDS = 12
-_WORD_MASK = 0xFFFFFFFF
-# the places each wall is drawn from; each draw's ``_below`` bound is its
+# the places each wall is drawn from; each draw's ``below`` bound is its
 # range's length
 _WALL1_COLS = range(2, WIDTH // 3 + 1)            # left third, >= 2 off border
 _WALL2_COLS = range(2 * WIDTH // 3, WIDTH - 2)    # right third, >= 2 off border
@@ -132,46 +131,28 @@ _WALLS = {
 }
 
 
-def _below(words: list[int], rng: np.random.Generator, n: int) -> int:
-    """``rng.integers(0, n)`` for ``1 <= n <= 2**32``, read from 32-bit words.
-
-    numpy's rule for it (Lemire's method): a word w gives ``w * n >> 32``,
-    unless the low 32 bits of ``w * n`` fall below ``(2**32 - n) % n``;
-    then the word is rejected and the next one is read.  ``n == 1`` reads
-    no word.  ``words`` holds words already drawn from ``rng``, the next
-    one last; once it is empty, each further word is drawn from ``rng``.
-    As in numpy, the threshold is computed only for a word whose low bits
-    fall below n: the threshold is below n, so any other word is accepted.
-    """
-    if n == 1:
-        return 0
-    while True:
-        word = words.pop() if words else int(rng.integers(0, 2**32, dtype=np.uint32))
-        scaled = word * n
-        low = scaled & _WORD_MASK
-        if low >= n or low >= (_WORD_MASK + 1 - n) % n:
-            return scaled >> 32
-
-
-def _sample_layout(rng: np.random.Generator) -> Maze:
+def _sample_layout(stream: hdc.Stream) -> Maze:
     """One layout from one block of 32-bit words, as numpy's scalar draws make it.
 
-    Each bound below is the one a ``rng.integers(low, high)`` call drew
-    before, and ``_below`` maps words to it by numpy's own rule, so the
-    same stream gives the same maze and leaves the same state behind.
+    The stream's next 12 words are drawn at once, and each bound below is
+    the one a ``Generator.integers(low, high)`` call drew before: ``below`` maps
+    those words to it by numpy's own rule, and draws a further word from
+    the stream only when that rule rejects one.  So a stream gives the maze
+    numpy's scalar draws gave, and is left where they left it.
     """
     width, height = WIDTH, HEIGHT
-    words = rng.integers(0, 2**32, size=_LAYOUT_WORDS, dtype=np.uint32).tolist()[::-1]
-    wall1 = _WALL1_COLS[_below(words, rng, len(_WALL1_COLS))]
-    wall2 = _WALL2_COLS[_below(words, rng, len(_WALL2_COLS))]
-    hrow = _MIDDLE_ROWS[_below(words, rng, len(_MIDDLE_ROWS))]
+    words = stream.words(_LAYOUT_WORDS).tolist()[::-1]
+    below = stream.below
+    wall1 = _WALL1_COLS[below(len(_WALL1_COLS), words)]
+    wall2 = _WALL2_COLS[below(len(_WALL2_COLS), words)]
+    hrow = _MIDDLE_ROWS[below(len(_MIDDLE_ROWS), words)]
     upper = min(height // 2, hrow)                  # a, e: upper half, above hrow
-    row_a = _below(words, rng, upper)
-    row_e = _below(words, rng, upper)
+    row_a = below(upper, words)
+    row_e = below(upper, words)
     lower = max(height // 2, hrow + 1)              # b, d: lower half, below hrow
-    row_b = lower + _below(words, rng, height - lower)
-    row_d = lower + _below(words, rng, height - lower)
-    door_c_col = wall1 + 1 + _below(words, rng, wall2 - wall1 - 1)
+    row_b = lower + below(height - lower, words)
+    row_d = lower + below(height - lower, words)
+    door_c_col = wall1 + 1 + below(wall2 - wall1 - 1, words)
 
     placements: dict[str, Cell] = {
         "a": (row_a, wall1),
@@ -182,20 +163,20 @@ def _sample_layout(rng: np.random.Generator) -> Maze:
     }
     blocked = _WALLS[wall1, wall2, hrow].difference(placements.values())
     # h and k: two distinct row-major indices into the left room (columns
-    # 0..wall1-1), as ``rng.choice(n, 2, replace=False)`` draws them: Floyd's
+    # 0..wall1-1), as ``Generator.choice(n, 2, replace=False)`` draws them: Floyd's
     # two draws, then one shuffle draw that swaps the pair when it reads 0
     left = height * wall1
-    h_pick = _below(words, rng, left - 1)
-    k_pick = _below(words, rng, left)
+    h_pick = below(left - 1, words)
+    k_pick = below(left, words)
     if k_pick == h_pick:
         k_pick = left - 1
-    if _below(words, rng, 2) == 0:
+    if below(2, words) == 0:
         h_pick, k_pick = k_pick, h_pick
     placements["h"] = divmod(h_pick, wall1)
     placements["k"] = divmod(k_pick, wall1)
     # t: one row-major index into the right room (columns wall2+1..width-1)
     right_width = width - wall2 - 1
-    t_row, t_col = divmod(_below(words, rng, height * right_width), right_width)
+    t_row, t_col = divmod(below(height * right_width, words), right_width)
     placements["t"] = (t_row, wall2 + 1 + t_col)
 
     return Maze(blocked=blocked, placements=placements)

@@ -81,18 +81,19 @@ class MapMemory:
 
 
 def build_map(
-    objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, rng: np.random.Generator
+    objects: hdc.Dictionary, maze: Maze, grid_cml: GridCml, stream: hdc.Stream
 ) -> MapMemory:
     """Bind each object to the state of its cell and bundle the signed terms.
 
     Each term is ``sign(o_i) * sign(p_i)`` from the dictionaries' int8 sign
     patterns, which equals ``sign(bind(o_i, p_i))``; ``bundle`` sums the
     eight int8 terms exactly in int8, adds its tie-break draw there too,
-    and returns the sum's int8 sign, the map.
+    and returns the sum's int8 sign, the map.  The tie-break is the
+    stream's next d signs.
     """
     rows = [grid_cml.cell_index(maze.placements[label]) for label in objects.labels]
     terms = objects.signs * grid_cml.signs.take(rows, axis=0)
-    map_hv = hdc.bundle(terms, rng)  # even count, so bundle adds the tie-break eta
+    map_hv = hdc.bundle(terms, stream)  # even count, so bundle adds the tie-break eta
     return MapMemory(map_hv, objects, grid_cml, rows)
 
 
@@ -183,15 +184,16 @@ def query_object(memory: MapMemory, rows) -> str | None | tuple[str | None, ...]
     tuple of n results.
 
     The map and the sign patterns are both int8 +-1, so the bind is an
-    int8 product and every query is +-1: ``recover`` scores it by integer
-    dots, exact however many rows are asked at once.
+    int8 product and every query is +-1: ``recover`` casts it to float once
+    and scores it by dots that are exact integers, however many rows are
+    asked at once.
     """
     signs = memory.grid_cml.signs.take(rows, axis=0)
     return hdc.recover(hdc.bind(memory.map_hv, signs), memory.objects)
 
 
 def encode_policy(
-    goals: list[str], objects: hdc.Dictionary, rng: np.random.Generator
+    goals: list[str], objects: hdc.Dictionary, stream: hdc.Stream
 ) -> np.ndarray:
     """The policy hypervector: the goal vectors bundled, the i-th goal permuted by i (1-based)."""
     if not goals:
@@ -200,7 +202,7 @@ def encode_policy(
         if goal not in objects:
             raise ValueError(f"unknown goal object {goal!r}")
     terms = [hdc.permute(objects.vector(goal), i) for i, goal in enumerate(goals, start=1)]
-    return hdc.bundle(np.stack(terms), rng)
+    return hdc.bundle(np.stack(terms), stream)
 
 
 def next_goal(policy: np.ndarray, objects: hdc.Dictionary) -> tuple[str | None, np.ndarray]:

@@ -70,6 +70,24 @@ def open_grid_steps():
     return steps
 
 
+def stream(seed) -> hdc.Stream:
+    """The stream of the words ``np.random.default_rng(seed)`` draws: ``PCG64``
+    seeds itself from ``SeedSequence(seed)``, as ``default_rng`` seeds it."""
+    return hdc.Stream(np.random.PCG64(seed))
+
+
+def position(source) -> tuple:
+    """Where a stream, or a numpy ``Generator`` on ``PCG64``, stands in its words:
+    the ``PCG64`` state, and the pending half-word or None.  A generator's
+    ``uinteger`` is read only while ``has_uint32`` says it is pending; otherwise it
+    is a stale half that no draw reads."""
+    if isinstance(source, hdc.Stream):
+        return source.bit_generator.state["state"], source.pending
+    state = source.bit_generator.state
+    assert state["bit_generator"] == "PCG64"
+    return state["state"], state["uinteger"] if state["has_uint32"] else None
+
+
 @pytest.fixture()
 def rng():
-    return np.random.default_rng(ROOT_SEED)
+    return stream(ROOT_SEED)

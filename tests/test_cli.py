@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import stream
 from hdnav import cml, experiments, maze as mz, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
@@ -492,7 +493,7 @@ def test_python_m_hdnav_runs_the_cli_and_exits_with_its_code(tmp_path):
 
 def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):
     graph = cml.CmlGraph.from_undirected(["h", "x"], [("h", "x")])
-    other = cml.init_calculated(graph, grid_cml.d, np.random.default_rng(1))
+    other = cml.init_calculated(graph, grid_cml.d, stream(1))
     persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
     run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stream
 from hdnav import cml, hdc, mission
 from hdnav.maze import object_graph
 
@@ -17,10 +18,12 @@ def graph():
 # --- reference: the paper's delta rule from random states --------------------------
 
 
-def init_random(graph: cml.CmlGraph, d: int, rng: np.random.Generator) -> cml.Cml:
-    """Gaussian initialisation: S ~ N(0, 0.1), A ~ N(0, 1), every gate open."""
-    S = rng.normal(0.0, 0.1, size=(d, graph.n))
-    A = rng.normal(0.0, 1.0, size=(d, len(graph.directed_edges)))
+def init_random(graph: cml.CmlGraph, d: int, rng: hdc.Stream) -> cml.Cml:
+    """Gaussian initialisation: S ~ N(0, 0.1), A ~ N(0, 1), every gate open, drawn by a
+    ``Generator`` on the stream's ``PCG64``."""
+    normal = np.random.Generator(rng.bit_generator).normal
+    S = normal(0.0, 0.1, size=(d, graph.n))
+    A = normal(0.0, 1.0, size=(d, len(graph.directed_edges)))
     return replace(cml.calculated(graph, S), A=A)
 
 
@@ -202,7 +205,7 @@ def test_init_calculated_exact_construction(graph, rng):
 
 
 def test_calculated_matches_the_per_edge_loop(graph, rng):
-    S = rng.normal(size=(D, graph.n))  # generic floats, so any rounding difference shows
+    S = np.random.Generator(rng.bit_generator).normal(size=(D, graph.n))  # generic floats, so any rounding difference shows
     c = cml.calculated(graph, S)
     e = len(graph.directed_edges)
     A, G = np.zeros((D, e)), np.zeros((e, graph.n))
@@ -288,7 +291,7 @@ def test_utility_matches_least_squares_oracle(graph, object_cml):
     # A = S B for the graph's incidence matrix B, and S has full column rank,
     # so the paper's A_dagger (s_t - s_c) is the minimum-norm flow F (e_t - e_c)
     # on every pair, whatever the states
-    for model in (object_cml, cml.init_calculated(graph, D, np.random.default_rng(7))):
+    for model in (object_cml, cml.init_calculated(graph, D, stream(7))):
         flow = model.graph.F[:, :, None] - model.graph.F[:, None, :]
         assert np.abs(reference_utility(model) - flow).max() < 1e-13
     diff = object_cml.state("t") - object_cml.state("k")
@@ -404,7 +407,7 @@ def test_step_refuses_noise_current(graph, rng):
 
 def test_step_accepts_noisy_but_recoverable_target(graph, rng):
     c = cml.init_calculated(graph, D, rng)
-    noisy = c.state("k") + 0.5 * rng.normal(size=D)
+    noisy = c.state("k") + 0.5 * np.random.Generator(rng.bit_generator).normal(size=D)
     clean = cml.step(c, c.state("k"), c.state("h"))
     noisy_step = cml.step(c, noisy, c.state("h"))
     assert noisy_step.chosen_edge == clean.chosen_edge
@@ -488,8 +491,8 @@ def test_plan_path_unreachable_fails(rng):
 
 
 def test_determinism_same_seed_same_model_and_paths(graph):
-    c1 = cml.init_calculated(graph, D, np.random.default_rng(9))
-    c2 = cml.init_calculated(graph, D, np.random.default_rng(9))
+    c1 = cml.init_calculated(graph, D, stream(9))
+    c2 = cml.init_calculated(graph, D, stream(9))
     assert np.array_equal(c1.S, c2.S)
     assert np.array_equal(c1.A, c2.A)
     p1 = cml.plan_path(c1, c1.state("t"), c1.state("k"))

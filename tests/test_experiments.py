@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import position
 from hdnav import cml, experiments, maze as mz, persist, semantic_map as sm
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
@@ -168,7 +169,7 @@ def test_verify_object_rejects_a_step_away_from_the_target(object_cml):
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**32 - 1, 2**32, 2**40 + 3, 2**64])
 def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
     # whatever the word counts of seed, tag and trial, and on either side of a seed
-    # table's block edge, the state and the stream are those of
+    # table's block edge, the stream's position and its words are those of
     # default_rng([seed, tag, trial])
     for tag, trial in (
         (0, 0),
@@ -182,8 +183,8 @@ def test_trial_rng_is_the_generator_of_the_entropy_list(seed):
     ):
         ours = experiments.trial_rng(seed, tag, trial)
         theirs = np.random.default_rng([seed, tag, trial])
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.integers(0, 2**32, size=8).tolist() == theirs.integers(0, 2**32, size=8).tolist()
+        assert position(ours) == position(theirs)
+        assert ours.words(8).tolist() == theirs.integers(0, 2**32, size=8, dtype=np.uint32).tolist()
 
 
 @pytest.mark.parametrize("entropy", [(-1, 0, 0), (42, -1, 0), (42, 0, -1), (42, 0, -1025)])
@@ -196,18 +197,18 @@ def test_trial_rng_refuses_a_negative_int(entropy):
 
 
 def test_trial_rng_does_not_depend_on_the_cached_blocks():
-    # a trial's generator is the same built cold, warm, or after its block was evicted
+    # a trial's stream is the same built cold, warm, or after its block was evicted
     trial = 3 * experiments.TRIAL_BLOCK + 17
     experiments.seed_table.cache_clear()
-    cold = experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state
-    assert cold == np.random.default_rng([42, experiments.TAG_VIABILITY, trial]).bit_generator.state
-    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    cold = position(experiments.trial_rng(42, experiments.TAG_VIABILITY, trial))
+    assert cold == position(np.random.default_rng([42, experiments.TAG_VIABILITY, trial]))
+    assert position(experiments.trial_rng(42, experiments.TAG_VIABILITY, trial)) == cold
     for block in range(experiments.seed_table.cache_info().maxsize + 1):
         experiments.trial_rng(42, experiments.TAG_MISSION, block * experiments.TRIAL_BLOCK)
     assert experiments.seed_table.cache_info().currsize == experiments.seed_table.cache_info().maxsize
-    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    assert position(experiments.trial_rng(42, experiments.TAG_VIABILITY, trial)) == cold
     experiments.seed_table.cache_clear()
-    assert experiments.trial_rng(42, experiments.TAG_VIABILITY, trial).bit_generator.state == cold
+    assert position(experiments.trial_rng(42, experiments.TAG_VIABILITY, trial)) == cold
     rows = experiments.seed_table(42, experiments.TAG_VIABILITY, 3)
     assert not rows.flags.writeable
 
@@ -583,10 +584,11 @@ def test_hdc_stats_scaling(config, monkeypatch):
 
 @pytest.mark.parametrize("seed", [7, 42])
 def test_hdc_stats_draws_the_rng_choice_pairs(config, seed):
-    # hdc.random_bipolar gives the same stream as rng.choice([-1.0, 1.0]): both read one
-    # 32-bit word per entry, and its float32 uniform is >= 0.5 exactly when choice picks +1
+    # hdc.random_bipolar draws what rng.choice([-1.0, 1.0]) draws on the trial's
+    # generator, default_rng([seed, TAG_HDC_STATS, 0]): both read one 32-bit word per
+    # entry, and the stream's sign is +1 exactly when choice picks +1
     d = 64
-    rng = experiments.trial_rng(seed, experiments.TAG_HDC_STATS, 0)
+    rng = np.random.default_rng([seed, experiments.TAG_HDC_STATS, 0])
     xs = rng.choice(np.array([-1.0, 1.0]), size=(experiments.HDC_PAIRS, d))
     ys = rng.choice(np.array([-1.0, 1.0]), size=(experiments.HDC_PAIRS, d))
     sims = (xs * ys).sum(axis=1) / d

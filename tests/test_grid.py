@@ -188,8 +188,9 @@ def test_south_east_pseudo_orthogonal(grid_cml):
 
 def test_derived_actions_and_table_equal_the_stacked_action_matrix(config):
     # the reference: the (d, 4) matrix stacked from the south and east draws
-    # of the training stream and their negations, C-ordered
-    rng = experiments.trial_rng(config.seed, experiments.TAG_TRAIN, 1)
+    # of the training generator, default_rng([seed, TAG_TRAIN, 1]), and their
+    # negations, C-ordered
+    rng = np.random.default_rng([config.seed, experiments.TAG_TRAIN, 1])
     a_s = rng.normal(0.0, 1.0, size=config.d)
     a_e = rng.normal(0.0, 1.0, size=config.d)
     stacked = np.stack([a_e, a_s, -a_s, -a_e], axis=1)
@@ -324,7 +325,7 @@ def model_seed_loops():
     """Per model seed: build_grid_cml's draws and the loop's (x, y, epoch), from one pass."""
     actions = []
     for seed in MODEL_SEEDS:
-        rng = experiments.trial_rng(seed, experiments.TAG_TRAIN, 1)
+        rng = np.random.default_rng([seed, experiments.TAG_TRAIN, 1])
         actions.append((rng.normal(0.0, 1.0, size=D), rng.normal(0.0, 1.0, size=D)))
     return dict(zip(MODEL_SEEDS, zip(actions, reference_chains(20, 10, actions))))
 

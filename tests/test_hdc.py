@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import position, stream
 from hdnav import hdc
 
 D = 1000
 
 
 def bipolar(seed, d=D):
-    return hdc.random_bipolar(d, np.random.default_rng(seed))
+    return hdc.random_bipolar(d, stream(seed))
 
 
 # --- random_bipolar ------------------------------------------------------------
@@ -26,7 +27,7 @@ def test_random_bipolar_elements_and_determinism():
 
 def test_random_bipolar_rejects_zero_dimension():
     with pytest.raises(ValueError, match="dimension"):
-        hdc.random_bipolar(0, np.random.default_rng(0))
+        hdc.random_bipolar(0, stream(0))
 
 
 def test_random_pair_similarity_tail():
@@ -68,8 +69,8 @@ def test_cosine_dimension_mismatch():
 
 
 def test_sign_cases():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
+    rng = stream(0)
+    before = position(rng)
     # sign(0) = 0, float for a float row and int8 for an int8 row
     from_float = hdc.bundle(np.array([[3.2, -0.1, 0.0]]), rng)
     assert from_float.dtype == np.float64
@@ -77,83 +78,116 @@ def test_sign_cases():
     from_int8 = hdc.bundle(np.array([[3, -1, 0]], dtype=np.int8), rng)
     assert from_int8.dtype == np.int8
     assert from_int8.tolist() == [1, -1, 0]
-    assert rng.bit_generator.state == state
+    assert position(rng) == before
 
 
 def test_sign_of_bipolar_is_identity():
     x = bipolar(9)
-    assert np.array_equal(hdc.bundle(x[None, :], np.random.default_rng(0)), x)
+    assert np.array_equal(hdc.bundle(x[None, :], stream(0)), x)
 
 
 def test_sign_of_cancelling_sum_is_zero():
     x = bipolar(10)
-    zero = hdc.bundle((x + (-x))[None, :], np.random.default_rng(0))
+    zero = hdc.bundle((x + (-x))[None, :], stream(0))
     assert np.array_equal(zero, np.zeros(D))
 
 
-BIT_GENERATORS = (
-    np.random.PCG64,
-    np.random.PCG64DXSM,
-    np.random.MT19937,
-    np.random.Philox,
-    np.random.SFC64,
+# --- the stream: numpy's draws from PCG64's raw words -------------------------
+
+
+def paired(seed, drawn=0):
+    """A stream and numpy's generator on the same seed, each having drawn ``drawn``
+    32-bit words: an odd count leaves a half-word pending on both."""
+    ours, theirs = stream(seed), np.random.default_rng(seed)
+    ours.words(drawn)
+    theirs.integers(0, 2**32, size=drawn, dtype=np.uint32)
+    assert position(ours) == position(theirs)
+    return ours, theirs
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+def test_stream_words_match_numpy_uint32_draws(drawn):
+    # odd and even counts, from an even start and from a pending half: the same
+    # words in the same order, and the same position after each draw
+    for seed in range(20):
+        ours, theirs = paired(seed, drawn)
+        for n in (1, 2, 12, 7, 0, 1000, 1001, 1):
+            words = ours.words(n)
+            assert words.dtype == np.uint32
+            assert words.tolist() == theirs.integers(0, 2**32, size=n, dtype=np.uint32).tolist()
+            assert position(ours) == position(theirs)
+
+
+def test_stream_words_read_each_output_low_half_first():
+    ours, raw = stream(5), np.random.PCG64(5)
+    outputs = raw.random_raw(3).tolist()
+    halves = [half for out in outputs for half in (out & 0xFFFFFFFF, out >> 32)]
+    assert ours.words(5).tolist() == halves[:5]
+    assert ours.pending == halves[5]
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 1000, 1001])
+@pytest.mark.parametrize("drawn", [0, 1])
+def test_stream_signs_match_the_float32_uniform(d, drawn):
+    # +1 exactly where numpy's float32 uniform is >= 0.5, as int8, with the same
+    # position after; a later draw of either kind is unchanged
+    for seed in range(20):
+        ours, theirs = paired(seed, drawn)
+        signs = ours.signs(d)
+        expected = (theirs.random(d, dtype=np.float32) >= 0.5).astype(np.int8) * 2 - 1
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, expected)
+        assert position(ours) == position(theirs)
+        assert ours.words(3).tolist() == theirs.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+        assert ours.below(7) == theirs.integers(0, 7)
+
+
+@pytest.mark.parametrize("drawn", [0, 1])
+def test_stream_below_matches_numpy_integers(drawn):
+    # numpy's Lemire rule on the stream's words: at 3 * 2**30 a quarter of the words
+    # are rejected; a one-value draw reads no word
+    for seed in range(20):
+        ours, theirs = paired(seed, drawn)
+        for n in (5, 1, 2, 39, 60, 3 * 2**30, 2**32 - 1, 2**32, 1, 5):
+            for _ in range(5):
+                value = ours.below(n)
+                assert value == theirs.integers(0, n)
+                assert 0 <= value < n
+                assert position(ours) == position(theirs)
+
+
+@pytest.mark.parametrize(
+    "bit_generator", [np.random.MT19937, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
 )
-
-# one draw of each kind a later caller may make
-NEXT_DRAWS = (
-    lambda rng: rng.integers(0, 2**32, dtype=np.uint32),
-    lambda rng: rng.integers(0, 2**64, dtype=np.uint64),
-    lambda rng: rng.integers(0, 2),
-    lambda rng: rng.random(dtype=np.float32),
-    lambda rng: rng.random(),
-    lambda rng: rng.standard_normal(),
-)
-
-
-def same_state(ours, theirs):
-    """Equal bit-generator states, entry by entry; MT19937, Philox and SFC64 hold arrays."""
-    if isinstance(ours, dict):
-        return ours.keys() == theirs.keys() and all(same_state(ours[k], theirs[k]) for k in ours)
-    if isinstance(ours, np.ndarray):
-        return ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
-    return ours == theirs
+def test_stream_refuses_any_bit_generator_but_pcg64(bit_generator):
+    with pytest.raises(TypeError, match="PCG64"):
+        hdc.Stream(bit_generator(0))
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 1000, 1001])
 def test_random_bipolar_matches_choice_stream(d):
-    # same values as rng.choice([-1.0, 1.0], size=d), and the generator
-    # is left in the same state, so every later draw is unchanged too
-    for seed in range(100):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        x = hdc.random_bipolar(d, ours)
-        expected = theirs.choice(np.array([-1.0, 1.0]), size=d)
-        assert x.dtype == expected.dtype
-        assert np.array_equal(x, expected)
-        assert ours.bit_generator.state == theirs.bit_generator.state
-    # both read one 32-bit word per entry, on every bit generator, also when one
-    # word drawn first leaves half of a 64-bit output buffered
-    for bit_generator in BIT_GENERATORS:
-        for drawn in (0, 1):
-            for seed in range(10):
-                ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
-                for rng in (ours, theirs):
-                    rng.integers(0, 2**32, size=drawn, dtype=np.uint32)
-                x = hdc.random_bipolar(d, ours)
-                expected = theirs.choice(np.array([-1.0, 1.0]), size=d)
-                assert x.dtype == expected.dtype
-                assert np.array_equal(x, expected)
-                if bit_generator in (np.random.PCG64, np.random.PCG64DXSM):  # a plain dict
-                    assert ours.bit_generator.state == theirs.bit_generator.state
-                assert same_state(ours.bit_generator.state, theirs.bit_generator.state)
-                for draw in NEXT_DRAWS:
-                    assert draw(ours) == draw(theirs)
+    # same values as rng.choice([-1.0, 1.0], size=d), and the stream is left where
+    # the generator is, so every later draw is unchanged too; also when one word
+    # drawn first leaves half of a 64-bit output pending.  Only PCG64 is covered:
+    # a stream refuses PCG64DXSM, MT19937, Philox and SFC64, which the package
+    # never draws from
+    for drawn in (0, 1):
+        for seed in range(100 if drawn == 0 else 10):
+            ours, theirs = paired(seed, drawn)
+            x = hdc.random_bipolar(d, ours)
+            expected = theirs.choice(np.array([-1.0, 1.0]), size=d)
+            assert x.dtype == expected.dtype
+            assert np.array_equal(x, expected)
+            assert position(ours) == position(theirs)
+            assert ours.words(1).tolist() == [theirs.integers(0, 2**32, dtype=np.uint32)]
+            assert ours.below(2) == theirs.integers(0, 2)
 
 
 # --- bundle ---------------------------------------------------------------------
 
 
 def test_bundle_similar_to_components():
-    rng = np.random.default_rng(11)
+    rng = stream(11)
     x, y, z = (hdc.random_bipolar(D, rng) for _ in range(3))
     q = hdc.bundle(np.stack([x, y, z]), rng)
     assert np.all(np.abs(q) == 1.0)
@@ -164,22 +198,22 @@ def test_bundle_similar_to_components():
 
 
 def test_bundle_even_count_stays_bipolar():
-    rng = np.random.default_rng(12)
+    rng = stream(12)
     x, y = hdc.random_bipolar(D, rng), hdc.random_bipolar(D, rng)
     assert np.all(np.abs(hdc.bundle(np.stack([x, y]), rng)) == 1.0)
 
 
 def test_bundle_singleton_is_identity():
-    rng = np.random.default_rng(13)
+    rng = stream(13)
     x = hdc.random_bipolar(D, rng)
-    state = rng.bit_generator.state
+    before = position(rng)
     assert np.array_equal(hdc.bundle(x[None, :], rng), x)
-    assert rng.bit_generator.state == state
+    assert position(rng) == before
 
 
 def test_bundle_empty_rejected():
     with pytest.raises(ValueError, match="at least one"):
-        hdc.bundle(np.empty((0, D)), np.random.default_rng(0))
+        hdc.bundle(np.empty((0, D)), stream(0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 126, 127, 128])
@@ -189,16 +223,16 @@ def test_bundle_int8_stack_equals_float_stack(n):
     # drawing nothing
     terms = np.stack([bipolar(seed) for seed in range(n)])
     terms[:, :5] = 0.0  # a sign term may be 0
-    rng, reference_rng = np.random.default_rng(19), np.random.default_rng(19)
+    rng, reference_rng = stream(19), stream(19)
     if n >= 128:
         with pytest.raises(ValueError, match="128 rows"):
             hdc.bundle(terms.astype(np.int8), rng)
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert position(rng) == position(reference_rng)
         return
     from_int8 = hdc.bundle(terms.astype(np.int8), rng)
     assert np.array_equal(from_int8, hdc.bundle(terms, reference_rng))
     assert from_int8.dtype == np.int8
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert position(rng) == position(reference_rng)
 
 
 @pytest.mark.parametrize("n", [126, 127, 128])
@@ -210,9 +244,9 @@ def test_bundle_int8_stack_of_agreeing_rows_keeps_its_sign(n):
     rows[n // 2 :, 2] = 0
     if n >= 128:
         with pytest.raises(ValueError, match="128 rows"):
-            hdc.bundle(rows, np.random.default_rng(0))
+            hdc.bundle(rows, stream(0))
         return
-    assert hdc.bundle(rows, np.random.default_rng(0)).tolist() == [1.0, -1.0, 1.0]
+    assert hdc.bundle(rows, stream(0)).tolist() == [1.0, -1.0, 1.0]
 
 
 def test_bundle_int8_stack_row_limit():
@@ -220,11 +254,11 @@ def test_bundle_int8_stack_row_limit():
     # stack far past it, while a float stack of 128 rows still sums
     rows = np.ones((127, 3), dtype=np.int8)
     rows[:, 1] = -1
-    assert np.array_equal(hdc.bundle(rows, np.random.default_rng(0)), [1.0, -1.0, 1.0])
+    assert np.array_equal(hdc.bundle(rows, stream(0)), [1.0, -1.0, 1.0])
     for n in (128, 2**15):
         with pytest.raises(ValueError, match=f"{n} rows"):
-            hdc.bundle(np.ones((n, 3), dtype=np.int8), np.random.default_rng(0))
-    assert hdc.bundle(np.ones((128, 3)), np.random.default_rng(0)).tolist() == [1.0] * 3
+            hdc.bundle(np.ones((n, 3), dtype=np.int8), stream(0))
+    assert hdc.bundle(np.ones((128, 3)), stream(0)).tolist() == [1.0] * 3
 
 
 # --- bind -----------------------------------------------------------------------
@@ -241,7 +275,7 @@ def test_bind_dissimilar_to_inputs():
 
 
 def test_bind_releases_bound_value_from_bundle():
-    rng = np.random.default_rng(17)
+    rng = stream(17)
     w, x, y, z = (hdc.random_bipolar(D, rng) for _ in range(4))
     q = hdc.bundle(np.stack([hdc.bind(w, x), hdc.bind(y, z)]), rng)
     released = hdc.bind(w, q)
@@ -277,7 +311,7 @@ def test_bind_self_inverse_property(seed_x, seed_y):
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_bind_preserves_similarity_property(seed):
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     w, x, y = (hdc.random_bipolar(256, rng) for _ in range(3))
     assert hdc.cosine(hdc.bind(w, x), hdc.bind(w, y)) == pytest.approx(
         hdc.cosine(x, y), abs=1e-12
@@ -299,7 +333,7 @@ def test_permute_inverse():
 
 
 def test_permute_extracts_sequence_position():
-    rng = np.random.default_rng(20)
+    rng = stream(20)
     x, y, z = (hdc.random_bipolar(D, rng) for _ in range(3))
     q = hdc.bundle(np.stack([x, hdc.permute(y, 1), hdc.permute(z, 2)]), rng)
     assert hdc.cosine(hdc.permute(q, -1), y) > 0.1
@@ -308,7 +342,7 @@ def test_permute_extracts_sequence_position():
 @given(st.integers(0, 2**31 - 1), st.integers(-512, 512))
 @settings(max_examples=25, deadline=None)
 def test_permute_preserves_cosine_property(seed, k):
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     x, y = hdc.random_bipolar(256, rng), hdc.random_bipolar(256, rng)
     assert hdc.cosine(hdc.permute(x, k), hdc.permute(y, k)) == hdc.cosine(x, y)
 
@@ -322,19 +356,19 @@ def _dictionary(rng, n=8):
 
 
 def test_recover_exact_member():
-    rng = np.random.default_rng(21)
+    rng = stream(21)
     d = _dictionary(rng)
     assert hdc.recover(d.vector("v3"), d) == "v3"
 
 
 def test_recover_noise_returns_none():
-    rng = np.random.default_rng(22)
+    rng = stream(22)
     d = _dictionary(rng)
     assert hdc.recover(hdc.random_bipolar(D, rng), d) is None
 
 
 def test_recover_after_unbinding():
-    rng = np.random.default_rng(23)
+    rng = stream(23)
     w, x, y, z = (hdc.random_bipolar(D, rng) for _ in range(4))
     d = hdc.Dictionary(("x", "y", "z", "w"), np.stack([x, y, z, w]))
     q = hdc.bundle(np.stack([hdc.bind(w, x), hdc.bind(y, z)]), rng)
@@ -342,27 +376,27 @@ def test_recover_after_unbinding():
 
 
 def test_recover_tie_breaks_to_lowest_index():
-    rng = np.random.default_rng(24)
+    rng = stream(24)
     v = hdc.random_bipolar(D, rng)
     d = hdc.Dictionary(("first", "second"), np.stack([v, v]))
     assert hdc.recover(v, d) == "first"
 
 
 def test_recover_idempotent_cleanup():
-    rng = np.random.default_rng(25)
+    rng = stream(25)
     d = _dictionary(rng)
     for label in d.labels:
         assert hdc.recover(d.vector(label), d) == label
 
 
 def test_recover_zero_query_is_none():
-    rng = np.random.default_rng(26)
+    rng = stream(26)
     assert hdc.recover(np.zeros(D), _dictionary(rng)) is None
 
 
 def test_recover_all_nan_query_is_none():
     # a NaN query has no direction: its scale is not positive, so every entry scores -inf
-    rng = np.random.default_rng(26)
+    rng = stream(26)
     d = _dictionary(rng)
     assert hdc.recover(np.full(D, np.nan), d) is None
     assert hdc.recover(np.stack([np.full(D, np.nan), d.vector("v2")]), d) == (None, "v2")
@@ -428,13 +462,13 @@ def test_the_cosine_floor_is_already_an_integer_rule_on_bipolar_vectors():
 
 
 def test_recover_dimension_mismatch():
-    rng = np.random.default_rng(27)
+    rng = stream(27)
     with pytest.raises(ValueError, match="dimension"):
         hdc.recover(np.ones(12), _dictionary(rng))
 
 
 def test_dictionary_validation():
-    rng = np.random.default_rng(29)
+    rng = stream(29)
     v = hdc.random_bipolar(D, rng)
     with pytest.raises(ValueError, match="unique"):
         hdc.Dictionary(("a", "a"), np.stack([v, v]))
@@ -443,13 +477,13 @@ def test_dictionary_validation():
 
 
 def test_dictionary_caches_row_norms():
-    d = _dictionary(np.random.default_rng(30))
+    d = _dictionary(stream(30))
     assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
 
 
 def test_dictionary_sign_patterns_are_int8_signs(grid_cml, grid_cells):
-    rng = np.random.default_rng(36)
-    gaussian = rng.normal(0.0, 1.0, size=(6, D))
+    rng = stream(36)
+    gaussian = np.random.Generator(rng.bit_generator).normal(0.0, 1.0, size=(6, D))
     gaussian[2, ::7] = 0.0  # sign(0) = 0 survives the int8 table
     for d in (_dictionary(rng), hdc.Dictionary(tuple(range(6)), gaussian), grid_cells):
         assert d.signs.dtype == np.int8
@@ -461,12 +495,13 @@ def test_dictionary_sign_patterns_are_int8_signs(grid_cml, grid_cells):
 def test_unbinding_a_bipolar_map_keeps_row_norms_bit_for_bit(object_cml, grid_cells):
     # (m_k o_k)^2 == o_k^2 exactly and the reduction order is the same, so the
     # forward readiness check may score its queries with the stored norms
-    rng = np.random.default_rng(37)
+    rng = stream(37)
+    normal = np.random.Generator(rng.bit_generator).normal
     stacks = [
         object_cml.state_dictionary().vectors,
         grid_cells.vectors,
-        rng.normal(0.0, 1.0, size=(8, D)),
-        rng.normal(0.0, 5.0, size=(40, D)),
+        normal(0.0, 1.0, size=(8, D)),
+        normal(0.0, 5.0, size=(40, D)),
     ]
     for x in stacks:
         for _ in range(5):
@@ -550,9 +585,9 @@ def test_recover_from_all_zero_dictionary_is_none(monkeypatch, theta):
 def test_cosines_match_recover_scores(monkeypatch):
     # recover picks the entry of largest cosine, as a (d,) query and as a row
     # of an (n, d) stack, and names it only when that cosine clears the floor
-    rng = np.random.default_rng(39)
+    rng = stream(39)
     d = _dictionary(rng)
-    queries = rng.normal(0.0, 1.0, size=(5, D))
+    queries = np.random.Generator(rng.bit_generator).normal(0.0, 1.0, size=(5, D))
     queries += 2.0 * d.vectors[[3, 0, 7, 3, 5]]
     cosines = np.array([[hdc.cosine(q, v) for v in d.vectors] for q in queries])
     best = cosines.max(axis=1)
@@ -617,7 +652,7 @@ def test_vector_recover_matches_the_old_vector_path(monkeypatch, object_cml, gri
 
 
 def test_recover_stack_dimension_mismatch():
-    d = _dictionary(np.random.default_rng(33))
+    d = _dictionary(stream(33))
     with pytest.raises(ValueError, match="dimension"):
         hdc.recover(np.ones((2, 12)), d)
 

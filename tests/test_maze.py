@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import position, stream
 from hdnav import maze as mz
 from hdnav.grid import DELTAS, DIRECTIONS
 
 
 @pytest.fixture(scope="module")
 def sample():
-    return mz.generate_maze(np.random.default_rng(5))
+    return mz.generate_maze(stream(5))
 
 
 def connected_from(maze, start):
@@ -75,19 +76,20 @@ def reference_layout(rng):
 
 def test_layout_matches_list_based_reference():
     # the reference makes numpy's own scalar draws; 0-2 words drawn first move the
-    # layout's words across the bit generator's buffered half of a 64-bit output;
-    # the layouts cover every (wall1, wall2, hrow) triple the walls are built from
+    # layout's words across the half of a 64-bit output left pending; the layouts
+    # cover every (wall1, wall2, hrow) triple the walls are built from
     triples = set()
     for seed in range(2000):
         for drawn in range(3):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            ours.integers(0, 5, size=drawn)
+            ours, theirs = stream(seed), np.random.default_rng(seed)
+            for _ in range(drawn):
+                ours.below(5)
             theirs.integers(0, 5, size=drawn)
             maze, expected = mz._sample_layout(ours), reference_layout(theirs)
             assert maze == expected
             assert list(maze.placements.items()) == list(expected.placements.items())
             assert all(type(v) is int for cell in maze.placements.values() for v in cell)
-            assert ours.bit_generator.state == theirs.bit_generator.state
+            assert position(ours) == position(theirs)
             triples.add((maze.placements["a"][1], maze.placements["d"][1], maze.placements["c"][0]))
     assert len(triples) == 150
 
@@ -95,18 +97,18 @@ def test_layout_matches_list_based_reference():
 @pytest.mark.parametrize("n", [1, 2, 7, 3 * 2**30, 2**32 - 1])
 def test_below_matches_numpy_bounded_draw(n):
     # at 3 * 2**30 a quarter of the words are rejected, so 40 draws read past the
-    # 12-word block and draw further words one at a time
+    # 12-word block and draw further words from the stream
     for seed in range(20):
-        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        words = ours.integers(0, 2**32, size=12, dtype=np.uint32).tolist()[::-1]
-        drawn = [mz._below(words, ours, n) for _ in range(40)]
+        ours, theirs = stream(seed), np.random.default_rng(seed)
+        words = ours.words(12).tolist()[::-1]
+        drawn = [ours.below(n, words) for _ in range(40)]
         assert drawn == [int(theirs.integers(0, n)) for _ in range(40)]
         assert all(0 <= value < n for value in drawn)
         if n == 1:
             assert len(words) == 12  # numpy reads no word for a one-value draw
             continue
         assert not words
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert position(ours) == position(theirs)
 
 
 # hand-picked words per bound n: one whose low half of w * n, in [threshold, n), runs
@@ -122,22 +124,23 @@ HAND_PICKED_WORDS = {
 @pytest.mark.parametrize("n", sorted(HAND_PICKED_WORDS))
 @pytest.mark.parametrize("kind", ["accepted", "rejected", "early"])
 def test_below_matches_numpy_on_hand_picked_words(n, kind):
-    # numpy reads the 32-bit half a generator buffers before any fresh output, so a
-    # buffered word is the first word numpy's own scalar draw reads: fed the same
-    # word, from the list or from an empty list through the generator, _below draws
-    # numpy's value and leaves numpy's state
+    # numpy reads the pending 32-bit half before any fresh output, so a pending
+    # word is the first word numpy's own scalar draw reads: fed the same word, from
+    # the list or as the stream's pending half, below draws numpy's value and leaves
+    # numpy's position; the accepted words sit exactly at the threshold
     word = HAND_PICKED_WORDS[n][kind]
     threshold, low = (2**32 - n) % n, word * n % 2**32
-    assert {"accepted": threshold <= low < n, "rejected": low < threshold, "early": low >= n}[kind]
+    assert {"accepted": threshold == low < n, "rejected": low < threshold, "early": low >= n}[kind]
     for listed in (True, False):
         theirs = np.random.default_rng(n)
         theirs.bit_generator.state = {**theirs.bit_generator.state, "has_uint32": 1, "uinteger": word}
-        ours = np.random.default_rng(n)
-        ours.bit_generator.state = {**theirs.bit_generator.state, "has_uint32": int(not listed)}
+        ours = stream(n)
         words = [word] if listed else []
-        assert mz._below(words, ours, n) == int(theirs.integers(0, n))
+        if not listed:
+            ours.pending = word
+        assert ours.below(n, words) == int(theirs.integers(0, n))
         assert not words
-        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert position(ours) == position(theirs)
 
 
 def test_wall_table_equals_the_union_of_both_columns_and_the_middle_row():
@@ -180,7 +183,7 @@ def test_robot_starts_at_home(sample):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_layout_contract_across_seeds(seed):
-    maze = mz.generate_maze(np.random.default_rng(seed))
+    maze = mz.generate_maze(stream(seed))
     left_wall, right_wall = wall_columns(maze)
     # h, k left room; t right room
     assert maze.placements["h"][1] < left_wall
@@ -198,14 +201,14 @@ def test_layout_contract_across_seeds(seed):
 
 
 def test_generation_is_seed_deterministic():
-    m1 = mz.generate_maze(np.random.default_rng(77))
-    m2 = mz.generate_maze(np.random.default_rng(77))
+    m1 = mz.generate_maze(stream(77))
+    m2 = mz.generate_maze(stream(77))
     assert m1 == m2
 
 
 def test_different_seeds_differ():
-    m1 = mz.generate_maze(np.random.default_rng(1))
-    m2 = mz.generate_maze(np.random.default_rng(2))
+    m1 = mz.generate_maze(stream(1))
+    m2 = mz.generate_maze(stream(2))
     assert m1.blocked != m2.blocked or m1.placements != m2.placements
 
 
@@ -217,7 +220,7 @@ def test_connectivity_from_home(sample):
 @settings(max_examples=200, deadline=None)
 def test_every_layout_connected(seed):
     # connectivity holds by construction, so generation never retries
-    maze = mz.generate_maze(np.random.default_rng(seed))
+    maze = mz.generate_maze(stream(seed))
     assert connected_from(maze, maze.placements["h"])
 
 
@@ -248,7 +251,7 @@ def old_sense_gate(maze, cell):
 
 
 def test_sense_equals_named_sensors_on_sampled_mazes():
-    rng = np.random.default_rng(12)
+    rng = stream(12)
     cells = 0
     for _ in range(200):
         maze = mz.generate_maze(rng)
@@ -269,7 +272,7 @@ def old_gate_table(maze):
 
 
 def test_gate_table_equals_named_sensors():
-    rng = np.random.default_rng(21)
+    rng = stream(21)
     for _ in range(50):
         maze = mz.generate_maze(rng)
         maze.gates  # built before close_door: each closed maze must build its own
@@ -293,7 +296,7 @@ def test_gate_table_is_read_only(sample):
 
 
 def test_sense_interior_open_cell():
-    maze = mz.generate_maze(np.random.default_rng(5))
+    maze = mz.generate_maze(stream(5))
     # find an interior cell with no blocked neighbors
     for row in range(1, maze.height - 1):
         for col in range(1, maze.width - 1):
@@ -400,7 +403,7 @@ def test_text_round_trip(sample):
 @given(st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_text_round_trip_across_seeds(seed):
-    maze = mz.generate_maze(np.random.default_rng(seed))
+    maze = mz.generate_maze(stream(seed))
     text = mz.to_text(maze)
     assert mz.from_text(text) == maze
     row, col = maze.placements["h"]

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import stream
 from hdnav import cml, experiments, hdc, maze as mz, mission, reports, semantic_map as sm
 from hdnav.grid import DELTAS
 from hdnav.mission import FailureReason
@@ -12,7 +13,7 @@ from hdnav.mission import FailureReason
 @pytest.fixture(scope="module")
 def mission_result(object_cml, viable_setup):
     maze, memory, _ = viable_setup
-    policy = sm.encode_policy(["k", "t", "h"], memory.objects, np.random.default_rng(99))
+    policy = sm.encode_policy(["k", "t", "h"], memory.objects, stream(99))
     return mission.run_mission(object_cml, memory, maze, policy)
 
 
@@ -219,7 +220,7 @@ def test_mission_unreachable_goal_reports_failure(object_cml, viable_setup):
     reduced = mission.remove_door(mission.remove_door(object_cml, "a"), "b")
     sealed, _ = mz.close_door(maze, "a")
     sealed, _ = mz.close_door(sealed, "b")
-    policy = sm.encode_policy(["t"], memory.objects, np.random.default_rng(1))
+    policy = sm.encode_policy(["t"], memory.objects, stream(1))
     _, failure = mission.run_mission(reduced, memory, sealed, policy)
     assert failure in (FailureReason.STEP_CAP, FailureReason.UNREACHABLE)
 
@@ -227,9 +228,9 @@ def test_mission_unreachable_goal_reports_failure(object_cml, viable_setup):
 def test_mission_without_a_waypoint_cell_is_unrecoverable(object_cml, viable_setup):
     # the planner steps, but a map that holds no object gives its waypoint no cell
     maze, memory, _ = viable_setup
-    noise_hv = hdc.random_bipolar(memory.grid_cml.d, np.random.default_rng(35))
+    noise_hv = hdc.random_bipolar(memory.grid_cml.d, stream(35))
     noise = replace(memory, map_hv=noise_hv)
-    policy = sm.encode_policy(["k"], memory.objects, np.random.default_rng(2))
+    policy = sm.encode_policy(["k"], memory.objects, stream(2))
     planned = cml.step(object_cml, object_cml.state("k"), object_cml.state("h"))
     assert planned.chosen_edge is not None
     goals, failure = mission.run_mission(object_cml, noise, maze, policy)
@@ -244,7 +245,7 @@ def test_mission_ends_at_the_goal_whose_leg_fails(object_cml, viable_setup):
     # way home walks t -> e, then dithers beside a's walled cell; no later leg runs
     maze, memory, _ = viable_setup
     closed, _ = mz.close_door(maze, "a")
-    policy = sm.encode_policy(["k", "t", "h"], memory.objects, np.random.default_rng(99))
+    policy = sm.encode_policy(["k", "t", "h"], memory.objects, stream(99))
     goals, failure = mission.run_mission(object_cml, memory, closed, policy)
     assert failure is FailureReason.DITHER_ABORT
     assert [(g["goal"], g["reached"]) for g in goals] == [("k", True), ("t", True), ("h", False)]
@@ -258,7 +259,7 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     assert hdc.recover(object_cml.state("k"), states) == "k"
 
     def run(planner, mem):
-        policy = sm.encode_policy(["k"], mem.objects, np.random.default_rng(2))
+        policy = sm.encode_policy(["k"], mem.objects, stream(2))
         return mission.run_mission(planner, mem, maze, policy)
 
     # both states recover, but no gate leaves home: the goal is unreachable
@@ -267,7 +268,7 @@ def test_mission_zero_step_classification(object_cml, grid_cml, viable_setup):
     _, failure = run(replace(object_cml, G=gated), memory)
     assert failure is FailureReason.UNREACHABLE
     # goal states the planner cannot recover: the step refuses unrecognised input
-    rng = np.random.default_rng(3)
+    rng = stream(3)
     noise = hdc.Dictionary(
         states.labels, np.stack([hdc.random_bipolar(object_cml.d, rng) for _ in states.labels])
     )

@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from conftest import stream
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,7 +46,7 @@ def test_viability_oracle_reads_the_map_memory(checks, object_cml, grid_cml, con
     objects = object_cml.state_dictionary()
     verdicts = []
     for i in range(200):
-        rng = np.random.default_rng([84, i])
+        rng = stream([84, i])
         memory = semantic_map.build_map(objects, maze.generate_maze(rng), grid_cml, rng)
         verdict = semantic_map.check_viability(memory)
         assert verdict == checks.viable(

@@ -6,6 +6,7 @@ import pytest
 from hdnav import cml, mission, persist
 from hdnav.grid import GridCml
 from hdnav.maze import object_graph
+from conftest import stream
 from test_cml import init_random
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
@@ -25,7 +26,7 @@ def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
 
 def test_edgeless_object_model_round_trips(tmp_path):
     graph = cml.CmlGraph(("a",), ())
-    model = cml.init_calculated(graph, 4, np.random.default_rng(0))
+    model = cml.init_calculated(graph, 4, stream(0))
     path = tmp_path / "object.hdm"
     persist.save_cml(model, path)
     loaded = persist.load_model(path)
@@ -44,7 +45,7 @@ def test_object_file_is_header_and_states(object_cml, tmp_path):
 
 
 def _random_object_cml(object_cml):
-    return init_random(object_graph(), object_cml.d, np.random.default_rng(0))
+    return init_random(object_graph(), object_cml.d, stream(0))
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import position, stream
 from hdnav import experiments, hdc, maze as mz, semantic_map as sm
 from hdnav.grid import GridCml
 
@@ -16,7 +17,7 @@ LABELS = list(mz.OBJECT_LABELS)
 
 
 def random_objects(seed=11):
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     return hdc.Dictionary(tuple(LABELS), np.stack([hdc.random_bipolar(D, rng) for _ in LABELS]))
 
 
@@ -26,7 +27,7 @@ def synthetic_map(seed):
     No grid model has such states: they span eight dimensions, not a plane,
     so the map is scored by the float cleanup reference alone.
     """
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     objects = hdc.Dictionary(tuple(LABELS), np.stack([hdc.random_bipolar(D, rng) for _ in LABELS]))
     cells = tuple((i, i) for i in range(8))
     positions = np.stack([hdc.random_bipolar(D, rng) for _ in range(8)])
@@ -48,7 +49,7 @@ def test_map_is_bipolar(viable_setup):
 def test_map_bipolar_across_seeds(object_cml, grid_cml):
     objects = object_cml.state_dictionary()
     for seed in range(20):
-        rng = np.random.default_rng(seed)
+        rng = stream(seed)
         maze = mz.generate_maze(rng)
         memory = sm.build_map(objects, maze, grid_cml, rng)
         assert np.all(np.abs(memory.map_hv) == 1.0)
@@ -62,7 +63,7 @@ def test_map_unbinding_reveals_position(viable_setup):
 
 
 def test_map_term_order_is_irrelevant():
-    rng = np.random.default_rng(31)
+    rng = stream(31)
     terms = [hdc.random_bipolar(D, rng) for _ in range(8)]
     eta = hdc.random_bipolar(D, rng)
     forward = np.sign(np.sum(terms + [eta], axis=0))
@@ -161,7 +162,7 @@ def test_mission_ready_implies_viable_not_conversely(object_cml, grid_cml):
     viable_only = 0
     checked = 0
     for i in range(300):
-        rng = np.random.default_rng([61, i])
+        rng = stream([61, i])
         maze = mz.generate_maze(rng)
         memory = sm.build_map(objects, maze, grid_cml, rng)
         if sm.mission_ready(memory):
@@ -195,7 +196,7 @@ def test_batched_readiness_matches_per_object_loops(object_cml, grid_cml):
     objects = object_cml.state_dictionary()
     verdicts = []
     for i in range(600):
-        rng = np.random.default_rng([73, i])
+        rng = stream([73, i])
         memory = sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
         viable = sm.check_viability(memory)
         arrivals = sm.check_arrivals(memory)
@@ -213,15 +214,15 @@ def test_build_map_matches_per_object_construction(object_cml, grid_cml):
     # build_map multiplies the int8 sign patterns instead
     objects = object_cml.state_dictionary()
     for i in range(500):
-        maze = mz.generate_maze(np.random.default_rng([74, i]))
-        rng, reference_rng = np.random.default_rng(i), np.random.default_rng(i)
+        maze = mz.generate_maze(stream([74, i]))
+        rng, reference_rng = stream(i), stream(i)
         memory = sm.build_map(objects, maze, grid_cml, rng)
         cells = tuple(maze.placements[label] for label in objects.labels)
         states = grid_cml.P.T[[grid_cml.cell_index(cell) for cell in cells]]
         terms = [np.sign(hdc.bind(objects.vector(l), s)) for l, s in zip(objects.labels, states)]
         assert np.array_equal(memory.map_hv, hdc.bundle(np.stack(terms), reference_rng))
         assert memory.map_hv.dtype == np.int8
-        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert position(rng) == position(reference_rng)
         assert memory.positions.labels == cells
         assert np.array_equal(memory.positions.vectors, states)
         assert np.array_equal(memory.positions.norms, np.linalg.norm(states, axis=1))
@@ -269,7 +270,7 @@ def test_forward_verdict_matches_batched_recovery_on_trained_models(
     objects = object_cml.state_dictionary()
     memories = []
     for i in range(600):
-        rng = np.random.default_rng([77, i])
+        rng = stream([77, i])
         memories.append(sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng))
     floor = hdc.THETA
     for theta in (0.0, floor, 0.3):
@@ -282,13 +283,14 @@ def test_forward_verdict_matches_batched_recovery_on_trained_models(
 def test_forward_verdict_matches_batched_recovery_on_gaussian_objects(grid_cml):
     # sign(o * p) == sign(o) * sign(p) holds for any nonzero entries, so
     # Gaussian objects also build the reference map
-    rng = np.random.default_rng(78)
+    rng = stream(78)
+    normal = np.random.Generator(rng.bit_generator).normal
     memories = []
     for i in range(300):
-        objects = hdc.Dictionary(tuple(LABELS), rng.normal(0.0, 1.0, size=(8, D)))
+        objects = hdc.Dictionary(tuple(LABELS), normal(0.0, 1.0, size=(8, D)))
         maze = mz.generate_maze(rng)
-        memory = sm.build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
-        reference = reference_build_map(objects, maze, grid_cml, np.random.default_rng([80, i]))
+        memory = sm.build_map(objects, maze, grid_cml, stream([80, i]))
+        reference = reference_build_map(objects, maze, grid_cml, stream([80, i]))
         assert np.array_equal(memory.map_hv, reference)
         memories.append(memory)
     verdicts = _assert_forward_verdicts_match(memories)
@@ -399,7 +401,7 @@ def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
     floor = hdc.THETA
     for left_out in range(9):  # each choice of the one cell no object takes
         rows = [row for row in range(9) if row != left_out]
-        rng = np.random.default_rng([82, left_out])
+        rng = stream([82, left_out])
         map_hv = hdc.bundle(objects.signs * grid_cml.signs[rows], rng)
         memory = sm.MapMemory(map_hv, objects, grid_cml, rows)
         for theta in (0.0, floor):
@@ -421,7 +423,7 @@ def test_rejected_maps_never_gather_positions(object_cml, grid_cml):
     objects = object_cml.state_dictionary()
     kept = 0
     for i in range(300):
-        rng = np.random.default_rng([83, i])
+        rng = stream([83, i])
         maze = mz.generate_maze(rng)
         memory = sm.build_map(objects, maze, grid_cml, rng)
         sm.check_viability(memory)
@@ -556,9 +558,10 @@ def test_rejection_loop_candidates_ask_arrivals_as_the_float_recovery_does(seed,
 
 def synthetic_grid_map(d, seed):
     """A +-1 map at dimension ``d`` from a grid model of random chains and actions."""
-    rng = np.random.default_rng(seed)
-    chains = rng.normal(size=mz.HEIGHT), rng.normal(size=mz.WIDTH)
-    grid_cml = GridCml(*chains, *rng.normal(size=(2, d)))
+    rng = stream(seed)
+    normal = np.random.Generator(rng.bit_generator).normal
+    chains = normal(size=mz.HEIGHT), normal(size=mz.WIDTH)
+    grid_cml = GridCml(*chains, *normal(size=(2, d)))
     objects = hdc.Dictionary(tuple(LABELS), np.stack([hdc.random_bipolar(d, rng) for _ in LABELS]))
     return sm.build_map(objects, mz.generate_maze(rng), grid_cml, rng)
 
@@ -605,7 +608,7 @@ def test_query_position_matches_float_recovery_on_noisy_and_gaussian_queries(
     rng = np.random.default_rng(84)
     floor, recovered = hdc.THETA, 0
     for i in range(200):
-        map_rng = np.random.default_rng([85, i])
+        map_rng = stream([85, i])
         memory = sm.build_map(objects, mz.generate_maze(map_rng), grid_cml, map_rng)
         queries = [objects.vectors + scale * rng.normal(size=(8, D)) for scale in (0.5, 2, 10)]
         queries.append(rng.normal(size=(8, D)))
@@ -641,7 +644,7 @@ def test_round_trip_on_viable_map(viable_setup):
 
 def test_query_position_with_noise_vector_is_none(viable_setup):
     _, memory, _ = viable_setup
-    rng = np.random.default_rng(33)
+    rng = stream(33)
     assert sm.query_position(memory, hdc.random_bipolar(D, rng)) is None
 
 
@@ -662,7 +665,7 @@ def test_query_object_with_noise_vector_is_none(viable_setup):
     # object-free cells are no such case, as correlated sign patterns mostly recover
     # a placed neighbour there
     _, memory, _ = viable_setup
-    noise = dataclasses.replace(memory, map_hv=hdc.random_bipolar(D, np.random.default_rng(35)))
+    noise = dataclasses.replace(memory, map_hv=hdc.random_bipolar(D, stream(35)))
     cells = memory.grid_cml.width * memory.grid_cml.height
     assert sm.query_object(noise, range(cells)) == (None,) * cells
     assert sm.query_object(noise, memory.rows[0]) is None
@@ -672,7 +675,7 @@ def test_query_object_with_noise_vector_is_none(viable_setup):
 
 
 def test_policy_is_bipolar_and_counts_goals():
-    rng = np.random.default_rng(36)
+    rng = stream(36)
     objects = random_objects()
     policy = sm.encode_policy(["k", "t", "h"], objects, rng)
     assert np.all(np.abs(policy) == 1.0)
@@ -686,7 +689,7 @@ def test_policy_is_bipolar_and_counts_goals():
 
 
 def test_policy_replays_goals_in_order():
-    rng = np.random.default_rng(37)
+    rng = stream(37)
     objects = random_objects()
     policy = sm.encode_policy(["k", "t", "h"], objects, rng)
     revealed = []
@@ -697,7 +700,7 @@ def test_policy_replays_goals_in_order():
 
 
 def test_singleton_policy():
-    rng = np.random.default_rng(38)
+    rng = stream(38)
     objects = random_objects()
     policy = sm.encode_policy(["t"], objects, rng)
     goal, policy = sm.next_goal(policy, objects)
@@ -707,7 +710,7 @@ def test_singleton_policy():
 
 
 def test_policy_pseudo_orthogonal_to_raw_objects():
-    rng = np.random.default_rng(39)
+    rng = stream(39)
     objects = random_objects()
     policy = sm.encode_policy(["k", "t", "h"], objects, rng)
     for label in LABELS:
@@ -716,18 +719,18 @@ def test_policy_pseudo_orthogonal_to_raw_objects():
 
 def test_policy_rejects_unknown_goal():
     with pytest.raises(ValueError, match="unknown goal"):
-        sm.encode_policy(["k", "x"], random_objects(), np.random.default_rng(0))
+        sm.encode_policy(["k", "x"], random_objects(), stream(0))
 
 
 def test_policy_rejects_empty():
     with pytest.raises(ValueError, match="at least one"):
-        sm.encode_policy([], random_objects(), np.random.default_rng(0))
+        sm.encode_policy([], random_objects(), stream(0))
 
 
 @given(st.lists(st.sampled_from(LABELS), min_size=1, max_size=5), st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
 def test_policy_replay_order_property(goals, seed):
-    rng = np.random.default_rng([seed, 1])
+    rng = stream([seed, 1])
     objects = random_objects(seed)
     policy = sm.encode_policy(goals, objects, rng)
     revealed = []
@@ -742,9 +745,9 @@ def test_policy_exhaustion_rate():
     # some object grazes the 0.1 noise floor in under ~2% of seeds
     false_positives = 0
     for i in range(400):
-        rng = np.random.default_rng([53, i])
+        rng = stream([53, i])
         objects = hdc.Dictionary(tuple(LABELS), np.stack([hdc.random_bipolar(D, rng) for _ in LABELS]))
-        goals = [LABELS[int(rng.integers(0, 8))] for _ in range(int(rng.integers(1, 6)))]
+        goals = [LABELS[rng.below(8)] for _ in range(1 + rng.below(5))]
         policy = sm.encode_policy(goals, objects, rng)
         for _ in goals:
             _, policy = sm.next_goal(policy, objects)
@@ -760,7 +763,7 @@ def test_length_three_policies_that_the_seed_42_model_cannot_serve(object_cml):
     objects = object_cml.state_dictionary()
     extra = {}
     for goals in itertools.product(objects.labels, repeat=3):
-        policy = sm.encode_policy(list(goals), objects, np.random.default_rng(0))
+        policy = sm.encode_policy(list(goals), objects, stream(0))
         revealed = []
         for _ in range(2 * len(goals)):
             goal, policy = sm.next_goal(policy, objects)
