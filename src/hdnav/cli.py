@@ -148,16 +148,21 @@ def _cmd_verify(args) -> int:
 
 
 def _grid_geometry(grid_cml: GridCml) -> list[str]:
-    """The grid's shape, each chain's largest distance from its fixed point, its sign
+    """The grid's shape, its actions' Gram (the two norms and their cosine, which fix
+    the move table), each chain's largest distance from its fixed point, its sign
     patterns and their margin: the smallest |state coordinate|, which ``load_models``
     has found nonzero."""
     width, height = grid_cml.width, grid_cml.height
+    gram = grid_cml.basis @ grid_cml.basis.T
+    norm_s, norm_e = np.sqrt(np.diag(gram))
     x_star, y_star = fixed_chains(width, height)
     x_gap = np.abs(grid_cml.x - x_star).max()
     y_gap = np.abs(grid_cml.y - y_star).max()
     patterns = len(np.unique(grid_cml.signs, axis=0))
     return [
         f"shape: {width}x{height} (width x height), d={grid_cml.d}",
+        f"action Gram: |a_s| {norm_s:.4g}, |a_e| {norm_e:.4g}, "
+        f"cos(a_s, a_e) {gram[0, 1] / (norm_s * norm_e):.3g}",
         f"distance from the fixed point: x {x_gap:.3g}, y {y_gap:.3g}",
         f"sign patterns: {patterns} distinct of {width * height} cells",
         f"sign margin: {np.abs(grid_cml.P).min():.3g} (no zero sign)",

@@ -25,8 +25,12 @@ the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
 plane[cell]``.  The sign rule is not the grid's own: ``signs`` is
 ``hdc.sign_pattern`` of the states, the rule a dictionary's rows use, so
 the grid and the object layer bind sign terms made one way.  The
-d-dimensional states are built once to derive these tables and then
-dropped: the model keeps its plane.  ``states`` rebuilds any cells'
+d-dimensional states are built once, for ``signs`` alone, and dropped:
+``U`` and the plane need only the chains and the actions' dot products.
+Cell (row, col)'s state is ``c @ basis`` with ``c = (x[row], y[col])``
+and ``basis = [a_s; a_e]``, so its utilities ``A4^T p`` are ``c @ (basis
+@ A4)``, a (2, 4) table, and ``|p|`` is ``sqrt(c . (G c))`` with the
+(2, 2) Gram ``G = basis @ basis^T``.  ``states`` rebuilds any cells'
 states on request, and ``P`` the whole (d x W H) table from it, whose
 column for a cell is that cell's state, bit for bit.  Cells are indexed
 row-major; ``cell_index`` and ``cell`` convert both ways.
@@ -37,11 +41,11 @@ pseudo-inverse, and the per-node gating matrix is replaced by the live
 touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (0 = wall
 contact).  The transpose utility ``A4^T (p_target - p_current)`` is
 linear in the states, so the model derives the (W H) x 4 table
-``U = (A4^T P)^T`` once, one row per cell with the directions last, and
-every move reads the difference of two of its rows.  ``moves`` is the
-one move rule, a gated winner-take-all over those differences that
-broadcasts over cell index arrays: ``grid_step`` runs it for the
-executor's one move, and the open-grid proof
+``U = (A4^T P)^T`` once, in that closed form, one row per cell with the
+directions last, and every move reads the difference of two of its rows.
+``moves`` is the one move rule, a gated winner-take-all over those
+differences that broadcasts over cell index arrays: ``grid_step`` runs
+it for the executor's one move, and the open-grid proof
 (``experiments.verify_grid_cml``) for every cell pair at once.  A step
 returns only the direction it picks; the executor, which owns the
 robot's cell, makes the move.
@@ -73,11 +77,14 @@ class GridCml:
     ``width`` and ``height`` are derived on construction; they are plain
     attributes.  ``A4`` is ``[a_e, a_s, -a_s, -a_e]`` in ``DIRECTIONS``
     order.  ``signs`` holds each cell's ``hdc.sign_pattern``, (W H, d)
-    int8, one row per cell in row-major order.  ``U`` is
-    ``(A4^T P)^T``, (W H, 4), one row of four utilities per cell.
-    ``basis`` is ``[a_s; a_e]``, (2, d), and ``plane`` holds each cell's
-    ``(x[row], y[col]) / |p|``, (W H, 2), NaN for a zero state.  No
-    table of states is kept: ``states`` and ``P`` rebuild them on request.
+    int8, one row per cell in row-major order, from the one state table a
+    build makes.  ``basis`` is ``[a_s; a_e]``, (2, d).  With ``coords``
+    each cell's ``(x[row], y[col])``, ``U`` is ``(A4^T P)^T`` in closed
+    form, ``coords @ (basis @ A4)``, (W H, 4), one row of four utilities
+    per cell; ``plane`` holds each cell's ``(x[row], y[col]) / |p|``,
+    (W H, 2), NaN for a zero state, with ``|p|^2`` read from the Gram
+    ``basis @ basis^T``.  No table of states is kept: ``states`` and
+    ``P`` rebuild them on request.
     """
 
     x: np.ndarray  # (height,) south coordinate of each row
@@ -89,18 +96,18 @@ class GridCml:
         height, width = len(self.x), len(self.y)
         object.__setattr__(self, "width", width)
         object.__setattr__(self, "height", height)
-        # (width * height, d), dropped once read; no table below takes a second
-        # float temporary of its size, whose page faults every build would pay
-        S = self.P.T
         A4 = np.stack([self.a_e, self.a_s, -self.a_s, -self.a_e], axis=1)  # (d, 4)
         object.__setattr__(self, "A4", A4)
-        object.__setattr__(self, "signs", hdc.sign_pattern(S))
-        # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
-        object.__setattr__(self, "U", np.ascontiguousarray((A4.T @ S.T).T))
-        object.__setattr__(self, "basis", np.stack([self.a_s, self.a_e]))
+        # the one d-dimensional table a build makes, (width * height, d), for the sign rule
+        object.__setattr__(self, "signs", hdc.sign_pattern(self.P.T))
+        basis = np.stack([self.a_s, self.a_e])
+        object.__setattr__(self, "basis", basis)
+        # each state is coords[cell] @ basis, so the tables below need only the
+        # actions' dot products: basis @ A4 (2, 4) and the Gram basis @ basis.T (2, 2)
         coords = np.stack([np.repeat(self.x, width), np.tile(self.y, height)], axis=1)
-        # hdc.row_norms(S), bit for bit, with S squared in place: the table is spent
-        norms = np.sqrt(np.add.reduce(np.multiply(S, S, out=S), axis=-1))[:, None]
+        # (width * height, 4), direction last so that a move's argmax runs along contiguous rows
+        object.__setattr__(self, "U", coords @ (basis @ A4))
+        norms = np.sqrt(np.sum(coords @ (basis @ basis.T) * coords, axis=1))[:, None]
         plane = np.divide(coords, norms, out=np.full(coords.shape, np.nan), where=norms > 0)
         object.__setattr__(self, "plane", plane)
 

@@ -157,9 +157,10 @@ def row_norms(x: np.ndarray) -> np.ndarray:
 
     This is the expression ``np.linalg.norm(x, axis=-1)`` evaluates for
     real input, so the result is bit-identical, without that call's
-    per-call overhead.
+    per-call overhead.  The squares are taken in float, as that call
+    takes them: an int8 entry of magnitude 12 or more would wrap in int8.
     """
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    return np.sqrt(np.add.reduce(np.multiply(x, x, dtype=float), axis=-1))
 
 
 def sign_pattern(x: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import stream
-from hdnav import cml, experiments, maze as mz, persist
+from hdnav import cml, experiments, hdc, maze as mz, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
@@ -320,6 +320,7 @@ def test_verify_model_files(models_dir, capsys):
         "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)\n"
         "grid: verified (39800 pairs)\n"
         "shape: 20x10 (width x height), d=1000\n"
+        "action Gram: |a_s| 30.01, |a_e| 31.72, cos(a_s, a_e) -0.00549\n"
         "distance from the fixed point: x 1.13e-06, y 0.184\n"
         "sign patterns: 164 distinct of 200 cells\n"
         "sign margin: 1.53e-05 (no zero sign)\n"
@@ -336,9 +337,15 @@ def test_verify_reports_tied_object_pairs(models_dir, capsys):
 
 def test_verify_prints_the_grid_geometry(models_dir, grid_cml, capsys):
     assert main(["verify", "--out", str(models_dir)]) == 0
-    _, verified, shape, distance, patterns, margin = capsys.readouterr().out.splitlines()
+    _, verified, shape, gram, distance, patterns, margin = capsys.readouterr().out.splitlines()
     assert verified == "grid: verified (39800 pairs)"
     assert shape == "shape: 20x10 (width x height), d=1000"
+    # the two action norms and their cosine: the Gram every move and plane score reads
+    norms = re.fullmatch(r"action Gram: \|a_s\| (\S+), \|a_e\| (\S+), cos\(a_s, a_e\) (\S+)", gram)
+    norm_s, norm_e, cos = map(float, norms.groups())
+    assert norm_s == pytest.approx(np.linalg.norm(grid_cml.a_s), rel=1e-3)
+    assert norm_e == pytest.approx(np.linalg.norm(grid_cml.a_e), rel=1e-3)
+    assert cos == pytest.approx(hdc.cosine(grid_cml.a_s, grid_cml.a_e), rel=1e-2)
     gaps = re.fullmatch(r"distance from the fixed point: x (\S+), y (\S+)", distance)
     x_gap, y_gap = gaps.groups()
     # x stops within 1e-6 of r - 4.5; y up to 0.18 short of c - 9.5 (a mean-residual stop)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,6 +132,32 @@ def reference_grid_utility(grid: GridCml, P: np.ndarray, target, current) -> np.
     return grid.A4.T @ (P[:, target] - P[:, current])
 
 
+def closed_form_tables(grid: GridCml) -> tuple[np.ndarray, np.ndarray]:
+    """``U`` and ``plane`` from the chains and the actions' dot products alone.
+
+    A state is ``coords[cell] @ basis``, with ``coords[cell] = (x[row], y[col])`` and
+    ``basis = [a_s; a_e]``, so its utilities ``A4^T p`` are ``coords[cell] @ (basis @
+    A4)`` and its squared norm is ``coords[cell] @ G @ coords[cell]``, with the Gram
+    ``G = basis @ basis^T``.  For a grid with no zero state.
+    """
+    a_s, a_e = grid.a_s, grid.a_e
+    basis = np.stack([a_s, a_e])
+    A4 = np.stack([a_e, a_s, -a_s, -a_e], axis=1)
+    coords = np.stack([np.repeat(grid.x, grid.width), np.tile(grid.y, grid.height)], axis=1)
+    norms = np.sqrt(np.sum(coords @ (basis @ basis.T) * coords, axis=1))[:, None]
+    return coords @ (basis @ A4), coords / norms
+
+
+# bound on how far a closed-form table moves from its d-dimensional derivation, as a
+# share of the latter's largest |entry| (model seeds 1, 7, 12, 13, 27 and 42 read at
+# most 2.8e-15)
+TABLE_ROUNDING = 1e-14
+
+
+def assert_within_rounding(table: np.ndarray, reference: np.ndarray) -> None:
+    assert np.abs(table - reference).max() <= TABLE_ROUNDING * np.abs(reference).max()
+
+
 def state(grid: GridCml, cell) -> np.ndarray:
     """The cell's d-dimensional state: its column of the rebuilt table ``P``."""
     return grid.P[:, grid.cell_index(cell)]
@@ -199,7 +226,11 @@ def test_derived_actions_and_table_equal_the_stacked_action_matrix(config):
     assert grid_cml.A4.flags.c_contiguous
     assert grid_cml.A4.tobytes() == stacked.tobytes()
     assert grid_cml.U.flags.c_contiguous
-    assert grid_cml.U.tobytes() == (stacked.T @ grid_cml.P).T.tobytes()
+    # U reads the stacked matrix's dot products with the two actions at each cell's
+    # chain coordinates, bit for bit; the d-dimensional product agrees up to rounding
+    coords = np.stack([np.repeat(grid_cml.x, 20), np.tile(grid_cml.y, 10)], axis=1)
+    assert grid_cml.U.tobytes() == (coords @ (np.stack([a_s, a_e]) @ stacked)).tobytes()
+    assert_within_rounding(grid_cml.U, (stacked.T @ grid_cml.P).T)
 
 
 # --- training ---------------------------------------------------------------------
@@ -369,8 +400,26 @@ def test_utility_east_adjacent_target(grid_cml):
 
 
 def test_utility_table_is_actions_transpose_times_states(grid_cml):
+    # (A4^T P)^T in closed form: the (2, 4) table basis @ A4 read at each cell's chain
+    # coordinates, which the d-dimensional product matches up to rounding
     assert grid_cml.U.shape == (200, 4)
-    assert np.array_equal(grid_cml.U, (grid_cml.A4.T @ grid_cml.P).T)
+    U, _ = closed_form_tables(grid_cml)
+    assert np.array_equal(grid_cml.U, U)
+    assert_within_rounding(grid_cml.U, (grid_cml.A4.T @ grid_cml.P).T)
+
+
+@pytest.mark.parametrize("model_seed", [1, 7, 12, 13, 27, 42])
+def test_closed_form_utilities_pick_as_the_state_table(model_seed):
+    # at six model seeds, with cos(a_s, a_e) of either sign, the closed-form table picks
+    # the move the d-dimensional (A4^T P)^T table picks, for every ordered cell pair
+    # (the 39,800 distinct ones and the 200 stays) under all 15 gates
+    grid_cml = experiments.build_grid_cml(ExperimentConfig(seed=model_seed))
+    state_table = SimpleNamespace(U=(grid_cml.A4.T @ grid_cml.P).T)  # all ``moves`` reads
+    index = np.arange(grid_cml.width * grid_cml.height)
+    target, current, gates = index[None, None, :], index[None, :, None], ALL_GATES[:, None, None, :]
+    picks = moves(grid_cml, target, current, gates)
+    assert picks.shape == (15, 200, 200)
+    assert np.array_equal(picks, moves(state_table, target, current, gates))
 
 
 def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
@@ -549,13 +598,16 @@ def test_plane_tables_score_states_over_their_norms(grid_cml):
     # x a_s + y a_e, so its dot product with q needs only q . a_s and q . a_e
     assert np.array_equal(grid_cml.basis, np.stack([grid_cml.a_s, grid_cml.a_e]))
     assert grid_cml.plane.shape == (grid_cml.width * grid_cml.height, 2)
+    # the norms come from the actions' Gram; the states' own norms agree up to rounding
+    _, plane = closed_form_tables(grid_cml)
+    assert np.array_equal(grid_cml.plane, plane)
     rng = np.random.default_rng(9)
     queries = rng.normal(0.0, 1.0, size=(5, D))
     for cell in ((0, 0), (9, 19), (3, 7), (5, 0)):
         row = grid_cml.cell_index(cell)
         norm = np.linalg.norm(grid_cml.P[:, row])
-        coords = [grid_cml.x[cell[0]] / norm, grid_cml.y[cell[1]] / norm]
-        assert np.array_equal(grid_cml.plane[row], coords)
+        coords = np.array([grid_cml.x[cell[0]] / norm, grid_cml.y[cell[1]] / norm])
+        assert_within_rounding(grid_cml.plane[row], coords)
         scores = queries @ grid_cml.basis.T @ grid_cml.plane[row]
         assert np.allclose(scores, queries @ state(grid_cml, cell) / norm, rtol=0, atol=1e-12)
 
@@ -610,12 +662,16 @@ def test_state_table_is_rebuilt_bit_for_bit(model_seed):
     assert hashlib.sha256(P.tobytes()).hexdigest()[:16] == P_DIGESTS[model_seed]
     assert np.array_equal(P, reference)
     assert P is not grid_cml.P  # built anew on each read
-    assert np.array_equal(grid_cml.U, (grid_cml.A4.T @ reference).T)
     assert np.array_equal(grid_cml.signs, np.sign(reference.T).astype(np.int8))
-    # the norms a dictionary over the state rows computes, behind the plane rows
+    # U and plane are the closed forms, bit for bit, and the tables derived from the
+    # reference states up to rounding: the utilities A4^T p, and the plane rows over
+    # the norms a dictionary over the state rows computes
+    U, plane = closed_form_tables(grid_cml)
+    assert np.array_equal(grid_cml.U, U) and np.array_equal(grid_cml.plane, plane)
+    assert_within_rounding(grid_cml.U, (grid_cml.A4.T @ reference).T)
     norms = np.linalg.norm(np.ascontiguousarray(reference.T), axis=1)[:, None]
     coords = np.stack([np.repeat(grid_cml.x, 20), np.tile(grid_cml.y, 10)], axis=1)
-    assert np.array_equal(grid_cml.plane, coords / norms)
+    assert_within_rounding(grid_cml.plane, coords / norms)
 
 
 def test_model_keeps_no_state_table(grid_cml):

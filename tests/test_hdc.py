@@ -479,6 +479,8 @@ def test_dictionary_validation():
 def test_dictionary_caches_row_norms():
     d = _dictionary(stream(30))
     assert np.array_equal(d.norms, np.linalg.norm(d.vectors, axis=1))
+    # int8 rows are squared in float: in int8, 100 * 100 would wrap to 16
+    assert np.array_equal(hdc.Dictionary(("a",), np.array([[100, 0]], dtype=np.int8)).norms, [100.0])
 
 
 def test_dictionary_sign_patterns_are_int8_signs(grid_cml, grid_cells):
@@ -516,9 +518,11 @@ def test_row_norms_bit_equal_linalg_norm(grid_cells):
         np.stack([bipolar(s) for s in range(9)]),
         rng.normal(0.0, 1.0, size=(50, D)),
         rng.normal(0.0, 3.0, size=(7, 13)),
+        np.array([[100, 0], [-12, 5]], dtype=np.int8),  # squares that wrap in int8
     ]
     for x in stacks:
         assert np.array_equal(hdc.row_norms(x), np.linalg.norm(x, axis=1))
+    assert np.array_equal(hdc.row_norms(stacks[-1]), [100.0, 13.0])
 
 
 def test_dictionary_rows_gather_rows_and_norms():

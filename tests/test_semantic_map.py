@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,6 +383,35 @@ def test_readiness_verdicts_do_not_hinge_on_rounding(object_cml, grid_cml, confi
     rounding = 1e6 * np.finfo(float).eps
     assert min(top_gaps) > max(rounding, PLANE_ROUNDING)
     assert min(theta_gaps) > max(rounding, PLANE_ROUNDING)
+
+
+def test_closed_form_plane_decides_viability_as_the_state_norms(object_cml):
+    # each model's plane divides by norms from the actions' Gram; a plane over the
+    # rebuilt states' own row norms gives the same verdict on each of 5,000 maze
+    # candidates, every maze built into a map under the models of seeds 7 and 12
+    objects = object_cml.state_dictionary()
+    models = []
+    for seed in (7, 12):
+        grid_cml = experiments.build_grid_cml(experiments.ExperimentConfig(seed=seed))
+        rows, cols = grid_cml.cell(np.arange(grid_cml.width * grid_cml.height))
+        coords = np.stack([grid_cml.x[rows], grid_cml.y[cols]], axis=1)
+        # all a map's readiness check reads of its grid model
+        state_norms = SimpleNamespace(
+            basis=grid_cml.basis, plane=coords / hdc.row_norms(grid_cml.P.T)[:, None]
+        )
+        models.append((grid_cml, state_norms))
+    rng = stream(5000)
+    verdicts = []
+    for _ in range(5000):
+        maze = mz.generate_maze(rng)
+        for grid_cml, state_norms in models:
+            memory = sm.build_map(objects, maze, grid_cml, rng)
+            twin = sm.MapMemory(memory.map_hv, objects, state_norms, memory.rows)
+            verdicts.append((sm.check_viability(memory), sm.check_viability(twin)))
+    closed_form, from_states = np.array(verdicts).reshape(5000, 2, 2).T
+    assert np.array_equal(closed_form, from_states)
+    # viable maps are among them at each model, not only argmax failures
+    assert (closed_form.sum(axis=1) > 100).all()
 
 
 def test_zero_state_cells_have_no_direction(object_cml, monkeypatch):
