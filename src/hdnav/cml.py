@@ -54,20 +54,6 @@ class CmlGraph:
     node_labels: tuple[str, ...]
     directed_edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.node_labels)
-        if len(set(self.node_labels)) != n:
-            raise ValueError("node labels must be unique")
-        seen = set()
-        for src, dst in self.directed_edges:
-            if src == dst:
-                raise ValueError(f"self-loop on node {src}")
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {dst}) references unknown node")
-            if (src, dst) in seen:
-                raise ValueError(f"duplicate directed edge ({src}, {dst})")
-            seen.add((src, dst))
-
     @property
     def n(self) -> int:
         return len(self.node_labels)

@@ -303,7 +303,14 @@ def train_and_save(config: ExperimentConfig) -> dict:
 
 
 def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
-    """The persisted models; ``ValueError`` if they do not fit the maze, each other or the config."""
+    """The persisted models; ``ValueError`` if they do not fit each other or the config.
+
+    ``persist.load_model`` puts the object signs on the maze's object graph
+    and the grid chains on its shape, and refuses an object entry other
+    than +1 or -1; here the pair is also refused when the files' kinds are
+    swapped, a grid sign is 0, or the two ``d`` differ from each other or
+    from the config's.
+    """
     object_path = config.models_dir / OBJECT_MODEL_FILE
     grid_path = config.models_dir / GRID_MODEL_FILE
     for path in (object_path, grid_path):
@@ -316,20 +323,10 @@ def load_models(config: ExperimentConfig) -> tuple[cml_mod.Cml, GridCml]:
     grid_cml = persist.load_model(grid_path)
     if not isinstance(object_cml, cml_mod.Cml) or not isinstance(grid_cml, GridCml):
         raise ValueError("model files have swapped kinds")
-    # labels, their order, the edges and the edge order: the tie rule takes the last tied edge
-    if object_cml.graph != maze_mod.object_graph():
-        raise ValueError("object model graph is not the maze's object graph")
-    if not (np.abs(object_cml.S) == 1.0).all():  # init_calculated draws every state +-1
-        raise ValueError("object model states are not all +1 or -1")
     # a map is the sign of eight +-1 terms and a +-1 tie-break, an odd sum, only while
     # no cell state has a zero coordinate; then every map is +-1 and |map * v| = |v|
     if not grid_cml.signs.all():
         raise ValueError("grid model sign patterns are not all +1 or -1: a state has a zero")
-    if (grid_cml.width, grid_cml.height) != (maze_mod.WIDTH, maze_mod.HEIGHT):
-        raise ValueError(
-            f"grid model is {grid_cml.width}x{grid_cml.height}, "
-            f"the maze {maze_mod.WIDTH}x{maze_mod.HEIGHT}"
-        )
     if object_cml.d != grid_cml.d:
         raise ValueError(f"object model d={object_cml.d} differs from grid model d={grid_cml.d}")
     if object_cml.d != config.d:

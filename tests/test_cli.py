@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from conftest import stream
-from hdnav import cml, experiments, hdc, maze as mz, persist
+from hdnav import cml, experiments, hdc, persist
 from hdnav.cli import main
 from hdnav.config import ExperimentConfig
 from hdnav.grid import GridCml
-from test_experiments import flip_lowest_state_bit, zero_grid_coordinate
+from test_experiments import flip_state_bit, zero_grid_coordinate
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
@@ -499,31 +499,33 @@ def test_python_m_hdnav_runs_the_cli_and_exits_with_its_code(tmp_path):
 
 
 def test_run_refuses_object_model_of_other_labels(models_dir, grid_cml, capsys):
+    # a save refuses a model on another graph, so write such a file by hand: the signs
+    # of a two-object graph are a quarter of the maze's eight columns
     graph = cml.CmlGraph.from_undirected(["h", "x"], [("h", "x")])
     other = cml.init_calculated(graph, grid_cml.d, stream(1))
-    persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
-    run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
+    header = f"{MODEL_LINE} object\nd={grid_cml.d}\n\n".encode("ascii")
+    (models_dir / "models" / experiments.OBJECT_MODEL_FILE).write_bytes(
+        header + other.S.astype(np.int8).tobytes()
+    )
+    run_and_verify_refuse(models_dir, capsys, "model file truncated")
 
 
-def test_run_refuses_object_model_of_another_graph(models_dir, object_cml, capsys):
-    # the maze's eight labels, but without the h-k sight line
-    graph = mz.object_graph()
-    h, k = graph.node_index("h"), graph.node_index("k")
-    edges = tuple(edge for edge in graph.directed_edges if set(edge) != {h, k})
-    other = cml.calculated(cml.CmlGraph(graph.node_labels, edges), object_cml.S)
-    persist.save_cml(other, models_dir / "models" / experiments.OBJECT_MODEL_FILE)
-    run_and_verify_refuse(models_dir, capsys, "is not the maze's object graph")
-
-
-def test_run_refuses_an_object_model_with_a_changed_mantissa_bit(models_dir, capsys):
-    flip_lowest_state_bit(models_dir / "models" / experiments.OBJECT_MODEL_FILE, 5)
+@pytest.mark.parametrize("bit", [0, 7], ids=["low_bit", "sign_bit"])
+def test_run_refuses_an_object_model_with_a_flipped_bit(models_dir, capsys, bit):
+    # entry 5 is +1 or -1 in int8; its low bit flipped makes it 0 or -2, and its sign
+    # bit -127 or 127
+    flip_state_bit(models_dir / "models" / experiments.OBJECT_MODEL_FILE, 5, bit)
     run_and_verify_refuse(models_dir, capsys, "object model states are not all +1 or -1")
 
 
 def test_run_refuses_grid_model_of_other_size(models_dir, grid_cml, capsys):
-    small = GridCml(x=grid_cml.x[:4], y=grid_cml.y[:7], a_s=grid_cml.a_s, a_e=grid_cml.a_e)
-    persist.save_grid_cml(small, models_dir / "models" / experiments.GRID_MODEL_FILE)
-    run_and_verify_refuse(models_dir, capsys, "grid model is 7x4, the maze 20x10")
+    # a save refuses a grid of another shape, so write a 7x4 grid's blocks by hand
+    header = f"{MODEL_LINE} grid\nd={grid_cml.d}\n\n".encode("ascii")
+    blocks = (grid_cml.x[:4], grid_cml.y[:7], grid_cml.a_s, grid_cml.a_e)
+    (models_dir / "models" / experiments.GRID_MODEL_FILE).write_bytes(
+        header + b"".join(block.tobytes() for block in blocks)
+    )
+    run_and_verify_refuse(models_dir, capsys, "model file truncated")
 
 
 def test_run_refuses_a_grid_model_with_a_zero_sign(models_dir, grid_cml, capsys):
@@ -583,8 +585,8 @@ def test_run_refuses_a_directory_in_place_of_a_model_file(models_dir, capsys):
 
 def test_verify_rejects_missing_header_field(models_dir, capsys):
     headless = models_dir / "models" / experiments.GRID_MODEL_FILE
-    headless.write_bytes(f"{MODEL_LINE} grid\nwidth=20\nheight=10\n\n".encode("ascii"))
-    run_and_verify_refuse(models_dir, capsys, "'d'")
+    headless.write_bytes(f"{MODEL_LINE} grid\n\n".encode("ascii"))
+    run_and_verify_refuse(models_dir, capsys, "grid model header lacks the field 'd'")
 
 
 def test_verify_names_the_header_field_of_a_number_that_is_not_an_integer(models_dir, capsys):
@@ -593,28 +595,19 @@ def test_verify_names_the_header_field_of_a_number_that_is_not_an_integer(models
     run_and_verify_refuse(models_dir, capsys, "model header field 'd' must be an integer, got '1e3'")
 
 
-def test_verify_names_the_edges_field_of_an_edge_that_is_not_a_pair(models_dir, capsys):
-    object_model = models_dir / "models" / experiments.OBJECT_MODEL_FILE
-    header, body = object_model.read_bytes().split(b"\n\n", 1)
-    lines = [b"edges=0>1>2" if line.startswith(b"edges=") else line for line in header.split(b"\n")]
-    object_model.write_bytes(b"\n".join(lines) + b"\n\n" + body)
-    run_and_verify_refuse(
-        models_dir, capsys, "model header field 'edges' must hold src>dst pairs, got '0>1>2'"
-    )
-
-
 def test_verify_rejects_oversized_header(models_dir, capsys):
     huge = models_dir / "models" / experiments.GRID_MODEL_FILE
-    header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
+    header = f"{MODEL_LINE} grid\nd=1000000000000\n\n".encode("ascii")
     huge.write_bytes(header + bytes(141 - len(header)))
     run_and_verify_refuse(models_dir, capsys, "truncated")
 
 
 def test_verify_rejects_zero_width_grid(models_dir, capsys):
+    # the blocks of a 0x10 grid: the maze's 20 columns are missing from the file
     empty = models_dir / "models" / experiments.GRID_MODEL_FILE
-    header = f"{MODEL_LINE} grid\nd=4\nwidth=0\nheight=10\n\n".encode("ascii")
+    header = f"{MODEL_LINE} grid\nd=4\n\n".encode("ascii")
     empty.write_bytes(header + np.zeros(10).tobytes() + np.zeros(8).tobytes())
-    run_and_verify_refuse(models_dir, capsys, "'width' must be at least 1, got 0")
+    run_and_verify_refuse(models_dir, capsys, "truncated")
 
 
 def test_run_mission_custom_goals(models_dir, capsys):

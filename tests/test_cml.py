@@ -87,21 +87,6 @@ def test_object_graph_shape(graph):
     assert len(graph.directed_edges) == 26  # 13 sight lines, both directions
 
 
-def test_graph_rejects_self_loops():
-    with pytest.raises(ValueError, match="self-loop"):
-        cml.CmlGraph(("a", "b"), ((0, 0),))
-
-
-def test_graph_rejects_duplicate_edges():
-    with pytest.raises(ValueError, match="duplicate"):
-        cml.CmlGraph(("a", "b"), ((0, 1), (0, 1)))
-
-
-def test_graph_rejects_bad_index():
-    with pytest.raises(ValueError, match="unknown node"):
-        cml.CmlGraph(("a", "b"), ((0, 5),))
-
-
 # --- graph tables ---------------------------------------------------------------
 
 

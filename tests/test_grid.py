@@ -432,9 +432,12 @@ def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     picks = picks[:, off_diagonal]  # (gate, pair), pairs current-major
     pairs = [(c, t) for c in range(cells) for t in range(cells) if c != t]
     assert picks.shape == (len(ALL_GATES), len(pairs)) == (15, 39_800)
-    # the d-dimensional matvec utilities pick the same moves
+    # the d-dimensional utilities pick the same moves, one product per current cell
+    # over all its targets
     P = grid_cml.P
-    reference = np.stack([reference_grid_utility(grid_cml, P, t, c) for c, t in pairs], axis=1)
+    reference = np.concatenate(
+        [reference_grid_utility(grid_cml, P, index[index != c], [c]) for c in index], axis=1
+    )
     legal = ALL_GATES[:, :, None] != 0  # (gate, direction, pair)
     assert np.array_equal(picks, np.argmax(np.where(legal, reference, -np.inf), axis=1))
     # ... and so does the per-move rule over the nonzero gates, on every 7th pair

@@ -3,11 +3,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hdnav import cml, mission, persist
+from hdnav import cml, maze, mission, persist
 from hdnav.grid import GridCml
 from hdnav.maze import object_graph
 from conftest import stream
 from test_cml import init_random
+from test_experiments import flip_state_bit
 
 MODEL_LINE = f"{persist.MAGIC} {persist.FORMAT_VERSION}"
 
@@ -24,39 +25,105 @@ def test_object_model_round_trip_bit_exact(object_cml, tmp_path):
     assert loaded.graph == object_cml.graph
 
 
-def test_edgeless_object_model_round_trips(tmp_path):
-    graph = cml.CmlGraph(("a",), ())
-    model = cml.init_calculated(graph, 4, stream(0))
-    path = tmp_path / "object.hdm"
-    persist.save_cml(model, path)
-    loaded = persist.load_model(path)
-    assert loaded.graph == graph
-    assert np.array_equal(loaded.S, model.S)
-    assert loaded.A.shape == (4, 0)
-
-
 def test_object_file_is_header_and_states(object_cml, tmp_path):
     path = tmp_path / "object.hdm"
     persist.save_cml(object_cml, path)
     data = path.read_bytes()
-    header, _ = data.split(b"\n\n", 1)
-    assert [line.split(b"=")[0] for line in header.split(b"\n")[1:]] == [b"d", b"labels", b"edges"]
-    assert len(data) == len(header) + 2 + 8 * object_cml.d * object_cml.graph.n
+    header, body = data.split(b"\n\n", 1)
+    assert header.split(b"\n") == [f"{MODEL_LINE} object".encode("ascii"), b"d=1000"]
+    assert len(body) == object_cml.d * object_cml.graph.n == 8_000
+    signs = np.frombuffer(body, dtype=np.int8).reshape(object_cml.S.shape)
+    assert np.array_equal(signs, object_cml.S)
+
+
+# the graph and shape that every format-5 file assumes, written out: a file stores
+# neither, so a change to either must come with a new persist.FORMAT_VERSION
+PINNED_LABELS = ("a", "b", "c", "d", "e", "k", "t", "h")
+PINNED_EDGES = (
+    (7, 5), (5, 7), (7, 0), (0, 7), (7, 1), (1, 7), (5, 0), (0, 5), (5, 1), (1, 5),
+    (0, 4), (4, 0), (1, 3), (3, 1), (3, 6), (6, 3), (4, 6), (6, 4), (0, 2), (2, 0),
+    (1, 2), (2, 1), (2, 3), (3, 2), (2, 4), (4, 2),
+)
+
+
+def test_format_pins_the_maze_graph_and_shape():
+    graph = object_graph()
+    bump = "model files assume this; a change needs a new persist.FORMAT_VERSION"
+    assert graph.node_labels == PINNED_LABELS, f"object labels or their order changed: {bump}"
+    assert graph.directed_edges == PINNED_EDGES, f"object edges or their order changed: {bump}"
+    assert (maze.WIDTH, maze.HEIGHT) == (20, 10), f"maze shape changed: {bump}"
 
 
 def _random_object_cml(object_cml):
     return init_random(object_graph(), object_cml.d, stream(0))
 
 
+def _on_graph(change):
+    """The model's states on the maze's graph after ``change``."""
+    return lambda model: cml.calculated(change(object_graph()), model.S)
+
+
+def _without_h_k(graph):
+    h, k = graph.node_index("h"), graph.node_index("k")
+    edges = tuple(edge for edge in graph.directed_edges if set(edge) != {h, k})
+    return cml.CmlGraph(graph.node_labels, edges)
+
+
+def _relabelled(graph):
+    # the same eight labels in another order: every edge now joins other objects
+    return cml.CmlGraph(graph.node_labels[::-1], graph.directed_edges)
+
+
+def _edges_reversed(graph):
+    # the same edges in reverse order: the tie rule's "last tied edge" changes
+    return cml.CmlGraph(graph.node_labels, graph.directed_edges[::-1])
+
+
+ANOTHER_GRAPH = "only a model on the maze's object graph"
+NOT_CALCULATED = "only a calculated object model"
+
+
 @pytest.mark.parametrize(
-    "derive",
-    [lambda model: mission.remove_door(model, "d"), _random_object_cml],
-    ids=["door_removed", "init_random"],
+    "derive,message",
+    [
+        (lambda model: mission.remove_door(model, "d"), NOT_CALCULATED),
+        (_random_object_cml, NOT_CALCULATED),
+        (_on_graph(_without_h_k), ANOTHER_GRAPH),
+        (_on_graph(_relabelled), ANOTHER_GRAPH),
+        (_on_graph(_edges_reversed), ANOTHER_GRAPH),
+        # calculated on the maze's graph, but its states are +-2, which int8 signs
+        # could not hold
+        (lambda model: cml.calculated(object_graph(), 2 * model.S), r"not all \+1 or -1"),
+    ],
+    ids=["door_removed", "init_random", "without_h_k", "relabelled", "edges_reversed",
+         "not_bipolar"],
 )
-def test_save_refuses_model_the_file_cannot_hold(object_cml, tmp_path, derive):
-    with pytest.raises(ValueError, match="only a calculated object model"):
+def test_save_refuses_model_the_file_cannot_hold(object_cml, tmp_path, derive, message):
+    with pytest.raises(ValueError, match=message):
         persist.save_cml(derive(object_cml), tmp_path / "object.hdm")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_refuses_grid_of_another_shape(grid_cml, tmp_path):
+    small = GridCml(x=grid_cml.x[:4], y=grid_cml.y[:7], a_s=grid_cml.a_s, a_e=grid_cml.a_e)
+    with pytest.raises(ValueError, match="grid model is 7x4, the maze 20x10"):
+        persist.save_grid_cml(small, tmp_path / "grid.hdm")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bit", range(8))
+def test_every_single_bit_flip_of_a_sign_is_refused(object_cml, tmp_path, bit):
+    # a flipped bit turns +1 into 0, 3, 5, 9, 17, 33, 65 or -127, and -1 into -2, -3,
+    # -5, -9, -17, -33, -65 or 127: never +-1, so the load refuses every one
+    path = tmp_path / "object.hdm"
+    for sign in (1, -1):
+        persist.save_cml(object_cml, path)
+        entry = int(np.flatnonzero(object_cml.S == sign)[0])
+        flip_state_bit(path, entry, bit)
+        body = path.read_bytes().split(b"\n\n", 1)[1]
+        assert np.frombuffer(body, dtype=np.int8)[entry] not in (1, -1)
+        with pytest.raises(ValueError, match=r"object model states are not all \+1 or -1"):
+            persist.load_model(path)
 
 
 def test_pseudo_inverse_recomputed_on_load(object_cml, tmp_path):
@@ -95,7 +162,7 @@ def test_grid_file_is_header_and_plane(grid_cml, tmp_path):
     persist.save_grid_cml(grid_cml, path)
     data = path.read_bytes()
     header, _ = data.split(b"\n\n", 1)
-    assert [line.split(b"=")[0] for line in header.split(b"\n")[1:]] == [b"d", b"width", b"height"]
+    assert header.split(b"\n") == [f"{MODEL_LINE} grid".encode("ascii"), b"d=1000"]
     height, width, d = grid_cml.height, grid_cml.width, grid_cml.d
     assert len(data) == len(header) + 2 + 8 * (height + width + 2 * d)
     assert len(data) - len(header) - 2 == 16_240
@@ -119,7 +186,7 @@ def test_truncated_file_rejected(object_cml, tmp_path):
 
 def _oversized_grid_file(path):
     """141 bytes whose header claims d=10^12: far more block bytes than the file holds."""
-    header = f"{MODEL_LINE} grid\nd=1000000000000\nwidth=2\nheight=1\n\n".encode("ascii")
+    header = f"{MODEL_LINE} grid\nd=1000000000000\n\n".encode("ascii")
     path.write_bytes(header + bytes(141 - len(header)))
     assert path.stat().st_size == 141
     return path
@@ -137,7 +204,7 @@ def test_bad_magic_rejected(tmp_path):
         persist.load_model(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_unsupported_version_rejected(object_cml, grid_cml, tmp_path, version):
     # a file of an older layout, of either kind, is refused before its body is read
     for kind, save, model in (
@@ -160,19 +227,24 @@ def _nan_in_last_value(data: bytes) -> bytes:
     return data[:-8] + np.array([np.nan]).tobytes()
 
 
-def _object_field(key: str, value: str):
-    """The object file with one field of its header set to ``value``."""
+def _header_d(value: str):
+    """The file with its ``d`` set to ``value``."""
 
     def corrupt(data: bytes) -> bytes:
         header, body = data.split(b"\n\n", 1)
-        prefix = f"{key}=".encode("ascii")
-        lines = [
-            prefix + value.encode("ascii") if line.startswith(prefix) else line
-            for line in header.split(b"\n")
-        ]
-        return b"\n".join(lines) + b"\n\n" + body
+        first, _ = header.split(b"\n")
+        return first + b"\nd=" + value.encode("ascii") + b"\n\n" + body
 
     return corrupt
+
+
+def _extra_header_line(data: bytes) -> bytes:
+    header, body = data.split(b"\n\n", 1)
+    return header + b"\nwidth=20\n\n" + body
+
+
+def _kind_word(data: bytes) -> bytes:
+    return data.replace(b" object\n", b" bogus\n", 1)
 
 
 def _version_word(data: bytes) -> bytes:
@@ -180,8 +252,9 @@ def _version_word(data: bytes) -> bytes:
 
 
 def _degenerate_grid(width: int, height: int, d: int = 4):
-    """A grid file of a degenerate size, with zero chains, in place of the input."""
-    header = "\n".join([f"{MODEL_LINE} grid", f"d={d}", f"width={width}", f"height={height}"])
+    """A grid file whose blocks are sized for a grid of a degenerate size, with zero
+    chains, in place of the input: the maze's shape, not the file, sizes the chains."""
+    header = f"{MODEL_LINE} grid\nd={d}"
     body = np.zeros(max(height, 0)).tobytes() + np.zeros(max(width, 0)).tobytes()
     body += np.zeros(2 * max(d, 0)).tobytes()
     contents = (header + "\n\n").encode("ascii") + body
@@ -189,32 +262,34 @@ def _degenerate_grid(width: int, height: int, d: int = 4):
 
 
 @pytest.mark.parametrize(
-    "corrupt,message",
+    "kind,corrupt,message",
     [
-        (_append_byte, "trailing bytes"),
-        (_nan_in_last_value, "non-finite"),
-        (_degenerate_grid(0, 10), "'width' must be at least 1, got 0"),
-        (_degenerate_grid(1, 1), "two cells"),
-        (_degenerate_grid(-1, -2), "'width' must be at least 1, got -1"),
-        (_degenerate_grid(20, 10, d=0), "'d' must be at least 1, got 0"),
-        (_object_field("d", "0"), "'d' must be at least 1, got 0"),
+        ("object", _append_byte, "trailing bytes"),
+        ("grid", _nan_in_last_value, "non-finite"),
+        ("grid", _degenerate_grid(0, 10), "truncated"),
+        ("grid", _degenerate_grid(1, 1), "truncated"),
+        ("grid", _degenerate_grid(-1, -2), "truncated"),
+        ("grid", _degenerate_grid(20, 10, d=0), "'d' must be at least 1, got 0"),
+        ("object", _header_d("0"), "'d' must be at least 1, got 0"),
         # a header number that is not an integer is refused by its field's name
-        (_object_field("d", "1e3"), "'d' must be an integer, got '1e3'"),
-        (_version_word, "'version' must be an integer, got 'four'"),
-        (_object_field("edges", "0>x 1>0"), "'edges' must be an integer, got 'x'"),
-        # an edge item that is not one src>dst pair is refused by the field's name too
-        (_object_field("edges", "0>1>2 1>0"), "'edges' must hold src>dst pairs, got '0>1>2'"),
-        (_object_field("edges", "0 1>0"), "'edges' must hold src>dst pairs, got '0'"),
+        ("object", _header_d("1e3"), "'d' must be an integer, got '1e3'"),
+        ("object", _version_word, "'version' must be an integer, got 'four'"),
+        # the header is the magic line and d alone; the blocks start after its blank line
+        ("grid", _extra_header_line, "does not end after its 'd' line"),
+        ("object", _kind_word, "unknown model kind 'bogus'"),
     ],
     ids=[
         "trailing_bytes", "nan", "zero_width_grid", "one_cell_grid",
         "negative_size_grid", "zero_d_grid", "zero_d_object",
-        "float_d", "word_version", "word_edge_index", "three_ended_edge", "one_ended_edge",
+        "float_d", "word_version", "extra_header_line", "unknown_kind",
     ],
 )
-def test_corrupted_file_rejected(object_cml, tmp_path, corrupt, message):
-    path = tmp_path / "object.hdm"
-    persist.save_cml(object_cml, path)
+def test_corrupted_file_rejected(object_cml, grid_cml, tmp_path, kind, corrupt, message):
+    path = tmp_path / f"{kind}.hdm"
+    if kind == "object":
+        persist.save_cml(object_cml, path)
+    else:
+        persist.save_grid_cml(grid_cml, path)
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(ValueError, match=message):
         persist.load_model(path)
@@ -227,11 +302,7 @@ def _drop_header_field(data: bytes, key: str) -> bytes:
     return b"\n".join(lines) + b"\n\n" + body
 
 
-@pytest.mark.parametrize(
-    "kind,key",
-    [("object", key) for key in ("d", "labels", "edges")]
-    + [("grid", key) for key in ("d", "width", "height")],
-)
+@pytest.mark.parametrize("kind,key", [("object", "d"), ("grid", "d")])
 def test_missing_header_field_rejected(object_cml, grid_cml, tmp_path, kind, key):
     path = tmp_path / f"{kind}.hdm"
     if kind == "object":
