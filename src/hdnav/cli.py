@@ -11,7 +11,8 @@ Verbs:
 - ``render``: draw one trace record as text or SVG (``render.STYLES``).
 - ``verify``: load the saved pair as ``run`` does, with its checks, and
   re-prove it: object plans BFS-shortest for every node pair (with the
-  count of tied pairs, the route margin and the tie spread), and
+  count of tied pairs and the exact route margin, in units of the integer
+  flow table over its scale), and
   open-grid optimality for every ordered cell pair (then the grid's
   shape, its chains' distance from their fixed points, its number of
   distinct cell sign patterns and its sign margin, the smallest
@@ -71,14 +72,12 @@ def _cmd_hdc_stats(args) -> int:
 
 
 def _proof_line(kind: str, info: dict) -> str:
-    """One model's proof facts: its pairs, then the object model's ties, route margin and
-    tie spread, then (from ``train``) its path and phase times."""
+    """One model's proof facts: its pairs, then the object model's ties and exact route
+    margin over the flow table's scale, then (from ``train``) its path and phase times."""
     facts = f"{info['pairs_checked']} pairs"
     if "tied_pairs" in info:
-        facts += (
-            f", {info['tied_pairs']} tied, route margin {info['route_margin']:.3g},"
-            f" tie spread {info['tie_spread']:.2g}"
-        )
+        margin = f"{info['route_margin']:g}/{info['flow_scale']}"  # exact: integer table units
+        facts += f", {info['tied_pairs']} tied, route margin {margin}"
     phases = ", ".join(f"{label} {t * 1e3:.1f} ms" for label, t in info.get("phases", {}).items())
     return f"{kind}: verified ({facts})" + (f" -> {info['path']} [{phases}]" if phases else "")
 

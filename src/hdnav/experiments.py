@@ -182,11 +182,12 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
        ``cml.bfs_hops``, which reads the graph's edges alone, independent
        of F and G.
     A failure raises ``RuntimeError`` naming the pair.  Returned: the
-    pairs checked, the pairs whose tie set has more than one edge, and
-    the tie rule's rounding headroom on both sides of ``TIE_TOLERANCE``:
-    ``route_margin``, the smallest gap between a pair's picked score and
-    its best open edge outside the tie set, and ``tie_spread``, the
-    largest spread of scores inside a tie set.
+    pairs checked, the pairs whose tie set has more than one edge,
+    ``route_margin``, the smallest lead of a pair's pick over its best open
+    edge outside the tie set (inf when no pair has such an edge), and
+    ``flow_scale``, the integer table's scale, read off its defining
+    property ``B F B = scale B``.  The scores are integers, so the margin is
+    exact: ``route_margin / flow_scale`` of the unit flow.
     """
     graph = object_cml.graph
     labels = graph.node_labels
@@ -227,15 +228,13 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
             f"the step takes {labels[src[edge]]}->{labels[dst[edge]]}, "
             f"not one hop closer (oracle {hops[start, goal]} hops)",
         )
-    picked = np.take_along_axis(scores, pick[None], axis=0)[0]
-    runner_up = np.where(best, -np.inf, scores).max(axis=0)  # -inf where every open edge ties
-    # the best open score lies in its own tie set; a pair with every gate closed is -inf
-    spread = scores.max(axis=0) - np.where(best, scores, np.inf).min(axis=0)
+    # every edge of a tie set scores the best; the runner-up is -inf where every open edge ties
+    runner_up = np.where(best, -np.inf, scores).max(axis=0)
     return {
         "pairs_checked": int(pairs.sum()),
         "tied_pairs": int((pairs & (best.sum(axis=0) > 1)).sum()),
-        "route_margin": float((picked - runner_up)[pairs].min(initial=np.inf)),
-        "tie_spread": float(spread[pairs].max(initial=0.0)),
+        "route_margin": float((scores.max(axis=0) - runner_up)[pairs].min(initial=np.inf)),
+        "flow_scale": int((graph.B @ graph.F @ graph.B).max()),
     }
 
 

@@ -79,8 +79,12 @@ def save_grid_cml(grid_cml: GridCml, path: str | Path) -> None:
 
 
 def _read_header(fh) -> tuple[str, int]:
-    """The file's kind and ``d``, read up to the blank line that ends the header."""
-    first = fh.readline().decode("ascii").strip()
+    """The file's kind and ``d``, read up to the blank line that ends the header.
+
+    The header is ASCII; a byte outside it decodes as U+FFFD, so a file that
+    starts with one is refused as not a model file, not with the codec's error.
+    """
+    first = fh.readline().decode("ascii", "replace").strip()
     parts = first.split()
     if len(parts) != 3 or parts[0] != MAGIC:
         raise ValueError(f"not a model file (header {first!r})")
@@ -90,7 +94,7 @@ def _read_header(fh) -> tuple[str, int]:
             f"{FORMAT_VERSION}); retrain the models with `hdnav train`"
         )
     kind = parts[2]
-    key, _, value = fh.readline().decode("ascii").rstrip("\n").partition("=")
+    key, _, value = fh.readline().decode("ascii", "replace").rstrip("\n").partition("=")
     if key != "d":
         raise ValueError(f"{kind} model header lacks the field 'd'")
     d = _header_int("d", value)

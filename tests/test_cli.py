@@ -317,7 +317,7 @@ def test_verify_model_files(models_dir, capsys):
     assert main(["verify", "--out", str(models_dir)]) == 0
     # both proofs run on the pair in one call; the lines are checked one by one below
     assert capsys.readouterr().out == (
-        "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)\n"
+        "object: verified (56 pairs, 14 tied, route margin 64/8448)\n"
         "grid: verified (39800 pairs)\n"
         "shape: 20x10 (width x height), d=1000\n"
         "action Gram: |a_s| 30.01, |a_e| 31.72, cos(a_s, a_e) -0.00549\n"
@@ -329,9 +329,10 @@ def test_verify_model_files(models_dir, capsys):
 
 def test_verify_reports_tied_object_pairs(models_dir, capsys):
     assert main(["verify", "--out", str(models_dir)]) == 0
-    # beside the ties, the tie rule's rounding headroom: 1/132 outside the tie set, 6.7e-16 inside
+    # beside the ties, the exact lead of each pick over every open edge outside its tie
+    # set: 64 units of the integer flow table's 8448, 1/132 of the unit flow
     assert capsys.readouterr().out.splitlines()[0] == (
-        "object: verified (56 pairs, 14 tied, route margin 0.00758, tie spread 6.7e-16)"
+        "object: verified (56 pairs, 14 tied, route margin 64/8448)"
     )
 
 
@@ -414,6 +415,12 @@ def test_failed_write_is_one_io_error_line(models_dir, capsys, argv):
 def test_verify_rejects_garbage(models_dir, capsys):
     (models_dir / "models" / experiments.OBJECT_MODEL_FILE).write_bytes(b"garbage")
     run_and_verify_refuse(models_dir, capsys, "not a model file")
+
+
+def test_verify_rejects_a_non_ascii_file_as_not_a_model_file(models_dir, capsys):
+    (models_dir / "models" / experiments.OBJECT_MODEL_FILE).write_bytes(b"\xff\xfe\x00garbage")
+    err = run_and_verify_refuse(models_dir, capsys, "not a model file")
+    assert "codec" not in err
 
 
 def test_verify_rejects_old_format(models_dir, capsys):

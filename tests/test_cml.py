@@ -58,10 +58,17 @@ def reference_pick(utility: np.ndarray, gate: np.ndarray) -> int | None:
     return int(legal[np.argmax(utility[legal])]) if len(legal) else None
 
 
+def flow_scale(graph: cml.CmlGraph) -> int:
+    """2 n tau for a connected graph: tau is the determinant of the reduced Laplacian."""
+    B = incidence(graph)
+    tau = round(np.linalg.det((B @ B.T / 2)[1:, 1:]))
+    return 2 * graph.n * tau
+
+
 def flow_utility(model: cml.Cml, target: str, current: str) -> np.ndarray:
-    """The flow table's score of every edge toward the target."""
+    """The flow table's score of every edge toward the target, as a share of the unit flow."""
     t, c = model.graph.node_index(target), model.graph.node_index(current)
-    return model.graph.F[:, t] - model.graph.F[:, c]
+    return (model.graph.F[:, t] - model.graph.F[:, c]) / flow_scale(model.graph)
 
 
 def with_flow(model: cml.Cml, F: np.ndarray) -> cml.Cml:
@@ -109,8 +116,11 @@ def test_graph_tables_match_the_edges(graph):
     assert graph.src.tolist() == [src for src, _ in graph.directed_edges]
     assert graph.dst.tolist() == [dst for _, dst in graph.directed_edges]
     assert graph.B.tobytes() == incidence(graph).tobytes()
-    # the same bytes as the pseudo-inverse of the incidence built edge by edge
-    assert graph.F.tobytes() == np.linalg.pinv(incidence(graph)).tobytes()
+    # the same bytes as the rounded pseudo-inverse of the incidence built edge by edge,
+    # at twice the node count times the spanning-tree count
+    assert flow_scale(graph) == 2 * 8 * 528
+    F = np.rint(8448 * np.linalg.pinv(incidence(graph))).astype(int)
+    assert graph.F.dtype == int and graph.F.tobytes() == F.tobytes()
 
 
 def test_actions_are_the_state_differences_bit_for_bit(graph, object_cml):
@@ -170,8 +180,8 @@ def test_gating_column_counts_outgoing_edges(graph, rng):
 
 
 def test_pseudo_inverse_defining_property(graph, object_cml):
-    # F is the Moore-Penrose inverse of the graph's incidence matrix
-    B, F = incidence(graph), object_cml.graph.F
+    # F over its scale is the Moore-Penrose inverse of the graph's incidence matrix
+    B, F = incidence(graph), object_cml.graph.F / flow_scale(graph)
     assert F.shape == (len(graph.directed_edges), graph.n)
     assert np.abs(B @ F @ B - B).max() < 1e-12
     assert np.abs(F @ B @ F - F).max() < 1e-12
@@ -277,7 +287,7 @@ def test_utility_matches_least_squares_oracle(graph, object_cml):
     # so the paper's A_dagger (s_t - s_c) is the minimum-norm flow F (e_t - e_c)
     # on every pair, whatever the states
     for model in (object_cml, cml.init_calculated(graph, D, stream(7))):
-        flow = model.graph.F[:, :, None] - model.graph.F[:, None, :]
+        flow = (model.graph.F[:, :, None] - model.graph.F[:, None, :]) / flow_scale(graph)
         assert np.abs(reference_utility(model) - flow).max() < 1e-13
     diff = object_cml.state("t") - object_cml.state("k")
     oracle, *_ = np.linalg.lstsq(object_cml.A, diff, rcond=None)
@@ -313,18 +323,23 @@ def door_models(object_cml):
 
 
 def test_flow_table_ties_are_exact_or_far_apart(graph, object_cml):
-    # on every pair, any two out-edges score within 1e-12 of each other or
-    # 5e-3 apart, so the 1e-9 tie tolerance cannot misread either case
+    # the table is 8448 pinv(B) as integers, the float pseudo-inverse within 1e-9 of
+    # them: half a unit of headroom before rounding could move an entry
+    F, scale = object_cml.graph.F, flow_scale(graph)
+    float_table = scale * np.linalg.pinv(incidence(graph))
+    assert np.abs(F - float_table).max() < 1e-9
+    assert F.dtype == int and np.abs(F).max() == 8 * 231
+    # on every pair, two out-edges score the same integer or 48 units (1/176) apart
     ties = set()
     for c in range(graph.n):
         out = np.nonzero(object_cml.G[:, c])[0]
         for t in range(graph.n):
             if c == t:
                 continue
-            u = object_cml.graph.F[out, t] - object_cml.graph.F[out, c]
+            u = F[out, t] - F[out, c]
             gaps = np.abs(u[:, None] - u[None, :])
-            assert np.all((gaps < 1e-12) | (gaps >= 5e-3))
-            best = out[u >= u.max() - 1e-12]
+            assert np.all((gaps == 0) | (gaps >= 48))
+            best = out[u == u.max()]
             scores = cml.route_scores(object_cml, t, c)
             assert np.array_equal(np.flatnonzero(cml.best_edges(scores)), best)
             if len(best) > 1:
@@ -342,7 +357,7 @@ def test_step_takes_the_last_tied_edge(graph, object_cml, doors):
             if c == t or len(out) == 0:
                 continue
             u = model.graph.F[out, t] - model.graph.F[out, c]
-            best = out[u >= u.max() - 1e-12]
+            best = out[u == u.max()]
             result = cml.step(model, model.S[:, t], model.S[:, c])
             assert result.chosen_edge == best[-1]
             if len(best) > 1:
@@ -355,7 +370,8 @@ def test_step_takes_the_last_tied_edge(graph, object_cml, doors):
 
 @pytest.mark.parametrize("doors", ["all_doors", "door_d_removed"])
 def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, doors):
-    # another BLAS build may round F differently in its last bits; no pick moves
+    # another BLAS build may round pinv(B) differently in its last bits: the integer
+    # table it rounds to is the same, bit for bit, so no pick moves
     model = door_models(object_cml)[doors]
     pairs = [(c, t) for c in range(graph.n) for t in range(graph.n) if c != t]
 
@@ -364,10 +380,40 @@ def test_step_picks_survive_rounding_noise_in_the_flow_table(graph, object_cml, 
 
     expected = picks(model)
     noise = np.random.default_rng(0)
-    F = model.graph.F
+    pseudo_inverse = np.linalg.pinv(incidence(graph))
     for _ in range(20):
-        noisy = with_flow(model, F + noise.uniform(-1e-12, 1e-12, F.shape))
-        assert picks(noisy) == expected
+        noisy = pseudo_inverse + noise.uniform(-1e-12, 1e-12, pseudo_inverse.shape)
+        F = np.rint(flow_scale(graph) * noisy).astype(int)
+        assert F.tobytes() == model.graph.F.tobytes()
+        assert picks(with_flow(model, F)) == expected
+
+
+# each gate set's (current, target) pairs with more than one edge in their tie set
+TIED_PAIRS = {"all_doors": 14, "a": 7, "b": 7, "c": 9, "d": 9, "e": 9}
+
+
+@pytest.mark.parametrize("doors", TIED_PAIRS)
+def test_exact_ties_pick_as_the_float_tolerance_rule_did(graph, object_cml, doors):
+    # the rule before the integer table: scores from the float pseudo-inverse, and a tie
+    # set of every open edge within 1e-9 of the best; the same tie set and pick on all
+    # 56 pairs, with every door's gates closed in turn
+    model = object_cml if doors == "all_doors" else mission.remove_door(object_cml, doors)
+    pseudo_inverse = np.linalg.pinv(incidence(graph))
+    index = np.arange(graph.n)
+    best = cml.best_edges(cml.route_scores(model, index[None, :], index[:, None]))
+    picks = cml.last_edge(best)
+    tied = 0
+    for c in range(graph.n):
+        for t in range(graph.n):
+            if c == t:
+                continue
+            u = np.where(model.G[:, c], pseudo_inverse[:, t] - pseudo_inverse[:, c], -np.inf)
+            old = (u >= u.max() - 1e-9) & (u > -np.inf)
+            assert np.array_equal(best[:, c, t], old)
+            if old.any():
+                assert picks[c, t] == np.flatnonzero(old)[-1]
+            tied += np.count_nonzero(old) > 1
+    assert tied == TIED_PAIRS[doors]
 
 
 # --- step -------------------------------------------------------------------------
@@ -473,6 +519,23 @@ def test_plan_path_unreachable_fails(rng):
     g = cml.CmlGraph.from_undirected(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     c = cml.init_calculated(g, 256, rng)
     assert cml.plan_path(c, c.state("c"), c.state("a")) is None
+
+
+def test_disconnected_graph_plans_within_each_component(rng):
+    # components: a triangle (3 nodes, 3 spanning trees), a path of three (1 tree) and a
+    # lone node, so the table's scale is 2 (3 * 3) (3 * 1) (1 * 1) = 54; a path of three
+    # alone leaves thirds at its 2 tau = 2, so the node counts are needed
+    g = cml.CmlGraph.from_undirected(
+        list("abcdefg"), [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f")]
+    )
+    assert np.abs(g.F - 54 * np.linalg.pinv(incidence(g))).max() < 1e-12
+    c = cml.init_calculated(g, 256, rng)
+    for start in range(g.n):
+        for goal in range(g.n):
+            path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
+            hops = cml.bfs_hops(g, start, goal)
+            assert (path is None) == (hops is None)
+            assert path is None or len(path) - 1 == hops
 
 
 def test_determinism_same_seed_same_model_and_paths(graph):

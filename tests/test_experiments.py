@@ -79,8 +79,8 @@ def walked_proof(model):
 
     ``plan_path`` from every node to every other must take ``bfs_hops``
     steps, and its first hop must be the head of the edge ``step`` takes;
-    ties are counted per pair as the open edges within ``TIE_TOLERANCE``
-    of the best.
+    ties are counted per pair as the open edges whose integer flow equals
+    the best.
     """
     graph = model.graph
     checked = tied = 0
@@ -97,7 +97,7 @@ def walked_proof(model):
             checked += 1
             legal = np.nonzero(model.G[:, start])[0]
             u = model.graph.F[legal, goal] - model.graph.F[legal, start]
-            tied += np.count_nonzero(u >= u.max() - cml.TIE_TOLERANCE) > 1
+            tied += np.count_nonzero(u == u.max()) > 1
     return checked, tied, first
 
 
@@ -124,11 +124,16 @@ def test_verify_object_matches_the_walk_it_replaced(monkeypatch, seed):
 
 @pytest.mark.parametrize("seed", [42, 7, 11, 1001])
 def test_tie_rule_has_rounding_headroom_on_both_sides(seed):
-    info = experiments.verify_object_cml(seeded_object_cml(seed))
-    # exact ties agree to the last bits; every other open edge trails the pick by 1/132
-    assert info["tie_spread"] < cml.TIE_TOLERANCE < info["route_margin"]
-    assert info["tie_spread"] < 1e-14
-    assert info["route_margin"] == pytest.approx(1 / 132, rel=1e-9)
+    model = seeded_object_cml(seed)
+    info = experiments.verify_object_cml(model)
+    # ties are equal integers; every other open edge trails the pick by exactly 64 units
+    # of the table's 8448, 1/132 of the unit flow
+    assert (info["route_margin"], info["flow_scale"]) == (64, 8448)
+    # the float table the integers are rounded from lies within 1e-9 of them, so half a
+    # unit of headroom on either side
+    graph = model.graph
+    assert graph.F.dtype == int
+    assert np.abs(8448 * np.linalg.pinv(graph.B) - graph.F).max() < 1e-9
 
 
 def test_verify_object_rejects_a_prediction_that_recovers_elsewhere(object_cml):

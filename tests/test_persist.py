@@ -204,6 +204,25 @@ def test_bad_magic_rejected(tmp_path):
         persist.load_model(path)
 
 
+def test_non_ascii_magic_rejected_as_not_a_model_file(tmp_path):
+    # a byte-order mark and a NUL where the magic line should be: refused as not a model
+    # file, not with the ASCII codec's message
+    path = tmp_path / "junk.hdm"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    # the two bytes outside ASCII read as U+FFFD; the NUL is printed as its escape
+    with pytest.raises(ValueError, match=r"^not a model file \(header '\ufffd\ufffd\\x00garbage'\)$"):
+        persist.load_model(path)
+
+
+def test_non_ascii_d_line_rejected_naming_the_field(object_cml, tmp_path):
+    path = tmp_path / "object.hdm"
+    persist.save_cml(object_cml, path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\nd=\xff" + body[body.index(b"\n"):])
+    with pytest.raises(ValueError, match="model header field 'd' must be an integer"):
+        persist.load_model(path)
+
+
 @pytest.mark.parametrize("version", [1, 2, 3, 4, 99])
 def test_unsupported_version_rejected(object_cml, grid_cml, tmp_path, version):
     # a file of an older layout, of either kind, is refused before its body is read
