@@ -87,7 +87,7 @@ class CmlGraph:
         reach = np.linalg.matrix_power(self.B @ self.B.T != 0, self.n) | np.eye(self.n, dtype=bool)
         shifted = self.B @ self.B.T / 2 + reach / reach.sum(axis=0)  # L + P
         table = round(np.linalg.det(shifted)) * self.B.T @ np.linalg.inv(shifted)
-        if np.abs(table - np.rint(table)).max() > 1e-6:
+        if np.abs(table - np.rint(table)).max(initial=0.0) > 1e-6:  # a graph may have no edge
             raise ValueError("the graph's flow table is not integral")
         return _read_only(np.rint(table).astype(int))
 
@@ -226,10 +226,10 @@ def best_edges(scores: np.ndarray) -> np.ndarray:
     """The tie set of each (target, current) pair, as an edge mask, from ``route_scores``.
 
     True for the open edges whose scores equal the best, exactly; no edge
-    where every gate is closed.  ``scores`` has one row per edge, and the
-    mask has its shape.
+    where every gate is closed, or where the graph has no edge.  ``scores``
+    has one row per edge, and the mask has its shape.
     """
-    return (scores == scores.max(axis=0)) & (scores > -np.inf)
+    return (scores == scores.max(axis=0, initial=-np.inf)) & (scores > -np.inf)
 
 
 def last_edge(best: np.ndarray) -> np.ndarray:

@@ -211,7 +211,6 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     # (edge, current, target) and (current, target), like hops[start, goal]
     scores = cml_mod.route_scores(object_cml, index[None, :], index[:, None])
     best = cml_mod.best_edges(scores)
-    pick = cml_mod.last_edge(best)
     # hops[start, goal], -1 where no walk reaches the goal
     oracle = [cml_mod.bfs_hops(graph, s, g) for s in range(graph.n) for g in range(graph.n)]
     hops = np.array([-1 if h is None else h for h in oracle]).reshape(graph.n, graph.n)
@@ -220,6 +219,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
         fail(start, goal, f"no walk reaches {labels[goal]}")
     for start, goal in np.argwhere(pairs & ~best.any(axis=0)):
         fail(start, goal, f"no open edge leaves {labels[start]}")
+    pick = cml_mod.last_edge(best)  # every pair has a tie set by now
     closer = (src[pick] == index[:, None]) & (hops[dst[pick], index] == hops - 1)
     for start, goal in np.argwhere(pairs & ~closer):
         edge = pick[start, goal]

@@ -233,9 +233,10 @@ def grid_step(
 ) -> str:
     """One sensor-gated move toward the target cell: the direction ``moves`` picks.
 
-    ``gate`` is the touch-sensor gate in ``DIRECTIONS`` order; when every
-    gate is closed there is no legal move and ``ValueError`` is raised.
-    The environment, which owns the true coordinates, makes the move.
+    ``gate`` is the touch-sensor gate in ``DIRECTIONS`` order, the maze's
+    ``gates[current_cell]``; when every gate is closed there is no legal
+    move and ``ValueError`` is raised.  The executor, which owns the
+    robot's cell, makes the move by the direction's ``DELTAS``.
     """
     if not any(gate):  # the builtin over four floats costs a tenth of ``gate.any()``
         raise ValueError(f"no legal move from {current_cell}: all sensors report walls")

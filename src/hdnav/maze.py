@@ -7,9 +7,10 @@ grid into left/middle/right rooms.  The left wall carries door ``a``
 random interior row with door ``c`` in it, separating an upper sub-room
 (sighted through a and e) from a lower one (b and d).  ``h`` (home) and
 ``k`` (key) land in the left room, ``t`` (treasure) in the right room;
-the robot starts at home, ``placements["h"]``.  The maze holds no robot:
-the executor tracks the robot's cell as it moves, ``move_robot`` returns
-the next cell, and ``sense`` gives the touch-sensor gate at a cell.
+the robot starts at home, ``placements["h"]``.  The maze is static data,
+its walls, its placements and its gate table ``Maze.gates``, which is the
+robot's touch sensors.  It holds no robot: the executor tracks the
+robot's cell and makes each move, by the direction's ``grid.DELTAS``.
 
 Walls are blocked cells; doors are ordinary passable cells carrying an
 object label.  The relative structure is fixed across trials while the
@@ -68,16 +69,15 @@ class Maze:
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell[0] < self.height and 0 <= cell[1] < self.width
 
-    def passable(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and cell not in self.blocked
-
     @cached_property
     def gates(self) -> np.ndarray:
         """(H, W, 4) read-only: each cell's touch-sensor gate, in ``DIRECTIONS`` order.
 
         ``gates[cell]`` is 1 where the neighbour in that direction is
-        passable, 0 for a wall or off the grid.  A blocked cell has a gate
-        too; ``sense`` refuses it.
+        open, 0 for a wall or off the grid: the robot's touch sensors at
+        that cell.  A blocked cell has a gate too, which no robot reads:
+        every open gate leads to an open cell, so a robot that starts on
+        one never stands on a wall.
         One pass over a padded occupancy grid, built on first use.
         """
         height, width = self.height, self.width
@@ -180,27 +180,6 @@ def _sample_layout(stream: hdc.Stream) -> Maze:
     placements["t"] = (t_row, wall2 + 1 + t_col)
 
     return Maze(blocked=blocked, placements=placements)
-
-
-def sense(maze: Maze, cell: Cell) -> np.ndarray:
-    """The touch-sensor gate at a cell, in ``DIRECTIONS`` order; 0 = blocked or off-grid.
-
-    A read-only view into ``maze.gates``.
-    """
-    if not maze.passable(cell):
-        raise ValueError(f"cannot sense from blocked cell {cell}")
-    return maze.gates[cell]
-
-
-def move_robot(maze: Maze, cell: Cell, direction: str) -> Cell:
-    """The cell one step from ``cell``; an illegal move raises."""
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    dr, dc = DELTAS[direction]
-    nxt = (cell[0] + dr, cell[1] + dc)
-    if not maze.passable(nxt):
-        raise ValueError(f"illegal move {direction} from {cell} into {nxt}")
-    return nxt
 
 
 def close_door(maze: Maze, door: str) -> tuple[Maze, Cell]:

@@ -11,12 +11,13 @@ loop ends when that answer is the goal's label.  Every decision is one
 cleanup by ``hdc.cleanup``'s rule: the next goal, the planner's inputs,
 the waypoint's cell and the object found on arrival.
 
-The executor reads each layer through its smallest interface: the maze
-gives the sensor gate at a cell and checks each move, the grid layer
-turns a target cell and that gate into a direction, and the object layer
-returns the next predicted state or a refusal that says whether it
-recognised its inputs.  The robot's cell is the executor's own state; it
-starts at home, ``maze.placements["h"]``.
+The executor reads each layer through its smallest interface: the maze's
+gate table ``Maze.gates`` is the robot's touch sensors, the grid layer
+turns a target cell and the gate at the robot's cell into a direction,
+and the object layer returns the next predicted state or a refusal that
+says whether it recognised its inputs.  The robot's cell is the
+executor's own state, and the executor makes each move, by the
+direction's ``DELTAS``; it starts at home, ``maze.placements["h"]``.
 
 The executor never raises on a failed trial: every abort path is
 classified (dithering, step caps, unrecoverable states, unreachable
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import cml as cml_mod
 from . import semantic_map
-from .grid import Cell, GridCml, grid_step
-from .maze import DOOR_LABELS, Maze, move_robot, sense
+from .grid import DELTAS, Cell, GridCml, grid_step
+from .maze import DOOR_LABELS, Maze
 from .semantic_map import MapMemory
 
 
@@ -79,6 +80,11 @@ def grid_leg(
 ) -> tuple[list[Cell], FailureReason]:
     """Drive the robot from ``start`` to a target cell under sensor gating.
 
+    Each step reads the gate at the robot's cell, ``maze.gates[cell]``,
+    and moves by the ``DELTAS`` of the direction ``grid_step`` picks.  No
+    move needs a check: ``start`` is open, ``grid.moves`` never picks a
+    closed gate while one is open, ``grid_step`` refuses a cell whose
+    gates are all closed, and every open gate leads to an open cell.
     Returns the cells walked, ``start`` first, and how the leg ended; a
     dithering leg's 2-cycle is the walk's last two cells.  The leg ends
     when the robot stands on the target cell, by the environment's true
@@ -92,8 +98,8 @@ def grid_leg(
             return path, FailureReason.NONE
         if len(path) - 1 >= step_cap:
             return path, FailureReason.STEP_CAP
-        direction = grid_step(grid_cml, target_cell, cell, sense(maze, cell))
-        cell = move_robot(maze, cell, direction)
+        dr, dc = DELTAS[grid_step(grid_cml, target_cell, cell, maze.gates[cell])]
+        cell = (cell[0] + dr, cell[1] + dc)
         path.append(cell)
         if detect_dither(path):
             return path, FailureReason.DITHER_ABORT

@@ -7,16 +7,20 @@ to later calibration.
 
 import dataclasses
 import hashlib
+import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import stream
-from hdnav import cml, experiments, hdc
+from hdnav import cml, experiments, hdc, persist
+from hdnav.cli import main
 from hdnav.reports import wilson_interval
 
 SEED = 42
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def announce(number: int, passed: bool, description: str, started: float) -> None:
@@ -246,3 +250,45 @@ def test_behaviour_gate_digests(
         pin, trials = pins[name]
         assert len(report.records) == trials
         assert hashlib.sha256(report.records_text().encode()).hexdigest()[:16] == pin, name
+
+
+def test_readme_seed_42_figures(
+    tmp_path, capsys, object_cml, grid_cml,
+    mission_report, door_report, grid_only_report, viability_report,
+):
+    # not a release criterion: the README's seed-42 figures are what the code gives.
+    # Its fenced ``hdnav verify`` block, line for line, on the saved seed-42 models ...
+    text = README.read_text()
+    block = re.search(r"```\n(object: verified.*?)```", text, re.DOTALL).group(1)
+    out = tmp_path / "out"
+    (out / "models").mkdir(parents=True)
+    object_file = out / "models" / experiments.OBJECT_MODEL_FILE
+    grid_file = out / "models" / experiments.GRID_MODEL_FILE
+    persist.save_cml(object_cml, object_file)
+    persist.save_grid_cml(grid_cml, grid_file)
+    assert main(["verify", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == block.splitlines()
+    # ... the Results table's outcomes, wins over trials, from the default batches ...
+    table = dict(
+        (name, (int(wins), int(trials)))
+        for name, wins, trials in re.findall(r"^\| (\w+) +\| (\d+)/(\d+) +\|", text, re.M)
+    )
+    reports = {
+        "mission": mission_report,
+        "door_removal": door_report,
+        "grid_only": grid_only_report,
+        "viability": viability_report,
+    }
+    outcomes = {}
+    for name, report in reports.items():
+        agg = report.aggregates
+        outcomes[name] = (agg.get("success_count", agg.get("viable_count")), agg["trials"])
+    assert table == outcomes
+    # ... and the model file sizes at d = 1000, the grid's blocks among them
+    flat = " ".join(text.split())
+    object_bytes = re.search(r"`init_calculated` drew: ([\d,]+) bytes at d = 1000", flat)
+    grid_bytes = re.search(r"`a_e`: ([\d,]+) bytes \(([\d,]+) of blocks\) at d = 1000", flat)
+    quoted = [int(figure.replace(",", "")) for figure in object_bytes.groups() + grid_bytes.groups()]
+    blocks = sum(block.nbytes for block in (grid_cml.x, grid_cml.y, grid_cml.a_s, grid_cml.a_e))
+    assert grid_cml.d == 1000
+    assert quoted == [object_file.stat().st_size, grid_file.stat().st_size, blocks]

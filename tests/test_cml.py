@@ -538,6 +538,15 @@ def test_disconnected_graph_plans_within_each_component(rng):
             assert path is None or len(path) - 1 == hops
 
 
+def test_graph_with_no_edge_refuses_to_step_and_to_plan(rng):
+    # no edge leaves either node: the tie set is empty, so the step refuses as it does
+    # at a node whose every gate is closed, and the plan fails
+    c = cml.init_calculated(cml.CmlGraph(("a", "b"), ()), 256, rng)
+    assert c.graph.F.shape == (0, 2)
+    assert cml.step(c, c.state("b"), c.state("a")) == cml.StepResult(None, None, True)
+    assert cml.plan_path(c, c.state("b"), c.state("a")) is None
+
+
 def test_determinism_same_seed_same_model_and_paths(graph):
     c1 = cml.init_calculated(graph, D, stream(9))
     c2 = cml.init_calculated(graph, D, stream(9))

@@ -154,6 +154,12 @@ def test_verify_object_rejects_an_unreachable_pair(rng):
     assert cml.plan_path(model, model.state("c"), model.state("a")) is None
 
 
+def test_verify_object_rejects_a_graph_with_no_edge(rng):
+    model = cml.init_calculated(cml.CmlGraph(("a", "b"), ()), 256, rng)
+    with pytest.raises(RuntimeError, match=r"failed verification: a->b: no walk reaches b"):
+        experiments.verify_object_cml(model)
+
+
 def test_verify_object_rejects_a_node_with_every_gate_closed(object_cml):
     G = object_cml.G.copy()
     G[:, object_cml.graph.node_index("h")] = 0.0

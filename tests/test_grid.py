@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from hdnav import experiments, grid as grid_mod, hdc
 from hdnav.config import ExperimentConfig
-from hdnav.grid import DIRECTIONS, GridCml, directed_edge_count, grid_step, moves, train_grid
-from hdnav.maze import Maze, move_robot, sense
+from hdnav.grid import (
+    DELTAS, DIRECTIONS, GridCml, directed_edge_count, grid_step, moves, train_grid,
+)
+from hdnav.maze import Maze
 
 D = 1000
 
@@ -184,14 +186,15 @@ def open_maze(grid: GridCml) -> Maze:
 
 
 def open_sensors(grid: GridCml, cell) -> np.ndarray:
-    return sense(open_maze(grid), cell)
+    return open_maze(grid).gates[cell]
 
 
 def navigate_open(grid: GridCml, start, goal, cap=200):
     cell, steps = start, 0
     while cell != goal and steps < cap:
-        direction = grid_step(grid, goal, cell, open_sensors(grid, cell))
-        cell = move_robot(open_maze(grid), cell, direction)
+        dr, dc = DELTAS[grid_step(grid, goal, cell, open_sensors(grid, cell))]
+        cell = (cell[0] + dr, cell[1] + dc)
+        assert open_maze(grid).in_bounds(cell)
         steps += 1
     return steps if cell == goal else None
 
@@ -450,6 +453,17 @@ def test_table_picks_equal_matvec_picks_for_every_gate(grid_cml):
     ranked = np.sort(np.where(ALL_GATES[:, None, :] != 0, table, -np.inf), axis=-1)
     gaps = ranked[..., -1] - ranked[..., -2]
     assert gaps[np.isfinite(gaps)].min() > 1e-6 * np.abs(grid_cml.U).max()
+
+
+def test_moves_picks_an_open_gate_under_every_gate_for_every_pair(grid_cml):
+    # the executor moves by the pick without a check: under each of the 15 gates with
+    # an open direction, every (target, current) pair of the model, target == current
+    # too, picks an open direction, in one call of the move rule
+    index = np.arange(grid_cml.width * grid_cml.height)
+    gates = ALL_GATES[:, None, None, :]  # (gate, current, target, direction)
+    picks = moves(grid_cml, index[None, None, :], index[None, :, None], gates)
+    assert picks.shape == (15, 200, 200)
+    assert ALL_GATES[np.arange(15)[:, None, None], picks].all()
 
 
 def test_moves_honors_gating(grid_cml):

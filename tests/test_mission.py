@@ -168,7 +168,7 @@ def test_mission_grid_paths_are_legal(viable_setup, mission_result):
     maze, _, _ = viable_setup
     for goal in mission_result[0]:
         for cell in goal["grid_path"]:
-            assert maze.passable(tuple(cell))
+            assert maze.in_bounds(tuple(cell)) and tuple(cell) not in maze.blocked
         for a, b in zip(goal["grid_path"], goal["grid_path"][1:]):
             step = (b[0] - a[0], b[1] - a[1])
             assert step in DELTAS.values()
