@@ -6,8 +6,8 @@ satisfy ``s_j ~= s_i + a_edge``:
 
 - ``S`` (d x n): one state column per node,
 - ``A`` (d x e): one action column per directed edge,
-- ``G`` (e x n): gating; entry (edge, node) is 1 when the edge leaves
-  that node and is open, else 0.
+- ``G`` (e x n): gating, a bool table; entry (edge, node) is True when the
+  edge leaves that node and is open.
 
 Planning works without any path search.  The graph is the one home of its
 tables, each derived on first use: the (n x e) incidence matrix B, so
@@ -27,7 +27,8 @@ rule is written once, as ``route_scores`` (each gated edge's utility),
 and ``last_edge`` (the step takes the last of it), so ties between
 symmetric routes are exact.  All three broadcast over target and current
 index arrays: ``step`` runs them for its one pair, and the planner proof
-(``experiments.verify_object_cml``) for every pair at once, scoring once.
+(``experiments.verify_object_cml``) for every pair at once, scoring once,
+against the graph's hop table ``hops``, which reads the edges alone.
 Iterating the step with the predicted state ``s_c + a_edge`` fed back
 walks a near-optimal path.  A step that refuses to act says why: an input
 it did not recognise, or a node with no open gate.
@@ -50,7 +51,8 @@ def _read_only(table: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class CmlGraph:
     """Directed graph with labelled nodes; its tables, the edge tails ``src`` and heads
-    ``dst``, B and F, are read-only, derived on first use, and not fields (not in ``==``)."""
+    ``dst``, B, F and ``hops``, are read-only, derived on first use, and not fields (not
+    in ``==``)."""
 
     node_labels: tuple[str, ...]
     directed_edges: tuple[tuple[int, int], ...]
@@ -73,18 +75,37 @@ class CmlGraph:
         return _read_only(np.subtract(eye[:, self.dst], eye[:, self.src], order="C"))
 
     @cached_property
+    def hops(self) -> np.ndarray:
+        """(n, n) int: ``hops[start, goal]`` edges on a shortest directed walk, -1 for none.
+
+        Read from ``src`` and ``dst`` alone, never from F or a learner's gates, so it is
+        the planner proof's independent oracle.  ``reach[k]`` marks the pairs that a walk
+        of at most k edges joins, for k < n; a pair joined at all is joined within n - 1
+        edges, and then by exactly ``n - hops`` of the n masks.
+        """
+        reach = [np.eye(self.n, dtype=bool)]
+        step = reach[0][self.src].T @ reach[0][self.dst]  # step[i, j]: an edge i -> j
+        for _ in range(self.n - 1):
+            reach.append(reach[-1] | reach[-1] @ step)
+        return _read_only(np.where(reach[-1], self.n - np.sum(reach, axis=0), -1))
+
+    @cached_property
     def F(self) -> np.ndarray:
         """``pinv(B)`` scaled to exact integers, as an int array: ``2 det(L + P) pinv(B)``.
 
-        P averages each component, so ``(L + P)^-1 = L^+ + P`` and ``B^T P = 0``:
+        On a bidirected graph, where every edge comes with its reverse, ``B B^T = 2 L``
+        for the undirected graph's Laplacian L; any other graph is refused.  P averages
+        each component, so ``(L + P)^-1 = L^+ + P`` and ``B^T P = 0``:
         ``pinv(B) = B^T (L + P)^-1 / 2``, and ``det(L + P)`` is the product over
         components of ``n_k tau_k``, which clears every denominator of ``B^T L^+``.
         On the object graph (n = 8, tau = 528) the scale is 8448, and the float
         table lies within 5e-13 of the integers; one that rounding moved more
         than 1e-6 off them is refused.
         """
-        # reach[i, j]: j is in i's component, so ``reach / reach.sum(axis=0)`` is P
-        reach = np.linalg.matrix_power(self.B @ self.B.T != 0, self.n) | np.eye(self.n, dtype=bool)
+        if sorted(self.directed_edges) != sorted((j, i) for i, j in self.directed_edges):
+            raise ValueError("the flow table needs a bidirected graph: an edge lacks its reverse")
+        # a walk joins i to j when j is in i's component, so ``reach / reach.sum(axis=0)`` is P
+        reach = self.hops >= 0
         shifted = self.B @ self.B.T / 2 + reach / reach.sum(axis=0)  # L + P
         table = round(np.linalg.det(shifted)) * self.B.T @ np.linalg.inv(shifted)
         if np.abs(table - np.rint(table)).max(initial=0.0) > 1e-6:  # a graph may have no edge
@@ -105,22 +126,6 @@ class CmlGraph:
             directed.append((index[u], index[v]))
             directed.append((index[v], index[u]))
         return cls(tuple(node_labels), tuple(directed))
-
-
-def bfs_hops(graph: CmlGraph, start: int, goal: int) -> int | None:
-    """Shortest-path edge count by breadth-first search; None if unreachable.
-
-    Independent of the map learner: used as the optimality oracle for
-    planned paths.
-    """
-    frontier, seen, hops = {start}, {start}, 0
-    while frontier:
-        if goal in frontier:
-            return hops
-        frontier = {dst for src, dst in graph.directed_edges if src in frontier} - seen
-        seen |= frontier
-        hops += 1
-    return None
 
 
 @dataclass(frozen=True)
@@ -171,9 +176,9 @@ def calculated(graph: CmlGraph, S: np.ndarray) -> Cml:
 
     The actions are ``A = S B``: for each directed edge (i -> j) the action
     column is s_j - s_i, so the one-step prediction ``s_i + a`` lands on s_j
-    exactly and the per-edge training error is zero; every out-edge gate is open (1).
+    exactly and the per-edge training error is zero; every out-edge gate is open (True).
     """
-    G = (graph.src[:, None] == np.arange(graph.n)).astype(float)
+    G = graph.src[:, None] == np.arange(graph.n)
     return Cml(S=S, A=S @ graph.B, G=G, graph=graph)
 
 
@@ -218,7 +223,6 @@ def route_scores(cml: Cml, target, current) -> np.ndarray:
     closed scores -inf.
     """
     F = cml.graph.F
-    # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
     return np.where(cml.G[:, current], F[:, target] - F[:, current], -np.inf)
 
 

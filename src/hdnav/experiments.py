@@ -178,10 +178,11 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
        the step picks leaves the current node and its head is one hop
        closer to the target.  The picks come from ``cml.route_scores``,
        ``cml.best_edges`` and ``cml.last_edge``, the rule ``step`` runs,
-       each called once over all pairs; the distances from
-       ``cml.bfs_hops``, which reads the graph's edges alone, independent
-       of F and G.
-    A failure raises ``RuntimeError`` naming the pair.  Returned: the
+       each called once over all pairs; the distances from the graph's
+       ``hops`` table, which reads its edges alone, independent of F and G.
+    A failure raises ``RuntimeError`` naming the pair.  A one-node graph
+    has no pair to prove and no edge to score: 0 pairs, an inf margin and
+    a scale of 0.  Returned: the
     pairs checked, the pairs whose tie set has more than one edge,
     ``route_margin``, the smallest lead of a pair's pick over its best open
     edge outside the tie set (inf when no pair has such an edge), and
@@ -191,7 +192,7 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     """
     graph = object_cml.graph
     labels = graph.node_labels
-    src, dst = graph.src, graph.dst
+    src, dst, hops = graph.src, graph.dst, graph.hops  # hops -1 where no walk reaches the goal
 
     def fail(start: int, goal: int, why: str):
         raise RuntimeError(
@@ -211,14 +212,13 @@ def verify_object_cml(object_cml: cml_mod.Cml) -> dict:
     # (edge, current, target) and (current, target), like hops[start, goal]
     scores = cml_mod.route_scores(object_cml, index[None, :], index[:, None])
     best = cml_mod.best_edges(scores)
-    # hops[start, goal], -1 where no walk reaches the goal
-    oracle = [cml_mod.bfs_hops(graph, s, g) for s in range(graph.n) for g in range(graph.n)]
-    hops = np.array([-1 if h is None else h for h in oracle]).reshape(graph.n, graph.n)
     pairs = ~np.eye(graph.n, dtype=bool)
     for start, goal in np.argwhere(pairs & (hops < 0)):
         fail(start, goal, f"no walk reaches {labels[goal]}")
     for start, goal in np.argwhere(pairs & ~best.any(axis=0)):
         fail(start, goal, f"no open edge leaves {labels[start]}")
+    if not pairs.any():  # one node: numpy takes no argmax or max over its empty edge axis
+        return {"pairs_checked": 0, "tied_pairs": 0, "route_margin": np.inf, "flow_scale": 0}
     pick = cml_mod.last_edge(best)  # every pair has a tie set by now
     closer = (src[pick] == index[:, None]) & (hops[dst[pick], index] == hops - 1)
     for start, goal in np.argwhere(pairs & ~closer):

@@ -38,7 +38,7 @@ row-major; ``cell_index`` and ``cell`` convert both ways.
 Navigation differs from the abstract learner in two ways: the action
 utilities use the plain transpose of the action matrix instead of a
 pseudo-inverse, and the per-node gating matrix is replaced by the live
-touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (0 = wall
+touch-sensor gate in ``DIRECTIONS`` order, [E, S, N, W] (False = wall
 contact).  The transpose utility ``A4^T (p_target - p_current)`` is
 linear in the states, so the model derives the (W H) x 4 table
 ``U = (A4^T P)^T`` once, in that closed form, one row per cell with the
@@ -217,14 +217,13 @@ def moves(grid_cml: GridCml, target, current, gate: np.ndarray) -> np.ndarray:
 
     ``target`` and ``current`` are row-major cell indices, or index arrays
     that broadcast together; ``gate`` holds the directions along its last
-    axis (0 = wall contact) and broadcasts against them.  Each move scores
+    axis (False = wall contact) and broadcasts against them.  Each move scores
     ``U[target] - U[current]``, a closed gate scores -inf, and the
     largest score wins even when it is negative (a closed move must never
     beat an open one that merely scores badly); ties go to the lowest
     index.  Where every gate is closed the pick is 0.
     """
     U = grid_cml.U
-    # a nonzero gate is open; ``where`` reads the gate as bool without a comparison
     return np.where(gate, U[target] - U[current], -np.inf).argmax(axis=-1)
 
 
@@ -238,7 +237,7 @@ def grid_step(
     move and ``ValueError`` is raised.  The executor, which owns the
     robot's cell, makes the move by the direction's ``DELTAS``.
     """
-    if not any(gate):  # the builtin over four floats costs a tenth of ``gate.any()``
+    if not any(gate):
         raise ValueError(f"no legal move from {current_cell}: all sensors report walls")
     target, current = grid_cml.cell_index(target_cell), grid_cml.cell_index(current_cell)
     return DIRECTIONS[moves(grid_cml, target, current, gate)]

@@ -73,18 +73,18 @@ class Maze:
     def gates(self) -> np.ndarray:
         """(H, W, 4) read-only: each cell's touch-sensor gate, in ``DIRECTIONS`` order.
 
-        ``gates[cell]`` is 1 where the neighbour in that direction is
-        open, 0 for a wall or off the grid: the robot's touch sensors at
+        ``gates[cell]`` is True where the neighbour in that direction is
+        open, False for a wall or off the grid: the robot's touch sensors at
         that cell.  A blocked cell has a gate too, which no robot reads:
         every open gate leads to an open cell, so a robot that starts on
         one never stands on a wall.
         One pass over a padded occupancy grid, built on first use.
         """
         height, width = self.height, self.width
-        open_cells = np.zeros((height + 2, width + 2))  # one ring of padding, closed
-        open_cells[1:-1, 1:-1] = 1.0
+        open_cells = np.zeros((height + 2, width + 2), dtype=bool)  # one ring of padding, closed
+        open_cells[1:-1, 1:-1] = True
         for row, col in self.blocked:
-            open_cells[row + 1, col + 1] = 0.0
+            open_cells[row + 1, col + 1] = False
         table = np.stack(
             [
                 open_cells[1 + dr : height + 1 + dr, 1 + dc : width + 1 + dc]

@@ -59,7 +59,7 @@ def detect_dither(path: list[Cell]) -> bool:
 
 
 def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
-    """Zero the gates of every edge touching a door node.
+    """Close the gates of every edge touching a door node.
 
     Only the gating matrix changes: the copy shares the states, actions,
     state dictionary and graph (with its flow table), so planning reroutes
@@ -69,7 +69,7 @@ def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
         raise ValueError(f"not a door: {door!r}")
     door_idx = object_cml.graph.node_index(door)
     G = object_cml.G.copy()
-    G[(object_cml.graph.src == door_idx) | (object_cml.graph.dst == door_idx)] = 0.0
+    G[(object_cml.graph.src == door_idx) | (object_cml.graph.dst == door_idx)] = False
     reduced = copy.copy(object_cml)  # not ``replace``, which would rebuild the dictionary
     object.__setattr__(reduced, "G", G)
     return reduced

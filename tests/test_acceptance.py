@@ -98,7 +98,7 @@ def test_criterion_03_object_path_optimality(object_cml):
                 continue
             pairs += 1
             path = cml.plan_path(object_cml, object_cml.S[:, goal], object_cml.S[:, start])
-            oracle = cml.bfs_hops(graph, start, goal)
+            oracle = graph.hops[start, goal]
             optimal += path is not None and len(path) - 1 == oracle
     ok = optimal == pairs == 56
     announce(3, ok, f"object-graph plans match BFS oracle on {optimal}/{pairs} ordered pairs", started)

@@ -106,7 +106,7 @@ def test_graph_tables_are_derived_on_first_use_and_compare_nothing():
     assert fresh == used and hash(fresh) == hash(used)
 
 
-@pytest.mark.parametrize("table", ["src", "dst", "B", "F"])
+@pytest.mark.parametrize("table", ["src", "dst", "B", "F", "hops"])
 def test_graph_tables_are_read_only(graph, table):
     with pytest.raises(ValueError, match="read-only"):
         getattr(graph, table)[0] = 1
@@ -121,6 +121,18 @@ def test_graph_tables_match_the_edges(graph):
     assert flow_scale(graph) == 2 * 8 * 528
     F = np.rint(8448 * np.linalg.pinv(incidence(graph))).astype(int)
     assert graph.F.dtype == int and graph.F.tobytes() == F.tobytes()
+
+
+@pytest.mark.parametrize(
+    "edges", [((0, 1), (1, 2)), ((0, 1), (1, 0), (1, 2)), ((0, 1), (0, 1), (1, 0))]
+)
+def test_flow_table_refuses_a_graph_that_is_not_bidirected(edges):
+    # B B^T halves to the undirected Laplacian only when every edge comes with its
+    # reverse: a one-way path, a one-way edge beside a two-way one, and a doubled edge
+    # with a single reverse get no table, and the refusal says why
+    g = cml.CmlGraph(("a", "b", "c"), edges)
+    with pytest.raises(ValueError, match="needs a bidirected graph"):
+        g.F
 
 
 def test_actions_are_the_state_differences_bit_for_bit(graph, object_cml):
@@ -139,15 +151,52 @@ def test_actions_are_the_state_differences_bit_for_bit(graph, object_cml):
 
 def test_bfs_known_distances(graph):
     k, t, h = (graph.node_index(x) for x in "kth")
-    assert cml.bfs_hops(graph, k, k) == 0
-    assert cml.bfs_hops(graph, h, k) == 1
-    assert cml.bfs_hops(graph, k, t) == 3
-    assert cml.bfs_hops(graph, t, h) == 3
+    assert graph.hops[k, k] == 0
+    assert graph.hops[h, k] == 1
+    assert graph.hops[k, t] == 3
+    assert graph.hops[t, h] == 3
 
 
 def test_bfs_unreachable():
     g = cml.CmlGraph(("a", "b", "c"), ((0, 1), (1, 0)))
-    assert cml.bfs_hops(g, 0, 2) is None
+    assert g.hops[0, 2] == -1
+
+
+def breadth_first_hops(graph: cml.CmlGraph, start: int, goal: int) -> int:
+    """Shortest-walk edge count by a breadth-first search per pair, -1 where no walk
+    exists: the reference that ``CmlGraph.hops`` is checked against."""
+    frontier, seen, hops = {start}, {start}, 0
+    while frontier:
+        if goal in frontier:
+            return hops
+        frontier = {dst for src, dst in graph.directed_edges if src in frontier} - seen
+        seen |= frontier
+        hops += 1
+    return -1
+
+
+def test_hops_of_a_one_way_path():
+    # no walk runs back along a -> b -> c, so a table that read the edges reversed, which
+    # no bidirected graph can show, fails here
+    g = cml.CmlGraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    assert g.hops.dtype == int
+    assert g.hops.tolist() == [[0, 1, 2], [-1, 0, 1], [-1, -1, 0]]
+
+
+def test_hops_equal_breadth_first_search_on_random_graphs():
+    # directed graphs of 1-7 nodes, with self-loops, repeated edges and isolated nodes,
+    # then a one-way path whose ends are n - 1 edges apart
+    rng = np.random.default_rng(0)
+    graphs = []
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        graphs.append(cml.CmlGraph(tuple("abcdefg"[:n]), tuple(map(tuple, edges.tolist()))))
+    graphs.append(cml.CmlGraph(tuple("abcdefg"), tuple((i, i + 1) for i in range(6))))
+    for g in graphs:
+        nodes = range(g.n)
+        assert g.hops.tolist() == [[breadth_first_hops(g, s, t) for t in nodes] for s in nodes]
+    assert graphs[-1].hops[0].tolist() == list(range(7))
 
 
 # --- initialisation -------------------------------------------------------------
@@ -169,12 +218,13 @@ def test_init_calculated_plans_with_fewer_dimensions_than_edges(graph, rng):
     for start in range(graph.n):
         for goal in range(graph.n):
             path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
-            assert len(path) - 1 == cml.bfs_hops(graph, start, goal)
+            assert len(path) - 1 == graph.hops[start, goal]
 
 
 def test_gating_column_counts_outgoing_edges(graph, rng):
     c = cml.init_calculated(graph, D, rng)
     h = graph.node_index("h")
+    assert c.G.dtype == bool
     assert np.count_nonzero(c.G[:, h]) == 3  # h sees k, a, b
     assert set(np.unique(c.G)) == {0.0, 1.0}  # unweighted graph gates are 1
 
@@ -254,7 +304,7 @@ def test_trained_model_plans_like_calculated(graph, rng):
     trained, _, _ = train(init_random(graph, D, rng))
     for start, goal in (("k", "t"), ("h", "t"), ("c", "h")):
         path = cml.plan_path(trained, trained.state(goal), trained.state(start))
-        oracle = cml.bfs_hops(graph, graph.node_index(start), graph.node_index(goal))
+        oracle = graph.hops[graph.node_index(start), graph.node_index(goal)]
         assert path is not None and len(path) - 1 == oracle
     # the delta rule's own utilities pick the flow table's hop wherever one edge wins
     utility = reference_utility(trained)
@@ -502,7 +552,7 @@ def test_plan_path_all_pairs_bfs_optimal(graph, rng):
                 continue
             path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
             assert path is not None
-            assert len(path) - 1 == cml.bfs_hops(graph, start, goal)
+            assert len(path) - 1 == graph.hops[start, goal]
             assert path[0] == graph.node_labels[start]
             assert path[-1] == graph.node_labels[goal]
 
@@ -533,8 +583,8 @@ def test_disconnected_graph_plans_within_each_component(rng):
     for start in range(g.n):
         for goal in range(g.n):
             path = cml.plan_path(c, c.S[:, goal], c.S[:, start])
-            hops = cml.bfs_hops(g, start, goal)
-            assert (path is None) == (hops is None)
+            hops = g.hops[start, goal]
+            assert (path is None) == (hops < 0)
             assert path is None or len(path) - 1 == hops
 
 

@@ -77,7 +77,7 @@ def seeded_object_cml(seed):
 def walked_proof(model):
     """The per-pair walk the table proof replaced: (pairs, tied pairs, first edge of each pair).
 
-    ``plan_path`` from every node to every other must take ``bfs_hops``
+    ``plan_path`` from every node to every other must take ``graph.hops``
     steps, and its first hop must be the head of the edge ``step`` takes;
     ties are counted per pair as the open edges whose integer flow equals
     the best.
@@ -90,7 +90,7 @@ def walked_proof(model):
             if start == goal:
                 continue
             path = cml.plan_path(model, model.S[:, goal], model.S[:, start])
-            assert path is not None and len(path) - 1 == cml.bfs_hops(graph, start, goal)
+            assert path is not None and len(path) - 1 == graph.hops[start, goal]
             edge = cml.step(model, model.S[:, goal], model.S[:, start]).chosen_edge
             assert path[1] == graph.node_labels[graph.directed_edges[edge][1]]
             first[start, goal] = edge
@@ -158,6 +158,14 @@ def test_verify_object_rejects_a_graph_with_no_edge(rng):
     model = cml.init_calculated(cml.CmlGraph(("a", "b"), ()), 256, rng)
     with pytest.raises(RuntimeError, match=r"failed verification: a->b: no walk reaches b"):
         experiments.verify_object_cml(model)
+
+
+def test_verify_object_proves_a_one_node_graph_with_no_pair(rng):
+    # no pair to prove and no edge to score, so nothing for numpy to reduce: 0 pairs
+    model = cml.init_calculated(cml.CmlGraph(("a",), ()), 256, rng)
+    info = experiments.verify_object_cml(model)
+    assert info == {"pairs_checked": 0, "tied_pairs": 0, "route_margin": np.inf, "flow_scale": 0}
+    assert cml.plan_path(model, model.state("a"), model.state("a")) == ["a"]
 
 
 def test_verify_object_rejects_a_node_with_every_gate_closed(object_cml):

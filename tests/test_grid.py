@@ -703,3 +703,25 @@ def test_model_keeps_no_state_table(grid_cml):
     assert not hasattr(grid_cml, "cells") and not hasattr(grid_cml, "state")
     assert grid_cml.d == D
     assert grid_cml.signs.dtype == np.int8 and grid_cml.signs.shape == (200, D)
+
+@pytest.mark.parametrize("model_seed, regions", [(42, 164), (7, 172), (12, 164)])
+def test_sign_patterns_are_the_angular_regions_of_the_boundary_rays(model_seed, regions):
+    # coordinate k of a cell's state is x[row] a_s[k] + y[col] a_e[k], positive exactly
+    # when the cell's angle phi = atan2(y[col], x[row]) lies within 90 degrees of
+    # theta_k = atan2(a_e[k], a_s[k]); so its rays theta_k +/- pi/2 split the circle, and
+    # two cells' patterns differ where a ray separates their angles. Regions and rays
+    # come from the angles alone; patterns and Hamming distances from the sign table
+    grid_cml = experiments.build_grid_cml(ExperimentConfig(seed=model_seed))
+    rows, cols = grid_cml.cell(np.arange(grid_cml.width * grid_cml.height))
+    phi = np.arctan2(grid_cml.y[cols], grid_cml.x[rows]) % (2 * np.pi)
+    theta = np.arctan2(grid_cml.a_e, grid_cml.a_s)
+    rays = np.sort(np.concatenate([theta + np.pi / 2, theta - np.pi / 2]) % (2 * np.pi))
+    below = np.searchsorted(rays, phi)  # the rays below each cell's angle
+    # identity 1: the region past the last ray wraps round to the one before the first
+    assert len(np.unique(below % len(rays))) == len(np.unique(grid_cml.signs, axis=0)) == regions
+    # identity 2: an arc shorter than pi holds at most one ray of each antipodal pair
+    between = np.abs(below[:, None] - below[None, :])
+    short = np.abs(phi[:, None] - phi[None, :]) <= np.pi
+    crossings = np.where(short, between, len(rays) - between)
+    signs = grid_cml.signs.astype(int)
+    assert np.array_equal((grid_cml.d - signs @ signs.T) // 2, crossings)

@@ -266,7 +266,7 @@ def test_sense_equals_named_sensors_on_sampled_mazes():
             for col in range(maze.width):
                 if (row, col) not in maze.blocked:
                     gate = maze.gates[row, col]
-                    assert gate.dtype == float
+                    assert gate.dtype == bool
                     assert np.array_equal(gate, old_sense_gate(maze, (row, col)))
                     cells += 1
     assert cells > 200 * 150

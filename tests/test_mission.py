@@ -109,7 +109,7 @@ def test_plan_reroutes_around_every_removed_door(object_cml):
             path = cml.plan_path(reduced, reduced.state(goal), reduced.state(start))
             assert path is not None and path[0] == start and path[-1] == goal
             assert door not in path
-            oracle = cml.bfs_hops(pruned, graph.node_index(start), graph.node_index(goal))
+            oracle = pruned.hops[graph.node_index(start), graph.node_index(goal)]
             assert oracle <= len(path) - 1 <= oracle + 1 <= 2 * graph.n  # the hop cap
             if len(path) - 1 > oracle:
                 detours.append((door, start, goal))
@@ -134,7 +134,7 @@ def test_two_left_doors_removed_makes_treasure_unreachable(object_cml):
     # breadth-first oracle agrees there is no route, and planning fails
     reduced = mission.remove_door(mission.remove_door(object_cml, "a"), "b")
     graph = without_door(reduced.graph, "a", "b")
-    assert cml.bfs_hops(graph, graph.node_index("k"), graph.node_index("t")) is None
+    assert graph.hops[graph.node_index("k"), graph.node_index("t")] == -1
     assert cml.plan_path(reduced, reduced.state("t"), reduced.state("k")) is None
 
 
