@@ -13,7 +13,6 @@ import time
 from functools import lru_cache, partial
 
 import numpy as np
-import numpy.random  # loaded now, or its lazy import lands in train's timed build
 
 from . import cml as cml_mod
 from . import grid as grid_mod, hdc, maze as maze_mod, mission, persist, semantic_map

@@ -224,11 +224,13 @@ class Dictionary:
     for recovery (lowest index wins on exact score ties).  Two tables are
     derived once from the rows: ``norms``, the row norms, and ``signs``,
     the rows' ``sign_pattern`` (the int8 terms that bind into a map).
+    ``vector`` and ``in`` search ``labels`` itself, a handful of entries,
+    so no index is kept beside it; ``vector`` of an unknown label raises
+    ``ValueError``.
     """
 
     labels: tuple[Hashable, ...]
     vectors: np.ndarray  # shape (n, d)
-    _index: dict[Hashable, int] = field(init=False, repr=False, compare=False)
     norms: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n,)
     signs: np.ndarray = field(init=False, repr=False, compare=False)  # shape (n, d), int8
 
@@ -239,7 +241,6 @@ class Dictionary:
             raise ValueError("dictionary labels must be unique")
         if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.labels):
             raise ValueError("need one vector row per label")
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
         object.__setattr__(self, "norms", row_norms(self.vectors))
         object.__setattr__(self, "signs", sign_pattern(self.vectors))
 
@@ -247,14 +248,14 @@ class Dictionary:
         return len(self.labels)
 
     def __contains__(self, label: Hashable) -> bool:
-        return label in self._index
+        return label in self.labels
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
 
     def vector(self, label: Hashable) -> np.ndarray:
-        return self.vectors[self._index[label]]
+        return self.vectors[self.labels.index(label)]
 
 
 def cleanup(

@@ -26,8 +26,8 @@ targets) and returned with the goal entries of the trial record.
 
 from __future__ import annotations
 
-import copy
 import enum
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,18 +61,17 @@ def detect_dither(path: list[Cell]) -> bool:
 def remove_door(object_cml: cml_mod.Cml, door: str) -> cml_mod.Cml:
     """Close the gates of every edge touching a door node.
 
-    Only the gating matrix changes: the copy shares the states, actions,
-    state dictionary and graph (with its flow table), so planning reroutes
-    around the missing node with no retraining and nothing derived again.
+    Only the gating matrix changes: the new model shares the states,
+    actions and graph (with its flow table) and rebuilds only its state
+    dictionary, from the same S, so planning reroutes around the missing
+    node with no retraining.
     """
     if door not in DOOR_LABELS:
         raise ValueError(f"not a door: {door!r}")
     door_idx = object_cml.graph.node_index(door)
     G = object_cml.G.copy()
     G[(object_cml.graph.src == door_idx) | (object_cml.graph.dst == door_idx)] = False
-    reduced = copy.copy(object_cml)  # not ``replace``, which would rebuild the dictionary
-    object.__setattr__(reduced, "G", G)
-    return reduced
+    return replace(object_cml, G=G)
 
 
 def grid_leg(

@@ -16,12 +16,13 @@ Saves refuse what a file cannot hold: an object model on another graph,
 one whose A or G is not what S implies, or one whose states are not all
 +1 or -1; a grid of another shape than the maze's.  Saves are atomic:
 the file is written beside its destination and renamed over it, so a
-failed save leaves any earlier file untouched.  Loads reject a file of
-another magic, version or kind, a ``d`` that is missing or not an
-integer of at least 1 (each error names the field), blocks that disagree
-with the header (too short or with trailing bytes, checked before any
-block is read), a non-finite grid value, and an object entry other than
-+1 or -1, which every single-bit flip of an int8 sign is.
+failed save leaves any earlier file untouched.  Loads read each header
+line to at most 64 bytes, and reject a file of another magic, version or
+kind, a ``d`` that is missing or not an integer of at least 1 (each error
+names the field), blocks that disagree with the header (too short or
+with trailing bytes, checked before any block is read), a non-finite
+grid value, and an object entry other than +1 or -1, which every
+single-bit flip of an int8 sign is.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ from .grid import GridCml
 
 MAGIC = "HDNAV-MODEL"
 FORMAT_VERSION = 5
+# the most bytes a header line is read to; the longest valid one,
+# "HDNAV-MODEL 5 object\n", is 21, so a file with no newline near its start
+# costs one small read and a short refusal
+_HEADER_LINE = 64
 
 
 def _write(path: str | Path, kind: str, d: int, dtype, *blocks: np.ndarray) -> None:
@@ -83,8 +88,11 @@ def _read_header(fh) -> tuple[str, int]:
 
     The header is ASCII; a byte outside it decodes as U+FFFD, so a file that
     starts with one is refused as not a model file, not with the codec's error.
+    Each line is read to at most ``_HEADER_LINE`` bytes and the blank line as
+    one byte, so a file with no newline where a header line should end is
+    refused after a bounded read, quoting only what was read.
     """
-    first = fh.readline().decode("ascii", "replace").strip()
+    first = fh.readline(_HEADER_LINE).decode("ascii", "replace").strip()
     parts = first.split()
     if len(parts) != 3 or parts[0] != MAGIC:
         raise ValueError(f"not a model file (header {first!r})")
@@ -93,14 +101,13 @@ def _read_header(fh) -> tuple[str, int]:
             f"unsupported model format version {parts[1]} (this version reads "
             f"{FORMAT_VERSION}); retrain the models with `hdnav train`"
         )
-    kind = parts[2]
-    key, _, value = fh.readline().decode("ascii", "replace").rstrip("\n").partition("=")
+    key, _, value = fh.readline(_HEADER_LINE).decode("ascii", "replace").rstrip("\n").partition("=")
     if key != "d":
-        raise ValueError(f"{kind} model header lacks the field 'd'")
+        raise ValueError(f"{parts[2]} model header lacks the field 'd'")
     d = _header_int("d", value)
-    if fh.readline() != b"\n":
+    if fh.read(1) != b"\n":
         raise ValueError("model header does not end after its 'd' line")
-    return kind, d
+    return parts[2], d
 
 
 def _read_blocks(fh, dtype, *shapes: tuple[int, ...]) -> list[np.ndarray]:

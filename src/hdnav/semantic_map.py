@@ -33,7 +33,7 @@ falls below threshold, signalling completion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,10 +53,9 @@ class MapMemory:
     (``experiments.load_models`` refuses one).  So binding the map only
     flips signs, and a query ``map * v`` has the norm of ``v`` bit for
     bit.  ``rows`` holds the ``grid_cml.cell_index`` of each object's
-    cell, in ``objects`` order.  ``map_basis``, the map bound to the plane
-    basis (``map_hv * grid_cml.basis``, (2, d), float), is derived once:
-    every built map's readiness check reads it, and each later position
-    lookup reuses it.  ``positions``, the dictionary of those cells'
+    cell, in ``objects`` order.  A map derives nothing when it is built:
+    each lookup binds the map to the plane basis where it scores
+    (``_plane_scores``).  ``positions``, the dictionary of those cells'
     states keyed by the cells themselves, is built on first use from
     ``grid_cml.states``; no lookup of the package reads it.
     """
@@ -65,10 +64,6 @@ class MapMemory:
     objects: hdc.Dictionary
     grid_cml: GridCml
     rows: list[int]
-    map_basis: np.ndarray = field(init=False, repr=False, compare=False)  # shape (2, d)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "map_basis", self.map_hv * self.grid_cml.basis)
 
     @cached_property
     def positions(self) -> hdc.Dictionary:
@@ -102,11 +97,14 @@ def _plane_scores(memory: MapMemory, vectors: np.ndarray) -> np.ndarray:
 
     ``vectors`` is an (n, d) stack of the ``v``; the scores are (n, 8), one
     column per object in ``objects`` order.  As ``p_j = x a_s + y a_e``,
-    the (n, 2) block ``v . (map * [a_s; a_e])`` (from ``map_basis``) times
-    the cells' ``plane`` rows gives every score.  A zero-state cell (a NaN
-    plane row) scores NaN.
+    the (n, 2) block ``v . (map * [a_s; a_e])`` times the cells' ``plane``
+    rows gives every score.  The map is bound to the basis here, on each
+    call: a built map's readiness check reads it once, and only a kept
+    map's waypoint lookups read it again.  A zero-state cell (a NaN plane
+    row) scores NaN.
     """
-    return vectors @ memory.map_basis.T @ memory.grid_cml.plane.take(memory.rows, axis=0).T
+    grid = memory.grid_cml
+    return vectors @ (memory.map_hv * grid.basis).T @ grid.plane.take(memory.rows, axis=0).T
 
 
 def check_viability(memory: MapMemory) -> bool:

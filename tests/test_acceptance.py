@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import stream
-from hdnav import cml, experiments, hdc, persist
+from hdnav import cml, experiments, hdc, maze, persist
 from hdnav.cli import main
 from hdnav.reports import wilson_interval
 
@@ -292,3 +292,68 @@ def test_readme_seed_42_figures(
     blocks = sum(block.nbytes for block in (grid_cml.x, grid_cml.y, grid_cml.a_s, grid_cml.a_e))
     assert grid_cml.d == 1000
     assert quoted == [object_file.stat().st_size, grid_file.stat().st_size, blocks]
+
+
+def test_kept_candidate_starts_twelve_plus_d_words_into_its_trial(
+    config, object_cml, grid_cml, mission_report, door_report
+):
+    # not a release criterion: the word budget that a replay of a trial's kept candidate,
+    # or a block evaluation of candidates, would rest on. A mission candidate reads 12
+    # words for its layout and d for its map's tie-break, and nothing else, unless
+    # Lemire's rule rejects a word; at even d that is (12 + d) / 2 PCG64 outputs. So a
+    # trial's stream advanced past its record's rejected candidates makes the kept one
+    # first, and then draws the record's removed door
+    assert (maze._LAYOUT_WORDS + config.d) % 2 == 0
+    outputs = (maze._LAYOUT_WORDS + config.d) // 2
+    objects = object_cml.state_dictionary()
+    for tag, report in (
+        (experiments.TAG_MISSION, mission_report),
+        (experiments.TAG_DOOR_REMOVAL, door_report),
+    ):
+        assert len(report.records) == 50
+        for record in report.records:
+            stream = experiments.trial_rng(SEED, tag, record["trial"])
+            stream.bit_generator.advance(outputs * record["rejections"])
+            kept, _, rejections = experiments.generate_viable_maze(stream, objects, grid_cml)
+            assert rejections == 0, record["trial"]
+            if "removed_door" in record:
+                assert maze.DOOR_LABELS[stream.below(len(maze.DOOR_LABELS))] == record["removed_door"]
+                kept, _ = maze.close_door(kept, record["removed_door"])
+            assert maze.to_text(kept) == record["maze"], record["trial"]
+
+
+class _BoundRecorder:
+    """A stand-in stream for ``maze._sample_layout``: its words are zeros, and ``below``
+    records each bound, reads one word, and returns the next of ``picks``, then 0."""
+
+    def __init__(self, picks):
+        self.picks, self.bounds = list(picks), []
+
+    def words(self, n):
+        return np.zeros(n, dtype=np.uint32)
+
+    def below(self, n, words):
+        self.bounds.append(n)
+        words.pop()
+        return self.picks.pop(0) if self.picks else 0
+
+
+def test_every_layout_draw_reads_a_word():
+    # not a release criterion: ``Stream.below(1)`` reads no word, so a layout reads
+    # exactly its 12 words (unless Lemire's rule rejects one) only if no bound is 1. The
+    # bounds depend on the walls alone: over all 150 (wall1, wall2, hrow) the layout
+    # makes 12 draws, each with a bound of at least 2
+    walls = [
+        (i, j, k)
+        for i in range(len(maze._WALL1_COLS))
+        for j in range(len(maze._WALL2_COLS))
+        for k in range(len(maze._MIDDLE_ROWS))
+    ]
+    assert len(walls) == len(maze._WALLS) == 150
+    smallest = []
+    for picks in walls:
+        stream = _BoundRecorder(picks)
+        maze._sample_layout(stream)
+        assert len(stream.bounds) == maze._LAYOUT_WORDS == 12, picks
+        smallest.append(min(stream.bounds))
+    assert min(smallest) == 2

@@ -78,12 +78,16 @@ def test_remove_door_keeps_state_dictionary(object_cml):
 
 @pytest.mark.parametrize("door", mz.DOOR_LABELS)
 def test_remove_door_derives_nothing(object_cml, door):
-    # the planner is a copy of the gates, zeroed; everything else is the original's own
+    # the planner is a copy of the gates, zeroed; the graph, S and A are the original's
+    # own, and the state dictionary it rebuilds from that S equals the original's
     G = object_cml.G.copy()
     reduced = mission.remove_door(object_cml, door)
     assert reduced.graph is object_cml.graph
     assert reduced.S is object_cml.S and reduced.A is object_cml.A
-    assert reduced.state_dictionary() is object_cml.state_dictionary()
+    states, original = reduced.state_dictionary(), object_cml.state_dictionary()
+    assert states.labels == original.labels
+    for table in ("vectors", "norms", "signs"):
+        assert np.array_equal(getattr(states, table), getattr(original, table)), table
     assert np.array_equal(object_cml.G, G) and not np.array_equal(reduced.G, G)
 
 

@@ -214,6 +214,29 @@ def test_non_ascii_magic_rejected_as_not_a_model_file(tmp_path):
         persist.load_model(path)
 
 
+@pytest.mark.parametrize(
+    "head,message,before",
+    [
+        (b"", "not a model file", 0),
+        # the magic line is read whole, then the d line to its bound, then one byte
+        (f"{MODEL_LINE} object\nd=".encode("ascii"), "does not end after its 'd' line", 22),
+    ],
+    ids=["magic_line", "d_line"],
+)
+def test_newline_free_file_refused_after_a_bounded_read(tmp_path, head, message, before):
+    # a megabyte with no newline where a header line should end: each header line is
+    # read to at most its bound, and the refusal quotes only what was read
+    path = tmp_path / "junk.hdm"
+    path.write_bytes(head + b"1" * 2**20)
+    with pytest.raises(ValueError, match=message) as refusal:
+        persist.load_model(path)
+    assert len(str(refusal.value)) < 200
+    with open(path, "rb") as fh:
+        with pytest.raises(ValueError, match=message):
+            persist._read_header(fh)
+        assert fh.tell() <= before + persist._HEADER_LINE
+
+
 def test_non_ascii_d_line_rejected_naming_the_field(object_cml, tmp_path):
     path = tmp_path / "object.hdm"
     persist.save_cml(object_cml, path)
