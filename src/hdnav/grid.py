@@ -14,11 +14,16 @@ Every delta-rule update lies in span{a_s, a_e}, so the states stay rank
 state formula, which ``GridCml.states`` evaluates.  Training
 is therefore linear in the two coordinate chains x (one scalar per row)
 and y (one per column), and ``train_grid`` writes its trajectory in
-closed form: the chains' fixed point (``fixed_chains``, each chain
-centred with unit steps) minus modes that decay geometrically, read
-``GRID_EPOCH_BLOCK`` epochs at a time until the stopping rule holds.  The
-model is the chains and the two actions, and derives everything else
-from them once: the action matrix A4 in ``DIRECTIONS`` order, the int8
+closed form: each n-node chain is its fixed point (``fixed_chains``,
+centred with unit steps) minus the modes of a path, the cosines
+``v_k[j] = sqrt(2/n) cos(pi k (j + 1/2) / n)`` for k = 1..n-1
+(``path_modes``), each decaying by ``1 - 2 lr (2 - 2 cos(pi k / n))``
+per epoch.  The stopping rule is read ``GRID_EPOCH_BLOCK`` epochs at a
+time; it holds at about ``ceil(ln(tol / c_1) / ln rate_1)``, when the
+slowest mode (the longer chain's first, y's on the 20x10 maze) has
+decayed from its epoch-0 share ``c_1`` of the residual to the tolerance.
+The model is the chains and the two actions, and derives everything
+else from them once: the action matrix A4 in ``DIRECTIONS`` order, the int8
 table ``signs`` of the cells' sign patterns (one row per cell in
 row-major order; a map binds these), the utility table ``U`` below, and
 the plane tables that score ``q . p / |p|`` as ``(basis @ q) .
@@ -156,6 +161,19 @@ def fixed_chains(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(height) - (height - 1) / 2, np.arange(width) - (width - 1) / 2
 
 
+def path_modes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The non-constant eigenpairs of an n-node path's Laplacian: (eigenvalues, modes).
+
+    Mode k = 1..n-1 is the DCT-II cosine ``v_k[j] = sqrt(2/n) cos(pi k (j + 1/2) / n)``,
+    one row of ``modes``, with eigenvalue ``2 - 2 cos(pi k / n)`` (Strang 1999,
+    "The Discrete Cosine Transform", SIAM Review 41(1)); the rows are
+    orthonormal.  A one-node path has none.
+    """
+    k = np.arange(1, n)
+    modes = np.sqrt(2 / n) * np.cos(np.pi * np.outer(k, np.arange(n) + 0.5) / n)
+    return 2 - 2 * np.cos(np.pi * k / n), modes
+
+
 def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> GridCml:
     """The grid states that training from zeros over all directed adjacencies reaches.
 
@@ -171,41 +189,45 @@ def train_grid(width: int, height: int, a_s: np.ndarray, a_e: np.ndarray) -> Gri
     norm over all directed edges dropping below 1e-2 * sqrt(d); each
     edge's norm is its chain coefficient times ``|a_e|`` or ``|a_s|``.
 
-    So the chains, stacked as ``z = [y, x]``, follow one linear update
-    from zero, ``z <- M z + 2 lr D^T 1`` with ``M = I - 2 lr D^T D``; row j
-    of ``D`` takes the step ``z[j+1] - z[j]``, and the seam row (y's last
-    entry to x's first) is no edge and zero.  The fixed point is ``z* =
-    [y*, x*]`` (``fixed_chains``), so with ``M = V diag(rate) V^T`` and
-    ``w = V^T z*`` the chains at the start of epoch n are
-    ``z* - V (rate^n * w)``, and their steps miss 1 by
-    ``-D V (rate^n * w)``.  The stopping rule is read for
-    ``GRID_EPOCH_BLOCK`` epochs at a time, in epoch order (the residual, an
-    L1 sum, is not monotone in n), and the chains of the first epoch
-    below the tolerance are returned.
+    So each chain, of n nodes, follows its own linear update from zero,
+    ``c <- c - 2 lr L (c - c*)``, where ``L`` is the n-node path's
+    Laplacian and ``c*`` the chain's fixed point (``fixed_chains``).  The
+    modes of ``L`` are cosines (``path_modes``): mode k has weight ``w_k =
+    v_k . c*`` and decays by ``rate_k = 1 - 2 lr (2 - 2 cos(pi k / n))``
+    per epoch, and the constant mode's weight is exactly 0, for ``c*`` is
+    centred (a one-node chain has no other mode, and a one-cell grid no
+    edge: it stops at epoch 0).  The chain at the start of epoch n is
+    ``c* - sum_k rate_k^n w_k v_k``, and its steps miss 1 by
+    ``-sum_k rate_k^n w_k diff(v_k)``.
+    Both chains' modes are stacked, so a block of epochs is one product
+    with a block-diagonal table of the modes' steps.  The stopping rule is
+    read for ``GRID_EPOCH_BLOCK`` epochs at a time, in epoch order (the
+    residual, an L1 sum, is not monotone in n), and the chains of the
+    first epoch below the tolerance are returned.  Near the stop the
+    residual is the slowest mode alone, the longer chain's first (y's at
+    W = 20, H = 10: rate 0.99754, against 0.99021 for x's), so the
+    stopping epoch is about ``ceil(ln(tol / c_1) / ln rate_1)``, with
+    ``c_1`` that mode's share of the residual at epoch 0.
     """
-    if width * height < 2:
-        raise ValueError("grid needs at least two cells")
-    tol = 1e-2 * np.sqrt(len(a_s))
-    norm_e, norm_s = float(np.linalg.norm(a_e)), float(np.linalg.norm(a_s))
-    edge_pairs = directed_edge_count(width, height) // 2
-    x_star, y_star = fixed_chains(width, height)
-    z_star = np.concatenate([y_star, x_star])
-    D = np.diff(np.eye(width + height), axis=0)
-    D[width - 1] = 0.0  # the seam is no edge
-    rate, V = np.linalg.eigh(np.eye(width + height) - 2 * GRID_LEARNING_RATE * (D.T @ D))
-    w = V.T @ z_star
-    DV = D @ V
     # an epoch's mean residual weighs each step's miss by its edges' action norm
-    weights = np.repeat([height * norm_e, 0.0, width * norm_s], [width - 1, 1, height - 1])
-    weights /= edge_pairs
+    norms = [height * np.sqrt(a_e @ a_e), width * np.sqrt(a_s @ a_s)]
+    weights = np.repeat(norms, [width - 1, height - 1]) / (directed_edge_count(width, height) // 2)
+    x_star, y_star = fixed_chains(width, height)
+    (eig_y, v_y), (eig_x, v_x) = path_modes(width), path_modes(height)
+    rate = 1 - 2 * GRID_LEARNING_RATE * np.concatenate([eig_y, eig_x])
+    w = np.concatenate([v_y @ y_star, v_x @ x_star])
+    # block diagonal: row k holds mode k's steps, y's modes in y's W - 1, x's in x's H - 1
+    steps = np.zeros((len(rate), len(rate)))
+    steps[: width - 1, : width - 1] = np.diff(v_y, axis=1)
+    steps[width - 1 :, width - 1 :] = np.diff(v_x, axis=1)
     for first in range(0, GRID_EPOCH_CAP, GRID_EPOCH_BLOCK):
         epochs = np.arange(first, min(first + GRID_EPOCH_BLOCK, GRID_EPOCH_CAP))
-        modes = rate ** epochs[:, None] * w  # (block, W + H): z* - z per epoch, in V's basis
-        mean_residual = np.abs(modes @ DV.T) @ weights
-        converged = np.flatnonzero(mean_residual < tol)
+        modes = rate ** epochs[:, None] * w  # (block, W + H - 2): each mode's share of c* - c
+        mean_residual = np.abs(modes @ steps) @ weights
+        converged = np.flatnonzero(mean_residual < 1e-2 * np.sqrt(len(a_s)))
         if len(converged):
-            chains = z_star - V @ modes[converged[0]]
-            return GridCml(x=chains[width:], y=chains[:width], a_s=a_s.copy(), a_e=a_e.copy())
+            y, x = np.split(modes[converged[0]], [width - 1])
+            return GridCml(x=x_star - x @ v_x, y=y_star - y @ v_y, a_s=a_s.copy(), a_e=a_e.copy())
     raise RuntimeError(
         f"grid training failed to converge: residual {mean_residual[-1]:.3g} "
         f"after {GRID_EPOCH_CAP} epochs"

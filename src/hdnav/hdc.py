@@ -211,8 +211,9 @@ def bind(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def permute(x: np.ndarray, k: int) -> np.ndarray:
-    """Circular shift of the elements by k positions (k may be negative)."""
-    return np.roll(x, k)
+    """Circular shift of a vector's elements by k positions (k may be negative), as ``np.roll``."""
+    k %= len(x)
+    return np.concatenate((x[-k:], x[:-k]))  # k = 0 gives x[0:] and x[:0], a copy of x
 
 
 @dataclass(frozen=True)

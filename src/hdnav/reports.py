@@ -17,8 +17,9 @@ from pathlib import Path
 REPORT_FORMAT_VERSION = 1
 
 
-def canonical_json(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+# json.dumps(record, sort_keys=True, separators=(",", ":")) builds this encoder anew on
+# every call; built once, it writes the same bytes
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.96) -> tuple[float, float]:

@@ -37,6 +37,28 @@ def grid_cml(config):
     return experiments.build_grid_cml(config)
 
 
+# the default seed-42 batches, run once per session: the behaviour gate's digests and
+# the report writer's encoder both read them
+@pytest.fixture(scope="session")
+def mission_report(config, object_cml, grid_cml):
+    return experiments.run_experiment(config, "mission", object_cml, grid_cml)
+
+
+@pytest.fixture(scope="session")
+def door_report(config, object_cml, grid_cml):
+    return experiments.run_experiment(config, "door_removal", object_cml, grid_cml)
+
+
+@pytest.fixture(scope="session")
+def grid_only_report(config, object_cml, grid_cml):
+    return experiments.run_experiment(config, "grid_only", object_cml, grid_cml)
+
+
+@pytest.fixture(scope="session")
+def viability_report(config, object_cml, grid_cml):
+    return experiments.run_experiment(config, "viability", object_cml, grid_cml)
+
+
 @pytest.fixture(scope="session")
 def grid_cells(grid_cml):
     """Every grid state as a dictionary keyed by its cell, in row-major order: the

@@ -28,26 +28,6 @@ def announce(number: int, passed: bool, description: str, started: float) -> Non
     print(f"ACCEPTANCE {number:2d} {status} [{time.perf_counter() - started:6.2f}s] {description}")
 
 
-@pytest.fixture(scope="module")
-def mission_report(config, object_cml, grid_cml):
-    return experiments.run_experiment(config, "mission", object_cml, grid_cml)
-
-
-@pytest.fixture(scope="module")
-def door_report(config, object_cml, grid_cml):
-    return experiments.run_experiment(config, "door_removal", object_cml, grid_cml)
-
-
-@pytest.fixture(scope="module")
-def grid_only_report(config, object_cml, grid_cml):
-    return experiments.run_experiment(config, "grid_only", object_cml, grid_cml)
-
-
-@pytest.fixture(scope="module")
-def viability_report(config, object_cml, grid_cml):
-    return experiments.run_experiment(config, "viability", object_cml, grid_cml)
-
-
 def test_criterion_01_similarity_statistics(config):
     started = time.perf_counter()
     report = experiments.run_hdc_stats(config)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from hdnav import experiments, grid as grid_mod, hdc
 from hdnav.config import ExperimentConfig
 from hdnav.grid import (
-    DELTAS, DIRECTIONS, GridCml, directed_edge_count, grid_step, moves, train_grid,
+    DELTAS, DIRECTIONS, GridCml, directed_edge_count, fixed_chains, grid_step, moves,
+    path_modes, train_grid,
 )
 from hdnav.maze import Maze
 
@@ -382,6 +384,51 @@ def test_training_cap_raises(actions, monkeypatch):
         assert str(raised.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_path_modes_are_the_path_laplacians_eigenpairs(n):
+    # the Laplacian of an n-node path, D^T D with D taking each step; one node has no step
+    D_path = np.diff(np.eye(n), axis=0)
+    laplacian = D_path.T @ D_path
+    eigenvalues, modes = path_modes(n)
+    assert eigenvalues.shape == (n - 1,) and modes.shape == (n - 1, n)
+    assert np.allclose(laplacian @ modes.T, modes.T * eigenvalues, rtol=0, atol=1e-12)
+    assert np.allclose(modes @ modes.T, np.eye(n - 1), rtol=0, atol=1e-12)
+    # with the constant mode they are all n: eigenvalues 0 < 2 - 2 cos(pi k / n) < 4, distinct
+    assert np.all(np.diff(eigenvalues) > 0) and np.all((0 < eigenvalues) & (eigenvalues < 4))
+    assert np.allclose(modes.sum(axis=1), 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_constant_mode_weighs_exactly_zero(n):
+    # each fixed chain is half-integers (exact in float64) whose exact sum, and so the
+    # constant mode's weight sum / sqrt(n), is 0: the modes path_modes leaves out
+    # carry nothing
+    x_star, y_star = fixed_chains(n, n)
+    assert np.array_equal(x_star, y_star) and np.all(np.diff(x_star) == 1.0)
+    assert math.fsum(x_star) == 0.0
+
+
+def test_a_one_cell_grid_trains_to_its_fixed_point(actions):
+    # no step and no mode: the residual is 0 from the first epoch
+    trained = train_grid(1, 1, *actions)
+    assert np.array_equal(trained.x, [0.0]) and np.array_equal(trained.y, [0.0])
+
+
+@pytest.mark.parametrize("seed", MODEL_SEEDS)
+def test_first_mode_estimates_the_stopping_epoch(model_seed_loops, seed):
+    # near the stop the residual is the y chain's first mode alone, the slowest
+    # (rate 0.99754, against 0.99021 for x's), decaying from its epoch-0 share c_1;
+    # the loop's epoch is train_grid's (test_model_seed_trains_the_loops_grid)
+    (a_s, a_e), (_, _, epoch) = model_seed_loops[seed]
+    eigenvalues, modes = path_modes(20)
+    rate = 1 - 2 * grid_mod.GRID_LEARNING_RATE * eigenvalues[0]
+    weight = modes[0] @ fixed_chains(20, 10)[1]
+    share = 10 * np.linalg.norm(a_e) / (directed_edge_count(20, 10) // 2)
+    c_1 = share * abs(weight) * np.abs(np.diff(modes[0])).sum()
+    estimate = math.ceil(math.log(1e-2 * np.sqrt(D) / c_1) / math.log(rate))
+    assert epoch - 1 <= estimate <= epoch
+
+
 # --- utilities ---------------------------------------------------------------------
 
 
@@ -665,9 +712,9 @@ def reference_states(grid_cml):
     return P
 
 
-# sha256 prefixes of P's bytes from the table the model stored before it kept only
-# its plane; P is rebuilt on each read and must not move by a bit
-P_DIGESTS = {42: "5d45fd79f323ecfc", 1: "34f38d73d5332b0c", 7: "525833472b8cbbe1"}
+# sha256 prefixes of P's bytes, built from the chains of the cosine modes; P is
+# rebuilt on each read and must not move by a bit
+P_DIGESTS = {42: "b21ed46bdd959424", 1: "cbbf5618b0a6b681", 7: "54e43e8fab704436"}
 
 
 @pytest.mark.parametrize("model_seed", [42, 1, 7])

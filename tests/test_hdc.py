@@ -327,6 +327,14 @@ def test_permute_identity_and_full_rotation():
     assert np.array_equal(hdc.permute(x, D), x)
 
 
+@pytest.mark.parametrize("k", [-D - 1, -1, 0, 1, 7, D, D + 1])
+def test_permute_is_roll(k):
+    for x in (bipolar(21), np.random.default_rng(21).normal(size=D)):
+        shifted = hdc.permute(x, k)
+        assert shifted.dtype == x.dtype and np.array_equal(shifted, np.roll(x, k))
+        assert not np.shares_memory(shifted, x)
+
+
 def test_permute_inverse():
     x = bipolar(19)
     assert np.array_equal(hdc.permute(hdc.permute(x, 7), -7), x)

@@ -73,6 +73,16 @@ def test_canonical_json_is_stable():
     assert canonical_json(record) == '{"a":[1,2],"b":2,"c":{"x":0,"y":1}}'
 
 
+def test_canonical_json_writes_the_bytes_of_json_dumps(
+    mission_report, door_report, viability_report
+):
+    # the module's one encoder is the one json.dumps builds per call for these arguments
+    for report in (mission_report, door_report, viability_report):
+        for record in report.records:
+            expected = json.dumps(record, sort_keys=True, separators=(",", ":"))
+            assert canonical_json(record) == expected
+
+
 def test_report_files_written(tmp_path):
     records = [{"trial": 0, "success": True, "steps": 4, "failure_reason": "none"}]
     report = ExperimentReport(
